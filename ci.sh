@@ -6,6 +6,14 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 
+# Benchmark smoke: the oracle-gated benchmark package (its own
+# workspace, built from benchmark/) against the current crates, 3 s
+# each on the streaming path and the fused batch path. An API drift
+# that breaks its build, or any wrong answer, fails here instead of in
+# the next performance PR. Timings are not judged.
+bash benchmark/run.sh serve-small --smoke > /dev/null
+bash benchmark/run.sh batch-scan --smoke > /dev/null
+
 # Robustness drills: seeded fault injection (deterministic FaultPlan
 # seeds baked into the tests) and pathological-pattern budgets.
 cargo test -q -p bitgen --test fault_tolerance --test pathological_patterns

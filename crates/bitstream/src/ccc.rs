@@ -91,80 +91,15 @@ impl CcExpr {
         out
     }
 
-    /// Evaluates the circuit into `out` without allocating a temporary
-    /// stream per circuit node: the whole circuit runs one word-group
-    /// at a time over the basis words (the interleaved-execution shape,
-    /// at the active lane width).
-    ///
-    /// `out` is cleared first; positions at and past `basis.len()` end
-    /// up zero, so executors can pass their `len + 1` window stream
-    /// directly and the provisional peek position stays clear.
+    /// Evaluates the circuit into `out`: flattens it to [`CcCode`] and
+    /// runs [`CcCode::eval_into`]. Callers that evaluate one circuit many
+    /// times should keep the [`CcCode`].
     ///
     /// # Panics
     ///
     /// Panics if `out` is shorter than `basis.len()` bits.
     pub fn eval_into(&self, basis: &Basis, out: &mut BitStream) {
-        assert!(
-            out.len() >= basis.len(),
-            "output stream holds {} bits, basis covers {}",
-            out.len(),
-            basis.len()
-        );
-        let len = out.len();
-        out.reset_zeros(len);
-        let words: [&[u64]; BASIS_COUNT] =
-            std::array::from_fn(|k| basis.stream(k).as_words());
-        let nwords = basis.len().div_ceil(64);
-        let out_words = out.words_mut();
-        match wide::lane_width() {
-            LaneWidth::X1 => fill_groups::<1>(self, &words, out_words, nwords),
-            LaneWidth::X2 => fill_groups::<2>(self, &words, out_words, nwords),
-            LaneWidth::X4 => fill_groups::<4>(self, &words, out_words, nwords),
-            LaneWidth::X8 => fill_groups::<8>(self, &words, out_words, nwords),
-        }
-        // Positions past basis.len() within the last basis word belong
-        // to the padding (e.g. a Not circuit turns them on); clear them.
-        let rem = basis.len() & 63;
-        if rem != 0 {
-            out_words[nwords - 1] &= wide::low_mask(rem);
-        }
-    }
-
-    /// Evaluates the circuit over one word-group: `N` consecutive basis
-    /// words at index `wi`, producing `N` output words. Intermediate
-    /// values live in stack registers, never heap streams.
-    fn eval_group<const N: usize>(
-        &self,
-        words: &[&[u64]; BASIS_COUNT],
-        wi: usize,
-        out: &mut [u64; N],
-    ) {
-        match self {
-            CcExpr::Const(b) => *out = [if *b { u64::MAX } else { 0 }; N],
-            CcExpr::Basis(k) => out.copy_from_slice(&words[*k as usize][wi..wi + N]),
-            CcExpr::Not(e) => {
-                e.eval_group(words, wi, out);
-                for w in out.iter_mut() {
-                    *w = !*w;
-                }
-            }
-            CcExpr::And(a, b) => {
-                a.eval_group(words, wi, out);
-                let mut rhs = [0u64; N];
-                b.eval_group(words, wi, &mut rhs);
-                for (w, r) in out.iter_mut().zip(rhs) {
-                    *w &= r;
-                }
-            }
-            CcExpr::Or(a, b) => {
-                a.eval_group(words, wi, out);
-                let mut rhs = [0u64; N];
-                b.eval_group(words, wi, &mut rhs);
-                for (w, r) in out.iter_mut().zip(rhs) {
-                    *w |= r;
-                }
-            }
-        }
+        CcCode::new(self).eval_into(basis, out);
     }
 
     /// Number of gates (AND/OR/NOT nodes) in the circuit.
@@ -213,26 +148,200 @@ impl fmt::Display for CcExpr {
     }
 }
 
-/// Grouped evaluation driver: full `N`-word groups, then a one-word
-/// tail so every basis word is covered exactly once.
-fn fill_groups<const N: usize>(
-    expr: &CcExpr,
-    words: &[&[u64]; BASIS_COUNT],
-    out: &mut [u64],
-    nwords: usize,
-) {
-    let mut wi = 0;
-    while wi + N <= nwords {
-        let mut group = [0u64; N];
-        expr.eval_group(words, wi, &mut group);
-        out[wi..wi + N].copy_from_slice(&group);
-        wi += N;
+/// A [`CcExpr`] flattened to postfix code: one byte per node in a single
+/// allocation, a twentieth of the boxed tree. This is the form circuits
+/// are evaluated in, and the form engines keep resident.
+///
+/// # Examples
+///
+/// ```
+/// use bitgen_bitstream::{Basis, BitStream, CcCode};
+/// use bitgen_regex::ByteSet;
+///
+/// let code = CcCode::for_class(&ByteSet::range(b'a', b'z'));
+/// let basis = Basis::transpose(b"abz{");
+/// let mut s = BitStream::zeros(4);
+/// code.eval_into(&basis, &mut s);
+/// assert_eq!(s.positions(), vec![0, 1, 2]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CcCode {
+    /// Postfix ops: `0..8` push that basis stream, then the `OP_*` codes.
+    code: Box<[u8]>,
+    /// Operand-stack slots evaluation needs.
+    depth: usize,
+    gates: usize,
+}
+
+const OP_FALSE: u8 = 8;
+const OP_TRUE: u8 = 9;
+const OP_NOT: u8 = 10;
+const OP_AND: u8 = 11;
+const OP_OR: u8 = 12;
+
+/// Operand stacks up to this deep live on the CPU stack. Operands are
+/// emitted deeper-first, so depth grows with the logarithm of the circuit
+/// size and every compiled class fits; deeper hand-built circuits spill
+/// to the heap.
+const INLINE_DEPTH: usize = 12;
+
+impl CcCode {
+    /// Flattens `expr`.
+    pub fn new(expr: &CcExpr) -> CcCode {
+        let mut code = Vec::new();
+        let depth = emit(expr, &mut code);
+        CcCode { code: code.into_boxed_slice(), depth, gates: expr.gate_count() }
     }
-    while wi < nwords {
-        let mut one = [0u64; 1];
-        expr.eval_group(words, wi, &mut one);
-        out[wi] = one[0];
-        wi += 1;
+
+    /// The flattened circuit of a byte class ([`compile_class`]).
+    pub fn for_class(set: &ByteSet) -> CcCode {
+        CcCode::new(&compile_class(set))
+    }
+
+    /// [`CcExpr::gate_count`] of the flattened circuit.
+    pub fn gate_count(&self) -> usize {
+        self.gates
+    }
+
+    /// Evaluates the circuit position-wise into `out` without a temporary
+    /// stream per node: the whole circuit runs one word-group at a time
+    /// over the basis words (the interleaved-execution shape, at the
+    /// active lane width).
+    ///
+    /// `out` is cleared first; positions at and past `basis.len()` end
+    /// up zero, so executors can pass their `len + 1` window stream
+    /// directly and the provisional peek position stays clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `basis.len()` bits.
+    pub fn eval_into(&self, basis: &Basis, out: &mut BitStream) {
+        assert!(
+            out.len() >= basis.len(),
+            "output stream holds {} bits, basis covers {}",
+            out.len(),
+            basis.len()
+        );
+        let len = out.len();
+        out.reset_zeros(len);
+        let words: [&[u64]; BASIS_COUNT] =
+            std::array::from_fn(|k| basis.stream(k).as_words());
+        let nwords = basis.len().div_ceil(64);
+        let out_words = out.words_mut();
+        match wide::lane_width() {
+            LaneWidth::X1 => self.fill_groups::<1>(&words, out_words, nwords),
+            LaneWidth::X2 => self.fill_groups::<2>(&words, out_words, nwords),
+            LaneWidth::X4 => self.fill_groups::<4>(&words, out_words, nwords),
+            LaneWidth::X8 => self.fill_groups::<8>(&words, out_words, nwords),
+        }
+        // Positions past basis.len() within the last basis word belong
+        // to the padding (e.g. a Not circuit turns them on); clear them.
+        let rem = basis.len() & 63;
+        if rem != 0 {
+            out_words[nwords - 1] &= wide::low_mask(rem);
+        }
+    }
+
+    /// Grouped evaluation driver: full `N`-word groups, then a one-word
+    /// tail so every basis word is covered exactly once.
+    fn fill_groups<const N: usize>(
+        &self,
+        words: &[&[u64]; BASIS_COUNT],
+        out: &mut [u64],
+        nwords: usize,
+    ) {
+        let tail = self.run::<N>(words, out, 0, nwords);
+        self.run::<1>(words, out, tail, nwords);
+    }
+
+    /// Evaluates every whole `N`-word group in `from..nwords`, returning
+    /// the index of the first word left over. Intermediate values live on
+    /// one operand stack, never in heap streams.
+    fn run<const N: usize>(
+        &self,
+        words: &[&[u64]; BASIS_COUNT],
+        out: &mut [u64],
+        from: usize,
+        nwords: usize,
+    ) -> usize {
+        let mut inline = [[0u64; N]; INLINE_DEPTH];
+        let mut spill = Vec::new();
+        let stack: &mut [[u64; N]] = if self.depth <= INLINE_DEPTH {
+            &mut inline
+        } else {
+            spill.resize(self.depth, [0u64; N]);
+            &mut spill
+        };
+        let mut wi = from;
+        while wi + N <= nwords {
+            let mut top = 0;
+            for &op in self.code.iter() {
+                match op {
+                    OP_FALSE | OP_TRUE => {
+                        stack[top] = [if op == OP_TRUE { u64::MAX } else { 0 }; N];
+                        top += 1;
+                    }
+                    OP_NOT => {
+                        for w in stack[top - 1].iter_mut() {
+                            *w = !*w;
+                        }
+                    }
+                    OP_AND => {
+                        top -= 1;
+                        let rhs = stack[top];
+                        for (w, r) in stack[top - 1].iter_mut().zip(rhs) {
+                            *w &= r;
+                        }
+                    }
+                    OP_OR => {
+                        top -= 1;
+                        let rhs = stack[top];
+                        for (w, r) in stack[top - 1].iter_mut().zip(rhs) {
+                            *w |= r;
+                        }
+                    }
+                    k => {
+                        stack[top].copy_from_slice(&words[k as usize][wi..wi + N]);
+                        top += 1;
+                    }
+                }
+            }
+            out[wi..wi + N].copy_from_slice(&stack[0]);
+            wi += N;
+        }
+        wi
+    }
+}
+
+/// Appends `expr` in postfix order and returns the operand-stack depth it
+/// needs. The deeper operand of a binary gate goes first (both gates
+/// commute), which keeps that depth logarithmic in the circuit size.
+fn emit(expr: &CcExpr, code: &mut Vec<u8>) -> usize {
+    match expr {
+        CcExpr::Const(b) => {
+            code.push(if *b { OP_TRUE } else { OP_FALSE });
+            1
+        }
+        CcExpr::Basis(k) => {
+            code.push(*k);
+            1
+        }
+        CcExpr::Not(e) => {
+            let depth = emit(e, code);
+            code.push(OP_NOT);
+            depth
+        }
+        CcExpr::And(a, b) | CcExpr::Or(a, b) => {
+            let start = code.len();
+            let first = emit(a, code);
+            let mid = code.len();
+            let second = emit(b, code);
+            if second > first {
+                code[start..].rotate_left(mid - start);
+            }
+            code.push(if matches!(expr, CcExpr::And(..)) { OP_AND } else { OP_OR });
+            first.max(second).max(first.min(second) + 1)
+        }
     }
 }
 
@@ -489,6 +598,57 @@ mod tests {
         out.reset_zeros(big.len());
         e.eval_into(&basis, &mut out);
         assert_eq!(out.capacity_words(), cap);
+    }
+
+    #[test]
+    fn flat_code_agrees_with_the_tree_on_every_byte() {
+        // All 256 byte values in one basis: position b holds byte b, so the
+        // flat evaluator's output stream is the tree's truth table.
+        let all: Vec<u8> = (0..=255).collect();
+        let basis = Basis::transpose(&all);
+        let sets = [
+            ByteSet::word(),
+            ByteSet::dot(),
+            ByteSet::singleton(b'a'),
+            ByteSet::range(0x21, 0xfe),
+            ByteSet::from_bytes((0..=255u8).filter(|b| b % 2 == 0)),
+            ByteSet::EMPTY,
+            ByteSet::FULL,
+        ];
+        for set in &sets {
+            let tree = compile_class(set);
+            let code = CcCode::new(&tree);
+            assert_eq!(code.gate_count(), tree.gate_count());
+            assert!(code.depth <= INLINE_DEPTH, "{set:?} needs {} slots", code.depth);
+            let mut out = BitStream::zeros(256);
+            code.eval_into(&basis, &mut out);
+            for b in 0..=255u8 {
+                assert_eq!(out.get(b as usize), tree.eval_byte(b), "byte {b:#04x} of {set:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_hand_built_circuits_spill_and_still_evaluate() {
+        // A complete binary tree of ORs needs one operand slot per level
+        // whatever the order; past INLINE_DEPTH that is the heap path.
+        fn full(levels: usize, k: &mut u8) -> CcExpr {
+            if levels == 0 {
+                *k = (*k + 1) % 8;
+                return CcExpr::Basis(*k);
+            }
+            CcExpr::Or(Box::new(full(levels - 1, k)), Box::new(full(levels - 1, k)))
+        }
+        let tree = full(INLINE_DEPTH + 1, &mut 0);
+        let code = CcCode::new(&tree);
+        assert!(code.depth > INLINE_DEPTH);
+        let input: Vec<u8> = (0..=255).collect();
+        let basis = Basis::transpose(&input);
+        let mut out = BitStream::zeros(256);
+        code.eval_into(&basis, &mut out);
+        for b in 0..=255u8 {
+            assert_eq!(out.get(b as usize), tree.eval_byte(b));
+        }
     }
 
     #[test]

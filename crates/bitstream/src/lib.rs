@@ -35,7 +35,7 @@ mod stream;
 mod transpose;
 mod wide;
 
-pub use ccc::{compile_class, CcExpr};
+pub use ccc::{compile_class, CcCode, CcExpr};
 pub use stream::BitStream;
 pub use transpose::{Basis, BASIS_COUNT};
 pub use wide::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};

@@ -11,7 +11,8 @@ use crate::group::{group_regexes, GroupingStrategy};
 use bitgen_baselines::CpuBitstreamEngine;
 use bitgen_bitstream::BitStream;
 use bitgen_exec::{
-    apply_transforms, ExecConfig, ExecMetrics, FallbackPolicy, Metrics, PassMetrics, Scheme,
+    apply_transforms, ExecConfig, ExecMetrics, FallbackPolicy, Metrics, PassMetrics,
+    PreparedProgram, Scheme,
 };
 use bitgen_gpu::{CostBreakdown, DeviceConfig};
 use bitgen_ir::{lower_group_checked, CompileLimits, LowerOptions, Program};
@@ -241,8 +242,12 @@ pub struct BitGen {
     /// loops instead of `MatchStar` (no additions inside loops) and
     /// never run through the scheme transforms (shift rebalancing
     /// introduces non-causal retreats that cannot carry across chunk
-    /// boundaries). See DESIGN.md §10.
-    pub(crate) stream_programs: Vec<Program>,
+    /// boundaries), each with its class circuits and carry layout
+    /// prepared once. See DESIGN.md §10.
+    pub(crate) stream_programs: Vec<PreparedProgram>,
+    /// [`BitGen::stream_fingerprint`], hashed once from the streaming
+    /// programs above.
+    pub(crate) stream_fingerprint: u64,
     /// CPU interpreter over the same programs, built eagerly when
     /// `recovery` is [`RecoveryPolicy::Degrade`] so the fallback path
     /// never compiles under failure.
@@ -498,14 +503,15 @@ impl BitGen {
         // (MatchStar's long additions inside loops cannot carry across
         // chunks) and no scheme transforms. Cloned while `programs` is
         // still untransformed when the lowerings coincide.
-        let stream_programs = if config.match_star {
+        let stream_programs = PreparedProgram::new_all(if config.match_star {
             lower_groups(LowerOptions { match_star: false, log_repetition: config.log_repetition })?
         } else {
             programs.clone()
-        };
+        });
         let mut engine = BitGen {
             groups,
             programs,
+            stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
             cpu_fallback: None,
             pass_metrics: Vec::new(),
@@ -556,6 +562,13 @@ impl BitGen {
     /// The compiled bitstream programs, one per group.
     pub fn programs(&self) -> &[Program] {
         &self.programs
+    }
+
+    /// The prepared streaming programs, one per group: the untransformed
+    /// lowerings a [`crate::StreamScanner`] executes, with their class
+    /// circuits and carry layouts.
+    pub fn stream_programs(&self) -> &[PreparedProgram] {
+        &self.stream_programs
     }
 
     /// Transform-pipeline metrics per group, recorded once at compile

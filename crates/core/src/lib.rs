@@ -78,7 +78,8 @@ pub use swap::StagedRules;
 pub use bitgen_baselines::{BenchTarget, TargetRun};
 pub use bitgen_bitstream::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};
 pub use bitgen_exec::{
-    ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics, Scheme,
+    ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics, PreparedProgram,
+    Scheme,
 };
 pub use bitgen_gpu::{CostBreakdown, DeviceConfig, FaultKind, FaultPlan};
 pub use bitgen_ir::{CancelToken, CompileLimits, LimitError, RunControl};

@@ -271,7 +271,7 @@ impl ScanSession<'_> {
         let basis = &self.bases[0];
         let scratch = &mut self.scratches[0];
         let run = catch_unwind(AssertUnwindSafe(|| {
-            execute_prepared_ctl(prog, basis, &config, scratch, ctl, Some(carry))
+            prog.execute_window(basis, &config, scratch, ctl, carry)
         }));
         match run {
             Ok(Ok(outcome)) => Ok(outcome),
@@ -296,7 +296,7 @@ impl ScanSession<'_> {
         ctl: &RunControl,
         carry: &mut CarryState,
     ) -> Result<Vec<BitStream>, Error> {
-        let prog = &self.engine.stream_programs[group];
+        let prog = self.engine.stream_programs[group].program();
         let result = bitgen_ir::try_interpret_chunk(prog, &self.bases[0], ctl, carry)
             .map_err(|e| Error::Exec(ExecError::from(e)))?;
         Ok(result.outputs)

@@ -40,7 +40,7 @@ use crate::error::Error;
 use crate::session::ScanSession;
 use crate::swap::StagedRules;
 use bitgen_bitstream::BitStream;
-use bitgen_exec::{ExecError, ExecMetrics, Metrics};
+use bitgen_exec::{ExecError, ExecMetrics, Metrics, PreparedProgram};
 use bitgen_gpu::FaultPlan;
 use bitgen_ir::{pretty, CancelToken, CarryState};
 use std::time::Duration;
@@ -188,7 +188,7 @@ impl BitGen {
     pub fn streamer(&self) -> Result<StreamScanner<'_>, Error> {
         Ok(StreamScanner {
             session: self.session(),
-            carries: self.stream_programs.iter().map(CarryState::for_program).collect(),
+            carries: fresh_carries(&self.stream_programs),
             metrics: Metrics {
                 ctas: vec![ExecMetrics::default(); self.stream_programs.len()],
                 ..Metrics::default()
@@ -244,7 +244,9 @@ impl BitGen {
         for (group, (carry, prog)) in
             checkpoint.carries.iter().zip(&self.stream_programs).enumerate()
         {
-            carry.validate(prog).map_err(|error| Error::CarryCorrupted { group, error })?;
+            carry
+                .validate(prog.carry_layout())
+                .map_err(|error| Error::CarryCorrupted { group, error })?;
         }
         Ok(StreamScanner {
             session: self.session(),
@@ -277,16 +279,29 @@ impl BitGen {
     /// count plus every streaming program's full rendering. Two engines
     /// agree exactly when their streaming programs (and hence carry
     /// layouts and match semantics) agree, so a [`StreamCheckpoint`]
-    /// restores only onto a compatible compile. Stable across processes.
+    /// restores only onto a compatible compile. Stable across processes;
+    /// hashed once when the engine is compiled.
     pub fn stream_fingerprint(&self) -> u64 {
-        let mut h = fnv_bytes(FNV_OFFSET, &CHECKPOINT_VERSION.to_le_bytes());
-        h = fnv_bytes(h, &(self.stream_programs.len() as u64).to_le_bytes());
-        for prog in &self.stream_programs {
-            h = fnv_bytes(h, pretty(prog).as_bytes());
-            h = fnv_bytes(h, &u64::from(prog.num_streams()).to_le_bytes());
-        }
-        h
+        self.stream_fingerprint
     }
+}
+
+/// [`BitGen::stream_fingerprint`] of an engine with these streaming
+/// programs.
+pub(crate) fn fingerprint_of(stream_programs: &[PreparedProgram]) -> u64 {
+    let mut h = fnv_bytes(FNV_OFFSET, &CHECKPOINT_VERSION.to_le_bytes());
+    h = fnv_bytes(h, &(stream_programs.len() as u64).to_le_bytes());
+    for prepared in stream_programs {
+        let prog = prepared.program();
+        h = fnv_bytes(h, pretty(prog).as_bytes());
+        h = fnv_bytes(h, &u64::from(prog.num_streams()).to_le_bytes());
+    }
+    h
+}
+
+/// Zeroed start-of-stream carries, one per group.
+fn fresh_carries(stream_programs: &[PreparedProgram]) -> Vec<CarryState> {
+    stream_programs.iter().map(|p| CarryState::for_layout(p.carry_layout())).collect()
 }
 
 impl<'e> StreamScanner<'e> {
@@ -334,7 +349,7 @@ impl<'e> StreamScanner<'e> {
             engine: self.session.engine_ref(),
             carries: std::mem::replace(
                 &mut self.carries,
-                engine.stream_programs.iter().map(CarryState::for_program).collect(),
+                fresh_carries(&engine.stream_programs),
             ),
             ctas: std::mem::replace(
                 &mut self.metrics.ctas,
@@ -417,8 +432,8 @@ impl StreamScanner<'_> {
         let mut retried = 0u64;
         let mut degraded = false;
         for group in 0..groups {
-            if let Err(error) = self.carries[group].validate(&self.session.engine().stream_programs[group])
-            {
+            let layout = self.session.engine().stream_programs[group].carry_layout();
+            if let Err(error) = self.carries[group].validate(layout) {
                 // Corruption arrived between pushes; nothing ran on the
                 // bad state. Groups earlier in this push already rotated,
                 // so put the whole boundary back before bailing — the
@@ -540,6 +555,17 @@ impl StreamScanner<'_> {
     /// carries): persisting the boundary commits to it, so resuming
     /// treats the swap as done rather than resurrecting the rollback.
     pub fn checkpoint(&self) -> StreamCheckpoint {
+        self.checkpoint_with(self.carries.clone())
+    }
+
+    /// [`StreamScanner::checkpoint`] for a scanner that is done: the
+    /// boundary carries move into the checkpoint instead of being cloned.
+    pub fn into_checkpoint(mut self) -> StreamCheckpoint {
+        let carries = std::mem::take(&mut self.carries);
+        self.checkpoint_with(carries)
+    }
+
+    fn checkpoint_with(&self, carries: Vec<CarryState>) -> StreamCheckpoint {
         StreamCheckpoint {
             fingerprint: self.session.engine().stream_fingerprint(),
             generation: self.generation,
@@ -551,7 +577,7 @@ impl StreamScanner<'_> {
             degraded_chunks: self.metrics.degraded,
             swaps: self.metrics.swaps,
             swap_rollbacks: self.metrics.swap_rollbacks,
-            carries: self.carries.clone(),
+            carries,
         }
     }
 

@@ -4,18 +4,20 @@
 
 use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
+use crate::prepared::StreamTables;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, Segment, SegmentKind};
-use bitgen_bitstream::{compile_class, Basis, BitStream};
+use bitgen_bitstream::{Basis, BitStream, CcCode};
 use bitgen_gpu::{Cta, FaultKind, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
-    carry_slot_count, try_interpret, try_interpret_chunk, CarryState, DefUse, InterpError,
+    try_interpret, try_interpret_chunk, ByteSet, CarryState, CarryWalk, DefUse, InterpError,
     Interrupt, Op, Program, RunControl, Stmt, StreamId,
 };
 use bitgen_kernel::{compile, CodegenOptions, WORD_BITS};
 use bitgen_passes::{
     insert_zero_skips_with, rebalance_with, Hull, OverlapInfo, PassMetrics, ZbsConfig,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -384,6 +386,9 @@ pub fn execute_prepared(
 /// fused windowed execution assumes whole-stream inputs and is skipped.
 /// Streaming callers must pass *untransformed* programs (shift
 /// rebalancing introduces non-causal retreats that cannot stream).
+/// This is the one-shot door: the program's class circuits and carry
+/// layout are derived for this call only. Callers that stream many
+/// windows of one program keep a [`crate::PreparedProgram`] instead.
 ///
 /// # Errors
 ///
@@ -422,7 +427,8 @@ pub fn execute_prepared_ctl(
     carry: Option<&mut CarryState>,
 ) -> Result<ExecOutcome, ExecError> {
     if let Some(carry) = carry {
-        return execute_streaming_window(prog, basis, config, scratch, ctl, carry);
+        let tables = StreamTables::of(prog);
+        return execute_streaming_window(prog, &tables, basis, config, scratch, ctl, carry);
     }
     let segments = segment_program(prog, config.scheme);
     let stream_len = Program::stream_len(basis.len());
@@ -492,7 +498,9 @@ pub fn execute_prepared_ctl(
 
 /// One streaming window of `prog` over a chunk basis: the whole program
 /// runs sequentially (instruction at a time) with cross-chunk carries —
-/// the carry-parameterised branch of [`execute_prepared_ctl`].
+/// the body behind both [`crate::PreparedProgram::execute_window`] and
+/// the carry-parameterised branch of [`execute_prepared_ctl`]. `tables`
+/// must have been built from `prog`.
 ///
 /// Hardening mirrors the batch path: an armed [`ExecConfig::fault`]
 /// corrupts the window deterministically (see [`StreamFault`]), the
@@ -505,8 +513,9 @@ pub fn execute_prepared_ctl(
 /// On error the carry state may hold a partially-accumulated window;
 /// callers that want to survive must restore a pre-window snapshot
 /// (that is exactly what `bitgen`'s `StreamScanner` transaction does).
-fn execute_streaming_window(
+pub(crate) fn execute_streaming_window(
     prog: &Program,
+    tables: &StreamTables,
     basis: &Basis,
     config: &ExecConfig,
     scratch: &mut ExecScratch,
@@ -527,13 +536,14 @@ fn execute_streaming_window(
             passes: stream_len.div_ceil(config.window_bits()) as u64,
             words: stream_len.div_ceil(WORD_BITS) as u64,
             ctl,
-            carry: Some(SeqCarry { state: carry, next: 0 }),
+            carry: Some(CarryWalk::new(carry, &tables.layout)),
+            tables: Some(tables),
             fault: config.fault.map(StreamFault::new),
             issued: 0,
             stored: 0,
         };
         let result = seq.run(prog.stmts());
-        let walk = seq.carry.as_ref().map_or(0, |c| c.next) as u64;
+        let walk = seq.carry.as_ref().map_or(0, CarryWalk::slots_walked) as u64;
         (result, walk, seq.fault.take(), seq.issued, seq.stored)
     };
     run_result?;
@@ -733,6 +743,7 @@ fn run_sequential(
         words,
         ctl: cx.ctl,
         carry: None,
+        tables: None,
         fault: None,
         issued: 0,
         stored: 0,
@@ -770,21 +781,6 @@ impl StreamFault {
     }
 }
 
-/// Streaming slot walk mirrored by [`SeqExec`] — see
-/// [`CarryState::for_program`] for the layout contract.
-struct SeqCarry<'a> {
-    state: &'a mut CarryState,
-    next: usize,
-}
-
-impl SeqCarry<'_> {
-    fn take_slot(&mut self) -> usize {
-        let s = self.next;
-        self.next += 1;
-        s
-    }
-}
-
 struct SeqExec<'a> {
     basis: &'a Basis,
     env: &'a mut HashMap<StreamId, BitStream>,
@@ -797,7 +793,10 @@ struct SeqExec<'a> {
     ctl: &'a RunControl,
     /// `Some` when executing one streaming window with cross-chunk
     /// carries; `None` for ordinary whole-stream sequential segments.
-    carry: Option<SeqCarry<'a>>,
+    carry: Option<CarryWalk<'a>>,
+    /// The streaming window's prepared class circuits; batch sequential
+    /// segments (`None`) compile each class as they meet it.
+    tables: Option<&'a StreamTables>,
     /// Armed fault, streaming windows only ([`execute_streaming_window`]
     /// sets it from [`ExecConfig::fault`]); batch sequential segments run
     /// their drills through the CTA emulator instead.
@@ -809,7 +808,7 @@ struct SeqExec<'a> {
     stored: u64,
 }
 
-impl SeqExec<'_> {
+impl<'a> SeqExec<'a> {
     fn run(&mut self, stmts: &[Stmt]) -> Result<(), ExecError> {
         for stmt in stmts {
             if !self.ctl.is_unlimited() {
@@ -822,23 +821,27 @@ impl SeqExec<'_> {
                     // Streaming: a pending carry inside the body means a
                     // marker crossed the chunk boundary, so the body must
                     // run even when its guard is locally empty.
-                    let (pending, layout) = self.body_carry(body);
-                    if self.get(*cond)?.any() || pending {
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    if self.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
                         self.run(body)?;
                     } else {
-                        self.metrics.counters.skipped_ops += count_ops(body) * self.passes;
-                        if let (Some(c), Some((start, count))) = (&mut self.carry, layout) {
-                            c.next = start + count;
-                        }
+                        let ops = match (&mut self.carry, entered) {
+                            (Some(walk), Some((span, _))) => {
+                                walk.leave(&span);
+                                span.ops
+                            }
+                            _ => count_ops(body),
+                        };
+                        self.metrics.counters.skipped_ops += ops * self.passes;
                     }
                 }
                 Stmt::While { cond, body } => {
-                    let (pending, layout) = self.body_carry(body);
-                    let mut force = pending;
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    let mut force = entered.is_some_and(|(_, pending)| pending);
                     let mut fuel = self.stream_len + 2 + usize::from(force);
                     loop {
-                        if let (Some(c), Some((start, _))) = (&mut self.carry, layout) {
-                            c.next = start;
+                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                            walk.rewind(&span);
                         }
                         if !(self.get(*cond)?.any() || force) {
                             break;
@@ -852,8 +855,8 @@ impl SeqExec<'_> {
                         self.run(body)?;
                     }
                     self.metrics.counters.reductions += 1;
-                    if let (Some(c), Some((start, count))) = (&mut self.carry, layout) {
-                        c.next = start + count;
+                    if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                        walk.leave(&span);
                     }
                 }
             }
@@ -861,78 +864,64 @@ impl SeqExec<'_> {
         Ok(())
     }
 
-    /// Slot-walk bookkeeping for a guarded body: whether any of its
-    /// incoming carries are pending and where its slots start.
-    fn body_carry(&mut self, body: &[Stmt]) -> (bool, Option<(usize, usize)>) {
-        match &self.carry {
-            None => (false, None),
-            Some(c) => {
-                let start = c.next;
-                let count = carry_slot_count(body);
-                (c.state.pending(start..start + count), Some((start, count)))
-            }
+    /// `class`'s circuit: from the prepared tables in a streaming window,
+    /// compiled on the spot in a batch sequential segment.
+    fn circuit(&self, class: &ByteSet) -> Cow<'a, CcCode> {
+        match self.tables.and_then(|tables| tables.circuit(class)) {
+            Some(circuit) => Cow::Borrowed(circuit),
+            None => Cow::Owned(CcCode::for_class(class)),
         }
     }
 
     fn exec(&mut self, op: &Op) -> Result<(), ExecError> {
-        // Issue and traffic accounting first (Fig. 5: one loop per
-        // instruction; shifts load two adjacent blocks per block).
-        let (alu, loads) = match op {
+        // Per instruction: ALU issues and words loaded (Fig. 5: one loop
+        // per instruction; shifts load two adjacent blocks per block),
+        // and the value it computes.
+        let (passes, words) = (self.passes, self.words);
+        let (alu, loads, mut value) = match op {
             Op::MatchCc { class, .. } => {
-                (compile_class(class).gate_count() as u64 * self.passes, 8 * self.words)
+                // Word-group circuit evaluation straight into the
+                // window-length stream (peek position stays clear).
+                let circuit = self.circuit(class);
+                let mut s = BitStream::zeros(self.stream_len);
+                circuit.eval_into(self.basis, &mut s);
+                (circuit.gate_count() as u64 * passes, 8 * words, s)
             }
-            Op::And { .. } | Op::Or { .. } | Op::Add { .. } | Op::Xor { .. } => {
-                (self.passes, 2 * self.words)
+            Op::And { a, b, .. } => (passes, 2 * words, self.get(*a)?.and(self.get(*b)?)),
+            Op::Or { a, b, .. } => (passes, 2 * words, self.get(*a)?.or(self.get(*b)?)),
+            Op::Add { a, b, .. } => {
+                let (sa, sb) = (fetch(self.env, *a)?, fetch(self.env, *b)?);
+                let sum = match &mut self.carry {
+                    Some(walk) => walk.add(sa, sb),
+                    None => sa.add(sb),
+                };
+                (passes, 2 * words, sum)
             }
-            Op::Not { .. } | Op::Assign { .. } => (self.passes, self.words),
-            Op::Advance { .. } | Op::Retreat { .. } => (self.passes, 2 * self.words),
-            Op::Zero { .. } | Op::Ones { .. } => (self.passes, 0),
+            Op::Xor { a, b, .. } => (passes, 2 * words, self.get(*a)?.xor(self.get(*b)?)),
+            Op::Not { src, .. } => (passes, words, self.get(*src)?.not()),
+            Op::Advance { src, amount, .. } => {
+                let k = *amount as usize;
+                let s = fetch(self.env, *src)?;
+                let shifted = match &mut self.carry {
+                    Some(walk) => walk.advance(s, k),
+                    None => s.advance(k),
+                };
+                (passes, 2 * words, shifted)
+            }
+            Op::Retreat { src, amount, .. } => {
+                (passes, 2 * words, self.get(*src)?.retreat(*amount as usize))
+            }
+            Op::Assign { src, .. } => (passes, words, self.get(*src)?.clone()),
+            Op::Zero { .. } => (passes, 0, BitStream::zeros(self.stream_len)),
+            Op::Ones { .. } => (passes, 0, BitStream::ones(self.stream_len)),
         };
         let c = &mut self.metrics.counters;
         c.alu_ops += alu;
         c.global_load_words += loads;
-        c.global_store_words += self.words;
+        c.global_store_words += words;
         // One barrier between consecutive instruction loops (Fig. 5b).
         c.barriers += 1;
         self.issued += 1;
-        let mut value = match op {
-            Op::MatchCc { class, .. } => {
-                // Word-group circuit evaluation straight into the
-                // window-length stream (peek position stays clear).
-                let mut s = BitStream::zeros(self.stream_len);
-                compile_class(class).eval_into(self.basis, &mut s);
-                s
-            }
-            Op::And { a, b, .. } => self.get(*a)?.and(self.get(*b)?),
-            Op::Or { a, b, .. } => self.get(*a)?.or(self.get(*b)?),
-            Op::Add { a, b, .. } => {
-                let (sa, sb) = (fetch(self.env, *a)?, fetch(self.env, *b)?);
-                match &mut self.carry {
-                    Some(c) => {
-                        let slot = c.take_slot();
-                        c.state.add_through(slot, sa, sb)
-                    }
-                    None => sa.add(sb),
-                }
-            }
-            Op::Xor { a, b, .. } => self.get(*a)?.xor(self.get(*b)?),
-            Op::Not { src, .. } => self.get(*src)?.not(),
-            Op::Advance { src, amount, .. } => {
-                let k = *amount as usize;
-                let s = fetch(self.env, *src)?;
-                match &mut self.carry {
-                    Some(c) => {
-                        let slot = c.take_slot();
-                        c.state.advance_through(slot, s, k)
-                    }
-                    None => s.advance(k),
-                }
-            }
-            Op::Retreat { src, amount, .. } => self.get(*src)?.retreat(*amount as usize),
-            Op::Assign { src, .. } => self.get(*src)?.clone(),
-            Op::Zero { .. } => BitStream::zeros(self.stream_len),
-            Op::Ones { .. } => BitStream::ones(self.stream_len),
-        };
         if let Some(fault) = &mut self.fault {
             if !fault.fired {
                 fault.ops_seen += 1;
@@ -945,7 +934,7 @@ impl SeqExec<'_> {
                         // this window's value.
                         FaultKind::SkipBarrier => return Ok(()),
                         FaultKind::CorruptTrips => match &mut self.carry {
-                            Some(c) => c.state.corrupt_outgoing(fault.plan.seed),
+                            Some(walk) => walk.state_mut().corrupt_outgoing(fault.plan.seed),
                             None => flip_bit(&mut value, fault.plan.seed),
                         },
                         FaultKind::CorruptCounter => {

@@ -12,7 +12,9 @@
 //! and a sequential fallback for chains that outrun the window (§8.2).
 //!
 //! [`execute`] is the entry point; [`ExecMetrics`] carries everything the
-//! paper's Tables 4–6 report.
+//! paper's Tables 4–6 report. Streaming engines keep one
+//! [`PreparedProgram`] per group, so a streaming window re-derives
+//! nothing about its program.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,6 +22,7 @@
 mod blit;
 mod engine;
 mod metrics;
+mod prepared;
 mod scheme;
 mod segment;
 
@@ -30,6 +33,7 @@ pub use engine::{
 };
 pub use bitgen_passes::PassMetrics;
 pub use metrics::{ExecMetrics, Metrics};
+pub use prepared::PreparedProgram;
 pub use scheme::Scheme;
 // Convenience re-exports so executor callers can drive cancellation and
 // fault drills without importing the defining crates.

@@ -17,16 +17,16 @@
 //! `Retreat` gets **no** slot: lowering only ever emits `retreat(_, 1)`
 //! at top level to normalise cursor streams into match-end outputs, and
 //! the one-past-the-chunk "peek" position every window carries (see
-//! `Program::stream_len`) makes that read exact — [`CarryState::for_program`]
+//! `Program::stream_len`) makes that read exact — [`CarryState::for_layout`]
 //! enforces the structural invariant.
 //!
-//! Executors walk a program's carry-bearing ops in pre-order, mirroring
-//! the slot layout built here; while-loop bodies rewind to their first
-//! slot on every trip, and slots written inside a loop accumulate their
+//! Executors walk a program's carry-bearing ops in pre-order
+//! ([`CarryWalk`]), mirroring the [`CarryLayout`] computed once per
+//! program; while-loop bodies rewind to their first slot on every trip, and slots written inside a loop accumulate their
 //! carry-out across trips by OR (sound because the loop computes a
 //! monotone reachability closure — see DESIGN.md §10).
 
-use crate::program::{Op, Program, Stmt};
+use crate::program::{Op, Program, Stmt, StreamId};
 use bitgen_bitstream::BitStream;
 use std::fmt;
 use std::ops::Range;
@@ -99,6 +99,183 @@ impl fmt::Display for CarryError {
 
 impl std::error::Error for CarryError {}
 
+/// The input-independent shape of a program's carry slots: each slot's
+/// width in pre-order, and for every `if`/`while` body the slots, nested
+/// guards and ops it spans. Computed once per program
+/// ([`CarryLayout::of`]) so that building, validating and walking a
+/// [`CarryState`] never re-walks the program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CarryLayout {
+    widths: Vec<u32>,
+    /// One entry per `if`/`while` statement, in pre-order.
+    bodies: Vec<BodyLayout>,
+    /// Whether every `Retreat` is the top-level `retreat(cursors, 1)`
+    /// output normalisation that lowering emits (amount 1, destination is
+    /// an output that is never read back) — the only retreat the peek
+    /// position makes exact. [`CarryState::for_layout`] refuses the rest.
+    streamable: bool,
+}
+
+/// What one `if`/`while` body spans, as pre-order index ranges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyLayout {
+    /// Instructions in the body, nested bodies included.
+    pub ops: u64,
+    /// First carry slot inside the body.
+    slot_start: usize,
+    /// One past the body's last carry slot.
+    slot_end: usize,
+    /// First guard nested in the body (this guard's index + 1).
+    guard_start: usize,
+    /// One past the last guard nested in the body.
+    guard_end: usize,
+}
+
+impl CarryLayout {
+    /// Computes `program`'s carry layout.
+    pub fn of(program: &Program) -> CarryLayout {
+        let mut reads = vec![false; program.num_streams() as usize];
+        program.for_each_op(&mut |op| {
+            for src in op.sources() {
+                reads[src.index()] = true;
+            }
+        });
+        let mut layout = CarryLayout { widths: Vec::new(), bodies: Vec::new(), streamable: true };
+        let mut streamable = true;
+        layout.walk(program.stmts(), true, &mut |dst, amount, top_level| {
+            streamable &= top_level
+                && amount == 1
+                && program.outputs().contains(&dst)
+                && !reads[dst.index()];
+        });
+        layout.streamable = streamable;
+        // Resident for the life of an engine: drop the growth slack.
+        layout.widths.shrink_to_fit();
+        layout.bodies.shrink_to_fit();
+        layout
+    }
+
+    /// Appends `stmts`' slots and bodies in pre-order, returning the
+    /// number of ops seen; `retreat` vets each `Retreat(dst, amount)`.
+    fn walk(
+        &mut self,
+        stmts: &[Stmt],
+        top_level: bool,
+        retreat: &mut impl FnMut(StreamId, u32, bool),
+    ) -> u64 {
+        let mut ops = 0;
+        for stmt in stmts {
+            match stmt {
+                Stmt::Op(op) => {
+                    ops += 1;
+                    match op {
+                        Op::Advance { amount, .. } => self.widths.push(*amount),
+                        Op::Add { .. } => self.widths.push(1),
+                        Op::Retreat { dst, amount, .. } => retreat(*dst, *amount, top_level),
+                        _ => {}
+                    }
+                }
+                Stmt::If { body, .. } | Stmt::While { body, .. } => {
+                    // Reserve the pre-order position; the spans are known
+                    // only once the body has been walked.
+                    let guard = self.bodies.len();
+                    let slot_start = self.widths.len();
+                    self.bodies.push(BodyLayout {
+                        slot_start,
+                        slot_end: slot_start,
+                        ops: 0,
+                        guard_start: guard + 1,
+                        guard_end: guard + 1,
+                    });
+                    let body_ops = self.walk(body, false, retreat);
+                    self.bodies[guard] = BodyLayout {
+                        slot_end: self.widths.len(),
+                        ops: body_ops,
+                        guard_end: self.bodies.len(),
+                        ..self.bodies[guard]
+                    };
+                    ops += body_ops;
+                }
+            }
+        }
+        ops
+    }
+
+    /// Number of carry slots.
+    pub fn slot_count(&self) -> usize {
+        self.widths.len()
+    }
+}
+
+/// One window's pre-order walk over a [`CarryState`]: the slot and guard
+/// cursors every streaming executor advances in step with the program.
+/// Loop bodies [`rewind`](CarryWalk::rewind) to their first slot on each
+/// trip; skipped or finished bodies [`leave`](CarryWalk::leave) past
+/// their last.
+#[derive(Debug)]
+pub struct CarryWalk<'a> {
+    state: &'a mut CarryState,
+    layout: &'a CarryLayout,
+    slot: usize,
+    guard: usize,
+}
+
+impl<'a> CarryWalk<'a> {
+    /// Starts a walk at the program's first slot. `layout` must be the
+    /// layout `state` was built for (or validated against).
+    pub fn new(state: &'a mut CarryState, layout: &'a CarryLayout) -> CarryWalk<'a> {
+        CarryWalk { state, layout, slot: 0, guard: 0 }
+    }
+
+    /// `Advance(src, k)` through the next slot
+    /// (see [`CarryState::advance_through`]).
+    pub fn advance(&mut self, src: &BitStream, k: usize) -> BitStream {
+        self.slot += 1;
+        self.state.advance_through(self.slot - 1, src, k)
+    }
+
+    /// `Add(a, b)` through the next slot (see [`CarryState::add_through`]).
+    pub fn add(&mut self, a: &BitStream, b: &BitStream) -> BitStream {
+        self.slot += 1;
+        self.state.add_through(self.slot - 1, a, b)
+    }
+
+    /// Arrives at the next `if`/`while` statement: its body's span, and
+    /// whether any incoming carry inside it is pending — a marker crossed
+    /// the chunk boundary, so the body must run even when its guard is
+    /// locally empty.
+    pub fn enter(&mut self) -> (BodyLayout, bool) {
+        let body = self.layout.bodies[self.guard];
+        debug_assert_eq!(body.slot_start, self.slot, "carry walk desynchronised from the layout");
+        self.guard = body.guard_start;
+        (body, self.state.pending(body.slot_start..body.slot_end))
+    }
+
+    /// Back to `body`'s first slot, for the next trip of its loop.
+    pub fn rewind(&mut self, body: &BodyLayout) {
+        self.slot = body.slot_start;
+        self.guard = body.guard_start;
+    }
+
+    /// Past `body`'s last slot: it was skipped, or its loop is done.
+    pub fn leave(&mut self, body: &BodyLayout) {
+        self.slot = body.slot_end;
+        self.guard = body.guard_end;
+    }
+
+    /// Slots consumed so far; equals the layout's slot count after a
+    /// clean window.
+    pub fn slots_walked(&self) -> usize {
+        self.slot
+    }
+
+    /// The state being walked — for fault drills
+    /// ([`CarryState::corrupt_outgoing`]).
+    pub fn state_mut(&mut self) -> &mut CarryState {
+        self.state
+    }
+}
+
 /// Per-instruction carry slots threaded between consecutive chunks.
 ///
 /// The state is double-buffered: during a window the executor *reads*
@@ -137,37 +314,32 @@ impl CarryState {
     /// Builds a zeroed carry state with one slot per carry-bearing
     /// instruction of `program`, in pre-order.
     ///
+    /// Walks the program; callers that already hold its [`CarryLayout`]
+    /// should use [`CarryState::for_layout`].
+    ///
     /// # Panics
     ///
-    /// Panics if the program is not streamable: every `Retreat` must be
-    /// the top-level `retreat(cursors, 1)` output normalisation that
-    /// lowering emits (amount 1, destination is an output that is never
-    /// read back). Transformed programs (shift rebalancing introduces
-    /// non-causal retreats) must not be streamed — stream the untransformed
-    /// lowering instead.
+    /// As [`CarryState::for_layout`].
     pub fn for_program(program: &Program) -> CarryState {
-        let mut reads = vec![false; program.num_streams() as usize];
-        program.for_each_op(&mut |op| {
-            for src in op.sources() {
-                reads[src.index()] = true;
-            }
-        });
-        let mut slots = Vec::new();
-        build_slots(program.stmts(), true, &mut |op, top_level| match op {
-            Op::Advance { amount, .. } => slots.push(Slot::new(*amount as usize)),
-            Op::Add { .. } => slots.push(Slot::new(1)),
-            Op::Retreat { dst, amount, .. } => {
-                assert!(
-                    top_level
-                        && *amount == 1
-                        && program.outputs().contains(dst)
-                        && !reads[dst.index()],
-                    "program is not streamable: Retreat is only supported as the \
-                     top-level output normalisation `retreat(cursors, 1)`"
-                );
-            }
-            _ => {}
-        });
+        CarryState::for_layout(&CarryLayout::of(program))
+    }
+
+    /// Builds a zeroed carry state for an already-computed layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout's program is not streamable: every `Retreat`
+    /// must be the top-level `retreat(cursors, 1)` output normalisation
+    /// that lowering emits. Transformed programs (shift rebalancing
+    /// introduces non-causal retreats) must not be streamed — stream the
+    /// untransformed lowering instead.
+    pub fn for_layout(layout: &CarryLayout) -> CarryState {
+        assert!(
+            layout.streamable,
+            "program is not streamable: Retreat is only supported as the \
+             top-level output normalisation `retreat(cursors, 1)`"
+        );
+        let slots: Vec<Slot> = layout.widths.iter().map(|&w| Slot::new(w as usize)).collect();
         let seal = seal_of(&slots);
         CarryState { slots, seal }
     }
@@ -194,7 +366,7 @@ impl CarryState {
         self.seal
     }
 
-    /// Checks this state against `program`'s carry layout and its own
+    /// Checks this state against a program's carry layout and its own
     /// checksum: slot count, per-slot widths, zeroed outgoing buffers,
     /// and the incoming-carry seal must all hold.
     ///
@@ -205,15 +377,16 @@ impl CarryState {
     /// # Errors
     ///
     /// The first [`CarryError`] found, in slot order.
-    pub fn validate(&self, program: &Program) -> Result<(), CarryError> {
-        let expected = expected_widths(program);
+    pub fn validate(&self, layout: &CarryLayout) -> Result<(), CarryError> {
+        let expected = &layout.widths;
         if expected.len() != self.slots.len() {
             return Err(CarryError::SlotCountMismatch {
                 expected: expected.len(),
                 found: self.slots.len(),
             });
         }
-        for (slot, (s, &w)) in self.slots.iter().zip(&expected).enumerate() {
+        for (slot, (s, &w)) in self.slots.iter().zip(expected).enumerate() {
+            let w = w as usize;
             if s.incoming.len() != w {
                 return Err(CarryError::SlotWidthMismatch {
                     slot,
@@ -376,19 +549,6 @@ impl CarryState {
     }
 }
 
-/// Number of carry slots the statements would occupy — the executor's
-/// counterpart to [`CarryState::for_program`]'s layout, used to skip or
-/// rewind over `if`/`while` bodies.
-pub fn carry_slot_count(stmts: &[Stmt]) -> usize {
-    let mut n = 0;
-    build_slots(stmts, false, &mut |op, _| {
-        if matches!(op, Op::Advance { .. } | Op::Add { .. }) {
-            n += 1;
-        }
-    });
-    n
-}
-
 /// FNV-1a over the incoming carries: slot count, then each slot's width
 /// and words. Cheap (one multiply per byte over a few machine words) and
 /// stable across processes, which checkpoint serialization relies on.
@@ -414,19 +574,6 @@ fn fnv_word(mut h: u64, v: u64) -> u64 {
     h
 }
 
-/// Slot widths `program`'s carry layout requires, in pre-order — the
-/// validation counterpart of [`CarryState::for_program`] (which also
-/// asserts streamability; this never panics).
-fn expected_widths(program: &Program) -> Vec<usize> {
-    let mut widths = Vec::new();
-    build_slots(program.stmts(), false, &mut |op, _| match op {
-        Op::Advance { amount, .. } => widths.push(*amount as usize),
-        Op::Add { .. } => widths.push(1),
-        _ => {}
-    });
-    widths
-}
-
 fn read_u32(bytes: &[u8], cursor: &mut usize) -> Result<u32, CarryError> {
     let end = cursor
         .checked_add(4)
@@ -449,15 +596,6 @@ fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, CarryError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-fn build_slots(stmts: &[Stmt], top_level: bool, f: &mut impl FnMut(&Op, bool)) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Op(op) => f(op, top_level),
-            Stmt::If { body, .. } | Stmt::While { body, .. } => build_slots(body, false, f),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +615,60 @@ mod tests {
             }
         });
         assert_eq!(state.slot_count(), advances);
-        assert_eq!(carry_slot_count(prog.stmts()), advances);
+        assert_eq!(CarryLayout::of(&prog).slot_count(), advances);
+    }
+
+    #[test]
+    fn layout_spans_nested_bodies_and_the_walk_skips_them_whole() {
+        use crate::program::{Op, Program, Stmt, StreamId};
+        let s = StreamId;
+        let prog = Program::new(
+            vec![
+                Stmt::Op(Op::Ones { dst: s(0) }),
+                Stmt::Op(Op::Advance { dst: s(1), src: s(0), amount: 2 }),
+                Stmt::While {
+                    cond: s(1),
+                    body: vec![
+                        Stmt::Op(Op::Advance { dst: s(2), src: s(1), amount: 1 }),
+                        Stmt::If {
+                            cond: s(2),
+                            body: vec![Stmt::Op(Op::Advance { dst: s(3), src: s(2), amount: 3 })],
+                        },
+                        Stmt::Op(Op::And { dst: s(1), a: s(1), b: s(2) }),
+                    ],
+                },
+                Stmt::If {
+                    cond: s(0),
+                    body: vec![Stmt::Op(Op::Advance { dst: s(4), src: s(0), amount: 1 })],
+                },
+            ],
+            5,
+            vec![s(1)],
+        );
+        let layout = CarryLayout::of(&prog);
+        assert_eq!(layout.widths, vec![2, 1, 3, 1]);
+        let mut state = CarryState::for_layout(&layout);
+        let mut walk = CarryWalk::new(&mut state, &layout);
+        walk.advance(&BitStream::zeros(4), 2);
+        // Leaving the loop unvisited steps over its nested `if` as well:
+        // the next guard met is the trailing top-level one.
+        let (outer, pending) = walk.enter();
+        assert_eq!((outer.ops, pending), (3, false));
+        walk.leave(&outer);
+        assert_eq!(walk.slots_walked(), 3);
+        let (last, _) = walk.enter();
+        assert_eq!(last.ops, 1);
+        walk.leave(&last);
+        assert_eq!(walk.slots_walked(), layout.slot_count());
+        // A trip through the loop meets the nested guard, and a rewind
+        // meets it again.
+        walk.rewind(&outer);
+        walk.advance(&BitStream::zeros(4), 1);
+        let (inner, _) = walk.enter();
+        assert_eq!((inner.ops, inner.slot_start, inner.slot_end), (1, 2, 3));
+        walk.rewind(&outer);
+        walk.advance(&BitStream::zeros(4), 1);
+        assert_eq!(walk.enter().0, inner);
     }
 
     #[test]
@@ -525,11 +716,11 @@ mod tests {
     fn validate_accepts_fresh_and_rotated_states() {
         let prog = lower(&parse("a(bc)*d").unwrap());
         let mut state = CarryState::for_program(&prog);
-        state.validate(&prog).unwrap();
+        state.validate(&CarryLayout::of(&prog)).unwrap();
         let window = BitStream::from_positions(6, &[2, 4]);
         state.advance_through(0, &window, 1);
         state.rotate();
-        state.validate(&prog).unwrap();
+        state.validate(&CarryLayout::of(&prog)).unwrap();
     }
 
     #[test]
@@ -538,7 +729,7 @@ mod tests {
         let b = lower(&parse("x").unwrap());
         let state = CarryState::for_program(&a);
         assert!(matches!(
-            state.validate(&b),
+            state.validate(&CarryLayout::of(&b)),
             Err(CarryError::SlotCountMismatch { .. } | CarryError::SlotWidthMismatch { .. })
         ));
     }
@@ -548,7 +739,7 @@ mod tests {
         let prog = lower(&parse("ab").unwrap());
         let mut state = CarryState::for_program(&prog);
         state.corrupt_outgoing(0);
-        assert!(matches!(state.validate(&prog), Err(CarryError::DirtyOutgoing { .. })));
+        assert!(matches!(state.validate(&CarryLayout::of(&prog)), Err(CarryError::DirtyOutgoing { .. })));
     }
 
     #[test]
@@ -564,7 +755,7 @@ mod tests {
         let back = CarryState::read_bytes(&bytes, &mut cursor).unwrap();
         assert_eq!(cursor, bytes.len());
         assert_eq!(back, state);
-        back.validate(&prog).unwrap();
+        back.validate(&CarryLayout::of(&prog)).unwrap();
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! with. Also records the loop trip counts used to validate the dynamic
 //! overlap analysis.
 
-use crate::carry::{carry_slot_count, CarryState};
+use crate::carry::{CarryLayout, CarryState, CarryWalk};
 use crate::control::{Interrupt, RunControl};
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::{compile_class, Basis, BitStream, CcExpr};
+use bitgen_bitstream::{Basis, BitStream, CcCode};
 use std::fmt;
 
 /// Result of interpreting a program.
@@ -168,14 +168,15 @@ pub fn try_interpret_chunk(
     ctl: &RunControl,
     carry: &mut CarryState,
 ) -> Result<InterpResult, InterpError> {
-    run_env(program, basis, ctl, Some(CarryRun { state: carry, next: 0 }))
+    let layout = CarryLayout::of(program);
+    run_env(program, basis, ctl, Some(CarryWalk::new(carry, &layout)))
 }
 
 fn run_env(
     program: &Program,
     basis: &Basis,
     ctl: &RunControl,
-    carry: Option<CarryRun<'_>>,
+    carry: Option<CarryWalk<'_>>,
 ) -> Result<InterpResult, InterpError> {
     let len = Program::stream_len(basis.len());
     let mut env = Env {
@@ -195,31 +196,18 @@ fn run_env(
     Ok(InterpResult { outputs, loop_trips: env.loop_trips, ops_executed: env.ops_executed })
 }
 
-struct CarryRun<'a> {
-    state: &'a mut CarryState,
-    next: usize,
-}
-
-impl CarryRun<'_> {
-    fn take_slot(&mut self) -> usize {
-        let s = self.next;
-        self.next += 1;
-        s
-    }
-}
-
 struct Env<'a> {
     vars: Vec<Option<BitStream>>,
     /// Per-destination compiled class circuits, keyed by the address of
     /// the `MatchCc` op's class (stable for the duration of the run):
     /// loop trips re-execute the same op many times, so the circuit is
     /// compiled once and revalidated by key on each hit.
-    cc: Vec<Option<(usize, CcExpr)>>,
+    cc: Vec<Option<(usize, CcCode)>>,
     basis: &'a Basis,
     len: usize,
     loop_trips: usize,
     ops_executed: usize,
-    carry: Option<CarryRun<'a>>,
+    carry: Option<CarryWalk<'a>>,
 }
 
 /// Whether `op` reads the stream it writes — in that case the
@@ -252,13 +240,11 @@ impl Env<'_> {
                     // if the guard is locally empty. Skipping leaves the
                     // body's outgoing carries zero, which is exactly the
                     // no-marker semantics.
-                    let (pending, layout) = self.body_carry(body);
-                    if self.get(*cond)?.any() || pending {
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    if self.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
                         self.run(body, ctl)?;
-                    } else if let (Some(run), Some((start, count))) =
-                        (&mut self.carry, layout)
-                    {
-                        run.next = start + count;
+                    } else if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                        walk.leave(&span);
                     }
                 }
                 Stmt::While { cond, body } => {
@@ -266,12 +252,12 @@ impl Env<'_> {
                     // transforms: a marker fixpoint can never need more
                     // trips than there are positions (plus one forced
                     // trip when a cross-chunk carry is pending).
-                    let (pending, layout) = self.body_carry(body);
-                    let mut force = pending;
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    let mut force = entered.is_some_and(|(_, pending)| pending);
                     let mut fuel = self.len + 2 + usize::from(force);
                     loop {
-                        if let (Some(run), Some((start, _))) = (&mut self.carry, layout) {
-                            run.next = start;
+                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                            walk.rewind(&span);
                         }
                         if !(self.get(*cond)?.any() || force) {
                             break;
@@ -284,8 +270,8 @@ impl Env<'_> {
                         self.loop_trips += 1;
                         self.run(body, ctl)?;
                     }
-                    if let (Some(run), Some((start, count))) = (&mut self.carry, layout) {
-                        run.next = start + count;
+                    if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                        walk.leave(&span);
                     }
                 }
             }
@@ -313,7 +299,7 @@ impl Env<'_> {
                 }
                 let key = class as *const _ as usize;
                 if self.cc[dst].as_ref().map(|(k, _)| *k) != Some(key) {
-                    self.cc[dst] = Some((key, compile_class(class)));
+                    self.cc[dst] = Some((key, CcCode::for_class(class)));
                 }
                 let (_, cc) = self.cc[dst].as_ref().expect("circuit cached above");
                 cc.eval_into(self.basis, &mut out);
@@ -330,10 +316,7 @@ impl Env<'_> {
             Op::Add { a, b, .. } => {
                 let (sa, sb) = (fetch(&self.vars, *a)?, fetch(&self.vars, *b)?);
                 match &mut self.carry {
-                    Some(run) => {
-                        let slot = run.take_slot();
-                        run.state.add_through(slot, sa, sb)
-                    }
+                    Some(walk) => walk.add(sa, sb),
                     None => {
                         sa.add_into(sb, &mut out);
                         out
@@ -352,10 +335,7 @@ impl Env<'_> {
                 let k = *amount as usize;
                 let s = fetch(&self.vars, *src)?;
                 match &mut self.carry {
-                    Some(run) => {
-                        let slot = run.take_slot();
-                        run.state.advance_through(slot, s, k)
-                    }
+                    Some(walk) => walk.advance(s, k),
                     None => {
                         s.advance_into(k, &mut out);
                         out
@@ -378,19 +358,6 @@ impl Env<'_> {
         };
         self.vars[dst] = Some(value);
         Ok(())
-    }
-
-    /// Slot-walk bookkeeping for a guarded body: whether any of its
-    /// incoming carries are pending and where its slots start.
-    fn body_carry(&mut self, body: &[Stmt]) -> (bool, Option<(usize, usize)>) {
-        match &self.carry {
-            None => (false, None),
-            Some(run) => {
-                let start = run.next;
-                let count = carry_slot_count(body);
-                (run.state.pending(start..start + count), Some((start, count)))
-            }
-        }
     }
 
     fn get(&self, id: StreamId) -> Result<&BitStream, InterpError> {

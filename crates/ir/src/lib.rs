@@ -43,7 +43,7 @@ mod verify;
 
 pub use analysis::DefUse;
 pub use builder::ProgramBuilder;
-pub use carry::{carry_slot_count, CarryError, CarryState};
+pub use carry::{BodyLayout, CarryError, CarryLayout, CarryState, CarryWalk};
 pub use control::{CancelToken, Interrupt, RunControl};
 pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
 pub use limits::{CompileLimits, LimitError};
@@ -54,3 +54,5 @@ pub use pretty::pretty;
 pub use program::{Op, Program, Stmt, StreamId};
 pub use stats::ProgramStats;
 pub use verify::{verify, VerifyError};
+// The class type of [`Op::MatchCc`], so IR consumers can name it.
+pub use bitgen_regex::ByteSet;

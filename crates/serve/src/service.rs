@@ -58,6 +58,7 @@ use crate::drain::{AckRecord, DrainEntry, DrainManifest};
 use crate::metrics::{MetricCells, ServeMetrics};
 use crate::queue::FairQueue;
 use bitgen::{BitGen, CancelToken, EngineConfig, Error, RetryPolicy, StreamCheckpoint};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -360,7 +361,7 @@ impl Inner {
         scanner.set_cancel_token(lock(&slot.cancel).clone());
         scanner.set_timeout(*lock(&slot.deadline));
         let ends = scanner.push(chunk)?;
-        state.checkpoint = scanner.checkpoint();
+        state.checkpoint = scanner.into_checkpoint();
         *lock(&slot.last_ack) = Some(AckRecord { offset: committed, ends: ends.clone() });
         Ok(PushOutcome::Scanned(ends))
     }
@@ -469,6 +470,37 @@ impl ScanService {
         Ok(())
     }
 
+    /// Refuses a tenant already at its open-stream budget *before* the
+    /// admission touches the shared pattern cache, so refused opens can
+    /// neither compile nor evict. Advisory: [`ScanService::admit`]
+    /// repeats the check under the `streams` lock it installs under.
+    fn refuse_if_over_budget(&self, tenant: &str) -> Result<(), ServeError> {
+        let budget = self.inner.budget_for(tenant);
+        self.check_stream_budget(&lock(&self.inner.streams), tenant, &budget)
+    }
+
+    /// Typed refusal when `tenant` already holds `budget.max_streams`
+    /// of the open `streams`.
+    fn check_stream_budget(
+        &self,
+        streams: &HashMap<StreamId, Arc<StreamSlot>>,
+        tenant: &str,
+        budget: &TenantBudget,
+    ) -> Result<(), ServeError> {
+        let open = streams.values().filter(|s| s.tenant == tenant).count();
+        if open < budget.max_streams.max(1) {
+            return Ok(());
+        }
+        self.inner.metrics.rejected_admissions.fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.tenant(tenant, |t| t.rejections += 1);
+        Err(ServeError::Scan(Error::Overloaded {
+            reason: format!(
+                "tenant {tenant:?} is at its budget of {} open streams",
+                budget.max_streams
+            ),
+        }))
+    }
+
     /// Admits a new stream for `tenant` on `patterns`, compiling them
     /// only if no cached engine exists for the exact (patterns, config,
     /// generation 0) key.
@@ -481,8 +513,9 @@ impl ScanService {
     /// compile.
     pub fn open_stream(&self, tenant: &str, patterns: &[&str]) -> Result<Admission, ServeError> {
         self.refuse_if_draining(Some(tenant))?;
+        self.refuse_if_over_budget(tenant)?;
         let (engine, hit) = self.inner.engine_for(patterns, 0)?;
-        let checkpoint = engine.streamer()?.checkpoint();
+        let checkpoint = engine.streamer()?.into_checkpoint();
         self.admit(AdmitSpec {
             id: None,
             tenant,
@@ -517,6 +550,7 @@ impl ScanService {
         checkpoint: StreamCheckpoint,
     ) -> Result<Admission, ServeError> {
         self.refuse_if_draining(Some(tenant))?;
+        self.refuse_if_over_budget(tenant)?;
         let (engine, hit) = self.inner.engine_for(patterns, checkpoint.generation())?;
         // Validate now so a bad checkpoint is refused at admission, not
         // on the first push.
@@ -646,25 +680,22 @@ impl ScanService {
         {
             let mut streams = lock(&self.inner.streams);
             if spec.enforce_budget {
-                let open = streams.values().filter(|s| s.tenant == spec.tenant).count();
-                if open >= budget.max_streams.max(1) {
-                    self.inner.metrics.rejected_admissions.fetch_add(1, Ordering::Relaxed);
-                    self.inner.metrics.tenant(spec.tenant, |t| t.rejections += 1);
-                    return Err(ServeError::Scan(Error::Overloaded {
+                self.check_stream_budget(&streams, spec.tenant, &budget)?;
+            }
+            // Occupancy is checked before anything is written: a
+            // duplicate id must leave the live stream's slot in place.
+            match streams.entry(admission.stream) {
+                Entry::Occupied(_) => {
+                    return Err(ServeError::Scan(Error::CheckpointInvalid {
                         reason: format!(
-                            "tenant {:?} is at its budget of {} open streams",
-                            spec.tenant, budget.max_streams
+                            "stream id {} is already open on this service",
+                            admission.stream
                         ),
                     }));
                 }
-            }
-            if streams.insert(admission.stream, slot).is_some() {
-                return Err(ServeError::Scan(Error::CheckpointInvalid {
-                    reason: format!(
-                        "stream id {} is already open on this service",
-                        admission.stream
-                    ),
-                }));
+                Entry::Vacant(vacant) => {
+                    vacant.insert(slot);
+                }
             }
         }
         self.inner.metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
@@ -811,7 +842,7 @@ impl ScanService {
         let committed = {
             let mut scanner = engine.resume(&state.checkpoint)?;
             scanner.commit_swap(&staged)?;
-            scanner.checkpoint()
+            scanner.into_checkpoint()
         };
         let swapped = Arc::new(staged.into_engine());
         let key = cache_key(&self.inner.config.engine, generation, patterns);
@@ -1172,5 +1203,69 @@ mod tests {
         standalone.extend(scanner.push(b"cat dog ").unwrap());
         standalone.extend(scanner.push(b"cat dog ").unwrap());
         assert_eq!(served, standalone);
+    }
+
+    #[test]
+    fn duplicate_id_adoption_is_refused_and_leaves_the_live_stream_intact() {
+        let patterns = ["cat", "do+g"];
+        let input = b"cat dooog catalog dog cat".as_slice();
+        let (head, tail) = input.split_at(11);
+        let asts: Vec<bitgen::Ast> = patterns.iter().map(|p| bitgen::parse(p).unwrap()).collect();
+        let oracle: Vec<u64> = bitgen_regex::multi_match_ends(&asts, input)
+            .into_iter()
+            .map(|end| end as u64)
+            .collect();
+
+        let service = ScanService::start(ServeConfig::default());
+        let admission = service.open_stream("acme", &patterns).unwrap();
+        let at_zero = service.checkpoint(admission.stream).unwrap().to_bytes();
+        let mut served = service.push_chunk(admission.stream, head).unwrap();
+        let before = service.metrics();
+
+        // A manifest entry claiming the live stream's id, at byte 0.
+        let manifest = DrainManifest {
+            entries: vec![DrainEntry {
+                stream: admission.stream,
+                tenant: "acme".to_string(),
+                generation: 0,
+                base_generation: 0,
+                lineage: vec![patterns.iter().map(|p| p.to_string()).collect()],
+                checkpoint: at_zero,
+                last_ack: None,
+            }],
+        };
+        let err = service.adopt_manifest(&manifest).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::CheckpointInvalid { .. })), "{err}");
+
+        // The original stream is still at byte 11, not restarted at 0.
+        served.extend(service.push_chunk(admission.stream, tail).unwrap());
+        assert_eq!(served, oracle);
+        let after = service.metrics();
+        assert_eq!(after.streams_opened, before.streams_opened);
+        assert_eq!(after.streams_adopted, before.streams_adopted);
+        assert_eq!(after.tenants["acme"].open_streams, before.tenants["acme"].open_streams);
+    }
+
+    #[test]
+    fn over_budget_open_never_reaches_the_pattern_cache() {
+        let service = ScanService::start(ServeConfig { cache_capacity: 1, ..ServeConfig::default() });
+        service.set_tenant_budget(
+            "small",
+            TenantBudget { max_streams: 1, ..TenantBudget::default() },
+        );
+        service.open_stream("small", &["aa"]).unwrap();
+        let before = service.metrics();
+        // A never-seen pattern set: admitted, it would compile and evict.
+        let err = service.open_stream("small", &["never", "seen"]).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::Overloaded { .. })), "{err}");
+        let checkpoint = service.checkpoint(1).unwrap();
+        let err = service.adopt_stream("small", &["also", "new"], checkpoint).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::Overloaded { .. })), "{err}");
+        let after = service.metrics();
+        assert_eq!(
+            (after.cache_misses, after.cache_evictions, after.cache_hits),
+            (before.cache_misses, before.cache_evictions, before.cache_hits)
+        );
+        assert_eq!(after.rejected_admissions, before.rejected_admissions + 2);
     }
 }

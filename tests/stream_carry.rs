@@ -6,7 +6,13 @@
 //! match spanning many chunks through a while-loop must be reported
 //! exactly once.
 
-use bitgen::{set_lane_width, BitGen, EngineConfig, LaneWidth, StreamCheckpoint};
+use bitgen::{
+    set_lane_width, BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, LaneWidth,
+    StreamCheckpoint,
+};
+use bitgen_bitstream::Basis;
+use bitgen_exec::{execute_prepared_with, ExecScratch};
+use bitgen_ir::{CarryState, RunControl};
 use proptest::prelude::*;
 
 /// Streams `input` through `engine` using the given chunking plan,
@@ -111,6 +117,71 @@ proptest! {
         let batch = batch_ends(&engine, &input);
         prop_assert_eq!(stream_all(&engine, &input, &sizes), batch,
             "chunking {:?}", sizes);
+    }
+
+    #[test]
+    fn one_body_two_doors(
+        patterns in arb_patterns(),
+        input in arb_input(),
+        sizes in arb_chunking(),
+        fault_seed in 0u64..1000,
+    ) {
+        // The engine-owned door (tables prepared at compile) and the
+        // one-shot door (tables derived per call) run one body: every
+        // window must leave the same outputs, the same ExecMetrics — the
+        // alu_ops charged from prepared gate counts included — and the
+        // same carry, clean or with the same seeded fault armed.
+        let engine = BitGen::compile(&patterns).unwrap();
+        let ctl = RunControl::unlimited();
+        for prepared in engine.stream_programs() {
+            let program = prepared.program();
+            let mut owned = CarryState::for_layout(prepared.carry_layout());
+            let mut one_shot = CarryState::for_program(program);
+            let (mut scratch_a, mut scratch_b) = (ExecScratch::new(), ExecScratch::new());
+            let mut pos = 0usize;
+            let mut window = 0usize;
+            while pos < input.len() {
+                let size = sizes[window % sizes.len()].min(input.len() - pos);
+                window += 1;
+                if size == 0 {
+                    continue;
+                }
+                let basis = Basis::transpose(&input[pos..pos + size]);
+                pos += size;
+                // The armed window runs on copies; the clean one advances.
+                let plan = FaultPlan::from_seed(fault_seed + window as u64);
+                let armed = (plan.kind != FaultKind::Panic).then_some(plan);
+                for fault in armed.map(Some).into_iter().chain([None]) {
+                    let config = ExecConfig { fault, ..ExecConfig::default() };
+                    let (mut a, mut b) = (owned.clone(), one_shot.clone());
+                    let via_engine =
+                        prepared.execute_window(&basis, &config, &mut scratch_a, &ctl, &mut a);
+                    let via_call = execute_prepared_with(
+                        program, &basis, &config, &mut scratch_b, Some(&mut b),
+                    );
+                    match (via_engine, via_call) {
+                        (Ok(x), Ok(y)) => {
+                            prop_assert_eq!(x.outputs, y.outputs);
+                            prop_assert_eq!(x.metrics, y.metrics);
+                            prop_assert_eq!(x.fault_fired, y.fault_fired);
+                        }
+                        (x, y) => prop_assert_eq!(x.err(), y.err(), "fault {:?}", fault),
+                    }
+                    // Mid-window state too: a fault that fired on a
+                    // different op would leave different carries behind.
+                    prop_assert_eq!(&a, &b, "fault {:?}", fault);
+                    if fault.is_none() {
+                        a.rotate();
+                        b.rotate();
+                        let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+                        a.write_bytes(&mut bytes_a);
+                        b.write_bytes(&mut bytes_b);
+                        prop_assert_eq!(bytes_a, bytes_b);
+                        (owned, one_shot) = (a, b);
+                    }
+                }
+            }
+        }
     }
 }
 
