@@ -8,10 +8,13 @@ cargo test -q
 
 # Benchmark smoke: the oracle-gated benchmark package (its own
 # workspace, built from benchmark/) against the current crates, 3 s
-# each on the streaming path and the fused batch path. An API drift
-# that breaks its build, or any wrong answer, fails here instead of in
-# the next performance PR. Timings are not judged.
+# each on the streaming path at 64 B and at 64 KiB windows (per-push
+# fixed cost and per-byte layers — every reply checked against the
+# oracle at both sizes) and on the fused batch path. An API drift that
+# breaks its build, or any wrong answer, fails here instead of in the
+# next performance PR. Timings are not judged.
 bash benchmark/run.sh serve-small --smoke > /dev/null
+bash benchmark/run.sh serve-bulk --smoke > /dev/null
 bash benchmark/run.sh batch-scan --smoke > /dev/null
 
 # Robustness drills: seeded fault injection (deterministic FaultPlan
@@ -213,6 +216,7 @@ cargo clippy --workspace -- -D warnings
 
 # Panic-hygiene pass over the library crates: unwrap/expect are flagged
 # (warnings only — documented invariants remain, but new ones get seen).
+# bitgen-ir includes the stream-plan slot analysis (src/slots.rs).
 cargo clippy -q -p bitgen-ir -p bitgen-exec -p bitgen-gpu -p bitgen-baselines -p bitgen \
   -p bitgen-serve -- \
   -W clippy::unwrap_used -W clippy::expect_used

@@ -24,7 +24,7 @@ use std::fmt;
 /// let t = s.advance(2);
 /// assert_eq!(t.positions(), vec![5]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitStream {
     words: Vec<u64>,
     len: usize,
@@ -38,8 +38,8 @@ impl BitStream {
 
     /// Creates a stream of `len` one bits.
     pub fn ones(len: usize) -> BitStream {
-        let mut s = BitStream { words: vec![u64::MAX; len.div_ceil(64)], len };
-        s.mask_tail();
+        let mut s = BitStream::default();
+        s.reset_ones(len);
         s
     }
 
@@ -377,16 +377,26 @@ impl BitStream {
     ///
     /// Panics if `hist.len() != k`.
     pub fn advance_with_carry(&self, k: usize, hist: &BitStream) -> BitStream {
+        let mut out = BitStream::default();
+        self.advance_with_carry_into(k, hist, &mut out);
+        out
+    }
+
+    /// [`BitStream::advance_with_carry`] into a reusable output. `out`
+    /// must not alias `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hist.len() != k`.
+    pub fn advance_with_carry_into(&self, k: usize, hist: &BitStream, out: &mut BitStream) {
         assert_eq!(hist.len, k, "carry history holds {} bits, shift needs {k}", hist.len);
-        let mut out = self.advance(k);
+        self.advance_into(k, out);
         // The low min(k, len) positions of `out` are zero, and `hist` keeps
         // bits past its length masked, so a word-wise OR injects the carry.
-        let n = out.words.len().min(hist.words.len());
-        for i in 0..n {
-            out.words[i] |= hist.words[i];
+        for (o, &h) in out.words.iter_mut().zip(&hist.words) {
+            *o |= h;
         }
         out.mask_tail();
-        out
     }
 
     /// Rolls a shift-carry history forward by one window: returns the last
@@ -396,13 +406,38 @@ impl BitStream {
     /// many positions of `self` became final (the chunk length — the
     /// window's provisional peek position is excluded).
     pub fn history_tail(&self, prev: &BitStream, consumed: usize) -> BitStream {
-        let k = prev.len;
-        if consumed >= k {
-            return self.slice(consumed - k, k);
-        }
-        let mut next = prev.slice(consumed, k);
-        next.or_at(k - consumed, &self.slice(0, consumed));
+        let mut next = BitStream::zeros(prev.len);
+        self.or_history_tail(prev, consumed, &mut next);
         next
+    }
+
+    /// ORs [`BitStream::history_tail`]`(prev, consumed)` into `acc`
+    /// without building it: loop trips accumulate one slot's outgoing
+    /// history this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != prev.len()` or `consumed > self.len()`.
+    pub fn or_history_tail(&self, prev: &BitStream, consumed: usize, acc: &mut BitStream) {
+        let k = prev.len;
+        assert_eq!(acc.len, k, "history accumulator holds {} bits, slot needs {k}", acc.len);
+        assert!(consumed <= self.len, "{consumed} consumed positions of {}", self.len);
+        // Word `i` of the tail is 64 bits of `prev ++ self` from position
+        // `consumed + 64 i`; the tail ends where the consumed positions
+        // do, so `self` is never read at or past `consumed`.
+        for (i, w) in acc.words.iter_mut().enumerate() {
+            let p = consumed + (i << 6);
+            *w |= if p >= k {
+                wide::gather_word(&self.words, p - k)
+            } else {
+                let from_prev = wide::gather_word(&prev.words, p);
+                match (k - p, self.words.first()) {
+                    (gap, Some(&first)) if gap < 64 => from_prev | first << gap,
+                    _ => from_prev,
+                }
+            };
+        }
+        acc.mask_tail();
     }
 
     /// [`BitStream::add`] with an explicit carry bit injected below bit 0,
@@ -423,6 +458,24 @@ impl BitStream {
         carry_in: bool,
         boundary: usize,
     ) -> (BitStream, bool) {
+        let mut sum = BitStream::default();
+        let boundary_carry = self.add_with_carry_into(other, carry_in, boundary, &mut sum);
+        (sum, boundary_carry)
+    }
+
+    /// [`BitStream::add_with_carry`] into a reusable output, returning
+    /// the boundary carry. `out` must not alias either operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ or `boundary >= len`.
+    pub fn add_with_carry_into(
+        &self,
+        other: &BitStream,
+        carry_in: bool,
+        boundary: usize,
+        out: &mut BitStream,
+    ) -> bool {
         assert_eq!(
             self.len, other.len,
             "bitstream length mismatch: {} vs {}",
@@ -431,7 +484,8 @@ impl BitStream {
         assert!(boundary < self.len, "carry boundary {boundary} out of range for {}", self.len);
         let bword = boundary >> 6;
         let bbit = boundary & 63;
-        let mut words = vec![0u64; self.words.len()];
+        out.reshape(self.len);
+        let words = &mut out.words;
         // Add in two word-group runs split at the boundary word: the
         // carry entering that word is exact, and the boundary carry is
         // recovered from it with a partial-word masked sum.
@@ -448,9 +502,8 @@ impl BitStream {
             ((a & mask) + (b & mask) + u64::from(carry)) >> bbit & 1 == 1
         };
         wide::add_into(&self.words[bword..], &other.words[bword..], &mut words[bword..], carry);
-        let mut s = BitStream { words, len: self.len };
-        s.mask_tail();
-        (s, boundary_carry)
+        out.mask_tail();
+        boundary_carry
     }
 
     /// Extracts `len` bits starting at `start` into a new stream.
@@ -583,6 +636,16 @@ impl BitStream {
         self.words.clear();
         self.words.resize(nwords, 0);
         self.len = new_len;
+    }
+
+    /// Resets this stream in place to `new_len` one bits — the in-place
+    /// [`BitStream::ones`], reusing the allocation like
+    /// [`BitStream::reset_zeros`].
+    pub fn reset_ones(&mut self, new_len: usize) {
+        self.words.clear();
+        self.words.resize(new_len.div_ceil(64), u64::MAX);
+        self.len = new_len;
+        self.mask_tail();
     }
 
     /// Writes raw word `idx` (covering bit positions `idx * 64 ..`);
@@ -895,6 +958,72 @@ mod tests {
         assert_eq!(next.positions(), vec![3, 4]);
         // Consuming zero positions leaves the history untouched.
         assert_eq!(tiny.history_tail(&prev5, 0), prev5);
+    }
+
+    /// Deterministic pseudo-random stream (64-bit LCG), tail masked.
+    fn noise(len: usize, seed: u64) -> BitStream {
+        let mut x = seed | 1;
+        let words = (0..len.div_ceil(64))
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x
+            })
+            .collect();
+        BitStream::from_words(words, len)
+    }
+
+    #[test]
+    fn or_history_tail_agrees_with_the_bitwise_definition() {
+        // Tail bit `t` is position `consumed + t` of `prev ++ window`,
+        // for histories narrower than, equal to and wider than a word,
+        // against chunks shorter and longer than the history.
+        for k in [1usize, 3, 63, 64, 65, 130] {
+            for len in [1usize, 2, 5, 64, 65, 131, 300] {
+                let window = noise(len, (k * 1000 + len) as u64);
+                let prev = noise(k, (k + 7 * len) as u64);
+                for consumed in [0, len / 2, len - 1] {
+                    let mut want = BitStream::zeros(k);
+                    for t in 0..k {
+                        let p = consumed + t;
+                        let bit = if p < k { prev.get(p) } else { window.get(p - k) };
+                        want.set(t, bit);
+                    }
+                    assert_eq!(
+                        window.history_tail(&prev, consumed),
+                        want,
+                        "k {k} len {len} consumed {consumed}"
+                    );
+                    // Accumulating ORs into what the slot already holds.
+                    let held = noise(k, 99);
+                    let mut acc = held.clone();
+                    window.or_history_tail(&prev, consumed, &mut acc);
+                    assert_eq!(acc, held.or(&want), "k {k} len {len} consumed {consumed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn into_forms_overwrite_a_dirty_buffer_of_another_shape() {
+        let a = noise(200, 1);
+        let b = noise(200, 2);
+        let hist = noise(70, 3);
+        for dirty_len in [0usize, 64, 200, 1000] {
+            let mut out = noise(dirty_len, 4);
+            a.advance_with_carry_into(70, &hist, &mut out);
+            let mut want = a.advance(70);
+            want.or_at(0, &hist);
+            assert_eq!(out, want, "dirty {dirty_len}");
+
+            let mut out = noise(dirty_len, 5);
+            let carry = a.add_with_carry_into(&b, true, 199, &mut out);
+            let (sum, want_carry) = a.add_with_carry(&b, true, 199);
+            assert_eq!((out, carry), (sum, want_carry), "dirty {dirty_len}");
+
+            let mut out = noise(dirty_len, 6);
+            out.reset_ones(130);
+            assert_eq!(out, BitStream::ones(130));
+        }
     }
 
     #[test]

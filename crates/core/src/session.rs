@@ -19,7 +19,8 @@ use crate::engine::{BitGen, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
-    execute_prepared_ctl, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics,
+    execute_prepared_ctl, ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome,
+    ExecScratch, Metrics,
 };
 use bitgen_gpu::FaultPlan;
 use bitgen_ir::{CancelToken, CarryState, RunControl};
@@ -86,6 +87,10 @@ pub struct ScanSession<'e> {
     bases: Vec<Basis>,
     /// Executor scratch, one per worker, grown on demand.
     scratches: Vec<ExecScratch>,
+    /// Streaming: the engine's class table evaluated over the chunk in
+    /// `bases[0]`. Kept apart from the scratch, which a panicking window
+    /// takes down with it while the retry still reads these.
+    class_streams: ClassStreams,
     /// Deterministic fault armed on one (stream, group) slot — a test
     /// and drill hook, never set in normal operation.
     fault: Option<(usize, usize, FaultPlan)>,
@@ -114,6 +119,7 @@ impl BitGen {
             threads,
             bases: Vec::new(),
             scratches: Vec::new(),
+            class_streams: ClassStreams::new(),
             fault: None,
             cancel: None,
             timeout: None,
@@ -145,9 +151,9 @@ impl ScanSession<'_> {
     }
 
     /// Total words of capacity currently held by session-owned buffers
-    /// (basis streams plus executor scratch pools). Stable across
-    /// repeated scans of same-sized inputs — exposed so reuse tests and
-    /// benchmarks can assert that.
+    /// (basis streams, executor scratch buffers and the streaming class
+    /// streams). Stable across repeated scans, or pushes, of same-sized
+    /// inputs — exposed so reuse tests and benchmarks can assert that.
     pub fn buffer_capacity_words(&self) -> usize {
         let basis_words: usize = self
             .bases
@@ -155,7 +161,7 @@ impl ScanSession<'_> {
             .flat_map(|b| b.streams().iter().map(BitStream::capacity_words))
             .sum();
         let pool_words: usize = self.scratches.iter().map(ExecScratch::pooled_words).sum();
-        basis_words + pool_words
+        basis_words + pool_words + self.class_streams.capacity_words()
     }
 
     /// Arms a deterministic fault on the CTA pairing `stream` with
@@ -223,8 +229,13 @@ impl ScanSession<'_> {
     }
 
     /// Streaming phase 0: transposes one chunk into the session's stream
-    /// slot and makes sure the streaming scratch exists. The buffers are
-    /// reused across windows, so a steady-state push allocates nothing.
+    /// slot, evaluates the engine's class table over it — once, for every
+    /// group's window over this chunk and every retry of them — and makes
+    /// sure the streaming scratch exists. All of these buffers are reused
+    /// from push to push: in the steady state the transpose, the class
+    /// streams and the windows' slot buffers allocate nothing, and what a
+    /// push still allocates is what it hands out (each group's output
+    /// streams, the match positions).
     pub(crate) fn stream_transpose(&mut self, chunk: &[u8]) {
         if self.bases.is_empty() {
             self.bases.push(Basis::empty());
@@ -233,6 +244,11 @@ impl ScanSession<'_> {
             self.scratches.push(ExecScratch::new());
         }
         self.bases[0].transpose_into(chunk);
+        // The engine's stream programs were prepared together, so any one
+        // of them evaluates the table they all index.
+        if let Some(prepared) = self.engine.stream_programs.first() {
+            prepared.evaluate_classes(&self.bases[0], &mut self.class_streams);
+        }
     }
 
     /// Interruption control for one streaming push, from the session's
@@ -256,8 +272,9 @@ impl ScanSession<'_> {
     /// unknown state mid-unwind — is discarded, and the failure surfaces
     /// as a typed [`Error::WorkerPanicked`].
     ///
-    /// Does **not** rotate the carry; the caller owns the
-    /// snapshot/rotate transaction around this window.
+    /// Does **not** rotate the carry; the caller owns the push
+    /// transaction around this window (rotate every group on commit,
+    /// [`CarryState::discard_outgoing`] on failure).
     pub(crate) fn run_stream_window(
         &mut self,
         group: usize,
@@ -269,9 +286,10 @@ impl ScanSession<'_> {
         let mut config = self.exec_config;
         config.fault = fault;
         let basis = &self.bases[0];
+        let classes = &self.class_streams;
         let scratch = &mut self.scratches[0];
         let run = catch_unwind(AssertUnwindSafe(|| {
-            prog.execute_window(basis, &config, scratch, ctl, carry)
+            prog.execute_window_on(classes, basis, &config, scratch, ctl, carry)
         }));
         match run {
             Ok(Ok(outcome)) => Ok(outcome),

@@ -12,11 +12,14 @@
 //!
 //! # Pushes are transactions
 //!
-//! Before any window executes, the scanner snapshots every group's carry
-//! state; a push either commits whole (all groups' windows succeeded —
-//! possibly after retries or CPU degradation under a [`RetryPolicy`] —
-//! carries rotated, counters advanced, matches returned) or rolls back
-//! whole (carries restored to the pre-push boundary, the
+//! A window reads the incoming half of its group's carry state and
+//! writes only the outgoing half, and nothing rotates until every group's
+//! window has succeeded; a push either commits whole (all groups' windows
+//! succeeded — possibly after retries or CPU degradation under a
+//! [`RetryPolicy`] — carries rotated, counters advanced, matches
+//! returned) or rolls back whole (the outgoing halves written so far
+//! discarded, which puts every carry back at the pre-push boundary
+//! without a copy of it having been kept, the
 //! [`StreamScanner::metrics`] record untouched). Interrupts
 //! ([`bitgen_exec::ExecError::Cancelled`],
 //! [`bitgen_exec::ExecError::DeadlineExceeded`]) roll back and leave the
@@ -63,7 +66,7 @@ pub struct RetryPolicy {
     /// Total executor attempts per group window (≥ 1; `0` is treated as
     /// `1` — a zero budget would make every window unexecutable, so
     /// both [`RetryPolicy::with_attempts`] and the push loop clamp it).
-    /// Each retry restores the pre-window carry snapshot first.
+    /// Each retry discards the failed window's carry-out first.
     pub max_attempts: u32,
     /// After the attempts are exhausted, replay the chunk on the CPU
     /// reference interpreter instead of failing the push.
@@ -421,10 +424,11 @@ impl StreamScanner<'_> {
         }
         self.session.stream_transpose(chunk);
         let ctl = self.session.stream_ctl();
-        // The transaction snapshot: every group's pre-push carry. Any
-        // failure restores all of them, so the scanner never advances
+        // The transaction: a window writes only the outgoing half of its
+        // group's carry and no group rotates before all have succeeded, so
+        // any failure is undone by discarding the outgoing halves written
+        // so far (`abandon_windows`) and the scanner never advances
         // part-way through a push.
-        let snapshot = self.carries.clone();
         let groups = self.carries.len();
         let mut union = BitStream::zeros(chunk.len());
         let mut works = Vec::with_capacity(groups);
@@ -435,14 +439,14 @@ impl StreamScanner<'_> {
             let layout = self.session.engine().stream_programs[group].carry_layout();
             if let Err(error) = self.carries[group].validate(layout) {
                 // Corruption arrived between pushes; nothing ran on the
-                // bad state. Groups earlier in this push already rotated,
-                // so put the whole boundary back before bailing — the
+                // bad state. Groups earlier in this push already ran, so
+                // put the whole boundary back before bailing — the
                 // transaction contract holds even for validation errors.
                 // Inside a swap window the previous generation's boundary
                 // is still trustworthy, so fall back to it; otherwise
                 // nothing trustworthy remains and the scanner poisons
                 // rather than execute.
-                self.carries = snapshot;
+                self.abandon_windows(group);
                 if self.swap_rollback() {
                     return Err(Error::CarryCorrupted { group, error });
                 }
@@ -461,16 +465,15 @@ impl StreamScanner<'_> {
                         }
                         works.push(outcome.metrics.cta_work());
                         window_metrics.push((group, outcome.metrics));
-                        self.carries[group].rotate();
                         break;
                     }
                     Err(e) => {
                         // The failed window may have half-accumulated its
-                        // carry; restore this group's snapshot before
-                        // deciding what to do next.
-                        self.carries[group] = snapshot[group].clone();
+                        // carry-out; drop it before deciding what to do
+                        // next.
+                        self.carries[group].discard_outgoing();
                         if is_interrupt(&e) {
-                            self.carries = snapshot;
+                            self.abandon_windows(group);
                             return Err(e);
                         }
                         if attempt < self.retry.max_attempts.max(1) {
@@ -490,12 +493,11 @@ impl StreamScanner<'_> {
                                     // Degraded windows contribute no device
                                     // work, mirroring degraded batch slots.
                                     works.push(ExecMetrics::default().cta_work());
-                                    self.carries[group].rotate();
                                     degraded = true;
                                     break;
                                 }
                                 Err(ie) => {
-                                    self.carries = snapshot;
+                                    self.abandon_windows(group + 1);
                                     if !is_interrupt(&ie) && !self.swap_rollback() {
                                         self.poisoned = true;
                                     }
@@ -503,7 +505,7 @@ impl StreamScanner<'_> {
                                 }
                             }
                         }
-                        self.carries = snapshot;
+                        self.abandon_windows(group);
                         if !self.swap_rollback() {
                             self.poisoned = true;
                         }
@@ -517,6 +519,9 @@ impl StreamScanner<'_> {
         // swap window — the new generation has now served cleanly, so
         // the fallback to the old one is released.
         self.rollback = None;
+        for carry in &mut self.carries {
+            carry.rotate();
+        }
         let device = &self.session.engine().config().device;
         let cost = device.estimate(&works);
         let transpose = device.transpose_seconds(chunk.len());
@@ -543,6 +548,14 @@ impl StreamScanner<'_> {
             union.positions().into_iter().map(|p| off + p as u64).collect();
         m.match_count += ends.len() as u64;
         Ok(ends)
+    }
+
+    /// Undoes the windows this push has run on groups `..ran`: their
+    /// carries return to the boundary the push found them at.
+    fn abandon_windows(&mut self, ran: usize) {
+        for carry in &mut self.carries[..ran] {
+            carry.discard_outgoing();
+        }
     }
 
     /// Captures the stream at the current chunk boundary. Always valid:

@@ -4,20 +4,19 @@
 
 use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
-use crate::prepared::StreamTables;
+use crate::prepared::{ClassStreams, ClassTable, StreamTables};
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, Segment, SegmentKind};
 use bitgen_bitstream::{Basis, BitStream, CcCode};
 use bitgen_gpu::{Cta, FaultKind, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
     try_interpret, try_interpret_chunk, ByteSet, CarryState, CarryWalk, DefUse, InterpError,
-    Interrupt, Op, Program, RunControl, Stmt, StreamId,
+    Interrupt, Op, Program, RunControl, SlotPlan, Stmt, StreamId,
 };
 use bitgen_kernel::{compile, CodegenOptions, WORD_BITS};
 use bitgen_passes::{
     insert_zero_skips_with, rebalance_with, Hull, OverlapInfo, PassMetrics, ZbsConfig,
 };
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -207,19 +206,30 @@ impl From<InterpError> for ExecError {
     }
 }
 
-/// Reusable executor scratch: the stream environment plus a pool of
-/// recycled bit-stream buffers.
+/// Reusable executor scratch: the buffers an execution computes in.
 ///
-/// [`execute_prepared_with`] draws window output buffers from the pool
-/// and returns every intermediate to it afterwards, so a caller that
-/// scans many same-sized inputs with one scratch reaches a steady state
-/// where no per-call heap growth occurs. A fresh scratch behaves
-/// exactly like the scratch-free entry points — pooling never changes
-/// outputs or metrics, only where the buffers come from.
+/// A batch call ([`execute_prepared_with`] without a carry) keeps the
+/// streams that cross segments in an environment keyed by stream id,
+/// draws window output buffers from a pool and returns every intermediate
+/// to it afterwards. A streaming window computes in the few slot buffers
+/// its program's stream plan assigns (DESIGN.md §10) and leaves them in
+/// place for the next window. Either way a caller that runs many
+/// same-sized inputs through one scratch reaches a steady state where no
+/// per-call heap growth occurs, and a fresh scratch behaves exactly like
+/// the scratch-free entry points — the scratch never changes outputs or
+/// metrics, only where the buffers come from.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     env: HashMap<StreamId, BitStream>,
     pool: Vec<BitStream>,
+    /// Streaming windows: one buffer per slot of the widest plan run so
+    /// far, plus the buffer the next instruction computes into.
+    slots: Vec<BitStream>,
+    spare: BitStream,
+    /// Streaming windows: one bit per stream the window has written.
+    written: Vec<u64>,
+    /// Class streams of windows whose caller did not evaluate them.
+    classes: ClassStreams,
 }
 
 impl ExecScratch {
@@ -228,15 +238,20 @@ impl ExecScratch {
         ExecScratch::default()
     }
 
+    /// Every stream buffer the scratch holds on to between calls.
+    fn buffers(&self) -> impl Iterator<Item = &BitStream> {
+        self.pool.iter().chain(&self.slots).chain([&self.spare]).chain(self.classes.streams())
+    }
+
     /// Total words of capacity currently held by recycled buffers.
     /// Exposed so reuse tests can assert capacity stability.
     pub fn pooled_words(&self) -> usize {
-        self.pool.iter().map(BitStream::capacity_words).sum()
+        self.buffers().map(BitStream::capacity_words).sum()
     }
 
-    /// Number of recycled buffers currently pooled.
+    /// Number of recycled buffers currently holding capacity.
     pub fn pooled_streams(&self) -> usize {
-        self.pool.len()
+        self.buffers().filter(|s| s.capacity_words() > 0).count()
     }
 
     /// A zeroed stream of `len` bits, reusing a pooled buffer if one is
@@ -428,7 +443,7 @@ pub fn execute_prepared_ctl(
 ) -> Result<ExecOutcome, ExecError> {
     if let Some(carry) = carry {
         let tables = StreamTables::of(prog);
-        return execute_streaming_window(prog, &tables, basis, config, scratch, ctl, carry);
+        return execute_streaming_window(prog, &tables, None, basis, config, scratch, ctl, carry);
     }
     let segments = segment_program(prog, config.scheme);
     let stream_len = Program::stream_len(basis.len());
@@ -498,9 +513,16 @@ pub fn execute_prepared_ctl(
 
 /// One streaming window of `prog` over a chunk basis: the whole program
 /// runs sequentially (instruction at a time) with cross-chunk carries —
-/// the body behind both [`crate::PreparedProgram::execute_window`] and
-/// the carry-parameterised branch of [`execute_prepared_ctl`]. `tables`
-/// must have been built from `prog`.
+/// the body behind [`crate::PreparedProgram::execute_window`],
+/// [`crate::PreparedProgram::execute_window_on`] and the
+/// carry-parameterised branch of [`execute_prepared_ctl`]. `tables` must
+/// have been built from `prog`; `classes`, when given, are `tables`' class
+/// table evaluated over `basis`, otherwise they are evaluated here.
+///
+/// Every value is computed into one of the plan's slot buffers in
+/// `scratch` (DESIGN.md §10, "Stream plan"); what the window charges the
+/// modelled clock is a function of the instructions and the window length
+/// alone and does not see that.
 ///
 /// Hardening mirrors the batch path: an armed [`ExecConfig::fault`]
 /// corrupts the window deterministically (see [`StreamFault`]), the
@@ -511,33 +533,59 @@ pub fn execute_prepared_ctl(
 /// ([`ExecError::CrossCheckMismatch`] / [`ExecError::CarryDiverged`]).
 ///
 /// On error the carry state may hold a partially-accumulated window;
-/// callers that want to survive must restore a pre-window snapshot
-/// (that is exactly what `bitgen`'s `StreamScanner` transaction does).
+/// callers that want to survive must drop it with
+/// [`CarryState::discard_outgoing`] (that is exactly what `bitgen`'s
+/// `StreamScanner` transaction does).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_streaming_window(
     prog: &Program,
     tables: &StreamTables,
+    classes: Option<&ClassStreams>,
     basis: &Basis,
     config: &ExecConfig,
     scratch: &mut ExecScratch,
     ctl: &RunControl,
     carry: &mut CarryState,
 ) -> Result<ExecOutcome, ExecError> {
+    let plan = tables.plan.as_ref().map_err(|&e| ExecError::from(e))?;
     let stream_len = Program::stream_len(basis.len());
     let mut metrics = ExecMetrics { segments: 1, threads: config.threads, ..ExecMetrics::default() };
-    scratch.env.clear();
+    let classes = match classes {
+        Some(shared) => shared,
+        None => {
+            tables.classes.evaluate(basis, &mut scratch.classes);
+            &scratch.classes
+        }
+    };
+    assert!(
+        classes.streams().len() == tables.classes.len()
+            && classes.streams().iter().all(|s| s.len() == stream_len),
+        "class streams were not evaluated over this window by this program's class table"
+    );
+    if scratch.slots.len() < plan.slot_count() {
+        scratch.slots.resize_with(plan.slot_count(), BitStream::default);
+    }
+    scratch.written.clear();
+    scratch.written.resize(plan.stream_count().div_ceil(64), 0);
     let reference = config.cross_check.then(|| carry.fork());
     let expected_slots = carry.slot_count() as u64;
     let (run_result, walk_end, fault_state, issued, stored) = {
         let mut seq = SeqExec {
             basis,
-            env: &mut scratch.env,
+            env: Env::Slots(SlotEnv {
+                plan,
+                bufs: &mut scratch.slots,
+                spare: &mut scratch.spare,
+                written: &mut scratch.written,
+                table: &tables.classes,
+                classes: classes.streams(),
+            }),
             metrics: &mut metrics,
             stream_len,
             passes: stream_len.div_ceil(config.window_bits()) as u64,
             words: stream_len.div_ceil(WORD_BITS) as u64,
             ctl,
             carry: Some(CarryWalk::new(carry, &tables.layout)),
-            tables: Some(tables),
             fault: config.fault.map(StreamFault::new),
             issued: 0,
             stored: 0,
@@ -561,14 +609,23 @@ pub(crate) fn execute_streaming_window(
     if observed != expected_slots {
         return Err(ExecError::CounterMismatch { expected: expected_slots, observed });
     }
-    let resident: usize = scratch.env.values().map(|s| s.len().div_ceil(8)).sum();
-    metrics.peak_materialized_bytes = metrics.peak_materialized_bytes.max(resident);
-    let outputs: Vec<BitStream> = prog
-        .outputs()
+    // The sequential model materialises every stream it writes, however
+    // few buffers the host needed for them.
+    let streams_written: usize = scratch.written.iter().map(|w| w.count_ones() as usize).sum();
+    metrics.peak_materialized_bytes =
+        metrics.peak_materialized_bytes.max(streams_written * stream_len.div_ceil(8));
+    let ids = prog.outputs();
+    let outputs: Vec<BitStream> = ids
         .iter()
-        .map(|id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
+        .enumerate()
+        .map(|(i, &id)| match plan.slot(id).filter(|_| is_written(&scratch.written, id)) {
+            None => BitStream::zeros(stream_len),
+            // Outputs are pinned, so the value moves out of its slot —
+            // unless the same stream is listed again further on.
+            Some(slot) if ids[i + 1..].contains(&id) => scratch.slots[slot].clone(),
+            Some(slot) => std::mem::take(&mut scratch.slots[slot]),
+        })
         .collect();
-    scratch.recycle();
     if let Some(mut fork) = reference {
         let want = try_interpret_chunk(prog, basis, ctl, &mut fork)?;
         for (i, (got, want)) in outputs.iter().zip(&want.outputs).enumerate() {
@@ -736,14 +793,13 @@ fn run_sequential(
     let words = stream_len.div_ceil(WORD_BITS) as u64;
     let mut seq = SeqExec {
         basis,
-        env,
+        env: Env::Map(env),
         metrics: &mut *cx.metrics,
         stream_len,
         passes,
         words,
         ctl: cx.ctl,
         carry: None,
-        tables: None,
         fault: None,
         issued: 0,
         stored: 0,
@@ -781,9 +837,119 @@ impl StreamFault {
     }
 }
 
+/// Where a sequential executor keeps its streams.
+enum Env<'a> {
+    /// A batch sequential segment: streams are keyed by id because they
+    /// flow to and from the fused segments around it; each class circuit
+    /// is compiled where it is met.
+    Map(&'a mut HashMap<StreamId, BitStream>),
+    /// A streaming window: streams live in the slots of the program's
+    /// stream plan.
+    Slots(SlotEnv<'a>),
+}
+
+struct SlotEnv<'a> {
+    plan: &'a SlotPlan,
+    /// One buffer per slot (at least `plan.slot_count()`).
+    bufs: &'a mut [BitStream],
+    /// The buffer the next instruction computes into; committing swaps it
+    /// with the destination's slot, so an instruction may read its own
+    /// destination and a dropped store leaves the slot as it was.
+    spare: &'a mut BitStream,
+    /// One bit per stream id, set once this window has written it: a slot
+    /// may still hold another stream's bits from before.
+    written: &'a mut [u64],
+    table: &'a ClassTable,
+    /// `table`'s classes evaluated over this window, shared with the
+    /// caller's other windows over the same chunk: read-only here.
+    classes: &'a [BitStream],
+}
+
+fn is_written(written: &[u64], id: StreamId) -> bool {
+    written.get(id.index() >> 6).is_some_and(|w| w >> (id.index() & 63) & 1 == 1)
+}
+
+impl Env<'_> {
+    fn get(&self, id: StreamId) -> Result<&BitStream, ExecError> {
+        match self {
+            Env::Map(streams) => streams.get(&id),
+            Env::Slots(env) => env
+                .plan
+                .slot(id)
+                .filter(|_| is_written(env.written, id))
+                .map(|slot| &env.bufs[slot]),
+        }
+        .ok_or(ExecError::UnwrittenStream { id })
+    }
+
+    /// The buffer to compute the next value into.
+    fn out(&mut self) -> BitStream {
+        match self {
+            Env::Map(_) => BitStream::default(),
+            Env::Slots(env) => std::mem::take(env.spare),
+        }
+    }
+
+    /// `class` matched against the window into `out` (peek position
+    /// clear); returns the circuit's gate count.
+    fn match_cc(
+        &self,
+        class: &ByteSet,
+        basis: &Basis,
+        stream_len: usize,
+        out: &mut BitStream,
+    ) -> usize {
+        let prepared = match self {
+            Env::Map(_) => None,
+            Env::Slots(env) => env.table.find(class).map(|(i, circuit)| (&env.classes[i], circuit)),
+        };
+        match prepared {
+            // A private copy: whatever happens to this value later, the
+            // shared class stream stays what the circuit computed.
+            Some((stream, circuit)) => {
+                out.copy_from(stream);
+                circuit.gate_count()
+            }
+            None => {
+                let circuit = CcCode::for_class(class);
+                out.reset_zeros(stream_len);
+                circuit.eval_into(basis, out);
+                circuit.gate_count()
+            }
+        }
+    }
+
+    /// Stores `value` as stream `id`. `false` if the plan has no slot for
+    /// it — it has one for every destination of its program, so the
+    /// store is reported lost rather than trusted.
+    fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
+        match self {
+            Env::Map(streams) => {
+                streams.insert(id, value);
+                true
+            }
+            Env::Slots(env) => match env.plan.slot(id) {
+                Some(slot) => {
+                    *env.spare = std::mem::replace(&mut env.bufs[slot], value);
+                    env.written[id.index() >> 6] |= 1 << (id.index() & 63);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
+    /// Drops a computed value without storing it (a lost store).
+    fn discard(&mut self, value: BitStream) {
+        if let Env::Slots(env) = self {
+            *env.spare = value;
+        }
+    }
+}
+
 struct SeqExec<'a> {
     basis: &'a Basis,
-    env: &'a mut HashMap<StreamId, BitStream>,
+    env: Env<'a>,
     metrics: &'a mut ExecMetrics,
     stream_len: usize,
     /// Block iterations per full pass.
@@ -794,9 +960,6 @@ struct SeqExec<'a> {
     /// `Some` when executing one streaming window with cross-chunk
     /// carries; `None` for ordinary whole-stream sequential segments.
     carry: Option<CarryWalk<'a>>,
-    /// The streaming window's prepared class circuits; batch sequential
-    /// segments (`None`) compile each class as they meet it.
-    tables: Option<&'a StreamTables>,
     /// Armed fault, streaming windows only ([`execute_streaming_window`]
     /// sets it from [`ExecConfig::fault`]); batch sequential segments run
     /// their drills through the CTA emulator instead.
@@ -808,7 +971,7 @@ struct SeqExec<'a> {
     stored: u64,
 }
 
-impl<'a> SeqExec<'a> {
+impl SeqExec<'_> {
     fn run(&mut self, stmts: &[Stmt]) -> Result<(), ExecError> {
         for stmt in stmts {
             if !self.ctl.is_unlimited() {
@@ -822,7 +985,7 @@ impl<'a> SeqExec<'a> {
                     // marker crossed the chunk boundary, so the body must
                     // run even when its guard is locally empty.
                     let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    if self.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
+                    if self.env.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
                         self.run(body)?;
                     } else {
                         let ops = match (&mut self.carry, entered) {
@@ -843,7 +1006,7 @@ impl<'a> SeqExec<'a> {
                         if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
                             walk.rewind(&span);
                         }
-                        if !(self.get(*cond)?.any() || force) {
+                        if !(self.env.get(*cond)?.any() || force) {
                             break;
                         }
                         force = false;
@@ -864,56 +1027,67 @@ impl<'a> SeqExec<'a> {
         Ok(())
     }
 
-    /// `class`'s circuit: from the prepared tables in a streaming window,
-    /// compiled on the spot in a batch sequential segment.
-    fn circuit(&self, class: &ByteSet) -> Cow<'a, CcCode> {
-        match self.tables.and_then(|tables| tables.circuit(class)) {
-            Some(circuit) => Cow::Borrowed(circuit),
-            None => Cow::Owned(CcCode::for_class(class)),
-        }
-    }
-
     fn exec(&mut self, op: &Op) -> Result<(), ExecError> {
         // Per instruction: ALU issues and words loaded (Fig. 5: one loop
         // per instruction; shifts load two adjacent blocks per block),
-        // and the value it computes.
+        // and the value it computes — into a buffer of the environment's,
+        // stored only once the instruction is known to commit.
         let (passes, words) = (self.passes, self.words);
-        let (alu, loads, mut value) = match op {
+        let mut value = self.env.out();
+        let env = &self.env;
+        let (alu, loads) = match op {
             Op::MatchCc { class, .. } => {
-                // Word-group circuit evaluation straight into the
-                // window-length stream (peek position stays clear).
-                let circuit = self.circuit(class);
-                let mut s = BitStream::zeros(self.stream_len);
-                circuit.eval_into(self.basis, &mut s);
-                (circuit.gate_count() as u64 * passes, 8 * words, s)
+                let gates = env.match_cc(class, self.basis, self.stream_len, &mut value);
+                (gates as u64 * passes, 8 * words)
             }
-            Op::And { a, b, .. } => (passes, 2 * words, self.get(*a)?.and(self.get(*b)?)),
-            Op::Or { a, b, .. } => (passes, 2 * words, self.get(*a)?.or(self.get(*b)?)),
+            Op::And { a, b, .. } => {
+                env.get(*a)?.and_into(env.get(*b)?, &mut value);
+                (passes, 2 * words)
+            }
+            Op::Or { a, b, .. } => {
+                env.get(*a)?.or_into(env.get(*b)?, &mut value);
+                (passes, 2 * words)
+            }
             Op::Add { a, b, .. } => {
-                let (sa, sb) = (fetch(self.env, *a)?, fetch(self.env, *b)?);
-                let sum = match &mut self.carry {
-                    Some(walk) => walk.add(sa, sb),
-                    None => sa.add(sb),
-                };
-                (passes, 2 * words, sum)
+                let (sa, sb) = (env.get(*a)?, env.get(*b)?);
+                match &mut self.carry {
+                    Some(walk) => walk.add_into(sa, sb, &mut value),
+                    None => sa.add_into(sb, &mut value),
+                }
+                (passes, 2 * words)
             }
-            Op::Xor { a, b, .. } => (passes, 2 * words, self.get(*a)?.xor(self.get(*b)?)),
-            Op::Not { src, .. } => (passes, words, self.get(*src)?.not()),
+            Op::Xor { a, b, .. } => {
+                env.get(*a)?.xor_into(env.get(*b)?, &mut value);
+                (passes, 2 * words)
+            }
+            Op::Not { src, .. } => {
+                env.get(*src)?.not_into(&mut value);
+                (passes, words)
+            }
             Op::Advance { src, amount, .. } => {
-                let k = *amount as usize;
-                let s = fetch(self.env, *src)?;
-                let shifted = match &mut self.carry {
-                    Some(walk) => walk.advance(s, k),
-                    None => s.advance(k),
-                };
-                (passes, 2 * words, shifted)
+                let (s, k) = (env.get(*src)?, *amount as usize);
+                match &mut self.carry {
+                    Some(walk) => walk.advance_into(s, k, &mut value),
+                    None => s.advance_into(k, &mut value),
+                }
+                (passes, 2 * words)
             }
             Op::Retreat { src, amount, .. } => {
-                (passes, 2 * words, self.get(*src)?.retreat(*amount as usize))
+                env.get(*src)?.retreat_into(*amount as usize, &mut value);
+                (passes, 2 * words)
             }
-            Op::Assign { src, .. } => (passes, words, self.get(*src)?.clone()),
-            Op::Zero { .. } => (passes, 0, BitStream::zeros(self.stream_len)),
-            Op::Ones { .. } => (passes, 0, BitStream::ones(self.stream_len)),
+            Op::Assign { src, .. } => {
+                value.copy_from(env.get(*src)?);
+                (passes, words)
+            }
+            Op::Zero { .. } => {
+                value.reset_zeros(self.stream_len);
+                (passes, 0)
+            }
+            Op::Ones { .. } => {
+                value.reset_ones(self.stream_len);
+                (passes, 0)
+            }
         };
         let c = &mut self.metrics.counters;
         c.alu_ops += alu;
@@ -932,7 +1106,10 @@ impl<'a> SeqExec<'a> {
                         FaultKind::SmemFlip => flip_bit(&mut value, fault.plan.seed),
                         // A lost store: the destination simply never gets
                         // this window's value.
-                        FaultKind::SkipBarrier => return Ok(()),
+                        FaultKind::SkipBarrier => {
+                            self.env.discard(value);
+                            return Ok(());
+                        }
                         FaultKind::CorruptTrips => match &mut self.carry {
                             Some(walk) => walk.state_mut().corrupt_outgoing(fault.plan.seed),
                             None => flip_bit(&mut value, fault.plan.seed),
@@ -944,13 +1121,8 @@ impl<'a> SeqExec<'a> {
                 }
             }
         }
-        self.env.insert(op.dst(), value);
-        self.stored += 1;
+        self.stored += u64::from(self.env.commit(op.dst(), value));
         Ok(())
-    }
-
-    fn get(&self, id: StreamId) -> Result<&BitStream, ExecError> {
-        fetch(self.env, id)
     }
 }
 
@@ -963,12 +1135,6 @@ fn flip_bit(value: &mut BitStream, seed: u64) {
     let bit = seed as usize % value.len();
     let cur = value.get(bit);
     value.set(bit, !cur);
-}
-
-/// [`SeqExec::get`] without borrowing the whole executor, so carry ops
-/// can hold a stream reference while mutating the carry walk.
-fn fetch(env: &HashMap<StreamId, BitStream>, id: StreamId) -> Result<&BitStream, ExecError> {
-    env.get(&id).ok_or(ExecError::UnwrittenStream { id })
 }
 
 fn count_ops(stmts: &[Stmt]) -> u64 {
@@ -1316,6 +1482,206 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn streaming_scratch_is_capacity_stable_and_bounded_by_the_plan() {
+        // The streaming counterpart of
+        // `scratch_reuse_is_identical_and_capacity_stable`: one scratch
+        // and one set of class streams serve every group of every push.
+        use crate::{ClassStreams, PreparedProgram};
+        let groups: Vec<Program> = [
+            &["a(bc)*d", "cat"][..],
+            &["[0-9]+x", "(a|bb)+c", "x[ab]{1,4}y"],
+            &["a{2,}", "c{3,}d"],
+        ]
+        .iter()
+        .map(|g| lower_group(&g.iter().map(|p| parse(p).unwrap()).collect::<Vec<_>>()))
+        .collect();
+        let prepared = PreparedProgram::new_all(groups);
+        let input: Vec<u8> =
+            b"abcbcd cat 42x bbc xaby aaa cccd ".iter().cycle().take(6 * 4096).copied().collect();
+        let ctl = RunControl::unlimited();
+        let config = ExecConfig::default();
+        let mut carries: Vec<CarryState> =
+            prepared.iter().map(|p| CarryState::for_layout(p.carry_layout())).collect();
+        let (mut scratch, mut classes) = (ExecScratch::new(), ClassStreams::new());
+        let mut fresh_ends = Vec::new();
+        let mut warm = None;
+        for (window, piece) in input.chunks(4096).enumerate() {
+            let basis = Basis::transpose(piece);
+            prepared[0].evaluate_classes(&basis, &mut classes);
+            for (p, carry) in prepared.iter().zip(&mut carries) {
+                // A fresh scratch evaluating its own classes is the
+                // reference: reuse never changes outputs or metrics.
+                let mut fork = carry.clone();
+                let fresh = p
+                    .execute_window(&basis, &config, &mut ExecScratch::new(), &ctl, &mut fork)
+                    .unwrap();
+                let out = p
+                    .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, carry)
+                    .unwrap();
+                assert_eq!(out.outputs, fresh.outputs);
+                assert_eq!(out.metrics, fresh.metrics);
+                assert_eq!(*carry, fork);
+                carry.rotate();
+                fresh_ends.extend(out.union().positions());
+            }
+            let held = (scratch.pooled_words(), classes.capacity_words());
+            let words = Program::stream_len(piece.len()).div_ceil(64);
+            let slots = prepared.iter().map(PreparedProgram::live_slots).max().unwrap();
+            assert!(
+                held.0 <= slots * words && held.1 == prepared[0].class_count() * words,
+                "window {window}: {held:?} words for {slots} slots and {} classes of {words}",
+                prepared[0].class_count()
+            );
+            assert_eq!(*warm.get_or_insert(held), held, "window {window} grew the scratch");
+        }
+        assert!(!fresh_ends.is_empty());
+        assert!(
+            prepared.iter().all(|p| p.live_slots() < p.program().num_streams() as usize),
+            "a plan needs fewer buffers than its program has streams"
+        );
+    }
+
+    /// `dst = match(class)` twice, then their AND and an output each.
+    fn two_matches_of_one_class() -> Program {
+        let class = ByteSet::singleton(b'a');
+        Program::new(
+            vec![
+                Stmt::Op(Op::MatchCc { dst: StreamId(0), class }),
+                Stmt::Op(Op::MatchCc { dst: StreamId(1), class }),
+                Stmt::Op(Op::And { dst: StreamId(2), a: StreamId(0), b: StreamId(1) }),
+            ],
+            3,
+            vec![StreamId(0), StreamId(1)],
+        )
+    }
+
+    #[test]
+    fn a_fault_on_a_class_match_corrupts_that_value_only() {
+        use crate::{ClassStreams, PreparedProgram};
+        let prepared = PreparedProgram::new_all(vec![two_matches_of_one_class()]).remove(0);
+        assert_eq!(prepared.class_count(), 1, "one class, matched twice");
+        let basis = Basis::transpose(b"aaaaaaaa");
+        let mut classes = ClassStreams::new();
+        prepared.evaluate_classes(&basis, &mut classes);
+        let pristine = classes.clone();
+        let run = |fault| {
+            let config = ExecConfig { fault, ..ExecConfig::default() };
+            let mut carry = CarryState::for_layout(prepared.carry_layout());
+            prepared
+                .execute_window_on(
+                    &classes,
+                    &basis,
+                    &config,
+                    &mut ExecScratch::new(),
+                    &RunControl::unlimited(),
+                    &mut carry,
+                )
+                .unwrap()
+        };
+        let clean = run(None);
+        for kind in [FaultKind::SmemFlip, FaultKind::CorruptTrips] {
+            // Trigger 1 is the first `MatchCc`; seed 3 flips its bit 3.
+            let hit = run(Some(FaultPlan { kind, trigger: 1, seed: 3 }));
+            assert!(hit.fault_fired, "{kind:?}");
+            assert_eq!(hit.outputs[1], clean.outputs[1], "{kind:?}: the second match");
+            assert_eq!(classes.streams(), pristine.streams(), "{kind:?} reached the class streams");
+            if kind == FaultKind::SmemFlip {
+                assert_eq!(hit.outputs[0].positions(), vec![0, 1, 2, 4, 5, 6, 7]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lost_store_never_reads_as_another_streams_bits() {
+        // Every value dies at the next instruction, so two slots
+        // alternate: s2 recycles the slot that held s0, s3 the one that
+        // held s1.
+        let s = StreamId;
+        let chain = Program::new(
+            vec![
+                Stmt::Op(Op::Ones { dst: s(0) }),
+                Stmt::Op(Op::Advance { dst: s(1), src: s(0), amount: 1 }),
+                Stmt::Op(Op::Advance { dst: s(2), src: s(1), amount: 1 }),
+                Stmt::Op(Op::Advance { dst: s(3), src: s(2), amount: 1 }),
+            ],
+            4,
+            vec![s(3)],
+        );
+        let lose = |prog: &Program, trigger| {
+            let plan = FaultPlan { kind: FaultKind::SkipBarrier, trigger, seed: 0 };
+            let config = ExecConfig { fault: Some(plan), ..ExecConfig::default() };
+            let mut carry = CarryState::for_program(prog);
+            execute_prepared_with(
+                prog,
+                &Basis::transpose(b"abcdef"),
+                &config,
+                &mut ExecScratch::new(),
+                Some(&mut carry),
+            )
+            .unwrap_err()
+        };
+        // The last store lost: nothing reads s3 again, the store count
+        // tells.
+        assert_eq!(lose(&chain, 4), ExecError::StoreElided { issued: 4, stored: 3 });
+        // s2's store lost: its slot still holds s0's ones, and the read
+        // that follows is refused, not served from them.
+        assert_eq!(lose(&chain, 3), ExecError::UnwrittenStream { id: s(2) });
+        // A loop's second trip loses the store of a stream its first
+        // trip wrote: the stale value is the stream's own, the store
+        // count tells.
+        let looped = Program::new(
+            vec![
+                Stmt::Op(Op::MatchCc { dst: s(0), class: ByteSet::range(b'a', b'c') }),
+                Stmt::Op(Op::Assign { dst: s(1), src: s(0) }),
+                Stmt::While {
+                    cond: s(1),
+                    body: vec![
+                        Stmt::Op(Op::Advance { dst: s(2), src: s(1), amount: 1 }),
+                        Stmt::Op(Op::And { dst: s(1), a: s(2), b: s(0) }),
+                    ],
+                },
+            ],
+            3,
+            vec![s(1)],
+        );
+        assert!(matches!(lose(&looped, 5), ExecError::StoreElided { .. }));
+    }
+
+    #[test]
+    fn reads_of_unwritten_streams_are_typed_before_and_during_a_window() {
+        let s = StreamId;
+        let run = |prog: &Program| {
+            let mut carry = CarryState::for_program(prog);
+            execute_prepared_with(
+                prog,
+                &Basis::transpose(b"xyz"),
+                &ExecConfig::default(),
+                &mut ExecScratch::new(),
+                Some(&mut carry),
+            )
+        };
+        // Nothing ever writes s0: the plan refuses the program.
+        let never = Program::new(vec![Stmt::Op(Op::Not { dst: s(1), src: s(0) })], 2, vec![s(1)]);
+        assert_eq!(run(&never).unwrap_err(), ExecError::UnwrittenStream { id: s(0) });
+        // s2 is written only by a loop that does not run on this input.
+        let skipped = Program::new(
+            vec![
+                Stmt::Op(Op::Zero { dst: s(0) }),
+                Stmt::While { cond: s(0), body: vec![Stmt::Op(Op::Ones { dst: s(2) })] },
+                Stmt::Op(Op::Not { dst: s(1), src: s(2) }),
+            ],
+            3,
+            vec![s(1)],
+        );
+        assert_eq!(run(&skipped).unwrap_err(), ExecError::UnwrittenStream { id: s(2) });
+        // An output nothing wrote reads as zeros, listed twice or not.
+        let unwritten_output =
+            Program::new(vec![Stmt::Op(Op::Ones { dst: s(0) })], 2, vec![s(1), s(0), s(0)]);
+        let out = run(&unwritten_output).unwrap();
+        assert_eq!(out.outputs, vec![BitStream::zeros(4), BitStream::ones(4), BitStream::ones(4)]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use engine::{
 };
 pub use bitgen_passes::PassMetrics;
 pub use metrics::{ExecMetrics, Metrics};
-pub use prepared::PreparedProgram;
+pub use prepared::{ClassStreams, PreparedProgram};
 pub use scheme::Scheme;
 // Convenience re-exports so executor callers can drive cancellation and
 // fault drills without importing the defining crates.

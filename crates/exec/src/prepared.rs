@@ -1,20 +1,103 @@
 //! Prepared streaming programs: everything about a stream program that
-//! does not depend on the input, derived once instead of once per window.
+//! does not depend on the input, derived once instead of once per window
+//! — the class table, the carry layout and the stream plan (DESIGN.md
+//! §10).
 
 use crate::engine::{execute_streaming_window, ExecConfig, ExecError, ExecOutcome, ExecScratch};
-use bitgen_bitstream::{Basis, CcCode};
-use bitgen_ir::{ByteSet, CarryLayout, CarryState, Op, Program, RunControl};
-use std::collections::HashMap;
+use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_ir::{
+    ByteSet, CarryLayout, CarryState, InterpError, Op, Program, RunControl, SlotPlan,
+};
 use std::sync::Arc;
 
+/// The distinct byte classes of the programs prepared together, each with
+/// its flattened circuit, sorted by class so a `MatchCc` finds its index
+/// by search. The index is the class's position in a [`ClassStreams`].
+#[derive(Debug)]
+pub(crate) struct ClassTable {
+    classes: Box<[ByteSet]>,
+    circuits: Box<[CcCode]>,
+}
+
+impl ClassTable {
+    fn of_all(programs: &[Program]) -> ClassTable {
+        let mut classes = Vec::new();
+        for program in programs {
+            program.for_each_op(&mut |op| {
+                if let Op::MatchCc { class, .. } = op {
+                    classes.push(*class);
+                }
+            });
+        }
+        classes.sort_unstable();
+        classes.dedup();
+        let circuits = classes.iter().map(CcCode::for_class).collect();
+        ClassTable { classes: classes.into_boxed_slice(), circuits }
+    }
+
+    /// Index and circuit of `class`, `None` for a class of no program the
+    /// table was built from.
+    pub(crate) fn find(&self, class: &ByteSet) -> Option<(usize, &CcCode)> {
+        let index = self.classes.binary_search(class).ok()?;
+        Some((index, &self.circuits[index]))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Evaluates every class over `basis` into `out`, one window-length
+    /// stream each (peek position clear), reusing `out`'s buffers.
+    pub(crate) fn evaluate(&self, basis: &Basis, out: &mut ClassStreams) {
+        let stream_len = Program::stream_len(basis.len());
+        out.streams.resize_with(self.circuits.len(), BitStream::default);
+        for (circuit, stream) in self.circuits.iter().zip(&mut out.streams) {
+            if stream.len() != stream_len {
+                stream.reset_zeros(stream_len);
+            }
+            circuit.eval_into(basis, stream);
+        }
+    }
+}
+
+/// One chunk's class streams: every distinct class of an engine
+/// evaluated once over the chunk's basis, then read by each group's
+/// `MatchCc` instructions and by every retry of those windows. Filled by
+/// [`PreparedProgram::evaluate_classes`]; the buffers are reused from
+/// chunk to chunk.
+#[derive(Debug, Clone, Default)]
+pub struct ClassStreams {
+    streams: Vec<BitStream>,
+}
+
+impl ClassStreams {
+    /// No streams yet.
+    pub fn new() -> ClassStreams {
+        ClassStreams::default()
+    }
+
+    /// Total words of capacity held — stable once warm, like
+    /// [`ExecScratch::pooled_words`].
+    pub fn capacity_words(&self) -> usize {
+        self.streams.iter().map(BitStream::capacity_words).sum()
+    }
+
+    pub(crate) fn streams(&self) -> &[BitStream] {
+        &self.streams
+    }
+}
+
 /// The tables a streaming window reads instead of re-deriving: the class
-/// circuits (one per distinct byte class, shared by the programs prepared
-/// together — an engine's groups reuse most of their classes) and the
-/// carry layout.
+/// table (shared by the programs prepared together — an engine's groups
+/// reuse most of their classes), the carry layout and the slot of every
+/// stream.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamTables {
-    circuits: Arc<HashMap<ByteSet, CcCode>>,
+    pub(crate) classes: Arc<ClassTable>,
     pub(crate) layout: CarryLayout,
+    /// `Err` for a program that reads a stream before writing it;
+    /// executing a window reports it.
+    pub(crate) plan: Result<SlotPlan, InterpError>,
 }
 
 impl StreamTables {
@@ -23,23 +106,15 @@ impl StreamTables {
     }
 
     fn of_all(programs: &[Program]) -> Vec<StreamTables> {
-        let mut circuits = HashMap::new();
-        for program in programs {
-            program.for_each_op(&mut |op| {
-                if let Op::MatchCc { class, .. } = op {
-                    circuits.entry(*class).or_insert_with(|| CcCode::for_class(class));
-                }
-            });
-        }
-        let circuits = Arc::new(circuits);
+        let classes = Arc::new(ClassTable::of_all(programs));
         programs
             .iter()
-            .map(|p| StreamTables { circuits: Arc::clone(&circuits), layout: CarryLayout::of(p) })
+            .map(|p| StreamTables {
+                classes: Arc::clone(&classes),
+                layout: CarryLayout::of(p),
+                plan: SlotPlan::of(p),
+            })
             .collect()
-    }
-
-    pub(crate) fn circuit(&self, class: &ByteSet) -> Option<&CcCode> {
-        self.circuits.get(class)
     }
 }
 
@@ -57,7 +132,7 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// Prepares an engine's *untransformed* programs for streaming; they
-    /// share one class-circuit table.
+    /// share one class table.
     pub fn new_all(programs: Vec<Program>) -> Vec<PreparedProgram> {
         let tables = StreamTables::of_all(&programs);
         programs
@@ -79,9 +154,31 @@ impl PreparedProgram {
         &self.tables.layout
     }
 
+    /// Stream buffers a window of this program keeps resident at once
+    /// (`0` for a program that reads a stream before writing it).
+    pub fn live_slots(&self) -> usize {
+        self.tables.plan.as_ref().map_or(0, SlotPlan::slot_count)
+    }
+
+    /// Distinct classes of the programs prepared together — the streams
+    /// [`PreparedProgram::evaluate_classes`] fills.
+    pub fn class_count(&self) -> usize {
+        self.tables.classes.len()
+    }
+
+    /// Evaluates the class table shared by the programs prepared together
+    /// over one chunk. One call serves every group's window over that
+    /// chunk, retries included.
+    pub fn evaluate_classes(&self, basis: &Basis, out: &mut ClassStreams) {
+        self.tables.classes.evaluate(basis, out);
+    }
+
     /// Executes one streaming window over a chunk basis — see
     /// [`crate::execute_prepared_with`] for the carry contract and
-    /// [`crate::execute_prepared_ctl`] for the errors.
+    /// [`crate::execute_prepared_ctl`] for the errors. The class streams
+    /// are evaluated for this call; callers running several programs
+    /// over one chunk evaluate them once and use
+    /// [`PreparedProgram::execute_window_on`].
     ///
     /// # Errors
     ///
@@ -94,6 +191,49 @@ impl PreparedProgram {
         ctl: &RunControl,
         carry: &mut CarryState,
     ) -> Result<ExecOutcome, ExecError> {
-        execute_streaming_window(&self.program, &self.tables, basis, config, scratch, ctl, carry)
+        execute_streaming_window(
+            &self.program,
+            &self.tables,
+            None,
+            basis,
+            config,
+            scratch,
+            ctl,
+            carry,
+        )
+    }
+
+    /// [`PreparedProgram::execute_window`] reading class streams the
+    /// caller evaluated over the same `basis` with
+    /// [`PreparedProgram::evaluate_classes`] of this program (or of one
+    /// prepared together with it).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PreparedProgram::execute_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes` was not evaluated over `basis` by a program
+    /// prepared together with this one.
+    pub fn execute_window_on(
+        &self,
+        classes: &ClassStreams,
+        basis: &Basis,
+        config: &ExecConfig,
+        scratch: &mut ExecScratch,
+        ctl: &RunControl,
+        carry: &mut CarryState,
+    ) -> Result<ExecOutcome, ExecError> {
+        execute_streaming_window(
+            &self.program,
+            &self.tables,
+            Some(classes),
+            basis,
+            config,
+            scratch,
+            ctl,
+            carry,
+        )
     }
 }

@@ -227,17 +227,18 @@ impl<'a> CarryWalk<'a> {
         CarryWalk { state, layout, slot: 0, guard: 0 }
     }
 
-    /// `Advance(src, k)` through the next slot
-    /// (see [`CarryState::advance_through`]).
-    pub fn advance(&mut self, src: &BitStream, k: usize) -> BitStream {
+    /// `Advance(src, k)` through the next slot into `out`
+    /// (see [`CarryState::advance_through_into`]).
+    pub fn advance_into(&mut self, src: &BitStream, k: usize, out: &mut BitStream) {
         self.slot += 1;
-        self.state.advance_through(self.slot - 1, src, k)
+        self.state.advance_through_into(self.slot - 1, src, k, out);
     }
 
-    /// `Add(a, b)` through the next slot (see [`CarryState::add_through`]).
-    pub fn add(&mut self, a: &BitStream, b: &BitStream) -> BitStream {
+    /// `Add(a, b)` through the next slot into `out`
+    /// (see [`CarryState::add_through_into`]).
+    pub fn add_into(&mut self, a: &BitStream, b: &BitStream, out: &mut BitStream) {
         self.slot += 1;
-        self.state.add_through(self.slot - 1, a, b)
+        self.state.add_through_into(self.slot - 1, a, b, out);
     }
 
     /// Arrives at the next `if`/`while` statement: its body's span, and
@@ -498,11 +499,19 @@ impl CarryState {
     /// without disturbing the live state.
     pub fn fork(&self) -> CarryState {
         let mut f = self.clone();
-        for s in &mut f.slots {
+        f.discard_outgoing();
+        f
+    }
+
+    /// Abandons the window in progress: zeroes the outgoing side, which
+    /// is all a window ever writes, so the state is back at the boundary
+    /// it entered the window with — incoming carries and seal untouched —
+    /// without having kept a copy of it.
+    pub fn discard_outgoing(&mut self) {
+        for s in &mut self.slots {
             let w = s.outgoing.len();
             s.outgoing.reset_zeros(w);
         }
-        f
     }
 
     /// `true` if any incoming carry in `range` is pending. Guards use
@@ -512,40 +521,50 @@ impl CarryState {
         self.slots[range].iter().any(|s| s.incoming.any())
     }
 
-    /// Executes `Advance(src, k)` through slot `slot`: injects the
-    /// incoming history into the vacated low positions and accumulates
-    /// the outgoing history (the last `k` bits of the window, excluding
-    /// the provisional peek position).
+    /// Executes `Advance(src, k)` through slot `slot` into `out`: injects
+    /// the incoming history into the vacated low positions and
+    /// accumulates the outgoing history (the last `k` bits of the window,
+    /// excluding the provisional peek position). Allocates nothing; `out`
+    /// must not alias `src`.
     ///
     /// # Panics
     ///
     /// Panics if the slot width disagrees with `k` (wrong slot walk) or
     /// the window is empty.
-    pub fn advance_through(&mut self, slot: usize, src: &BitStream, k: usize) -> BitStream {
+    pub fn advance_through_into(
+        &mut self,
+        slot: usize,
+        src: &BitStream,
+        k: usize,
+        out: &mut BitStream,
+    ) {
         let s = &mut self.slots[slot];
         debug_assert_eq!(s.incoming.len(), k, "carry slot width mismatch");
-        let out = src.advance_with_carry(k, &s.incoming);
+        src.advance_with_carry_into(k, &s.incoming, out);
         let consumed = src.len().checked_sub(1).expect("window must hold the peek position");
-        let tail = src.history_tail(&s.incoming, consumed);
-        s.outgoing.or_assign(&tail);
-        out
+        src.or_history_tail(&s.incoming, consumed, &mut s.outgoing);
     }
 
-    /// Executes `Add(a, b)` through slot `slot`: injects the incoming
-    /// carry below bit 0 and accumulates the carry into the window
-    /// boundary (the peek position) as carry-out.
+    /// Executes `Add(a, b)` through slot `slot` into `out`: injects the
+    /// incoming carry below bit 0 and accumulates the carry into the
+    /// window boundary (the peek position) as carry-out. `out` must not
+    /// alias either operand.
     ///
     /// # Panics
     ///
     /// Panics if the window is empty.
-    pub fn add_through(&mut self, slot: usize, a: &BitStream, b: &BitStream) -> BitStream {
+    pub fn add_through_into(
+        &mut self,
+        slot: usize,
+        a: &BitStream,
+        b: &BitStream,
+        out: &mut BitStream,
+    ) {
         let s = &mut self.slots[slot];
         let boundary = a.len().checked_sub(1).expect("window must hold the peek position");
-        let (sum, carry_out) = a.add_with_carry(b, s.incoming.get(0), boundary);
-        if carry_out {
+        if a.add_with_carry_into(b, s.incoming.get(0), boundary, out) {
             s.outgoing.set(0, true);
         }
-        sum
     }
 }
 
@@ -602,6 +621,14 @@ mod tests {
     use crate::lower::{lower, lower_group_with, LowerOptions};
     use bitgen_regex::parse;
 
+    impl CarryState {
+        fn advance_through(&mut self, slot: usize, src: &BitStream, k: usize) -> BitStream {
+            let mut out = BitStream::default();
+            self.advance_through_into(slot, src, k, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn slot_layout_counts_shifts_and_adds() {
         let prog = lower(&parse("a(bc)*d").unwrap());
@@ -649,7 +676,8 @@ mod tests {
         assert_eq!(layout.widths, vec![2, 1, 3, 1]);
         let mut state = CarryState::for_layout(&layout);
         let mut walk = CarryWalk::new(&mut state, &layout);
-        walk.advance(&BitStream::zeros(4), 2);
+        let mut out = BitStream::default();
+        walk.advance_into(&BitStream::zeros(4), 2, &mut out);
         // Leaving the loop unvisited steps over its nested `if` as well:
         // the next guard met is the trailing top-level one.
         let (outer, pending) = walk.enter();
@@ -663,11 +691,11 @@ mod tests {
         // A trip through the loop meets the nested guard, and a rewind
         // meets it again.
         walk.rewind(&outer);
-        walk.advance(&BitStream::zeros(4), 1);
+        walk.advance_into(&BitStream::zeros(4), 1, &mut out);
         let (inner, _) = walk.enter();
         assert_eq!((inner.ops, inner.slot_start, inner.slot_end), (1, 2, 3));
         walk.rewind(&outer);
-        walk.advance(&BitStream::zeros(4), 1);
+        walk.advance_into(&BitStream::zeros(4), 1, &mut out);
         assert_eq!(walk.enter().0, inner);
     }
 
@@ -710,6 +738,25 @@ mod tests {
         let mut replay = fork.clone();
         replay.advance_through(0, &window, 1);
         assert_eq!(replay, state);
+    }
+
+    #[test]
+    fn discarding_the_outgoing_side_undoes_a_window() {
+        let prog = lower(&parse("a(bc)*d").unwrap());
+        let layout = CarryLayout::of(&prog);
+        let mut state = CarryState::for_layout(&layout);
+        let window = BitStream::from_positions(6, &[2, 4]);
+        state.advance_through(0, &window, 1);
+        state.rotate();
+        let boundary = state.clone();
+        // A window accumulates, a fault scribbles: both only ever land on
+        // the outgoing side.
+        state.advance_through(0, &window, 1);
+        state.corrupt_outgoing(5);
+        assert_ne!(state, boundary);
+        state.discard_outgoing();
+        assert_eq!(state, boundary);
+        state.validate(&layout).unwrap();
     }
 
     #[test]

@@ -316,12 +316,10 @@ impl Env<'_> {
             Op::Add { a, b, .. } => {
                 let (sa, sb) = (fetch(&self.vars, *a)?, fetch(&self.vars, *b)?);
                 match &mut self.carry {
-                    Some(walk) => walk.add(sa, sb),
-                    None => {
-                        sa.add_into(sb, &mut out);
-                        out
-                    }
+                    Some(walk) => walk.add_into(sa, sb, &mut out),
+                    None => sa.add_into(sb, &mut out),
                 }
+                out
             }
             Op::Xor { a, b, .. } => {
                 fetch(&self.vars, *a)?.xor_into(fetch(&self.vars, *b)?, &mut out);
@@ -335,12 +333,10 @@ impl Env<'_> {
                 let k = *amount as usize;
                 let s = fetch(&self.vars, *src)?;
                 match &mut self.carry {
-                    Some(walk) => walk.advance(s, k),
-                    None => {
-                        s.advance_into(k, &mut out);
-                        out
-                    }
+                    Some(walk) => walk.advance_into(s, k, &mut out),
+                    None => s.advance_into(k, &mut out),
                 }
+                out
             }
             Op::Retreat { src, amount, .. } => {
                 fetch(&self.vars, *src)?.retreat_into(*amount as usize, &mut out);
@@ -354,7 +350,10 @@ impl Env<'_> {
                 out.reset_zeros(self.len);
                 out
             }
-            Op::Ones { .. } => BitStream::ones(self.len),
+            Op::Ones { .. } => {
+                out.reset_ones(self.len);
+                out
+            }
         };
         self.vars[dst] = Some(value);
         Ok(())

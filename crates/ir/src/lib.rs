@@ -12,6 +12,7 @@
 //!   every execution scheme must reproduce);
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
+//! - [`SlotPlan`]: live-range slot assignment for sequential executors;
 //! - [`pretty`]: Listing-3-style printing.
 //!
 //! # Examples
@@ -38,6 +39,7 @@ mod limits;
 mod lower;
 mod pretty;
 mod program;
+mod slots;
 mod stats;
 mod verify;
 
@@ -52,6 +54,7 @@ pub use lower::{
 };
 pub use pretty::pretty;
 pub use program::{Op, Program, Stmt, StreamId};
+pub use slots::SlotPlan;
 pub use stats::ProgramStats;
 pub use verify::{verify, VerifyError};
 // The class type of [`Op::MatchCc`], so IR consumers can name it.

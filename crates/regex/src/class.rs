@@ -22,7 +22,10 @@ use std::fmt;
 /// assert!(!digits.contains(b'a'));
 /// assert_eq!(digits.len(), 10);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The ordering is total but otherwise arbitrary (by membership words);
+/// it exists so sorted class tables can be searched.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ByteSet {
     words: [u64; 4],
 }

@@ -50,27 +50,42 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
+/// Value of each byte as a hex digit (either case), `NOT_HEX` otherwise.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut digit = 0u8;
+    while digit < 16 {
+        let lower = b"0123456789abcdef"[digit as usize];
+        table[lower as usize] = digit;
+        table[lower.to_ascii_uppercase() as usize] = digit;
+        digit += 1;
+    }
+    table
+};
+const NOT_HEX: u8 = 0xff;
+
 /// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
 pub fn hex_decode(text: &str) -> Option<Vec<u8>> {
     if text == "-" {
         return Some(Vec::new());
     }
-    let digits = text.as_bytes();
+    decode_digits(text.as_bytes())
+}
+
+fn decode_digits(digits: &[u8]) -> Option<Vec<u8>> {
     if !digits.len().is_multiple_of(2) {
         return None;
     }
-    let nibble = |d: u8| -> Option<u8> {
-        match d {
-            b'0'..=b'9' => Some(d - b'0'),
-            b'a'..=b'f' => Some(d - b'a' + 10),
-            b'A'..=b'F' => Some(d - b'A' + 10),
-            _ => None,
-        }
-    };
-    digits
-        .chunks_exact(2)
-        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
-        .collect()
+    let mut bytes = vec![0u8; digits.len() / 2];
+    // Digit values are below 16, so only `NOT_HEX` sets a high bit: one
+    // check after the loop instead of a branch per digit.
+    let mut seen = 0u8;
+    for (byte, pair) in bytes.iter_mut().zip(digits.chunks_exact(2)) {
+        let (high, low) = (HEX_VALUE[usize::from(pair[0])], HEX_VALUE[usize::from(pair[1])]);
+        seen |= high | low;
+        *byte = high << 4 | low;
+    }
+    (seen & 0xf0 == 0).then_some(bytes)
 }
 
 /// The machine-readable first token of an `ERR` reply, so clients can
@@ -286,6 +301,32 @@ mod tests {
         assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
         assert_eq!(hex_decode("0g"), None);
         assert_eq!(hex_decode("abc"), None);
+        assert_eq!(hex_decode(""), Some(Vec::new()));
+        assert_eq!(hex_decode("--"), None);
+    }
+
+    #[test]
+    fn hex_decode_accepts_exactly_the_hex_digits_in_either_case() {
+        // Every byte value survives the round trip, upper-cased too.
+        let all: Vec<u8> = (0..=255).collect();
+        let encoded = hex_encode(&all);
+        assert_eq!(hex_decode(&encoded), Some(all.clone()));
+        assert_eq!(hex_decode(&encoded.to_ascii_uppercase()), Some(all));
+        // Each of the 234 bytes that is not a hex digit is refused in
+        // the high and in the low nibble position.
+        let mut refused = 0;
+        for byte in 0..=255u8 {
+            if byte.is_ascii_hexdigit() {
+                assert!(decode_digits(&[byte, b'0']).is_some());
+                assert!(decode_digits(&[b'0', byte]).is_some());
+                continue;
+            }
+            refused += 1;
+            assert_eq!(decode_digits(&[byte, b'0']), None, "high nibble {byte:#04x}");
+            assert_eq!(decode_digits(&[b'0', byte]), None, "low nibble {byte:#04x}");
+            assert_eq!(decode_digits(&[b'a', b'f', byte, b'0']), None, "after a good pair");
+        }
+        assert_eq!(refused, 234);
     }
 
     #[test]

@@ -162,6 +162,83 @@ fn streaming_seeded_fault_sweep_has_no_silent_corruption() {
     assert!(detected >= 24, "only {detected}/120 detections — injector is not firing");
 }
 
+/// Every group's windows over one chunk read the same class streams,
+/// evaluated once per push. A fault landing on a `MatchCc` must corrupt
+/// that instruction's private value only: the corrupted window is caught
+/// and retried, and the retry and every other group of the same push —
+/// all reading the same class — still report exactly the oracle's ends.
+#[test]
+fn a_fault_on_a_class_match_stays_out_of_the_shared_class_streams() {
+    use bitgen_ir::{Op, Stmt};
+    // Three groups over the one class [a], on input where every position
+    // of it matters to every group.
+    let config = EngineConfig::default().with_cta_count(3).with_cross_check(true);
+    let engine = BitGen::compile_with(&["aa", "aaa", "aaaa"], config).unwrap();
+    assert_eq!(engine.group_count(), 3);
+    for prepared in engine.stream_programs() {
+        let first = &prepared.program().stmts()[0];
+        assert!(matches!(first, Stmt::Op(Op::MatchCc { .. })), "trigger 1 must hit {first:?}");
+        assert_eq!(prepared.class_count(), 1, "one class shared by every group");
+    }
+    let input = vec![b'a'; 300];
+    let clean = batch_ends(&engine, &input);
+    for kind in [FaultKind::SmemFlip, FaultKind::CorruptTrips] {
+        let mut scanner = engine.streamer().unwrap();
+        scanner.set_retry_policy(RetryPolicy::none().with_attempts(2));
+        let mut ends = scanner.push(&input[..100]).unwrap();
+        // Group 0's first instruction, bit 7 of the window: an `a` the
+        // flip turns off, so the cross-check must notice.
+        scanner.inject_fault(0, FaultPlan { kind, trigger: 1, seed: 7 }, 1);
+        for chunk in input[100..].chunks(100) {
+            ends.extend(scanner.push(chunk).unwrap());
+        }
+        assert_eq!(ends, clean, "{kind:?}: a group read corrupted class bits");
+        // The flip is always noticed and retried; a corrupted carry-out
+        // bit may be one the window sets anyway.
+        let retries = scanner.metrics().retries;
+        let masked = kind == FaultKind::CorruptTrips && retries == 0;
+        assert!(retries == 1 || masked, "{kind:?}: {retries} retries");
+        assert_eq!(scanner.metrics().degraded, 0);
+    }
+}
+
+/// A lost store (`SkipBarrier`) on any instruction of a window — whose
+/// destination buffer last held some other stream's bits wherever the
+/// plan recycled it — is always a typed error, `StoreElided` unless a
+/// later instruction asks for the missing stream first, and a retry
+/// recovers the oracle's ends.
+#[test]
+fn a_lost_store_on_a_recycled_buffer_is_always_caught() {
+    let engine = engine(RecoveryPolicy::Fail);
+    let input = workload(1);
+    let clean = batch_ends(&engine, &input);
+    let ops = engine.stream_programs()[0].program().op_count() as u32;
+    assert!(engine.stream_programs()[0].live_slots() < ops as usize, "buffers are recycled");
+    let mut elided = 0;
+    for trigger in 1..=ops {
+        let plan = FaultPlan { kind: FaultKind::SkipBarrier, trigger, seed: 0 };
+        let mut scanner = engine.streamer().unwrap();
+        scanner.inject_fault(0, plan, 1);
+        match scanner.push(&input[..90]).unwrap_err() {
+            Error::Exec(ExecError::StoreElided { issued, stored }) => {
+                assert_eq!(issued, stored + 1);
+                elided += 1;
+            }
+            Error::Exec(ExecError::UnwrittenStream { .. }) => {}
+            other => panic!("trigger {trigger}: lost store surfaced as {other}"),
+        }
+        let mut retried = engine.streamer().unwrap();
+        retried.set_retry_policy(RetryPolicy::none().with_attempts(2));
+        retried.inject_fault(0, plan, 1);
+        let mut ends = Vec::new();
+        for chunk in input.chunks(90) {
+            ends.extend(retried.push(chunk).unwrap());
+        }
+        assert_eq!(ends, clean, "trigger {trigger}");
+    }
+    assert!(elided > 0, "no lost store reached the store-count invariant");
+}
+
 /// A transient fault (one corrupted window execution) is absorbed by a
 /// retry: the push succeeds on fresh scratch, matches stay bit-identical
 /// to batch, and the recovery is visible in [`StreamScanner::retries`].

@@ -183,6 +183,48 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn planned_windows_agree_with_the_interpreter_at_every_chunk_size(
+        patterns in arb_patterns(),
+        seed in prop::collection::vec(prop::sample::select(b"aabbccdxy. ".to_vec()), 1..200),
+    ) {
+        // Every window of every group runs with `cross_check`: outputs
+        // and carry-out are replayed through `try_interpret_chunk`, so a
+        // slot handed to two live streams, a stale buffer or a carry that
+        // went through the wrong slot fails here — at chunk sizes on both
+        // sides of a word and of a lane group, at both lane extremes.
+        let engine = BitGen::compile(&patterns).unwrap();
+        let config = ExecConfig { cross_check: true, ..ExecConfig::default() };
+        let ctl = RunControl::unlimited();
+        for width in [LaneWidth::X1, LaneWidth::X8] {
+            set_lane_width(width);
+            for chunk in [1usize, 2, 3, 7, 63, 64, 65, 4096] {
+                let input: Vec<u8> =
+                    seed.iter().cycle().take(seed.len() + 3 * chunk + 5).copied().collect();
+                let batch = batch_ends(&engine, &input);
+                let mut scratch = ExecScratch::new();
+                let mut ends = Vec::new();
+                for prepared in engine.stream_programs() {
+                    let mut carry = CarryState::for_layout(prepared.carry_layout());
+                    for (i, piece) in input.chunks(chunk).enumerate() {
+                        let basis = Basis::transpose(piece);
+                        let out = prepared
+                            .execute_window(&basis, &config, &mut scratch, &ctl, &mut carry)
+                            .unwrap_or_else(|e| {
+                                panic!("{patterns:?} {width} chunk {chunk} window {i}: {e}")
+                            });
+                        carry.rotate();
+                        let here = out.union().positions().into_iter().filter(|&p| p < piece.len());
+                        ends.extend(here.map(|p| (i * chunk + p) as u64));
+                    }
+                }
+                ends.sort_unstable();
+                ends.dedup();
+                prop_assert_eq!(ends, batch, "{:?} {} chunk {}", patterns, width, chunk);
+            }
+        }
+    }
 }
 
 #[test]
@@ -295,4 +337,98 @@ fn streaming_seconds_track_consumed_bytes_not_span() {
     let delta = s.metrics().wall_seconds - first;
     assert_eq!(first.to_bits(), delta.to_bits());
     assert_eq!(s.metrics().bytes_rescanned, 0);
+}
+
+/// Deterministic traffic over the pattern alphabet (64-bit LCG).
+fn golden_input(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            b"aabbccdxy. 019"[(x >> 33) as usize % 14]
+        })
+        .collect()
+}
+
+/// Streams `input` through every group of `patterns` in `chunk`-byte
+/// windows and folds every window's full [`bitgen::ExecMetrics`] and
+/// `cta_work()` rendering into one FNV-1a digest, next to the readable
+/// totals of the counters the cost model prices (ALU issues, words
+/// loaded, words stored, barriers, reductions, skipped ops) and the
+/// largest `peak_materialized_bytes`.
+fn window_metrics_digest(patterns: &[&str], input: &[u8], chunk: usize) -> (u64, [u64; 6], usize) {
+    let engine = BitGen::compile(patterns).unwrap();
+    let ctl = RunControl::unlimited();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut totals = [0u64; 6];
+    let mut peak = 0usize;
+    for prepared in engine.stream_programs() {
+        let mut carry = CarryState::for_layout(prepared.carry_layout());
+        let mut scratch = ExecScratch::new();
+        for piece in input.chunks(chunk) {
+            let out = prepared
+                .execute_window(
+                    &Basis::transpose(piece),
+                    &ExecConfig::default(),
+                    &mut scratch,
+                    &ctl,
+                    &mut carry,
+                )
+                .unwrap();
+            carry.rotate();
+            let c = &out.metrics.counters;
+            for (total, v) in totals.iter_mut().zip([
+                c.alu_ops,
+                c.global_load_words,
+                c.global_store_words,
+                c.barriers,
+                c.reductions,
+                c.skipped_ops,
+            ]) {
+                *total += v;
+            }
+            peak = peak.max(out.metrics.peak_materialized_bytes);
+            for b in format!("{:?}{:?}", out.metrics, out.metrics.cta_work()).bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (digest, totals, peak)
+}
+
+#[test]
+fn streaming_window_metrics_are_golden() {
+    // What a window charges the modelled clock is a function of its
+    // instructions and its length, not of where the host keeps the bits.
+    // The values were captured at the commit before streaming windows
+    // moved from one buffer per instruction to planned slots.
+    type Golden = (&'static [&'static str], usize, usize, (u64, [u64; 6], usize));
+    let goldens: [Golden; 3] = [
+        (
+            &["a(bc)*d", "cat", "[0-9]+x"],
+            1000,
+            64,
+            (16552437200103322511, [2252, 6360, 2199, 748, 68, 0], 153),
+        ),
+        (
+            &["(a|bb)+c", "x[ab]{1,4}y", "a{2,}", "c{3,}d", ".{0,3}x"],
+            700,
+            7,
+            (14661330785935132002, [20205, 21322, 8205, 8205, 388, 0], 24),
+        ),
+        (
+            &["a+b", "(ab)*c", "(a*b)+", "d[0-9]{2,5}", "x.y", "ab|cd|xy", "[a-c]+9", "b(c|d)*a"],
+            16384,
+            4096,
+            (4280423387754471095, [5328, 247809, 98040, 760, 83, 0], 11286),
+        ),
+    ];
+    for (patterns, len, chunk, want) in goldens {
+        let input = golden_input(len, 0xb17 + chunk as u64);
+        assert_eq!(
+            window_metrics_digest(patterns, &input, chunk),
+            want,
+            "{patterns:?} in {chunk}-byte windows"
+        );
+    }
 }
