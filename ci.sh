@@ -4,36 +4,36 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# Tier-1: every unit, integration and doc test, none `#[ignore]`d — the
+# fault drills (fault_tolerance, pathological_patterns), the transform
+# differentials (zbs_differential, pass_complexity), the streaming,
+# lane-width, recovery, hot-swap and checkpoint suites (stream_carry,
+# simd_differential, stream_recovery, rule_swap, swap_recovery,
+# checkpoint_fuzz) and both soaks run here, once.
 cargo test -q
 
 # Benchmark smoke: the oracle-gated benchmark package (its own
 # workspace, built from benchmark/) against the current crates, 3 s
 # each on the streaming path at 64 B and at 64 KiB windows (per-push
 # fixed cost and per-byte layers — every reply checked against the
-# oracle at both sizes) and on the fused batch path. An API drift that
-# breaks its build, or any wrong answer, fails here instead of in the
-# next performance PR. Timings are not judged.
+# oracle at both sizes), on whole sessions against a churning pattern
+# cache, and on the fused batch path. An API drift that breaks its
+# build, or any wrong answer, fails here instead of in the next
+# performance PR. Timings are not judged.
 bash benchmark/run.sh serve-small --smoke > /dev/null
 bash benchmark/run.sh serve-bulk --smoke > /dev/null
+bash benchmark/run.sh serve-churn --smoke > /dev/null
 bash benchmark/run.sh batch-scan --smoke > /dev/null
 
-# Robustness drills: seeded fault injection (deterministic FaultPlan
-# seeds baked into the tests) and pathological-pattern budgets.
-cargo test -q -p bitgen --test fault_tolerance --test pathological_patterns
-
-# Transform-pipeline safety net: differential agreement (ZBS-on vs
-# ZBS-off vs oracle) and the visit-counter complexity bounds.
-cargo test -q -p bitgen --test zbs_differential --test pass_complexity
-
-# Streaming safety net: the carry-propagating scanner must stay
-# bit-identical to batch scans under random patterns × random chunkings
-# (unbounded repetitions and empty pushes included).
-cargo test -q -p bitgen --test stream_carry
-
-# Lane-width differential matrix: every workload at lane widths
-# {1,2,4,8} × chunk sizes {1, 7, 64 KiB} must be bit-identical to the
-# scalar path, batch and streaming, match counts included.
-cargo test -q -p bitgen --test simd_differential
+# Paper-table drift gate: Table 4 at its committed size must reproduce
+# results/table4.csv byte for byte (~4 s). Its `Base`/`DTM-` rows are
+# exactly what batch sequential segments count, so a walker change that
+# moves a modelled counter fails here.
+TABLEDIR="$(mktemp -d)"
+cargo run -q --release -p bitgen-bench --bin repro -- \
+  table4 --regexes 24 --input 65536 --threads 128 --ctas 8 --out "$TABLEDIR" > /dev/null
+cmp "$TABLEDIR/table4.csv" results/table4.csv
+rm -rf "$TABLEDIR"
 
 # The full tier-1 suite again with the wide-word kernels pinned to both
 # extremes of BITGEN_LANES, so a width-dependent bug cannot hide behind
@@ -47,21 +47,6 @@ BITGEN_LANES=max cargo test -q -p bitgen --test simd_differential smoke_
 # The bitstream kernels once more with the explicit-SIMD arch path
 # compiled in (off by default), so the intrinsics differential runs.
 cargo test -q -p bitgen-bitstream --features simd-arch
-
-# Checkpointed-streaming drills: the seeded mid-stream fault sweep plus
-# the retry/degrade/suspend-resume differentials (random faults with a
-# RetryPolicy must stay bit-identical to batch; checkpoints must restore
-# at any chunk boundary).
-cargo test -q -p bitgen --test stream_recovery
-
-# Hot-swap safety net: the two-phase rule-swap differential (swap at b
-# must equal old-rules prefix ∪ new-rules-fresh suffix under random
-# patterns × chunkings), the swap-window fault sweep (recovered windows
-# keep the differential, unrecovered ones roll back to the old
-# generation — zero silent corruption), and the checkpoint-bytes fuzz
-# suite (mutated checkpoints decode identically or fail typed, never
-# panic).
-cargo test -q -p bitgen --test rule_swap --test swap_recovery --test checkpoint_fuzz
 
 # Cross-process swap drill: a bitgrep run with --swap-rules must emit
 # exactly the union of a prefix scanned under the old rules and a
@@ -137,12 +122,6 @@ esac
 target/release/bitgen-serve shutdown --socket "$SOCK"
 wait "$SERVE_PID" || { echo "serve smoke: daemon exited nonzero" >&2; exit 1; }
 trap 'rm -rf "$SWAPDIR" "$SERVEDIR"; rm -f "$CKPT"' EXIT
-
-# Crash-tolerance drills: the drain/adopt handoff soak (64 streams
-# stitched across a daemon restart, bit-identical to standalone scans)
-# and the seeded wire-fault sweep (torn/truncated/garbage/delayed
-# replies survived by the retrying client with exact accounting).
-cargo test -q -p bitgen-serve --test drain_soak
 
 # Cross-process drain→adopt drill: a daemon is drained mid-scan, its
 # durable streams checkpointed into a manifest, and a fresh daemon on

@@ -36,15 +36,6 @@ impl CpuBitstreamEngine {
         CpuBitstreamEngine { programs: groups.iter().map(|g| lower_group(g)).collect() }
     }
 
-    /// Wraps already-lowered programs (one per group) instead of
-    /// re-lowering from ASTs. This is how the GPU engine builds its
-    /// degradation fallback: the exact programs it would run on the
-    /// emulator, interpreted on the CPU instead, so per-group outputs
-    /// line up stream-for-stream with the kernel path's.
-    pub fn from_programs(programs: Vec<Program>) -> CpuBitstreamEngine {
-        CpuBitstreamEngine { programs }
-    }
-
     /// Number of compiled programs (groups).
     pub fn program_count(&self) -> usize {
         self.programs.len()
@@ -53,18 +44,6 @@ impl CpuBitstreamEngine {
     /// Total instructions across all programs.
     pub fn total_ops(&self) -> usize {
         self.programs.iter().map(Program::op_count).sum()
-    }
-
-    /// Runs one group's program over an already-transposed input,
-    /// returning its raw output streams (same order and count as the
-    /// program's declared outputs). The degradation path uses this to
-    /// stand in for a failed (group × stream) CTA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn run_group(&self, group: usize, basis: &Basis) -> Vec<BitStream> {
-        interpret(&self.programs[group], basis).outputs
     }
 
     /// Runs all programs over `input`, returning the union match-end
@@ -113,23 +92,5 @@ mod tests {
     fn empty_input() {
         let engine = CpuBitstreamEngine::new(&[vec![parse("a").unwrap()]]);
         assert!(!engine.run(b"").any());
-    }
-
-    #[test]
-    fn run_group_matches_whole_run() {
-        use bitgen_ir::lower_group;
-        let groups: Vec<Vec<Ast>> =
-            vec![vec![parse("ab").unwrap()], vec![parse("c+d").unwrap()]];
-        let programs: Vec<_> = groups.iter().map(|g| lower_group(g)).collect();
-        let engine = CpuBitstreamEngine::from_programs(programs);
-        let input = b"abcd ccd";
-        let basis = bitgen_bitstream::Basis::transpose(input);
-        let mut union = BitStream::zeros(input.len());
-        for g in 0..engine.program_count() {
-            for out in engine.run_group(g, &basis) {
-                union.or_clipped(&out);
-            }
-        }
-        assert_eq!(union.positions(), CpuBitstreamEngine::new(&groups).run(input).positions());
     }
 }

@@ -8,14 +8,13 @@
 
 use crate::error::Error;
 use crate::group::{group_regexes, GroupingStrategy};
-use bitgen_baselines::CpuBitstreamEngine;
 use bitgen_bitstream::BitStream;
 use bitgen_exec::{
     apply_transforms, ExecConfig, ExecMetrics, FallbackPolicy, Metrics, PassMetrics,
     PreparedProgram, Scheme,
 };
 use bitgen_gpu::{CostBreakdown, DeviceConfig};
-use bitgen_ir::{lower_group_checked, CompileLimits, LowerOptions, Program};
+use bitgen_ir::{fnv1a, lower_group_checked, CompileLimits, LowerOptions, Program, FNV_OFFSET};
 use bitgen_regex::{parse, Ast, ParseError};
 use std::fmt;
 
@@ -26,8 +25,8 @@ pub enum RecoveryPolicy {
     /// Surface the failure as a typed [`Error`] (default).
     #[default]
     Fail,
-    /// Re-run the failed CTA's program on the CPU bitstream baseline
-    /// (the icgrep-like reference path) and keep scanning. Matches stay
+    /// Replay the failed CTA's program on the reference interpreter
+    /// (`bitgen_ir::try_interpret`) and keep scanning. Matches stay
     /// correct; the affected slots report no device metrics and the
     /// [`ScanReport`] is flagged `degraded`.
     Degrade,
@@ -204,14 +203,8 @@ impl EngineConfig {
     /// what [`BitGen::stream_fingerprint`]-carrying checkpoints are
     /// for).
     pub fn fingerprint(&self) -> u64 {
-        let rendered = format!("{self:?}");
         // FNV-1a, same construction the checkpoint codec uses.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in rendered.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fnv1a(FNV_OFFSET, format!("{self:?}").as_bytes())
     }
 }
 
@@ -248,10 +241,6 @@ pub struct BitGen {
     /// [`BitGen::stream_fingerprint`], hashed once from the streaming
     /// programs above.
     pub(crate) stream_fingerprint: u64,
-    /// CPU interpreter over the same programs, built eagerly when
-    /// `recovery` is [`RecoveryPolicy::Degrade`] so the fallback path
-    /// never compiles under failure.
-    pub(crate) cpu_fallback: Option<CpuBitstreamEngine>,
     /// Transform-pipeline metrics per group, recorded when the programs
     /// were prepared at compile time.
     pub(crate) pass_metrics: Vec<PassMetrics>,
@@ -513,7 +502,6 @@ impl BitGen {
             programs,
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
-            cpu_fallback: None,
             pass_metrics: Vec::new(),
             pattern_count: asts.len(),
             max_span,
@@ -525,13 +513,6 @@ impl BitGen {
         let exec_config = engine.exec_config();
         for prog in &mut engine.programs {
             engine.pass_metrics.push(apply_transforms(prog, &exec_config));
-        }
-        if engine.config.recovery == RecoveryPolicy::Degrade {
-            // The fallback interprets the *prepared* programs — the
-            // transforms are semantics-preserving, so its outputs line up
-            // with the kernel path's slot for slot.
-            engine.cpu_fallback =
-                Some(CpuBitstreamEngine::from_programs(engine.programs.clone()));
         }
         Ok(engine)
     }

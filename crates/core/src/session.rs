@@ -15,7 +15,7 @@
 //! matches, metrics, and modelled seconds are bit-identical for every
 //! thread count.
 
-use crate::engine::{BitGen, ScanReport};
+use crate::engine::{BitGen, RecoveryPolicy, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
@@ -23,7 +23,7 @@ use bitgen_exec::{
     ExecScratch, Metrics,
 };
 use bitgen_gpu::FaultPlan;
-use bitgen_ir::{CancelToken, CarryState, RunControl};
+use bitgen_ir::{try_interpret, CancelToken, CarryState, RunControl};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -210,15 +210,22 @@ impl ScanSession<'_> {
     /// Propagates the first execution failure in (stream, group) order.
     /// A worker panic surfaces as [`Error::WorkerPanicked`] naming the
     /// slot; under [`crate::RecoveryPolicy::Degrade`] failed slots are
-    /// recovered on the CPU baseline instead and the affected reports
-    /// come back with `degraded` set.
+    /// replayed on the reference interpreter instead and the affected
+    /// reports come back with `degraded` set.
     pub fn scan_many(&mut self, inputs: &[&[u8]]) -> Result<Vec<ScanReport>, Error> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
         self.transpose_streams(inputs);
-        let slots = self.execute_grid(inputs.len());
-        let outcomes = self.resolve(slots)?;
+        let mut ctl = RunControl::unlimited();
+        if let Some(token) = &self.cancel {
+            ctl = ctl.with_cancel(token.clone());
+        }
+        if let Some(budget) = self.timeout {
+            ctl = ctl.with_deadline(Instant::now() + budget);
+        }
+        let slots = self.execute_grid(inputs.len(), &ctl);
+        let outcomes = self.resolve(slots, &ctl)?;
         Ok(self.merge(inputs, outcomes))
     }
 
@@ -382,7 +389,7 @@ impl ScanSession<'_> {
     /// with group `i % g`; workers take contiguous slot chunks and each
     /// reuses its own scratch. Results land in slot order, so the merge
     /// below never depends on scheduling.
-    fn execute_grid(&mut self, s: usize) -> Vec<SlotRun> {
+    fn execute_grid(&mut self, s: usize, ctl: &RunControl) -> Vec<SlotRun> {
         let g = self.engine.programs.len();
         let slot_count = s * g;
         let mut slots: Vec<Option<SlotRun>> = Vec::new();
@@ -391,20 +398,13 @@ impl ScanSession<'_> {
         if self.scratches.len() < workers {
             self.scratches.resize_with(workers, ExecScratch::new);
         }
-        let mut ctl = RunControl::unlimited();
-        if let Some(token) = &self.cancel {
-            ctl = ctl.with_cancel(token.clone());
-        }
-        if let Some(budget) = self.timeout {
-            ctl = ctl.with_deadline(Instant::now() + budget);
-        }
         let cx = GridCtx {
             g,
             programs: &self.engine.programs,
             bases: &self.bases[..s],
             config: &self.exec_config,
             fault: self.fault,
-            ctl: &ctl,
+            ctl,
         };
         if workers <= 1 {
             let scratch = &mut self.scratches[0];
@@ -430,12 +430,16 @@ impl ScanSession<'_> {
     }
 
     /// Phase 2½: recover or surface failed slots. Under
-    /// [`crate::RecoveryPolicy::Degrade`] a failed slot's program is
-    /// re-run on the CPU bitstream baseline (exact same prepared
-    /// program, reference interpreter) and flagged degraded; otherwise
+    /// [`crate::RecoveryPolicy::Degrade`] a failed slot's prepared program
+    /// is replayed on the reference interpreter, under the scan's own
+    /// cancel token and deadline, and flagged degraded; otherwise
     /// the first failure in canonical slot order becomes the scan's
     /// error, independent of which worker hit it first.
-    fn resolve(&self, slots: Vec<SlotRun>) -> Result<Vec<(ExecOutcome, bool)>, Error> {
+    fn resolve(
+        &self,
+        slots: Vec<SlotRun>,
+        ctl: &RunControl,
+    ) -> Result<Vec<(ExecOutcome, bool)>, Error> {
         let g = self.engine.programs.len();
         let mut resolved = Vec::with_capacity(slots.len());
         for (idx, slot) in slots.into_iter().enumerate() {
@@ -453,16 +457,21 @@ impl ScanSession<'_> {
                     {
                         return Err(Error::Exec(e));
                     }
-                    let Some(cpu) = &self.engine.cpu_fallback else {
+                    if self.engine.config().recovery != RecoveryPolicy::Degrade {
                         return Err(match failure {
                             SlotFailure::Exec(e) => Error::Exec(e),
                             SlotFailure::Panicked => Error::WorkerPanicked { group, stream },
                         });
-                    };
-                    let outputs = cpu.run_group(group, &self.bases[stream]);
+                    }
+                    // The transforms are semantics-preserving, so the
+                    // prepared program's interpretation lines up with the
+                    // kernel path's outputs slot for slot.
+                    let program = &self.engine.programs[group];
+                    let replay = try_interpret(program, &self.bases[stream], ctl)
+                        .map_err(|e| Error::Exec(ExecError::from(e)))?;
                     resolved.push((
                         ExecOutcome {
-                            outputs,
+                            outputs: replay.outputs,
                             metrics: ExecMetrics::default(),
                             fault_fired: false,
                         },
@@ -666,6 +675,33 @@ mod tests {
         for (m, p) in report.metrics.ctas.iter().zip(engine.pass_metrics()) {
             assert_eq!(&m.passes, p);
         }
+    }
+
+    #[test]
+    fn degrade_replay_is_typed_and_runs_under_the_scans_control() {
+        let config = EngineConfig::default().with_recovery(RecoveryPolicy::Degrade);
+        let engine = BitGen::compile_with(&["a(bc)*d"], config).unwrap();
+        let mut session = engine.session();
+        let input: &[u8] = b"abcbcd ad";
+        session.transpose_streams(&[input]);
+        let failed = || vec![SlotRun::Failed(SlotFailure::Panicked)];
+        // A failed slot is replayed on the reference interpreter and
+        // flagged degraded.
+        let replayed = session.resolve(failed(), &RunControl::unlimited()).unwrap();
+        assert!(replayed[0].1);
+        assert_eq!(
+            session.merge(&[input], replayed)[0].matches,
+            engine.find(input).unwrap().matches
+        );
+        // The replay polls the scan's cancel token: it used to run to
+        // completion on a door that could only panic.
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = RunControl::unlimited().with_cancel(token);
+        assert_eq!(
+            session.resolve(failed(), &stopped).err(),
+            Some(Error::Exec(ExecError::Cancelled))
+        );
     }
 
     #[test]

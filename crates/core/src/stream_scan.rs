@@ -45,7 +45,7 @@ use crate::swap::StagedRules;
 use bitgen_bitstream::BitStream;
 use bitgen_exec::{ExecError, ExecMetrics, Metrics, PreparedProgram};
 use bitgen_gpu::FaultPlan;
-use bitgen_ir::{pretty, CancelToken, CarryState};
+use bitgen_ir::{fnv1a, pretty, CancelToken, CarryState, FNV_OFFSET};
 use std::time::Duration;
 
 /// How a [`StreamScanner`] responds to a detected fault inside a push.
@@ -292,12 +292,12 @@ impl BitGen {
 /// [`BitGen::stream_fingerprint`] of an engine with these streaming
 /// programs.
 pub(crate) fn fingerprint_of(stream_programs: &[PreparedProgram]) -> u64 {
-    let mut h = fnv_bytes(FNV_OFFSET, &CHECKPOINT_VERSION.to_le_bytes());
-    h = fnv_bytes(h, &(stream_programs.len() as u64).to_le_bytes());
+    let mut h = fnv1a(FNV_OFFSET, &CHECKPOINT_VERSION.to_le_bytes());
+    h = fnv1a(h, &(stream_programs.len() as u64).to_le_bytes());
     for prepared in stream_programs {
         let prog = prepared.program();
-        h = fnv_bytes(h, pretty(prog).as_bytes());
-        h = fnv_bytes(h, &u64::from(prog.num_streams()).to_le_bytes());
+        h = fnv1a(h, pretty(prog).as_bytes());
+        h = fnv1a(h, &u64::from(prog.num_streams()).to_le_bytes());
     }
     h
 }
@@ -737,17 +737,6 @@ const CHECKPOINT_VERSION: u32 = 3;
 /// Magic prefix of serialized checkpoints: "BitGen Stream Checkpoint".
 const CHECKPOINT_MAGIC: [u8; 4] = *b"BGSC";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// A suspended stream: everything [`BitGen::resume`] needs to continue
 /// scanning from a chunk boundary in another scanner — or another
 /// process.
@@ -826,7 +815,7 @@ impl StreamCheckpoint {
         for carry in &self.carries {
             carry.write_bytes(&mut out);
         }
-        let digest = fnv_bytes(FNV_OFFSET, &out);
+        let digest = fnv1a(FNV_OFFSET, &out);
         out.extend(digest.to_le_bytes());
         out
     }
@@ -846,7 +835,7 @@ impl StreamCheckpoint {
         }
         let (payload, digest_bytes) = bytes.split_at(bytes.len() - 8);
         let digest = u64::from_le_bytes(digest_bytes.try_into().expect("8-byte split"));
-        if fnv_bytes(FNV_OFFSET, payload) != digest {
+        if fnv1a(FNV_OFFSET, payload) != digest {
             return Err(invalid("payload digest mismatch"));
         }
         if payload[..4] != CHECKPOINT_MAGIC {

@@ -4,20 +4,20 @@
 
 use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
-use crate::prepared::{ClassStreams, ClassTable, StreamTables};
+use crate::prepared::{ClassStreams, StreamTables};
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, Segment, SegmentKind};
-use bitgen_bitstream::{Basis, BitStream, CcCode};
-use bitgen_gpu::{Cta, FaultKind, FaultPlan, RaceError, WindowInputs};
+use crate::seq::{is_written, Accounting, Slots};
+use bitgen_bitstream::{Basis, BitStream};
+use bitgen_gpu::{Cta, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
-    try_interpret, try_interpret_chunk, ByteSet, CarryState, CarryWalk, DefUse, InterpError,
-    Interrupt, Op, Program, RunControl, SlotPlan, Stmt, StreamId,
+    try_interpret, try_interpret_chunk, walk, ById, CarryState, CarryWalk, DefUse, InterpError,
+    Interrupt, Program, RunControl, StreamEnv, StreamId,
 };
 use bitgen_kernel::{compile, CodegenOptions, WORD_BITS};
 use bitgen_passes::{
     insert_zero_skips_with, rebalance_with, Hull, OverlapInfo, PassMetrics, ZbsConfig,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -220,7 +220,7 @@ impl From<InterpError> for ExecError {
 /// metrics, only where the buffers come from.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
-    env: HashMap<StreamId, BitStream>,
+    env: ById,
     pool: Vec<BitStream>,
     /// Streaming windows: one buffer per slot of the widest plan run so
     /// far, plus the buffer the next instruction computes into.
@@ -271,7 +271,7 @@ impl ExecScratch {
     /// grow it without limit.
     fn recycle(&mut self) {
         self.pool.clear();
-        self.pool.extend(self.env.drain().map(|(_, s)| s));
+        self.pool.extend(self.env.drain());
     }
 }
 
@@ -453,7 +453,7 @@ pub fn execute_prepared_ctl(
         threads: config.threads,
         ..ExecMetrics::default()
     };
-    scratch.env.clear();
+    scratch.env.reset(prog.num_streams() as usize);
     let (fault_fired, windows_launched) = {
         let mut cx = ExecCtx {
             config,
@@ -481,7 +481,7 @@ pub fn execute_prepared_ctl(
                     run_sequential(seg, basis, &mut scratch.env, &mut cx)?
                 }
             }
-            let resident: usize = scratch.env.values().map(|s| s.len().div_ceil(8)).sum();
+            let resident: usize = scratch.env.resident().map(|s| s.len().div_ceil(8)).sum();
             cx.metrics.peak_materialized_bytes =
                 cx.metrics.peak_materialized_bytes.max(resident);
         }
@@ -497,7 +497,7 @@ pub fn execute_prepared_ctl(
     let outputs: Vec<BitStream> = prog
         .outputs()
         .iter()
-        .map(|id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
+        .map(|&id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
         .collect();
     scratch.recycle();
     if config.cross_check {
@@ -525,7 +525,7 @@ pub fn execute_prepared_ctl(
 /// alone and does not see that.
 ///
 /// Hardening mirrors the batch path: an armed [`ExecConfig::fault`]
-/// corrupts the window deterministically (see [`StreamFault`]), the
+/// corrupts the window deterministically (see [`crate::seq::StreamFault`]), the
 /// carry slot walk is verified against the program's layout on every
 /// run ([`ExecError::CounterMismatch`]), and with
 /// [`ExecConfig::cross_check`] both the outputs *and the carry-out* are
@@ -569,32 +569,18 @@ pub(crate) fn execute_streaming_window(
     scratch.written.resize(plan.stream_count().div_ceil(64), 0);
     let reference = config.cross_check.then(|| carry.fork());
     let expected_slots = carry.slot_count() as u64;
-    let (run_result, walk_end, fault_state, issued, stored) = {
-        let mut seq = SeqExec {
-            basis,
-            env: Env::Slots(SlotEnv {
-                plan,
-                bufs: &mut scratch.slots,
-                spare: &mut scratch.spare,
-                written: &mut scratch.written,
-                table: &tables.classes,
-                classes: classes.streams(),
-            }),
-            metrics: &mut metrics,
-            stream_len,
-            passes: stream_len.div_ceil(config.window_bits()) as u64,
-            words: stream_len.div_ceil(WORD_BITS) as u64,
-            ctl,
-            carry: Some(CarryWalk::new(carry, &tables.layout)),
-            fault: config.fault.map(StreamFault::new),
-            issued: 0,
-            stored: 0,
-        };
-        let result = seq.run(prog.stmts());
-        let walk = seq.carry.as_ref().map_or(0, CarryWalk::slots_walked) as u64;
-        (result, walk, seq.fault.take(), seq.issued, seq.stored)
+    let mut env = Slots {
+        plan,
+        bufs: &mut scratch.slots,
+        spare: &mut scratch.spare,
+        written: &mut scratch.written,
+        table: &tables.classes,
+        classes: classes.streams(),
     };
-    run_result?;
+    let mut seq = Accounting::new(&mut metrics.counters, stream_len, config, config.fault);
+    let carries = CarryWalk::new(carry, &tables.layout);
+    let walk_end = walk(prog.stmts(), &mut env, &mut seq, basis, ctl, Some(carries))?.carry_slots;
+    let Accounting { fault: fault_state, issued, stored, .. } = seq;
     // Always-on lost-store invariant: every issued instruction commits
     // exactly one store; a shortfall means a write was dropped, leaving
     // a stale value behind that no later check can tell from a real one.
@@ -605,7 +591,7 @@ pub(crate) fn execute_streaming_window(
     // program's slots in pre-order; any other count means the walk (or a
     // corrupted counter) desynchronised from the layout, and the carries
     // that were read/written are untrustworthy.
-    let observed = walk_end + fault_state.as_ref().map_or(0, |f| f.counter_bump);
+    let observed = walk_end as u64 + fault_state.as_ref().map_or(0, |f| f.counter_bump);
     if observed != expected_slots {
         return Err(ExecError::CounterMismatch { expected: expected_slots, observed });
     }
@@ -693,7 +679,11 @@ fn run_fused(
         return Err(ExecError::OverlapOverflow { required: info.base, capacity });
     }
 
-    let globals: Vec<BitStream> = seg.inputs.iter().map(|id| scratch.env[id].clone()).collect();
+    let globals = seg
+        .inputs
+        .iter()
+        .map(|&id| scratch.env.get(id).cloned().ok_or(ExecError::UnwrittenStream { id }))
+        .collect::<Result<Vec<BitStream>, ExecError>>()?;
     let mut outs: Vec<BitStream> =
         seg.outputs.iter().map(|_| scratch.take_zeros(stream_len)).collect();
     let mut cta = Cta::new(kernel, config.threads);
@@ -774,383 +764,30 @@ fn run_fused(
         metrics.dynamic_overlap_max = metrics.dynamic_overlap_max.max(dyn_max);
     }
     for (id, s) in seg.outputs.iter().zip(outs) {
-        scratch.env.insert(*id, s);
+        scratch.env.commit(*id, s);
     }
     Ok(())
 }
 
-/// Sequential blockwise execution (Fig. 1a / Fig. 5): one pass over the
-/// whole stream per instruction, every value materialised, DRAM traffic
-/// counted accordingly.
+/// Sequential blockwise execution (Fig. 1a / Fig. 5) of one segment: the
+/// interpreter's machine in the by-id environment the fused segments
+/// around it read and write, charged by [`Accounting`].
 fn run_sequential(
     seg: &Segment,
     basis: &Basis,
-    env: &mut HashMap<StreamId, BitStream>,
+    env: &mut ById,
     cx: &mut ExecCtx<'_>,
 ) -> Result<(), ExecError> {
-    let stream_len = cx.stream_len;
-    let passes = stream_len.div_ceil(cx.config.window_bits()) as u64;
-    let words = stream_len.div_ceil(WORD_BITS) as u64;
-    let mut seq = SeqExec {
-        basis,
-        env: Env::Map(env),
-        metrics: &mut *cx.metrics,
-        stream_len,
-        passes,
-        words,
-        ctl: cx.ctl,
-        carry: None,
-        fault: None,
-        issued: 0,
-        stored: 0,
-    };
-    seq.run(&seg.stmts)
-}
-
-/// Deterministic fault injection for the sequential streaming executor —
-/// the streaming counterpart of the CTA emulator's `arm_fault`. The plan's
-/// `trigger` counts *executed ops* (loop trips re-count their bodies, so
-/// the firing point is deterministic for a given program and chunk) and
-/// each kind maps onto this path's failure surface:
-///
-/// - `SmemFlip`: flips one seed-selected bit of the op's computed value
-///   (caught by cross-check, or masked if the bit is dead);
-/// - `SkipBarrier`: drops the op's write — a lost store (caught by the
-///   always-on store-count invariant as [`ExecError::StoreElided`]);
-/// - `CorruptTrips`: flips a bit in a carry slot's *outgoing* buffer via
-///   [`CarryState::corrupt_outgoing`] (caught by the cross-check carry
-///   replay as [`ExecError::CarryDiverged`]);
-/// - `CorruptCounter`: inflates the slot-walk count reported after the
-///   window (caught by the always-on walk invariant);
-/// - `Panic`: panics mid-window (isolated by the caller's `catch_unwind`).
-struct StreamFault {
-    plan: FaultPlan,
-    ops_seen: u32,
-    fired: bool,
-    /// `CorruptCounter`: added to the observed slot-walk count.
-    counter_bump: u64,
-}
-
-impl StreamFault {
-    fn new(plan: FaultPlan) -> StreamFault {
-        StreamFault { plan, ops_seen: 0, fired: false, counter_bump: 0 }
-    }
-}
-
-/// Where a sequential executor keeps its streams.
-enum Env<'a> {
-    /// A batch sequential segment: streams are keyed by id because they
-    /// flow to and from the fused segments around it; each class circuit
-    /// is compiled where it is met.
-    Map(&'a mut HashMap<StreamId, BitStream>),
-    /// A streaming window: streams live in the slots of the program's
-    /// stream plan.
-    Slots(SlotEnv<'a>),
-}
-
-struct SlotEnv<'a> {
-    plan: &'a SlotPlan,
-    /// One buffer per slot (at least `plan.slot_count()`).
-    bufs: &'a mut [BitStream],
-    /// The buffer the next instruction computes into; committing swaps it
-    /// with the destination's slot, so an instruction may read its own
-    /// destination and a dropped store leaves the slot as it was.
-    spare: &'a mut BitStream,
-    /// One bit per stream id, set once this window has written it: a slot
-    /// may still hold another stream's bits from before.
-    written: &'a mut [u64],
-    table: &'a ClassTable,
-    /// `table`'s classes evaluated over this window, shared with the
-    /// caller's other windows over the same chunk: read-only here.
-    classes: &'a [BitStream],
-}
-
-fn is_written(written: &[u64], id: StreamId) -> bool {
-    written.get(id.index() >> 6).is_some_and(|w| w >> (id.index() & 63) & 1 == 1)
-}
-
-impl Env<'_> {
-    fn get(&self, id: StreamId) -> Result<&BitStream, ExecError> {
-        match self {
-            Env::Map(streams) => streams.get(&id),
-            Env::Slots(env) => env
-                .plan
-                .slot(id)
-                .filter(|_| is_written(env.written, id))
-                .map(|slot| &env.bufs[slot]),
-        }
-        .ok_or(ExecError::UnwrittenStream { id })
-    }
-
-    /// The buffer to compute the next value into.
-    fn out(&mut self) -> BitStream {
-        match self {
-            Env::Map(_) => BitStream::default(),
-            Env::Slots(env) => std::mem::take(env.spare),
-        }
-    }
-
-    /// `class` matched against the window into `out` (peek position
-    /// clear); returns the circuit's gate count.
-    fn match_cc(
-        &self,
-        class: &ByteSet,
-        basis: &Basis,
-        stream_len: usize,
-        out: &mut BitStream,
-    ) -> usize {
-        let prepared = match self {
-            Env::Map(_) => None,
-            Env::Slots(env) => env.table.find(class).map(|(i, circuit)| (&env.classes[i], circuit)),
-        };
-        match prepared {
-            // A private copy: whatever happens to this value later, the
-            // shared class stream stays what the circuit computed.
-            Some((stream, circuit)) => {
-                out.copy_from(stream);
-                circuit.gate_count()
-            }
-            None => {
-                let circuit = CcCode::for_class(class);
-                out.reset_zeros(stream_len);
-                circuit.eval_into(basis, out);
-                circuit.gate_count()
-            }
-        }
-    }
-
-    /// Stores `value` as stream `id`. `false` if the plan has no slot for
-    /// it — it has one for every destination of its program, so the
-    /// store is reported lost rather than trusted.
-    fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
-        match self {
-            Env::Map(streams) => {
-                streams.insert(id, value);
-                true
-            }
-            Env::Slots(env) => match env.plan.slot(id) {
-                Some(slot) => {
-                    *env.spare = std::mem::replace(&mut env.bufs[slot], value);
-                    env.written[id.index() >> 6] |= 1 << (id.index() & 63);
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-
-    /// Drops a computed value without storing it (a lost store).
-    fn discard(&mut self, value: BitStream) {
-        if let Env::Slots(env) = self {
-            *env.spare = value;
-        }
-    }
-}
-
-struct SeqExec<'a> {
-    basis: &'a Basis,
-    env: Env<'a>,
-    metrics: &'a mut ExecMetrics,
-    stream_len: usize,
-    /// Block iterations per full pass.
-    passes: u64,
-    /// 32-bit words per full stream.
-    words: u64,
-    ctl: &'a RunControl,
-    /// `Some` when executing one streaming window with cross-chunk
-    /// carries; `None` for ordinary whole-stream sequential segments.
-    carry: Option<CarryWalk<'a>>,
-    /// Armed fault, streaming windows only ([`execute_streaming_window`]
-    /// sets it from [`ExecConfig::fault`]); batch sequential segments run
-    /// their drills through the CTA emulator instead.
-    fault: Option<StreamFault>,
-    /// Instructions issued by [`SeqExec::exec`]; paired with `stored`
-    /// for the streaming lost-store invariant.
-    issued: u64,
-    /// Stores committed to the environment.
-    stored: u64,
-}
-
-impl SeqExec<'_> {
-    fn run(&mut self, stmts: &[Stmt]) -> Result<(), ExecError> {
-        for stmt in stmts {
-            if !self.ctl.is_unlimited() {
-                self.ctl.check()?;
-            }
-            match stmt {
-                Stmt::Op(op) => self.exec(op)?,
-                Stmt::If { cond, body } => {
-                    self.metrics.counters.reductions += 1;
-                    // Streaming: a pending carry inside the body means a
-                    // marker crossed the chunk boundary, so the body must
-                    // run even when its guard is locally empty.
-                    let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    if self.env.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
-                        self.run(body)?;
-                    } else {
-                        let ops = match (&mut self.carry, entered) {
-                            (Some(walk), Some((span, _))) => {
-                                walk.leave(&span);
-                                span.ops
-                            }
-                            _ => count_ops(body),
-                        };
-                        self.metrics.counters.skipped_ops += ops * self.passes;
-                    }
-                }
-                Stmt::While { cond, body } => {
-                    let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    let mut force = entered.is_some_and(|(_, pending)| pending);
-                    let mut fuel = self.stream_len + 2 + usize::from(force);
-                    loop {
-                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
-                            walk.rewind(&span);
-                        }
-                        if !(self.env.get(*cond)?.any() || force) {
-                            break;
-                        }
-                        force = false;
-                        if fuel == 0 {
-                            return Err(ExecError::FixpointDiverged);
-                        }
-                        fuel -= 1;
-                        self.metrics.counters.reductions += 1;
-                        self.run(body)?;
-                    }
-                    self.metrics.counters.reductions += 1;
-                    if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
-                        walk.leave(&span);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn exec(&mut self, op: &Op) -> Result<(), ExecError> {
-        // Per instruction: ALU issues and words loaded (Fig. 5: one loop
-        // per instruction; shifts load two adjacent blocks per block),
-        // and the value it computes — into a buffer of the environment's,
-        // stored only once the instruction is known to commit.
-        let (passes, words) = (self.passes, self.words);
-        let mut value = self.env.out();
-        let env = &self.env;
-        let (alu, loads) = match op {
-            Op::MatchCc { class, .. } => {
-                let gates = env.match_cc(class, self.basis, self.stream_len, &mut value);
-                (gates as u64 * passes, 8 * words)
-            }
-            Op::And { a, b, .. } => {
-                env.get(*a)?.and_into(env.get(*b)?, &mut value);
-                (passes, 2 * words)
-            }
-            Op::Or { a, b, .. } => {
-                env.get(*a)?.or_into(env.get(*b)?, &mut value);
-                (passes, 2 * words)
-            }
-            Op::Add { a, b, .. } => {
-                let (sa, sb) = (env.get(*a)?, env.get(*b)?);
-                match &mut self.carry {
-                    Some(walk) => walk.add_into(sa, sb, &mut value),
-                    None => sa.add_into(sb, &mut value),
-                }
-                (passes, 2 * words)
-            }
-            Op::Xor { a, b, .. } => {
-                env.get(*a)?.xor_into(env.get(*b)?, &mut value);
-                (passes, 2 * words)
-            }
-            Op::Not { src, .. } => {
-                env.get(*src)?.not_into(&mut value);
-                (passes, words)
-            }
-            Op::Advance { src, amount, .. } => {
-                let (s, k) = (env.get(*src)?, *amount as usize);
-                match &mut self.carry {
-                    Some(walk) => walk.advance_into(s, k, &mut value),
-                    None => s.advance_into(k, &mut value),
-                }
-                (passes, 2 * words)
-            }
-            Op::Retreat { src, amount, .. } => {
-                env.get(*src)?.retreat_into(*amount as usize, &mut value);
-                (passes, 2 * words)
-            }
-            Op::Assign { src, .. } => {
-                value.copy_from(env.get(*src)?);
-                (passes, words)
-            }
-            Op::Zero { .. } => {
-                value.reset_zeros(self.stream_len);
-                (passes, 0)
-            }
-            Op::Ones { .. } => {
-                value.reset_ones(self.stream_len);
-                (passes, 0)
-            }
-        };
-        let c = &mut self.metrics.counters;
-        c.alu_ops += alu;
-        c.global_load_words += loads;
-        c.global_store_words += words;
-        // One barrier between consecutive instruction loops (Fig. 5b).
-        c.barriers += 1;
-        self.issued += 1;
-        if let Some(fault) = &mut self.fault {
-            if !fault.fired {
-                fault.ops_seen += 1;
-                if fault.ops_seen >= fault.plan.trigger.max(1) {
-                    fault.fired = true;
-                    match fault.plan.kind {
-                        FaultKind::Panic => panic!("injected fault: streaming window panic"),
-                        FaultKind::SmemFlip => flip_bit(&mut value, fault.plan.seed),
-                        // A lost store: the destination simply never gets
-                        // this window's value.
-                        FaultKind::SkipBarrier => {
-                            self.env.discard(value);
-                            return Ok(());
-                        }
-                        FaultKind::CorruptTrips => match &mut self.carry {
-                            Some(walk) => walk.state_mut().corrupt_outgoing(fault.plan.seed),
-                            None => flip_bit(&mut value, fault.plan.seed),
-                        },
-                        FaultKind::CorruptCounter => {
-                            fault.counter_bump = 1 + fault.plan.seed % 3;
-                        }
-                    }
-                }
-            }
-        }
-        self.stored += u64::from(self.env.commit(op.dst(), value));
-        Ok(())
-    }
-}
-
-/// Flips one seed-selected bit of `value` (no-op on empty streams) —
-/// the bit-corruption primitive shared by the streaming fault kinds.
-fn flip_bit(value: &mut BitStream, seed: u64) {
-    if value.is_empty() {
-        return;
-    }
-    let bit = seed as usize % value.len();
-    let cur = value.get(bit);
-    value.set(bit, !cur);
-}
-
-fn count_ops(stmts: &[Stmt]) -> u64 {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Op(_) => 1,
-            Stmt::If { body, .. } | Stmt::While { body, .. } => count_ops(body),
-        })
-        .sum()
+    let mut seq = Accounting::new(&mut cx.metrics.counters, cx.stream_len, cx.config, None);
+    walk(&seg.stmts, env, &mut seq, basis, cx.ctl, None)?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitgen_ir::{interpret, lower, lower_group};
+    use bitgen_gpu::FaultKind;
+    use bitgen_ir::{interpret, lower, lower_group, ByteSet, Op, Stmt};
     use bitgen_regex::parse;
 
     fn check_all_schemes(pattern: &str, input: &[u8]) {
@@ -1682,6 +1319,54 @@ mod tests {
             Program::new(vec![Stmt::Op(Op::Ones { dst: s(0) })], 2, vec![s(1), s(0), s(0)]);
         let out = run(&unwritten_output).unwrap();
         assert_eq!(out.outputs, vec![BitStream::zeros(4), BitStream::ones(4), BitStream::ones(4)]);
+    }
+
+    #[test]
+    fn the_reference_does_not_share_the_plan() {
+        // The cross-check replay runs the same walker, but in its own
+        // by-id environment: a wrong slot assignment must never be
+        // reproduced by it. Every program below runs in the slots another
+        // program's plan assigns (same stream count, so every table is
+        // sized alike).
+        use bitgen_ir::SlotPlan;
+        let lowered: Vec<Program> = ["a(bc)*d", "(a|bb)+c", "x[ab]{1,4}y", "a{2,}b", "cat"]
+            .iter()
+            .map(|p| lower(&parse(p).unwrap()))
+            .collect();
+        let streams = lowered.iter().map(Program::num_streams).max().unwrap();
+        let programs: Vec<Program> = lowered
+            .iter()
+            .map(|p| Program::new(p.stmts().to_vec(), streams, p.outputs().to_vec()))
+            .collect();
+        let basis = Basis::transpose(b"abcbcd bbac xaby aaab cat abcd xy");
+        let config = ExecConfig { cross_check: true, ..ExecConfig::default() };
+        let ctl = RunControl::unlimited();
+        let mut caught = 0;
+        for (i, prog) in programs.iter().enumerate() {
+            let mut fork = CarryState::for_program(prog);
+            let want = try_interpret_chunk(prog, &basis, &ctl, &mut fork).unwrap().outputs;
+            for (j, other) in programs.iter().enumerate() {
+                let mut tables = StreamTables::of(prog);
+                tables.plan = SlotPlan::of(other);
+                let mut carry = CarryState::for_program(prog);
+                let mut scratch = ExecScratch::new();
+                match execute_streaming_window(
+                    prog, &tables, None, &basis, &config, &mut scratch, &ctl, &mut carry,
+                ) {
+                    Ok(out) => assert_eq!(out.outputs, want, "program {i} in the slots of {j}"),
+                    Err(
+                        ExecError::CrossCheckMismatch { .. }
+                        | ExecError::UnwrittenStream { .. }
+                        | ExecError::StoreElided { .. },
+                    ) => {
+                        assert_ne!(i, j, "a program fails in its own plan");
+                        caught += 1;
+                    }
+                    Err(e) => panic!("program {i} in the slots of {j}: {e}"),
+                }
+            }
+        }
+        assert!(caught >= programs.len(), "only {caught} wrong plans were caught");
     }
 
     #[test]

@@ -25,6 +25,7 @@ mod metrics;
 mod prepared;
 mod scheme;
 mod segment;
+mod seq;
 
 pub use blit::blit_or;
 pub use engine::{

@@ -1,0 +1,213 @@
+//! What this crate adds to the one sequential machine
+//! ([`bitgen_ir::walk`]): the stream-plan environment a streaming window
+//! runs in, and the observer that charges the modelled clock, fires armed
+//! faults and tallies stores. Batch sequential segments run in the
+//! interpreter's own [`bitgen_ir::ById`] environment under the same
+//! observer.
+
+use crate::engine::ExecConfig;
+use crate::prepared::ClassTable;
+use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_gpu::{CtaCounters, FaultKind, FaultPlan};
+use bitgen_ir::{ByteSet, CarryState, Observer, Op, Program, SlotPlan, Stmt, StreamEnv, StreamId};
+use bitgen_kernel::WORD_BITS;
+
+/// A streaming window's streams, in the slots of its program's stream
+/// plan (DESIGN.md §10, "Stream plan").
+pub(crate) struct Slots<'a> {
+    pub(crate) plan: &'a SlotPlan,
+    /// One buffer per slot (at least `plan.slot_count()`).
+    pub(crate) bufs: &'a mut [BitStream],
+    /// The buffer the next instruction computes into; committing swaps it
+    /// with the destination's slot, so an instruction may read its own
+    /// destination and a dropped store leaves the slot as it was.
+    pub(crate) spare: &'a mut BitStream,
+    /// One bit per stream id, set once this window has written it: a slot
+    /// may still hold another stream's bits from before.
+    pub(crate) written: &'a mut [u64],
+    pub(crate) table: &'a ClassTable,
+    /// `table`'s classes evaluated over this window, shared with the
+    /// caller's other windows over the same chunk: read-only here.
+    pub(crate) classes: &'a [BitStream],
+}
+
+pub(crate) fn is_written(written: &[u64], id: StreamId) -> bool {
+    written.get(id.index() >> 6).is_some_and(|w| w >> (id.index() & 63) & 1 == 1)
+}
+
+impl StreamEnv for Slots<'_> {
+    fn get(&self, id: StreamId) -> Option<&BitStream> {
+        self.plan.slot(id).filter(|_| is_written(self.written, id)).map(|slot| &self.bufs[slot])
+    }
+
+    fn out(&mut self, _op: &Op) -> BitStream {
+        std::mem::take(self.spare)
+    }
+
+    fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize {
+        match self.table.find(class) {
+            // A private copy: whatever happens to this value later, the
+            // shared class stream stays what the circuit computed.
+            Some((i, circuit)) => {
+                out.copy_from(&self.classes[i]);
+                circuit.gate_count()
+            }
+            None => {
+                let circuit = CcCode::for_class(class);
+                out.reset_zeros(Program::stream_len(basis.len()));
+                circuit.eval_into(basis, out);
+                circuit.gate_count()
+            }
+        }
+    }
+
+    /// `false` if the plan has no slot for `id` — it has one for every
+    /// destination of its program, so the store is reported lost rather
+    /// than trusted.
+    fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
+        let Some(slot) = self.plan.slot(id) else { return false };
+        *self.spare = std::mem::replace(&mut self.bufs[slot], value);
+        self.written[id.index() >> 6] |= 1 << (id.index() & 63);
+        true
+    }
+
+    fn discard(&mut self, value: BitStream) {
+        *self.spare = value;
+    }
+}
+
+/// Deterministic fault injection for streaming windows — the counterpart
+/// of the CTA emulator's `arm_fault`. The plan's `trigger` counts
+/// *executed ops* (loop trips re-count their bodies, so the firing point
+/// is deterministic for a given program and chunk) and each kind maps onto
+/// this path's failure surface:
+///
+/// - `SmemFlip`: flips one seed-selected bit of the op's computed value
+///   (caught by cross-check, or masked if the bit is dead);
+/// - `SkipBarrier`: drops the op's write — a lost store (caught by the
+///   always-on store-count invariant as `ExecError::StoreElided`);
+/// - `CorruptTrips`: flips a bit in a carry slot's *outgoing* buffer via
+///   [`CarryState::corrupt_outgoing`] (caught by the cross-check carry
+///   replay as `ExecError::CarryDiverged`);
+/// - `CorruptCounter`: inflates the slot-walk count reported after the
+///   window (caught by the always-on walk invariant);
+/// - `Panic`: panics mid-window (isolated by the caller's `catch_unwind`).
+pub(crate) struct StreamFault {
+    plan: FaultPlan,
+    ops_seen: u32,
+    pub(crate) fired: bool,
+    /// `CorruptCounter`: added to the observed slot-walk count.
+    pub(crate) counter_bump: u64,
+}
+
+/// The executor's observer: per instruction, the ALU issues, words moved
+/// and barrier of sequential blockwise execution (Fig. 1a / Fig. 5: one
+/// pass over the whole stream per instruction, every value materialised),
+/// an armed fault, and the lost-store tally.
+pub(crate) struct Accounting<'a> {
+    counters: &'a mut CtaCounters,
+    /// Block iterations per full pass.
+    passes: u64,
+    /// 32-bit words per full stream.
+    words: u64,
+    /// Streaming windows only; batch sequential segments run their drills
+    /// through the CTA emulator instead.
+    pub(crate) fault: Option<StreamFault>,
+    /// Instructions issued, paired with `stored` for the streaming
+    /// lost-store invariant.
+    pub(crate) issued: u64,
+    /// Stores the environment committed.
+    pub(crate) stored: u64,
+}
+
+impl<'a> Accounting<'a> {
+    pub(crate) fn new(
+        counters: &'a mut CtaCounters,
+        stream_len: usize,
+        config: &ExecConfig,
+        fault: Option<FaultPlan>,
+    ) -> Accounting<'a> {
+        Accounting {
+            counters,
+            passes: stream_len.div_ceil(config.window_bits()) as u64,
+            words: stream_len.div_ceil(WORD_BITS) as u64,
+            fault: fault
+                .map(|plan| StreamFault { plan, ops_seen: 0, fired: false, counter_bump: 0 }),
+            issued: 0,
+            stored: 0,
+        }
+    }
+}
+
+impl Observer for Accounting<'_> {
+    fn op(
+        &mut self,
+        op: &Op,
+        gates: usize,
+        value: &mut BitStream,
+        carry: Option<&mut CarryState>,
+    ) -> bool {
+        // One loop per instruction; shifts load two adjacent blocks per
+        // block (Fig. 5).
+        let (passes, words) = (self.passes, self.words);
+        let (alu, loads) = match op {
+            Op::MatchCc { .. } => (gates as u64 * passes, 8 * words),
+            Op::And { .. }
+            | Op::Or { .. }
+            | Op::Add { .. }
+            | Op::Xor { .. }
+            | Op::Advance { .. }
+            | Op::Retreat { .. } => (passes, 2 * words),
+            Op::Not { .. } | Op::Assign { .. } => (passes, words),
+            Op::Zero { .. } | Op::Ones { .. } => (passes, 0),
+        };
+        let c = &mut *self.counters;
+        c.alu_ops += alu;
+        c.global_load_words += loads;
+        c.global_store_words += words;
+        // One barrier between consecutive instruction loops (Fig. 5b).
+        c.barriers += 1;
+        self.issued += 1;
+        let Some(fault) = self.fault.as_mut().filter(|f| !f.fired) else { return true };
+        fault.ops_seen += 1;
+        if fault.ops_seen < fault.plan.trigger.max(1) {
+            return true;
+        }
+        fault.fired = true;
+        match (fault.plan.kind, carry) {
+            (FaultKind::Panic, _) => panic!("injected fault: streaming window panic"),
+            // A lost store: the destination simply never gets this
+            // window's value.
+            (FaultKind::SkipBarrier, _) => return false,
+            (FaultKind::CorruptTrips, Some(carry)) => carry.corrupt_outgoing(fault.plan.seed),
+            (FaultKind::SmemFlip | FaultKind::CorruptTrips, _) => {
+                flip_bit(value, fault.plan.seed)
+            }
+            (FaultKind::CorruptCounter, _) => fault.counter_bump = 1 + fault.plan.seed % 3,
+        }
+        true
+    }
+
+    fn stored(&mut self, committed: bool) {
+        self.stored += u64::from(committed);
+    }
+
+    fn reduction(&mut self) {
+        self.counters.reductions += 1;
+    }
+
+    fn skipped(&mut self, body: &[Stmt]) {
+        self.counters.skipped_ops += Stmt::op_count(body) as u64 * self.passes;
+    }
+}
+
+/// Flips one seed-selected bit of `value` (no-op on empty streams) —
+/// the bit-corruption primitive shared by the streaming fault kinds.
+fn flip_bit(value: &mut BitStream, seed: u64) {
+    if value.is_empty() {
+        return;
+    }
+    let bit = seed as usize % value.len();
+    let cur = value.get(bit);
+    value.set(bit, !cur);
+}

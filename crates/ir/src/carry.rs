@@ -26,6 +26,7 @@
 //! carry-out across trips by OR (sound because the loop computes a
 //! monotone reachability closure — see DESIGN.md §10).
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::program::{Op, Program, Stmt, StreamId};
 use bitgen_bitstream::BitStream;
 use std::fmt;
@@ -100,8 +101,8 @@ impl fmt::Display for CarryError {
 impl std::error::Error for CarryError {}
 
 /// The input-independent shape of a program's carry slots: each slot's
-/// width in pre-order, and for every `if`/`while` body the slots, nested
-/// guards and ops it spans. Computed once per program
+/// width in pre-order, and for every `if`/`while` body the slots and
+/// nested guards it spans. Computed once per program
 /// ([`CarryLayout::of`]) so that building, validating and walking a
 /// [`CarryState`] never re-walks the program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,8 +120,6 @@ pub struct CarryLayout {
 /// What one `if`/`while` body spans, as pre-order index ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BodyLayout {
-    /// Instructions in the body, nested bodies included.
-    pub ops: u64,
     /// First carry slot inside the body.
     slot_start: usize,
     /// One past the body's last carry slot.
@@ -155,26 +154,20 @@ impl CarryLayout {
         layout
     }
 
-    /// Appends `stmts`' slots and bodies in pre-order, returning the
-    /// number of ops seen; `retreat` vets each `Retreat(dst, amount)`.
+    /// Appends `stmts`' slots and bodies in pre-order; `retreat` vets each
+    /// `Retreat(dst, amount)`.
     fn walk(
         &mut self,
         stmts: &[Stmt],
         top_level: bool,
         retreat: &mut impl FnMut(StreamId, u32, bool),
-    ) -> u64 {
-        let mut ops = 0;
+    ) {
         for stmt in stmts {
             match stmt {
-                Stmt::Op(op) => {
-                    ops += 1;
-                    match op {
-                        Op::Advance { amount, .. } => self.widths.push(*amount),
-                        Op::Add { .. } => self.widths.push(1),
-                        Op::Retreat { dst, amount, .. } => retreat(*dst, *amount, top_level),
-                        _ => {}
-                    }
-                }
+                Stmt::Op(Op::Advance { amount, .. }) => self.widths.push(*amount),
+                Stmt::Op(Op::Add { .. }) => self.widths.push(1),
+                Stmt::Op(Op::Retreat { dst, amount, .. }) => retreat(*dst, *amount, top_level),
+                Stmt::Op(_) => {}
                 Stmt::If { body, .. } | Stmt::While { body, .. } => {
                     // Reserve the pre-order position; the spans are known
                     // only once the body has been walked.
@@ -183,22 +176,18 @@ impl CarryLayout {
                     self.bodies.push(BodyLayout {
                         slot_start,
                         slot_end: slot_start,
-                        ops: 0,
                         guard_start: guard + 1,
                         guard_end: guard + 1,
                     });
-                    let body_ops = self.walk(body, false, retreat);
+                    self.walk(body, false, retreat);
                     self.bodies[guard] = BodyLayout {
                         slot_end: self.widths.len(),
-                        ops: body_ops,
                         guard_end: self.bodies.len(),
                         ..self.bodies[guard]
                     };
-                    ops += body_ops;
                 }
             }
         }
-        ops
     }
 
     /// Number of carry slots.
@@ -572,23 +561,13 @@ impl CarryState {
 /// and words. Cheap (one multiply per byte over a few machine words) and
 /// stable across processes, which checkpoint serialization relies on.
 fn seal_of(slots: &[Slot]) -> u64 {
+    let fnv_word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
     let mut h = fnv_word(FNV_OFFSET, slots.len() as u64);
     for s in slots {
         h = fnv_word(h, s.incoming.len() as u64);
         for &w in s.incoming.as_words() {
             h = fnv_word(h, w);
         }
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_word(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -681,11 +660,11 @@ mod tests {
         // Leaving the loop unvisited steps over its nested `if` as well:
         // the next guard met is the trailing top-level one.
         let (outer, pending) = walk.enter();
-        assert_eq!((outer.ops, pending), (3, false));
+        assert_eq!((outer.slot_start, outer.slot_end, pending), (1, 3, false));
         walk.leave(&outer);
         assert_eq!(walk.slots_walked(), 3);
         let (last, _) = walk.enter();
-        assert_eq!(last.ops, 1);
+        assert_eq!((last.slot_start, last.slot_end), (3, 4));
         walk.leave(&last);
         assert_eq!(walk.slots_walked(), layout.slot_count());
         // A trip through the loop meets the nested guard, and a rewind
@@ -693,7 +672,7 @@ mod tests {
         walk.rewind(&outer);
         walk.advance_into(&BitStream::zeros(4), 1, &mut out);
         let (inner, _) = walk.enter();
-        assert_eq!((inner.ops, inner.slot_start, inner.slot_end), (1, 2, 3));
+        assert_eq!((inner.slot_start, inner.slot_end), (2, 3));
         walk.rewind(&outer);
         walk.advance_into(&BitStream::zeros(4), 1, &mut out);
         assert_eq!(walk.enter().0, inner);

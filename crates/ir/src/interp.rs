@@ -2,13 +2,15 @@
 //!
 //! Executes a [`Program`] one instruction at a time over full-length
 //! [`BitStream`]s — the semantics every GPU execution scheme must agree
-//! with. Also records the loop trip counts used to validate the dynamic
-//! overlap analysis.
+//! with: the sequential machine of [`crate::walk`] with one buffer per
+//! stream id and nothing observing it. Also records the loop trip counts
+//! used to validate the dynamic overlap analysis.
 
 use crate::carry::{CarryLayout, CarryState, CarryWalk};
 use crate::control::{Interrupt, RunControl};
-use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::{Basis, BitStream, CcCode};
+use crate::machine::{walk, ById, StreamEnv};
+use crate::program::{Program, StreamId};
+use bitgen_bitstream::{Basis, BitStream};
 use std::fmt;
 
 /// Result of interpreting a program.
@@ -112,9 +114,7 @@ impl From<Interrupt> for InterpError {
 
 /// [`interpret`] with typed errors and cooperative interruption.
 ///
-/// `ctl` is polled once per executed statement — each statement processes
-/// a whole stream, so the poll is amortised over kilobytes of work while
-/// cancellation still lands promptly.
+/// `ctl` is polled once per executed statement.
 pub fn try_interpret(
     program: &Program,
     basis: &Basis,
@@ -178,196 +178,15 @@ fn run_env(
     ctl: &RunControl,
     carry: Option<CarryWalk<'_>>,
 ) -> Result<InterpResult, InterpError> {
-    let len = Program::stream_len(basis.len());
-    let mut env = Env {
-        vars: vec![None; program.num_streams() as usize],
-        cc: vec![None; program.num_streams() as usize],
-        basis,
-        len,
-        loop_trips: 0,
-        ops_executed: 0,
-        carry,
-    };
-    env.run(program.stmts(), ctl)?;
-    let mut outputs = Vec::with_capacity(program.outputs().len());
-    for &id in program.outputs() {
-        outputs.push(env.get(id)?.clone());
-    }
-    Ok(InterpResult { outputs, loop_trips: env.loop_trips, ops_executed: env.ops_executed })
-}
-
-struct Env<'a> {
-    vars: Vec<Option<BitStream>>,
-    /// Per-destination compiled class circuits, keyed by the address of
-    /// the `MatchCc` op's class (stable for the duration of the run):
-    /// loop trips re-execute the same op many times, so the circuit is
-    /// compiled once and revalidated by key on each hit.
-    cc: Vec<Option<(usize, CcCode)>>,
-    basis: &'a Basis,
-    len: usize,
-    loop_trips: usize,
-    ops_executed: usize,
-    carry: Option<CarryWalk<'a>>,
-}
-
-/// Whether `op` reads the stream it writes — in that case the
-/// destination's old buffer is an operand and cannot be recycled.
-fn reads_own_dst(op: &Op, dst: usize) -> bool {
-    match op {
-        Op::And { a, b, .. }
-        | Op::Or { a, b, .. }
-        | Op::Xor { a, b, .. }
-        | Op::Add { a, b, .. } => a.index() == dst || b.index() == dst,
-        Op::Not { src, .. }
-        | Op::Advance { src, .. }
-        | Op::Retreat { src, .. }
-        | Op::Assign { src, .. } => src.index() == dst,
-        Op::MatchCc { .. } | Op::Zero { .. } | Op::Ones { .. } => false,
-    }
-}
-
-impl Env<'_> {
-    fn run(&mut self, stmts: &[Stmt], ctl: &RunControl) -> Result<(), InterpError> {
-        for stmt in stmts {
-            if !ctl.is_unlimited() {
-                ctl.check()?;
-            }
-            match stmt {
-                Stmt::Op(op) => self.exec(op)?,
-                Stmt::If { cond, body } => {
-                    // A pending carry inside the body means a marker
-                    // crossed the chunk boundary: the body must run even
-                    // if the guard is locally empty. Skipping leaves the
-                    // body's outgoing carries zero, which is exactly the
-                    // no-marker semantics.
-                    let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    if self.get(*cond)?.any() || entered.is_some_and(|(_, pending)| pending) {
-                        self.run(body, ctl)?;
-                    } else if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
-                        walk.leave(&span);
-                    }
-                }
-                Stmt::While { cond, body } => {
-                    // Defend against non-terminating programs from bad
-                    // transforms: a marker fixpoint can never need more
-                    // trips than there are positions (plus one forced
-                    // trip when a cross-chunk carry is pending).
-                    let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    let mut force = entered.is_some_and(|(_, pending)| pending);
-                    let mut fuel = self.len + 2 + usize::from(force);
-                    loop {
-                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
-                            walk.rewind(&span);
-                        }
-                        if !(self.get(*cond)?.any() || force) {
-                            break;
-                        }
-                        force = false;
-                        if fuel == 0 {
-                            return Err(InterpError::FixpointDiverged);
-                        }
-                        fuel -= 1;
-                        self.loop_trips += 1;
-                        self.run(body, ctl)?;
-                    }
-                    if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
-                        walk.leave(&span);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn exec(&mut self, op: &Op) -> Result<(), InterpError> {
-        self.ops_executed += 1;
-        let dst = op.dst().index();
-        // Loop trips rewrite the same destinations over and over, so the
-        // destination's previous buffer is recycled as the output unless
-        // the op also reads it.
-        let mut reuse =
-            if reads_own_dst(op, dst) { None } else { self.vars[dst].take() };
-        let mut out = reuse.take().unwrap_or_else(|| BitStream::zeros(self.len));
-        let value = match op {
-            Op::MatchCc { class, .. } => {
-                // Evaluated straight into a window-length stream: the
-                // circuit runs word-group at a time with no per-node
-                // temporaries, and the peek position stays clear. The
-                // compiled circuit is cached per destination.
-                if out.len() != self.len {
-                    out.reset_zeros(self.len);
-                }
-                let key = class as *const _ as usize;
-                if self.cc[dst].as_ref().map(|(k, _)| *k) != Some(key) {
-                    self.cc[dst] = Some((key, CcCode::for_class(class)));
-                }
-                let (_, cc) = self.cc[dst].as_ref().expect("circuit cached above");
-                cc.eval_into(self.basis, &mut out);
-                out
-            }
-            Op::And { a, b, .. } => {
-                fetch(&self.vars, *a)?.and_into(fetch(&self.vars, *b)?, &mut out);
-                out
-            }
-            Op::Or { a, b, .. } => {
-                fetch(&self.vars, *a)?.or_into(fetch(&self.vars, *b)?, &mut out);
-                out
-            }
-            Op::Add { a, b, .. } => {
-                let (sa, sb) = (fetch(&self.vars, *a)?, fetch(&self.vars, *b)?);
-                match &mut self.carry {
-                    Some(walk) => walk.add_into(sa, sb, &mut out),
-                    None => sa.add_into(sb, &mut out),
-                }
-                out
-            }
-            Op::Xor { a, b, .. } => {
-                fetch(&self.vars, *a)?.xor_into(fetch(&self.vars, *b)?, &mut out);
-                out
-            }
-            Op::Not { src, .. } => {
-                fetch(&self.vars, *src)?.not_into(&mut out);
-                out
-            }
-            Op::Advance { src, amount, .. } => {
-                let k = *amount as usize;
-                let s = fetch(&self.vars, *src)?;
-                match &mut self.carry {
-                    Some(walk) => walk.advance_into(s, k, &mut out),
-                    None => s.advance_into(k, &mut out),
-                }
-                out
-            }
-            Op::Retreat { src, amount, .. } => {
-                fetch(&self.vars, *src)?.retreat_into(*amount as usize, &mut out);
-                out
-            }
-            Op::Assign { src, .. } => {
-                out.copy_from(fetch(&self.vars, *src)?);
-                out
-            }
-            Op::Zero { .. } => {
-                out.reset_zeros(self.len);
-                out
-            }
-            Op::Ones { .. } => {
-                out.reset_ones(self.len);
-                out
-            }
-        };
-        self.vars[dst] = Some(value);
-        Ok(())
-    }
-
-    fn get(&self, id: StreamId) -> Result<&BitStream, InterpError> {
-        fetch(&self.vars, id)
-    }
-}
-
-/// [`Env::get`] without borrowing the whole environment, so ops can hold
-/// a stream reference while mutating the carry state.
-fn fetch(vars: &[Option<BitStream>], id: StreamId) -> Result<&BitStream, InterpError> {
-    vars[id.index()].as_ref().ok_or(InterpError::UnwrittenStream { id })
+    let mut env = ById::default();
+    env.reset(program.num_streams() as usize);
+    let walked = walk(program.stmts(), &mut env, &mut (), basis, ctl, carry)?;
+    let outputs = program
+        .outputs()
+        .iter()
+        .map(|&id| env.get(id).cloned().ok_or(InterpError::UnwrittenStream { id }))
+        .collect::<Result<_, _>>()?;
+    Ok(InterpResult { outputs, loop_trips: walked.loop_trips, ops_executed: walked.ops_executed })
 }
 
 #[cfg(test)]

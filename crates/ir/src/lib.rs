@@ -10,6 +10,8 @@
 //! - [`lower`] / [`lower_group`]: the Fig. 2 lowering rules;
 //! - [`interpret`]: the whole-stream reference interpreter (the semantics
 //!   every execution scheme must reproduce);
+//! - [`walk`]: the one sequential machine behind it, generic over where
+//!   streams live ([`StreamEnv`]) and who watches ([`Observer`]);
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
 //! - [`SlotPlan`]: live-range slot assignment for sequential executors;
@@ -34,9 +36,11 @@ mod analysis;
 mod builder;
 mod carry;
 mod control;
+mod fnv;
 mod interp;
 mod limits;
 mod lower;
+mod machine;
 mod pretty;
 mod program;
 mod slots;
@@ -47,11 +51,13 @@ pub use analysis::DefUse;
 pub use builder::ProgramBuilder;
 pub use carry::{BodyLayout, CarryError, CarryLayout, CarryState, CarryWalk};
 pub use control::{CancelToken, Interrupt, RunControl};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
 pub use limits::{CompileLimits, LimitError};
 pub use lower::{
     lower, lower_group, lower_group_checked, lower_group_with, strip_nullable, LowerOptions,
 };
+pub use machine::{walk, ById, Observer, StreamEnv, Walked};
 pub use pretty::pretty;
 pub use program::{Op, Program, Stmt, StreamId};
 pub use slots::SlotPlan;

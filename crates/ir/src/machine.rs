@@ -1,0 +1,300 @@
+//! The one sequential machine: a statement walker over ⟨statements,
+//! environment, carry walk⟩ (DESIGN.md §10, "Sequential semantics").
+//!
+//! [`walk`] is statically dispatched over *where the streams live* (a
+//! [`StreamEnv`]) and over an [`Observer`] told about every op, condition
+//! reduction and skipped body. The reference interpreter is the
+//! instantiation with one buffer per stream id ([`ById`]) and the observer
+//! that does nothing (`()`); executors add their own environments and
+//! observers, never their own walk.
+
+use crate::carry::{CarryState, CarryWalk};
+use crate::control::RunControl;
+use crate::interp::InterpError;
+use crate::program::{Op, Program, Stmt, StreamId};
+use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_regex::ByteSet;
+
+/// Where a sequential machine keeps its streams.
+pub trait StreamEnv {
+    /// Stream `id`, `None` if nothing has written it.
+    fn get(&self, id: StreamId) -> Option<&BitStream>;
+
+    /// The buffer `op`'s value is computed into: any length, any bits.
+    fn out(&mut self, op: &Op) -> BitStream;
+
+    /// `class` matched against `basis` into a window-length `out` (the
+    /// peek position clear); returns the circuit's gate count.
+    fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize;
+
+    /// Stores `value` as stream `id`; `false` if the environment has no
+    /// place for it.
+    fn commit(&mut self, id: StreamId, value: BitStream) -> bool;
+
+    /// Takes back a buffer from [`StreamEnv::out`] whose value the
+    /// observer dropped.
+    fn discard(&mut self, _value: BitStream) {}
+}
+
+/// What a sequential machine reports while it runs. Every hook defaults
+/// to nothing.
+pub trait Observer {
+    /// `op` computed `value` (`gates` is its circuit's gate count for a
+    /// `MatchCc`, zero otherwise) and is about to store it; `carry` is the
+    /// window's carry state when streaming. `false` drops the store.
+    fn op(
+        &mut self,
+        _op: &Op,
+        _gates: usize,
+        _value: &mut BitStream,
+        _carry: Option<&mut CarryState>,
+    ) -> bool {
+        true
+    }
+
+    /// Whether the environment had a place for the value `op` let through.
+    fn stored(&mut self, _committed: bool) {}
+
+    /// An `if`/`while` condition was reduced to a bit.
+    fn reduction(&mut self) {}
+
+    /// An `if` skipped `body`.
+    fn skipped(&mut self, _body: &[Stmt]) {}
+}
+
+/// Observes nothing: the reference interpreter's observer.
+impl Observer for () {}
+
+/// One buffer per stream id, and each distinct class compiled once where
+/// it is first met: the reference interpreter's environment, and what a
+/// batch executor keeps the streams that cross its segments in.
+#[derive(Debug, Clone, Default)]
+pub struct ById {
+    vars: Vec<Option<BitStream>>,
+    /// Sorted by class.
+    circuits: Vec<(ByteSet, CcCode)>,
+}
+
+impl ById {
+    /// Forgets every stream and makes room for ids below `num_streams`.
+    /// Compiled classes are kept: they do not depend on the program.
+    pub fn reset(&mut self, num_streams: usize) {
+        self.vars.clear();
+        self.vars.resize(num_streams, None);
+    }
+
+    /// The streams written so far.
+    pub fn resident(&self) -> impl Iterator<Item = &BitStream> {
+        self.vars.iter().flatten()
+    }
+
+    /// Moves every stream out.
+    pub fn drain(&mut self) -> impl Iterator<Item = BitStream> + '_ {
+        self.vars.drain(..).flatten()
+    }
+}
+
+impl StreamEnv for ById {
+    fn get(&self, id: StreamId) -> Option<&BitStream> {
+        self.vars.get(id.index())?.as_ref()
+    }
+
+    fn out(&mut self, op: &Op) -> BitStream {
+        // Loop trips rewrite the same destinations over and over, so the
+        // destination's previous buffer is recycled unless the op also
+        // reads it.
+        let dst = op.dst();
+        let reads_dst = match op {
+            Op::And { a, b, .. }
+            | Op::Or { a, b, .. }
+            | Op::Xor { a, b, .. }
+            | Op::Add { a, b, .. } => *a == dst || *b == dst,
+            Op::Not { src, .. }
+            | Op::Advance { src, .. }
+            | Op::Retreat { src, .. }
+            | Op::Assign { src, .. } => *src == dst,
+            Op::MatchCc { .. } | Op::Zero { .. } | Op::Ones { .. } => false,
+        };
+        if reads_dst { None } else { self.vars[dst.index()].take() }.unwrap_or_default()
+    }
+
+    fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize {
+        let at = match self.circuits.binary_search_by(|(c, _)| c.cmp(class)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.circuits.insert(at, (*class, CcCode::for_class(class)));
+                at
+            }
+        };
+        // Evaluated straight into a window-length stream: the circuit
+        // runs word-group at a time with no per-node temporaries, and the
+        // peek position stays clear.
+        let len = Program::stream_len(basis.len());
+        if out.len() != len {
+            out.reset_zeros(len);
+        }
+        let circuit = &self.circuits[at].1;
+        circuit.eval_into(basis, out);
+        circuit.gate_count()
+    }
+
+    fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
+        self.vars[id.index()] = Some(value);
+        true
+    }
+}
+
+/// What a finished [`walk`] counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walked {
+    /// `while` trips executed, summed over all loops.
+    pub loop_trips: usize,
+    /// Instructions executed (loop bodies counted per trip).
+    pub ops_executed: usize,
+    /// Carry slots consumed; the layout's slot count after a clean window.
+    pub carry_slots: usize,
+}
+
+/// Runs `stmts` over `basis` in `env`, reporting to `observer`.
+///
+/// All streams span [`Program::stream_len`]`(basis.len())` positions.
+/// `ctl` is polled once per executed statement — each statement processes
+/// a whole stream, so the poll is amortised over kilobytes of work while
+/// cancellation still lands promptly. With `carry: Some(..)` this is one
+/// streaming window: shifts and additions read and accumulate cross-chunk
+/// carries, and a body with a pending carry runs even when its condition
+/// is locally empty.
+///
+/// # Errors
+///
+/// An interruption from `ctl`, a read of a stream nothing wrote, or a
+/// `while` loop past its fixpoint bound.
+pub fn walk<E: StreamEnv, O: Observer>(
+    stmts: &[Stmt],
+    env: &mut E,
+    observer: &mut O,
+    basis: &Basis,
+    ctl: &RunControl,
+    carry: Option<CarryWalk<'_>>,
+) -> Result<Walked, InterpError> {
+    let len = Program::stream_len(basis.len());
+    let mut machine =
+        Machine { env, observer, basis, len, ctl, carry, loop_trips: 0, ops_executed: 0 };
+    machine.run(stmts)?;
+    Ok(Walked {
+        loop_trips: machine.loop_trips,
+        ops_executed: machine.ops_executed,
+        carry_slots: machine.carry.as_ref().map_or(0, CarryWalk::slots_walked),
+    })
+}
+
+struct Machine<'a, E, O> {
+    env: &'a mut E,
+    observer: &'a mut O,
+    basis: &'a Basis,
+    len: usize,
+    ctl: &'a RunControl,
+    carry: Option<CarryWalk<'a>>,
+    loop_trips: usize,
+    ops_executed: usize,
+}
+
+impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
+    fn run(&mut self, stmts: &[Stmt]) -> Result<(), InterpError> {
+        for stmt in stmts {
+            if !self.ctl.is_unlimited() {
+                self.ctl.check()?;
+            }
+            match stmt {
+                Stmt::Op(op) => self.exec(op)?,
+                Stmt::If { cond, body } => {
+                    // A pending carry inside the body means a marker
+                    // crossed the chunk boundary: the body must run even
+                    // if the guard is locally empty. Skipping leaves the
+                    // body's outgoing carries zero, which is exactly the
+                    // no-marker semantics.
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    if self.any(*cond)? || entered.is_some_and(|(_, pending)| pending) {
+                        self.run(body)?;
+                    } else {
+                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                            walk.leave(&span);
+                        }
+                        self.observer.skipped(body);
+                    }
+                }
+                Stmt::While { cond, body } => {
+                    // Defend against non-terminating programs from bad
+                    // transforms: a marker fixpoint can never need more
+                    // trips than there are positions (plus one forced
+                    // trip when a cross-chunk carry is pending).
+                    let entered = self.carry.as_mut().map(CarryWalk::enter);
+                    let mut force = entered.is_some_and(|(_, pending)| pending);
+                    let mut fuel = self.len + 2 + usize::from(force);
+                    loop {
+                        if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                            walk.rewind(&span);
+                        }
+                        if !(self.any(*cond)? || force) {
+                            break;
+                        }
+                        force = false;
+                        if fuel == 0 {
+                            return Err(InterpError::FixpointDiverged);
+                        }
+                        fuel -= 1;
+                        self.loop_trips += 1;
+                        self.run(body)?;
+                    }
+                    if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
+                        walk.leave(&span);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reduces condition `cond` to a bit.
+    fn any(&mut self, cond: StreamId) -> Result<bool, InterpError> {
+        self.observer.reduction();
+        Ok(self.env.get(cond).ok_or(InterpError::UnwrittenStream { id: cond })?.any())
+    }
+
+    fn exec(&mut self, op: &Op) -> Result<(), InterpError> {
+        self.ops_executed += 1;
+        // The value is computed into a buffer of the environment's and
+        // stored only once the observer lets it through.
+        let mut out = self.env.out(op);
+        let mut gates = 0;
+        let env = &*self.env;
+        let get = |id: StreamId| env.get(id).ok_or(InterpError::UnwrittenStream { id });
+        match op {
+            Op::MatchCc { class, .. } => gates = self.env.match_cc(class, self.basis, &mut out),
+            Op::And { a, b, .. } => get(*a)?.and_into(get(*b)?, &mut out),
+            Op::Or { a, b, .. } => get(*a)?.or_into(get(*b)?, &mut out),
+            Op::Xor { a, b, .. } => get(*a)?.xor_into(get(*b)?, &mut out),
+            Op::Add { a, b, .. } => match &mut self.carry {
+                Some(walk) => walk.add_into(get(*a)?, get(*b)?, &mut out),
+                None => get(*a)?.add_into(get(*b)?, &mut out),
+            },
+            Op::Not { src, .. } => get(*src)?.not_into(&mut out),
+            Op::Advance { src, amount, .. } => match &mut self.carry {
+                Some(walk) => walk.advance_into(get(*src)?, *amount as usize, &mut out),
+                None => get(*src)?.advance_into(*amount as usize, &mut out),
+            },
+            Op::Retreat { src, amount, .. } => get(*src)?.retreat_into(*amount as usize, &mut out),
+            Op::Assign { src, .. } => out.copy_from(get(*src)?),
+            Op::Zero { .. } => out.reset_zeros(self.len),
+            Op::Ones { .. } => out.reset_ones(self.len),
+        }
+        let carry = self.carry.as_mut().map(CarryWalk::state_mut);
+        if self.observer.op(op, gates, &mut out, carry) {
+            let committed = self.env.commit(op.dst(), out);
+            self.observer.stored(committed);
+        } else {
+            self.env.discard(out);
+        }
+        Ok(())
+    }
+}

@@ -200,6 +200,20 @@ pub enum Stmt {
     },
 }
 
+impl Stmt {
+    /// Instructions in `stmts`, `if`/`while` bodies included (control-flow
+    /// headers are not instructions).
+    pub fn op_count(stmts: &[Stmt]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::Op(_) => 1,
+                Stmt::If { body, .. } | Stmt::While { body, .. } => Stmt::op_count(body),
+            })
+            .sum()
+    }
+}
+
 /// A bitstream program: the unit the paper compiles into one GPU device
 /// function and assigns to one CTA.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -275,9 +289,7 @@ impl Program {
 
     /// Total number of instructions (not counting control-flow headers).
     pub fn op_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_op(&mut |_| n += 1);
-        n
+        Stmt::op_count(&self.stmts)
     }
 
     /// Number of `while` statements anywhere in the program.

@@ -18,6 +18,7 @@
 //! their own `Arc` clone, so nothing live is ever torn down.
 
 use bitgen::{BitGen, EngineConfig, Error};
+use bitgen_ir::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,13 +27,8 @@ use std::sync::Arc;
 /// fingerprint, the generation, and every pattern (length-prefixed so
 /// `["ab","c"]` and `["a","bc"]` cannot collide).
 pub(crate) fn cache_key(config: &EngineConfig, generation: u64, patterns: &[&str]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut absorb = |bytes: &[u8]| {
-        for byte in bytes {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_OFFSET;
+    let mut absorb = |bytes: &[u8]| hash = fnv1a(hash, bytes);
     absorb(&config.fingerprint().to_le_bytes());
     absorb(&generation.to_le_bytes());
     absorb(&(patterns.len() as u64).to_le_bytes());

@@ -21,6 +21,7 @@
 
 use crate::service::StreamId;
 use bitgen::Error;
+use bitgen_ir::{fnv1a, FNV_OFFSET};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BGDM";
@@ -72,15 +73,6 @@ pub struct DrainEntry {
 pub struct DrainManifest {
     /// The drained streams, in stream-id order.
     pub entries: Vec<DrainEntry>,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -166,7 +158,7 @@ impl DrainManifest {
                 }
             }
         }
-        let seal = fnv1a(&out);
+        let seal = fnv1a(FNV_OFFSET, &out);
         out.extend_from_slice(&seal.to_le_bytes());
         out
     }
@@ -184,7 +176,7 @@ impl DrainManifest {
         }
         let (payload, seal_bytes) = bytes.split_at(bytes.len() - 8);
         let sealed = u64::from_le_bytes(seal_bytes.try_into().expect("split at 8"));
-        if fnv1a(payload) != sealed {
+        if fnv1a(FNV_OFFSET, payload) != sealed {
             return Err(Cursor::invalid("seal mismatch (corrupt or tampered)"));
         }
         let mut c = Cursor { bytes: payload, pos: 0 };
