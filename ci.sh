@@ -25,14 +25,19 @@ bash benchmark/run.sh serve-bulk --smoke > /dev/null
 bash benchmark/run.sh serve-churn --smoke > /dev/null
 bash benchmark/run.sh batch-scan --smoke > /dev/null
 
-# Paper-table drift gate: Table 4 at its committed size must reproduce
-# results/table4.csv byte for byte (~4 s). Its `Base`/`DTM-` rows are
-# exactly what batch sequential segments count, so a walker change that
-# moves a modelled counter fails here.
+# Paper-table drift gate: Table 4, Figure 12 and Table 5 at their
+# committed size must reproduce results/*.csv byte for byte (~10 s).
+# Table 4's `Base`/`DTM-` rows are exactly what batch sequential
+# segments count, so a walker change that moves a modelled counter
+# fails here; Figure 12 carries the modelled throughput ladder
+# Base → ZBS and Table 5 the overlap, retry and fallback counts, so
+# modelled-clock drift on the batch path fails here too.
 TABLEDIR="$(mktemp -d)"
-cargo run -q --release -p bitgen-bench --bin repro -- \
-  table4 --regexes 24 --input 65536 --threads 128 --ctas 8 --out "$TABLEDIR" > /dev/null
-cmp "$TABLEDIR/table4.csv" results/table4.csv
+for table in table4 fig12 table5; do
+  cargo run -q --release -p bitgen-bench --bin repro -- \
+    "$table" --regexes 24 --input 65536 --threads 128 --ctas 8 --out "$TABLEDIR" > /dev/null
+  cmp "$TABLEDIR/$table.csv" "results/$table.csv"
+done
 rm -rf "$TABLEDIR"
 
 # The full tier-1 suite again with the wide-word kernels pinned to both
@@ -165,31 +170,6 @@ cargo bench -q -p bitgen-bench --bench compile_pipeline
 # Streaming bench smoke: chunked-vs-batch and the O(chunk) push-cost
 # sweep (the bench binary keeps sample counts low).
 cargo bench -q -p bitgen-bench --bench stream_scan
-
-# Trajectory barometer: run the smoke matrix (modelled engines only —
-# deterministic cost-model seconds, so the gate is noise-free) and
-# compare against the checked-in baseline. Fails on any modelled
-# regression beyond the threshold or any match-count drift. After an
-# intentional perf change, regenerate the baseline with:
-#   cargo run --release -p bitgen-bench --bin bitgen-bench -- \
-#     run --smoke --modelled-only --out results/BENCH_smoke.json
-SMOKE="$(mktemp -t bench_smoke.XXXXXX.json)"
-trap 'rm -rf "$SWAPDIR" "$SERVEDIR"; rm -f "$CKPT" "$SMOKE"' EXIT
-cargo run -q --release -p bitgen-bench --bin bitgen-bench -- \
-  run --smoke --modelled-only --out "$SMOKE" > /dev/null
-cargo run -q --release -p bitgen-bench --bin bitgen-bench -- \
-  compare results/BENCH_smoke.json "$SMOKE" --modelled-only
-
-# The same smoke matrix pinned to scalar lanes, compared against the
-# default-width baseline: `compare` fails on any match-count drift, so
-# this gates the wide-word kernels producing different matches than the
-# scalar path at the bench level too.
-SMOKE_X1="$(mktemp -t bench_smoke_x1.XXXXXX.json)"
-trap 'rm -rf "$SWAPDIR" "$SERVEDIR"; rm -f "$CKPT" "$SMOKE" "$SMOKE_X1"' EXIT
-BITGEN_LANES=1 cargo run -q --release -p bitgen-bench --bin bitgen-bench -- \
-  run --smoke --modelled-only --out "$SMOKE_X1" > /dev/null
-cargo run -q --release -p bitgen-bench --bin bitgen-bench -- \
-  compare results/BENCH_smoke.json "$SMOKE_X1" --modelled-only
 
 cargo clippy --workspace -- -D warnings
 

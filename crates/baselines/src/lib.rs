@@ -12,10 +12,6 @@
 //!   single- and multi-threaded;
 //! - [`CpuBitstreamEngine`]: the icgrep-like CPU bitstream interpreter;
 //! - [`DfaEngine`]: an RE2-style lazy DFA with a capped state cache.
-//!
-//! Every engine here (and BitGen itself, in the `bitgen` crate) also
-//! implements [`BenchTarget`], the one interface benchmark harnesses
-//! time engines through.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,7 +23,6 @@ mod glushkov;
 mod gpu_nfa;
 mod hybrid;
 mod nfa;
-mod target;
 
 pub use aho::{AcMatch, AhoCorasick};
 pub use cpu_bitstream::CpuBitstreamEngine;
@@ -36,4 +31,3 @@ pub use glushkov::{normalize, Glushkov, PosId};
 pub use gpu_nfa::{run_gpu_nfa, GpuNfaModel, GpuNfaReport};
 pub use hybrid::{plan_regex, HybridBuildStats, HybridEngine, HybridMt, Plan};
 pub use nfa::{MultiNfa, NfaRun, NfaStats};
-pub use target::{BenchTarget, GpuNfaTarget, TargetRun};

@@ -24,7 +24,7 @@
 
 use bitgen::Scheme;
 use bitgen_bench::{
-    geomean, run_bitgen, run_cpu_bitstream, run_hybrid_mt, run_hybrid_st, run_ngap,
+    geomean, measure, run_bitgen, run_cpu_bitstream, run_hybrid_mt, run_hybrid_st, run_ngap,
     AppRun, HarnessConfig, Table,
 };
 use bitgen_gpu::DeviceConfig;
@@ -41,29 +41,26 @@ fn main() {
     let experiment = args[0].clone();
     let mut config = HarnessConfig::default();
     let mut out_dir = PathBuf::from("results");
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).cloned();
-        let parse_num = |v: &Option<String>| -> usize {
-            v.as_deref()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("flag {flag} needs a numeric value"))
+    for pair in args[1..].chunks(2) {
+        let (flag, value) = (pair[0].as_str(), pair.get(1));
+        let number = || -> usize {
+            value
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| usage_error(&format!("flag {flag} needs a numeric value")))
         };
         match flag {
-            "--regexes" => config.regexes = parse_num(&value),
-            "--input" => config.input_len = parse_num(&value),
-            "--threads" => config.threads = parse_num(&value),
-            "--ctas" => config.cta_count = parse_num(&value),
-            "--seed" => config.seed = parse_num(&value) as u64,
-            "--out" => out_dir = PathBuf::from(value.clone().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown flag {other}");
-                print_usage();
-                std::process::exit(2);
+            "--regexes" => config.regexes = number(),
+            "--input" => config.input_len = number(),
+            "--threads" => config.threads = number(),
+            "--ctas" => config.cta_count = number(),
+            "--seed" => config.seed = number() as u64,
+            "--out" => {
+                out_dir = PathBuf::from(
+                    value.unwrap_or_else(|| usage_error("flag --out needs a path")),
+                )
             }
+            other => usage_error(&format!("unknown flag {other}")),
         }
-        i += 2;
     }
     println!(
         "# config: {} regexes/app, {} B input, {} threads/CTA, {} CTAs, seed {}",
@@ -98,19 +95,22 @@ fn main() {
             density(&config, &out_dir);
             ablations(&config, &out_dir);
         }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            print_usage();
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment {other:?}")),
     }
 }
 
 fn print_usage() {
     println!(
-        "usage: repro <table1|fig11|table2|table3|fig12|table4|table5|fig13|table6|fig14|fig15|ablations|all> \
+        "usage: repro <table1|fig11|table2|table3|fig12|table4|table5|fig13|table6|fig14|fig15|density|ablations|all> \
          [--regexes N] [--input BYTES] [--threads T] [--ctas N] [--seed S] [--out DIR]"
     );
+}
+
+/// A malformed command line: says why, prints the usage, exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    print_usage();
+    std::process::exit(2);
 }
 
 fn f1(v: f64) -> String {
@@ -609,9 +609,7 @@ fn ablations(config: &HarnessConfig, out: &Path) {
         "lazy DFA (measured CPU)".into(),
         f1(gmean_over_apps(&|w| {
             let mut dfa = bitgen_baselines::DfaEngine::new(&w.asts);
-            let start = std::time::Instant::now();
-            let _ = dfa.run(&w.input);
-            w.input.len() as f64 / 1e6 / start.elapsed().as_secs_f64().max(1e-9)
+            measure(&w.input, |input| dfa.run(input).ends.count_ones()).mbps
         })),
     ]);
     // 5. Pattern optimisation (prefix factoring etc.) on/off.

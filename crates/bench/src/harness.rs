@@ -1,16 +1,14 @@
 //! Engine runners and aggregation for the reproduction harness.
 //!
-//! Every engine — bitgen's three modes and all five baselines — is
-//! timed through [`bitgen_baselines::BenchTarget`] by [`time_target`],
-//! the **only** timing loop in the tree: modelled targets report
-//! deterministic device-model seconds, measured targets are
-//! wall-clocked around one `scan` call. The repro tables, the
-//! `bitgen-bench` trajectory harness, and the examples all go through
-//! it, so numbers are comparable no matter who collected them.
+//! Engines come in two timing regimes. *Modelled* engines (BitGen and
+//! the ngAP-like GPU NFA) report deterministic device-model seconds with
+//! their scan, which go straight into [`timed`]. *Measured* engines
+//! really run on the host CPU, and [`measure`] wall-clocks one scan of
+//! them. Every engine is scanned exactly once per result.
 
 use bitgen::{BitGen, EngineConfig, Metrics, Scheme};
 use bitgen_baselines::{
-    BenchTarget, CpuBitstreamEngine, GpuNfaModel, GpuNfaTarget, HybridEngine, HybridMt, MultiNfa,
+    run_gpu_nfa, CpuBitstreamEngine, GpuNfaModel, HybridEngine, HybridMt, MultiNfa,
 };
 use bitgen_gpu::DeviceConfig;
 use bitgen_workloads::{generate, AppKind, Workload, WorkloadConfig};
@@ -114,27 +112,18 @@ pub struct AppRun {
     pub metrics: Metrics,
 }
 
-/// The one timing loop: scans `input` once through `target` and
-/// returns `(seconds, matches)`. Modelled targets report their
-/// deterministic device-model seconds; everything else is wall-clocked
-/// around the single `scan` call (floored at 1 ns so throughput stays
-/// finite).
-pub fn time_target(target: &mut dyn BenchTarget, input: &[u8]) -> (f64, u64) {
-    let start = Instant::now();
-    let run = target.scan(input);
-    let wall = start.elapsed().as_secs_f64();
-    let seconds = if target.modelled() {
-        run.modelled_seconds.expect("modelled targets report modelled seconds")
-    } else {
-        wall
-    };
-    (seconds.max(1e-9), run.matches)
+/// The result of scanning `bytes` in `seconds` — the device model's for
+/// a modelled engine — floored at 1 ns so throughput stays finite.
+pub fn timed(bytes: usize, seconds: f64, matches: usize) -> EngineResult {
+    EngineResult { mbps: bytes as f64 / 1e6 / seconds.max(1e-9), matches }
 }
 
-/// Times one scan and folds it into an [`EngineResult`].
-pub fn measure(target: &mut dyn BenchTarget, input: &[u8]) -> EngineResult {
-    let (seconds, matches) = time_target(target, input);
-    EngineResult { mbps: input.len() as f64 / 1e6 / seconds, matches: matches as usize }
+/// A measured engine's result: wall-clocks one `scan` of `input`, which
+/// returns its match count.
+pub fn measure(input: &[u8], scan: impl FnOnce(&[u8]) -> usize) -> EngineResult {
+    let start = Instant::now();
+    let matches = scan(input);
+    timed(input.len(), start.elapsed().as_secs_f64(), matches)
 }
 
 /// Runs BitGen (one-shot) on a workload with a scheme, returning the
@@ -146,24 +135,21 @@ pub fn run_bitgen(
 ) -> (EngineResult, Metrics) {
     let engine = BitGen::from_asts(w.asts.clone(), config.engine_config(scheme))
         .expect("workloads compile within budget");
-    let result = measure(&mut engine.bench_one_shot(), &w.input);
     let report = engine.find(&w.input).expect("harness workloads execute");
-    (result, report.metrics)
+    (timed(w.input.len(), report.seconds(), report.match_count()), report.metrics)
 }
 
 /// Runs the ngAP-like model.
 pub fn run_ngap(w: &Workload, config: &HarnessConfig) -> EngineResult {
-    let mut target = GpuNfaTarget::new(
-        MultiNfa::build(&w.asts),
-        config.device.clone(),
-        GpuNfaModel::default(),
-    );
-    measure(&mut target, &w.input)
+    let nfa = MultiNfa::build(&w.asts);
+    let report = run_gpu_nfa(&nfa, &w.input, &config.device, &GpuNfaModel::default());
+    timed(w.input.len(), report.seconds, report.ends.count_ones())
 }
 
 /// Runs the Hyperscan-like engine single-threaded (wall-clock).
 pub fn run_hybrid_st(w: &Workload) -> EngineResult {
-    measure(&mut HybridEngine::new(&w.asts), &w.input)
+    let engine = HybridEngine::new(&w.asts);
+    measure(&w.input, |input| engine.run(input).count_ones())
 }
 
 /// Runs the Hyperscan-like engine multi-threaded, sweeping shard counts
@@ -173,7 +159,8 @@ pub fn run_hybrid_st(w: &Workload) -> EngineResult {
 pub fn run_hybrid_mt(w: &Workload) -> EngineResult {
     let mut best = EngineResult { mbps: 0.0, matches: 0 };
     for shards in [1usize, 2, 4, 8] {
-        let run = measure(&mut HybridMt::new(&w.asts, shards), &w.input);
+        let engine = HybridMt::new(&w.asts, shards);
+        let run = measure(&w.input, |input| engine.run(input).count_ones());
         if run.mbps > best.mbps {
             best = run;
         }
@@ -193,7 +180,8 @@ pub fn run_cpu_bitstream(w: &Workload, config: &HarnessConfig) -> EngineResult {
         .iter()
         .map(|g| g.iter().map(|&i| w.asts[i].clone()).collect())
         .collect();
-    measure(&mut CpuBitstreamEngine::new(&grouped), &w.input)
+    let engine = CpuBitstreamEngine::new(&grouped);
+    measure(&w.input, |input| engine.run(input).count_ones())
 }
 
 /// Geometric mean of positive values (zero for an empty slice).
@@ -227,14 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn modelled_targets_time_deterministically() {
+    fn bitgen_result_is_its_metrics_throughput_and_repeats() {
         let config = tiny();
         let w = config.workload(AppKind::ExactMatch);
-        let engine =
-            BitGen::from_asts(w.asts.clone(), config.engine_config(Scheme::Zbs)).unwrap();
-        let (a, _) = time_target(&mut engine.bench_one_shot(), &w.input);
-        let (b, _) = time_target(&mut engine.bench_one_shot(), &w.input);
-        assert_eq!(a.to_bits(), b.to_bits());
+        let (a, metrics) = run_bitgen(&w, &config, Scheme::Zbs);
+        let (b, _) = run_bitgen(&w, &config, Scheme::Zbs);
+        assert_eq!(a.mbps.to_bits(), metrics.throughput_mbps().to_bits());
+        assert_eq!(a.mbps.to_bits(), b.mbps.to_bits());
+        assert_eq!(a.matches, b.matches);
     }
 
     #[test]

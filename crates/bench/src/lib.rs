@@ -1,26 +1,16 @@
-//! Shared harness for regenerating the paper's tables and figures, and
-//! for tracking performance across revisions.
-//!
-//! Two binaries drive it: `repro` regenerates the paper's tables, and
-//! `bitgen-bench` runs the curated trajectory matrix ([`matrix`]) and
-//! writes/compares `BENCH_<rev>.json` files ([`trajectory`]). Both time
-//! every engine through [`harness::time_target`] — the single timing
-//! loop in the tree, fed by [`bitgen_baselines::BenchTarget`].
+//! Shared harness for regenerating the paper's tables and figures on
+//! the modelled clock. One binary drives it: `repro`. (The host clock,
+//! and the tracked `results/BENCH_<rev>.json` trajectory, belong to the
+//! standalone `benchmark/` package.)
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod json;
-pub mod matrix;
 pub mod table;
-pub mod trajectory;
 
 pub use harness::{
     geomean, measure, prepare, run_bitgen, run_cpu_bitstream, run_hybrid_mt, run_hybrid_st,
-    run_ngap, time_target, AppRun, EngineResult, HarnessConfig,
+    run_ngap, timed, AppRun, EngineResult, HarnessConfig,
 };
-pub use json::Json;
-pub use matrix::{run_matrix, BenchSpec, MatrixConfig};
 pub use table::Table;
-pub use trajectory::{compare, BenchEntry, BenchFile, CompareConfig, CompareReport, Verdict};

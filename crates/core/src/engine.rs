@@ -311,9 +311,9 @@ impl ScanReport {
     }
 
     /// Modelled end-to-end seconds (transpose + kernel) on the device.
-    /// View over [`Metrics::wall_seconds`].
+    /// View over [`Metrics::seconds`].
     pub fn seconds(&self) -> f64 {
-        self.metrics.wall_seconds
+        self.metrics.seconds()
     }
 
     /// Modelled throughput in MB/s. View over

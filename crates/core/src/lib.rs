@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bench_target;
 mod engine;
 mod error;
 mod fold;
@@ -65,7 +64,6 @@ mod session;
 mod stream_scan;
 pub mod swap;
 
-pub use bench_target::{OneShotTarget, PreparedTarget, StreamTarget};
 pub use engine::{BitGen, CompileError, EngineConfig, Match, RecoveryPolicy, ScanReport};
 pub use error::Error;
 pub use fold::fold_case;
@@ -75,7 +73,6 @@ pub use stream_scan::{RetryPolicy, StreamCheckpoint, StreamScanner};
 pub use swap::StagedRules;
 
 // Re-export the pieces users need to configure or extend the engine.
-pub use bitgen_baselines::{BenchTarget, TargetRun};
 pub use bitgen_bitstream::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};
 pub use bitgen_exec::{
     ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics, PreparedProgram,

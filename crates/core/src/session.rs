@@ -533,7 +533,6 @@ impl ScanSession<'_> {
         // the model prices only the work the device actually did.
         let cost = device.estimate(&works);
         let transpose: f64 = inputs.iter().map(|i| device.transpose_seconds(i.len())).sum();
-        let seconds = cost.seconds + transpose;
         let mut passes = bitgen_passes::PassMetrics::default();
         for p in &engine.pass_metrics {
             passes.absorb(p);
@@ -546,11 +545,9 @@ impl ScanSession<'_> {
                     matches,
                     per_pattern,
                     metrics: Metrics {
-                        wall_seconds: seconds,
                         kernel_seconds: cost.seconds,
                         transpose_seconds: transpose,
                         bytes_scanned: total_bytes as u64,
-                        bytes_rescanned: 0,
                         match_count,
                         passes,
                         retries: 0,

@@ -258,7 +258,6 @@ impl BitGen {
             // accumulators restart at zero — checkpoints carry the
             // stream's state, not its diagnostic history.
             metrics: Metrics {
-                wall_seconds: checkpoint.kernel_seconds + checkpoint.transpose_seconds,
                 kernel_seconds: checkpoint.kernel_seconds,
                 transpose_seconds: checkpoint.transpose_seconds,
                 bytes_scanned: checkpoint.consumed,
@@ -530,7 +529,6 @@ impl StreamScanner<'_> {
         m.degraded += u64::from(degraded);
         m.kernel_seconds += cost.seconds;
         m.transpose_seconds += transpose;
-        m.wall_seconds = m.kernel_seconds + m.transpose_seconds;
         // Additive cost components sum across pushes; the utilisation
         // figures describe the most recent push (a per-stream average
         // would need weights the model doesn't produce).
@@ -649,15 +647,11 @@ impl StreamScanner<'_> {
     }
 
     /// The unified metrics record accumulated over all committed pushes
-    /// (failed pushes roll back without touching it). Replaces the old
-    /// `seconds()` / `bytes_rescanned()` / `retries()` /
-    /// `degraded_chunks()` accessors:
+    /// (failed pushes roll back without touching it):
     ///
-    /// - `wall_seconds` is the accumulated modelled time, each push
-    ///   priced over exactly the bytes it consumed — the carry slots
-    ///   replace the old re-scanned tail, so `bytes_rescanned` is
-    ///   always `0` (and regression-tested, because the previous
-    ///   tail-rescan scanner re-scanned `max_span − 1` bytes per push);
+    /// - `seconds()` is the accumulated modelled time, each push priced
+    ///   over exactly the bytes it consumed — carry slots, not a
+    ///   re-scanned tail, bridge the chunk boundary;
     /// - `retries` counts window replays across committed pushes;
     /// - `degraded` counts pushes in which at least one group's window
     ///   was recovered on the CPU reference interpreter — matches stay
@@ -997,17 +991,16 @@ mod tests {
         let engine = BitGen::compile_with(&["abc"], EngineConfig::default()).unwrap();
         let mut s = engine.streamer().unwrap();
         s.push(b"abcabc").unwrap();
-        let one = s.metrics().wall_seconds;
+        let one = s.metrics().seconds();
         assert!(one > 0.0);
         let ops = s.metrics().counters_total().alu_ops;
         assert!(ops > 0);
         s.push(b"abcabc").unwrap();
         let m = s.metrics();
-        assert!(m.wall_seconds > one);
+        assert!(m.seconds() > one);
         assert!(m.counters_total().alu_ops > ops);
         assert_eq!(m.bytes_scanned, 12);
         assert_eq!(m.match_count, 4);
-        assert_eq!(m.wall_seconds.to_bits(), (m.kernel_seconds + m.transpose_seconds).to_bits());
     }
 
     #[test]
@@ -1018,11 +1011,10 @@ mod tests {
         let engine = BitGen::compile(&["abcdefgh"]).unwrap();
         let mut s = engine.streamer().unwrap();
         s.push(&[b'x'; 64]).unwrap();
-        let first = s.metrics().wall_seconds;
+        let first = s.metrics().seconds();
         s.push(&[b'x'; 64]).unwrap();
-        let second = s.metrics().wall_seconds - first;
+        let second = s.metrics().seconds() - first;
         assert_eq!(first.to_bits(), second.to_bits());
-        assert_eq!(s.metrics().bytes_rescanned, 0);
     }
 
     #[test]

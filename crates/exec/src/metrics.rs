@@ -5,7 +5,6 @@
 
 use bitgen_gpu::{CostBreakdown, CtaCounters};
 use bitgen_passes::PassMetrics;
-use std::fmt::Write as _;
 
 /// Metrics of one program execution (one CTA's worth of work).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -75,26 +74,19 @@ impl ExecMetrics {
     }
 }
 
-/// The unified metrics record of one scan: wall/phase timings, volume,
+/// The unified metrics record of one scan: phase timings, volume,
 /// match counts, compile-time pass totals, robustness counters, and the
 /// per-CTA [`ExecMetrics`] underneath.
 ///
 /// Every execution surface populates the same type — batch
 /// `ScanSession` scans, the carry-propagating streaming scanner, and
 /// the prepared-executor paths — so a benchmark harness (or any caller)
-/// reads one structured record no matter how the scan ran. The old
-/// per-surface accessors (`ScanReport.seconds`, `StreamScanner::
-/// seconds()` / `bytes_rescanned()` / `degraded_chunks()` / `retries()`)
-/// were views of fragments of this record and have been removed in its
-/// favour.
+/// reads one structured record no matter how the scan ran.
 ///
-/// Timings are *modelled* device seconds unless a caller measured its
-/// own; all scalar fields serialize to a flat, stable JSON object via
-/// [`Metrics::to_json`].
+/// Timings are *modelled* device seconds; the end-to-end figure is the
+/// derived [`Metrics::seconds`], never stored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    /// Modelled end-to-end seconds: kernel + transpose.
-    pub wall_seconds: f64,
     /// Modelled kernel seconds (the device cost model's makespan).
     pub kernel_seconds: f64,
     /// Modelled transpose (input → basis) seconds.
@@ -103,11 +95,6 @@ pub struct Metrics {
     /// the whole launch's byte total (the streams share the device), so
     /// [`Metrics::throughput_mbps`] is batch throughput.
     pub bytes_scanned: u64,
-    /// Bytes re-scanned due to chunk-boundary overlap. Always `0` since
-    /// carry-propagating streaming replaced tail rescans; kept (and
-    /// regression-tested) so a rescanning scheme can never sneak back in
-    /// unnoticed.
-    pub bytes_rescanned: u64,
     /// Match-end positions found.
     pub match_count: u64,
     /// Aggregated transform-pipeline cost across all groups (each
@@ -138,12 +125,18 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Modelled end-to-end seconds: kernel + transpose.
+    pub fn seconds(&self) -> f64 {
+        self.kernel_seconds + self.transpose_seconds
+    }
+
     /// Modelled throughput in MB/s (`0` when nothing ran).
     pub fn throughput_mbps(&self) -> f64 {
-        if self.wall_seconds <= 0.0 || self.bytes_scanned == 0 {
+        let seconds = self.seconds();
+        if seconds <= 0.0 || self.bytes_scanned == 0 {
             return 0.0;
         }
-        self.bytes_scanned as f64 / 1e6 / self.wall_seconds
+        self.bytes_scanned as f64 / 1e6 / seconds
     }
 
     /// True when any slot or chunk fell back to the CPU interpreter.
@@ -167,63 +160,6 @@ impl Metrics {
         }
         total
     }
-
-    /// Serializes the scalar record as one flat JSON object with a
-    /// stable field order (the schema the `bitgen-bench` trajectory
-    /// files embed; see DESIGN.md §11). Per-CTA detail is folded into
-    /// counter totals rather than dumped per slot.
-    pub fn to_json(&self) -> String {
-        let c = self.counters_total();
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        let field = |s: &mut String, key: &str, value: &str| {
-            if s.len() > 1 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{key}\":{value}");
-        };
-        field(&mut s, "wall_seconds", &json_f64(self.wall_seconds));
-        field(&mut s, "kernel_seconds", &json_f64(self.kernel_seconds));
-        field(&mut s, "transpose_seconds", &json_f64(self.transpose_seconds));
-        field(&mut s, "bytes_scanned", &self.bytes_scanned.to_string());
-        field(&mut s, "bytes_rescanned", &self.bytes_rescanned.to_string());
-        field(&mut s, "match_count", &self.match_count.to_string());
-        field(&mut s, "retries", &self.retries.to_string());
-        field(&mut s, "degraded", &self.degraded.to_string());
-        field(&mut s, "swaps", &self.swaps.to_string());
-        field(&mut s, "swap_rollbacks", &self.swap_rollbacks.to_string());
-        field(&mut s, "compute_seconds", &json_f64(self.cost.compute_seconds));
-        field(&mut s, "memory_seconds", &json_f64(self.cost.memory_seconds));
-        field(&mut s, "barrier_stall_frac", &json_f64(self.cost.barrier_stall_frac));
-        field(&mut s, "occupancy", &self.cost.occupancy.to_string());
-        field(&mut s, "ctas", &self.ctas.len().to_string());
-        field(&mut s, "alu_ops", &c.alu_ops.to_string());
-        field(&mut s, "dram_bytes", &(c.global_words() * 4).to_string());
-        field(&mut s, "smem_accesses", &c.smem_accesses().to_string());
-        field(&mut s, "barriers", &c.barriers.to_string());
-        field(&mut s, "skipped_ops", &c.skipped_ops.to_string());
-        field(&mut s, "window_iterations", &c.window_iterations.to_string());
-        field(&mut s, "pass_visits", &self.passes.total_visits().to_string());
-        field(&mut s, "pass_nanos", &self.passes.total_nanos().to_string());
-        s.push('}');
-        s
-    }
-}
-
-/// Finite-safe JSON float rendering (JSON has no NaN/Inf literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on a whole f64 prints no decimal point; keep one so the
-        // field parses back as a float everywhere.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -233,11 +169,13 @@ mod tests {
     #[test]
     fn throughput_and_degraded() {
         let m = Metrics {
-            wall_seconds: 2.0,
+            kernel_seconds: 1.5,
+            transpose_seconds: 0.5,
             bytes_scanned: 4_000_000,
             degraded: 1,
             ..Metrics::default()
         };
+        assert_eq!(m.seconds(), 2.0);
         assert!((m.throughput_mbps() - 2.0).abs() < 1e-12);
         assert!(m.is_degraded());
         assert_eq!(Metrics::default().throughput_mbps(), 0.0);
@@ -256,35 +194,5 @@ mod tests {
         assert_eq!(total.alu_ops, 15);
         assert_eq!(total.barriers, 2);
         assert_eq!(total.global_load_words, 7);
-    }
-
-    #[test]
-    fn json_is_flat_and_stable() {
-        let m = Metrics {
-            wall_seconds: 0.5,
-            kernel_seconds: 0.375,
-            transpose_seconds: 0.125,
-            bytes_scanned: 1024,
-            match_count: 3,
-            ..Metrics::default()
-        };
-        let j = m.to_json();
-        assert!(j.starts_with("{\"wall_seconds\":0.5,"));
-        assert!(j.contains("\"bytes_scanned\":1024"));
-        assert!(j.contains("\"match_count\":3"));
-        assert!(j.ends_with('}'));
-        // No nested objects: a flat schema stays diffable.
-        assert_eq!(j.matches('{').count(), 1);
-    }
-
-    #[test]
-    fn json_floats_stay_parseable() {
-        assert_eq!(json_f64(1.0), "1.0");
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(f64::NAN), "null");
-        // Rust's Display prints full decimals, never exponents — and it
-        // round-trips exactly.
-        assert_eq!(json_f64(1e-9), "0.000000001");
-        assert_eq!(json_f64(1e-9).parse::<f64>().unwrap(), 1e-9);
     }
 }

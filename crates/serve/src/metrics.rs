@@ -103,9 +103,8 @@ pub struct TenantMetrics {
 
 impl ServeMetrics {
     /// Renders the snapshot as one JSON object with a stable key order
-    /// — scalar counters first (same contract as
-    /// [`bitgen_exec::Metrics::to_json`]), then a `"tenants"` object
-    /// keyed by tenant name, sorted.
+    /// — scalar counters first, flat, then a `"tenants"` object keyed
+    /// by tenant name, sorted.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');
@@ -154,7 +153,7 @@ impl ServeMetrics {
         s
     }
 
-    /// Parses the output of [`ServeMetrics::to_json`] back into a
+    /// Parses the output of [`Self::to_json`] back into a
     /// snapshot — the wire `STATS` reply on the client side. Tolerates
     /// any key order and unknown scalar keys (skipped), so old clients
     /// keep working when new counters appear. `None` when the text is

@@ -10,8 +10,8 @@ use rand::Rng;
 
 /// The identity of one generated corpus: every parameter that
 /// determined its bytes. Generators are seeded and deterministic, so
-/// two workloads with equal metadata are byte-identical — a trajectory
-/// entry recording a [`WorkloadMeta::signature`] names exactly the
+/// two workloads with equal metadata are byte-identical — a result
+/// labelled with a [`WorkloadMeta::signature`] names exactly the
 /// corpus it measured, reproducible on any host.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMeta {

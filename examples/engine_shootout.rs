@@ -2,15 +2,14 @@
 //! Table 3 and print the counted hardware events side by side — a live
 //! view of why interleaved execution wins.
 //!
-//! Timing goes through [`bitgen::BenchTarget`] (the same trait the
-//! trajectory harness uses) and the counters come from the run's
+//! Modelled throughput and the counters both come from one scan's
 //! unified [`bitgen::Metrics`] record — no private timing loop.
 //!
 //! ```text
 //! cargo run --release --example engine_shootout [app]
 //! ```
 
-use bitgen::{BenchTarget, BitGen, EngineConfig, Scheme};
+use bitgen::{BitGen, EngineConfig, Scheme};
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 
 fn main() {
@@ -38,17 +37,13 @@ fn main() {
             EngineConfig::default().with_scheme(scheme).with_cta_threads(64).with_cta_count(4),
         )
         .expect("rules compile within budget");
-        // One scan through the shared bench trait gives the modelled
-        // seconds; the unified metrics record carries the counters.
-        let run = engine.bench_one_shot().scan(&w.input);
-        let seconds = run.modelled_seconds.expect("bitgen targets are modelled");
         let report = engine.find(&w.input).expect("scan succeeds");
         let totals = report.metrics.counters_total();
         let segments: usize = report.metrics.ctas.iter().map(|m| m.segments).max().unwrap_or(0);
         println!(
             "{:<6} {:>10.1} {:>12} {:>10} {:>10} {:>10} {:>9} {:>8}",
             scheme.to_string(),
-            w.input.len() as f64 / 1e6 / seconds,
+            report.throughput_mbps(),
             totals.alu_ops,
             totals.global_words() * 4 / 1024,
             totals.barriers,

@@ -308,7 +308,7 @@ fn streaming_cancellation_rolls_back_without_poisoning() {
     let mut scanner = engine.streamer().unwrap();
     let mut ends = scanner.push(&input[..200]).unwrap();
     let consumed = scanner.consumed();
-    let seconds = scanner.metrics().wall_seconds;
+    let seconds = scanner.metrics().seconds();
     let token = CancelToken::new();
     token.cancel();
     scanner.set_cancel_token(token);
@@ -318,7 +318,7 @@ fn streaming_cancellation_rolls_back_without_poisoning() {
     );
     assert!(!scanner.is_poisoned(), "interrupts must not poison");
     assert_eq!(scanner.consumed(), consumed, "failed push must not count bytes");
-    assert_eq!(scanner.metrics().wall_seconds.to_bits(), seconds.to_bits(), "or seconds");
+    assert_eq!(scanner.metrics().seconds().to_bits(), seconds.to_bits(), "or seconds");
     scanner.set_cancel_token(CancelToken::new());
     ends.extend(scanner.push(&input[200..400]).unwrap());
     for chunk in input[400..].chunks(256) {

@@ -196,8 +196,8 @@ fn retried_push_does_not_double_count() {
     assert_eq!(faulty_ends, clean_ends);
     assert_eq!(faulty.consumed(), clean.consumed(), "retry must not re-count bytes");
     assert_eq!(
-        faulty.metrics().wall_seconds.to_bits(),
-        clean.metrics().wall_seconds.to_bits(),
+        faulty.metrics().seconds().to_bits(),
+        clean.metrics().seconds().to_bits(),
         "the failed attempt must contribute zero modelled seconds"
     );
 }
@@ -225,10 +225,10 @@ fn degraded_push_counts_bytes_once_and_is_reported() {
     assert_eq!(degraded.consumed(), clean.consumed());
     assert!(degraded.metrics().degraded > 0);
     assert!(
-        degraded.metrics().wall_seconds <= clean.metrics().wall_seconds,
+        degraded.metrics().seconds() <= clean.metrics().seconds(),
         "degraded windows contribute no device work: {} > {}",
-        degraded.metrics().wall_seconds,
-        clean.metrics().wall_seconds
+        degraded.metrics().seconds(),
+        clean.metrics().seconds()
     );
 }
 
@@ -242,11 +242,11 @@ fn failed_push_rolls_counters_back() {
     let mut scanner = engine.streamer().unwrap();
     scanner.push(b"cat and more cat").unwrap();
     let consumed = scanner.consumed();
-    let seconds = scanner.metrics().wall_seconds;
+    let seconds = scanner.metrics().seconds();
     scanner.inject_fault(0, FaultPlan { kind: FaultKind::Panic, trigger: 1, seed: 4 }, 1);
     scanner.push(b"catcatcat").unwrap_err();
     assert_eq!(scanner.consumed(), consumed);
-    assert_eq!(scanner.metrics().wall_seconds.to_bits(), seconds.to_bits());
+    assert_eq!(scanner.metrics().seconds().to_bits(), seconds.to_bits());
     assert_eq!(scanner.metrics().retries, 0);
     assert_eq!(scanner.metrics().degraded, 0);
 }
