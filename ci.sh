@@ -179,3 +179,12 @@ cargo clippy --workspace -- -D warnings
 cargo clippy -q -p bitgen-ir -p bitgen-exec -p bitgen-gpu -p bitgen-baselines -p bitgen \
   -p bitgen-serve -- \
   -W clippy::unwrap_used -W clippy::expect_used
+
+# Standing constraint (ROADMAP.md): benchmark/ and BENCHMARK.json are the
+# fixed yardstick. Last, so it also catches a build or run above that
+# rewrote a tracked file there (benchmark/Cargo.lock).
+if [ -n "$(git status --porcelain benchmark/ BENCHMARK.json)" ]; then
+  echo "ci: benchmark/ or BENCHMARK.json differ from HEAD" >&2
+  git status --porcelain benchmark/ BENCHMARK.json >&2
+  exit 1
+fi

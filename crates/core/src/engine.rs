@@ -11,12 +11,13 @@ use crate::group::{group_regexes, GroupingStrategy};
 use bitgen_bitstream::BitStream;
 use bitgen_exec::{
     apply_transforms, ExecConfig, ExecMetrics, FallbackPolicy, Metrics, PassMetrics,
-    PreparedProgram, Scheme,
+    BatchPlan, PreparedProgram, Scheme,
 };
 use bitgen_gpu::{CostBreakdown, DeviceConfig};
 use bitgen_ir::{fnv1a, lower_group_checked, CompileLimits, LowerOptions, Program, FNV_OFFSET};
 use bitgen_regex::{parse, Ast, ParseError};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// What a scan does when a (group × stream) CTA fails — a worker
 /// panic, a detected race, or a kernel-scheme execution error.
@@ -230,6 +231,17 @@ impl std::error::Error for CompileError {}
 pub struct BitGen {
     pub(crate) groups: Vec<Vec<usize>>,
     pub(crate) programs: Vec<Program>,
+    /// The [`BatchPlan`] of each entry of `programs` — its segments,
+    /// overlap analyses and compiled kernels — built by the first batch
+    /// scan that reaches the group and then shared by every session,
+    /// worker thread and `find_many` stream of this engine. Lazily, so an
+    /// engine that only streams never pays for, or holds, a kernel.
+    ///
+    /// A build runs inside the scan slot's `catch_unwind`. A std
+    /// `OnceLock` does not poison: if the build unwinds, the cell stays
+    /// empty, that slot fails (or degrades) like any panicking slot, and
+    /// the next scan to reach the group builds the plan again.
+    batch_plans: Vec<OnceLock<BatchPlan>>,
     /// Untransformed twins of `programs` for the streaming scanner:
     /// same grouping and output combination, but lowered with fixpoint
     /// loops instead of `MatchStar` (no additions inside loops) and
@@ -499,6 +511,7 @@ impl BitGen {
         });
         let mut engine = BitGen {
             groups,
+            batch_plans: std::iter::repeat_with(OnceLock::new).take(programs.len()).collect(),
             programs,
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
@@ -543,6 +556,20 @@ impl BitGen {
     /// The compiled bitstream programs, one per group.
     pub fn programs(&self) -> &[Program] {
         &self.programs
+    }
+
+    /// Group `group`'s batch plan if a batch scan has built it yet; every
+    /// later scan of this engine runs this same plan.
+    pub fn batch_plan(&self, group: usize) -> Option<&BatchPlan> {
+        self.batch_plans.get(group)?.get()
+    }
+
+    /// Group `group`'s batch plan, built now if this is the first batch
+    /// scan to ask — under [`BitGen::exec_config`], which is fixed per
+    /// engine (sessions only ever override `fault`).
+    pub(crate) fn batch_plan_or_build(&self, group: usize) -> &BatchPlan {
+        self.batch_plans[group]
+            .get_or_init(|| BatchPlan::new(&self.programs[group], &self.exec_config()))
     }
 
     /// The prepared streaming programs, one per group: the untransformed

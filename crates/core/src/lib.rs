@@ -75,8 +75,8 @@ pub use swap::StagedRules;
 // Re-export the pieces users need to configure or extend the engine.
 pub use bitgen_bitstream::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};
 pub use bitgen_exec::{
-    ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics, PreparedProgram,
-    Scheme,
+    BatchPlan, ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics,
+    PreparedProgram, Scheme,
 };
 pub use bitgen_gpu::{CostBreakdown, DeviceConfig, FaultKind, FaultPlan};
 pub use bitgen_ir::{CancelToken, CompileLimits, LimitError, RunControl};

@@ -19,8 +19,7 @@ use crate::engine::{BitGen, RecoveryPolicy, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
-    execute_prepared_ctl, ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome,
-    ExecScratch, Metrics,
+    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics,
 };
 use bitgen_gpu::FaultPlan;
 use bitgen_ir::{try_interpret, CancelToken, CarryState, RunControl};
@@ -49,7 +48,7 @@ enum SlotFailure {
 struct GridCtx<'a> {
     /// Group count: slot `i` pairs program `i % g` with stream `i / g`.
     g: usize,
-    programs: &'a [bitgen_ir::Program],
+    engine: &'a BitGen,
     bases: &'a [Basis],
     config: &'a ExecConfig,
     fault: Option<(usize, usize, FaultPlan)>,
@@ -365,15 +364,12 @@ impl ScanSession<'_> {
                 config.fault = Some(plan);
             }
         }
+        let group = idx % cx.g;
         let run = catch_unwind(AssertUnwindSafe(|| {
-            execute_prepared_ctl(
-                &cx.programs[idx % cx.g],
-                &cx.bases[idx / cx.g],
-                &config,
-                scratch,
-                cx.ctl,
-                None,
-            )
+            // The engine's resident plan: only the first scan to reach a
+            // group segments, analyses and compiles it.
+            let (plan, prog) = (cx.engine.batch_plan_or_build(group), &cx.engine.programs[group]);
+            plan.execute(prog, &cx.bases[idx / cx.g], &config, scratch, cx.ctl)
         }));
         match run {
             Ok(Ok(outcome)) => SlotRun::Done(Box::new(outcome)),
@@ -400,7 +396,7 @@ impl ScanSession<'_> {
         }
         let cx = GridCtx {
             g,
-            programs: &self.engine.programs,
+            engine: self.engine,
             bases: &self.bases[..s],
             config: &self.exec_config,
             fault: self.fault,
@@ -567,6 +563,7 @@ impl ScanSession<'_> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use bitgen_exec::BatchPlan;
 
     fn streams() -> Vec<Vec<u8>> {
         (0..9)
@@ -659,6 +656,40 @@ mod tests {
         // Smaller batches fit in the same buffers too.
         session.scan(slices[0]).unwrap();
         assert_eq!(session.buffer_capacity_words(), warm);
+    }
+
+    #[test]
+    fn one_batch_plan_per_group_serves_every_session_and_stream() {
+        let pats = ["a(bc)*d", "cat", "[0-9]+x", "x[ab]{1,4}y"];
+        let config = EngineConfig::default().with_threads(4).with_cta_count(3);
+        let engine = BitGen::compile_with(&pats, config).unwrap();
+        let groups = engine.group_count();
+        assert!(groups > 1);
+        let plans = |engine: &BitGen| -> Vec<Option<*const BatchPlan>> {
+            (0..groups).map(|g| engine.batch_plan(g).map(std::ptr::from_ref)).collect()
+        };
+        assert_eq!(plans(&engine), vec![None; groups], "compiling builds no plan");
+        let inputs = streams();
+        let slices: Vec<&[u8]> = inputs[..4].iter().map(Vec::as_slice).collect();
+        // Four worker threads race for each group's cell on the first scan.
+        let mut first = engine.session();
+        let reference = first.scan_many(&slices).unwrap();
+        let built = plans(&engine);
+        assert!(built.iter().all(Option::is_some), "the first scan builds every group's plan");
+        // A second session, a re-scan and a fresh `find_many` all run the
+        // same plans and report the same bits.
+        let mut second = engine.session();
+        reports_agree(&reference, &second.scan_many(&slices).unwrap());
+        reports_agree(&reference, &first.scan_many(&slices).unwrap());
+        reports_agree(&reference, &engine.find_many(&slices).unwrap());
+        assert_eq!(plans(&engine), built, "plans are built once per engine");
+        // An engine that only streams never builds one.
+        let streaming = BitGen::compile(&pats).unwrap();
+        let mut scanner = streaming.streamer().unwrap();
+        for chunk in inputs[0].chunks(7) {
+            scanner.push(chunk).unwrap();
+        }
+        assert!((0..streaming.group_count()).all(|g| streaming.batch_plan(g).is_none()));
     }
 
     #[test]

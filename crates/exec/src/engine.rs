@@ -4,20 +4,17 @@
 
 use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
-use crate::prepared::{ClassStreams, StreamTables};
+use crate::prepared::{BatchPlan, ClassStreams, FusedPlan, PlannedSegment, StreamTables};
 use crate::scheme::Scheme;
-use crate::segment::{intermediate_count, segment_program, Segment, SegmentKind};
 use crate::seq::{is_written, Accounting, Slots};
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_gpu::{Cta, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
     try_interpret, try_interpret_chunk, walk, ById, CarryState, CarryWalk, DefUse, InterpError,
-    Interrupt, Program, RunControl, StreamEnv, StreamId,
+    Interrupt, Program, RunControl, Stmt, StreamEnv, StreamId,
 };
-use bitgen_kernel::{compile, CodegenOptions, WORD_BITS};
-use bitgen_passes::{
-    insert_zero_skips_with, rebalance_with, Hull, OverlapInfo, PassMetrics, ZbsConfig,
-};
+use bitgen_kernel::WORD_BITS;
+use bitgen_passes::{insert_zero_skips_with, rebalance_with, Hull, PassMetrics, ZbsConfig};
 use std::error::Error;
 use std::fmt;
 
@@ -254,18 +251,6 @@ impl ExecScratch {
         self.buffers().filter(|s| s.capacity_words() > 0).count()
     }
 
-    /// A zeroed stream of `len` bits, reusing a pooled buffer if one is
-    /// available.
-    fn take_zeros(&mut self, len: usize) -> BitStream {
-        match self.pool.pop() {
-            Some(mut s) => {
-                s.reset_zeros(len);
-                s
-            }
-            None => BitStream::zeros(len),
-        }
-    }
-
     /// Replaces the pool with this call's environment streams, bounding
     /// the pool at one call's working-set size so repeated scans cannot
     /// grow it without limit.
@@ -402,8 +387,9 @@ pub fn execute_prepared(
 /// Streaming callers must pass *untransformed* programs (shift
 /// rebalancing introduces non-causal retreats that cannot stream).
 /// This is the one-shot door: the program's class circuits and carry
-/// layout are derived for this call only. Callers that stream many
-/// windows of one program keep a [`crate::PreparedProgram`] instead.
+/// layout (without a carry, its [`BatchPlan`]) are derived for this call
+/// only. Callers that stream many windows of one program keep a
+/// [`crate::PreparedProgram`], callers that scan many inputs the plan.
 ///
 /// # Errors
 ///
@@ -445,70 +431,92 @@ pub fn execute_prepared_ctl(
         let tables = StreamTables::of(prog);
         return execute_streaming_window(prog, &tables, None, basis, config, scratch, ctl, carry);
     }
-    let segments = segment_program(prog, config.scheme);
-    let stream_len = Program::stream_len(basis.len());
-    let mut metrics = ExecMetrics {
-        segments: segments.len(),
-        intermediates: intermediate_count(&segments, prog),
-        threads: config.threads,
-        ..ExecMetrics::default()
-    };
-    scratch.env.reset(prog.num_streams() as usize);
-    let (fault_fired, windows_launched) = {
-        let mut cx = ExecCtx {
-            config,
-            metrics: &mut metrics,
-            stream_len,
-            ctl,
-            fault_fired: false,
-            windows_launched: 0,
+    BatchPlan::new(prog, config).execute(prog, basis, config, scratch, ctl)
+}
+
+impl BatchPlan {
+    /// Executes `prog` — the program this plan was built from — over the
+    /// transposed input: a carry-less [`execute_prepared_ctl`] that neither
+    /// segments, analyses nor compiles.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`execute_prepared_ctl`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` asks for another scheme or effective merge size
+    /// than the plan was built for.
+    pub fn execute(
+        &self,
+        prog: &Program,
+        basis: &Basis,
+        config: &ExecConfig,
+        scratch: &mut ExecScratch,
+        ctl: &RunControl,
+    ) -> Result<ExecOutcome, ExecError> {
+        let key = BatchPlan::key_of(config);
+        assert_eq!(self.key, key, "plan built for another scheme or merge size");
+        let stream_len = Program::stream_len(basis.len());
+        let mut metrics = ExecMetrics {
+            segments: self.segments.len(),
+            intermediates: self.intermediates,
+            threads: config.threads,
+            ..ExecMetrics::default()
         };
-        for seg in &segments {
-            match seg.kind {
-                SegmentKind::Fused => {
-                    match run_fused(seg, prog, basis, scratch, &mut cx) {
-                        Ok(()) => {}
-                        Err(ExecError::OverlapOverflow { .. })
-                            if config.fallback == FallbackPolicy::Sequential =>
-                        {
-                            cx.metrics.fallbacks += 1;
-                            run_sequential(seg, basis, &mut scratch.env, &mut cx)?;
-                        }
-                        Err(e) => return Err(e),
+        scratch.env.reset(prog.num_streams() as usize);
+        let (fault_fired, windows_launched) = {
+            let mut cx = ExecCtx {
+                config,
+                metrics: &mut metrics,
+                stream_len,
+                ctl,
+                fault_fired: false,
+                windows_launched: 0,
+            };
+            for seg in &self.segments {
+                let stmts = &prog.stmts()[seg.range.clone()];
+                let fused = seg.fused.as_ref().map(|f| run_fused(seg, f, basis, scratch, &mut cx));
+                match fused {
+                    Some(Ok(())) => {}
+                    Some(Err(ExecError::OverlapOverflow { .. }))
+                        if config.fallback == FallbackPolicy::Sequential =>
+                    {
+                        cx.metrics.fallbacks += 1;
+                        run_sequential(stmts, basis, &mut scratch.env, &mut cx)?;
                     }
+                    Some(Err(e)) => return Err(e),
+                    None => run_sequential(stmts, basis, &mut scratch.env, &mut cx)?,
                 }
-                SegmentKind::Sequential => {
-                    run_sequential(seg, basis, &mut scratch.env, &mut cx)?
+                let resident: usize = scratch.env.resident().map(|s| s.len().div_ceil(8)).sum();
+                cx.metrics.peak_materialized_bytes =
+                    cx.metrics.peak_materialized_bytes.max(resident);
+            }
+            (cx.fault_fired, cx.windows_launched)
+        };
+        if metrics.counters.window_iterations != windows_launched {
+            return Err(ExecError::CounterMismatch {
+                expected: windows_launched,
+                observed: metrics.counters.window_iterations,
+            });
+        }
+        metrics.window_iterations = metrics.counters.window_iterations;
+        let outputs: Vec<BitStream> = prog
+            .outputs()
+            .iter()
+            .map(|&id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
+            .collect();
+        scratch.recycle();
+        if config.cross_check {
+            let reference = try_interpret(prog, basis, ctl)?;
+            for (i, (got, want)) in outputs.iter().zip(&reference.outputs).enumerate() {
+                if got != want {
+                    return Err(ExecError::CrossCheckMismatch { output: i });
                 }
             }
-            let resident: usize = scratch.env.resident().map(|s| s.len().div_ceil(8)).sum();
-            cx.metrics.peak_materialized_bytes =
-                cx.metrics.peak_materialized_bytes.max(resident);
         }
-        (cx.fault_fired, cx.windows_launched)
-    };
-    if metrics.counters.window_iterations != windows_launched {
-        return Err(ExecError::CounterMismatch {
-            expected: windows_launched,
-            observed: metrics.counters.window_iterations,
-        });
+        Ok(ExecOutcome { outputs, metrics, fault_fired })
     }
-    metrics.window_iterations = metrics.counters.window_iterations;
-    let outputs: Vec<BitStream> = prog
-        .outputs()
-        .iter()
-        .map(|&id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
-        .collect();
-    scratch.recycle();
-    if config.cross_check {
-        let reference = try_interpret(prog, basis, ctl)?;
-        for (i, (got, want)) in outputs.iter().zip(&reference.outputs).enumerate() {
-            if got != want {
-                return Err(ExecError::CrossCheckMismatch { output: i });
-            }
-        }
-    }
-    Ok(ExecOutcome { outputs, metrics, fault_fired })
 }
 
 /// One streaming window of `prog` over a chunk basis: the whole program
@@ -645,8 +653,8 @@ struct ExecCtx<'a> {
 /// dependency-aware overlap, dynamic retries, and exact stores of each
 /// window's valid region.
 fn run_fused(
-    seg: &Segment,
-    prog: &Program,
+    seg: &PlannedSegment,
+    fused: &FusedPlan,
     basis: &Basis,
     scratch: &mut ExecScratch,
     cx: &mut ExecCtx<'_>,
@@ -654,17 +662,12 @@ fn run_fused(
     let config = cx.config;
     let metrics = &mut *cx.metrics;
     let stream_len = cx.stream_len;
-    let sub = Program::new(seg.stmts.clone(), prog.num_streams(), seg.outputs.clone());
-    let info = OverlapInfo::analyze(&sub);
-    let merge = if config.scheme.uses_barrier_merging() { config.merge_size } else { 1 };
-    let compiled = compile(&sub, &seg.inputs, &seg.outputs, &CodegenOptions { merge_size: merge, ..CodegenOptions::default() });
-    let kernel = &compiled.kernel;
-    metrics.shift_groups += compiled.stats.shift_groups;
+    let (info, kernel) = (&fused.info, &fused.compiled.kernel);
+    metrics.shift_groups += fused.compiled.stats.shift_groups;
     metrics.smem_bytes = metrics.smem_bytes.max(kernel.smem_bytes(config.threads));
     // A liveness-based allocator's register count, clamped at the
     // configured cap (the paper's max-register parameter).
-    metrics.regs_per_thread =
-        metrics.regs_per_thread.max(kernel.max_live_regs().min(config.max_regs));
+    metrics.regs_per_thread = metrics.regs_per_thread.max(fused.max_live_regs.min(config.max_regs));
     metrics.static_overlap = metrics.static_overlap.max(info.base.total());
     if metrics.counters.loop_trips.len() < kernel.num_sites as usize {
         metrics.counters.loop_trips.resize(kernel.num_sites as usize, 0);
@@ -679,13 +682,15 @@ fn run_fused(
         return Err(ExecError::OverlapOverflow { required: info.base, capacity });
     }
 
-    let globals = seg
-        .inputs
-        .iter()
-        .map(|&id| scratch.env.get(id).cloned().ok_or(ExecError::UnwrittenStream { id }))
-        .collect::<Result<Vec<BitStream>, ExecError>>()?;
-    let mut outs: Vec<BitStream> =
-        seg.outputs.iter().map(|_| scratch.take_zeros(stream_len)).collect();
+    // Boundary inputs are read where earlier segments left them; output
+    // buffers come from the pool and go back on any exit but a commit.
+    let ExecScratch { env, pool, .. } = scratch;
+    let globals = (seg.inputs.iter())
+        .map(|&id| env.get(id).ok_or(ExecError::UnwrittenStream { id }))
+        .collect::<Result<Vec<&BitStream>, ExecError>>()?;
+    let mut outs = pool.split_off(pool.len().saturating_sub(seg.outputs.len()));
+    outs.resize_with(seg.outputs.len(), BitStream::default);
+    outs.iter_mut().for_each(|s| s.reset_zeros(stream_len));
     let mut cta = Cta::new(kernel, config.threads);
     if let Some(plan) = config.fault {
         cta.arm_fault(plan);
@@ -710,19 +715,12 @@ fn run_fused(
         }
         let window_start = store_pos as i64 - left as i64;
         cx.windows_launched += 1;
-        let out = match cta.run_window(
-            kernel,
-            WindowInputs { basis: basis.streams(), globals: &globals },
-            window_start,
-            &mut metrics.counters,
-        ) {
-            Ok(out) => out,
-            Err(e) => {
-                result = Err(ExecError::Race(e));
-                break;
-            }
-        };
-        let required = info.required(&out.loop_trips);
+        let inputs = WindowInputs { basis: basis.streams(), globals: &globals };
+        if let Err(e) = cta.run_window(inputs, window_start, &mut metrics.counters) {
+            result = Err(ExecError::Race(e));
+            break;
+        }
+        let required = info.required(cta.loop_trips());
         let provided = Hull { left, right };
         if !required.fits(provided) {
             if required.total() > capacity {
@@ -744,7 +742,7 @@ fn run_fused(
         debug_assert!(store_end > store_pos, "window must make progress");
         let nbits = store_end - store_pos;
         let src_off = (store_pos as i64 - window_start) as usize;
-        for (dst, words) in outs.iter_mut().zip(&out.words) {
+        for (dst, words) in outs.iter_mut().zip(cta.output_words()) {
             blit_or(dst, store_pos, words, src_off, nbits);
         }
         overlap_bits += left + right;
@@ -753,18 +751,21 @@ fn run_fused(
         stored_windows += 1;
     }
     cx.fault_fired |= cta.fault_fired();
-    result?;
+    if let Err(e) = result {
+        pool.extend(outs);
+        return Err(e);
+    }
 
     if stored_windows > 0 {
-        let prev_weight = metrics.recompute_frac; // merge across segments conservatively
+        // Merged across segments conservatively: the worst one.
         let frac = overlap_bits as f64 / (overlap_bits + stored_bits).max(1) as f64;
-        metrics.recompute_frac = metrics.recompute_frac.max(frac).max(prev_weight);
+        metrics.recompute_frac = metrics.recompute_frac.max(frac);
         let avg = dyn_sum as f64 / stored_windows as f64;
         metrics.dynamic_overlap_avg = metrics.dynamic_overlap_avg.max(avg);
         metrics.dynamic_overlap_max = metrics.dynamic_overlap_max.max(dyn_max);
     }
     for (id, s) in seg.outputs.iter().zip(outs) {
-        scratch.env.commit(*id, s);
+        env.commit(*id, s);
     }
     Ok(())
 }
@@ -773,13 +774,13 @@ fn run_fused(
 /// interpreter's machine in the by-id environment the fused segments
 /// around it read and write, charged by [`Accounting`].
 fn run_sequential(
-    seg: &Segment,
+    stmts: &[Stmt],
     basis: &Basis,
     env: &mut ById,
     cx: &mut ExecCtx<'_>,
 ) -> Result<(), ExecError> {
     let mut seq = Accounting::new(&mut cx.metrics.counters, cx.stream_len, cx.config, None);
-    walk(&seg.stmts, env, &mut seq, basis, cx.ctl, None)?;
+    walk(stmts, env, &mut seq, basis, cx.ctl, None)?;
     Ok(())
 }
 
@@ -911,6 +912,48 @@ mod tests {
         let out = execute(&prog, &basis, &config).unwrap();
         assert_eq!(out.outputs[0].positions(), expect);
         assert!(out.metrics.fallbacks > 0);
+    }
+
+    #[test]
+    fn a_fallback_runs_alike_through_both_doors_and_keeps_the_scratch_stable() {
+        // The overlap-overflow fallback walks the plan's statement range
+        // of the program; the abandoned window buffers go back to the pool.
+        let mut input = b"a".to_vec();
+        for _ in 0..200 {
+            input.extend_from_slice(b"bc");
+        }
+        input.push(b'd');
+        let basis = Basis::transpose(&input);
+        let config = ExecConfig { scheme: Scheme::Zbs, threads: 2, ..ExecConfig::default() };
+        let mut prog = lower(&parse("a(bc)*d").unwrap());
+        apply_transforms(&mut prog, &config);
+        let one_shot = execute_prepared(&prog, &basis, &config).unwrap();
+        assert!(one_shot.metrics.fallbacks > 0);
+        let plan = BatchPlan::new(&prog, &config);
+        let mut scratch = ExecScratch::new();
+        let (mut warm, ctl) = (None, RunControl::unlimited());
+        for _ in 0..3 {
+            let out = plan.execute(&prog, &basis, &config, &mut scratch, &ctl).unwrap();
+            assert_eq!(out.outputs, one_shot.outputs);
+            assert_eq!(out.metrics, one_shot.metrics);
+            let held = (scratch.pooled_words(), scratch.pooled_streams());
+            assert_eq!(*warm.get_or_insert(held), held);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another scheme or merge size")]
+    fn a_plan_refuses_a_config_it_was_not_built_for() {
+        let prog = lower(&parse("ab").unwrap());
+        let plan = BatchPlan::new(&prog, &ExecConfig::for_scheme(Scheme::Sr));
+        let other = ExecConfig { merge_size: 2, ..ExecConfig::for_scheme(Scheme::Sr) };
+        let _ = plan.execute(
+            &prog,
+            &Basis::transpose(b"ab"),
+            &other,
+            &mut ExecScratch::new(),
+            &RunControl::unlimited(),
+        );
     }
 
     #[test]

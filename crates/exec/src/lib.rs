@@ -12,9 +12,9 @@
 //! and a sequential fallback for chains that outrun the window (§8.2).
 //!
 //! [`execute`] is the entry point; [`ExecMetrics`] carries everything the
-//! paper's Tables 4–6 report. Streaming engines keep one
-//! [`PreparedProgram`] per group, so a streaming window re-derives
-//! nothing about its program.
+//! paper's Tables 4–6 report. Engines keep one [`PreparedProgram`] (for
+//! streaming windows) and one [`BatchPlan`] (segments and compiled
+//! kernels, for batch scans) per group, so neither re-derives anything.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,7 +34,7 @@ pub use engine::{
 };
 pub use bitgen_passes::PassMetrics;
 pub use metrics::{ExecMetrics, Metrics};
-pub use prepared::{ClassStreams, PreparedProgram};
+pub use prepared::{BatchPlan, ClassStreams, PreparedProgram};
 pub use scheme::Scheme;
 // Convenience re-exports so executor callers can drive cancellation and
 // fault drills without importing the defining crates.

@@ -1,13 +1,18 @@
-//! Prepared streaming programs: everything about a stream program that
-//! does not depend on the input, derived once instead of once per window
-//! — the class table, the carry layout and the stream plan (DESIGN.md
-//! §10).
+//! Prepared programs: everything about a program that does not depend on
+//! the input, derived once instead of once per call — a stream program's
+//! class table, carry layout and stream plan; a batch program's segments,
+//! overlap analyses and compiled kernels, its [`BatchPlan`] (DESIGN.md §10).
 
 use crate::engine::{execute_streaming_window, ExecConfig, ExecError, ExecOutcome, ExecScratch};
+use crate::scheme::Scheme;
+use crate::segment::{intermediate_count, segment_program, SegmentKind};
 use bitgen_bitstream::{Basis, BitStream, CcCode};
 use bitgen_ir::{
-    ByteSet, CarryLayout, CarryState, InterpError, Op, Program, RunControl, SlotPlan,
+    ByteSet, CarryLayout, CarryState, InterpError, Op, Program, RunControl, SlotPlan, StreamId,
 };
+use bitgen_kernel::{compile, CodegenOptions, Compiled};
+use bitgen_passes::OverlapInfo;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The distinct byte classes of the programs prepared together, each with
@@ -235,5 +240,79 @@ impl PreparedProgram {
             ctl,
             carry,
         )
+    }
+}
+
+/// One segment of a [`BatchPlan`]: `program.stmts()[range]`, the streams
+/// crossing its boundary, and what running it interleaved reads.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedSegment {
+    pub(crate) range: Range<usize>,
+    pub(crate) inputs: Vec<StreamId>,
+    pub(crate) outputs: Vec<StreamId>,
+    /// `None`: the segment runs sequentially.
+    pub(crate) fused: Option<FusedPlan>,
+}
+
+/// A fused segment's overlap analysis, kernel and
+/// [`bitgen_kernel::Kernel::max_live_regs`] (a sweep over every register
+/// interval of the kernel).
+#[derive(Debug, Clone)]
+pub(crate) struct FusedPlan {
+    pub(crate) info: OverlapInfo,
+    pub(crate) compiled: Compiled,
+    pub(crate) max_live_regs: u32,
+}
+
+/// The batch counterpart of a [`PreparedProgram`]'s tables: a transformed
+/// program cut into segments for one scheme, every fused segment analysed
+/// and compiled to its kernel at one effective merge size — the paper's
+/// "generate and compile the kernel once, launch it per input".
+/// [`BatchPlan::execute`] only runs it.
+///
+/// The plan holds no statements: a segment is a range of the top-level
+/// statements of the program the plan was built from, and that program is
+/// what `execute` must be given.
+#[derive(Debug, Clone)]
+pub struct BatchPlan {
+    /// The scheme and effective merge size the plan is specific to.
+    pub(crate) key: (Scheme, usize),
+    pub(crate) segments: Vec<PlannedSegment>,
+    pub(crate) intermediates: usize,
+}
+
+impl BatchPlan {
+    /// Plans `prog` — transformed by [`crate::apply_transforms`] already,
+    /// or meant to run untransformed — for `config`'s scheme and merge
+    /// size.
+    pub fn new(prog: &Program, config: &ExecConfig) -> BatchPlan {
+        let key = BatchPlan::key_of(config);
+        let options = CodegenOptions { merge_size: key.1, ..CodegenOptions::default() };
+        let segments = segment_program(prog, key.0);
+        let intermediates = intermediate_count(&segments, prog);
+        // Segments are consecutive runs of whole top-level statements.
+        let mut at = 0;
+        let segments: Vec<PlannedSegment> = segments
+            .into_iter()
+            .map(|seg| {
+                let range = at..at + seg.stmts.len();
+                at = range.end;
+                let fused = (seg.kind == SegmentKind::Fused).then(|| {
+                    let sub = Program::new(seg.stmts, prog.num_streams(), seg.outputs.clone());
+                    let compiled = compile(&sub, &seg.inputs, &seg.outputs, &options);
+                    let max_live_regs = compiled.kernel.max_live_regs();
+                    FusedPlan { info: OverlapInfo::analyze(&sub), compiled, max_live_regs }
+                });
+                PlannedSegment { range, inputs: seg.inputs, outputs: seg.outputs, fused }
+            })
+            .collect();
+        debug_assert_eq!(at, prog.stmts().len(), "segments cover the program");
+        BatchPlan { key, segments, intermediates }
+    }
+
+    /// The scheme, and the merge size its kernels are compiled at.
+    pub(crate) fn key_of(config: &ExecConfig) -> (Scheme, usize) {
+        let merges = config.scheme.uses_barrier_merging();
+        (config.scheme, if merges { config.merge_size } else { 1 })
     }
 }

@@ -17,9 +17,10 @@
 use crate::counters::CtaCounters;
 use crate::fault::{FaultKind, FaultPlan};
 use bitgen_bitstream::BitStream;
-use bitgen_kernel::{KOp, KStmt, Kernel, WORD_BITS};
+use bitgen_kernel::{KOp, KStmt, Kernel, Reg, WORD_BITS};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// A shared-memory data race detected by the emulator.
 ///
@@ -49,26 +50,22 @@ pub struct WindowInputs<'a> {
     pub basis: &'a [BitStream; 8],
     /// Materialised global input streams (full length), indexed by the
     /// kernel's `LoadGlobal` table.
-    pub globals: &'a [BitStream],
+    pub globals: &'a [&'a BitStream],
 }
 
-/// Result of executing one window.
-#[derive(Debug, Clone)]
-pub struct WindowOutput {
-    /// Per output stream: the T words the CTA computed for this window.
-    pub words: Vec<Vec<u32>>,
-    /// Per dynamic site: trips taken by each `while` loop, or the longest
-    /// carry-feeding run (bits) observed by each `add`, during this
-    /// window.
-    pub loop_trips: Vec<u64>,
-}
-
-/// A reusable CTA execution context.
+/// A reusable CTA execution context for one kernel.
+///
+/// Registers, shared memory and the window's output words each live in
+/// one flat buffer (`index × threads + thread`), allocated once here and
+/// rewritten in place by every window: executing allocates nothing.
 #[derive(Debug)]
-pub struct Cta {
+pub struct Cta<'k> {
+    kernel: &'k Kernel,
     threads: usize,
-    regs: Vec<Vec<u32>>,
-    smem: Vec<Vec<u32>>,
+    regs: Vec<u32>,
+    smem: Vec<u32>,
+    out_words: Vec<u32>,
+    loop_trips: Vec<u64>,
     /// Per-slot epoch flags for race checking.
     stored_since_barrier: Vec<bool>,
     read_since_barrier: Vec<bool>,
@@ -78,24 +75,59 @@ pub struct Cta {
     fault_fired: bool,
 }
 
-impl Cta {
+/// Checks once, for every path of the kernel including bodies a window
+/// may skip, that each register and shared-memory slot it names is inside
+/// the file it declares.
+fn check_bounds(stmts: &[KStmt], kernel: &Kernel) {
+    let (regs, slots) = (kernel.num_regs, kernel.num_slots);
+    for stmt in stmts {
+        let in_bounds = match stmt {
+            KStmt::Op(op) => {
+                op.regs().all(|r| r.0 < regs)
+                    && match op {
+                        KOp::SmemStore { slot, .. } | KOp::ShiftRead { slot, .. } => slot.0 < slots,
+                        _ => true,
+                    }
+            }
+            KStmt::If { cond, body } | KStmt::While { cond, body, .. } => {
+                check_bounds(body, kernel);
+                cond.0 < regs
+            }
+        };
+        assert!(in_bounds, "{stmt:?} is outside the kernel's {regs} registers and {slots} slots");
+    }
+}
+
+impl<'k> Cta<'k> {
     /// Creates an execution context for `kernel` with `threads` threads.
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero.
-    pub fn new(kernel: &Kernel, threads: usize) -> Cta {
+    /// Panics if `threads` is zero, or if `kernel` names a register or a
+    /// shared-memory slot outside the `num_regs` / `num_slots` it
+    /// declares (a code generator bug; hand-built kernels meet it too).
+    pub fn new(kernel: &'k Kernel, threads: usize) -> Cta<'k> {
         assert!(threads > 0, "a CTA needs at least one thread");
+        check_bounds(&kernel.stmts, kernel);
         Cta {
+            kernel,
             threads,
-            regs: vec![vec![0; threads]; kernel.num_regs as usize],
-            smem: vec![vec![0; threads]; kernel.num_slots as usize],
+            regs: vec![0; kernel.num_regs as usize * threads],
+            smem: vec![0; kernel.num_slots as usize * threads],
+            out_words: vec![0; kernel.num_outputs as usize * threads],
+            loop_trips: vec![0; kernel.num_sites as usize],
             stored_since_barrier: vec![false; kernel.num_slots as usize],
             read_since_barrier: vec![false; kernel.num_slots as usize],
             fault: None,
             fault_countdown: 0,
             fault_fired: false,
         }
+    }
+
+    /// Where the `threads` words of entry `index` of a flat file live.
+    fn lanes(&self, index: u32) -> Range<usize> {
+        let at = index as usize * self.threads;
+        at..at + self.threads
     }
 
     /// Arms a single-shot [`FaultPlan`]: the trigger-th occurrence of the
@@ -134,8 +166,10 @@ impl Cta {
         self.threads * WORD_BITS
     }
 
-    /// Executes `kernel` over the window starting at bit `start`
-    /// (negative starts read zeros), updating `counters`.
+    /// Executes the kernel over the window starting at bit `start`
+    /// (negative starts read zeros), updating `counters`; the results are
+    /// in [`Cta::output_words`] and [`Cta::loop_trips`] until the next
+    /// window.
     ///
     /// # Errors
     ///
@@ -143,18 +177,17 @@ impl Cta {
     /// discipline.
     pub fn run_window(
         &mut self,
-        kernel: &Kernel,
         inputs: WindowInputs<'_>,
         start: i64,
         counters: &mut CtaCounters,
-    ) -> Result<WindowOutput, RaceError> {
+    ) -> Result<(), RaceError> {
         // Fresh register state per window: interleaved execution never
         // forwards values between iterations (that is the whole point of
         // recomputation), and stale values would mask missing-overlap
         // bugs.
-        for r in &mut self.regs {
-            r.iter_mut().for_each(|w| *w = 0);
-        }
+        self.regs.fill(0);
+        self.out_words.fill(0);
+        self.loop_trips.fill(0);
         // Race-check flags deliberately persist across windows: the real
         // kernel's block loop runs back-to-back iterations, so a trailing
         // barrier elided at the end of one iteration races with the first
@@ -163,30 +196,37 @@ impl Cta {
         if self.fault_due(FaultKind::Panic).is_some() {
             panic!("injected fault: forced panic on window entry");
         }
-        let mut out = WindowOutput {
-            words: vec![vec![0; self.threads]; kernel.num_outputs as usize],
-            loop_trips: vec![0; kernel.num_sites as usize],
-        };
-        self.run_stmts(kernel.stmts.as_slice(), inputs, start, counters, &mut out)?;
+        let kernel = self.kernel;
+        self.run_stmts(&kernel.stmts, inputs, start, counters)?;
         if let Some(bits) = self.fault_due(FaultKind::CorruptTrips) {
             // Zero a recorded trip count: under-reporting the dynamic
             // reach is the dangerous direction (over-reporting only makes
             // the executor more conservative).
-            if !out.loop_trips.is_empty() {
-                let i = bits as usize % out.loop_trips.len();
-                out.loop_trips[i] = 0;
+            if !self.loop_trips.is_empty() {
+                let i = bits as usize % self.loop_trips.len();
+                self.loop_trips[i] = 0;
             }
         }
         if let Some(bits) = self.fault_due(FaultKind::CorruptCounter) {
             counters.window_iterations =
                 counters.window_iterations.wrapping_add(1 + bits % 3);
         }
-        for (slot, trips) in out.loop_trips.iter().enumerate() {
-            if let Some(t) = counters.loop_trips.get_mut(slot) {
-                *t += trips;
-            }
+        for (total, trips) in counters.loop_trips.iter_mut().zip(&self.loop_trips) {
+            *total += trips;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Per output stream, in order: the T words the last window computed.
+    pub fn output_words(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.out_words.chunks_exact(self.threads)
+    }
+
+    /// Per dynamic site: trips taken by each `while` loop, or the longest
+    /// carry-feeding run (bits) observed by each `add`, during the last
+    /// window.
+    pub fn loop_trips(&self) -> &[u64] {
+        &self.loop_trips
     }
 
     fn run_stmts(
@@ -195,17 +235,16 @@ impl Cta {
         inputs: WindowInputs<'_>,
         start: i64,
         counters: &mut CtaCounters,
-        out: &mut WindowOutput,
     ) -> Result<(), RaceError> {
         for stmt in stmts {
             match stmt {
-                KStmt::Op(op) => self.exec(op, inputs, start, counters, out)?,
+                KStmt::Op(op) => self.exec(op, inputs, start, counters)?,
                 KStmt::If { cond, body } => {
                     counters.reductions += 1;
                     if self.any(*cond) {
-                        self.run_stmts(body, inputs, start, counters, out)?;
+                        self.run_stmts(body, inputs, start, counters)?;
                     } else {
-                        counters.skipped_ops += count_ops(body);
+                        counters.skipped_ops += KStmt::count_ops(body) as u64;
                     }
                 }
                 KStmt::While { cond, body, site } => {
@@ -219,8 +258,8 @@ impl Cta {
                         }
                         assert!(fuel > 0, "kernel while-loop exceeded its fixpoint bound");
                         fuel -= 1;
-                        out.loop_trips[*site as usize] += 1;
-                        self.run_stmts(body, inputs, start, counters, out)?;
+                        self.loop_trips[*site as usize] += 1;
+                        self.run_stmts(body, inputs, start, counters)?;
                     }
                 }
             }
@@ -234,31 +273,20 @@ impl Cta {
         inputs: WindowInputs<'_>,
         start: i64,
         counters: &mut CtaCounters,
-        out: &mut WindowOutput,
     ) -> Result<(), RaceError> {
         match op {
             KOp::LoadBasis { dst, bit } => {
-                counters.global_load_words += self.threads as u64;
-                let words = read_window_words(&inputs.basis[*bit as usize], start, self.threads);
-                self.regs[dst.0 as usize] = words;
+                self.load(*dst, &inputs.basis[*bit as usize], start, counters)
             }
             KOp::LoadGlobal { dst, input } => {
-                counters.global_load_words += self.threads as u64;
-                let words = read_window_words(&inputs.globals[*input as usize], start, self.threads);
-                self.regs[dst.0 as usize] = words;
+                self.load(*dst, inputs.globals[*input as usize], start, counters)
             }
             KOp::Const { dst, ones } => {
                 counters.alu_ops += 1;
-                let v = if *ones { u32::MAX } else { 0 };
-                self.regs[dst.0 as usize].iter_mut().for_each(|w| *w = v);
+                let dst = self.lanes(dst.0);
+                self.regs[dst].fill(if *ones { u32::MAX } else { 0 });
             }
-            KOp::Not { dst, a } => {
-                counters.alu_ops += 1;
-                for t in 0..self.threads {
-                    let v = self.regs[a.0 as usize][t];
-                    self.regs[dst.0 as usize][t] = !v;
-                }
-            }
+            KOp::Not { dst, a } => self.binop(*dst, *a, *a, counters, |x, _| !x),
             KOp::And { dst, a, b } => self.binop(*dst, *a, *b, counters, |x, y| x & y),
             KOp::Add { dst, a, b, site } => {
                 // Window-wide long addition: on hardware a CTA-level
@@ -268,14 +296,16 @@ impl Cta {
                 counters.smem_stores += 1;
                 counters.smem_loads += 1;
                 counters.barriers += 2;
+                let (dst, a, b) =
+                    (self.lanes(dst.0).start, self.lanes(a.0).start, self.lanes(b.0).start);
                 let mut carry = 0u64;
                 let mut run = 0u64;
                 let mut max_run = 0u64;
                 for t in 0..self.threads {
-                    let va = self.regs[a.0 as usize][t] as u64;
-                    let vb = self.regs[b.0 as usize][t] as u64;
+                    let va = self.regs[a + t] as u64;
+                    let vb = self.regs[b + t] as u64;
                     let sum = va + vb + carry;
-                    self.regs[dst.0 as usize][t] = sum as u32;
+                    self.regs[dst + t] = sum as u32;
                     carry = sum >> 32;
                     // The *exact* carry reach: positions receiving a
                     // carry-in are `sum ⊕ a ⊕ b`; the longest consecutive
@@ -293,15 +323,15 @@ impl Cta {
                         carry_in >>= 1;
                     }
                 }
-                let slot = &mut out.loop_trips[*site as usize];
+                let slot = &mut self.loop_trips[*site as usize];
                 *slot = (*slot).max(max_run);
             }
             KOp::Or { dst, a, b } => self.binop(*dst, *a, *b, counters, |x, y| x | y),
             KOp::Xor { dst, a, b } => self.binop(*dst, *a, *b, counters, |x, y| x ^ y),
             KOp::Copy { dst, a } => {
                 counters.alu_ops += 1;
-                let v = self.regs[a.0 as usize].clone();
-                self.regs[dst.0 as usize] = v;
+                let (dst, a) = (self.lanes(dst.0), self.lanes(a.0));
+                self.regs.copy_within(a, dst.start);
             }
             KOp::SmemStore { slot, src } => {
                 counters.smem_stores += 1;
@@ -314,11 +344,12 @@ impl Cta {
                     });
                 }
                 self.stored_since_barrier[s] = true;
-                self.smem[s].clone_from(&self.regs[src.0 as usize]);
+                let (words, src) = (self.lanes(slot.0), self.lanes(src.0));
+                self.smem[words.clone()].copy_from_slice(&self.regs[src]);
                 if let Some(bits) = self.fault_due(FaultKind::SmemFlip) {
                     let word = bits as usize % self.threads;
                     let bit = (bits >> 8) % 32;
-                    self.smem[s][word] ^= 1 << bit;
+                    self.smem[words.start + word] ^= 1 << bit;
                 }
             }
             KOp::Barrier => {
@@ -328,8 +359,8 @@ impl Cta {
                 if self.fault_due(FaultKind::SkipBarrier).is_some() {
                     return Ok(());
                 }
-                self.stored_since_barrier.iter_mut().for_each(|f| *f = false);
-                self.read_since_barrier.iter_mut().for_each(|f| *f = false);
+                self.stored_since_barrier.fill(false);
+                self.read_since_barrier.fill(false);
             }
             KOp::ShiftRead { dst, slot, shift } => {
                 counters.smem_loads += 1;
@@ -343,90 +374,64 @@ impl Cta {
                     });
                 }
                 self.read_since_barrier[s] = true;
-                let src = &self.smem[s];
-                let mut words = vec![0u32; self.threads];
-                for (t, w) in words.iter_mut().enumerate() {
+                let (dst, src) = (self.lanes(dst.0), &self.smem[self.lanes(slot.0)]);
+                for (t, w) in self.regs[dst].iter_mut().enumerate() {
                     // Window-level shift: destination window bit i reads
                     // source window bit i - shift (advance) — bits outside
                     // the window read as zero.
                     let bit_start = t as i64 * WORD_BITS as i64 - shift;
                     *w = gather_word(src, bit_start);
                 }
-                self.regs[dst.0 as usize] = words;
             }
             KOp::StoreGlobal { output, src } => {
                 counters.global_store_words += self.threads as u64;
-                out.words[*output as usize].clone_from(&self.regs[src.0 as usize]);
+                let (words, src) = (self.lanes(*output), self.lanes(src.0));
+                self.out_words[words].copy_from_slice(&self.regs[src]);
             }
         }
         Ok(())
     }
 
+    /// Loads this window's words of `stream` (zero outside it) into `dst`.
+    fn load(&mut self, dst: Reg, stream: &BitStream, start: i64, counters: &mut CtaCounters) {
+        counters.global_load_words += self.threads as u64;
+        let dst = self.lanes(dst.0);
+        for (t, w) in self.regs[dst].iter_mut().enumerate() {
+            *w = stream_word(stream, start + (t * WORD_BITS) as i64);
+        }
+    }
+
+    /// `dst[t] = f(a[t], b[t])` on every lane; `dst` may be `a` or `b`.
     fn binop(
         &mut self,
-        dst: bitgen_kernel::Reg,
-        a: bitgen_kernel::Reg,
-        b: bitgen_kernel::Reg,
+        dst: Reg,
+        a: Reg,
+        b: Reg,
         counters: &mut CtaCounters,
         f: impl Fn(u32, u32) -> u32,
     ) {
         counters.alu_ops += 1;
-        let n = self.threads;
-        for t in 0..n {
-            let va = self.regs[a.0 as usize][t];
-            let vb = self.regs[b.0 as usize][t];
-            self.regs[dst.0 as usize][t] = f(va, vb);
+        let (dst, a, b) = (self.lanes(dst.0).start, self.lanes(a.0).start, self.lanes(b.0).start);
+        for t in 0..self.threads {
+            self.regs[dst + t] = f(self.regs[a + t], self.regs[b + t]);
         }
     }
 
     /// CTA-wide `any` reduction of a register (the `atomicOr` of §6).
-    fn any(&self, reg: bitgen_kernel::Reg) -> bool {
-        self.regs[reg.0 as usize].iter().any(|&w| w != 0)
+    fn any(&self, reg: Reg) -> bool {
+        self.regs[self.lanes(reg.0)].iter().any(|&w| w != 0)
     }
-}
-
-/// Counts instructions in a body (for the skipped-ops metric).
-fn count_ops(stmts: &[KStmt]) -> u64 {
-    stmts
-        .iter()
-        .map(|s| match s {
-            KStmt::Op(_) => 1,
-            KStmt::If { body, .. } | KStmt::While { body, .. } => count_ops(body),
-        })
-        .sum()
-}
-
-/// Reads `threads` consecutive 32-bit words of `stream` starting at bit
-/// `start` (positions outside the stream read as zero).
-pub fn read_window_words(stream: &BitStream, start: i64, threads: usize) -> Vec<u32> {
-    (0..threads)
-        .map(|t| {
-            let bit = start + (t * WORD_BITS) as i64;
-            stream_word(stream, bit)
-        })
-        .collect()
 }
 
 /// Extracts the 32-bit word of `stream` starting at signed bit offset
-/// `start`.
+/// `start`. Positions outside the stream read as zero: outside its words
+/// here, past its length inside its last word by `BitStream`'s invariant.
 fn stream_word(stream: &BitStream, start: i64) -> u32 {
     let words = stream.as_words();
-    let len = stream.len() as i64;
-    let mut out = 0u32;
-    // Fast path: aligned and fully in range.
-    if start >= 0 && start % 64 == 0 && start + 32 <= len {
-        return (words[(start / 64) as usize] & 0xffff_ffff) as u32;
-    }
-    for j in 0..32i64 {
-        let p = start + j;
-        if p >= 0 && p < len {
-            let w = words[(p / 64) as usize];
-            if w >> (p % 64) & 1 == 1 {
-                out |= 1 << j;
-            }
-        }
-    }
-    out
+    let word = |i: i64| usize::try_from(i).ok().and_then(|i| words.get(i)).map_or(0, |&w| w);
+    let (at, off) = (start.div_euclid(64), start.rem_euclid(64) as u32);
+    let hi = if off > 32 { word(at + 1) << (64 - off) } else { 0 };
+    (word(at) >> off | hi) as u32
 }
 
 /// Extracts a 32-bit word from a T-word slot array at signed window-bit
@@ -467,18 +472,12 @@ mod tests {
         let basis = basis_for(input);
         let mut cta = Cta::new(&compiled.kernel, threads);
         let mut counters = CtaCounters::new(compiled.kernel.num_sites as usize);
-        let out = cta
-            .run_window(
-                &compiled.kernel,
-                WindowInputs { basis: &basis, globals: &[] },
-                0,
-                &mut counters,
-            )
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut counters)
             .expect("no races in generated kernels");
         // Collect set bits below the stream length.
         let len = input.len() + 1;
         let mut ends = Vec::new();
-        for (t, w) in out.words[0].iter().enumerate() {
+        for (t, w) in cta.output_words().next().unwrap().iter().enumerate() {
             for j in 0..32 {
                 let pos = t * 32 + j;
                 if pos < len && w >> j & 1 == 1 {
@@ -514,12 +513,13 @@ mod tests {
     #[test]
     fn window_offsets_read_zero_outside() {
         let stream = BitStream::from_positions(64, &[0, 5, 63]);
-        let w = read_window_words(&stream, -32, 3);
-        assert_eq!(w[0], 0);
-        assert_eq!(w[1], 0b100001);
-        let tail = read_window_words(&stream, 32, 2);
-        assert_eq!(tail[0] >> 31, 1);
-        assert_eq!(tail[1], 0);
+        let words = |start: i64| [0, 32, 64].map(|at| stream_word(&stream, start + at));
+        assert_eq!(words(-32), [0, 0b100001, 1 << 31]);
+        assert_eq!(words(32), [1 << 31, 0, 0]);
+        // Unaligned reads straddle 64-bit words and both ends.
+        assert_eq!(words(-1), [0b1000010, 0, 1]);
+        assert_eq!(words(33), [1 << 30, 0, 0]);
+        assert_eq!(words(-64), [0, 0, 0b100001]);
     }
 
     #[test]
@@ -551,7 +551,7 @@ mod tests {
         let mut cta = Cta::new(&kernel, 2);
         let mut c = CtaCounters::new(0);
         let err = cta
-            .run_window(&kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
+            .run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
             .unwrap_err();
         assert!(err.to_string().contains("race"));
     }
@@ -577,8 +577,38 @@ mod tests {
         let mut cta = Cta::new(&kernel, 2);
         let mut c = CtaCounters::new(0);
         assert!(cta
-            .run_window(&kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
+            .run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
             .is_err());
+    }
+
+    #[test]
+    fn out_of_range_registers_and_slots_are_refused_before_any_window() {
+        // In a flat register file an index past the end is still a panic,
+        // but only on the path that executes it; the constructor refuses
+        // the kernel whole, skipped bodies and loop conditions included.
+        let kernel = |stmts: Vec<KStmt>| Kernel {
+            stmts,
+            num_regs: 2,
+            num_slots: 1,
+            num_inputs: 0,
+            num_outputs: 0,
+            num_sites: 1,
+        };
+        let good = KStmt::Op(KOp::And { dst: Reg(1), a: Reg(0), b: Reg(1) });
+        let refused = |stmt: KStmt| {
+            let k = kernel(vec![good.clone(), stmt]);
+            std::panic::catch_unwind(|| Cta::new(&k, 4).window_bits()).is_err()
+        };
+        assert!(!refused(good.clone()));
+        assert!(refused(KStmt::Op(KOp::And { dst: Reg(1), a: Reg(0), b: Reg(2) })));
+        assert!(refused(KStmt::Op(KOp::Const { dst: Reg(2), ones: true })));
+        assert!(refused(KStmt::Op(KOp::StoreGlobal { output: 0, src: Reg(7) })));
+        assert!(refused(KStmt::Op(KOp::SmemStore { slot: Slot(1), src: Reg(0) })));
+        assert!(refused(KStmt::Op(KOp::ShiftRead { dst: Reg(0), slot: Slot(3), shift: 1 })));
+        assert!(refused(KStmt::While { cond: Reg(2), body: [].into(), site: 0 }));
+        // Reg(0) stays zero, so this body never runs.
+        let hidden = KStmt::Op(KOp::Not { dst: Reg(5), a: Reg(0) });
+        assert!(refused(KStmt::If { cond: Reg(0), body: [hidden].into() }));
     }
 
     #[test]
@@ -593,7 +623,7 @@ mod tests {
         let basis = basis_for(b"abbcdedef abbbbcf");
         let mut cta = Cta::new(&compiled.kernel, 8);
         let mut c = CtaCounters::new(compiled.kernel.num_sites as usize);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
             .expect("generated kernel must be race-free");
         assert!(c.barriers > 0);
     }
@@ -605,8 +635,7 @@ mod tests {
         let basis = basis_for(b"abcbcd");
         let mut cta = Cta::new(&compiled.kernel, 2);
         let mut c = CtaCounters::new(compiled.kernel.num_sites as usize);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
-            .unwrap();
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
         assert!(c.alu_ops > 0);
         assert!(c.barriers >= 2);
         assert!(c.reductions >= 1);
@@ -624,8 +653,7 @@ mod tests {
         let basis = basis_for(b"bobcat");
         let mut cta = Cta::new(&compiled.kernel, 2);
         let mut c = CtaCounters::new(0);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
-            .unwrap();
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
         assert!(!cta.fault_fired());
     }
 
@@ -642,15 +670,9 @@ mod tests {
                 cta.arm_fault(p);
             }
             let mut c = CtaCounters::new(compiled.kernel.num_sites as usize);
-            let out = cta
-                .run_window(
-                    &compiled.kernel,
-                    WindowInputs { basis: &basis, globals: &[] },
-                    0,
-                    &mut c,
-                )
-                .unwrap();
-            (out.words, cta.fault_fired())
+            cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
+            let words: Vec<Vec<u32>> = cta.output_words().map(<[u32]>::to_vec).collect();
+            (words, cta.fault_fired())
         };
         let (clean, fired) = run(None);
         assert!(!fired);
@@ -679,12 +701,7 @@ mod tests {
         let mut cta = Cta::new(&compiled.kernel, 2);
         cta.arm_fault(FaultPlan { kind: FaultKind::Panic, trigger: 1, seed: 0 });
         let mut c = CtaCounters::new(0);
-        let _ = cta.run_window(
-            &compiled.kernel,
-            WindowInputs { basis: &basis, globals: &[] },
-            0,
-            &mut c,
-        );
+        let _ = cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c);
     }
 
     #[test]
@@ -695,8 +712,7 @@ mod tests {
         let mut cta = Cta::new(&compiled.kernel, 2);
         cta.arm_fault(FaultPlan { kind: FaultKind::CorruptCounter, trigger: 1, seed: 3 });
         let mut c = CtaCounters::new(0);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
-            .unwrap();
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
         assert!(cta.fault_fired());
         assert!(c.window_iterations > 1, "counter must be inflated past the true 1");
     }
@@ -709,8 +725,7 @@ mod tests {
         let mut cta = Cta::new(&compiled.kernel, 2);
         cta.arm_fault(FaultPlan { kind: FaultKind::Panic, trigger: 1000, seed: 0 });
         let mut c = CtaCounters::new(0);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
-            .unwrap();
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
         assert!(!cta.fault_fired());
     }
 
@@ -724,8 +739,7 @@ mod tests {
         let basis = basis_for(b"zzzzzzzz");
         let mut cta = Cta::new(&compiled.kernel, 2);
         let mut c = CtaCounters::new(compiled.kernel.num_sites as usize);
-        cta.run_window(&compiled.kernel, WindowInputs { basis: &basis, globals: &[] }, 0, &mut c)
-            .unwrap();
+        cta.run_window(WindowInputs { basis: &basis, globals: &[] }, 0, &mut c).unwrap();
         assert!(c.skipped_ops > 0, "guards should have skipped work");
     }
 }

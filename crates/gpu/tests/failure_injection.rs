@@ -27,11 +27,11 @@ fn without_barrier(kernel: &Kernel, n: usize) -> Option<Kernel> {
                 KStmt::Op(_) => out.push(s.clone()),
                 KStmt::If { cond, body } => out.push(KStmt::If {
                     cond: *cond,
-                    body: strip(body, remaining),
+                    body: strip(body, remaining).into(),
                 }),
                 KStmt::While { cond, body, site } => out.push(KStmt::While {
                     cond: *cond,
-                    body: strip(body, remaining),
+                    body: strip(body, remaining).into(),
                     site: *site,
                 }),
             }
@@ -53,13 +53,8 @@ fn run(kernel: &Kernel, input: &[u8], threads: usize) -> Result<(), String> {
     // Two back-to-back windows, as in the real block loop: a trailing
     // barrier omission only races against the *next* iteration's stores.
     for start in [0i64, (threads * 32) as i64] {
-        cta.run_window(
-            kernel,
-            WindowInputs { basis: basis.streams(), globals: &[] },
-            start,
-            &mut counters,
-        )
-        .map_err(|e| e.to_string())?;
+        cta.run_window(WindowInputs { basis: basis.streams(), globals: &[] }, start, &mut counters)
+            .map_err(|e| e.to_string())?;
     }
     Ok(())
 }

@@ -92,6 +92,7 @@ pub fn compile(
         num_slots: 0,
         num_sites: 0,
         cse_regs: 0,
+        dense: HashMap::new(),
         stats: CodegenStats::default(),
         circuit_cache: HashMap::new(),
     };
@@ -103,34 +104,30 @@ pub fn compile(
     }
     for (bit, used) in basis_used.iter().enumerate() {
         if *used {
-            stmts.push(KStmt::Op(KOp::LoadBasis {
-                dst: Reg(cg.basis_reg_base + bit as u32),
-                bit: bit as u8,
-            }));
+            let dst = cg.dense(cg.basis_reg_base + bit as u32);
+            stmts.push(KStmt::Op(KOp::LoadBasis { dst, bit: bit as u8 }));
         }
     }
     // Load materialised segment inputs.
     for (i, &id) in inputs.iter().enumerate() {
-        stmts.push(KStmt::Op(KOp::LoadGlobal { dst: reg(id), input: i as u32 }));
+        stmts.push(KStmt::Op(KOp::LoadGlobal { dst: cg.reg(id), input: i as u32 }));
     }
     cg.gen_stmts(program.stmts(), &mut stmts);
     // Store outputs.
     for (i, &id) in outputs.iter().enumerate() {
-        stmts.push(KStmt::Op(KOp::StoreGlobal { output: i as u32, src: reg(id) }));
+        stmts.push(KStmt::Op(KOp::StoreGlobal { output: i as u32, src: cg.reg(id) }));
     }
+    // Kernels stay resident for the life of an engine: no spare capacity.
+    stmts.shrink_to_fit();
     let kernel = Kernel {
         stmts,
-        num_regs: cg.scratch_base + SCRATCH_SLOTS + cg.cse_regs,
+        num_regs: cg.dense.len() as u32,
         num_slots: cg.num_slots.max(1),
         num_inputs: inputs.len() as u32,
         num_outputs: outputs.len() as u32,
         num_sites: cg.num_sites,
     };
     Compiled { kernel, stats: cg.stats }
-}
-
-fn reg(id: StreamId) -> Reg {
-    Reg(id.0)
 }
 
 fn mark_basis(e: &CcExpr, used: &mut [bool; 8]) {
@@ -155,6 +152,11 @@ struct Codegen {
     num_sites: u32,
     /// Registers holding shared circuit nodes (allocated past scratch).
     cse_regs: u32,
+    /// Dense register of every virtual register (one per stream, basis
+    /// word, scratch level and shared circuit node) an instruction has
+    /// named so far, numbered in first-touch order: the kernel's register
+    /// file holds exactly the registers it references.
+    dense: HashMap<u32, Reg>,
     stats: CodegenStats,
     circuit_cache: HashMap<bitgen_regex::ByteSet, CcExpr>,
 }
@@ -164,6 +166,15 @@ struct Codegen {
 const SCRATCH_SLOTS: u32 = 32;
 
 impl Codegen {
+    fn dense(&mut self, virt: u32) -> Reg {
+        let next = Reg(self.dense.len() as u32);
+        *self.dense.entry(virt).or_insert(next)
+    }
+
+    fn reg(&mut self, id: StreamId) -> Reg {
+        self.dense(id.0)
+    }
+
     fn gen_stmts(&mut self, stmts: &[Stmt], out: &mut Vec<KStmt>) {
         let mut run: Vec<Op> = Vec::new();
         for stmt in stmts {
@@ -173,7 +184,7 @@ impl Codegen {
                     self.flush_run(&mut run, out);
                     let mut kbody = Vec::new();
                     self.gen_stmts(body, &mut kbody);
-                    out.push(KStmt::If { cond: reg(*cond), body: kbody });
+                    out.push(KStmt::If { cond: self.reg(*cond), body: kbody.into() });
                 }
                 Stmt::While { cond, body } => {
                     self.flush_run(&mut run, out);
@@ -181,7 +192,7 @@ impl Codegen {
                     self.num_sites += 1;
                     let mut kbody = Vec::new();
                     self.gen_stmts(body, &mut kbody);
-                    out.push(KStmt::While { cond: reg(*cond), body: kbody, site });
+                    out.push(KStmt::While { cond: self.reg(*cond), body: kbody.into(), site });
                 }
             }
         }
@@ -218,7 +229,7 @@ impl Codegen {
         let mut cse: HashMap<CcExpr, Reg> = HashMap::new();
         for (i, op) in block.iter().enumerate() {
             if let Some(&gi) = anchored.get(&i) {
-                self.emit_group(&groups[gi], block, out);
+                self.emit_group(&groups[gi], out);
             }
             if swallowed.contains_key(&i) {
                 continue; // emitted by its group
@@ -282,7 +293,7 @@ impl Codegen {
 
     /// Emits one shift group: distinct sources go to shared memory once,
     /// one barrier, all shifted reads, one barrier.
-    fn emit_group(&mut self, group: &ShiftGroup, _block: &[Op], out: &mut Vec<KStmt>) {
+    fn emit_group(&mut self, group: &ShiftGroup, out: &mut Vec<KStmt>) {
         self.stats.shift_groups += 1;
         let mut slot_of: HashMap<StreamId, Slot> = HashMap::new();
         for (_, op) in &group.members {
@@ -295,7 +306,7 @@ impl Codegen {
             }
             let slot = Slot(slot_of.len() as u32);
             slot_of.insert(src, slot);
-            out.push(KStmt::Op(KOp::SmemStore { slot, src: reg(src) }));
+            out.push(KStmt::Op(KOp::SmemStore { slot, src: self.reg(src) }));
         }
         self.num_slots = self.num_slots.max(slot_of.len() as u32);
         out.push(KStmt::Op(KOp::Barrier));
@@ -305,72 +316,45 @@ impl Codegen {
                 Op::Retreat { dst, src, amount } => (*dst, *src, -(*amount as i64)),
                 other => unreachable!("non-shift {other:?} in group"),
             };
-            out.push(KStmt::Op(KOp::ShiftRead { dst: reg(dst), slot: slot_of[&src], shift }));
+            out.push(KStmt::Op(KOp::ShiftRead { dst: self.reg(dst), slot: slot_of[&src], shift }));
         }
         out.push(KStmt::Op(KOp::Barrier));
     }
 
     fn emit_op(&mut self, op: &Op, out: &mut Vec<KStmt>, cse: &mut HashMap<CcExpr, Reg>) {
-        match op {
-            Op::MatchCc { dst, class } => {
-                let circuit = self
-                    .circuit_cache
-                    .entry(*class)
-                    .or_insert_with(|| compile_class(class))
-                    .clone();
-                if self.options.class_cse {
-                    let root = self.emit_circuit_cse(&circuit, out, cse);
-                    out.push(KStmt::Op(KOp::Copy { dst: reg(*dst), a: root }));
-                } else {
-                    let used = self.emit_circuit(&circuit, reg(*dst), 0, out);
-                    self.scratch_used = self.scratch_used.max(used);
-                }
+        if let Op::MatchCc { dst, class } = op {
+            let circuit = self
+                .circuit_cache
+                .entry(*class)
+                .or_insert_with(|| compile_class(class))
+                .clone();
+            if self.options.class_cse {
+                let root = self.emit_circuit_cse(&circuit, out, cse);
+                out.push(KStmt::Op(KOp::Copy { dst: self.reg(*dst), a: root }));
+            } else {
+                let target = self.reg(*dst);
+                let used = self.emit_circuit(&circuit, target, 0, out);
+                self.scratch_used = self.scratch_used.max(used);
             }
-            Op::And { dst, a, b } => {
-                out.push(KStmt::Op(KOp::And { dst: reg(*dst), a: reg(*a), b: reg(*b) }))
-            }
-            Op::Or { dst, a, b } => {
-                out.push(KStmt::Op(KOp::Or { dst: reg(*dst), a: reg(*a), b: reg(*b) }))
-            }
-            Op::Add { dst, a, b } => {
-                let site = self.num_sites;
-                self.num_sites += 1;
-                out.push(KStmt::Op(KOp::Add { dst: reg(*dst), a: reg(*a), b: reg(*b), site }))
-            }
-            Op::Xor { dst, a, b } => {
-                out.push(KStmt::Op(KOp::Xor { dst: reg(*dst), a: reg(*a), b: reg(*b) }))
-            }
-            Op::Not { dst, src } => {
-                out.push(KStmt::Op(KOp::Not { dst: reg(*dst), a: reg(*src) }))
-            }
-            Op::Assign { dst, src } => {
-                out.push(KStmt::Op(KOp::Copy { dst: reg(*dst), a: reg(*src) }))
-            }
-            Op::Zero { dst } => out.push(KStmt::Op(KOp::Const { dst: reg(*dst), ones: false })),
-            Op::Ones { dst } => out.push(KStmt::Op(KOp::Const { dst: reg(*dst), ones: true })),
-            Op::Advance { dst, src, amount } => {
-                // Ungrouped path (never taken from gen_block, which groups
-                // every shift; kept for direct callers).
-                self.emit_group(
-                    &ShiftGroup {
-                        anchor: 0,
-                        members: vec![(0, Op::Advance { dst: *dst, src: *src, amount: *amount })],
-                    },
-                    &[],
-                    out,
-                );
-            }
-            Op::Retreat { dst, src, amount } => {
-                self.emit_group(
-                    &ShiftGroup {
-                        anchor: 0,
-                        members: vec![(0, Op::Retreat { dst: *dst, src: *src, amount: *amount })],
-                    },
-                    &[],
-                    out,
-                );
-            }
+            return;
         }
+        let site = self.num_sites;
+        let mut r = |id: &StreamId| self.reg(*id);
+        let kop = match op {
+            Op::And { dst, a, b } => KOp::And { dst: r(dst), a: r(a), b: r(b) },
+            Op::Or { dst, a, b } => KOp::Or { dst: r(dst), a: r(a), b: r(b) },
+            Op::Add { dst, a, b } => KOp::Add { dst: r(dst), a: r(a), b: r(b), site },
+            Op::Xor { dst, a, b } => KOp::Xor { dst: r(dst), a: r(a), b: r(b) },
+            Op::Not { dst, src } => KOp::Not { dst: r(dst), a: r(src) },
+            Op::Assign { dst, src } => KOp::Copy { dst: r(dst), a: r(src) },
+            Op::Zero { dst } => KOp::Const { dst: r(dst), ones: false },
+            Op::Ones { dst } => KOp::Const { dst: r(dst), ones: true },
+            Op::MatchCc { .. } | Op::Advance { .. } | Op::Retreat { .. } => {
+                unreachable!("classes are emitted above, shifts by their group in gen_block")
+            }
+        };
+        self.num_sites += u32::from(matches!(kop, KOp::Add { .. }));
+        out.push(KStmt::Op(kop));
     }
 
     /// Expands a circuit with hash-consing: every distinct sub-circuit is
@@ -384,7 +368,7 @@ impl Codegen {
         cse: &mut HashMap<CcExpr, Reg>,
     ) -> Reg {
         if let CcExpr::Basis(k) = e {
-            return Reg(self.basis_reg_base + *k as u32);
+            return self.dense(self.basis_reg_base + *k as u32);
         }
         if let Some(&r) = cse.get(e) {
             self.stats.gates_shared += e.gate_count().max(1);
@@ -421,7 +405,7 @@ impl Codegen {
     }
 
     fn alloc_cse_reg(&mut self) -> Reg {
-        let r = Reg(self.scratch_base + SCRATCH_SLOTS + self.cse_regs);
+        let r = self.dense(self.scratch_base + SCRATCH_SLOTS + self.cse_regs);
         self.cse_regs += 1;
         r
     }
@@ -435,10 +419,8 @@ impl Codegen {
                 depth
             }
             CcExpr::Basis(k) => {
-                out.push(KStmt::Op(KOp::Copy {
-                    dst: target,
-                    a: Reg(self.basis_reg_base + *k as u32),
-                }));
+                let a = self.dense(self.basis_reg_base + *k as u32);
+                out.push(KStmt::Op(KOp::Copy { dst: target, a }));
                 depth
             }
             CcExpr::Not(a) => {
@@ -447,7 +429,7 @@ impl Codegen {
                 used
             }
             CcExpr::And(a, b) | CcExpr::Or(a, b) => {
-                let scratch = Reg(self.scratch_base + depth);
+                let scratch = self.dense(self.scratch_base + depth);
                 let u1 = self.emit_circuit(a, target, depth + 1, out);
                 let u2 = self.emit_circuit(b, scratch, depth + 1, out);
                 let kop = if matches!(e, CcExpr::And(..)) {

@@ -161,6 +161,22 @@ impl KOp {
             KOp::SmemStore { .. } | KOp::Barrier | KOp::StoreGlobal { .. } => None,
         }
     }
+
+    /// Every register the op names: its destination, then its sources.
+    pub fn regs(&self) -> impl Iterator<Item = Reg> {
+        let sources = match *self {
+            KOp::Not { a, .. }
+            | KOp::Copy { a, .. }
+            | KOp::SmemStore { src: a, .. }
+            | KOp::StoreGlobal { src: a, .. } => [Some(a), None],
+            KOp::And { a, b, .. }
+            | KOp::Or { a, b, .. }
+            | KOp::Add { a, b, .. }
+            | KOp::Xor { a, b, .. } => [Some(a), Some(b)],
+            _ => [None, None],
+        };
+        self.dst().into_iter().chain(sources.into_iter().flatten())
+    }
 }
 
 /// A kernel statement: an instruction or block-wide control flow.
@@ -177,14 +193,14 @@ pub enum KStmt {
         /// Condition register (reduced CTA-wide).
         cond: Reg,
         /// Guarded body.
-        body: Vec<KStmt>,
+        body: Box<[KStmt]>,
     },
     /// Fixpoint loop.
     While {
         /// Condition register (reduced CTA-wide each trip).
         cond: Reg,
         /// Loop body.
-        body: Vec<KStmt>,
+        body: Box<[KStmt]>,
         /// Dynamic-site index (pre-order over `while`s and `add`s); the
         /// emulator reports this loop's trip count under it.
         site: u32,
@@ -196,7 +212,12 @@ pub enum KStmt {
 pub struct Kernel {
     /// The statement list executed once per window iteration.
     pub stmts: Vec<KStmt>,
-    /// Number of registers per thread.
+    /// Size of the per-thread register file. [`crate::compile`] numbers
+    /// the registers a kernel references densely, so for a generated
+    /// kernel this is exactly how many it names (`0..num_regs`, every one
+    /// referenced) — what the emulator allocates and clears per window —
+    /// and not how many a liveness-based allocator would keep live at
+    /// once, which is [`Kernel::max_live_regs`].
     pub num_regs: u32,
     /// Number of shared-memory slots (each T words).
     pub num_slots: u32,
@@ -211,19 +232,24 @@ pub struct Kernel {
     pub num_sites: u32,
 }
 
+impl KStmt {
+    /// Instructions in `stmts`, bodies included (control-flow headers are
+    /// not instructions).
+    pub fn count_ops(stmts: &[KStmt]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                KStmt::Op(_) => 1,
+                KStmt::If { body, .. } | KStmt::While { body, .. } => KStmt::count_ops(body),
+            })
+            .sum()
+    }
+}
+
 impl Kernel {
     /// Total instructions (not counting control-flow headers).
     pub fn op_count(&self) -> usize {
-        fn walk(stmts: &[KStmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    KStmt::Op(_) => 1,
-                    KStmt::If { body, .. } | KStmt::While { body, .. } => walk(body),
-                })
-                .sum()
-        }
-        walk(&self.stmts)
+        KStmt::count_ops(&self.stmts)
     }
 
     /// Number of [`KOp::Barrier`]s in the static code.
@@ -259,7 +285,8 @@ impl Kernel {
     /// allocator would need: the maximum number of simultaneously live
     /// virtual registers.
     ///
-    /// The kernel IR uses one virtual register per stream for clarity; a
+    /// The kernel IR keeps one register per stream, basis word and shared
+    /// circuit node for clarity (numbered densely, never reused); a
     /// real register allocator reuses registers once values die, and the
     /// paper's `-maxrregcount` tuning presumes exactly that. Registers
     /// touched inside a loop are conservatively kept live across the whole
@@ -273,25 +300,6 @@ impl Kernel {
             e.0 = e.0.min(pos);
             e.1 = e.1.max(pos);
         }
-        fn touch_op(intervals: &mut HashMap<u32, (u32, u32)>, op: &KOp, pos: u32) {
-            if let Some(d) = op.dst() {
-                touch(intervals, d, pos);
-            }
-            match *op {
-                KOp::Not { a, .. }
-                | KOp::Copy { a, .. }
-                | KOp::SmemStore { src: a, .. }
-                | KOp::StoreGlobal { src: a, .. } => touch(intervals, a, pos),
-                KOp::And { a, b, .. }
-                | KOp::Or { a, b, .. }
-                | KOp::Add { a, b, .. }
-                | KOp::Xor { a, b, .. } => {
-                    touch(intervals, a, pos);
-                    touch(intervals, b, pos);
-                }
-                _ => {}
-            }
-        }
         fn walk(
             stmts: &[KStmt],
             pos: &mut u32,
@@ -300,7 +308,7 @@ impl Kernel {
             for s in stmts {
                 *pos += 1;
                 match s {
-                    KStmt::Op(op) => touch_op(intervals, op, *pos),
+                    KStmt::Op(op) => op.regs().for_each(|r| touch(intervals, r, *pos)),
                     KStmt::If { cond, body } | KStmt::While { cond, body, .. } => {
                         let start = *pos;
                         touch(intervals, *cond, start);
@@ -352,7 +360,7 @@ mod tests {
                 KStmt::Op(KOp::Barrier),
                 KStmt::While {
                     cond: Reg(1),
-                    body: vec![KStmt::Op(KOp::And { dst: Reg(1), a: Reg(1), b: Reg(0) })],
+                    body: [KStmt::Op(KOp::And { dst: Reg(1), a: Reg(1), b: Reg(0) })].into(),
                     site: 0,
                 },
                 KStmt::Op(KOp::StoreGlobal { output: 0, src: Reg(1) }),

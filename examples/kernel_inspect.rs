@@ -51,11 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let compiled = compile(&prog, &[], &[], &CodegenOptions::default());
     println!(
-        "### kernel: {} ops, {} barriers, {} smem slots, {} regs",
+        "### kernel: {} ops, {} barriers, {} smem slots, {} regs named (dense file), {} live at once",
         compiled.kernel.op_count(),
         compiled.kernel.barrier_count(),
         compiled.kernel.num_slots,
-        compiled.kernel.num_regs
+        compiled.kernel.num_regs,
+        compiled.kernel.max_live_regs()
     );
     println!("\n### pseudo-CUDA\n{}", emit_cuda(&compiled.kernel, "bitgen_kernel"));
     Ok(())

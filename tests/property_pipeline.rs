@@ -5,7 +5,10 @@
 
 use bitgen_baselines::MultiNfa;
 use bitgen_bitstream::Basis;
-use bitgen_exec::{execute, ExecConfig, Scheme};
+use bitgen_exec::{
+    apply_transforms, execute, execute_prepared_with, BatchPlan, ExecConfig, ExecScratch,
+    RunControl, Scheme,
+};
 use bitgen_ir::{interpret, lower};
 use bitgen_regex::{match_ends, parse, Ast, ByteSet};
 use proptest::prelude::*;
@@ -63,6 +66,35 @@ proptest! {
         // Glushkov NFA.
         let nfa_ends = MultiNfa::build(std::slice::from_ref(&ast)).run(&input).ends.positions();
         prop_assert_eq!(&nfa_ends, &expect, "nfa vs oracle for {}", ast);
+    }
+
+    #[test]
+    fn resident_plan_and_one_shot_door_agree(ast in arb_ast(), input in arb_input()) {
+        // One body, two doors: a plan built once and run many times gives
+        // what `execute_prepared_with`, which plans per call, gives —
+        // outputs and every metric — at any CTA width (a plan is specific
+        // to the scheme and merge size only).
+        let basis = Basis::transpose(&input);
+        let ctl = RunControl::unlimited();
+        for scheme in Scheme::ALL {
+            let mut prog = lower(&ast);
+            apply_transforms(&mut prog, &ExecConfig::for_scheme(scheme));
+            let plan = BatchPlan::new(&prog, &ExecConfig::for_scheme(scheme));
+            let mut scratch = ExecScratch::new();
+            for threads in [2, 8, 64, 2] {
+                let config = ExecConfig { scheme, threads, ..ExecConfig::default() };
+                let one_shot =
+                    execute_prepared_with(&prog, &basis, &config, &mut ExecScratch::new(), None);
+                let resident = plan.execute(&prog, &basis, &config, &mut scratch, &ctl);
+                let fields = |run: Result<bitgen_exec::ExecOutcome, bitgen_exec::ExecError>| {
+                    run.map(|out| (out.outputs, out.metrics, out.fault_fired))
+                };
+                prop_assert_eq!(
+                    fields(resident), fields(one_shot),
+                    "{} at {} threads for {}", scheme, threads, ast
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,37 @@ fn all_apps_all_engines_agree() {
 }
 
 #[test]
+fn compiled_kernels_name_exactly_their_register_file() {
+    // Dense numbering: the registers a generated kernel references —
+    // loop and guard conditions included — are exactly `0..num_regs`, so
+    // the emulator's register file has no hole to allocate and clear.
+    use bitgen_kernel::{compile, CodegenOptions, KStmt, Reg};
+    fn mark(stmts: &[KStmt], seen: &mut [bool]) {
+        for stmt in stmts {
+            match stmt {
+                KStmt::Op(op) => op.regs().for_each(|r: Reg| seen[r.0 as usize] = true),
+                KStmt::If { cond, body } | KStmt::While { cond, body, .. } => {
+                    seen[cond.0 as usize] = true;
+                    mark(body, seen);
+                }
+            }
+        }
+    }
+    for kind in AppKind::ALL {
+        let w = generate(kind, &small_config());
+        let engine = BitGen::from_asts(w.asts, EngineConfig { cta_count: 3, ..Default::default() })
+            .expect("workloads compile within budget");
+        for prog in engine.programs() {
+            let kernel = compile(prog, &[], &[], &CodegenOptions::default()).kernel;
+            let mut seen = vec![false; kernel.num_regs as usize];
+            mark(&kernel.stmts, &mut seen);
+            assert!(seen.iter().all(|&s| s), "{kind:?}: an unreferenced register");
+            assert!(kernel.max_live_regs() <= kernel.num_regs, "{kind:?}");
+        }
+    }
+}
+
+#[test]
 fn planted_witnesses_produce_matches_in_most_apps() {
     let mut apps_with_matches = 0;
     for kind in AppKind::ALL {
