@@ -7,9 +7,9 @@ cargo build --release
 # Tier-1: every unit, integration and doc test, none `#[ignore]`d — the
 # fault drills (fault_tolerance, pathological_patterns), the transform
 # differentials (zbs_differential, pass_complexity), the streaming,
-# lane-width, recovery, hot-swap and checkpoint suites (stream_carry,
-# simd_differential, stream_recovery, rule_swap, swap_recovery,
-# checkpoint_fuzz) and both soaks run here, once.
+# recovery, hot-swap and checkpoint suites (stream_carry,
+# stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), both
+# soaks and the cross-process swap drill (cli_drills) run here, once.
 cargo test -q
 
 # Benchmark smoke: the oracle-gated benchmark package (its own
@@ -40,39 +40,11 @@ for table in table4 fig12 table5; do
 done
 rm -rf "$TABLEDIR"
 
-# The full tier-1 suite again with the wide-word kernels pinned to both
-# extremes of BITGEN_LANES, so a width-dependent bug cannot hide behind
-# the in-process default. The simd_differential smoke subset rides along
-# at each extreme to cross-check the pinned width against the others.
-BITGEN_LANES=1 cargo test -q
-BITGEN_LANES=1 cargo test -q -p bitgen --test simd_differential smoke_
-BITGEN_LANES=max cargo test -q
-BITGEN_LANES=max cargo test -q -p bitgen --test simd_differential smoke_
-
-# The bitstream kernels once more with the explicit-SIMD arch path
-# compiled in (off by default), so the intrinsics differential runs.
-cargo test -q -p bitgen-bitstream --features simd-arch
-
-# Cross-process swap drill: a bitgrep run with --swap-rules must emit
-# exactly the union of a prefix scanned under the old rules and a
-# suffix scanned (offset-rebased) under the new.
-SWAPDIR="$(mktemp -d)"
-trap 'rm -rf "$SWAPDIR"' EXIT
-printf 'cat dog cat cat dog xx' > "$SWAPDIR/input.bin"
-printf 'dog\n' > "$SWAPDIR/new.rules"
-GOT="$(cargo run -q --release -p bitgen-serve --bin bitgrep -- \
-  -e cat --swap-rules "$SWAPDIR/new.rules@12" --positions "$SWAPDIR/input.bin" 2>/dev/null)"
-WANT="$(printf '2\n10\n18\n')"
-if [ "$GOT" != "$WANT" ]; then
-  echo "swap drill: positions '$GOT' != expected '$WANT'" >&2
-  exit 1
-fi
-
 # Cross-process checkpoint smoke: suspend a stream in one process,
 # resume it in another, and require the combined match count to equal an
 # uninterrupted batch scan.
 CKPT="$(mktemp)"
-trap 'rm -rf "$SWAPDIR"; rm -f "$CKPT"' EXIT
+trap 'rm -f "$CKPT"' EXIT
 BATCH="$(cargo run -q --release -p bitgen --example checkpoint_resume -- batch)"
 cargo run -q --release -p bitgen --example checkpoint_resume -- first "$CKPT" > /dev/null
 RESUMED="$(cargo run -q --release -p bitgen --example checkpoint_resume -- second "$CKPT")"
@@ -94,7 +66,7 @@ printf 'cat dog aab cat xaby dooog aab xx %.0s' 1 2 3 4 > "$SERVEDIR/in0.bin"
 printf 'aab xaby cat cat dog aab dooog yy %.0s' 1 2 3 4 5 > "$SERVEDIR/in1.bin"
 target/release/bitgen-serve serve --socket "$SOCK" -e cat 2>/dev/null &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SWAPDIR" "$SERVEDIR"; rm -f "$CKPT"' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVEDIR"; rm -f "$CKPT"' EXIT
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
 [ -S "$SOCK" ] || { echo "serve smoke: daemon never bound $SOCK" >&2; exit 1; }
 CLIENT_PIDS=()
@@ -126,14 +98,14 @@ case "$STATS_JSON" in
 esac
 target/release/bitgen-serve shutdown --socket "$SOCK"
 wait "$SERVE_PID" || { echo "serve smoke: daemon exited nonzero" >&2; exit 1; }
-trap 'rm -rf "$SWAPDIR" "$SERVEDIR"; rm -f "$CKPT"' EXIT
+trap 'rm -rf "$SERVEDIR"; rm -f "$CKPT"' EXIT
 
 # Cross-process drain→adopt drill: a daemon is drained mid-scan, its
 # durable streams checkpointed into a manifest, and a fresh daemon on
 # the same socket adopts them; the retrying client rides across the
 # restart and its positions must still equal `bitgrep --positions`.
 DRAINDIR="$(mktemp -d)"
-trap 'rm -rf "$SWAPDIR" "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
+trap 'rm -rf "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
 DSOCK="$DRAINDIR/drain.sock"
 DMANIFEST="$DRAINDIR/drain.manifest"
 printf 'cat dog aab cat xaby dooog aab xx %.0s' $(seq 1 4096) > "$DRAINDIR/input.bin"
@@ -151,7 +123,7 @@ wait "$DRAIN_PID" || { echo "drain drill: drained daemon exited nonzero" >&2; ex
 # and the in-flight client resumes from its last acked offset.
 target/release/bitgrep --serve "$DSOCK" --drain-manifest "$DMANIFEST" 2>/dev/null &
 DRAIN_PID=$!
-trap 'kill "$DRAIN_PID" 2>/dev/null || true; rm -rf "$SWAPDIR" "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
+trap 'kill "$DRAIN_PID" 2>/dev/null || true; rm -rf "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
 wait "$SCAN_PID" || { echo "drain drill: the retrying client failed" >&2; exit 1; }
 target/release/bitgrep -e 'cat' -e 'do+g' --positions "$DRAINDIR/input.bin" > "$DRAINDIR/want"
 if ! cmp -s "$DRAINDIR/got" "$DRAINDIR/want"; then
@@ -160,7 +132,7 @@ if ! cmp -s "$DRAINDIR/got" "$DRAINDIR/want"; then
 fi
 target/release/bitgen-serve shutdown --socket "$DSOCK" 2>/dev/null
 wait "$DRAIN_PID" || { echo "drain drill: successor daemon exited nonzero" >&2; exit 1; }
-trap 'rm -rf "$SWAPDIR" "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
+trap 'rm -rf "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
 
 # Compile-pipeline bench smoke: one abbreviated run so a pathological
 # compile-time regression fails CI instead of only slowing nightly

@@ -3,11 +3,10 @@
 //! icgrep compiles regexes to bitstream programs and executes them on the
 //! CPU, one instruction at a time over full-length streams. This engine
 //! reuses the exact lowering of `bitgen-ir` and its whole-stream
-//! interpreter, which now runs on the `w64xN` wide-word kernels of
+//! interpreter, which runs on the word-group kernels of
 //! `bitgen-bitstream` — so the stand-in is SIMD-shaped like icgrep
 //! itself (group-unrolled word loops plus the SWAR s2p transpose),
-//! measured in wall-clock time by the harness. `BITGEN_LANES=1` pins it
-//! back to the scalar reference path.
+//! measured in wall-clock time by the harness.
 
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_ir::{interpret, lower_group, Program};

@@ -9,7 +9,7 @@
 
 use crate::stream::BitStream;
 use crate::transpose::{Basis, BASIS_COUNT};
-use crate::wide::{self, LaneWidth};
+use crate::wide::{self, LANES};
 use bitgen_regex::ByteSet;
 use std::fmt;
 
@@ -205,8 +205,7 @@ impl CcCode {
 
     /// Evaluates the circuit position-wise into `out` without a temporary
     /// stream per node: the whole circuit runs one word-group at a time
-    /// over the basis words (the interleaved-execution shape, at the
-    /// active lane width).
+    /// over the basis words (the interleaved-execution shape).
     ///
     /// `out` is cleared first; positions at and past `basis.len()` end
     /// up zero, so executors can pass their `len + 1` window stream
@@ -228,12 +227,7 @@ impl CcCode {
             std::array::from_fn(|k| basis.stream(k).as_words());
         let nwords = basis.len().div_ceil(64);
         let out_words = out.words_mut();
-        match wide::lane_width() {
-            LaneWidth::X1 => self.fill_groups::<1>(&words, out_words, nwords),
-            LaneWidth::X2 => self.fill_groups::<2>(&words, out_words, nwords),
-            LaneWidth::X4 => self.fill_groups::<4>(&words, out_words, nwords),
-            LaneWidth::X8 => self.fill_groups::<8>(&words, out_words, nwords),
-        }
+        self.fill_groups::<LANES>(&words, out_words, nwords);
         // Positions past basis.len() within the last basis word belong
         // to the padding (e.g. a Not circuit turns them on); clear them.
         let rem = basis.len() & 63;
@@ -628,18 +622,23 @@ mod tests {
         }
     }
 
+    /// A complete binary tree of ORs over the basis bits needs one operand
+    /// slot per level whatever the order; past INLINE_DEPTH levels that is
+    /// the heap path.
+    fn full_or_tree(levels: usize, k: &mut u8) -> CcExpr {
+        if levels == 0 {
+            *k = (*k + 1) % 8;
+            return CcExpr::Basis(*k);
+        }
+        CcExpr::Or(
+            Box::new(full_or_tree(levels - 1, k)),
+            Box::new(full_or_tree(levels - 1, k)),
+        )
+    }
+
     #[test]
     fn deep_hand_built_circuits_spill_and_still_evaluate() {
-        // A complete binary tree of ORs needs one operand slot per level
-        // whatever the order; past INLINE_DEPTH that is the heap path.
-        fn full(levels: usize, k: &mut u8) -> CcExpr {
-            if levels == 0 {
-                *k = (*k + 1) % 8;
-                return CcExpr::Basis(*k);
-            }
-            CcExpr::Or(Box::new(full(levels - 1, k)), Box::new(full(levels - 1, k)))
-        }
-        let tree = full(INLINE_DEPTH + 1, &mut 0);
+        let tree = full_or_tree(INLINE_DEPTH + 1, &mut 0);
         let code = CcCode::new(&tree);
         assert!(code.depth > INLINE_DEPTH);
         let input: Vec<u8> = (0..=255).collect();
@@ -648,6 +647,47 @@ mod tests {
         code.eval_into(&basis, &mut out);
         for b in 0..=255u8 {
             assert_eq!(out.get(b as usize), tree.eval_byte(b));
+        }
+    }
+
+    #[test]
+    fn grouped_evaluation_agrees_with_scalar_and_bytewise() {
+        // Inputs on both sides of a full word-group (LANES * 64 = 512
+        // positions), so whole groups, the one-word tail and the seam
+        // between them all run: grouped == scalar == the set itself.
+        let ordinary = ByteSet::word();
+        let negated = ByteSet::range(b'a', b'z').complement();
+        assert!(matches!(compile_class(&negated), CcExpr::Not(_)));
+        let deep = full_or_tree(INLINE_DEPTH + 1, &mut 0);
+        assert!(CcCode::new(&deep).depth > INLINE_DEPTH);
+        let deep_set = ByteSet::from_bytes((0..=255u8).filter(|&b| deep.eval_byte(b)));
+        let corpus: Vec<u8> =
+            (0..4103u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        for (tree, set) in [
+            (compile_class(&ordinary), ordinary),
+            (compile_class(&negated), negated),
+            (deep, deep_set),
+        ] {
+            let code = CcCode::new(&tree);
+            for len in [0usize, 1, 511, 512, 513, 1100, 4096 + 7] {
+                let input = &corpus[..len];
+                let basis = Basis::transpose(input);
+                let words: [&[u64]; BASIS_COUNT] =
+                    std::array::from_fn(|k| basis.stream(k).as_words());
+                let nwords = len.div_ceil(64);
+                let mut grouped = vec![0u64; nwords];
+                code.fill_groups::<LANES>(&words, &mut grouped, nwords);
+                let mut scalar = vec![0u64; nwords];
+                code.fill_groups::<1>(&words, &mut scalar, nwords);
+                assert_eq!(grouped, scalar, "{set:?} over {len} bytes");
+                for (i, &b) in input.iter().enumerate() {
+                    assert_eq!(
+                        grouped[i >> 6] >> (i & 63) & 1 == 1,
+                        set.contains(b),
+                        "{set:?}: position {i} of {len}"
+                    );
+                }
+            }
         }
     }
 

@@ -24,11 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// The optional `simd-arch` feature adds explicit `core::arch` kernels
-// (see `wide::arch`), which need `unsafe` for unaligned vector
-// loads/stores; the default configuration stays entirely safe.
-#![cfg_attr(not(feature = "simd-arch"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd-arch", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 
 mod ccc;
 mod stream;
@@ -38,4 +34,3 @@ mod wide;
 pub use ccc::{compile_class, CcCode, CcExpr};
 pub use stream::BitStream;
 pub use transpose::{Basis, BASIS_COUNT};
-pub use wide::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};

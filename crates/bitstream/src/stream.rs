@@ -6,7 +6,7 @@
 //! here that operation is called [`BitStream::advance`] (and the opposite
 //! direction [`BitStream::retreat`]) to keep the direction unambiguous.
 
-use crate::wide::{self, BitOp};
+use crate::wide;
 use std::fmt;
 
 /// A fixed-length sequence of bits, one per text position.
@@ -122,7 +122,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn and(&self, other: &BitStream) -> BitStream {
-        self.zip(other, BitOp::And)
+        self.zip(other, |a, b| a & b)
     }
 
     /// Bitwise OR.
@@ -131,7 +131,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn or(&self, other: &BitStream) -> BitStream {
-        self.zip(other, BitOp::Or)
+        self.zip(other, |a, b| a | b)
     }
 
     /// Bitwise XOR.
@@ -140,7 +140,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn xor(&self, other: &BitStream) -> BitStream {
-        self.zip(other, BitOp::Xor)
+        self.zip(other, |a, b| a ^ b)
     }
 
     /// `self & !other` (AND-NOT).
@@ -149,7 +149,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn and_not(&self, other: &BitStream) -> BitStream {
-        self.zip(other, BitOp::AndNot)
+        self.zip(other, |a, b| a & !b)
     }
 
     /// [`BitStream::and`] into a reusable output: `out` is reshaped to
@@ -160,7 +160,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn and_into(&self, other: &BitStream, out: &mut BitStream) {
-        self.zip_reuse(other, out, BitOp::And)
+        self.zip_reuse(other, out, |a, b| a & b)
     }
 
     /// [`BitStream::or`] into a reusable output (see [`BitStream::and_into`]).
@@ -169,7 +169,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn or_into(&self, other: &BitStream, out: &mut BitStream) {
-        self.zip_reuse(other, out, BitOp::Or)
+        self.zip_reuse(other, out, |a, b| a | b)
     }
 
     /// [`BitStream::xor`] into a reusable output (see [`BitStream::and_into`]).
@@ -178,7 +178,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn xor_into(&self, other: &BitStream, out: &mut BitStream) {
-        self.zip_reuse(other, out, BitOp::Xor)
+        self.zip_reuse(other, out, |a, b| a ^ b)
     }
 
     /// [`BitStream::and_not`] into a reusable output (see
@@ -188,7 +188,7 @@ impl BitStream {
     ///
     /// Panics if lengths differ.
     pub fn and_not_into(&self, other: &BitStream, out: &mut BitStream) {
-        self.zip_reuse(other, out, BitOp::AndNot)
+        self.zip_reuse(other, out, |a, b| a & !b)
     }
 
     /// [`BitStream::not`] into a reusable output.
@@ -271,14 +271,19 @@ impl BitStream {
         self.len = len;
     }
 
-    fn zip_reuse(&self, other: &BitStream, out: &mut BitStream, op: BitOp) {
+    fn zip_reuse(
+        &self,
+        other: &BitStream,
+        out: &mut BitStream,
+        f: impl Fn(u64, u64) -> u64 + Copy,
+    ) {
         assert_eq!(
             self.len, other.len,
             "bitstream length mismatch: {} vs {}",
             self.len, other.len
         );
         out.reshape(self.len);
-        wide::zip_into(&self.words, &other.words, &mut out.words, op);
+        wide::zip_into(&self.words, &other.words, &mut out.words, f);
         out.mask_tail();
     }
 
@@ -364,26 +369,15 @@ impl BitStream {
         out
     }
 
-    /// [`BitStream::advance`] with carry injection: the `k` vacated low
-    /// positions are filled from `hist`, the last `k` bits of the stream's
-    /// history before this window (bit *i* of `hist` is the stream's value
-    /// at global position `window_start - k + i`).
+    /// [`BitStream::advance`] with carry injection, into a reusable
+    /// output: the `k` vacated low positions are filled from `hist`, the
+    /// last `k` bits of the stream's history before this window (bit *i*
+    /// of `hist` is the stream's value at global position
+    /// `window_start - k + i`). `out` must not alias `self`.
     ///
     /// This is the streaming form of the paper's cross-block shift
     /// dependency: the carry-out of chunk *k* becomes the carry-in of
     /// chunk *k+1*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hist.len() != k`.
-    pub fn advance_with_carry(&self, k: usize, hist: &BitStream) -> BitStream {
-        let mut out = BitStream::default();
-        self.advance_with_carry_into(k, hist, &mut out);
-        out
-    }
-
-    /// [`BitStream::advance_with_carry`] into a reusable output. `out`
-    /// must not alias `self`.
     ///
     /// # Panics
     ///
@@ -399,21 +393,14 @@ impl BitStream {
         out.mask_tail();
     }
 
-    /// Rolls a shift-carry history forward by one window: returns the last
-    /// `prev.len()` bits of the sequence `prev ++ self[0..consumed)`.
+    /// Rolls a shift-carry history forward by one window, ORing the
+    /// result into `acc`: the last `prev.len()` bits of the sequence
+    /// `prev ++ self[0..consumed)`. Loop trips accumulate one slot's
+    /// outgoing history this way.
     ///
     /// `prev` is the history entering this window and `consumed` is how
     /// many positions of `self` became final (the chunk length — the
     /// window's provisional peek position is excluded).
-    pub fn history_tail(&self, prev: &BitStream, consumed: usize) -> BitStream {
-        let mut next = BitStream::zeros(prev.len);
-        self.or_history_tail(prev, consumed, &mut next);
-        next
-    }
-
-    /// ORs [`BitStream::history_tail`]`(prev, consumed)` into `acc`
-    /// without building it: loop trips accumulate one slot's outgoing
-    /// history this way.
     ///
     /// # Panics
     ///
@@ -441,30 +428,14 @@ impl BitStream {
     }
 
     /// [`BitStream::add`] with an explicit carry bit injected below bit 0,
-    /// also reporting the carry *into* bit `boundary` (computed from bits
-    /// `0..boundary` plus `carry_in` only, at word granularity with a
-    /// partial-word mask).
+    /// into a reusable output. Returns the carry *into* bit `boundary`
+    /// (computed from bits `0..boundary` plus `carry_in` only, at word
+    /// granularity with a partial-word mask). `out` must not alias either
+    /// operand.
     ///
     /// Streaming uses `boundary = len - 1` (the window's peek position):
     /// that carry is exactly the carry-in the next window must inject at
     /// its bit 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or `boundary >= len`.
-    pub fn add_with_carry(
-        &self,
-        other: &BitStream,
-        carry_in: bool,
-        boundary: usize,
-    ) -> (BitStream, bool) {
-        let mut sum = BitStream::default();
-        let boundary_carry = self.add_with_carry_into(other, carry_in, boundary, &mut sum);
-        (sum, boundary_carry)
-    }
-
-    /// [`BitStream::add_with_carry`] into a reusable output, returning
-    /// the boundary carry. `out` must not alias either operand.
     ///
     /// # Panics
     ///
@@ -561,7 +532,7 @@ impl BitStream {
         let nbits = self.len.min(other.len);
         let full = nbits >> 6;
         let rem = nbits & 63;
-        wide::zip_assign(&mut self.words[..full], &other.words[..full], BitOp::Or);
+        wide::zip_assign(&mut self.words[..full], &other.words[..full], |a, b| a | b);
         if rem != 0 {
             self.words[full] |= other.words[full] & wide::low_mask(rem);
         }
@@ -578,7 +549,7 @@ impl BitStream {
             "bitstream length mismatch: {} vs {}",
             self.len, other.len
         );
-        wide::zip_assign(&mut self.words, &other.words, BitOp::Or);
+        wide::zip_assign(&mut self.words, &other.words, |a, b| a | b);
     }
 
     /// ORs a raw word into word `idx` (bit positions `idx * 64 ..`);
@@ -666,14 +637,14 @@ impl BitStream {
         self.words.capacity()
     }
 
-    fn zip(&self, other: &BitStream, op: BitOp) -> BitStream {
+    fn zip(&self, other: &BitStream, f: impl Fn(u64, u64) -> u64 + Copy) -> BitStream {
         assert_eq!(
             self.len, other.len,
             "bitstream length mismatch: {} vs {}",
             self.len, other.len
         );
         let mut words = vec![0u64; self.words.len()];
-        wide::zip_into(&self.words, &other.words, &mut words, op);
+        wide::zip_into(&self.words, &other.words, &mut words, f);
         let mut s = BitStream { words, len: self.len };
         s.mask_tail();
         s
@@ -919,25 +890,50 @@ mod tests {
         assert_eq!(format!("{s:?}"), "BitStream<6>[.....1]");
     }
 
+    /// The `_into` / accumulate forms on a fresh buffer: the carry-aware
+    /// kernels as values, for assertions.
+    fn advance_with_carry(s: &BitStream, k: usize, hist: &BitStream) -> BitStream {
+        let mut out = BitStream::default();
+        s.advance_with_carry_into(k, hist, &mut out);
+        out
+    }
+
+    fn history_tail(window: &BitStream, prev: &BitStream, consumed: usize) -> BitStream {
+        let mut next = BitStream::zeros(prev.len());
+        window.or_history_tail(prev, consumed, &mut next);
+        next
+    }
+
+    fn add_with_carry(
+        a: &BitStream,
+        b: &BitStream,
+        carry_in: bool,
+        boundary: usize,
+    ) -> (BitStream, bool) {
+        let mut sum = BitStream::default();
+        let carry = a.add_with_carry_into(b, carry_in, boundary, &mut sum);
+        (sum, carry)
+    }
+
     #[test]
     fn advance_with_carry_fills_vacated_positions() {
         let s = BitStream::from_positions(8, &[0, 5]);
         let hist = BitStream::from_positions(3, &[1]);
         // advance(3) gives {3}, carry injects hist bit 1 at position 1.
-        assert_eq!(s.advance_with_carry(3, &hist).positions(), vec![1, 3]);
+        assert_eq!(advance_with_carry(&s, 3, &hist).positions(), vec![1, 3]);
         // Shift larger than the window: only the low window-size bits of
         // the history land; the rest stays in the rolled history.
         let wide = BitStream::from_positions(10, &[0, 9]);
-        assert_eq!(BitStream::zeros(4).advance_with_carry(10, &wide).positions(), vec![0]);
+        assert_eq!(advance_with_carry(&BitStream::zeros(4), 10, &wide).positions(), vec![0]);
         // Zero-length history == plain advance.
-        assert_eq!(s.advance_with_carry(0, &BitStream::zeros(0)), s);
+        assert_eq!(advance_with_carry(&s, 0, &BitStream::zeros(0)), s);
     }
 
     #[test]
     fn advance_with_carry_word_boundaries() {
         let s = BitStream::from_positions(200, &[0, 68]);
         let hist = BitStream::from_positions(70, &[0, 63, 69]);
-        let out = s.advance_with_carry(70, &hist);
+        let out = advance_with_carry(&s, 70, &hist);
         assert_eq!(out.positions(), vec![0, 63, 69, 70, 138]);
     }
 
@@ -947,17 +943,17 @@ mod tests {
         let w = BitStream::from_positions(10, &[2, 7, 9]);
         let prev = BitStream::from_positions(3, &[0]);
         // consumed = 9 of 10 (last bit is the peek): last 3 of bits 0..9.
-        assert_eq!(w.history_tail(&prev, 9).positions(), vec![1]); // bit 7 -> index 1
+        assert_eq!(history_tail(&w, &prev, 9).positions(), vec![1]); // bit 7 -> index 1
         // Chunk smaller than the shift: old history shifts down, new bits
         // append at the top.
         let tiny = BitStream::from_positions(2, &[0]);
         let prev5 = BitStream::from_positions(5, &[0, 4]);
         // sequence = prev5 ++ tiny[0..1) = 1,0,0,0,1,1 — last 5 = 0,0,0,1,1.
-        let next = tiny.history_tail(&prev5, 1);
+        let next = history_tail(&tiny, &prev5, 1);
         // prev5 bits 1..5 = {4}->index 3; appended tiny[0]=1 at index 4.
         assert_eq!(next.positions(), vec![3, 4]);
         // Consuming zero positions leaves the history untouched.
-        assert_eq!(tiny.history_tail(&prev5, 0), prev5);
+        assert_eq!(history_tail(&tiny, &prev5, 0), prev5);
     }
 
     /// Deterministic pseudo-random stream (64-bit LCG), tail masked.
@@ -989,7 +985,7 @@ mod tests {
                         want.set(t, bit);
                     }
                     assert_eq!(
-                        window.history_tail(&prev, consumed),
+                        history_tail(&window, &prev, consumed),
                         want,
                         "k {k} len {len} consumed {consumed}"
                     );
@@ -1017,7 +1013,7 @@ mod tests {
 
             let mut out = noise(dirty_len, 5);
             let carry = a.add_with_carry_into(&b, true, 199, &mut out);
-            let (sum, want_carry) = a.add_with_carry(&b, true, 199);
+            let (sum, want_carry) = add_with_carry(&a, &b, true, 199);
             assert_eq!((out, carry), (sum, want_carry), "dirty {dirty_len}");
 
             let mut out = noise(dirty_len, 6);
@@ -1030,7 +1026,7 @@ mod tests {
     fn add_with_carry_matches_plain_add_without_carry() {
         let a = BitStream::from_positions(130, &(0..64).collect::<Vec<_>>());
         let b = BitStream::from_positions(130, &[0]);
-        let (sum, _) = a.add_with_carry(&b, false, 129);
+        let (sum, _) = add_with_carry(&a, &b, false, 129);
         assert_eq!(sum, a.add(&b));
     }
 
@@ -1039,7 +1035,7 @@ mod tests {
         // 0b0011 + 0 + carry = 0b0100.
         let a = BitStream::from_positions(8, &[0, 1]);
         let z = BitStream::zeros(8);
-        let (sum, _) = a.add_with_carry(&z, true, 7);
+        let (sum, _) = add_with_carry(&a, &z, true, 7);
         assert_eq!(sum.positions(), vec![2]);
     }
 
@@ -1048,20 +1044,20 @@ mod tests {
         // Ripple 0..=5 plus a marker at 0 carries into bit 6.
         let a = BitStream::from_positions(8, &(0..6).collect::<Vec<_>>());
         let b = BitStream::from_positions(8, &[0]);
-        let (_, c6) = a.add_with_carry(&b, false, 6);
+        let (_, c6) = add_with_carry(&a, &b, false, 6);
         assert!(c6);
-        let (_, c7) = a.add_with_carry(&b, false, 7);
+        let (_, c7) = add_with_carry(&a, &b, false, 7);
         assert!(!c7);
         // Boundary on an exact word edge: the chain carry out of word 0.
         let long = BitStream::from_positions(130, &(0..64).collect::<Vec<_>>());
         let one = BitStream::from_positions(130, &[0]);
-        let (_, c64) = long.add_with_carry(&one, false, 64);
+        let (_, c64) = add_with_carry(&long, &one, false, 64);
         assert!(c64);
-        let (_, c65) = long.add_with_carry(&one, false, 65);
+        let (_, c65) = add_with_carry(&long, &one, false, 65);
         assert!(!c65);
         // The boundary carry must ignore bits at and above the boundary.
         let hi = BitStream::from_positions(130, &[100]);
-        let (_, c) = hi.add_with_carry(&hi, false, 100);
+        let (_, c) = add_with_carry(&hi, &hi, false, 100);
         assert!(!c);
     }
 
@@ -1076,12 +1072,13 @@ mod tests {
             let (lo_a, hi_a) = (a.slice(0, split), a.slice(split, 96 - split));
             let (lo_b, hi_b) = (b.slice(0, split), b.slice(split, 96 - split));
             // Low window: boundary carry at `split` (its end).
-            let (lo_sum, carry) = lo_a.resized(split + 1).add_with_carry(
+            let (lo_sum, carry) = add_with_carry(
+                &lo_a.resized(split + 1),
                 &lo_b.resized(split + 1),
                 false,
                 split,
             );
-            let (hi_sum, _) = hi_a.add_with_carry(&hi_b, carry, 96 - split - 1);
+            let (hi_sum, _) = add_with_carry(&hi_a, &hi_b, carry, 96 - split - 1);
             let mut glued = lo_sum.resized(96);
             // Drop the low window's provisional peek bit before gluing.
             glued.set(split, false);

@@ -38,8 +38,7 @@ impl Basis {
     /// Transposes `input` into eight basis bitstreams.
     ///
     /// Runs 64 bytes at a time through the SWAR s2p kernel (one basis
-    /// word per block per stream), word-groups of blocks at the active
-    /// lane width.
+    /// word per block per stream), a word-group of blocks at a time.
     pub fn transpose(input: &[u8]) -> Basis {
         let mut basis = Basis::empty();
         basis.transpose_into(input);

@@ -1,238 +1,44 @@
-//! Wide-word (`w64xN`) kernels behind the [`BitStream`] hot paths.
+//! Wide-word (`w64x8`) kernels behind the [`BitStream`] hot paths.
 //!
 //! The paper's CPU reference point (icgrep / Parabix) is a SIMD engine:
 //! every bitstream operation runs over a whole SIMD register of `u64`
 //! lanes at a time, with shifts and long-stream additions carrying
 //! across lane boundaries. This module reproduces that shape on the
-//! host. A *word-group* is `N` consecutive `u64` words (`N` ∈ {1, 2,
-//! 4, 8}); each kernel walks a stream one word-group at a time with the
-//! per-lane body unrolled at compile time, which is exactly the code
-//! shape LLVM auto-vectorizes into SSE2/AVX2 register ops. `N = 1` is
-//! the scalar fallback and the semantic reference: for every kernel the
-//! lane-to-lane combination inside a group is *identical* to the
-//! word-to-word combination between groups, so the produced bits are
-//! the same at every lane width. That invariant is what keeps streaming
-//! carries, checkpoints, and hot-swap generations byte-for-byte
-//! untouched — lane width is an execution detail, never stream state.
-//!
-//! The active width is process-global: resolved once from the
-//! `BITGEN_LANES` environment variable (`1`, `2`, `4`, `8`, or `max`)
-//! and overridable at runtime via [`set_lane_width`] — differential
-//! tests sweep it to prove the widths agree.
-//!
-//! An optional `simd-arch` cargo feature (off by default) adds an
-//! explicit `core::arch` SSE2 path for the bitwise zip kernels on
-//! x86_64; everything else relies on auto-vectorization of the grouped
-//! scalar code, which keeps the crate `forbid(unsafe_code)` in its
-//! default configuration.
+//! host. A *word-group* is [`LANES`] consecutive `u64` words; each
+//! kernel walks a stream one word-group at a time with the per-lane body
+//! unrolled at compile time, which is exactly the code shape LLVM
+//! auto-vectorizes into SSE2/AVX2 register ops. The kernel bodies stay
+//! generic over the group width `N` so the unit tests can compare the
+//! width that runs against `N = 1`, the scalar semantic reference: for
+//! every kernel the lane-to-lane combination inside a group is
+//! *identical* to the word-to-word combination between groups, so the
+//! produced bits do not depend on `N`. That invariant is what keeps
+//! streaming carries, checkpoints, and hot-swap generations free of any
+//! trace of the grouping — it is an execution detail, never stream
+//! state.
 
 #[cfg(doc)]
 use crate::stream::BitStream;
-use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Number of `u64` lanes a word-group holds: the `N` of `w64xN`.
+/// Words per word-group: the `N` every kernel entry point below runs at.
 ///
-/// All widths compute bit-identical results; the width only changes how
-/// many words each kernel iteration touches (and therefore how well the
-/// loop vectorizes). `X1` is the scalar reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum LaneWidth {
-    /// One lane: scalar `u64` reference path.
-    X1 = 1,
-    /// Two lanes: one 128-bit (SSE2-shaped) group.
-    X2 = 2,
-    /// Four lanes: one 256-bit (AVX2-shaped) group.
-    X4 = 4,
-    /// Eight lanes: one 512-bit group (or two 256-bit registers).
-    X8 = 8,
-}
-
-impl LaneWidth {
-    /// Every supported width, narrowest first — the sweep order the
-    /// differential tests use.
-    pub const ALL: [LaneWidth; 4] =
-        [LaneWidth::X1, LaneWidth::X2, LaneWidth::X4, LaneWidth::X8];
-
-    /// Number of `u64` lanes in a word-group.
-    pub fn lanes(self) -> usize {
-        self as usize
-    }
-
-    /// The width with exactly `n` lanes, if `n` is one of 1/2/4/8.
-    pub fn from_lanes(n: usize) -> Option<LaneWidth> {
-        match n {
-            1 => Some(LaneWidth::X1),
-            2 => Some(LaneWidth::X2),
-            4 => Some(LaneWidth::X4),
-            8 => Some(LaneWidth::X8),
-            _ => None,
-        }
-    }
-
-    /// Parses a `BITGEN_LANES`-style width request: `1`, `2`, `4`, `8`,
-    /// or `max` (case-insensitive), with surrounding whitespace ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`InvalidLaneWidth`] carrying the rejected value for anything
-    /// else — `3`, the empty string, garbage. Nothing is a silent
-    /// default here; that choice belongs to the caller.
-    pub fn parse(value: &str) -> Result<LaneWidth, InvalidLaneWidth> {
-        match value.trim() {
-            "1" => Ok(LaneWidth::X1),
-            "2" => Ok(LaneWidth::X2),
-            "4" => Ok(LaneWidth::X4),
-            "8" => Ok(LaneWidth::X8),
-            s if s.eq_ignore_ascii_case("max") => Ok(LaneWidth::X8),
-            other => Err(InvalidLaneWidth { value: other.to_string() }),
-        }
-    }
-
-    /// The pure core of [`LaneWidth::from_env`], testable without
-    /// touching the process environment: resolves an optional raw
-    /// `BITGEN_LANES` value to the width to run plus the validation
-    /// error to surface, if any.
-    ///
-    /// An *unset* variable (`None`) is the ordinary case and silently
-    /// selects the widest group. A *set but invalid* value also falls
-    /// back to the widest group — every width computes identical bits,
-    /// so refusing to run would punish a typo with an outage — but the
-    /// returned [`InvalidLaneWidth`] is `Some` and the caller must
-    /// surface it; swallowing it re-creates the silent-default bug.
-    pub fn resolve_env_value(raw: Option<&str>) -> (LaneWidth, Option<InvalidLaneWidth>) {
-        match raw {
-            None => (LaneWidth::X8, None),
-            Some(value) => match LaneWidth::parse(value) {
-                Ok(width) => (width, None),
-                Err(invalid) => (LaneWidth::X8, Some(invalid)),
-            },
-        }
-    }
-
-    /// Resolves the width requested by the `BITGEN_LANES` environment
-    /// variable: `1`, `2`, `4`, `8`, or `max`. Unset selects the widest
-    /// group (the default).
-    ///
-    /// A set-but-invalid value (`BITGEN_LANES=3`, an empty string,
-    /// garbage) is **loud**: the process falls back to the widest group
-    /// — results are bit-identical at every width, so matching stays
-    /// correct — and a single warning naming the rejected value is
-    /// printed to stderr, once per process. Use [`LaneWidth::parse`]
-    /// directly to turn an invalid value into a typed error instead.
-    pub fn from_env() -> LaneWidth {
-        let raw = std::env::var("BITGEN_LANES").ok();
-        let (width, invalid) = LaneWidth::resolve_env_value(raw.as_deref());
-        if let Some(error) = invalid {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("bitgen: warning: {error}; falling back to {width}");
-            });
-        }
-        width
-    }
-}
-
-/// A `BITGEN_LANES` value that names no lane width — anything other
-/// than `1`, `2`, `4`, `8`, or `max`.
+/// A constant, not a setting, because nothing the code can observe
+/// prefers another value. `op_p50_ms` of `benchmark/run.sh`, seeds 1–3,
+/// with the group width forced:
 ///
-/// Returned by [`LaneWidth::parse`]; [`LaneWidth::from_env`] reports it
-/// on stderr (once) and falls back to the widest group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidLaneWidth {
-    /// The rejected value, trimmed, as found in the environment.
-    pub value: String,
-}
-
-impl fmt::Display for InvalidLaneWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid BITGEN_LANES value {:?} (expected 1, 2, 4, 8, or max)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for InvalidLaneWidth {}
-
-impl fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "w64x{}", self.lanes())
-    }
-}
-
-/// The process-wide active width; 0 means "not yet resolved from the
-/// environment". Relaxed ordering suffices because every width computes
-/// the same bits — a racing reader merely runs a different-shaped loop.
-static ACTIVE_LANES: AtomicU8 = AtomicU8::new(0);
-
-/// The lane width the kernels currently dispatch to.
+/// | `N` | serve-bulk | serve-churn | serve-small | batch-scan |
+/// |---|---|---|---|---|
+/// | 1 | 2.04–2.19 | 1.80 | 0.170 | 0.275 |
+/// | 2 | 1.89 | — | — | — |
+/// | 4 | 1.30–1.33 | 1.51 | 0.167 | 0.273 |
+/// | 8 | 1.20–1.23 | 1.35 | 0.178 | 0.273 |
+/// | 8 + explicit SSE2 zips | 1.19–1.24 | — | — | — |
 ///
-/// Resolved from `BITGEN_LANES` on first use (see
-/// [`LaneWidth::from_env`]), after which it is sticky until
-/// [`set_lane_width`] overrides it.
-pub fn lane_width() -> LaneWidth {
-    match ACTIVE_LANES.load(Ordering::Relaxed) {
-        0 => {
-            let w = LaneWidth::from_env();
-            ACTIVE_LANES.store(w as u8, Ordering::Relaxed);
-            w
-        }
-        n => LaneWidth::from_lanes(n as usize).unwrap_or(LaneWidth::X8),
-    }
-}
-
-/// Overrides the process-wide lane width.
-///
-/// Because every width is bit-identical this is safe to flip at any
-/// point, even mid-stream; it exists so tests can pin the scalar
-/// reference path or sweep all widths within one process.
-pub fn set_lane_width(width: LaneWidth) {
-    ACTIVE_LANES.store(width as u8, Ordering::Relaxed);
-}
-
-/// Runs `$f::<N>(args…)` with `N` bound to the active lane width.
-macro_rules! dispatch_lanes {
-    ($f:ident ( $($arg:expr),* $(,)? )) => {
-        match lane_width() {
-            LaneWidth::X1 => $f::<1>($($arg),*),
-            LaneWidth::X2 => $f::<2>($($arg),*),
-            LaneWidth::X4 => $f::<4>($($arg),*),
-            LaneWidth::X8 => $f::<8>($($arg),*),
-        }
-    };
-}
-
-/// A bitwise zip operation, named so the `core::arch` path can select
-/// the matching intrinsic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BitOp {
-    /// `a & b`.
-    And,
-    /// `a | b`.
-    Or,
-    /// `a ^ b`.
-    Xor,
-    /// `a & !b`.
-    AndNot,
-}
-
-impl BitOp {
-    // Only the `core::arch` remainder loop needs the dynamic form; the
-    // scalar dispatch specializes per-op closures instead.
-    #[cfg_attr(not(all(feature = "simd-arch", target_arch = "x86_64")), allow(dead_code))]
-    #[inline(always)]
-    fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            BitOp::And => a & b,
-            BitOp::Or => a | b,
-            BitOp::Xor => a ^ b,
-            BitOp::AndNot => a & !b,
-        }
-    }
-}
+/// (`serve-small` pushes one 64-bit word, so its column is noise.)
+/// Ungrouped slice loops for the zip and shift kernels measured 4–6 %
+/// slower on `serve-bulk` than the grouped ones: the class-circuit
+/// interpreter amortises its dispatch over the group.
+pub(crate) const LANES: usize = 8;
 
 /// A mask with the `n` lowest bits set (`n <= 64`).
 #[inline(always)]
@@ -259,30 +65,15 @@ pub(crate) fn gather_word(words: &[u64], start: usize) -> u64 {
     }
 }
 
-/// `out[i] = op(a[i], b[i])` over `min(len)` words, word-group at a
+/// `out[i] = f(a[i], b[i])` over `min(len)` words, word-group at a
 /// time.
-pub(crate) fn zip_into(a: &[u64], b: &[u64], out: &mut [u64], op: BitOp) {
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    if lane_width().lanes() > 1 {
-        arch::zip(a, b, out, op);
-        return;
-    }
-    match op {
-        BitOp::And => dispatch_lanes!(zip_n(a, b, out, |x, y| x & y)),
-        BitOp::Or => dispatch_lanes!(zip_n(a, b, out, |x, y| x | y)),
-        BitOp::Xor => dispatch_lanes!(zip_n(a, b, out, |x, y| x ^ y)),
-        BitOp::AndNot => dispatch_lanes!(zip_n(a, b, out, |x, y| x & !y)),
-    }
+pub(crate) fn zip_into(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> u64 + Copy) {
+    zip_n::<LANES>(a, b, out, f)
 }
 
-/// `dst[i] = op(dst[i], src[i])` in place over `min(len)` words.
-pub(crate) fn zip_assign(dst: &mut [u64], src: &[u64], op: BitOp) {
-    match op {
-        BitOp::And => dispatch_lanes!(zip_assign_n(dst, src, |x, y| x & y)),
-        BitOp::Or => dispatch_lanes!(zip_assign_n(dst, src, |x, y| x | y)),
-        BitOp::Xor => dispatch_lanes!(zip_assign_n(dst, src, |x, y| x ^ y)),
-        BitOp::AndNot => dispatch_lanes!(zip_assign_n(dst, src, |x, y| x & !y)),
-    }
+/// `dst[i] = f(dst[i], src[i])` in place over `min(len)` words.
+pub(crate) fn zip_assign(dst: &mut [u64], src: &[u64], f: impl Fn(u64, u64) -> u64 + Copy) {
+    zip_assign_n::<LANES>(dst, src, f)
 }
 
 fn zip_n<const N: usize>(
@@ -327,9 +118,9 @@ fn zip_assign_n<const N: usize>(
 /// out of the last word. The ripple chains lane-to-lane inside each
 /// word-group exactly as it chains word-to-word between groups, so the
 /// sum — and every streaming boundary carry derived from it — is
-/// independent of the lane width.
+/// independent of the group width.
 pub(crate) fn add_into(a: &[u64], b: &[u64], out: &mut [u64], carry_in: bool) -> bool {
-    dispatch_lanes!(add_n(a, b, out, carry_in))
+    add_n::<LANES>(a, b, out, carry_in)
 }
 
 fn add_n<const N: usize>(a: &[u64], b: &[u64], out: &mut [u64], carry_in: bool) -> bool {
@@ -361,7 +152,7 @@ fn add_n<const N: usize>(a: &[u64], b: &[u64], out: &mut [u64], carry_in: bool) 
 /// Words below `word_shift` are left untouched — the caller passes a
 /// zeroed buffer so vacated positions read zero.
 pub(crate) fn advance_into(src: &[u64], out: &mut [u64], word_shift: usize, bit_shift: u32) {
-    dispatch_lanes!(advance_n(src, out, word_shift, bit_shift))
+    advance_n::<LANES>(src, out, word_shift, bit_shift)
 }
 
 fn advance_n<const N: usize>(src: &[u64], out: &mut [u64], word_shift: usize, bit_shift: u32) {
@@ -399,7 +190,7 @@ fn advance_n<const N: usize>(src: &[u64], out: &mut [u64], word_shift: usize, bi
 /// `word_shift * 64 + bit_shift` into `out`; words above
 /// `len - word_shift` are left untouched (callers pass zeros).
 pub(crate) fn retreat_into(src: &[u64], out: &mut [u64], word_shift: usize, bit_shift: u32) {
-    dispatch_lanes!(retreat_n(src, out, word_shift, bit_shift))
+    retreat_n::<LANES>(src, out, word_shift, bit_shift)
 }
 
 fn retreat_n<const N: usize>(src: &[u64], out: &mut [u64], word_shift: usize, bit_shift: u32) {
@@ -467,7 +258,7 @@ pub(crate) fn s2p_block(block: &[u8; 64]) -> [u64; 8] {
 /// padding. Blocks are processed `N` at a time so the per-block SWAR
 /// pipelines across a word-group.
 pub(crate) fn s2p_into(input: &[u8], sink: &mut impl FnMut(usize, [u64; 8])) {
-    dispatch_lanes!(s2p_n(input, sink))
+    s2p_n::<LANES>(input, sink)
 }
 
 fn s2p_n<const N: usize>(input: &[u8], sink: &mut impl FnMut(usize, [u64; 8])) {
@@ -493,50 +284,6 @@ fn s2p_n<const N: usize>(input: &[u8], sink: &mut impl FnMut(usize, [u64; 8])) {
         let mut block = [0u8; 64];
         block[..rem.len()].copy_from_slice(rem);
         sink(wi, s2p_block(&block));
-    }
-}
-
-/// Explicit `core::arch` SSE2 kernels (x86_64, `simd-arch` feature).
-///
-/// SSE2 is part of the x86_64 baseline, so the intrinsics need no
-/// runtime feature detection; the only unsafety is the unaligned
-/// 128-bit loads/stores, which stay in bounds by construction.
-#[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-mod arch {
-    #![allow(unsafe_code)]
-
-    use super::BitOp;
-    use core::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_andnot_si128, _mm_loadu_si128, _mm_or_si128,
-        _mm_storeu_si128, _mm_xor_si128,
-    };
-
-    pub(super) fn zip(a: &[u64], b: &[u64], out: &mut [u64], op: BitOp) {
-        let n = out.len().min(a.len()).min(b.len());
-        let pairs = n / 2;
-        // SAFETY: every pointer is `2 * i < 2 * pairs <= n` words into a
-        // slice at least `n` words long, and loadu/storeu tolerate any
-        // alignment.
-        unsafe {
-            for i in 0..pairs {
-                let pa = a.as_ptr().add(2 * i) as *const __m128i;
-                let pb = b.as_ptr().add(2 * i) as *const __m128i;
-                let po = out.as_mut_ptr().add(2 * i) as *mut __m128i;
-                let va = _mm_loadu_si128(pa);
-                let vb = _mm_loadu_si128(pb);
-                let v = match op {
-                    BitOp::And => _mm_and_si128(va, vb),
-                    BitOp::Or => _mm_or_si128(va, vb),
-                    BitOp::Xor => _mm_xor_si128(va, vb),
-                    // `_mm_andnot_si128(x, y)` computes `!x & y`.
-                    BitOp::AndNot => _mm_andnot_si128(vb, va),
-                };
-                _mm_storeu_si128(po, v);
-            }
-        }
-        for i in pairs * 2..n {
-            out[i] = op.apply(a[i], b[i]);
-        }
     }
 }
 
@@ -592,17 +339,11 @@ mod tests {
                 {
                     assert_eq!(l, *e);
                 }
-                let mut wide2 = vec![0u64; n];
-                zip_n::<2>(&a, &b, &mut wide2, f);
-                let mut wide4 = vec![0u64; n];
-                zip_n::<4>(&a, &b, &mut wide4, f);
-                let mut wide8 = vec![0u64; n];
-                zip_n::<8>(&a, &b, &mut wide8, f);
-                assert_eq!(reference, wide2, "n={n}");
-                assert_eq!(reference, wide4, "n={n}");
-                assert_eq!(reference, wide8, "n={n}");
+                let mut wide = vec![0u64; n];
+                zip_n::<LANES>(&a, &b, &mut wide, f);
+                assert_eq!(reference, wide, "n={n}");
                 let mut assigned = a.clone();
-                zip_assign_n::<4>(&mut assigned, &b, f);
+                zip_assign_n::<LANES>(&mut assigned, &b, f);
                 assert_eq!(reference, assigned, "n={n}");
             }
         }
@@ -615,33 +356,21 @@ mod tests {
             let b = words(42, n);
             let mut reference = vec![0u64; n];
             let c1 = add_n::<1>(&a, &b, &mut reference, true);
-            let mut wide8 = vec![0u64; n];
-            let c8 = add_n::<8>(&a, &b, &mut wide8, true);
-            let mut wide4 = vec![0u64; n];
-            let c4 = add_n::<4>(&a, &b, &mut wide4, true);
-            assert_eq!(reference, wide8, "n={n}");
-            assert_eq!(reference, wide4, "n={n}");
-            assert_eq!(c1, c8);
-            assert_eq!(c1, c4);
+            let mut wide = vec![0u64; n];
+            let cw = add_n::<LANES>(&a, &b, &mut wide, true);
+            assert_eq!(reference, wide, "n={n}");
+            assert_eq!(c1, cw);
         }
         // An all-ones stream plus an injected carry ripples through every
-        // lane boundary and out the top, at every width.
+        // lane boundary and out the top, grouped or not.
         let ones = vec![u64::MAX; 9];
         let zero = vec![0u64; 9];
-        for width_out in [
-            {
-                let mut o = vec![0u64; 9];
-                assert!(add_n::<1>(&ones, &zero, &mut o, true));
-                o
-            },
-            {
-                let mut o = vec![0u64; 9];
-                assert!(add_n::<8>(&ones, &zero, &mut o, true));
-                o
-            },
-        ] {
-            assert_eq!(width_out, vec![0u64; 9]);
-        }
+        let mut scalar = vec![0u64; 9];
+        assert!(add_n::<1>(&ones, &zero, &mut scalar, true));
+        assert_eq!(scalar, zero);
+        let mut wide = vec![0u64; 9];
+        assert!(add_n::<LANES>(&ones, &zero, &mut wide, true));
+        assert_eq!(wide, zero);
     }
 
     #[test]
@@ -652,14 +381,14 @@ mod tests {
                 let (ws, bs) = (k >> 6, (k & 63) as u32);
                 let mut adv1 = vec![0u64; n];
                 advance_n::<1>(&src, &mut adv1, ws, bs);
-                let mut adv8 = vec![0u64; n];
-                advance_n::<8>(&src, &mut adv8, ws, bs);
-                assert_eq!(adv1, adv8, "advance n={n} k={k}");
+                let mut adv = vec![0u64; n];
+                advance_n::<LANES>(&src, &mut adv, ws, bs);
+                assert_eq!(adv1, adv, "advance n={n} k={k}");
                 let mut ret1 = vec![0u64; n];
                 retreat_n::<1>(&src, &mut ret1, ws, bs);
-                let mut ret8 = vec![0u64; n];
-                retreat_n::<8>(&src, &mut ret8, ws, bs);
-                assert_eq!(ret1, ret8, "retreat n={n} k={k}");
+                let mut ret = vec![0u64; n];
+                retreat_n::<LANES>(&src, &mut ret, ws, bs);
+                assert_eq!(ret1, ret, "retreat n={n} k={k}");
             }
         }
     }
@@ -686,83 +415,9 @@ mod tests {
         for take in [0usize, 1, 63, 64, 65, 512, 513, 1000] {
             let mut reference = Vec::new();
             s2p_n::<1>(&input[..take], &mut |wi, w| reference.push((wi, w)));
-            for_widths(&input[..take], &reference);
-        }
-    }
-
-    fn for_widths(input: &[u8], reference: &[(usize, [u64; 8])]) {
-        let mut got2 = Vec::new();
-        s2p_n::<2>(input, &mut |wi, w| got2.push((wi, w)));
-        let mut got4 = Vec::new();
-        s2p_n::<4>(input, &mut |wi, w| got4.push((wi, w)));
-        let mut got8 = Vec::new();
-        s2p_n::<8>(input, &mut |wi, w| got8.push((wi, w)));
-        assert_eq!(reference, got2.as_slice());
-        assert_eq!(reference, got4.as_slice());
-        assert_eq!(reference, got8.as_slice());
-    }
-
-    #[test]
-    fn env_parse_named_widths() {
-        // from_env reads the real environment; only exercise the pure
-        // parts here (the CI matrix drives the env var end-to-end).
-        assert_eq!(LaneWidth::from_lanes(1), Some(LaneWidth::X1));
-        assert_eq!(LaneWidth::from_lanes(8), Some(LaneWidth::X8));
-        assert_eq!(LaneWidth::from_lanes(3), None);
-        assert_eq!(LaneWidth::X4.to_string(), "w64x4");
-        assert_eq!(LaneWidth::ALL.map(LaneWidth::lanes), [1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn parse_accepts_every_documented_width_and_nothing_else() {
-        assert_eq!(LaneWidth::parse("1"), Ok(LaneWidth::X1));
-        assert_eq!(LaneWidth::parse("2"), Ok(LaneWidth::X2));
-        assert_eq!(LaneWidth::parse("4"), Ok(LaneWidth::X4));
-        assert_eq!(LaneWidth::parse("8"), Ok(LaneWidth::X8));
-        assert_eq!(LaneWidth::parse("max"), Ok(LaneWidth::X8));
-        assert_eq!(LaneWidth::parse(" MAX "), Ok(LaneWidth::X8));
-        // The typed-error path: each rejected value comes back verbatim
-        // (trimmed) inside the error, ready for a diagnostic.
-        for bad in ["3", "", "  ", "16", "0", "eight", "1 2", "-1"] {
-            let err = LaneWidth::parse(bad).unwrap_err();
-            assert_eq!(err.value, bad.trim());
-            let msg = err.to_string();
-            assert!(msg.contains("BITGEN_LANES"), "unhelpful message: {msg}");
-            assert!(msg.contains("expected 1, 2, 4, 8, or max"));
-        }
-    }
-
-    #[test]
-    fn env_resolution_is_silent_when_unset_and_loud_when_invalid() {
-        // Unset: the ordinary default, no warning to surface.
-        assert_eq!(LaneWidth::resolve_env_value(None), (LaneWidth::X8, None));
-        // Valid values resolve silently.
-        let (w, invalid) = LaneWidth::resolve_env_value(Some("2"));
-        assert_eq!((w, invalid), (LaneWidth::X2, None));
-        // Invalid values (the old silent-default bug: 3, empty string,
-        // garbage) still fall back to the widest group — every width is
-        // bit-identical — but hand the caller an error to surface.
-        for bad in ["3", "", "garbage"] {
-            let (width, invalid) = LaneWidth::resolve_env_value(Some(bad));
-            assert_eq!(width, LaneWidth::X8);
-            let invalid = invalid.expect("invalid value must produce an error");
-            assert_eq!(invalid, InvalidLaneWidth { value: bad.trim().to_string() });
-        }
-    }
-
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    #[test]
-    fn arch_zip_matches_scalar() {
-        for n in [0usize, 1, 2, 3, 9, 32, 33] {
-            let a = words(5, n);
-            let b = words(77, n);
-            for op in [BitOp::And, BitOp::Or, BitOp::Xor, BitOp::AndNot] {
-                let mut reference = vec![0u64; n];
-                zip_n::<1>(&a, &b, &mut reference, |x, y| op.apply(x, y));
-                let mut simd = vec![0u64; n];
-                super::arch::zip(&a, &b, &mut simd, op);
-                assert_eq!(reference, simd, "n={n} op={op:?}");
-            }
+            let mut wide = Vec::new();
+            s2p_n::<LANES>(&input[..take], &mut |wi, w| wide.push((wi, w)));
+            assert_eq!(reference, wide, "take={take}");
         }
     }
 }

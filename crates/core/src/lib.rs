@@ -73,7 +73,6 @@ pub use stream_scan::{RetryPolicy, StreamCheckpoint, StreamScanner};
 pub use swap::StagedRules;
 
 // Re-export the pieces users need to configure or extend the engine.
-pub use bitgen_bitstream::{lane_width, set_lane_width, InvalidLaneWidth, LaneWidth};
 pub use bitgen_exec::{
     BatchPlan, ExecConfig, ExecError, ExecMetrics, FallbackPolicy, Metrics, PassMetrics,
     PreparedProgram, Scheme,

@@ -80,7 +80,7 @@ struct GridCtx<'a> {
 pub struct ScanSession<'e> {
     engine: &'e BitGen,
     exec_config: ExecConfig,
-    /// Resolved worker count (≥ 1).
+    /// Worker count; 0 until the batch grid first needs it resolved.
     threads: usize,
     /// Transpose targets, one per stream slot, grown on demand.
     bases: Vec<Basis>,
@@ -103,19 +103,15 @@ impl BitGen {
     /// Creates a scan session over this engine.
     ///
     /// The worker count comes from [`crate::EngineConfig::scan_threads`]
-    /// (`0` = one per available hardware thread). Buffers are allocated
-    /// lazily on first scan and reused afterwards.
+    /// (`0` = one per available hardware thread, asked of the OS by the
+    /// first batch scan: a streaming push, which builds a session of its
+    /// own, never needs it). Buffers are allocated lazily on first scan
+    /// and reused afterwards.
     pub fn session(&self) -> ScanSession<'_> {
-        let configured = self.config().scan_threads;
-        let threads = if configured == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            configured
-        };
         ScanSession {
             engine: self,
             exec_config: self.exec_config(),
-            threads,
+            threads: self.config().scan_threads,
             bases: Vec::new(),
             scratches: Vec::new(),
             class_streams: ClassStreams::new(),
@@ -146,7 +142,10 @@ impl<'e> ScanSession<'e> {
 impl ScanSession<'_> {
     /// The resolved worker thread count.
     pub fn threads(&self) -> usize {
-        self.threads
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        }
     }
 
     /// Total words of capacity currently held by session-owned buffers
@@ -215,6 +214,7 @@ impl ScanSession<'_> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
+        self.threads = self.threads();
         self.transpose_streams(inputs);
         let mut ctl = RunControl::unlimited();
         if let Some(token) = &self.cancel {
@@ -614,11 +614,17 @@ mod tests {
             let engine = BitGen::compile_with(&pats, config).unwrap();
             engine.session().scan_many(&slices).unwrap()
         };
-        for threads in [2, 3, 8, 64] {
+        // 0 asks for one worker per hardware thread, resolved by the scan.
+        let machine = std::thread::available_parallelism().map_or(1, usize::from);
+        for threads in [0, 2, 3, 8, 64] {
             let config = EngineConfig::default().with_threads(threads);
             let engine = BitGen::compile_with(&pats, config).unwrap();
-            let got = engine.session().scan_many(&slices).unwrap();
+            let mut session = engine.session();
+            let want = if threads == 0 { machine } else { threads };
+            assert_eq!(session.threads(), want);
+            let got = session.scan_many(&slices).unwrap();
             reports_agree(&reference, &got);
+            assert_eq!(session.threads(), want);
         }
     }
 

@@ -6,13 +6,10 @@
 //! simulated global memory. The number of segments and boundary streams is
 //! exactly what Table 4 reports as `#Loop` and `#Intermediate Bitstream`.
 //!
-//! Segmentation itself is lane-width-oblivious: it decides *what* runs
-//! together, not how wide the words are. The host loops that execute
-//! the resulting segments (`Sequential` bodies and the window
-//! stores/blits of `Fused` ones) all bottom out in the `w64xN`
-//! wide-word kernels of `bitgen-bitstream`, so the same segment plan
-//! executes identically — bit for bit — at every `BITGEN_LANES`
-//! setting.
+//! Segmentation decides *what* runs together, not how the host walks
+//! the words: the loops that execute the resulting segments
+//! (`Sequential` bodies and the window stores/blits of `Fused` ones) all
+//! bottom out in the word-group kernels of `bitgen-bitstream`.
 
 use crate::scheme::Scheme;
 use bitgen_ir::{Program, Stmt, StreamId};

@@ -6,7 +6,7 @@
 //! according to unvalidated length fields, and never hands back a
 //! half-parsed stream.
 
-use bitgen::{set_lane_width, BitGen, Error, LaneWidth, StreamCheckpoint};
+use bitgen::{BitGen, Error, StreamCheckpoint};
 use proptest::prelude::*;
 
 const POOL: &[&str] =
@@ -158,35 +158,6 @@ fn forged_carry_lengths_are_rejected_before_allocating() {
             matches!(err, Error::CheckpointInvalid { .. }),
             "forged carry length must be rejected, got {err:?}"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The wide-word kernels must not leak into the wire format: for
-    /// any pattern set and input, checkpoint bytes produced under every
-    /// lane width are identical, parse `Ok`, and round-trip — a width
-    /// change rejects nothing and corrupts nothing.
-    #[test]
-    fn lane_width_never_leaks_into_checkpoint_bytes(
-        patterns in arb_patterns(),
-        input in arb_input(),
-    ) {
-        let mut per_width = Vec::new();
-        for width in LaneWidth::ALL {
-            set_lane_width(width);
-            per_width.push((width, checkpoint_bytes(&patterns, &input)));
-        }
-        set_lane_width(LaneWidth::from_env());
-        let (_, reference) = &per_width[0];
-        for (width, bytes) in &per_width {
-            prop_assert_eq!(bytes, reference,
-                "{} checkpoint bytes diverged for patterns {:?}", width, &patterns);
-            let ckpt = StreamCheckpoint::from_bytes(bytes)
-                .expect("width-invariant bytes must still parse");
-            prop_assert_eq!(ckpt.to_bytes(), bytes.clone());
-        }
     }
 }
 

@@ -6,13 +6,12 @@
 //! match spanning many chunks through a while-loop must be reported
 //! exactly once.
 
-use bitgen::{
-    set_lane_width, BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, LaneWidth,
-    StreamCheckpoint,
-};
+use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, StreamCheckpoint};
 use bitgen_bitstream::Basis;
 use bitgen_exec::{execute_prepared_with, ExecScratch};
 use bitgen_ir::{CarryState, RunControl};
+use bitgen_regex::{multi_match_ends, parse, Ast};
+use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 use proptest::prelude::*;
 
 /// Streams `input` through `engine` using the given chunking plan,
@@ -32,6 +31,7 @@ fn stream_all(engine: &BitGen, input: &[u8], sizes: &[usize]) -> Vec<u64> {
         }
     }
     assert_eq!(scanner.consumed(), pos as u64);
+    assert_eq!(scanner.metrics().match_count, ends.len() as u64);
     ends
 }
 
@@ -192,36 +192,33 @@ proptest! {
         // and carry-out are replayed through `try_interpret_chunk`, so a
         // slot handed to two live streams, a stale buffer or a carry that
         // went through the wrong slot fails here — at chunk sizes on both
-        // sides of a word and of a lane group, at both lane extremes.
+        // sides of a word and of a word-group.
         let engine = BitGen::compile(&patterns).unwrap();
         let config = ExecConfig { cross_check: true, ..ExecConfig::default() };
         let ctl = RunControl::unlimited();
-        for width in [LaneWidth::X1, LaneWidth::X8] {
-            set_lane_width(width);
-            for chunk in [1usize, 2, 3, 7, 63, 64, 65, 4096] {
-                let input: Vec<u8> =
-                    seed.iter().cycle().take(seed.len() + 3 * chunk + 5).copied().collect();
-                let batch = batch_ends(&engine, &input);
-                let mut scratch = ExecScratch::new();
-                let mut ends = Vec::new();
-                for prepared in engine.stream_programs() {
-                    let mut carry = CarryState::for_layout(prepared.carry_layout());
-                    for (i, piece) in input.chunks(chunk).enumerate() {
-                        let basis = Basis::transpose(piece);
-                        let out = prepared
-                            .execute_window(&basis, &config, &mut scratch, &ctl, &mut carry)
-                            .unwrap_or_else(|e| {
-                                panic!("{patterns:?} {width} chunk {chunk} window {i}: {e}")
-                            });
-                        carry.rotate();
-                        let here = out.union().positions().into_iter().filter(|&p| p < piece.len());
-                        ends.extend(here.map(|p| (i * chunk + p) as u64));
-                    }
+        for chunk in [1usize, 2, 3, 7, 63, 64, 65, 4096] {
+            let input: Vec<u8> =
+                seed.iter().cycle().take(seed.len() + 3 * chunk + 5).copied().collect();
+            let batch = batch_ends(&engine, &input);
+            let mut scratch = ExecScratch::new();
+            let mut ends = Vec::new();
+            for prepared in engine.stream_programs() {
+                let mut carry = CarryState::for_layout(prepared.carry_layout());
+                for (i, piece) in input.chunks(chunk).enumerate() {
+                    let basis = Basis::transpose(piece);
+                    let out = prepared
+                        .execute_window(&basis, &config, &mut scratch, &ctl, &mut carry)
+                        .unwrap_or_else(|e| {
+                            panic!("{patterns:?} chunk {chunk} window {i}: {e}")
+                        });
+                    carry.rotate();
+                    let here = out.union().positions().into_iter().filter(|&p| p < piece.len());
+                    ends.extend(here.map(|p| (i * chunk + p) as u64));
                 }
-                ends.sort_unstable();
-                ends.dedup();
-                prop_assert_eq!(ends, batch, "{:?} {} chunk {}", patterns, width, chunk);
             }
+            ends.sort_unstable();
+            ends.dedup();
+            prop_assert_eq!(ends, batch, "{:?} chunk {}", patterns, chunk);
         }
     }
 }
@@ -242,81 +239,84 @@ fn while_loop_match_spanning_many_chunks_reported_once() {
     assert_eq!(scanner.consumed(), 10);
 }
 
+/// Streams `input` once per chunking plan and requires three-way
+/// agreement: every streamed run equals the batch scan, which equals the
+/// set-based oracle over the same regexes.
+fn assert_streamed_batch_oracle(engine: &BitGen, asts: &[Ast], input: &[u8], plans: &[&[usize]]) {
+    let batch = batch_ends(engine, input);
+    let oracle: Vec<u64> = multi_match_ends(asts, input).iter().map(|&p| p as u64).collect();
+    assert_eq!(batch, oracle, "batch vs oracle");
+    for sizes in plans {
+        assert_eq!(stream_all(engine, input, sizes), batch, "chunking {sizes:?}");
+    }
+}
+
+fn asts_of(patterns: &[&str]) -> Vec<Ast> {
+    patterns.iter().map(|p| parse(p).expect("test patterns parse")).collect()
+}
+
 #[test]
 fn unbounded_repetition_spanning_chunks() {
     // `c{3,}d` needs at least three loop-carried counts before the `d`.
-    let engine = BitGen::compile(&["c{3,}d"]).unwrap();
+    let patterns = ["c{3,}d"];
+    let engine = BitGen::compile(&patterns).unwrap();
     let input = b"cc cccccd cd";
-    let batch = batch_ends(&engine, input);
-    assert!(!batch.is_empty());
-    for sizes in [&[1usize][..], &[2], &[3, 0, 1], &[64]] {
-        assert_eq!(stream_all(&engine, input, sizes), batch, "chunking {sizes:?}");
+    assert!(!batch_ends(&engine, input).is_empty());
+    assert_streamed_batch_oracle(
+        &engine,
+        &asts_of(&patterns),
+        input,
+        &[&[1], &[2], &[3, 0, 1], &[64]],
+    );
+    // Loops carried across pushes sized one below, at and above a word
+    // (64 positions) and a word-group (512): the carries cross both the
+    // word-to-word and the group-to-group seams of the kernels.
+    let patterns = ["a+b", "(a|bb)+c", "x[ab]{1,4}y", "c{3,}d"];
+    let engine = BitGen::compile(&patterns).unwrap();
+    let input: Vec<u8> = (0..1500u32)
+        .map(|i| b"aabbccdxy. "[(i.wrapping_mul(2654435761) >> 7) as usize % 11])
+        .collect();
+    let straddles = [8usize, 15, 16, 17, 63, 64, 65, 127, 128, 129, 511, 512, 513];
+    let plans: Vec<&[usize]> = straddles.iter().map(std::slice::from_ref).collect();
+    assert_streamed_batch_oracle(&engine, &asts_of(&patterns), &input, &plans);
+}
+
+#[test]
+fn generated_workloads_stream_like_batch_and_oracle() {
+    // Every application corpus at single bytes, a prime that misaligns
+    // every word boundary and the bitgrep streaming chunk; then one
+    // corpus long enough that a 64 KiB push is followed by another.
+    type Case = (AppKind, usize, usize, &'static [&'static [usize]]);
+    const MATRIX: &[&[usize]] = &[&[1], &[7], &[64 * 1024]];
+    let mut cases: Vec<Case> = AppKind::ALL.iter().map(|&kind| (kind, 6, 512, MATRIX)).collect();
+    cases.push((AppKind::Tcp, 4, 80_000, &[&[64 * 1024]]));
+    for (kind, regexes, input_len, plans) in cases {
+        let w = generate(kind, &WorkloadConfig { regexes, input_len, ..WorkloadConfig::default() });
+        let engine = BitGen::from_asts(w.asts.clone(), Default::default())
+            .expect("workloads compile within budget");
+        assert_streamed_batch_oracle(&engine, &w.asts, &w.input, plans);
     }
 }
 
-/// Checkpoint streams are `BitStream` words, and every lane width
-/// computes identical words — so the serialized checkpoint taken at any
-/// push boundary must be byte-for-byte identical whatever
-/// `BITGEN_LANES` was while streaming. This is what makes lane width an
-/// execution detail rather than stream state.
+/// A checkpoint cut right at a word (64) or word-group (512) boundary,
+/// where the kernels' carry seams live, serialises, parses and resumes
+/// to the batch answer with nothing rejected and nothing re-scanned.
 #[test]
-fn checkpoint_bytes_identical_across_lane_widths() {
-    let engine = BitGen::compile(&["a+b", "(a|bb)+c", "c{3,}d", "x[ab]{1,4}y"]).unwrap();
-    let input: Vec<u8> = (0..700u32).map(|i| b"aabbccdxy. "[i as usize * 7 % 11]).collect();
-    let snapshots = |width: LaneWidth| -> Vec<Vec<u8>> {
-        set_lane_width(width);
-        let mut scanner = engine.streamer().unwrap();
-        let mut snaps = Vec::new();
-        for chunk in input.chunks(53) {
-            scanner.push(chunk).unwrap();
-            snaps.push(scanner.checkpoint().to_bytes());
-        }
-        snaps
-    };
-    let reference = snapshots(LaneWidth::X1);
-    for width in [LaneWidth::X2, LaneWidth::X4, LaneWidth::X8] {
-        assert_eq!(snapshots(width), reference, "{width} checkpoint bytes diverged from w64x1");
-    }
-    set_lane_width(LaneWidth::from_env());
-}
-
-/// A checkpoint written under one lane width resumes bit-identically
-/// under another, including cuts right at word (64) and w64x8
-/// lane-group (512) boundaries where the carry seams live. The resumed
-/// stream must replay to the batch answer with nothing rejected and
-/// nothing re-scanned.
-#[test]
-fn checkpoint_resumes_across_lane_widths() {
+fn checkpoint_resumes_at_word_and_group_seams() {
     let engine = BitGen::compile(&["a+b", "(ab)*c", "c{3,}d"]).unwrap();
     let input: Vec<u8> = (0..900u32).map(|i| b"abcd ab ccc"[i as usize * 3 % 11]).collect();
-    set_lane_width(LaneWidth::X1);
     let batch = batch_ends(&engine, &input);
-    let pairs = [
-        (LaneWidth::X1, LaneWidth::X8),
-        (LaneWidth::X8, LaneWidth::X1),
-        (LaneWidth::X2, LaneWidth::X4),
-        (LaneWidth::X4, LaneWidth::X2),
-    ];
     for cut in [63usize, 64, 65, 511, 512, 513] {
-        for (save_width, resume_width) in pairs {
-            set_lane_width(save_width);
-            let mut first = engine.streamer().unwrap();
-            let mut ends = first.push(&input[..cut]).unwrap();
-            let bytes = first.checkpoint().to_bytes();
-            let ckpt = StreamCheckpoint::from_bytes(&bytes)
-                .expect("a width flip must never invalidate a checkpoint");
-            set_lane_width(resume_width);
-            let mut second = engine.resume(&ckpt).unwrap();
-            for chunk in input[cut..].chunks(37) {
-                ends.extend(second.push(chunk).unwrap());
-            }
-            assert_eq!(
-                ends, batch,
-                "cut {cut}: saved at {save_width}, resumed at {resume_width}"
-            );
+        let mut first = engine.streamer().unwrap();
+        let mut ends = first.push(&input[..cut]).unwrap();
+        let bytes = first.checkpoint().to_bytes();
+        let ckpt = StreamCheckpoint::from_bytes(&bytes).expect("own bytes parse");
+        let mut second = engine.resume(&ckpt).unwrap();
+        for chunk in input[cut..].chunks(37) {
+            ends.extend(second.push(chunk).unwrap());
         }
+        assert_eq!(ends, batch, "cut {cut}");
     }
-    set_lane_width(LaneWidth::from_env());
 }
 
 #[test]
