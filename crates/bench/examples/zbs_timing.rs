@@ -1,7 +1,7 @@
 //! Quick pass-pipeline probe over the nested-repetition family
 //! `(?:(?:ab){N}){N}` — the shape that exposed the old super-linear
 //! transform pipeline. Prints per-pass wall time and work counters;
-//! `benches/compile_pipeline.rs` has the statistically sampled version.
+//! `tests/pass_complexity.rs` gates the same growth on visit counts.
 //!
 //! ```text
 //! cargo run --release --example zbs_timing -p bitgen-bench

@@ -181,16 +181,6 @@ impl BitStream {
         self.zip_reuse(other, out, |a, b| a ^ b)
     }
 
-    /// [`BitStream::and_not`] into a reusable output (see
-    /// [`BitStream::and_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn and_not_into(&self, other: &BitStream, out: &mut BitStream) {
-        self.zip_reuse(other, out, |a, b| a & !b)
-    }
-
     /// [`BitStream::not`] into a reusable output.
     pub fn not_into(&self, out: &mut BitStream) {
         out.reshape(self.len);

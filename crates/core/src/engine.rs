@@ -14,10 +14,14 @@ use bitgen_exec::{
     BatchPlan, PreparedProgram, Scheme,
 };
 use bitgen_gpu::{CostBreakdown, DeviceConfig};
-use bitgen_ir::{fnv1a, lower_group_checked, CompileLimits, LowerOptions, Program, FNV_OFFSET};
+use bitgen_ir::{
+    fnv1a, lower_group_checked, CancelToken, CompileLimits, LowerOptions, Program, RunControl,
+    FNV_OFFSET,
+};
 use bitgen_regex::{parse, Ast, ParseError};
 use std::fmt;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// What a scan does when a (group × stream) CTA fails — a worker
 /// panic, a detected race, or a kernel-scheme execution error.
@@ -150,24 +154,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the regex-to-CTA grouping strategy.
-    pub fn with_grouping(mut self, grouping: GroupingStrategy) -> EngineConfig {
-        self.grouping = grouping;
-        self
-    }
-
-    /// Sets case-insensitive matching.
-    pub fn with_case_insensitive(mut self, fold: bool) -> EngineConfig {
-        self.case_insensitive = fold;
-        self
-    }
-
-    /// Sets the overlap-overflow policy.
-    pub fn with_fallback(mut self, fallback: FallbackPolicy) -> EngineConfig {
-        self.fallback = fallback;
-        self
-    }
-
     /// Sets the MatchStar (while-free) star lowering.
     pub fn with_match_star(mut self, match_star: bool) -> EngineConfig {
         self.match_star = match_star;
@@ -257,9 +243,6 @@ pub struct BitGen {
     /// were prepared at compile time.
     pub(crate) pass_metrics: Vec<PassMetrics>,
     pattern_count: usize,
-    /// Longest possible match span across all patterns, `None` when some
-    /// pattern is unbounded. Drives the streaming scanner's carry-over.
-    max_span: Option<usize>,
     /// Rule-set generation in a hot-swap lineage: `0` for a fresh
     /// compile, parent + 1 for an engine staged by
     /// [`BitGen::prepare_swap`]. Checked (alongside the stream
@@ -462,10 +445,6 @@ impl BitGen {
                 *a = bitgen_regex::optimize(a);
             }
         }
-        let max_span = asts
-            .iter()
-            .map(Ast::max_len)
-            .try_fold(0usize, |acc, m| m.map(|v| acc.max(v)));
         let groups = if asts.is_empty() {
             Vec::new()
         } else {
@@ -517,7 +496,6 @@ impl BitGen {
             stream_programs,
             pass_metrics: Vec::new(),
             pattern_count: asts.len(),
-            max_span,
             generation: 0,
             config,
         };
@@ -528,12 +506,6 @@ impl BitGen {
             engine.pass_metrics.push(apply_transforms(prog, &exec_config));
         }
         Ok(engine)
-    }
-
-    /// The longest span any pattern can match, or `None` if some pattern
-    /// is unbounded (`*`, `+`, `{n,}`).
-    pub fn max_span(&self) -> Option<usize> {
-        self.max_span
     }
 
     /// Number of compiled patterns.
@@ -633,6 +605,8 @@ impl BitGen {
         self.session().scan_many(inputs)
     }
 
+    /// The executor configuration every scan of this engine runs under;
+    /// fixed per engine (a scan only ever overrides `fault`).
     pub(crate) fn exec_config(&self) -> ExecConfig {
         ExecConfig {
             scheme: self.config.scheme,
@@ -645,6 +619,21 @@ impl BitGen {
             ..ExecConfig::default()
         }
     }
+}
+
+/// Interruption control for one batch scan or one streaming push, from
+/// its owner's cancel token and timeout. Built once per scan or push:
+/// every slot, and every retry of a window, shares the one deadline
+/// rather than getting a fresh budget.
+pub(crate) fn run_control(cancel: Option<&CancelToken>, timeout: Option<Duration>) -> RunControl {
+    let mut ctl = RunControl::unlimited();
+    if let Some(token) = cancel {
+        ctl = ctl.with_cancel(token.clone());
+    }
+    if let Some(budget) = timeout {
+        ctl = ctl.deadline_in(budget);
+    }
+    ctl
 }
 
 #[cfg(test)]

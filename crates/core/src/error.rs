@@ -129,6 +129,15 @@ pub enum Error {
     },
 }
 
+impl Error {
+    /// Whether this is the caller's own request to stop (cancellation or
+    /// a deadline): rolled back and surfaced, never retried, degraded or
+    /// counted as a failure of the scan.
+    pub(crate) fn is_interrupt(&self) -> bool {
+        matches!(self, Error::Exec(ExecError::Cancelled | ExecError::DeadlineExceeded))
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -184,15 +193,7 @@ impl std::error::Error for Error {
             Error::LimitExceeded(e) => Some(e),
             Error::Exec(e) => Some(e),
             Error::CarryCorrupted { error, .. } => Some(error),
-            Error::WorkerPanicked { .. }
-            | Error::StreamPoisoned
-            | Error::CheckpointInvalid { .. }
-            | Error::CheckpointMismatch { .. }
-            | Error::GenerationMismatch { .. }
-            | Error::SwapMismatch { .. }
-            | Error::Overloaded { .. }
-            | Error::Draining
-            | Error::FrameTooLarge { .. } => None,
+            _ => None,
         }
     }
 }

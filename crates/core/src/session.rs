@@ -15,32 +15,23 @@
 //! matches, metrics, and modelled seconds are bit-identical for every
 //! thread count.
 
-use crate::engine::{BitGen, RecoveryPolicy, ScanReport};
+use crate::engine::{run_control, BitGen, RecoveryPolicy, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
-use bitgen_exec::{
-    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics,
-};
+use bitgen_exec::{ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics};
 use bitgen_gpu::FaultPlan;
-use bitgen_ir::{try_interpret, CancelToken, CarryState, RunControl};
+use bitgen_ir::{try_interpret, CancelToken, RunControl};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How one (group × stream) CTA slot ended: cleanly, with a typed
-/// executor error, or by panicking (caught and isolated to the slot).
-enum SlotRun {
-    Done(Box<ExecOutcome>),
-    Failed(SlotFailure),
-}
+/// How one (group × stream) CTA slot ended: cleanly, or with a typed
+/// error — an executor failure, or a panic caught and isolated to the
+/// slot ([`Error::WorkerPanicked`]).
+type SlotRun = Result<Box<ExecOutcome>, Error>;
 
 /// Per-stream accumulator used by `merge`: the union match stream,
 /// optional per-pattern streams, per-group metrics, degraded slots.
 type StreamPartial = (BitStream, Option<Vec<BitStream>>, Vec<ExecMetrics>, u64);
-
-enum SlotFailure {
-    Exec(ExecError),
-    Panicked,
-}
 
 /// Everything a worker needs to run grid slots, shared read-only across
 /// threads.
@@ -79,17 +70,12 @@ struct GridCtx<'a> {
 #[derive(Debug)]
 pub struct ScanSession<'e> {
     engine: &'e BitGen,
-    exec_config: ExecConfig,
     /// Worker count; 0 until the batch grid first needs it resolved.
     threads: usize,
     /// Transpose targets, one per stream slot, grown on demand.
     bases: Vec<Basis>,
     /// Executor scratch, one per worker, grown on demand.
     scratches: Vec<ExecScratch>,
-    /// Streaming: the engine's class table evaluated over the chunk in
-    /// `bases[0]`. Kept apart from the scratch, which a panicking window
-    /// takes down with it while the retry still reads these.
-    class_streams: ClassStreams,
     /// Deterministic fault armed on one (stream, group) slot — a test
     /// and drill hook, never set in normal operation.
     fault: Option<(usize, usize, FaultPlan)>,
@@ -104,38 +90,18 @@ impl BitGen {
     ///
     /// The worker count comes from [`crate::EngineConfig::scan_threads`]
     /// (`0` = one per available hardware thread, asked of the OS by the
-    /// first batch scan: a streaming push, which builds a session of its
-    /// own, never needs it). Buffers are allocated lazily on first scan
-    /// and reused afterwards.
+    /// first batch scan). Buffers are allocated lazily on first scan and
+    /// reused afterwards.
     pub fn session(&self) -> ScanSession<'_> {
         ScanSession {
             engine: self,
-            exec_config: self.exec_config(),
             threads: self.config().scan_threads,
             bases: Vec::new(),
             scratches: Vec::new(),
-            class_streams: ClassStreams::new(),
             fault: None,
             cancel: None,
             timeout: None,
         }
-    }
-}
-
-impl<'e> ScanSession<'e> {
-    /// Repoints the session at another engine — the streaming hot-swap
-    /// commit (and its rollback). The transpose targets and executor
-    /// scratch are program-agnostic and stay warm; the execution config
-    /// is refreshed from the new engine.
-    pub(crate) fn set_engine(&mut self, engine: &'e BitGen) {
-        self.engine = engine;
-        self.exec_config = engine.exec_config();
-    }
-
-    /// The stored engine reference at the session's full lifetime —
-    /// what a swap rollback stashes so it can repoint the session later.
-    pub(crate) fn engine_ref(&self) -> &'e BitGen {
-        self.engine
     }
 }
 
@@ -149,9 +115,9 @@ impl ScanSession<'_> {
     }
 
     /// Total words of capacity currently held by session-owned buffers
-    /// (basis streams, executor scratch buffers and the streaming class
-    /// streams). Stable across repeated scans, or pushes, of same-sized
-    /// inputs — exposed so reuse tests and benchmarks can assert that.
+    /// (basis streams and executor scratch buffers). Stable across
+    /// repeated scans of same-sized inputs — exposed so reuse tests and
+    /// benchmarks can assert that.
     pub fn buffer_capacity_words(&self) -> usize {
         let basis_words: usize = self
             .bases
@@ -159,7 +125,7 @@ impl ScanSession<'_> {
             .flat_map(|b| b.streams().iter().map(BitStream::capacity_words))
             .sum();
         let pool_words: usize = self.scratches.iter().map(ExecScratch::pooled_words).sum();
-        basis_words + pool_words + self.class_streams.capacity_words()
+        basis_words + pool_words
     }
 
     /// Arms a deterministic fault on the CTA pairing `stream` with
@@ -216,114 +182,10 @@ impl ScanSession<'_> {
         }
         self.threads = self.threads();
         self.transpose_streams(inputs);
-        let mut ctl = RunControl::unlimited();
-        if let Some(token) = &self.cancel {
-            ctl = ctl.with_cancel(token.clone());
-        }
-        if let Some(budget) = self.timeout {
-            ctl = ctl.with_deadline(Instant::now() + budget);
-        }
+        let ctl = run_control(self.cancel.as_ref(), self.timeout);
         let slots = self.execute_grid(inputs.len(), &ctl);
         let outcomes = self.resolve(slots, &ctl)?;
         Ok(self.merge(inputs, outcomes))
-    }
-
-    /// The engine this session scans with — streaming needs it for the
-    /// per-group programs and the device cost model.
-    pub(crate) fn engine(&self) -> &BitGen {
-        self.engine
-    }
-
-    /// Streaming phase 0: transposes one chunk into the session's stream
-    /// slot, evaluates the engine's class table over it — once, for every
-    /// group's window over this chunk and every retry of them — and makes
-    /// sure the streaming scratch exists. All of these buffers are reused
-    /// from push to push: in the steady state the transpose, the class
-    /// streams and the windows' slot buffers allocate nothing, and what a
-    /// push still allocates is what it hands out (each group's output
-    /// streams, the match positions).
-    pub(crate) fn stream_transpose(&mut self, chunk: &[u8]) {
-        if self.bases.is_empty() {
-            self.bases.push(Basis::empty());
-        }
-        if self.scratches.is_empty() {
-            self.scratches.push(ExecScratch::new());
-        }
-        self.bases[0].transpose_into(chunk);
-        // The engine's stream programs were prepared together, so any one
-        // of them evaluates the table they all index.
-        if let Some(prepared) = self.engine.stream_programs.first() {
-            prepared.evaluate_classes(&self.bases[0], &mut self.class_streams);
-        }
-    }
-
-    /// Interruption control for one streaming push, from the session's
-    /// cancel token and timeout. Built once per push: retries of a window
-    /// share the push's deadline rather than getting fresh budgets.
-    pub(crate) fn stream_ctl(&self) -> RunControl {
-        let mut ctl = RunControl::unlimited();
-        if let Some(token) = &self.cancel {
-            ctl = ctl.with_cancel(token.clone());
-        }
-        if let Some(budget) = self.timeout {
-            ctl = ctl.with_deadline(Instant::now() + budget);
-        }
-        ctl
-    }
-
-    /// Runs one group's *streaming* program (untransformed, fixpoint
-    /// loops — see DESIGN.md §10) over the prepared chunk, with the same
-    /// panic isolation the batch grid gives each CTA slot: a panicking
-    /// window (or injected [`FaultPlan`]) is caught, its scratch — in an
-    /// unknown state mid-unwind — is discarded, and the failure surfaces
-    /// as a typed [`Error::WorkerPanicked`].
-    ///
-    /// Does **not** rotate the carry; the caller owns the push
-    /// transaction around this window (rotate every group on commit,
-    /// [`CarryState::discard_outgoing`] on failure).
-    pub(crate) fn run_stream_window(
-        &mut self,
-        group: usize,
-        ctl: &RunControl,
-        carry: &mut CarryState,
-        fault: Option<FaultPlan>,
-    ) -> Result<ExecOutcome, Error> {
-        let prog = &self.engine.stream_programs[group];
-        let mut config = self.exec_config;
-        config.fault = fault;
-        let basis = &self.bases[0];
-        let classes = &self.class_streams;
-        let scratch = &mut self.scratches[0];
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            prog.execute_window_on(classes, basis, &config, scratch, ctl, carry)
-        }));
-        match run {
-            Ok(Ok(outcome)) => Ok(outcome),
-            Ok(Err(e)) => Err(Error::Exec(e)),
-            Err(_) => {
-                self.scratches[0] = ExecScratch::new();
-                Err(Error::WorkerPanicked { group, stream: 0 })
-            }
-        }
-    }
-
-    /// Replays one group's window on the reference interpreter — the
-    /// per-chunk degradation path. Exact matches by construction; the
-    /// device cost model sees no work (mirroring how degraded batch
-    /// slots contribute default metrics).
-    ///
-    /// Like [`ScanSession::run_stream_window`], leaves the rotate to the
-    /// caller's transaction.
-    pub(crate) fn interpret_stream_window(
-        &mut self,
-        group: usize,
-        ctl: &RunControl,
-        carry: &mut CarryState,
-    ) -> Result<Vec<BitStream>, Error> {
-        let prog = self.engine.stream_programs[group].program();
-        let result = bitgen_ir::try_interpret_chunk(prog, &self.bases[0], ctl, carry)
-            .map_err(|e| Error::Exec(ExecError::from(e)))?;
-        Ok(result.outputs)
     }
 
     /// Phase 1: fill `bases[..s]` from the inputs, sharded across
@@ -358,25 +220,21 @@ impl ScanSession<'_> {
     /// unknown state mid-unwind — is discarded, and the failure stays
     /// confined to this slot.
     fn run_slot(cx: GridCtx<'_>, idx: usize, scratch: &mut ExecScratch) -> SlotRun {
-        let mut config = *cx.config;
-        if let Some((stream, group, plan)) = cx.fault {
-            if idx == stream * cx.g + group {
-                config.fault = Some(plan);
-            }
-        }
-        let group = idx % cx.g;
+        let armed = cx.fault.filter(|&(stream, group, _)| idx == stream * cx.g + group);
+        let config = ExecConfig { fault: armed.map(|(.., plan)| plan), ..*cx.config };
+        let (group, stream) = (idx % cx.g, idx / cx.g);
         let run = catch_unwind(AssertUnwindSafe(|| {
             // The engine's resident plan: only the first scan to reach a
             // group segments, analyses and compiles it.
             let (plan, prog) = (cx.engine.batch_plan_or_build(group), &cx.engine.programs[group]);
-            plan.execute(prog, &cx.bases[idx / cx.g], &config, scratch, cx.ctl)
+            plan.execute(prog, &cx.bases[stream], &config, scratch, cx.ctl)
         }));
         match run {
-            Ok(Ok(outcome)) => SlotRun::Done(Box::new(outcome)),
-            Ok(Err(e)) => SlotRun::Failed(SlotFailure::Exec(e)),
+            Ok(Ok(outcome)) => Ok(Box::new(outcome)),
+            Ok(Err(e)) => Err(Error::Exec(e)),
             Err(_) => {
                 *scratch = ExecScratch::new();
-                SlotRun::Failed(SlotFailure::Panicked)
+                Err(Error::WorkerPanicked { group, stream })
             }
         }
     }
@@ -398,7 +256,7 @@ impl ScanSession<'_> {
             g,
             engine: self.engine,
             bases: &self.bases[..s],
-            config: &self.exec_config,
+            config: &self.engine.exec_config(),
             fault: self.fault,
             ctl,
         };
@@ -440,24 +298,17 @@ impl ScanSession<'_> {
         let mut resolved = Vec::with_capacity(slots.len());
         for (idx, slot) in slots.into_iter().enumerate() {
             match slot {
-                SlotRun::Done(outcome) => resolved.push((*outcome, false)),
-                SlotRun::Failed(failure) => {
+                Ok(outcome) => resolved.push((*outcome, false)),
+                Err(failure) => {
                     let (group, stream) = (idx % g, idx / g);
                     // Cancellation and deadlines are honoured regardless
                     // of policy: every slot fails the same way, and
                     // "recovering" them all on the CPU would silently
                     // override the caller's request to stop.
-                    if let SlotFailure::Exec(
-                        e @ (ExecError::Cancelled | ExecError::DeadlineExceeded),
-                    ) = failure
+                    if failure.is_interrupt()
+                        || self.engine.config().recovery != RecoveryPolicy::Degrade
                     {
-                        return Err(Error::Exec(e));
-                    }
-                    if self.engine.config().recovery != RecoveryPolicy::Degrade {
-                        return Err(match failure {
-                            SlotFailure::Exec(e) => Error::Exec(e),
-                            SlotFailure::Panicked => Error::WorkerPanicked { group, stream },
-                        });
+                        return Err(failure);
                     }
                     // The transforms are semantics-preserving, so the
                     // prepared program's interpretation lines up with the
@@ -702,7 +553,7 @@ mod tests {
     fn prepared_scans_populate_pass_metrics() {
         // Session scans run prepared programs, so each CTA's `passes`
         // must be the engine's compile-time record, not the default the
-        // raw `execute_prepared*` family reports.
+        // raw `BatchPlan::execute` reports.
         let engine = BitGen::compile(&["a(bc)*d", "cat"]).unwrap();
         let report = engine.find(b"abcbcd cat").unwrap();
         assert_eq!(report.metrics.ctas.len(), engine.pass_metrics().len());
@@ -718,7 +569,7 @@ mod tests {
         let mut session = engine.session();
         let input: &[u8] = b"abcbcd ad";
         session.transpose_streams(&[input]);
-        let failed = || vec![SlotRun::Failed(SlotFailure::Panicked)];
+        let failed = || vec![Err(Error::WorkerPanicked { group: 0, stream: 0 })];
         // A failed slot is replayed on the reference interpreter and
         // flagged degraded.
         let replayed = session.resolve(failed(), &RunControl::unlimited()).unwrap();

@@ -38,14 +38,19 @@
 //! streaming compile. `bitgrep --checkpoint FILE` builds on it to make
 //! interrupted stdin/file scans restartable.
 
-use crate::engine::BitGen;
+use crate::engine::{run_control, BitGen};
 use crate::error::Error;
-use crate::session::ScanSession;
 use crate::swap::StagedRules;
-use bitgen_bitstream::BitStream;
-use bitgen_exec::{ExecError, ExecMetrics, Metrics, PreparedProgram};
-use bitgen_gpu::FaultPlan;
-use bitgen_ir::{fnv1a, pretty, CancelToken, CarryState, FNV_OFFSET};
+use bitgen_bitstream::{Basis, BitStream};
+use bitgen_exec::{
+    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics,
+    PreparedProgram,
+};
+use bitgen_gpu::{CtaWork, FaultPlan};
+use bitgen_ir::{
+    fnv1a, pretty, try_interpret_chunk, ByteReader, CancelToken, CarryState, RunControl, FNV_OFFSET,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// How a [`StreamScanner`] responds to a detected fault inside a push.
@@ -98,12 +103,6 @@ impl RetryPolicy {
         self.max_attempts = max_attempts.max(1);
         self
     }
-
-    /// Builder: sets whether exhausted windows degrade to the CPU.
-    pub fn with_degrade(mut self, degrade: bool) -> RetryPolicy {
-        self.degrade = degrade;
-        self
-    }
 }
 
 /// A fault armed on a scanner's upcoming windows (drill hook).
@@ -117,8 +116,9 @@ struct StreamFaultArm {
 }
 
 /// Everything needed to undo a committed swap whose first post-swap
-/// window fails unrecoverably: the previous generation's engine, its
-/// boundary carries, and its per-group accounting. Held from
+/// window fails unrecoverably: the previous generation's engine (which
+/// names the generation), its boundary carries, and its per-group
+/// accounting. Held from
 /// [`StreamScanner::commit_swap`] until the first post-swap push
 /// commits; an unrecoverable failure in that window restores all of it
 /// (instead of poisoning the scanner) so the old generation keeps
@@ -128,14 +128,26 @@ struct SwapRollback<'e> {
     engine: &'e BitGen,
     carries: Vec<CarryState>,
     ctas: Vec<ExecMetrics>,
-    generation: u64,
 }
 
-/// Incremental scanner over a compiled engine.
-///
-/// Holds a [`ScanSession`] internally, so the per-push transpose and
-/// executor buffers are reused across chunks, plus one [`CarryState`]
-/// per group carrying the cross-chunk bits. See the
+/// What one push's windows produced, held until the push commits.
+struct PushWindows {
+    /// Union of every group's outputs over the chunk.
+    union: BitStream,
+    /// Per-group device work, priced together at commit.
+    works: Vec<CtaWork>,
+    /// Counted events of the windows the executor ran (degraded windows
+    /// have none).
+    window_metrics: Vec<(usize, ExecMetrics)>,
+    retried: u64,
+    degraded: bool,
+}
+
+/// Incremental scanner over a compiled engine: the whole streaming
+/// machine. Its *state* is one [`CarryState`] per group carrying the
+/// cross-chunk bits (plus counters and the rule-set generation);
+/// everything else — the transpose target, the class streams, the
+/// executor scratch — is per-push scratch, reused across chunks. See the
 /// [module docs](self) for the push transaction and recovery contract.
 ///
 /// # Examples
@@ -155,7 +167,22 @@ struct SwapRollback<'e> {
 /// ```
 #[derive(Debug)]
 pub struct StreamScanner<'e> {
-    session: ScanSession<'e>,
+    /// The engine whose streaming programs the windows run, and whose
+    /// rule-set generation the stream is serving; repointed by a
+    /// committed swap and by its rollback.
+    engine: &'e BitGen,
+    /// Transpose target of the current chunk.
+    basis: Basis,
+    /// The engine's class table evaluated over `basis`. Kept apart from
+    /// the scratch, which a panicking window takes down with it while
+    /// the retry still reads these.
+    class_streams: ClassStreams,
+    /// The windows' slot buffers.
+    scratch: ExecScratch,
+    /// Cooperative cancellation checked at word-chunk granularity.
+    cancel: Option<CancelToken>,
+    /// Per-push wall-clock budget.
+    timeout: Option<Duration>,
     /// Cross-chunk carry, one per group's streaming program.
     carries: Vec<CarryState>,
     /// The unified per-scan record, advanced once per committed push.
@@ -169,9 +196,6 @@ pub struct StreamScanner<'e> {
     poisoned: bool,
     /// Armed drill fault, if any.
     fault: Option<StreamFaultArm>,
-    /// Rule-set generation this stream is serving; bumped by each
-    /// committed [`StreamScanner::commit_swap`], restored by a rollback.
-    generation: u64,
     /// Pending swap window: present between a committed swap and the end
     /// of its first successfully pushed window.
     rollback: Option<SwapRollback<'e>>,
@@ -189,19 +213,29 @@ impl BitGen {
     /// Currently infallible; the `Result` keeps the signature stable for
     /// callers already using `?`.
     pub fn streamer(&self) -> Result<StreamScanner<'_>, Error> {
-        Ok(StreamScanner {
-            session: self.session(),
-            carries: fresh_carries(&self.stream_programs),
+        Ok(self.scanner(fresh_carries(&self.stream_programs), Metrics::default()))
+    }
+
+    /// A scanner at the boundary `carries` with the scalar counters of
+    /// `metrics`; the per-group accumulators start at zero.
+    fn scanner(&self, carries: Vec<CarryState>, metrics: Metrics) -> StreamScanner<'_> {
+        StreamScanner {
+            engine: self,
+            basis: Basis::empty(),
+            class_streams: ClassStreams::new(),
+            scratch: ExecScratch::new(),
+            cancel: None,
+            timeout: None,
+            carries,
             metrics: Metrics {
                 ctas: vec![ExecMetrics::default(); self.stream_programs.len()],
-                ..Metrics::default()
+                ..metrics
             },
             retry: RetryPolicy::default(),
             poisoned: false,
             fault: None,
-            generation: self.generation,
             rollback: None,
-        })
+        }
     }
 
     /// Rebuilds a streaming scanner from a [`StreamCheckpoint`], picking
@@ -251,30 +285,21 @@ impl BitGen {
                 .validate(prog.carry_layout())
                 .map_err(|error| Error::CarryCorrupted { group, error })?;
         }
-        Ok(StreamScanner {
-            session: self.session(),
-            carries: checkpoint.carries.clone(),
-            // Scalar counters restore exactly; the per-group counter
-            // accumulators restart at zero — checkpoints carry the
-            // stream's state, not its diagnostic history.
-            metrics: Metrics {
-                kernel_seconds: checkpoint.kernel_seconds,
-                transpose_seconds: checkpoint.transpose_seconds,
-                bytes_scanned: checkpoint.consumed,
-                match_count: checkpoint.match_count,
-                retries: checkpoint.retries,
-                degraded: checkpoint.degraded_chunks,
-                swaps: checkpoint.swaps,
-                swap_rollbacks: checkpoint.swap_rollbacks,
-                ctas: vec![ExecMetrics::default(); self.stream_programs.len()],
-                ..Metrics::default()
-            },
-            retry: RetryPolicy::default(),
-            poisoned: false,
-            fault: None,
-            generation: self.generation,
-            rollback: None,
-        })
+        // Scalar counters restore exactly; the per-group counter
+        // accumulators restart at zero — checkpoints carry the stream's
+        // state, not its diagnostic history.
+        let metrics = Metrics {
+            kernel_seconds: checkpoint.kernel_seconds,
+            transpose_seconds: checkpoint.transpose_seconds,
+            bytes_scanned: checkpoint.consumed,
+            match_count: checkpoint.match_count,
+            retries: checkpoint.retries,
+            degraded: checkpoint.degraded_chunks,
+            swaps: checkpoint.swaps,
+            swap_rollbacks: checkpoint.swap_rollbacks,
+            ..Metrics::default()
+        };
+        Ok(self.scanner(checkpoint.carries.clone(), metrics))
     }
 
     /// A fingerprint of this engine's streaming compile: the group
@@ -342,13 +367,13 @@ impl<'e> StreamScanner<'e> {
                 reason: "a previous swap is still awaiting its first pushed window".to_string(),
             });
         }
-        staged.check_parent(self.session.engine(), self.generation)?;
+        staged.check_parent(self.engine)?;
         let engine = staged.engine();
         // Atomic adopt: stash everything the old generation needs to
         // keep serving (engine, boundary carries, per-group accounting),
         // then repoint the scanner at the new generation wholesale.
         let rollback = SwapRollback {
-            engine: self.session.engine_ref(),
+            engine: std::mem::replace(&mut self.engine, engine),
             carries: std::mem::replace(
                 &mut self.carries,
                 fresh_carries(&engine.stream_programs),
@@ -357,10 +382,7 @@ impl<'e> StreamScanner<'e> {
                 &mut self.metrics.ctas,
                 vec![ExecMetrics::default(); engine.stream_programs.len()],
             ),
-            generation: self.generation,
         };
-        self.session.set_engine(engine);
-        self.generation = staged.generation();
         self.metrics.swaps += 1;
         self.rollback = Some(rollback);
         Ok(())
@@ -373,26 +395,21 @@ impl StreamScanner<'_> {
     /// [`StagedRules::generation`] — or back to the previous value if
     /// the swap window rolled back.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.engine.generation
     }
 
-    /// Undoes a pending swap window: repoints the session at the
+    /// Undoes a pending swap window: repoints the scanner at the
     /// previous generation's engine and restores its boundary carries
     /// and per-group accounting. Returns `true` when a window was armed
     /// (the caller surfaces the error *without* poisoning — the old
     /// generation keeps serving as if the swap had never committed).
     fn swap_rollback(&mut self) -> bool {
-        match self.rollback.take() {
-            Some(rb) => {
-                self.session.set_engine(rb.engine);
-                self.carries = rb.carries;
-                self.metrics.ctas = rb.ctas;
-                self.generation = rb.generation;
-                self.metrics.swap_rollbacks += 1;
-                true
-            }
-            None => false,
-        }
+        let Some(rb) = self.rollback.take() else { return false };
+        self.engine = rb.engine;
+        self.carries = rb.carries;
+        self.metrics.ctas = rb.ctas;
+        self.metrics.swap_rollbacks += 1;
+        true
     }
 
     /// Scans the next chunk, returning the *global* byte positions of
@@ -421,112 +438,167 @@ impl StreamScanner<'_> {
         if chunk.is_empty() {
             return Ok(Vec::new());
         }
-        self.session.stream_transpose(chunk);
-        let ctl = self.session.stream_ctl();
+        self.load_chunk(chunk);
+        // Built once per push: retries of a window share the push's
+        // deadline rather than getting fresh budgets.
+        let ctl = run_control(self.cancel.as_ref(), self.timeout);
         // The transaction: a window writes only the outgoing half of its
         // group's carry and no group rotates before all have succeeded, so
-        // any failure is undone by discarding the outgoing halves written
-        // so far (`abandon_windows`) and the scanner never advances
-        // part-way through a push.
-        let groups = self.carries.len();
-        let mut union = BitStream::zeros(chunk.len());
-        let mut works = Vec::with_capacity(groups);
-        let mut window_metrics: Vec<(usize, ExecMetrics)> = Vec::with_capacity(groups);
-        let mut retried = 0u64;
-        let mut degraded = false;
-        for group in 0..groups {
-            let layout = self.session.engine().stream_programs[group].carry_layout();
-            if let Err(error) = self.carries[group].validate(layout) {
-                // Corruption arrived between pushes; nothing ran on the
-                // bad state. Groups earlier in this push already ran, so
-                // put the whole boundary back before bailing — the
-                // transaction contract holds even for validation errors.
-                // Inside a swap window the previous generation's boundary
-                // is still trustworthy, so fall back to it; otherwise
-                // nothing trustworthy remains and the scanner poisons
-                // rather than execute.
-                self.abandon_windows(group);
-                if self.swap_rollback() {
-                    return Err(Error::CarryCorrupted { group, error });
+        // the scanner never advances part-way through a push.
+        match self.run_windows(chunk.len(), &ctl) {
+            Ok(windows) => Ok(self.commit(chunk.len(), windows)),
+            Err((group, e)) => {
+                // The one failure exit: put the whole boundary back (a
+                // validation error may follow groups that already ran).
+                // An interrupt stops there, the scanner still usable.
+                // Anything else falls back to the previous generation if
+                // a swap window is pending — its boundary is still
+                // trustworthy — and otherwise poisons the scanner rather
+                // than execute again from a suspect state.
+                self.abandon_windows(group + 1);
+                if !e.is_interrupt() && !self.swap_rollback() {
+                    self.poisoned = true;
                 }
-                self.poisoned = true;
-                return Err(Error::CarryCorrupted { group, error });
-            }
-            let mut attempt = 0u32;
-            loop {
-                attempt += 1;
-                let fault = self.take_fault_shot(group);
-                match self.session.run_stream_window(group, &ctl, &mut self.carries[group], fault)
-                {
-                    Ok(outcome) => {
-                        for out in &outcome.outputs {
-                            union.or_clipped(out);
-                        }
-                        works.push(outcome.metrics.cta_work());
-                        window_metrics.push((group, outcome.metrics));
-                        break;
-                    }
-                    Err(e) => {
-                        // The failed window may have half-accumulated its
-                        // carry-out; drop it before deciding what to do
-                        // next.
-                        self.carries[group].discard_outgoing();
-                        if is_interrupt(&e) {
-                            self.abandon_windows(group);
-                            return Err(e);
-                        }
-                        if attempt < self.retry.max_attempts.max(1) {
-                            retried += 1;
-                            continue;
-                        }
-                        if self.retry.degrade {
-                            match self.session.interpret_stream_window(
-                                group,
-                                &ctl,
-                                &mut self.carries[group],
-                            ) {
-                                Ok(outputs) => {
-                                    for out in &outputs {
-                                        union.or_clipped(out);
-                                    }
-                                    // Degraded windows contribute no device
-                                    // work, mirroring degraded batch slots.
-                                    works.push(ExecMetrics::default().cta_work());
-                                    degraded = true;
-                                    break;
-                                }
-                                Err(ie) => {
-                                    self.abandon_windows(group + 1);
-                                    if !is_interrupt(&ie) && !self.swap_rollback() {
-                                        self.poisoned = true;
-                                    }
-                                    return Err(ie);
-                                }
-                            }
-                        }
-                        self.abandon_windows(group);
-                        if !self.swap_rollback() {
-                            self.poisoned = true;
-                        }
-                        return Err(e);
-                    }
-                }
+                Err(e)
             }
         }
-        // Commit: the metrics record advances exactly once per
-        // successful push. A committed window also closes any pending
-        // swap window — the new generation has now served cleanly, so
-        // the fallback to the old one is released.
+    }
+
+    /// Push phase 0: transposes the chunk and evaluates the engine's
+    /// class table over it — once, for every group's window over this
+    /// chunk and every retry of them. These buffers and the scratch are
+    /// reused from push to push: in the steady state the transpose, the
+    /// class streams and the windows' slot buffers allocate nothing, and
+    /// what a push still allocates is what it hands out (each group's
+    /// output streams, the match positions).
+    fn load_chunk(&mut self, chunk: &[u8]) {
+        self.basis.transpose_into(chunk);
+        // The engine's stream programs were prepared together, so any one
+        // of them evaluates the table they all index.
+        if let Some(prepared) = self.engine.stream_programs.first() {
+            prepared.evaluate_classes(&self.basis, &mut self.class_streams);
+        }
+    }
+
+    /// Push phase 1: every group's window over the loaded chunk, under
+    /// the [`RetryPolicy`]. Rotates nothing. A failure names the group it
+    /// stopped at and leaves the clean-up to `push`.
+    fn run_windows(&mut self, len: usize, ctl: &RunControl) -> Result<PushWindows, (usize, Error)> {
+        let config = self.engine.exec_config();
+        let groups = self.carries.len();
+        let mut run = PushWindows {
+            union: BitStream::zeros(len),
+            works: Vec::with_capacity(groups),
+            window_metrics: Vec::with_capacity(groups),
+            retried: 0,
+            degraded: false,
+        };
+        for group in 0..groups {
+            // Corruption that arrived between pushes: nothing runs on the
+            // bad state.
+            let layout = self.engine.stream_programs[group].carry_layout();
+            self.carries[group]
+                .validate(layout)
+                .map_err(|error| (group, Error::CarryCorrupted { group, error }))?;
+            let mut attempt = 0u32;
+            let outputs = loop {
+                attempt += 1;
+                let fault = self.take_fault_shot(group);
+                let e = match self.run_window(group, &config, ctl, fault) {
+                    Ok(outcome) => {
+                        run.works.push(outcome.metrics.cta_work());
+                        run.window_metrics.push((group, outcome.metrics));
+                        break outcome.outputs;
+                    }
+                    Err(e) => e,
+                };
+                // The failed window may have half-accumulated its
+                // carry-out; drop it before a retry or a replay reads the
+                // state again.
+                self.carries[group].discard_outgoing();
+                if e.is_interrupt() {
+                    return Err((group, e));
+                }
+                if attempt < self.retry.max_attempts.max(1) {
+                    run.retried += 1;
+                    continue;
+                }
+                if !self.retry.degrade {
+                    return Err((group, e));
+                }
+                let outputs = self.interpret_window(group, ctl).map_err(|ie| (group, ie))?;
+                // Degraded windows contribute no device work, mirroring
+                // degraded batch slots.
+                run.works.push(ExecMetrics::default().cta_work());
+                run.degraded = true;
+                break outputs;
+            };
+            for out in &outputs {
+                run.union.or_clipped(out);
+            }
+        }
+        Ok(run)
+    }
+
+    /// Runs one group's *streaming* program (untransformed, fixpoint
+    /// loops — see DESIGN.md §10) over the loaded chunk, with the same
+    /// panic isolation the batch grid gives each CTA slot: a panicking
+    /// window (or injected [`FaultPlan`]) is caught, the scratch — in an
+    /// unknown state mid-unwind — is discarded, and the failure surfaces
+    /// as a typed [`Error::WorkerPanicked`].
+    fn run_window(
+        &mut self,
+        group: usize,
+        config: &ExecConfig,
+        ctl: &RunControl,
+        fault: Option<FaultPlan>,
+    ) -> Result<ExecOutcome, Error> {
+        let prog = &self.engine.stream_programs[group];
+        let config = ExecConfig { fault, ..*config };
+        let (classes, basis) = (&self.class_streams, &self.basis);
+        let (scratch, carry) = (&mut self.scratch, &mut self.carries[group]);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            prog.execute_window_on(classes, basis, &config, scratch, ctl, carry)
+        }));
+        match run {
+            Ok(Ok(outcome)) => Ok(outcome),
+            Ok(Err(e)) => Err(Error::Exec(e)),
+            Err(_) => {
+                self.scratch = ExecScratch::new();
+                Err(Error::WorkerPanicked { group, stream: 0 })
+            }
+        }
+    }
+
+    /// Replays one group's window on the reference interpreter — the
+    /// per-chunk degradation path. Exact matches by construction; the
+    /// device cost model sees no work.
+    fn interpret_window(
+        &mut self,
+        group: usize,
+        ctl: &RunControl,
+    ) -> Result<Vec<BitStream>, Error> {
+        let prog = self.engine.stream_programs[group].program();
+        try_interpret_chunk(prog, &self.basis, ctl, &mut self.carries[group])
+            .map(|replay| replay.outputs)
+            .map_err(|e| Error::Exec(ExecError::from(e)))
+    }
+
+    /// Push phase 2, the commit: every carry rotates and the metrics
+    /// record advances, exactly once per successful push. A committed
+    /// window also closes any pending swap window — the new generation
+    /// has now served cleanly, so the fallback to the old one is released.
+    fn commit(&mut self, len: usize, run: PushWindows) -> Vec<u64> {
         self.rollback = None;
         for carry in &mut self.carries {
             carry.rotate();
         }
-        let device = &self.session.engine().config().device;
-        let cost = device.estimate(&works);
-        let transpose = device.transpose_seconds(chunk.len());
+        let device = &self.engine.config().device;
+        let cost = device.estimate(&run.works);
+        let transpose = device.transpose_seconds(len);
         let m = &mut self.metrics;
-        m.retries += retried;
-        m.degraded += u64::from(degraded);
+        m.retries += run.retried;
+        m.degraded += u64::from(run.degraded);
         m.kernel_seconds += cost.seconds;
         m.transpose_seconds += transpose;
         // Additive cost components sum across pushes; the utilisation
@@ -537,15 +609,15 @@ impl StreamScanner<'_> {
         m.cost.memory_seconds += cost.memory_seconds;
         m.cost.barrier_stall_frac = cost.barrier_stall_frac;
         m.cost.occupancy = cost.occupancy;
-        for (group, wm) in window_metrics {
+        for (group, wm) in run.window_metrics {
             absorb_window(&mut m.ctas[group], &wm);
         }
         let off = m.bytes_scanned;
-        m.bytes_scanned += chunk.len() as u64;
+        m.bytes_scanned += len as u64;
         let ends: Vec<u64> =
-            union.positions().into_iter().map(|p| off + p as u64).collect();
+            run.union.positions().into_iter().map(|p| off + p as u64).collect();
         m.match_count += ends.len() as u64;
-        Ok(ends)
+        ends
     }
 
     /// Undoes the windows this push has run on groups `..ran`: their
@@ -578,8 +650,8 @@ impl StreamScanner<'_> {
 
     fn checkpoint_with(&self, carries: Vec<CarryState>) -> StreamCheckpoint {
         StreamCheckpoint {
-            fingerprint: self.session.engine().stream_fingerprint(),
-            generation: self.generation,
+            fingerprint: self.engine.stream_fingerprint(),
+            generation: self.engine.generation,
             consumed: self.metrics.bytes_scanned,
             kernel_seconds: self.metrics.kernel_seconds,
             transpose_seconds: self.metrics.transpose_seconds,
@@ -595,11 +667,6 @@ impl StreamScanner<'_> {
     /// Sets the fault response policy for subsequent pushes.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// The active fault response policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Arms a deterministic fault on the next `windows` window
@@ -630,7 +697,7 @@ impl StreamScanner<'_> {
     /// [`bitgen_exec::ExecError::Cancelled`] without poisoning the
     /// scanner.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.session.set_cancel_token(token);
+        self.cancel = Some(token);
     }
 
     /// Gives every subsequent push a wall-clock budget; overrunning it
@@ -638,7 +705,7 @@ impl StreamScanner<'_> {
     /// [`bitgen_exec::ExecError::DeadlineExceeded`] without poisoning
     /// the scanner. `None` removes the budget.
     pub fn set_timeout(&mut self, budget: Option<Duration>) {
-        self.session.set_timeout(budget);
+        self.timeout = budget;
     }
 
     /// Total bytes consumed so far.
@@ -682,27 +749,13 @@ impl StreamScanner<'_> {
     }
 }
 
-fn is_interrupt(e: &Error) -> bool {
-    matches!(e, Error::Exec(ExecError::Cancelled | ExecError::DeadlineExceeded))
-}
-
 /// Folds one committed window's per-CTA record into the per-group
 /// streaming accumulator: counted events sum across pushes, static
 /// shape fields (threads, shared memory, shift groups) describe the
 /// program and are refreshed in place, and peak figures keep their
 /// maximum.
 fn absorb_window(acc: &mut ExecMetrics, window: &ExecMetrics) {
-    let c = &mut acc.counters;
-    let w = &window.counters;
-    c.alu_ops += w.alu_ops;
-    c.smem_stores += w.smem_stores;
-    c.smem_loads += w.smem_loads;
-    c.barriers += w.barriers;
-    c.global_load_words += w.global_load_words;
-    c.global_store_words += w.global_store_words;
-    c.reductions += w.reductions;
-    c.skipped_ops += w.skipped_ops;
-    c.window_iterations += w.window_iterations;
+    acc.counters += &window.counters;
     acc.window_iterations += window.window_iterations;
     acc.retries += window.retries;
     acc.fallbacks += window.fallbacks;
@@ -835,73 +888,47 @@ impl StreamCheckpoint {
         if payload[..4] != CHECKPOINT_MAGIC {
             return Err(invalid("bad magic"));
         }
-        let mut cursor = 4usize;
-        let version = read_u32(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        if version != CHECKPOINT_VERSION {
+        let mut r = ByteReader::new(&payload[4..]);
+        let truncated = || invalid("truncated");
+        if r.u32().ok_or_else(truncated)? != CHECKPOINT_VERSION {
             return Err(invalid("unsupported checkpoint version"));
         }
-        let fingerprint = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let generation = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let consumed = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let kernel_seconds =
-            f64::from_bits(read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?);
-        let transpose_seconds =
-            f64::from_bits(read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?);
-        let match_count = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let retries = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let degraded_chunks =
-            read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let swaps = read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let swap_rollbacks =
-            read_u64(payload, &mut cursor).ok_or_else(|| invalid("truncated"))?;
-        let group_count =
-            read_u32(payload, &mut cursor).ok_or_else(|| invalid("truncated"))? as usize;
+        // The ten scalars, in wire order (a struct literal's fields are
+        // evaluated as written).
+        let mut scalar = || r.u64().ok_or_else(truncated);
+        let mut checkpoint = StreamCheckpoint {
+            fingerprint: scalar()?,
+            generation: scalar()?,
+            consumed: scalar()?,
+            kernel_seconds: f64::from_bits(scalar()?),
+            transpose_seconds: f64::from_bits(scalar()?),
+            match_count: scalar()?,
+            retries: scalar()?,
+            degraded_chunks: scalar()?,
+            swaps: scalar()?,
+            swap_rollbacks: scalar()?,
+            carries: Vec::new(),
+        };
         // Each carry record is at least a slot count (4 bytes) plus a
         // seal (8 bytes); bounding the group count by the bytes actually
         // remaining keeps a forged header from pre-allocating anything
         // the payload could never back.
         const MIN_CARRY_RECORD_BYTES: usize = 12;
-        if group_count > payload.len().saturating_sub(cursor) / MIN_CARRY_RECORD_BYTES {
-            return Err(invalid("group count exceeds payload size"));
-        }
-        let mut carries = Vec::with_capacity(group_count);
+        let group_count = r
+            .count(MIN_CARRY_RECORD_BYTES)
+            .ok_or_else(|| invalid("group count truncated or exceeds payload size"))?;
+        checkpoint.carries.reserve_exact(group_count);
         for _ in 0..group_count {
-            let carry = CarryState::read_bytes(payload, &mut cursor).map_err(|e| {
+            let carry = CarryState::read_bytes(&mut r).map_err(|e| {
                 Error::CheckpointInvalid { reason: format!("carry state: {e}") }
             })?;
-            carries.push(carry);
+            checkpoint.carries.push(carry);
         }
-        if cursor != payload.len() {
+        if r.remaining() != 0 {
             return Err(invalid("trailing bytes after carry states"));
         }
-        Ok(StreamCheckpoint {
-            fingerprint,
-            generation,
-            consumed,
-            kernel_seconds,
-            transpose_seconds,
-            match_count,
-            retries,
-            degraded_chunks,
-            swaps,
-            swap_rollbacks,
-            carries,
-        })
+        Ok(checkpoint)
     }
-}
-
-fn read_u32(bytes: &[u8], cursor: &mut usize) -> Option<u32> {
-    let end = cursor.checked_add(4).filter(|&e| e <= bytes.len())?;
-    let v = u32::from_le_bytes(bytes[*cursor..end].try_into().ok()?);
-    *cursor = end;
-    Some(v)
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Option<u64> {
-    let end = cursor.checked_add(8).filter(|&e| e <= bytes.len())?;
-    let v = u64::from_le_bytes(bytes[*cursor..end].try_into().ok()?);
-    *cursor = end;
-    Some(v)
 }
 
 #[cfg(test)]

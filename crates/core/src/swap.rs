@@ -172,13 +172,9 @@ impl StagedRules {
         self.engine
     }
 
-    /// Checks that `current` is the engine this generation was prepared
-    /// from, at the generation the scanner is serving.
-    pub(crate) fn check_parent(
-        &self,
-        current: &BitGen,
-        serving_generation: u64,
-    ) -> Result<(), Error> {
+    /// Checks that `current` — the engine a scanner is serving — is the
+    /// one this generation was prepared from, at the same generation.
+    pub(crate) fn check_parent(&self, current: &BitGen) -> Result<(), Error> {
         if self.parent_fingerprint != current.stream_fingerprint() {
             return Err(Error::SwapMismatch {
                 reason: format!(
@@ -188,11 +184,11 @@ impl StagedRules {
                 ),
             });
         }
-        if self.parent_generation != serving_generation {
+        if self.parent_generation != current.generation {
             return Err(Error::SwapMismatch {
                 reason: format!(
                     "staged from generation {}, scanner is serving generation {}",
-                    self.parent_generation, serving_generation
+                    self.parent_generation, current.generation
                 ),
             });
         }
@@ -282,14 +278,11 @@ mod tests {
         let a = BitGen::compile(&["ab"]).unwrap();
         let b = BitGen::compile(&["xy"]).unwrap();
         let staged = a.prepare_swap(&["cd"]).unwrap();
-        assert!(staged.check_parent(&a, 0).is_ok());
-        assert!(matches!(
-            staged.check_parent(&b, 0),
-            Err(Error::SwapMismatch { .. })
-        ));
-        assert!(matches!(
-            staged.check_parent(&a, 1),
-            Err(Error::SwapMismatch { .. })
-        ));
+        assert!(staged.check_parent(&a).is_ok());
+        assert!(matches!(staged.check_parent(&b), Err(Error::SwapMismatch { .. })));
+        // The same rules one generation on: same fingerprint, other timeline.
+        let a1 = a.prepare_swap(&["ab"]).unwrap().into_engine();
+        assert_eq!(a1.stream_fingerprint(), a.stream_fingerprint());
+        assert!(matches!(staged.check_parent(&a1), Err(Error::SwapMismatch { .. })));
     }
 }

@@ -314,7 +314,7 @@ impl ExecOutcome {
 pub fn execute(program: &Program, basis: &Basis, config: &ExecConfig) -> Result<ExecOutcome, ExecError> {
     let mut prog = program.clone();
     let passes = apply_transforms(&mut prog, config);
-    let mut out = execute_prepared(&prog, basis, config)?;
+    let mut out = execute_prepared_with(&prog, basis, config, &mut ExecScratch::new(), None)?;
     out.metrics.passes = passes;
     Ok(out)
 }
@@ -324,7 +324,7 @@ pub fn execute(program: &Program, basis: &Basis, config: &ExecConfig) -> Result<
 /// and what they cost.
 ///
 /// [`execute`] does this internally; engines that scan many inputs with
-/// one program should call this once and then [`execute_prepared`] per
+/// one program should call this once and then run a [`BatchPlan`] per
 /// scan. The def/use analysis is computed once and threaded through both
 /// passes rather than recomputed per pass.
 pub fn apply_transforms(program: &mut Program, config: &ExecConfig) -> PassMetrics {
@@ -357,25 +357,9 @@ pub fn apply_transforms(program: &mut Program, config: &ExecConfig) -> PassMetri
 }
 
 /// Executes a program whose transforms were already applied by
-/// [`apply_transforms`] (or that should run untransformed).
-///
-/// # Errors
-///
-/// Same as [`execute`].
-pub fn execute_prepared(
-    prog: &Program,
-    basis: &Basis,
-    config: &ExecConfig,
-) -> Result<ExecOutcome, ExecError> {
-    execute_prepared_with(prog, basis, config, &mut ExecScratch::new(), None)
-}
-
-/// Re-entrant variant of [`execute_prepared`] drawing its intermediate
-/// buffers from a caller-owned [`ExecScratch`].
-///
-/// Outputs and metrics are identical to [`execute_prepared`]; the
-/// scratch only changes where buffers are allocated. Scan sessions hold
-/// one scratch per worker thread and reuse it across calls.
+/// [`apply_transforms`] (or that should run untransformed), drawing its
+/// intermediate buffers from a caller-owned [`ExecScratch`]. The scratch
+/// only changes where buffers are allocated, never outputs or metrics.
 ///
 /// With `carry: Some(..)` the call executes one *streaming window*: the
 /// basis is a single chunk of a longer input, shift/add carries are read
@@ -386,14 +370,15 @@ pub fn execute_prepared(
 /// fused windowed execution assumes whole-stream inputs and is skipped.
 /// Streaming callers must pass *untransformed* programs (shift
 /// rebalancing introduces non-causal retreats that cannot stream).
-/// This is the one-shot door: the program's class circuits and carry
-/// layout (without a carry, its [`BatchPlan`]) are derived for this call
-/// only. Callers that stream many windows of one program keep a
-/// [`crate::PreparedProgram`], callers that scan many inputs the plan.
+/// This is the one-shot door, never interrupted: the program's class
+/// circuits and carry layout (without a carry, its [`BatchPlan`]) are
+/// derived for this call only. Callers that stream many windows of one
+/// program keep a [`crate::PreparedProgram`], callers that scan many
+/// inputs the plan; both take a [`RunControl`].
 ///
 /// # Errors
 ///
-/// Same as [`execute`].
+/// Same as [`BatchPlan::execute`].
 pub fn execute_prepared_with(
     prog: &Program,
     basis: &Basis,
@@ -401,47 +386,31 @@ pub fn execute_prepared_with(
     scratch: &mut ExecScratch,
     carry: Option<&mut CarryState>,
 ) -> Result<ExecOutcome, ExecError> {
-    execute_prepared_ctl(prog, basis, config, scratch, &RunControl::unlimited(), carry)
-}
-
-/// Fully-controlled execution: [`execute_prepared_with`] plus a
-/// [`RunControl`] polled once per window (fused segments) and once per
-/// statement (sequential segments) — word-chunk granularity either way.
-///
-/// This is also where the runtime hardening checks live: the emulator's
-/// window-iteration counter is verified against the executor's own launch
-/// count on every run, and with [`ExecConfig::cross_check`] the final
-/// outputs are compared against the reference interpreter.
-///
-/// # Errors
-///
-/// Everything [`execute`] can return, plus [`ExecError::Cancelled`] /
-/// [`ExecError::DeadlineExceeded`] from `ctl`, and the corruption
-/// detections [`ExecError::CounterMismatch`] /
-/// [`ExecError::CrossCheckMismatch`].
-pub fn execute_prepared_ctl(
-    prog: &Program,
-    basis: &Basis,
-    config: &ExecConfig,
-    scratch: &mut ExecScratch,
-    ctl: &RunControl,
-    carry: Option<&mut CarryState>,
-) -> Result<ExecOutcome, ExecError> {
+    let ctl = RunControl::unlimited();
     if let Some(carry) = carry {
         let tables = StreamTables::of(prog);
-        return execute_streaming_window(prog, &tables, None, basis, config, scratch, ctl, carry);
+        return execute_streaming_window(prog, &tables, None, basis, config, scratch, &ctl, carry);
     }
-    BatchPlan::new(prog, config).execute(prog, basis, config, scratch, ctl)
+    BatchPlan::new(prog, config).execute(prog, basis, config, scratch, &ctl)
 }
 
 impl BatchPlan {
     /// Executes `prog` — the program this plan was built from — over the
-    /// transposed input: a carry-less [`execute_prepared_ctl`] that neither
-    /// segments, analyses nor compiles.
+    /// transposed input, neither segmenting, analysing nor compiling.
+    /// `ctl` is polled once per window (fused segments) and once per
+    /// statement (sequential segments) — word-chunk granularity either way.
+    ///
+    /// This is also where the runtime hardening checks live: the emulator's
+    /// window-iteration counter is verified against the executor's own launch
+    /// count on every run, and with [`ExecConfig::cross_check`] the final
+    /// outputs are compared against the reference interpreter.
     ///
     /// # Errors
     ///
-    /// Same as [`execute_prepared_ctl`].
+    /// Everything [`execute`] can return, plus [`ExecError::Cancelled`] /
+    /// [`ExecError::DeadlineExceeded`] from `ctl`, and the corruption
+    /// detections [`ExecError::CounterMismatch`] /
+    /// [`ExecError::CrossCheckMismatch`].
     ///
     /// # Panics
     ///
@@ -523,7 +492,7 @@ impl BatchPlan {
 /// runs sequentially (instruction at a time) with cross-chunk carries —
 /// the body behind [`crate::PreparedProgram::execute_window`],
 /// [`crate::PreparedProgram::execute_window_on`] and the
-/// carry-parameterised branch of [`execute_prepared_ctl`]. `tables` must
+/// carry-parameterised branch of [`execute_prepared_with`]. `tables` must
 /// have been built from `prog`; `classes`, when given, are `tables`' class
 /// table evaluated over `basis`, otherwise they are evaluated here.
 ///
@@ -790,6 +759,15 @@ mod tests {
     use bitgen_gpu::FaultKind;
     use bitgen_ir::{interpret, lower, lower_group, ByteSet, Op, Stmt};
     use bitgen_regex::parse;
+
+    /// [`execute_prepared_with`] on a fresh scratch, no carry.
+    fn execute_prepared(
+        prog: &Program,
+        basis: &Basis,
+        config: &ExecConfig,
+    ) -> Result<ExecOutcome, ExecError> {
+        execute_prepared_with(prog, basis, config, &mut ExecScratch::new(), None)
+    }
 
     fn check_all_schemes(pattern: &str, input: &[u8]) {
         let prog = lower(&parse(pattern).unwrap());
@@ -1091,9 +1069,9 @@ mod tests {
             let mut prog = lower(&parse("a(bc)*d").unwrap());
             let config = ExecConfig { scheme, threads: 4, ..ExecConfig::default() };
             apply_transforms(&mut prog, &config);
-            let err =
-                execute_prepared_ctl(&prog, &basis, &config, &mut ExecScratch::new(), &ctl, None)
-                    .unwrap_err();
+            let err = BatchPlan::new(&prog, &config)
+                .execute(&prog, &basis, &config, &mut ExecScratch::new(), &ctl)
+                .unwrap_err();
             assert_eq!(err, ExecError::Cancelled, "scheme {scheme}");
         }
     }
@@ -1108,13 +1086,14 @@ mod tests {
         apply_transforms(&mut prog, &config);
         let expired =
             RunControl::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
-        let err = execute_prepared_ctl(&prog, &basis, &config, &mut ExecScratch::new(), &expired, None)
+        let plan = BatchPlan::new(&prog, &config);
+        let err = plan
+            .execute(&prog, &basis, &config, &mut ExecScratch::new(), &expired)
             .unwrap_err();
         assert_eq!(err, ExecError::DeadlineExceeded);
         // A lax deadline leaves results untouched.
         let lax = RunControl::unlimited().deadline_in(Duration::from_secs(3600));
-        let out = execute_prepared_ctl(&prog, &basis, &config, &mut ExecScratch::new(), &lax, None)
-            .unwrap();
+        let out = plan.execute(&prog, &basis, &config, &mut ExecScratch::new(), &lax).unwrap();
         assert_eq!(out.outputs, execute_prepared(&prog, &basis, &config).unwrap().outputs);
     }
 
@@ -1421,15 +1400,15 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctl = RunControl::unlimited().with_cancel(token);
-        let err = execute_prepared_ctl(
-            &prog,
-            &basis,
-            &ExecConfig::default(),
-            &mut ExecScratch::new(),
-            &ctl,
-            Some(&mut carry),
-        )
-        .unwrap_err();
+        let err = crate::PreparedProgram::new_all(vec![prog])[0]
+            .execute_window(
+                &basis,
+                &ExecConfig::default(),
+                &mut ExecScratch::new(),
+                &ctl,
+                &mut carry,
+            )
+            .unwrap_err();
         assert_eq!(err, ExecError::Cancelled);
     }
 

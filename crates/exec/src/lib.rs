@@ -29,8 +29,8 @@ mod seq;
 
 pub use blit::blit_or;
 pub use engine::{
-    apply_transforms, execute, execute_prepared, execute_prepared_ctl, execute_prepared_with,
-    ExecConfig, ExecError, ExecOutcome, ExecScratch, FallbackPolicy,
+    apply_transforms, execute, execute_prepared_with, ExecConfig, ExecError, ExecOutcome,
+    ExecScratch, FallbackPolicy,
 };
 pub use bitgen_passes::PassMetrics;
 pub use metrics::{ExecMetrics, Metrics};

@@ -13,7 +13,7 @@ pub struct ExecMetrics {
     ///
     /// Who fills it in:
     /// - one-shot [`execute`] runs the passes itself and records them here;
-    /// - the `execute_prepared*` family leaves it at default — the caller
+    /// - `execute_prepared_with` and a `BatchPlan` leave it at default — the caller
     ///   transformed the program, so only the caller knows what that cost.
     ///   Callers holding the [`apply_transforms`] record (as `bitgen`'s
     ///   scan sessions do) should copy it in so reports stay consistent
@@ -144,19 +144,12 @@ impl Metrics {
         self.degraded > 0
     }
 
-    /// Summed hardware counters over all CTAs.
+    /// Summed hardware counters over all CTAs (`loop_trips` element-wise,
+    /// by loop site).
     pub fn counters_total(&self) -> CtaCounters {
         let mut total = CtaCounters::default();
         for m in &self.ctas {
-            total.alu_ops += m.counters.alu_ops;
-            total.smem_stores += m.counters.smem_stores;
-            total.smem_loads += m.counters.smem_loads;
-            total.barriers += m.counters.barriers;
-            total.global_load_words += m.counters.global_load_words;
-            total.global_store_words += m.counters.global_store_words;
-            total.reductions += m.counters.reductions;
-            total.skipped_ops += m.counters.skipped_ops;
-            total.window_iterations += m.counters.window_iterations;
+            total += &m.counters;
         }
         total
     }

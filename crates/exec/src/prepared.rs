@@ -180,14 +180,14 @@ impl PreparedProgram {
 
     /// Executes one streaming window over a chunk basis — see
     /// [`crate::execute_prepared_with`] for the carry contract and
-    /// [`crate::execute_prepared_ctl`] for the errors. The class streams
+    /// [`BatchPlan::execute`] for the errors. The class streams
     /// are evaluated for this call; callers running several programs
     /// over one chunk evaluate them once and use
     /// [`PreparedProgram::execute_window_on`].
     ///
     /// # Errors
     ///
-    /// Same as [`crate::execute_prepared_ctl`] with a carry state.
+    /// Same as [`BatchPlan::execute`].
     pub fn execute_window(
         &self,
         basis: &Basis,

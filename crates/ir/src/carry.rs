@@ -26,7 +26,7 @@
 //! carry-out across trips by OR (sound because the loop computes a
 //! monotone reachability closure — see DESIGN.md §10).
 
-use crate::fnv::{fnv1a, FNV_OFFSET};
+use crate::fnv::{fnv1a, ByteReader, FNV_OFFSET};
 use crate::program::{Op, Program, Stmt, StreamId};
 use bitgen_bitstream::BitStream;
 use std::fmt;
@@ -419,7 +419,7 @@ impl CarryState {
     }
 
     /// Parses a state previously written by [`CarryState::write_bytes`],
-    /// advancing `cursor` past the consumed bytes and re-verifying the
+    /// advancing `reader` past the consumed bytes and re-verifying the
     /// seal over the parsed bits.
     ///
     /// The result is layout-agnostic; callers restoring a stream must
@@ -430,32 +430,32 @@ impl CarryState {
     /// [`CarryError::Malformed`] on truncated or implausible bytes,
     /// [`CarryError::ChecksumMismatch`] when the stored seal does not
     /// cover the stored bits.
-    pub fn read_bytes(bytes: &[u8], cursor: &mut usize) -> Result<CarryState, CarryError> {
-        let n = read_u32(bytes, cursor)? as usize;
+    pub fn read_bytes(reader: &mut ByteReader<'_>) -> Result<CarryState, CarryError> {
+        const TRUNCATED: CarryError = CarryError::Malformed { reason: "truncated" };
         // Each slot record is at least its 8-byte width header, so the
-        // bytes remaining past the cursor bound how many slots can
-        // follow — a flipped count byte must not drive
-        // `Vec::with_capacity` beyond what the payload could encode.
-        if n > bytes.len().saturating_sub(*cursor) / 8 {
-            return Err(CarryError::Malformed { reason: "slot count exceeds payload size" });
-        }
+        // bytes remaining bound how many slots can follow — a flipped
+        // count byte must not drive `Vec::with_capacity` beyond what the
+        // payload could encode.
+        let n = reader
+            .count(8)
+            .ok_or(CarryError::Malformed { reason: "slot count truncated or exceeds payload" })?;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
-            let width = read_u64(bytes, cursor)? as usize;
+            let width = reader.u64().ok_or(TRUNCATED)? as usize;
             // A slot's words must actually follow it: `width` bits is
             // `width/64` words of 8 bytes each, so a width wider than
             // the remaining bytes can encode is corruption. Bounding it
             // keeps a flipped length byte from forcing a huge allocation.
-            if width > bytes.len().saturating_sub(*cursor).saturating_mul(8) {
+            if width > reader.remaining().saturating_mul(8) {
                 return Err(CarryError::Malformed { reason: "carry slot implausibly wide" });
             }
             let words = (0..width.div_ceil(64))
-                .map(|_| read_u64(bytes, cursor))
+                .map(|_| reader.u64().ok_or(TRUNCATED))
                 .collect::<Result<Vec<u64>, CarryError>>()?;
             let incoming = BitStream::from_words(words, width);
             slots.push(Slot { outgoing: BitStream::zeros(width), incoming });
         }
-        let seal = read_u64(bytes, cursor)?;
+        let seal = reader.u64().ok_or(TRUNCATED)?;
         let found = seal_of(&slots);
         if found != seal {
             return Err(CarryError::ChecksumMismatch { expected: seal, found });
@@ -570,28 +570,6 @@ fn seal_of(slots: &[Slot]) -> u64 {
         }
     }
     h
-}
-
-fn read_u32(bytes: &[u8], cursor: &mut usize) -> Result<u32, CarryError> {
-    let end = cursor
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(CarryError::Malformed { reason: "truncated" })?;
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[*cursor..end]);
-    *cursor = end;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, CarryError> {
-    let end = cursor
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(CarryError::Malformed { reason: "truncated" })?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[*cursor..end]);
-    *cursor = end;
-    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -777,9 +755,9 @@ mod tests {
         state.rotate();
         let mut bytes = Vec::new();
         state.write_bytes(&mut bytes);
-        let mut cursor = 0;
-        let back = CarryState::read_bytes(&bytes, &mut cursor).unwrap();
-        assert_eq!(cursor, bytes.len());
+        let mut reader = ByteReader::new(&bytes);
+        let back = CarryState::read_bytes(&mut reader).unwrap();
+        assert_eq!(reader.remaining(), 0);
         assert_eq!(back, state);
         back.validate(&CarryLayout::of(&prog)).unwrap();
     }
@@ -800,15 +778,13 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 1;
-            let mut cursor = 0;
-            if let Ok(parsed) = CarryState::read_bytes(&bad, &mut cursor) {
+            if let Ok(parsed) = CarryState::read_bytes(&mut ByteReader::new(&bad)) {
                 assert_eq!(parsed, state, "byte {i} flip changed state but was accepted");
             }
         }
         // Truncations fail typed too.
         for cut in 0..bytes.len() {
-            let mut cursor = 0;
-            assert!(CarryState::read_bytes(&bytes[..cut], &mut cursor).is_err());
+            assert!(CarryState::read_bytes(&mut ByteReader::new(&bytes[..cut])).is_err());
         }
     }
 

@@ -1,6 +1,8 @@
-//! FNV-1a, 64-bit: the one hash behind carry seals, stream fingerprints,
-//! checkpoint and drain-manifest digests and cache keys. Stable across
-//! processes and builds, which everything persisted relies on.
+//! What every sealed byte format shares. FNV-1a, 64-bit: the one hash
+//! behind carry seals, stream fingerprints, checkpoint and drain-manifest
+//! digests and cache keys — stable across processes and builds, which
+//! everything persisted relies on. And [`ByteReader`], the one
+//! bounds-checked cursor those formats are decoded with.
 
 /// The FNV-1a offset basis: the seed of a fresh hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -12,9 +14,92 @@ pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
+/// Bounds-checked little-endian reader over untrusted bytes: the carry
+/// record, the stream checkpoint and the drain manifest all decode
+/// through it. Every read returns `None` once the bytes run out — the
+/// one truncation error, which each decoder maps onto its own typed
+/// error — and a failed read consumes nothing.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { rest: bytes }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `u32` length followed by that many bytes.
+    pub fn blob(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A `u32` count of records that follow, each at least
+    /// `min_record_bytes` long: `None` when the bytes *remaining* could
+    /// not hold that many, so a forged count is refused before anything
+    /// is pre-allocated for it.
+    pub fn count(&mut self, min_record_bytes: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n <= self.remaining() / min_record_bytes.max(1)).then_some(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reader_is_little_endian_bounded_and_consumes_nothing_on_failure() {
+        let bytes = [1u8, 2, 0, 3, 0, 0, 0, 2, 0, 0, 0, 9, 8, 7];
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!((r.u8(), r.u16(), r.u32()), (Some(1), Some(2), Some(3)));
+        assert_eq!(r.blob(), Some(&[9u8, 8][..]));
+        assert_eq!((r.u64(), r.remaining()), (None, 1));
+        assert_eq!((r.take(1), r.take(1), r.take(0)), (Some(&[7u8][..]), None, Some(&[][..])));
+        // A count is bounded by what is left after it, not by the total.
+        let counted = [3u8, 0, 0, 0, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff];
+        assert_eq!(ByteReader::new(&counted).count(2), Some(3));
+        assert_eq!(ByteReader::new(&counted).count(3), None);
+        assert_eq!(ByteReader::new(&counted[..3]).count(1), None);
+    }
 
     #[test]
     fn matches_the_published_vectors_and_chains() {

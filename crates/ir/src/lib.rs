@@ -51,7 +51,7 @@ pub use analysis::DefUse;
 pub use builder::ProgramBuilder;
 pub use carry::{BodyLayout, CarryError, CarryLayout, CarryState, CarryWalk};
 pub use control::{CancelToken, Interrupt, RunControl};
-pub use fnv::{fnv1a, FNV_OFFSET};
+pub use fnv::{fnv1a, ByteReader, FNV_OFFSET};
 pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
 pub use limits::{CompileLimits, LimitError};
 pub use lower::{

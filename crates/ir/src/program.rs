@@ -260,11 +260,6 @@ impl Program {
         &self.outputs
     }
 
-    /// Streams required for the interleaved executor's result store.
-    pub fn outputs_mut(&mut self) -> &mut Vec<StreamId> {
-        &mut self.outputs
-    }
-
     /// The length every stream takes for an input of `input_len` bytes.
     ///
     /// One extra position is kept so a cursor that consumed the final byte

@@ -287,7 +287,7 @@ fn find_rewrite(op: &Op, du: &DefUse, out: &Emitted) -> Option<Rewrite> {
         if sh_operand == other || x == other {
             continue;
         }
-        // The paper's criterion: move the shift when its source is at
+        // The paper's rule: move the shift when its source is at
         // least as deep as the other operand (ties rewrite, as in Fig. 8).
         if out.var_depth(x) < out.var_depth(other) {
             continue;

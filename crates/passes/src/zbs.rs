@@ -12,7 +12,7 @@
 //! the run in an `if (v)` guard. Where the paper validates a `goto` by
 //! rejecting ranges that define values used outside the path, this pass
 //! admits only zero-derived instructions into the range — the same
-//! criterion — and additionally pre-zeroes every range result that is live
+//! condition — and additionally pre-zeroes every range result that is live
 //! after the range, so a skipped range behaves exactly as if it had been
 //! executed on zeros. The `interval` parameter reproduces the paper's
 //! interval-based multi-guard insertion: inside a guarded range, additional

@@ -209,11 +209,6 @@ impl ByteSet {
         }
     }
 
-    /// Raw 4-word bitmap, least significant bit of word 0 = byte 0.
-    pub fn to_words(&self) -> [u64; 4] {
-        self.words
-    }
-
     /// Builds a set from a raw 4-word bitmap.
     pub fn from_words(words: [u64; 4]) -> ByteSet {
         ByteSet { words }

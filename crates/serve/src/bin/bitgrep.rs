@@ -23,9 +23,6 @@
 //!                       hot-swap to the patterns in FILE (one per line)
 //!                       once OFFSET bytes have been scanned (bitgen
 //!                       engine only)
-//!   --serve SOCKET      run as a multi-tenant scan daemon on a Unix
-//!                       socket instead of scanning; any -e/-f patterns
-//!                       pre-warm the compiled-pattern cache
 //! ```
 //!
 //! Reads FILE, or stdin when no file is given. The default `bitgen`
@@ -63,13 +60,6 @@
 //! whichever side of the swap it stopped — pass the same `--swap-rules`
 //! flag again.
 //!
-//! `--serve SOCKET` turns the same engine configuration into a
-//! long-lived daemon (see [`bitgen_serve`]): clients open streams over
-//! the socket, tenants submitting the same pattern set share one
-//! compiled engine, and `bitgen-serve scan/stats/shutdown` is the
-//! matching client. The daemon runs until a client sends `SHUTDOWN`,
-//! then exits 0.
-//!
 //! Exit codes follow grep convention, extended so scripts can tell the
 //! failure stages apart: 0 matches found, 1 no matches, 2 usage or I/O
 //! error, 3 pattern failed to compile (including blown compile budgets),
@@ -85,8 +75,7 @@ use bitgen::{
     StreamScanner,
 };
 use bitgen_baselines::{CpuBitstreamEngine, DfaEngine, HybridEngine, MultiNfa};
-use bitgen_bitstream::BitStream;
-use std::io::{Read as _, Seek as _, Write as _};
+use std::io::{Read as _, Seek as _};
 use std::process::ExitCode;
 
 struct Options {
@@ -106,11 +95,6 @@ struct Options {
     max_bytes: Option<u64>,
     /// `(rules file, byte offset)` for a mid-stream rule-set swap.
     swap_rules: Option<(String, u64)>,
-    /// Unix socket path: run as a scan daemon instead of scanning.
-    serve: Option<String>,
-    /// With `--serve`: adopt a drain manifest found here at startup,
-    /// and checkpoint into it when asked to drain.
-    drain_manifest: Option<String>,
 }
 
 /// bitgrep's exit codes, grep-compatible for 0/1/2.
@@ -136,7 +120,7 @@ fn usage() -> ! {
          [--count] [--line-number] [--positions] [--engine E] [--scheme S] \
          [--device D] [--threads N] [--scan-threads N] [--match-star] \
          [--profile] [--checkpoint FILE] [--max-bytes N] \
-         [--swap-rules FILE@OFFSET] [--serve SOCKET] [--drain-manifest FILE]"
+         [--swap-rules FILE@OFFSET]"
     );
     std::process::exit(exit::USAGE as i32);
 }
@@ -158,8 +142,6 @@ fn parse_args() -> Options {
         checkpoint: None,
         max_bytes: None,
         swap_rules: None,
-        serve: None,
-        drain_manifest: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -222,12 +204,6 @@ fn parse_args() -> Options {
                 let offset: u64 = offset.parse().unwrap_or_else(|_| usage());
                 opts.swap_rules = Some((file.to_string(), offset));
             }
-            "--serve" => {
-                opts.serve = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--drain-manifest" => {
-                opts.drain_manifest = Some(args.next().unwrap_or_else(|| usage()));
-            }
             "-h" | "--help" => usage(),
             other if !other.starts_with('-') && opts.file.is_none() => {
                 opts.file = Some(other.to_string());
@@ -235,21 +211,8 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
-    // Serving needs no patterns up front (clients bring their own);
-    // every other mode does.
-    if opts.patterns.is_empty() && opts.serve.is_none() {
+    if opts.patterns.is_empty() {
         usage();
-    }
-    if opts.serve.is_some()
-        && (opts.engine != "bitgen"
-            || opts.profile
-            || opts.checkpoint.is_some()
-            || opts.max_bytes.is_some()
-            || opts.swap_rules.is_some()
-            || opts.file.is_some())
-    {
-        eprintln!("bitgrep: --serve runs a daemon; it takes only engine tuning flags");
-        std::process::exit(exit::USAGE as i32);
     }
     if (opts.checkpoint.is_some() || opts.max_bytes.is_some() || opts.swap_rules.is_some())
         && opts.engine != "bitgen"
@@ -259,10 +222,6 @@ fn parse_args() -> Options {
     }
     if opts.swap_rules.is_some() && opts.profile {
         eprintln!("bitgrep: --swap-rules needs the streaming path; drop --profile");
-        std::process::exit(exit::USAGE as i32);
-    }
-    if opts.drain_manifest.is_some() && opts.serve.is_none() {
-        eprintln!("bitgrep: --drain-manifest only makes sense with --serve");
         std::process::exit(exit::USAGE as i32);
     }
     opts
@@ -294,10 +253,10 @@ const STREAM_CHUNK: usize = 64 * 1024;
 
 /// Incremental match-to-line mapper: consumes chunks plus their global
 /// match ends and emits grep-style output as each line completes,
-/// retaining only the current (possibly chunk-spanning) line. Reproduces
-/// the batch mapping exactly: a line matches when some match end falls
-/// in `[line_start, next_line_start)` — its own trailing newline
-/// included. Writes through an [`std::io::Write`] so a closed pipe
+/// retaining only the current (possibly chunk-spanning) line. A line
+/// matches when some match end falls in `[line_start, next_line_start)`
+/// — its own trailing newline included. The whole-input path feeds it
+/// one chunk. Writes through an [`std::io::Write`] so a closed pipe
 /// surfaces as an error the caller can map to a clean exit instead of a
 /// panic.
 struct LinePrinter<'o, W: std::io::Write> {
@@ -586,7 +545,13 @@ fn run_streaming(opts: &Options) -> Result<ExitCode, ScanFailure> {
         }
     }
     report_degraded(&scanner);
-    match printer.finish() {
+    printed(printer.finish())
+}
+
+/// The exit code of a finished print; a closed stdout is success, as it
+/// is mid-stream.
+fn printed(code: std::io::Result<ExitCode>) -> Result<ExitCode, ScanFailure> {
+    match code {
         Ok(code) => Ok(code),
         Err(e) if is_closed_output(&e) => Ok(ExitCode::SUCCESS),
         Err(e) => Err(ScanFailure::Usage(e.to_string())),
@@ -606,14 +571,17 @@ fn report_degraded(scanner: &StreamScanner<'_>) {
     }
 }
 
-fn scan(opts: &Options, input: &[u8]) -> Result<BitStream, ScanFailure> {
+/// The whole-input path: every baseline engine, and the bitgen engine
+/// under `--profile` (which needs the whole-launch report).
+fn run_batch(opts: &Options) -> Result<ExitCode, ScanFailure> {
+    let input = read_input(&opts.file).map_err(|e| ScanFailure::Usage(e.to_string()))?;
     let pats: Vec<&str> = opts.patterns.iter().map(String::as_str).collect();
-    match opts.engine.as_str() {
+    let matches = match opts.engine.as_str() {
         "bitgen" => {
             let engine = BitGen::compile_with(&pats, engine_config(opts))
                 .map_err(|e| ScanFailure::Compile(e.to_string()))?;
             let report =
-                engine.find(input).map_err(|e| ScanFailure::Exec(e.to_string()))?;
+                engine.find(&input).map_err(|e| ScanFailure::Exec(e.to_string()))?;
             if opts.profile {
                 eprint!("{}", report.profile(&opts.device));
                 eprintln!(
@@ -622,7 +590,7 @@ fn scan(opts: &Options, input: &[u8]) -> Result<BitStream, ScanFailure> {
                     report.throughput_mbps()
                 );
             }
-            Ok(report.matches)
+            report.matches
         }
         other => {
             let asts: Vec<_> = pats
@@ -633,152 +601,33 @@ fn scan(opts: &Options, input: &[u8]) -> Result<BitStream, ScanFailure> {
                         .map_err(|e| ScanFailure::Compile(format!("pattern {i}: {e}")))
                 })
                 .collect::<Result<_, _>>()?;
-            let ends = match other {
-                "nfa" => MultiNfa::build(&asts).run(input).ends,
-                "dfa" => DfaEngine::new(&asts).run(input).ends,
-                "hybrid" => HybridEngine::new(&asts).run(input),
-                "cpu-bitstream" => CpuBitstreamEngine::new(&[asts]).run(input),
+            match other {
+                "nfa" => MultiNfa::build(&asts).run(&input).ends,
+                "dfa" => DfaEngine::new(&asts).run(&input).ends,
+                "hybrid" => HybridEngine::new(&asts).run(&input),
+                "cpu-bitstream" => CpuBitstreamEngine::new(&[asts]).run(&input),
                 _ => return Err(ScanFailure::Usage(format!("unknown engine {other:?}"))),
-            };
-            Ok(ends)
-        }
-    }
-}
-
-/// Prints the batch-path results; a closed stdout maps to success at
-/// the caller, matching the streaming path.
-fn print_batch(opts: &Options, input: &[u8], ends: &BitStream) -> std::io::Result<ExitCode> {
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    if opts.positions {
-        for p in ends.positions() {
-            writeln!(out, "{p}")?;
-        }
-        out.flush()?;
-        return Ok(if ends.any() { ExitCode::SUCCESS } else { ExitCode::FAILURE });
-    }
-    // Map match ends to lines, grep-style (single pass over sorted ends).
-    let positions = ends.positions();
-    let mut pos_idx = 0usize;
-    let mut matching_lines = 0usize;
-    let mut line_start = 0usize;
-    for (i, chunk) in input.split(|&b| b == b'\n').enumerate() {
-        let next_line_start = line_start + chunk.len() + 1;
-        while pos_idx < positions.len() && positions[pos_idx] < line_start {
-            pos_idx += 1;
-        }
-        if pos_idx < positions.len() && positions[pos_idx] < next_line_start {
-            matching_lines += 1;
-            if !opts.count {
-                if opts.line_numbers {
-                    write!(out, "{}:", i + 1)?;
-                }
-                writeln!(out, "{}", String::from_utf8_lossy(chunk))?;
             }
         }
-        line_start = next_line_start;
-    }
-    if opts.count {
-        writeln!(out, "{matching_lines}")?;
-    }
-    out.flush()?;
-    Ok(if matching_lines == 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
-}
-
-/// `--serve`: run the multi-tenant daemon on a Unix socket under this
-/// invocation's engine configuration, pre-warming the pattern cache
-/// with any `-e`/`-f` patterns. Returns when a client sends `SHUTDOWN`
-/// or `DRAIN`; with `--drain-manifest` the daemon adopts a manifest
-/// found at that path on startup and checkpoints into it on drain, so
-/// a restart with the same flags resumes every durable stream.
-fn run_serve(opts: &Options, socket: &str) -> ExitCode {
-    let config = bitgen_serve::ServeConfig {
-        engine: engine_config(opts),
-        ..bitgen_serve::ServeConfig::default()
     };
-    let service = bitgen_serve::ScanService::start(config);
-    if !opts.patterns.is_empty() {
-        // Warm the cache so the first client sharing this rule set pays
-        // no compile time — and fail fast on a bad rule set before the
-        // socket exists.
-        let pats: Vec<&str> = opts.patterns.iter().map(String::as_str).collect();
-        if let Err(e) = service.warm(&pats) {
-            eprintln!("bitgrep: {e}");
-            return ExitCode::from(exit::COMPILE);
-        }
-    }
-    eprintln!("bitgrep: serving on {socket}");
-    let daemon_config = bitgen_serve::DaemonConfig {
-        manifest_path: opts.drain_manifest.clone().map(std::path::PathBuf::from),
-        ..bitgen_serve::DaemonConfig::default()
-    };
-    match bitgen_serve::serve_unix_with(std::path::Path::new(socket), service, daemon_config) {
-        Ok(outcome) => {
-            if let Some(manifest) = &outcome.drained {
-                eprintln!(
-                    "bitgrep: drained {} stream(s){}",
-                    manifest.entries.len(),
-                    if outcome.forced { " (deadline-forced)" } else { "" }
-                );
-            }
-            if outcome.forced {
-                ExitCode::from(exit::EXEC)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("bitgrep: {socket}: {e}");
-            ExitCode::from(exit::USAGE)
-        }
-    }
+    let ends: Vec<u64> = matches.positions().into_iter().map(|p| p as u64).collect();
+    let mut printer = LinePrinter::new(opts, std::io::BufWriter::new(std::io::stdout().lock()));
+    printed(printer.feed(&input, &ends, 0).and_then(|()| printer.finish()))
 }
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    if let Some(socket) = opts.serve.clone() {
-        return run_serve(&opts, &socket);
-    }
     // The bitgen engine streams; `--profile` needs the whole-launch
     // report, so it (and every baseline engine) scans in one batch.
-    if opts.engine == "bitgen" && !opts.profile {
-        return match run_streaming(&opts) {
-            Ok(code) => code,
-            Err(failure) => {
-                let (msg, code) = match failure {
-                    ScanFailure::Usage(m) => (m, exit::USAGE),
-                    ScanFailure::Compile(m) => (m, exit::COMPILE),
-                    ScanFailure::Exec(m) => (m, exit::EXEC),
-                };
-                eprintln!("bitgrep: {msg}");
-                ExitCode::from(code)
-            }
+    let streams = opts.engine == "bitgen" && !opts.profile;
+    let run = if streams { run_streaming(&opts) } else { run_batch(&opts) };
+    run.unwrap_or_else(|failure| {
+        let (msg, code) = match failure {
+            ScanFailure::Usage(m) => (m, exit::USAGE),
+            ScanFailure::Compile(m) => (m, exit::COMPILE),
+            ScanFailure::Exec(m) => (m, exit::EXEC),
         };
-    }
-    let input = match read_input(&opts.file) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("bitgrep: {e}");
-            return ExitCode::from(exit::USAGE);
-        }
-    };
-    let ends = match scan(&opts, &input) {
-        Ok(e) => e,
-        Err(failure) => {
-            let (msg, code) = match failure {
-                ScanFailure::Usage(m) => (m, exit::USAGE),
-                ScanFailure::Compile(m) => (m, exit::COMPILE),
-                ScanFailure::Exec(m) => (m, exit::EXEC),
-            };
-            eprintln!("bitgrep: {msg}");
-            return ExitCode::from(code);
-        }
-    };
-    match print_batch(&opts, &input, &ends) {
-        Ok(code) => code,
-        Err(e) if is_closed_output(&e) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("bitgrep: {e}");
-            ExitCode::from(exit::USAGE)
-        }
-    }
+        eprintln!("bitgrep: {msg}");
+        ExitCode::from(code)
+    })
 }

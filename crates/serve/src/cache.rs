@@ -104,15 +104,6 @@ impl PatternCache {
         evicted
     }
 
-    /// Drops `key` from the cache, if present. Live streams holding the
-    /// engine are unaffected; only future admissions recompile.
-    pub fn invalidate(&mut self, key: u64) -> bool {
-        if let Some(pos) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(pos);
-        }
-        self.entries.remove(&key).is_some()
-    }
-
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -175,19 +166,6 @@ mod tests {
         // The evicted-and-recompiled engine is a different allocation;
         // the Arc we held across the eviction still scans fine.
         assert_eq!(a.find(b"aa").unwrap().match_count(), 1);
-    }
-
-    #[test]
-    fn invalidate_forgets_future_admissions_only() {
-        let config = EngineConfig::default();
-        let mut cache = PatternCache::new(4);
-        let key = cache_key(&config, 0, &["dog"]);
-        let (engine, _, _) = cache.get_or_compile(key, compile(&["dog"])).unwrap();
-        assert!(cache.invalidate(key));
-        assert!(!cache.invalidate(key));
-        let (_, hit, _) = cache.get_or_compile(key, compile(&["dog"])).unwrap();
-        assert!(!hit);
-        assert_eq!(engine.find(b"dog").unwrap().match_count(), 1);
     }
 
     #[test]

@@ -639,21 +639,6 @@ impl Client {
         Ok(client)
     }
 
-    /// Points the client at a different Unix socket; the next request
-    /// connects there. Stream offsets are kept — this is the "follow
-    /// the restarted daemon" move.
-    pub fn set_endpoint_unix(&mut self, path: &Path) {
-        self.endpoint = Endpoint::Unix(path.to_path_buf());
-        self.wire = None;
-    }
-
-    /// Points the client at a different TCP address; the next request
-    /// connects there. Stream offsets are kept.
-    pub fn set_endpoint_tcp(&mut self, addr: &str) {
-        self.endpoint = Endpoint::Tcp(addr.to_string());
-        self.wire = None;
-    }
-
     /// The client's record of `id`'s byte offset, when it tracks one.
     pub fn offset(&self, id: u64) -> Option<u64> {
         self.offsets.get(&id).copied()
@@ -920,15 +905,6 @@ impl Client {
     /// As [`Client::stats`].
     pub fn metrics(&mut self) -> io::Result<ServeMetrics> {
         self.call("STATS", true, ServeMetrics::from_json)
-    }
-
-    /// Liveness probe.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or the daemon's `ERR` reply.
-    pub fn ping(&mut self) -> io::Result<()> {
-        self.call("PING", true, |payload| payload.is_empty().then_some(()))
     }
 
     /// Asks the daemon to drain: checkpoint every durable stream into

@@ -21,7 +21,7 @@
 
 use crate::service::StreamId;
 use bitgen::Error;
-use bitgen_ir::{fnv1a, FNV_OFFSET};
+use bitgen_ir::{fnv1a, ByteReader, FNV_OFFSET};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BGDM";
@@ -80,49 +80,18 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Bounds-checked little-endian reader over the manifest payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn invalid(what: &str) -> Error {
+    Error::CheckpointInvalid { reason: format!("drain manifest: {what}") }
 }
 
-impl<'a> Cursor<'a> {
-    fn invalid(what: &str) -> Error {
-        Error::CheckpointInvalid { reason: format!("drain manifest: {what}") }
-    }
+/// The reader's one failure, typed.
+fn truncated() -> Error {
+    invalid("truncated")
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| Self::invalid("truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self) -> Result<u16, Error> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("sized take")))
-    }
-
-    fn u32(&mut self) -> Result<u32, Error> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized take")))
-    }
-
-    fn u64(&mut self) -> Result<u64, Error> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized take")))
-    }
-
-    fn blob(&mut self) -> Result<&'a [u8], Error> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        String::from_utf8(self.blob()?.to_vec())
-            .map_err(|_| Self::invalid("string field is not UTF-8"))
-    }
+fn string(r: &mut ByteReader<'_>) -> Result<String, Error> {
+    String::from_utf8(r.blob().ok_or_else(truncated)?.to_vec())
+        .map_err(|_| invalid("string field is not UTF-8"))
 }
 
 impl DrainManifest {
@@ -172,65 +141,59 @@ impl DrainManifest {
     /// resumed here — that validation happens at adoption, per stream.
     pub fn from_bytes(bytes: &[u8]) -> Result<DrainManifest, Error> {
         if bytes.len() < MAGIC.len() + 2 + 4 + 8 {
-            return Err(Cursor::invalid("shorter than the fixed header"));
+            return Err(invalid("shorter than the fixed header"));
         }
         let (payload, seal_bytes) = bytes.split_at(bytes.len() - 8);
         let sealed = u64::from_le_bytes(seal_bytes.try_into().expect("split at 8"));
         if fnv1a(FNV_OFFSET, payload) != sealed {
-            return Err(Cursor::invalid("seal mismatch (corrupt or tampered)"));
+            return Err(invalid("seal mismatch (corrupt or tampered)"));
         }
-        let mut c = Cursor { bytes: payload, pos: 0 };
-        if c.take(4)? != MAGIC {
-            return Err(Cursor::invalid("bad magic"));
+        let mut r = ByteReader::new(payload);
+        if r.take(4) != Some(&MAGIC[..]) {
+            return Err(invalid("bad magic"));
         }
-        let version = c.u16()?;
+        let version = r.u16().ok_or_else(truncated)?;
         if version != VERSION {
-            return Err(Cursor::invalid(&format!(
+            return Err(invalid(&format!(
                 "unsupported version {version} (this build reads {VERSION})"
             )));
         }
-        let count = c.u32()? as usize;
-        let mut entries = Vec::new();
+        // Every count is bounded by the bytes still unread over the
+        // smallest record it could be counting (an entry's fixed fields;
+        // a pattern set's count; a string's length; a match end), so a
+        // forged count pre-allocates nothing the payload could not back.
+        const MIN_ENTRY_BYTES: usize = 3 * 8 + 3 * 4 + 1;
+        let count =
+            r.count(MIN_ENTRY_BYTES).ok_or_else(|| invalid("entry count exceeds payload"))?;
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let stream = c.u64()?;
-            let generation = c.u64()?;
-            let base_generation = c.u64()?;
-            let tenant = c.string()?;
-            let sets = c.u32()? as usize;
-            // Bound the preallocation by what the payload could hold.
-            if sets > payload.len() {
-                return Err(Cursor::invalid("lineage count exceeds payload"));
-            }
+            let stream = r.u64().ok_or_else(truncated)?;
+            let generation = r.u64().ok_or_else(truncated)?;
+            let base_generation = r.u64().ok_or_else(truncated)?;
+            let tenant = string(&mut r)?;
+            let sets = r.count(4).ok_or_else(|| invalid("lineage count exceeds payload"))?;
             let mut lineage = Vec::with_capacity(sets);
             for _ in 0..sets {
-                let n = c.u32()? as usize;
-                if n > payload.len() {
-                    return Err(Cursor::invalid("pattern count exceeds payload"));
-                }
+                let n = r.count(4).ok_or_else(|| invalid("pattern count exceeds payload"))?;
                 let mut patterns = Vec::with_capacity(n);
                 for _ in 0..n {
-                    patterns.push(c.string()?);
+                    patterns.push(string(&mut r)?);
                 }
                 lineage.push(patterns);
             }
-            let checkpoint = c.blob()?.to_vec();
-            let last_ack = match c.take(1)?[0] {
+            let checkpoint = r.blob().ok_or_else(truncated)?.to_vec();
+            let last_ack = match r.u8().ok_or_else(truncated)? {
                 0 => None,
                 1 => {
-                    let offset = c.u64()?;
-                    let n = c.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(Cursor::invalid("ack end count exceeds payload"));
-                    }
+                    let offset = r.u64().ok_or_else(truncated)?;
+                    let n = r.count(8).ok_or_else(|| invalid("ack end count exceeds payload"))?;
                     let mut ends = Vec::with_capacity(n);
                     for _ in 0..n {
-                        ends.push(c.u64()?);
+                        ends.push(r.u64().ok_or_else(truncated)?);
                     }
                     Some(AckRecord { offset, ends })
                 }
-                other => {
-                    return Err(Cursor::invalid(&format!("bad ack tag {other}")));
-                }
+                other => return Err(invalid(&format!("bad ack tag {other}"))),
             };
             entries.push(DrainEntry {
                 stream,
@@ -242,8 +205,8 @@ impl DrainManifest {
                 last_ack,
             });
         }
-        if c.pos != payload.len() {
-            return Err(Cursor::invalid("trailing bytes after the last entry"));
+        if r.remaining() != 0 {
+            return Err(invalid("trailing bytes after the last entry"));
         }
         Ok(DrainManifest { entries })
     }
@@ -336,6 +299,36 @@ mod tests {
                 DrainManifest::from_bytes(&bad).is_err(),
                 "flip at byte {i} must be refused"
             );
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_remaining_payload_are_refused_before_allocating() {
+        // One entry: header(10) + stream/generation/base(24) + tenant
+        // (4 + 4), then the lineage count. Each forged count fits the
+        // *total* payload — the old bound — but not the bytes left after
+        // it; resealed, so the count bound is what refuses it.
+        let manifest = DrainManifest { entries: vec![sample().entries.remove(0)] };
+        let bytes = manifest.to_bytes();
+        let payload_len = bytes.len() - 8;
+        let lineage_at = 10 + 24 + 8;
+        let patterns_at = lineage_at + 4;
+        let ack_count_at = payload_len - 2 * 8 - 4;
+        for (at, what) in [(lineage_at, "lineage"), (patterns_at, "pattern"), (ack_count_at, "ack")]
+        {
+            let forged = (payload_len - at) as u32;
+            assert!(forged as usize <= payload_len);
+            let mut bad = bytes[..payload_len].to_vec();
+            bad[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            let seal = fnv1a(FNV_OFFSET, &bad);
+            bad.extend_from_slice(&seal.to_le_bytes());
+            match DrainManifest::from_bytes(&bad) {
+                Err(Error::CheckpointInvalid { reason }) => {
+                    assert!(reason.contains(&format!("{what} ")), "{what}: {reason}");
+                    assert!(reason.contains("count exceeds payload"), "{what}: {reason}");
+                }
+                other => panic!("forged {what} count must be refused, got {other:?}"),
+            }
         }
     }
 

@@ -32,8 +32,7 @@
 //!
 //! The daemon form ([`serve_unix`]/[`serve_tcp`] / the `bitgen-serve`
 //! binary) exposes the same service over a Unix or TCP socket with a
-//! line protocol ([`wire`]); `bitgrep --serve <socket>` starts one
-//! from the CLI.
+//! line protocol ([`wire`]).
 //!
 //! The serving layer is crash-tolerant: a daemon drains on request (or
 //! on `SIGTERM`), checkpointing every open stream into a sealed

@@ -877,15 +877,6 @@ impl ScanService {
         })
     }
 
-    /// Drops `patterns`' generation-0 engine from the cache (an
-    /// operator pulled a rule set). Live streams keep scanning — they
-    /// hold the engine — but future admissions recompile. Returns
-    /// `true` when an entry was actually dropped.
-    pub fn invalidate_patterns(&self, patterns: &[&str]) -> bool {
-        let key = cache_key(&self.inner.config.engine, 0, patterns);
-        lock(&self.inner.cache).invalidate(key)
-    }
-
     /// Pre-compiles `patterns` into the cache without opening a stream
     /// (daemon warm-up). Returns `true` when they were already cached.
     ///

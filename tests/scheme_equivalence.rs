@@ -3,7 +3,9 @@
 //! the performance counters move the way the paper says they do.
 
 use bitgen_bitstream::Basis;
-use bitgen_exec::{apply_transforms, execute, execute_prepared, ExecConfig, Scheme};
+use bitgen_exec::{
+    apply_transforms, execute, execute_prepared_with, ExecConfig, ExecScratch, Scheme,
+};
 use bitgen_ir::{fnv1a, interpret, lower_group, Program, FNV_OFFSET};
 use bitgen_regex::parse;
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
@@ -175,7 +177,7 @@ fn batch_metrics_digest(
     config: &ExecConfig,
 ) -> (u64, [u64; 6], usize, u64) {
     let basis = Basis::transpose(input);
-    let out = execute_prepared(prog, &basis, config).unwrap();
+    let out = execute_prepared_with(prog, &basis, config, &mut ExecScratch::new(), None).unwrap();
     let want: Vec<Vec<usize>> =
         interpret(prog, &basis).outputs.iter().map(|s| s.positions()).collect();
     let got: Vec<Vec<usize>> = out.outputs.iter().map(|s| s.positions()).collect();
