@@ -51,6 +51,14 @@ cargo clippy -q -p bitgen-ir -p bitgen-exec -p bitgen-gpu -p bitgen-baselines -p
   -p bitgen-serve -- \
   -W clippy::unwrap_used -W clippy::expect_used
 
+# Rustdoc link gate: a renamed or newly private item that an intra-doc
+# link still names fails here. The twelve crates by name, not
+# `--workspace`: the vendored `proptest` stand-in has an ambiguous
+# [`vec`] link of its own.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p bitgen -p bitgen-exec -p bitgen-ir \
+  -p bitgen-serve -p bitgen-passes -p bitgen-gpu -p bitgen-kernel -p bitgen-bitstream \
+  -p bitgen-regex -p bitgen-baselines -p bitgen-workloads -p bitgen-bench
+
 # Standing constraint (ROADMAP.md): benchmark/ and BENCHMARK.json are the
 # fixed yardstick. Last, so it also catches a build or run above that
 # rewrote a tracked file there (benchmark/Cargo.lock).

@@ -225,9 +225,8 @@ impl ScanSession<'_> {
         let (group, stream) = (idx % cx.g, idx / cx.g);
         let run = catch_unwind(AssertUnwindSafe(|| {
             // The engine's resident plan: only the first scan to reach a
-            // group segments, analyses and compiles it.
-            let (plan, prog) = (cx.engine.batch_plan_or_build(group), &cx.engine.programs[group]);
-            plan.execute(prog, &cx.bases[stream], &config, scratch, cx.ctl)
+            // group transforms, segments, analyses and compiles it.
+            cx.engine.batch(group).execute(&cx.bases[stream], &config, scratch, cx.ctl)
         }));
         match run {
             Ok(Ok(outcome)) => Ok(Box::new(outcome)),
@@ -244,7 +243,7 @@ impl ScanSession<'_> {
     /// reuses its own scratch. Results land in slot order, so the merge
     /// below never depends on scheduling.
     fn execute_grid(&mut self, s: usize, ctl: &RunControl) -> Vec<SlotRun> {
-        let g = self.engine.programs.len();
+        let g = self.engine.group_count();
         let slot_count = s * g;
         let mut slots: Vec<Option<SlotRun>> = Vec::new();
         slots.resize_with(slot_count, || None);
@@ -284,9 +283,9 @@ impl ScanSession<'_> {
     }
 
     /// Phase 2½: recover or surface failed slots. Under
-    /// [`crate::RecoveryPolicy::Degrade`] a failed slot's prepared program
-    /// is replayed on the reference interpreter, under the scan's own
-    /// cancel token and deadline, and flagged degraded; otherwise
+    /// [`crate::RecoveryPolicy::Degrade`] a failed slot's untransformed
+    /// lowering is replayed on the reference interpreter, under the scan's
+    /// own cancel token and deadline, and flagged degraded; otherwise
     /// the first failure in canonical slot order becomes the scan's
     /// error, independent of which worker hit it first.
     fn resolve(
@@ -294,7 +293,7 @@ impl ScanSession<'_> {
         slots: Vec<SlotRun>,
         ctl: &RunControl,
     ) -> Result<Vec<(ExecOutcome, bool)>, Error> {
-        let g = self.engine.programs.len();
+        let g = self.engine.group_count();
         let mut resolved = Vec::with_capacity(slots.len());
         for (idx, slot) in slots.into_iter().enumerate() {
             match slot {
@@ -310,11 +309,12 @@ impl ScanSession<'_> {
                     {
                         return Err(failure);
                     }
-                    // The transforms are semantics-preserving, so the
-                    // prepared program's interpretation lines up with the
-                    // kernel path's outputs slot for slot.
-                    let program = &self.engine.programs[group];
-                    let replay = try_interpret(program, &self.bases[stream], ctl)
+                    // The lowering is the specification the transforms
+                    // and kernels refine, so its interpretation lines up
+                    // with the kernel path's outputs slot for slot —
+                    // without trusting the passes it is backing up.
+                    let lowering = self.engine.lowering(group);
+                    let replay = try_interpret(lowering, &self.bases[stream], ctl)
                         .map_err(|e| Error::Exec(ExecError::from(e)))?;
                     resolved.push((
                         ExecOutcome {
@@ -334,7 +334,7 @@ impl ScanSession<'_> {
     /// price the whole launch once, exactly as the sequential path did.
     fn merge(&self, inputs: &[&[u8]], outcomes: Vec<(ExecOutcome, bool)>) -> Vec<ScanReport> {
         let engine = self.engine;
-        let g = engine.programs.len();
+        let g = engine.group_count();
         let device = &engine.config().device;
         let combine = engine.config().combine_outputs;
         let total_bytes: usize = inputs.iter().map(|i| i.len()).sum();
@@ -350,9 +350,8 @@ impl ScanSession<'_> {
             };
             let mut metrics = Vec::with_capacity(g);
             let mut degraded = 0u64;
-            for (gi, group) in engine.groups.iter().enumerate() {
-                let (mut outcome, slot_degraded) =
-                    outcomes.next().expect("one outcome per slot");
+            for group in &engine.groups {
+                let (outcome, slot_degraded) = outcomes.next().expect("one outcome per slot");
                 degraded += u64::from(slot_degraded);
                 for (oi, out) in outcome.outputs.iter().enumerate() {
                     // or_clipped is the shared final-partial-word clip:
@@ -364,12 +363,6 @@ impl ScanSession<'_> {
                     }
                 }
                 works.push(outcome.metrics.cta_work());
-                // Prepared runs execute programs transformed at compile
-                // time, so their per-CTA `passes` comes from the engine's
-                // compile-time record — the same data the one-shot
-                // `execute` path measures itself, keeping `passes`
-                // populated consistently across both entry points.
-                outcome.metrics.passes = engine.pass_metrics[gi];
                 metrics.push(outcome.metrics);
             }
             partial.push((union, per_pattern, metrics, degraded));
@@ -380,14 +373,14 @@ impl ScanSession<'_> {
         // the model prices only the work the device actually did.
         let cost = device.estimate(&works);
         let transpose: f64 = inputs.iter().map(|i| device.transpose_seconds(i.len())).sum();
-        let mut passes = bitgen_passes::PassMetrics::default();
-        for p in &engine.pass_metrics {
-            passes.absorb(p);
-        }
         partial
             .into_iter()
             .map(|(matches, per_pattern, ctas, degraded)| {
                 let match_count = matches.count_ones() as u64;
+                // What this stream's plans report; a degraded slot ran no
+                // plan and adds nothing, like its device metrics.
+                let mut passes = bitgen_passes::PassMetrics::default();
+                ctas.iter().for_each(|m| passes.absorb(&m.passes));
                 ScanReport {
                     matches,
                     per_pattern,
@@ -414,7 +407,6 @@ impl ScanSession<'_> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use bitgen_exec::BatchPlan;
 
     fn streams() -> Vec<Vec<u8>> {
         (0..9)
@@ -522,43 +514,122 @@ mod tests {
         let engine = BitGen::compile_with(&pats, config).unwrap();
         let groups = engine.group_count();
         assert!(groups > 1);
-        let plans = |engine: &BitGen| -> Vec<Option<*const BatchPlan>> {
-            (0..groups).map(|g| engine.batch_plan(g).map(std::ptr::from_ref)).collect()
+        let plans = |engine: &BitGen| -> Vec<Option<usize>> {
+            (0..groups).map(|g| engine.batch_plan(g).map(|p| std::ptr::from_ref(p) as usize)).collect()
         };
         assert_eq!(plans(&engine), vec![None; groups], "compiling builds no plan");
+        // Four workers released together race for every group's cell: each
+        // cell is built once and every worker is handed that one plan.
+        let gate = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<Option<usize>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        (0..groups).map(|g| Some(std::ptr::from_ref(engine.batch(g)) as usize)).collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        let built = plans(&engine);
+        assert!(built.iter().all(Option::is_some));
+        assert!(seen.iter().all(|worker| *worker == built), "one plan per cell");
+        // Every session, re-scan and fresh `find_many` runs those plans:
+        // same bits, and each CTA reports its plan's own transform record
+        // (wall-clock nanos included, so a second build would show).
         let inputs = streams();
         let slices: Vec<&[u8]> = inputs[..4].iter().map(Vec::as_slice).collect();
-        // Four worker threads race for each group's cell on the first scan.
         let mut first = engine.session();
         let reference = first.scan_many(&slices).unwrap();
-        let built = plans(&engine);
-        assert!(built.iter().all(Option::is_some), "the first scan builds every group's plan");
-        // A second session, a re-scan and a fresh `find_many` all run the
-        // same plans and report the same bits.
+        for report in &reference {
+            for (g, cta) in report.metrics.ctas.iter().enumerate() {
+                assert_eq!(&cta.passes, engine.batch(g).passes());
+            }
+        }
         let mut second = engine.session();
         reports_agree(&reference, &second.scan_many(&slices).unwrap());
         reports_agree(&reference, &first.scan_many(&slices).unwrap());
         reports_agree(&reference, &engine.find_many(&slices).unwrap());
         assert_eq!(plans(&engine), built, "plans are built once per engine");
-        // An engine that only streams never builds one.
-        let streaming = BitGen::compile(&pats).unwrap();
-        let mut scanner = streaming.streamer().unwrap();
-        for chunk in inputs[0].chunks(7) {
+    }
+
+    #[test]
+    fn the_served_path_never_builds_a_batch_side() {
+        // Everything `bitgen-serve` calls — compile, swap staging, lineage
+        // replay, streamer, resume, push — leaves every cell empty: no
+        // transformed program, no kernel.
+        let idle = |e: &BitGen| (0..e.group_count()).all(|g| e.batch_plan(g).is_none());
+        let owned = |pats: &[&str]| pats.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        let generations: [&[&str]; 3] = [&["a(bc)*d", "cat", "[0-9]+x"], &["dog", "c+d"], &["x[ab]{1,4}y"]];
+        let config = EngineConfig::default().with_cta_count(3);
+        let engine = BitGen::compile_with(generations[0], config.clone()).unwrap();
+        let staged = engine.prepare_swap(generations[1]).unwrap();
+        let lineage: Vec<Vec<String>> = generations.iter().map(|g| owned(g)).collect();
+        let replayed = BitGen::compile_lineage(&lineage, config).unwrap();
+        assert_eq!(replayed.generation(), 2);
+        let input = &streams()[8];
+        let mut scanner = engine.streamer().unwrap();
+        for (i, chunk) in input.chunks(input.len() / 100).take(100).enumerate() {
             scanner.push(chunk).unwrap();
+            if i % 10 == 9 {
+                scanner = engine.resume(&scanner.into_checkpoint()).unwrap();
+            }
         }
-        assert!((0..streaming.group_count()).all(|g| streaming.batch_plan(g).is_none()));
+        scanner.commit_swap(&staged).unwrap();
+        scanner.push(b"dog ccd").unwrap();
+        assert!(idle(&engine) && idle(staged.engine()) && idle(&replayed));
     }
 
     #[test]
     fn prepared_scans_populate_pass_metrics() {
-        // Session scans run prepared programs, so each CTA's `passes`
-        // must be the engine's compile-time record, not the default the
-        // raw `BatchPlan::execute` reports.
+        // Every CTA's `passes` is its plan's record — the same data the
+        // one-shot `bitgen_exec::execute` measures for itself — and the
+        // report's total is their sum.
         let engine = BitGen::compile(&["a(bc)*d", "cat"]).unwrap();
         let report = engine.find(b"abcbcd cat").unwrap();
-        assert_eq!(report.metrics.ctas.len(), engine.pass_metrics().len());
-        for (m, p) in report.metrics.ctas.iter().zip(engine.pass_metrics()) {
-            assert_eq!(&m.passes, p);
+        assert_eq!(report.metrics.ctas.len(), engine.group_count());
+        let mut total = bitgen_passes::PassMetrics::default();
+        for (g, m) in report.metrics.ctas.iter().enumerate() {
+            assert_eq!(&m.passes, engine.batch(g).passes());
+            assert!(m.passes.total_visits() > 0, "the default scheme transforms");
+            total.absorb(&m.passes);
+        }
+        assert_eq!(report.metrics.passes, total);
+    }
+
+    #[test]
+    fn a_degraded_slot_replays_the_untransformed_lowering() {
+        use bitgen_gpu::FaultKind;
+        let pats = ["a[bc]*d", "cat", "[0-9]*x"];
+        let asts: Vec<_> = pats.iter().map(|p| bitgen_regex::parse(p).unwrap()).collect();
+        let inputs: [&[u8]; 2] = [b"abcbcd cat 42x", b"ad cat x abbd 7x"];
+        for match_star in [false, true] {
+            let config = EngineConfig::default()
+                .with_recovery(RecoveryPolicy::Degrade)
+                .with_match_star(match_star)
+                .with_combine_outputs(false)
+                .with_cta_count(2);
+            let engine = BitGen::compile_with(&pats, config).unwrap();
+            let mut session = engine.session();
+            session.inject_fault(1, 0, FaultPlan { kind: FaultKind::Panic, trigger: 1, seed: 0 });
+            let reports = session.scan_many(&inputs).unwrap();
+            assert!(!reports[0].degraded() && reports[1].degraded());
+            for (report, input) in reports.iter().zip(inputs) {
+                assert_eq!(report.matches.positions(), bitgen_regex::multi_match_ends(&asts, input));
+            }
+            // The panicked slot's streams are the reference interpretation
+            // of the group's lowering, not of the program the passes made.
+            let lowering = engine.lowering(0);
+            assert_eq!(lowering.while_count() == 0, match_star);
+            assert_ne!(lowering, engine.batch(0).program());
+            let replay =
+                try_interpret(lowering, &Basis::transpose(inputs[1]), &RunControl::unlimited())
+                    .unwrap();
+            let per_pattern = reports[1].per_pattern.as_ref().expect("per-pattern streams");
+            for (out, &pattern) in replay.outputs.iter().zip(&engine.groups[0]) {
+                assert_eq!(per_pattern[pattern], out.resized(inputs[1].len()));
+            }
         }
     }
 

@@ -147,8 +147,9 @@ struct PushWindows {
 /// machine. Its *state* is one [`CarryState`] per group carrying the
 /// cross-chunk bits (plus counters and the rule-set generation);
 /// everything else — the transpose target, the class streams, the
-/// executor scratch — is per-push scratch, reused across chunks. See the
-/// [module docs](self) for the push transaction and recovery contract.
+/// executor scratch — is per-push scratch, reused across chunks. See
+/// [`StreamScanner::push`] for the push transaction and [`RetryPolicy`]
+/// for the recovery contract.
 ///
 /// # Examples
 ///
@@ -418,8 +419,7 @@ impl StreamScanner<'_> {
     /// The push is a transaction: on any error the carry state and the
     /// whole [`StreamScanner::metrics`] record are exactly as they were
     /// before the call (never double-counted, never half-advanced). See
-    /// the [module docs](self) for how the
-    /// [`RetryPolicy`] turns detected faults into retries or CPU
+    /// [`RetryPolicy`] for how detected faults become retries or CPU
     /// degradation instead of failures.
     ///
     /// # Errors

@@ -147,11 +147,13 @@ impl BitGen {
 }
 
 impl StagedRules {
-    /// The staged engine: generation parent + 1, compiled and
-    /// transform-prepared. Use it directly to batch-scan with the new
-    /// rules, or to [`BitGen::resume`] a checkpoint taken after the
-    /// swap committed (its generation and fingerprint are the ones such
-    /// checkpoints record).
+    /// The staged engine: generation parent + 1, lowered and prepared
+    /// for streaming; like any engine it builds a group's batch side
+    /// (transforms, kernels) only if something batch-scans it. Use it
+    /// directly to batch-scan with the new rules, or to
+    /// [`BitGen::resume`] a checkpoint taken after the swap committed
+    /// (its generation and fingerprint are the ones such checkpoints
+    /// record).
     pub fn engine(&self) -> &BitGen {
         &self.engine
     }

@@ -312,21 +312,18 @@ impl ExecOutcome {
 /// # Ok::<(), bitgen_exec::ExecError>(())
 /// ```
 pub fn execute(program: &Program, basis: &Basis, config: &ExecConfig) -> Result<ExecOutcome, ExecError> {
-    let mut prog = program.clone();
-    let passes = apply_transforms(&mut prog, config);
-    let mut out = execute_prepared_with(&prog, basis, config, &mut ExecScratch::new(), None)?;
-    out.metrics.passes = passes;
-    Ok(out)
+    let ctl = RunControl::unlimited();
+    BatchPlan::build(program, config).execute(basis, config, &mut ExecScratch::new(), &ctl)
 }
 
 /// Applies the scheme's compile-time transforms (shift rebalancing,
 /// zero-block skipping) to `program` in place, returning what they did
 /// and what they cost.
 ///
-/// [`execute`] does this internally; engines that scan many inputs with
-/// one program should call this once and then run a [`BatchPlan`] per
-/// scan. The def/use analysis is computed once and threaded through both
-/// passes rather than recomputed per pass.
+/// [`BatchPlan::build`] is its caller: [`execute`] builds a plan per
+/// call, an engine that scans many inputs keeps one. The def/use analysis
+/// is computed once and threaded through both passes rather than
+/// recomputed per pass.
 pub fn apply_transforms(program: &mut Program, config: &ExecConfig) -> PassMetrics {
     let mut metrics = PassMetrics::default();
     let wants_rebalance = config.scheme.uses_rebalancing();
@@ -391,12 +388,12 @@ pub fn execute_prepared_with(
         let tables = StreamTables::of(prog);
         return execute_streaming_window(prog, &tables, None, basis, config, scratch, &ctl, carry);
     }
-    BatchPlan::new(prog, config).execute(prog, basis, config, scratch, &ctl)
+    BatchPlan::new(prog.clone(), config).execute(basis, config, scratch, &ctl)
 }
 
 impl BatchPlan {
-    /// Executes `prog` — the program this plan was built from — over the
-    /// transposed input, neither segmenting, analysing nor compiling.
+    /// Executes the plan's program over the transposed input, neither
+    /// transforming, segmenting, analysing nor compiling.
     /// `ctl` is polled once per window (fused segments) and once per
     /// statement (sequential segments) — word-chunk granularity either way.
     ///
@@ -418,7 +415,6 @@ impl BatchPlan {
     /// than the plan was built for.
     pub fn execute(
         &self,
-        prog: &Program,
         basis: &Basis,
         config: &ExecConfig,
         scratch: &mut ExecScratch,
@@ -426,8 +422,10 @@ impl BatchPlan {
     ) -> Result<ExecOutcome, ExecError> {
         let key = BatchPlan::key_of(config);
         assert_eq!(self.key, key, "plan built for another scheme or merge size");
+        let prog = self.program();
         let stream_len = Program::stream_len(basis.len());
         let mut metrics = ExecMetrics {
+            passes: *self.passes(),
             segments: self.segments.len(),
             intermediates: self.intermediates,
             threads: config.threads,
@@ -907,11 +905,11 @@ mod tests {
         apply_transforms(&mut prog, &config);
         let one_shot = execute_prepared(&prog, &basis, &config).unwrap();
         assert!(one_shot.metrics.fallbacks > 0);
-        let plan = BatchPlan::new(&prog, &config);
+        let plan = BatchPlan::new(prog.clone(), &config);
         let mut scratch = ExecScratch::new();
         let (mut warm, ctl) = (None, RunControl::unlimited());
         for _ in 0..3 {
-            let out = plan.execute(&prog, &basis, &config, &mut scratch, &ctl).unwrap();
+            let out = plan.execute(&basis, &config, &mut scratch, &ctl).unwrap();
             assert_eq!(out.outputs, one_shot.outputs);
             assert_eq!(out.metrics, one_shot.metrics);
             let held = (scratch.pooled_words(), scratch.pooled_streams());
@@ -923,10 +921,9 @@ mod tests {
     #[should_panic(expected = "another scheme or merge size")]
     fn a_plan_refuses_a_config_it_was_not_built_for() {
         let prog = lower(&parse("ab").unwrap());
-        let plan = BatchPlan::new(&prog, &ExecConfig::for_scheme(Scheme::Sr));
+        let plan = BatchPlan::new(prog, &ExecConfig::for_scheme(Scheme::Sr));
         let other = ExecConfig { merge_size: 2, ..ExecConfig::for_scheme(Scheme::Sr) };
         let _ = plan.execute(
-            &prog,
             &Basis::transpose(b"ab"),
             &other,
             &mut ExecScratch::new(),
@@ -1066,11 +1063,10 @@ mod tests {
         token.cancel();
         let ctl = RunControl::unlimited().with_cancel(token);
         for scheme in [Scheme::Zbs, Scheme::Sequential] {
-            let mut prog = lower(&parse("a(bc)*d").unwrap());
+            let prog = lower(&parse("a(bc)*d").unwrap());
             let config = ExecConfig { scheme, threads: 4, ..ExecConfig::default() };
-            apply_transforms(&mut prog, &config);
-            let err = BatchPlan::new(&prog, &config)
-                .execute(&prog, &basis, &config, &mut ExecScratch::new(), &ctl)
+            let err = BatchPlan::build(&prog, &config)
+                .execute(&basis, &config, &mut ExecScratch::new(), &ctl)
                 .unwrap_err();
             assert_eq!(err, ExecError::Cancelled, "scheme {scheme}");
         }
@@ -1081,20 +1077,17 @@ mod tests {
         use std::time::{Duration, Instant};
         let input: Vec<u8> = b"abcbcd".iter().cycle().take(600).copied().collect();
         let basis = Basis::transpose(&input);
-        let mut prog = lower(&parse("a(bc)*d").unwrap());
+        let prog = lower(&parse("a(bc)*d").unwrap());
         let config = ExecConfig { threads: 4, ..ExecConfig::default() };
-        apply_transforms(&mut prog, &config);
         let expired =
             RunControl::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
-        let plan = BatchPlan::new(&prog, &config);
-        let err = plan
-            .execute(&prog, &basis, &config, &mut ExecScratch::new(), &expired)
-            .unwrap_err();
+        let plan = BatchPlan::build(&prog, &config);
+        let err = plan.execute(&basis, &config, &mut ExecScratch::new(), &expired).unwrap_err();
         assert_eq!(err, ExecError::DeadlineExceeded);
         // A lax deadline leaves results untouched.
         let lax = RunControl::unlimited().deadline_in(Duration::from_secs(3600));
-        let out = plan.execute(&prog, &basis, &config, &mut ExecScratch::new(), &lax).unwrap();
-        assert_eq!(out.outputs, execute_prepared(&prog, &basis, &config).unwrap().outputs);
+        let out = plan.execute(&basis, &config, &mut ExecScratch::new(), &lax).unwrap();
+        assert_eq!(out.outputs, execute(&prog, &basis, &config).unwrap().outputs);
     }
 
     fn stream_in_chunks(

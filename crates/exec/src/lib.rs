@@ -13,8 +13,9 @@
 //!
 //! [`execute`] is the entry point; [`ExecMetrics`] carries everything the
 //! paper's Tables 4–6 report. Engines keep one [`PreparedProgram`] (for
-//! streaming windows) and one [`BatchPlan`] (segments and compiled
-//! kernels, for batch scans) per group, so neither re-derives anything.
+//! streaming windows) and one [`BatchPlan`] (the transformed program, its
+//! segments and compiled kernels, for batch scans) per group, each owning
+//! its program, so neither re-derives anything.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -9,21 +9,13 @@ use bitgen_passes::PassMetrics;
 /// Metrics of one program execution (one CTA's worth of work).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecMetrics {
-    /// Compile-time transform pipeline cost.
-    ///
-    /// Who fills it in:
-    /// - one-shot [`execute`] runs the passes itself and records them here;
-    /// - `execute_prepared_with` and a `BatchPlan` leave it at default — the caller
-    ///   transformed the program, so only the caller knows what that cost.
-    ///   Callers holding the [`apply_transforms`] record (as `bitgen`'s
-    ///   scan sessions do) should copy it in so reports stay consistent
-    ///   with the one-shot path;
-    /// - streaming windows (`execute_prepared_with` with a carry state)
-    ///   run *untransformed* programs, so their default (zero) record is
-    ///   the truth, not an omission.
-    ///
-    /// [`execute`]: crate::execute
-    /// [`apply_transforms`]: crate::apply_transforms
+    /// Transform pipeline cost of the program that ran: a
+    /// [`BatchPlan`](crate::BatchPlan) reports what its constructor
+    /// measured — `build` (one-shot [`execute`](crate::execute), `bitgen`'s
+    /// engines) the transforms it ran, `new` (`execute_prepared_with`) the
+    /// default record of a program taken as given. Streaming windows run
+    /// *untransformed* programs, so their default (zero) record is the
+    /// truth, not an omission.
     pub passes: PassMetrics,
     /// Counted hardware events across all segments and windows.
     pub counters: CtaCounters,

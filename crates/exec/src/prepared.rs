@@ -1,9 +1,12 @@
 //! Prepared programs: everything about a program that does not depend on
 //! the input, derived once instead of once per call — a stream program's
-//! class table, carry layout and stream plan; a batch program's segments,
-//! overlap analyses and compiled kernels, its [`BatchPlan`] (DESIGN.md §10).
+//! class table, carry layout and stream plan; a batch program's transforms,
+//! segments, overlap analyses and compiled kernels, its [`BatchPlan`]. Each
+//! owns its program (DESIGN.md §10).
 
-use crate::engine::{execute_streaming_window, ExecConfig, ExecError, ExecOutcome, ExecScratch};
+use crate::engine::{
+    apply_transforms, execute_streaming_window, ExecConfig, ExecError, ExecOutcome, ExecScratch,
+};
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, SegmentKind};
 use bitgen_bitstream::{Basis, BitStream, CcCode};
@@ -11,7 +14,7 @@ use bitgen_ir::{
     ByteSet, CarryLayout, CarryState, InterpError, Op, Program, RunControl, SlotPlan, StreamId,
 };
 use bitgen_kernel::{compile, CodegenOptions, Compiled};
-use bitgen_passes::OverlapInfo;
+use bitgen_passes::{OverlapInfo, PassMetrics};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -264,17 +267,19 @@ pub(crate) struct FusedPlan {
     pub(crate) max_live_regs: u32,
 }
 
-/// The batch counterpart of a [`PreparedProgram`]'s tables: a transformed
-/// program cut into segments for one scheme, every fused segment analysed
-/// and compiled to its kernel at one effective merge size — the paper's
-/// "generate and compile the kernel once, launch it per input".
+/// The batch counterpart of a [`PreparedProgram`]: a group's transformed
+/// program together with everything derived from it — the transform
+/// record, its segments for one scheme, every fused segment analysed and
+/// compiled to its kernel at one effective merge size. The paper's
+/// "generate and compile the kernel once, launch it per input":
 /// [`BatchPlan::execute`] only runs it.
 ///
-/// The plan holds no statements: a segment is a range of the top-level
-/// statements of the program the plan was built from, and that program is
-/// what `execute` must be given.
+/// A segment is a range of the top-level statements of the plan's own
+/// program, so the statements are held once.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
+    program: Program,
+    passes: PassMetrics,
     /// The scheme and effective merge size the plan is specific to.
     pub(crate) key: (Scheme, usize),
     pub(crate) segments: Vec<PlannedSegment>,
@@ -282,14 +287,23 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Plans `prog` — transformed by [`crate::apply_transforms`] already,
-    /// or meant to run untransformed — for `config`'s scheme and merge
+    /// Builds the batch side of `lowering`: a copy of it goes through
+    /// [`apply_transforms`] and is planned for `config`'s scheme and merge
     /// size.
-    pub fn new(prog: &Program, config: &ExecConfig) -> BatchPlan {
+    pub fn build(lowering: &Program, config: &ExecConfig) -> BatchPlan {
+        let mut program = lowering.clone();
+        let passes = apply_transforms(&mut program, config);
+        BatchPlan { passes, ..BatchPlan::new(program, config) }
+    }
+
+    /// Plans `program` to run as it is — transformed by
+    /// [`apply_transforms`] already, or meant to run untransformed — so
+    /// [`BatchPlan::passes`] is the default record.
+    pub fn new(program: Program, config: &ExecConfig) -> BatchPlan {
         let key = BatchPlan::key_of(config);
         let options = CodegenOptions { merge_size: key.1, ..CodegenOptions::default() };
-        let segments = segment_program(prog, key.0);
-        let intermediates = intermediate_count(&segments, prog);
+        let segments = segment_program(&program, key.0);
+        let intermediates = intermediate_count(&segments, &program);
         // Segments are consecutive runs of whole top-level statements.
         let mut at = 0;
         let segments: Vec<PlannedSegment> = segments
@@ -298,7 +312,7 @@ impl BatchPlan {
                 let range = at..at + seg.stmts.len();
                 at = range.end;
                 let fused = (seg.kind == SegmentKind::Fused).then(|| {
-                    let sub = Program::new(seg.stmts, prog.num_streams(), seg.outputs.clone());
+                    let sub = Program::new(seg.stmts, program.num_streams(), seg.outputs.clone());
                     let compiled = compile(&sub, &seg.inputs, &seg.outputs, &options);
                     let max_live_regs = compiled.kernel.max_live_regs();
                     FusedPlan { info: OverlapInfo::analyze(&sub), compiled, max_live_regs }
@@ -306,8 +320,19 @@ impl BatchPlan {
                 PlannedSegment { range, inputs: seg.inputs, outputs: seg.outputs, fused }
             })
             .collect();
-        debug_assert_eq!(at, prog.stmts().len(), "segments cover the program");
-        BatchPlan { key, segments, intermediates }
+        debug_assert_eq!(at, program.stmts().len(), "segments cover the program");
+        BatchPlan { program, passes: PassMetrics::default(), key, segments, intermediates }
+    }
+
+    /// The program the plan runs: the lowering after the transforms.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// What transforming the lowering did and cost; every
+    /// [`BatchPlan::execute`] reports it as its `metrics.passes`.
+    pub fn passes(&self) -> &PassMetrics {
+        &self.passes
     }
 
     /// The scheme, and the merge size its kernels are compiled at.

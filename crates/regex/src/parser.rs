@@ -44,7 +44,7 @@ pub enum ParseErrorKind {
     BadEscape,
     /// An empty `[]` class (or a fully-negated one).
     EmptyClass,
-    /// Groups nested deeper than [`MAX_NESTING`] — a pathological (or
+    /// Groups nested deeper than `MAX_NESTING` (200) — a pathological (or
     /// adversarial) pattern that would otherwise exhaust the stack of the
     /// recursive-descent parser and every recursive pass after it.
     NestingTooDeep,

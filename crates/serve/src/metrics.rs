@@ -267,24 +267,28 @@ fn json_escape(s: &str) -> String {
 /// The minimal cursor [`ServeMetrics::from_json`] needs: strings,
 /// numbers (or `null`), and single punctuation, whitespace-tolerant.
 struct JsonCursor<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> JsonCursor<'a> {
     fn new(text: &'a str) -> JsonCursor<'a> {
-        JsonCursor { bytes: text.as_bytes(), pos: 0 }
+        JsonCursor { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
     }
 
     fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
+        while self.bytes().get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, c: char) -> Option<()> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
+        if self.bytes().get(self.pos) == Some(&(c as u8)) {
             self.pos += 1;
             Some(())
         } else {
@@ -294,7 +298,7 @@ impl<'a> JsonCursor<'a> {
 
     fn try_consume(&mut self, c: char) -> bool {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
+        if self.bytes().get(self.pos) == Some(&(c as u8)) {
             self.pos += 1;
             true
         } else {
@@ -306,18 +310,18 @@ impl<'a> JsonCursor<'a> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
-            match *self.bytes.get(self.pos)? {
+            match *self.bytes().get(self.pos)? {
                 b'"' => {
                     self.pos += 1;
                     return Some(out);
                 }
                 b'\\' => {
                     self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
+                    match *self.bytes().get(self.pos)? {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
+                            let hex = self.bytes().get(self.pos + 1..self.pos + 5)?;
                             let code =
                                 u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16)
                                     .ok()?;
@@ -329,9 +333,12 @@ impl<'a> JsonCursor<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
+                    // Consume one UTF-8 scalar, not one byte. A byte-wise
+                    // escape above may have stopped inside a scalar.
+                    if !self.text.is_char_boundary(self.pos) {
+                        return None;
+                    }
+                    let c = self.text[self.pos..].chars().next()?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -344,19 +351,19 @@ impl<'a> JsonCursor<'a> {
     /// practice.
     fn number(&mut self) -> Option<f64> {
         self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
+        if self.bytes()[self.pos..].starts_with(b"null") {
             self.pos += 4;
             return Some(0.0);
         }
         let start = self.pos;
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E'))
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok()
+        self.text.get(start..self.pos)?.parse().ok()
     }
 }
 
@@ -486,7 +493,7 @@ mod tests {
             TenantMetrics { open_streams: 2, pushes: 40, rejections: 1, retries: 3 },
         );
         m.tenants.insert(
-            "zeta \"quoted\"".to_string(),
+            "zeta \"quoted\" törn 🦀".to_string(),
             TenantMetrics { open_streams: 0, pushes: 7, rejections: 0, retries: 0 },
         );
         let parsed = ServeMetrics::from_json(&m.to_json()).expect("round trip");
@@ -498,6 +505,9 @@ mod tests {
         // Shapes that are not the record at all are refused.
         assert_eq!(ServeMetrics::from_json("not json"), None);
         assert_eq!(ServeMetrics::from_json("{\"cache_hits\":"), None);
+        // An escape is byte-wise: before a multi-byte scalar it leaves the
+        // cursor inside the scalar, which is refused, not sliced.
+        assert_eq!(ServeMetrics::from_json("{\"tenants\":{\"\\é\":{}}}"), None);
     }
 
     #[test]

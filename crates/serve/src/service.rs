@@ -53,7 +53,7 @@
 //! counted as a replay, never scanned twice — and the replay window
 //! travels in the manifest, so the guarantee spans the restart too.
 
-use crate::cache::{cache_key, PatternCache};
+use crate::cache::{PatternCache, RuleSetId};
 use crate::drain::{AckRecord, DrainEntry, DrainManifest};
 use crate::metrics::{MetricCells, ServeMetrics};
 use crate::queue::FairQueue;
@@ -322,8 +322,8 @@ impl Inner {
         patterns: &[&str],
         generation: u64,
     ) -> Result<(Arc<BitGen>, bool), Error> {
-        let key = cache_key(&self.config.engine, generation, patterns);
-        let (engine, hit, evicted) = lock(&self.cache).get_or_compile(key, || {
+        let id = RuleSetId::new(&self.config.engine, generation, patterns);
+        let (engine, hit, evicted) = lock(&self.cache).get_or_compile(id, || {
             BitGen::compile_with(patterns, self.config.engine.clone())
         })?;
         self.note_cache_outcome(hit, evicted);
@@ -618,8 +618,8 @@ impl ScanService {
             )));
         }
         let refs: Vec<&str> = last.iter().map(String::as_str).collect();
-        let key = cache_key(&self.inner.config.engine, entry.generation, &refs);
-        let (engine, hit, evicted) = lock(&self.inner.cache).get_or_compile(key, || {
+        let id = RuleSetId::new(&self.inner.config.engine, entry.generation, &refs);
+        let (engine, hit, evicted) = lock(&self.inner.cache).get_or_compile(id, || {
             if entry.base_generation == 0 {
                 BitGen::compile_lineage(&entry.lineage, self.inner.config.engine.clone())
             } else {
@@ -845,8 +845,8 @@ impl ScanService {
             scanner.into_checkpoint()
         };
         let swapped = Arc::new(staged.into_engine());
-        let key = cache_key(&self.inner.config.engine, generation, patterns);
-        let evicted = lock(&self.inner.cache).insert(key, Arc::clone(&swapped));
+        let id = RuleSetId::new(&self.inner.config.engine, generation, patterns);
+        let evicted = lock(&self.inner.cache).insert(id, Arc::clone(&swapped));
         self.inner.metrics.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
         self.inner.metrics.hot_swaps.fetch_add(1, Ordering::Relaxed);
         state.checkpoint = committed;

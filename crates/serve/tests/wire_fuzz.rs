@@ -1,0 +1,281 @@
+//! Adversarial decoding at the daemon's untrusted edge, in the style of
+//! `tests/checkpoint_fuzz.rs`: request lines ([`wire::parse_request`]),
+//! `STATS` replies ([`ServeMetrics::from_json`]) and drain manifests
+//! ([`DrainManifest::from_bytes`]) come from other processes. Whatever
+//! bit flips, truncations and spliced-in bytes do to a valid encoding,
+//! the decoder returns a value that re-encodes to itself or fails
+//! typed; it never panics and never sizes an allocation from a length
+//! field the input does not back.
+
+use bitgen::Error;
+use bitgen_ir::{fnv1a, FNV_OFFSET};
+use bitgen_serve::wire::{self, Request};
+use bitgen_serve::{AckRecord, DrainEntry, DrainManifest, ServeMetrics, TenantMetrics};
+use proptest::prelude::*;
+
+/// One fuzzing step on encoded bytes; parameters are reduced modulo the
+/// current length when applied, so every step is valid for every
+/// intermediate buffer.
+fn mutate(bytes: &mut Vec<u8>, steps: &[(u8, usize, u8)]) {
+    for &(kind, pos, byte) in steps {
+        match kind {
+            0 if !bytes.is_empty() => {
+                let bit = pos % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            0 => {}
+            1 => bytes.truncate(pos % (bytes.len() + 1)),
+            _ => bytes.insert(pos % (bytes.len() + 1), byte),
+        }
+    }
+}
+
+fn arb_mutations() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    prop::collection::vec((0u8..3, 0usize..4096, 0u8..=255), 0..8)
+}
+
+/// Text with what the encoders must escape: quotes, backslashes,
+/// control characters, whitespace, multi-byte scalars, the empty string.
+fn arb_text() -> impl Strategy<Value = String> {
+    let alphabet: Vec<char> = "ab(c)*\" \\\n\t\u{1}:,{}-Dé🦀".chars().collect();
+    prop::collection::vec(prop::sample::select(alphabet), 0..12)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+fn arb_patterns() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(arb_text(), 1..4)
+}
+
+fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        (arb_text(), any::<bool>(), arb_patterns())
+            .prop_map(|(tenant, durable, patterns)| Request::Open { tenant, durable, patterns }),
+        (any::<u64>(), any::<bool>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(
+            |(id, checked, at, chunk)| Request::Push { id, offset: checked.then_some(at), chunk }
+        ),
+        (any::<u64>(), arb_patterns()).prop_map(|(id, patterns)| Request::Swap { id, patterns }),
+        any::<u64>().prop_map(|id| Request::Cancel { id }),
+        any::<u64>().prop_map(|id| Request::Reset { id }),
+        any::<u64>().prop_map(|id| Request::Close { id }),
+        prop::sample::select(vec![
+            Request::Stats,
+            Request::Ping,
+            Request::Drain,
+            Request::Shutdown
+        ]),
+    ]
+}
+
+/// The line a client sends for `request` (the table in `wire`'s docs).
+fn request_line(request: &Request) -> String {
+    let hex_all = |texts: &[String]| -> String {
+        texts.iter().map(|t| format!(" {}", wire::hex_encode(t.as_bytes()))).collect()
+    };
+    match request {
+        Request::Open { tenant, durable, patterns } => format!(
+            "OPEN {}{}{}",
+            wire::hex_encode(tenant.as_bytes()),
+            if *durable { " D" } else { "" },
+            hex_all(patterns)
+        ),
+        Request::Push { id, offset, chunk } => format!(
+            "PUSH {id} {} {}",
+            offset.map_or("-".to_string(), |at| at.to_string()),
+            wire::hex_encode(chunk)
+        ),
+        Request::Swap { id, patterns } => format!("SWAP {id}{}", hex_all(patterns)),
+        Request::Cancel { id } => format!("CANCEL {id}"),
+        Request::Reset { id } => format!("RESET {id}"),
+        Request::Close { id } => format!("CLOSE {id}"),
+        Request::Stats => "STATS".to_string(),
+        Request::Ping => "PING".to_string(),
+        Request::Drain => "DRAIN".to_string(),
+        Request::Shutdown => "SHUTDOWN".to_string(),
+    }
+}
+
+fn arb_metrics() -> impl Strategy<Value = ServeMetrics> {
+    let tenant = (arb_text(), any::<u32>(), any::<u32>()).prop_map(|(name, a, b)| {
+        let (a, b) = (u64::from(a), u64::from(b));
+        (name, TenantMetrics { open_streams: a % 7, pushes: a, rejections: b % 5, retries: b })
+    });
+    (prop::collection::vec(any::<u32>(), 20), prop::collection::vec(tenant, 0..4)).prop_map(
+        |(v, tenants)| {
+            let c = |i: usize| u64::from(v[i]) << (i % 3 * 8);
+            ServeMetrics {
+                cache_hits: c(0),
+                cache_misses: c(1),
+                cache_evictions: c(2),
+                streams_opened: c(3),
+                streams_closed: c(4),
+                rejected_admissions: c(5),
+                rejected_pushes: c(6),
+                rejected_draining: c(7),
+                pushes_completed: c(8),
+                pushes_failed: c(9),
+                pushes_replayed: c(10),
+                queue_wait_seconds: f64::from(v[11]) / 1024.0,
+                queue_wait_max_seconds: f64::from(v[12]) / 3.0,
+                hot_swaps: c(13),
+                bytes_scanned: c(14),
+                match_count: c(15),
+                drains: c(16),
+                drains_forced: c(17),
+                streams_drained: c(18),
+                streams_adopted: c(19),
+                tenants: tenants.into_iter().collect(),
+            }
+        },
+    )
+}
+
+fn arb_manifest() -> impl Strategy<Value = DrainManifest> {
+    let ack = (any::<bool>(), any::<u64>(), prop::collection::vec(any::<u64>(), 0..5))
+        .prop_map(|(some, offset, ends)| some.then_some(AckRecord { offset, ends }));
+    let entry = (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        arb_text(),
+        prop::collection::vec(arb_patterns(), 0..3),
+        prop::collection::vec(any::<u8>(), 0..48),
+        ack,
+    )
+        .prop_map(|((stream, generation, base_generation), tenant, lineage, checkpoint, last_ack)| {
+            DrainEntry { stream, tenant, generation, base_generation, lineage, checkpoint, last_ack }
+        });
+    prop::collection::vec(entry, 0..4).prop_map(|entries| DrainManifest { entries })
+}
+
+/// Re-seals a tampered payload (FNV-1a over everything before the
+/// trailing eight bytes) so it reaches the field decoder behind the seal.
+fn reseal(bytes: &mut Vec<u8>) {
+    bytes.truncate(bytes.len().saturating_sub(8));
+    let seal = fnv1a(FNV_OFFSET, bytes);
+    bytes.extend(seal.to_le_bytes());
+}
+
+/// A decoded manifest re-encodes to itself, and none of its vectors was
+/// sized beyond what `input` could hold.
+fn assert_manifest_is_backed_by(manifest: &DrainManifest, input: &[u8]) {
+    assert_eq!(DrainManifest::from_bytes(&manifest.to_bytes()).as_ref(), Ok(manifest));
+    let n = input.len();
+    assert!(manifest.entries.capacity() <= n);
+    for entry in &manifest.entries {
+        assert!(entry.lineage.capacity() <= n && entry.checkpoint.capacity() <= n);
+        assert!(entry.lineage.iter().all(|patterns| patterns.capacity() <= n));
+        assert!(entry.last_ack.iter().all(|ack| ack.ends.capacity() <= n));
+    }
+}
+
+fn manifest_or_typed(bytes: &[u8]) -> Option<DrainManifest> {
+    match DrainManifest::from_bytes(bytes) {
+        Ok(manifest) => Some(manifest),
+        Err(Error::CheckpointInvalid { .. }) => None,
+        Err(other) => panic!("from_bytes must fail typed, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn mutated_request_lines_parse_stably_or_fail_typed(
+        request in arb_request(),
+        steps in arb_mutations(),
+    ) {
+        let line = request_line(&request);
+        prop_assert_eq!(wire::parse_request(&line).as_ref(), Ok(&request));
+        let mut bytes = line.into_bytes();
+        mutate(&mut bytes, &steps);
+        // The daemon's reader hands the parser text; a mangled line
+        // parses to *some* request (one hex digit off is still hex)
+        // that survives its own round trip, or to a complaint.
+        if let Ok(parsed) = wire::parse_request(&String::from_utf8_lossy(&bytes)) {
+            prop_assert_eq!(wire::parse_request(&request_line(&parsed)), Ok(parsed));
+        }
+    }
+
+    #[test]
+    fn mutated_stats_json_parses_stably_or_not_at_all(
+        metrics in arb_metrics(),
+        steps in arb_mutations(),
+    ) {
+        let json = metrics.to_json();
+        prop_assert_eq!(ServeMetrics::from_json(&json).as_ref(), Some(&metrics));
+        let mut bytes = json.into_bytes();
+        mutate(&mut bytes, &steps);
+        if let Some(parsed) = ServeMetrics::from_json(&String::from_utf8_lossy(&bytes)) {
+            let again = ServeMetrics::from_json(&parsed.to_json()).expect("own rendering parses");
+            // `1e999` reads as infinity, which renders as `null`.
+            if parsed.queue_wait_seconds.is_finite() && parsed.queue_wait_max_seconds.is_finite() {
+                prop_assert_eq!(again, parsed);
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_manifests_never_panic_or_overallocate(
+        manifest in arb_manifest(),
+        steps in arb_mutations(),
+    ) {
+        let original = manifest.to_bytes();
+        prop_assert_eq!(DrainManifest::from_bytes(&original).as_ref(), Ok(&manifest));
+        let mut bytes = original.clone();
+        mutate(&mut bytes, &steps);
+        // Sealed: changed bytes do not parse unless the changes cancelled.
+        if let Some(parsed) = manifest_or_typed(&bytes) {
+            prop_assert_eq!(&bytes, &original);
+            prop_assert_eq!(parsed, manifest);
+        }
+        // Re-sealed, the same damage reaches the field decoder.
+        reseal(&mut bytes);
+        if let Some(parsed) = manifest_or_typed(&bytes) {
+            assert_manifest_is_backed_by(&parsed, &bytes);
+        }
+    }
+}
+
+/// Every count and length field of a manifest, forged to `u32::MAX` (and
+/// to a value a lazy allocator would grant) under a valid seal, is
+/// refused or bounded by the bytes present — found by position sweep, so
+/// the test does not restate the layout.
+#[test]
+fn forged_manifest_counts_are_refused_before_allocating() {
+    let text = |s: &str| s.to_string();
+    let manifest = DrainManifest {
+        entries: vec![
+            DrainEntry {
+                stream: 7,
+                tenant: text("acme"),
+                generation: 1,
+                base_generation: 0,
+                lineage: vec![vec![text("a+b"), text("cat")], vec![text("dog")]],
+                checkpoint: vec![0xab; 40],
+                last_ack: Some(AckRecord { offset: 64, ends: vec![3, 9, 27] }),
+            },
+            DrainEntry {
+                stream: 8,
+                tenant: text("zeta"),
+                generation: 0,
+                base_generation: 0,
+                lineage: vec![vec![text("x[ab]{1,4}y")]],
+                checkpoint: vec![0xcd; 24],
+                last_ack: None,
+            },
+        ],
+    };
+    let original = manifest.to_bytes();
+    let mut refused = 0;
+    for forged in [u32::MAX, 1 << 24] {
+        for at in 0..original.len() - 8 - 4 {
+            let mut bytes = original.clone();
+            bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            reseal(&mut bytes);
+            match manifest_or_typed(&bytes) {
+                Some(parsed) => assert_manifest_is_backed_by(&parsed, &bytes),
+                None => refused += 1,
+            }
+        }
+    }
+    // 15 count and length fields, each forged twice at its exact offset.
+    assert!(refused >= 30, "the sweep reached the length fields ({refused} refusals)");
+}

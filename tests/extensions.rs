@@ -79,12 +79,8 @@ fn optimizer_shrinks_generated_programs() {
     .unwrap();
     // Cross-rule prefix factoring: the factored group shares the
     // attack_/defend_ chains instead of recomputing them per rule.
-    assert!(
-        opt.programs()[0].op_count() < raw.programs()[0].op_count(),
-        "{} vs {}",
-        opt.programs()[0].op_count(),
-        raw.programs()[0].op_count()
-    );
+    let (opt_ops, raw_ops) = (opt.batch(0).program().op_count(), raw.batch(0).program().op_count());
+    assert!(opt_ops < raw_ops, "{opt_ops} vs {raw_ops}");
     let input = b"attack_one_x defend_one_y attack_two_y xx";
     assert_eq!(
         raw.find(input).unwrap().matches.positions(),

@@ -81,19 +81,21 @@ fn metrics_surface_through_engine_and_report() {
 
     let engine =
         BitGen::compile_with(&[nested(4).as_str(), "abc"], EngineConfig::default()).unwrap();
-    assert_eq!(engine.pass_metrics().len(), engine.group_count());
-    let compiled: Vec<PassMetrics> = engine.pass_metrics().to_vec();
-    // The default scheme runs both passes; something must have happened.
-    let mut total = PassMetrics::default();
-    for m in &compiled {
-        total.absorb(m);
-    }
-    assert!(total.total_visits() > 0, "{total:?}");
-
+    // Compiling transforms nothing; the first batch scan builds each
+    // group's plan, and the plan keeps what its transforms did.
+    assert!((0..engine.group_count()).all(|g| engine.batch_plan(g).is_none()));
     let report = engine.find(b"ababababxabc").unwrap();
+    let mut total = PassMetrics::default();
+    for (g, cta) in report.metrics.ctas.iter().enumerate() {
+        let built = engine.batch_plan(g).expect("the scan built every plan").passes();
+        assert_eq!(&cta.passes, built, "group {g} reports its plan's record");
+        total.absorb(built);
+    }
+    // The default scheme runs both passes; something must have happened.
+    assert!(total.total_visits() > 0, "{total:?}");
     assert_eq!(
         report.metrics.passes, total,
-        "the report's unified metrics aggregate the compile-time pass record"
+        "the report's unified metrics aggregate the plans' pass records"
     );
     assert!(report.match_count() > 0);
 }

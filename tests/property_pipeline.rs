@@ -6,8 +6,8 @@
 use bitgen_baselines::MultiNfa;
 use bitgen_bitstream::Basis;
 use bitgen_exec::{
-    apply_transforms, execute, execute_prepared_with, BatchPlan, ExecConfig, ExecScratch,
-    RunControl, Scheme,
+    execute, execute_prepared_with, BatchPlan, ExecConfig, ExecError, ExecMetrics, ExecOutcome,
+    ExecScratch, PassMetrics, RunControl, Scheme,
 };
 use bitgen_ir::{interpret, lower};
 use bitgen_regex::{match_ends, parse, Ast, ByteSet};
@@ -77,20 +77,26 @@ proptest! {
         let basis = Basis::transpose(&input);
         let ctl = RunControl::unlimited();
         for scheme in Scheme::ALL {
-            let mut prog = lower(&ast);
-            apply_transforms(&mut prog, &ExecConfig::for_scheme(scheme));
-            let plan = BatchPlan::new(&prog, &ExecConfig::for_scheme(scheme));
+            let plan = BatchPlan::build(&lower(&ast), &ExecConfig::for_scheme(scheme));
             let mut scratch = ExecScratch::new();
             for threads in [2, 8, 64, 2] {
                 let config = ExecConfig { scheme, threads, ..ExecConfig::default() };
-                let one_shot =
-                    execute_prepared_with(&prog, &basis, &config, &mut ExecScratch::new(), None);
-                let resident = plan.execute(&prog, &basis, &config, &mut scratch, &ctl);
-                let fields = |run: Result<bitgen_exec::ExecOutcome, bitgen_exec::ExecError>| {
-                    run.map(|out| (out.outputs, out.metrics, out.fault_fired))
+                let one_shot = execute_prepared_with(
+                    plan.program(), &basis, &config, &mut ExecScratch::new(), None,
+                );
+                let resident = plan.execute(&basis, &config, &mut scratch, &ctl);
+                // Each door reports its own plan's transform record: the
+                // resident plan ran them, the one-shot door took the
+                // program as given.
+                let fields = |run: Result<ExecOutcome, ExecError>, passes: PassMetrics| {
+                    run.map(|out| {
+                        assert_eq!(out.metrics.passes, passes);
+                        let metrics = ExecMetrics { passes: PassMetrics::default(), ..out.metrics };
+                        (out.outputs, metrics, out.fault_fired)
+                    })
                 };
                 prop_assert_eq!(
-                    fields(resident), fields(one_shot),
+                    fields(resident, *plan.passes()), fields(one_shot, PassMetrics::default()),
                     "{} at {} threads for {}", scheme, threads, ast
                 );
             }

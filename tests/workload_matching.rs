@@ -55,7 +55,8 @@ fn compiled_kernels_name_exactly_their_register_file() {
         let w = generate(kind, &small_config());
         let engine = BitGen::from_asts(w.asts, EngineConfig { cta_count: 3, ..Default::default() })
             .expect("workloads compile within budget");
-        for prog in engine.programs() {
+        for g in 0..engine.group_count() {
+            let prog = engine.batch(g).program();
             let kernel = compile(prog, &[], &[], &CodegenOptions::default()).kernel;
             let mut seen = vec![false; kernel.num_regs as usize];
             mark(&kernel.stmts, &mut seen);
