@@ -8,7 +8,10 @@ cargo build --release
 # fault drills (fault_tolerance, pathological_patterns), the transform
 # differentials (zbs_differential, pass_complexity), the streaming,
 # recovery, hot-swap and checkpoint suites (stream_carry,
-# stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), both
+# stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), the
+# served window against the single-stepped walk and the reference on
+# every application up to 64 KiB chunks, with its fused-coverage gate
+# (stream_fusion), the wire tokenisation differential (wire_fuzz), both
 # soaks and the cross-process drills on the built binaries (cli_drills:
 # rule swap, checkpoint resume, 8-client serve smoke, drain → adopt)
 # run here, once.

@@ -11,6 +11,7 @@ use crate::stream::BitStream;
 use crate::transpose::{Basis, BASIS_COUNT};
 use crate::wide::{self, LANES};
 use bitgen_regex::ByteSet;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A boolean circuit over the basis bitstreams.
@@ -148,9 +149,289 @@ impl fmt::Display for CcExpr {
     }
 }
 
-/// A [`CcExpr`] flattened to postfix code: one byte per node in a single
-/// allocation, a twentieth of the boxed tree. This is the form circuits
-/// are evaluated in, and the form engines keep resident.
+/// One instruction of a [`ClassCircuit`]; operands index its value file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    False,
+    True,
+    Not(u32),
+    And(u32, u32),
+    Or(u32, u32),
+}
+
+/// The circuits of several byte classes as one straight-line program over
+/// a value file: values `0..8` are the basis streams, value `8 + i` is
+/// what gate `i` computes from earlier values, and every class has a root
+/// value. Gates are hash-consed while the circuit is built, so classes
+/// share what they have in common — a single byte is its high-nibble term
+/// AND its low-nibble term, and at most thirty-two nibble terms exist.
+///
+/// This is the form circuits are evaluated in, and the form engines keep
+/// resident.
+///
+/// # Examples
+///
+/// ```
+/// use bitgen_bitstream::{Basis, BitStream, ClassCircuit};
+/// use bitgen_regex::ByteSet;
+///
+/// let classes = [ByteSet::singleton(b'a'), ByteSet::range(b'a', b'z')];
+/// let circuit = ClassCircuit::for_classes(&classes);
+/// let basis = Basis::transpose(b"abz{");
+/// let mut streams = vec![BitStream::zeros(4); 2];
+/// circuit.eval_into(&basis, &mut streams);
+/// assert_eq!(streams[0].positions(), vec![0]);
+/// assert_eq!(streams[1].positions(), vec![0, 1, 2]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassCircuit {
+    gates: Box<[Gate]>,
+    /// Value index of each class's stream, in the order given.
+    roots: Box<[u32]>,
+}
+
+/// Value files up to this many entries live on the CPU stack; larger
+/// circuits spill to the heap.
+const INLINE_VALUES: usize = 128;
+
+impl ClassCircuit {
+    /// One circuit with a root per class of `sets`, in that order.
+    pub fn for_classes(sets: &[ByteSet]) -> ClassCircuit {
+        let mut builder = Builder::default();
+        let roots = sets.iter().map(|set| builder.class(set)).collect();
+        builder.finish(roots)
+    }
+
+    /// Classes the circuit computes: the streams
+    /// [`ClassCircuit::eval_into`] fills.
+    pub fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// `true` for the circuit of no class.
+    pub fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+
+    /// AND/OR/NOT gates evaluated per position for all classes together.
+    pub fn gate_count(&self) -> usize {
+        self.gates.iter().filter(|g| !matches!(g, Gate::False | Gate::True)).count()
+    }
+
+    /// Evaluates every class position-wise into its stream of `outs`
+    /// without a temporary stream per gate: the whole circuit runs one
+    /// word-group at a time over the basis words (the
+    /// interleaved-execution shape), and every class stream is written in
+    /// that one sweep.
+    ///
+    /// Positions at and past `basis.len()` end up zero, so executors can
+    /// pass their `len + 1` window streams directly and the provisional
+    /// peek position stays clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs` does not hold one stream per class or one of them
+    /// is shorter than `basis.len()` bits.
+    pub fn eval_into(&self, basis: &Basis, outs: &mut [BitStream]) {
+        assert_eq!(outs.len(), self.roots.len(), "one output stream per class");
+        let nwords = basis.len().div_ceil(64);
+        for out in outs.iter_mut() {
+            assert!(
+                out.len() >= basis.len(),
+                "output stream holds {} bits, basis covers {}",
+                out.len(),
+                basis.len()
+            );
+            // Words below `nwords` are all overwritten.
+            out.words_mut()[nwords..].fill(0);
+        }
+        let words: [&[u64]; BASIS_COUNT] =
+            std::array::from_fn(|k| basis.stream(k).as_words());
+        self.fill_groups::<LANES>(&words, outs, nwords);
+        // Positions past basis.len() within the last basis word belong
+        // to the padding (e.g. a Not gate turns them on); clear them.
+        let rem = basis.len() & 63;
+        if rem != 0 {
+            for out in outs.iter_mut() {
+                out.words_mut()[nwords - 1] &= wide::low_mask(rem);
+            }
+        }
+    }
+
+    /// Grouped evaluation driver: full `N`-word groups, then a one-word
+    /// tail so every basis word is covered exactly once.
+    fn fill_groups<const N: usize>(
+        &self,
+        words: &[&[u64]; BASIS_COUNT],
+        outs: &mut [BitStream],
+        nwords: usize,
+    ) {
+        let tail = self.run::<N>(words, outs, 0, nwords);
+        self.run::<1>(words, outs, tail, nwords);
+    }
+
+    /// Evaluates every whole `N`-word group in `from..nwords`, returning
+    /// the index of the first word left over. Gate values live in one
+    /// value file, never in heap streams.
+    fn run<const N: usize>(
+        &self,
+        words: &[&[u64]; BASIS_COUNT],
+        outs: &mut [BitStream],
+        from: usize,
+        nwords: usize,
+    ) -> usize {
+        let values = BASIS_COUNT + self.gates.len();
+        let mut inline = [[0u64; N]; INLINE_VALUES];
+        let mut spill = Vec::new();
+        let file: &mut [[u64; N]] = if values <= INLINE_VALUES {
+            &mut inline[..values]
+        } else {
+            spill.resize(values, [0u64; N]);
+            &mut spill
+        };
+        let mut wi = from;
+        while wi + N <= nwords {
+            for (value, basis) in file.iter_mut().zip(words) {
+                value.copy_from_slice(&basis[wi..wi + N]);
+            }
+            for (i, gate) in self.gates.iter().enumerate() {
+                file[BASIS_COUNT + i] = match *gate {
+                    Gate::False => [0; N],
+                    Gate::True => [u64::MAX; N],
+                    Gate::Not(a) => file[a as usize].map(|w| !w),
+                    Gate::And(a, b) => {
+                        let (x, y) = (file[a as usize], file[b as usize]);
+                        std::array::from_fn(|lane| x[lane] & y[lane])
+                    }
+                    Gate::Or(a, b) => {
+                        let (x, y) = (file[a as usize], file[b as usize]);
+                        std::array::from_fn(|lane| x[lane] | y[lane])
+                    }
+                };
+            }
+            for (&root, out) in self.roots.iter().zip(outs.iter_mut()) {
+                out.words_mut()[wi..wi + N].copy_from_slice(&file[root as usize]);
+            }
+            wi += N;
+        }
+        wi
+    }
+}
+
+/// A [`ClassCircuit`] under construction: gates are appended where first
+/// needed and found again by structure afterwards.
+#[derive(Default)]
+struct Builder {
+    gates: Vec<Gate>,
+    seen: HashMap<Gate, u32>,
+}
+
+impl Builder {
+    fn finish(self, roots: Vec<u32>) -> ClassCircuit {
+        ClassCircuit { gates: self.gates.into_boxed_slice(), roots: roots.into_boxed_slice() }
+    }
+
+    /// The value of `gate`, appended unless an identical gate exists.
+    fn gate(&mut self, gate: Gate) -> u32 {
+        *self.seen.entry(gate).or_insert_with(|| {
+            self.gates.push(gate);
+            (BASIS_COUNT + self.gates.len() - 1) as u32
+        })
+    }
+
+    /// The gate computing `value`, `None` for a basis stream.
+    fn gate_of(&self, value: u32) -> Option<Gate> {
+        (value as usize).checked_sub(BASIS_COUNT).map(|i| self.gates[i])
+    }
+
+    fn not(&mut self, a: u32) -> u32 {
+        match self.gate_of(a) {
+            Some(Gate::False) => self.gate(Gate::True),
+            Some(Gate::True) => self.gate(Gate::False),
+            Some(Gate::Not(inner)) => inner,
+            _ => self.gate(Gate::Not(a)),
+        }
+    }
+
+    fn and(&mut self, a: u32, b: u32) -> u32 {
+        match (self.gate_of(a), self.gate_of(b)) {
+            (Some(Gate::False), _) | (_, Some(Gate::True)) => a,
+            (Some(Gate::True), _) | (_, Some(Gate::False)) => b,
+            _ if a == b => a,
+            _ => self.gate(Gate::And(a.min(b), a.max(b))),
+        }
+    }
+
+    fn or(&mut self, a: u32, b: u32) -> u32 {
+        match (self.gate_of(a), self.gate_of(b)) {
+            (Some(Gate::True), _) | (_, Some(Gate::False)) => a,
+            (Some(Gate::False), _) | (_, Some(Gate::True)) => b,
+            _ if a == b => a,
+            _ => self.gate(Gate::Or(a.min(b), a.max(b))),
+        }
+    }
+
+    fn expr(&mut self, expr: &CcExpr) -> u32 {
+        match expr {
+            CcExpr::Const(false) => self.gate(Gate::False),
+            CcExpr::Const(true) => self.gate(Gate::True),
+            CcExpr::Basis(k) => u32::from(*k),
+            CcExpr::Not(e) => {
+                let e = self.expr(e);
+                self.not(e)
+            }
+            CcExpr::And(a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                self.and(a, b)
+            }
+            CcExpr::Or(a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                self.or(a, b)
+            }
+        }
+    }
+
+    /// Basis bit `k` of `val` as a literal: `b_k` or `¬b_k`.
+    fn literal(&mut self, val: u8, k: u32) -> u32 {
+        if val >> (7 - k) & 1 == 1 {
+            k
+        } else {
+            self.not(k)
+        }
+    }
+
+    /// The four basis bits from `k` on equal those of `val`: one of the
+    /// sixteen terms of that nibble, a pair of two-literal terms.
+    fn nibble(&mut self, val: u8, k: u32) -> u32 {
+        let bits: [u32; 4] = std::array::from_fn(|i| self.literal(val, k + i as u32));
+        let (high, low) = (self.and(bits[0], bits[1]), self.and(bits[2], bits[3]));
+        self.and(high, low)
+    }
+
+    /// `set` the way [`compile_class`] decomposes it, except that a single
+    /// byte is the AND of its two nibble terms so that bytes share them.
+    fn class(&mut self, set: &ByteSet) -> u32 {
+        let (ranges, complement) = class_ranges(set);
+        let mut any = self.gate(Gate::False);
+        for (lo, hi) in ranges {
+            let range = if lo == hi {
+                let (high, low) = (self.nibble(lo, 0), self.nibble(lo, 4));
+                self.and(high, low)
+            } else {
+                self.expr(&range_expr(lo, hi))
+            };
+            any = self.or(any, range);
+        }
+        if complement {
+            self.not(any)
+        } else {
+            any
+        }
+    }
+}
+
+/// One class's circuit in the form it is evaluated in: the single-root
+/// case of [`ClassCircuit`], a fraction of the boxed tree.
 ///
 /// # Examples
 ///
@@ -166,31 +447,16 @@ impl fmt::Display for CcExpr {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CcCode {
-    /// Postfix ops: `0..8` push that basis stream, then the `OP_*` codes.
-    code: Box<[u8]>,
-    /// Operand-stack slots evaluation needs.
-    depth: usize,
+    circuit: ClassCircuit,
     gates: usize,
 }
-
-const OP_FALSE: u8 = 8;
-const OP_TRUE: u8 = 9;
-const OP_NOT: u8 = 10;
-const OP_AND: u8 = 11;
-const OP_OR: u8 = 12;
-
-/// Operand stacks up to this deep live on the CPU stack. Operands are
-/// emitted deeper-first, so depth grows with the logarithm of the circuit
-/// size and every compiled class fits; deeper hand-built circuits spill
-/// to the heap.
-const INLINE_DEPTH: usize = 12;
 
 impl CcCode {
     /// Flattens `expr`.
     pub fn new(expr: &CcExpr) -> CcCode {
-        let mut code = Vec::new();
-        let depth = emit(expr, &mut code);
-        CcCode { code: code.into_boxed_slice(), depth, gates: expr.gate_count() }
+        let mut builder = Builder::default();
+        let root = builder.expr(expr);
+        CcCode { circuit: builder.finish(vec![root]), gates: expr.gate_count() }
     }
 
     /// The flattened circuit of a byte class ([`compile_class`]).
@@ -203,139 +469,14 @@ impl CcCode {
         self.gates
     }
 
-    /// Evaluates the circuit position-wise into `out` without a temporary
-    /// stream per node: the whole circuit runs one word-group at a time
-    /// over the basis words (the interleaved-execution shape).
-    ///
-    /// `out` is cleared first; positions at and past `basis.len()` end
-    /// up zero, so executors can pass their `len + 1` window stream
-    /// directly and the provisional peek position stays clear.
+    /// [`ClassCircuit::eval_into`] for the one class: `out` is cleared
+    /// first, positions at and past `basis.len()` end up zero.
     ///
     /// # Panics
     ///
     /// Panics if `out` is shorter than `basis.len()` bits.
     pub fn eval_into(&self, basis: &Basis, out: &mut BitStream) {
-        assert!(
-            out.len() >= basis.len(),
-            "output stream holds {} bits, basis covers {}",
-            out.len(),
-            basis.len()
-        );
-        let len = out.len();
-        out.reset_zeros(len);
-        let words: [&[u64]; BASIS_COUNT] =
-            std::array::from_fn(|k| basis.stream(k).as_words());
-        let nwords = basis.len().div_ceil(64);
-        let out_words = out.words_mut();
-        self.fill_groups::<LANES>(&words, out_words, nwords);
-        // Positions past basis.len() within the last basis word belong
-        // to the padding (e.g. a Not circuit turns them on); clear them.
-        let rem = basis.len() & 63;
-        if rem != 0 {
-            out_words[nwords - 1] &= wide::low_mask(rem);
-        }
-    }
-
-    /// Grouped evaluation driver: full `N`-word groups, then a one-word
-    /// tail so every basis word is covered exactly once.
-    fn fill_groups<const N: usize>(
-        &self,
-        words: &[&[u64]; BASIS_COUNT],
-        out: &mut [u64],
-        nwords: usize,
-    ) {
-        let tail = self.run::<N>(words, out, 0, nwords);
-        self.run::<1>(words, out, tail, nwords);
-    }
-
-    /// Evaluates every whole `N`-word group in `from..nwords`, returning
-    /// the index of the first word left over. Intermediate values live on
-    /// one operand stack, never in heap streams.
-    fn run<const N: usize>(
-        &self,
-        words: &[&[u64]; BASIS_COUNT],
-        out: &mut [u64],
-        from: usize,
-        nwords: usize,
-    ) -> usize {
-        let mut inline = [[0u64; N]; INLINE_DEPTH];
-        let mut spill = Vec::new();
-        let stack: &mut [[u64; N]] = if self.depth <= INLINE_DEPTH {
-            &mut inline
-        } else {
-            spill.resize(self.depth, [0u64; N]);
-            &mut spill
-        };
-        let mut wi = from;
-        while wi + N <= nwords {
-            let mut top = 0;
-            for &op in self.code.iter() {
-                match op {
-                    OP_FALSE | OP_TRUE => {
-                        stack[top] = [if op == OP_TRUE { u64::MAX } else { 0 }; N];
-                        top += 1;
-                    }
-                    OP_NOT => {
-                        for w in stack[top - 1].iter_mut() {
-                            *w = !*w;
-                        }
-                    }
-                    OP_AND => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (w, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *w &= r;
-                        }
-                    }
-                    OP_OR => {
-                        top -= 1;
-                        let rhs = stack[top];
-                        for (w, r) in stack[top - 1].iter_mut().zip(rhs) {
-                            *w |= r;
-                        }
-                    }
-                    k => {
-                        stack[top].copy_from_slice(&words[k as usize][wi..wi + N]);
-                        top += 1;
-                    }
-                }
-            }
-            out[wi..wi + N].copy_from_slice(&stack[0]);
-            wi += N;
-        }
-        wi
-    }
-}
-
-/// Appends `expr` in postfix order and returns the operand-stack depth it
-/// needs. The deeper operand of a binary gate goes first (both gates
-/// commute), which keeps that depth logarithmic in the circuit size.
-fn emit(expr: &CcExpr, code: &mut Vec<u8>) -> usize {
-    match expr {
-        CcExpr::Const(b) => {
-            code.push(if *b { OP_TRUE } else { OP_FALSE });
-            1
-        }
-        CcExpr::Basis(k) => {
-            code.push(*k);
-            1
-        }
-        CcExpr::Not(e) => {
-            let depth = emit(e, code);
-            code.push(OP_NOT);
-            depth
-        }
-        CcExpr::And(a, b) | CcExpr::Or(a, b) => {
-            let start = code.len();
-            let first = emit(a, code);
-            let mid = code.len();
-            let second = emit(b, code);
-            if second > first {
-                code[start..].rotate_left(mid - start);
-            }
-            code.push(if matches!(expr, CcExpr::And(..)) { OP_AND } else { OP_OR });
-            first.max(second).max(first.min(second) + 1)
-        }
+        self.circuit.eval_into(basis, std::slice::from_mut(out));
     }
 }
 
@@ -344,19 +485,24 @@ fn emit(expr: &CcExpr, code: &mut Vec<u8>) -> usize {
 /// Uses maximal-range decomposition; when the complement decomposes into
 /// fewer ranges, compiles the complement and negates.
 pub fn compile_class(set: &ByteSet) -> CcExpr {
-    if set.is_empty() {
-        return CcExpr::Const(false);
-    }
-    if set.is_full() {
-        return CcExpr::Const(true);
-    }
-    let ranges = set.ranges();
-    let comp = set.complement();
-    let comp_ranges = comp.ranges();
-    if comp_ranges.len() < ranges.len() {
-        CcExpr::not(ranges_expr(&comp_ranges))
+    let (ranges, complement) = class_ranges(set);
+    let any = ranges_expr(&ranges);
+    if complement {
+        CcExpr::not(any)
     } else {
-        ranges_expr(&ranges)
+        any
+    }
+}
+
+/// The maximal ranges whose union is `set` — or, when that takes fewer
+/// ranges, whose union is its complement (`true`).
+fn class_ranges(set: &ByteSet) -> (Vec<(u8, u8)>, bool) {
+    let ranges = set.ranges();
+    let comp_ranges = set.complement().ranges();
+    if comp_ranges.len() < ranges.len() {
+        (comp_ranges, true)
+    } else {
+        (ranges, false)
     }
 }
 
@@ -613,7 +759,9 @@ mod tests {
             let tree = compile_class(set);
             let code = CcCode::new(&tree);
             assert_eq!(code.gate_count(), tree.gate_count());
-            assert!(code.depth <= INLINE_DEPTH, "{set:?} needs {} slots", code.depth);
+            // Everything but the every-other-byte set evaluates on the stack.
+            let fits = code.values() <= INLINE_VALUES;
+            assert_eq!(fits, set.ranges().len() < 100, "{set:?} needs {} values", code.values());
             let mut out = BitStream::zeros(256);
             code.eval_into(&basis, &mut out);
             for b in 0..=255u8 {
@@ -622,25 +770,27 @@ mod tests {
         }
     }
 
-    /// A complete binary tree of ORs over the basis bits needs one operand
-    /// slot per level whatever the order; past INLINE_DEPTH levels that is
-    /// the heap path.
-    fn full_or_tree(levels: usize, k: &mut u8) -> CcExpr {
-        if levels == 0 {
-            *k = (*k + 1) % 8;
-            return CcExpr::Basis(*k);
+    impl CcCode {
+        /// Entries of the value file evaluation needs.
+        fn values(&self) -> usize {
+            BASIS_COUNT + self.circuit.gates.len()
         }
-        CcExpr::Or(
-            Box::new(full_or_tree(levels - 1, k)),
-            Box::new(full_or_tree(levels - 1, k)),
-        )
+    }
+
+    /// An OR of many single bytes, each an eight-literal AND: more
+    /// distinct gates than INLINE_VALUES, so evaluation takes the heap
+    /// path.
+    fn wide_or_tree() -> (CcExpr, ByteSet) {
+        let bytes = || (0..=255u8).filter(|b| b % 3 == 0);
+        let tree = bytes().fold(CcExpr::Const(false), |any, b| CcExpr::or(any, byte_eq(b)));
+        (tree, ByteSet::from_bytes(bytes()))
     }
 
     #[test]
     fn deep_hand_built_circuits_spill_and_still_evaluate() {
-        let tree = full_or_tree(INLINE_DEPTH + 1, &mut 0);
+        let (tree, _) = wide_or_tree();
         let code = CcCode::new(&tree);
-        assert!(code.depth > INLINE_DEPTH);
+        assert!(code.values() > INLINE_VALUES);
         let input: Vec<u8> = (0..=255).collect();
         let basis = Basis::transpose(&input);
         let mut out = BitStream::zeros(256);
@@ -658,15 +808,14 @@ mod tests {
         let ordinary = ByteSet::word();
         let negated = ByteSet::range(b'a', b'z').complement();
         assert!(matches!(compile_class(&negated), CcExpr::Not(_)));
-        let deep = full_or_tree(INLINE_DEPTH + 1, &mut 0);
-        assert!(CcCode::new(&deep).depth > INLINE_DEPTH);
-        let deep_set = ByteSet::from_bytes((0..=255u8).filter(|&b| deep.eval_byte(b)));
+        let (wide, wide_set) = wide_or_tree();
+        assert!(CcCode::new(&wide).values() > INLINE_VALUES);
         let corpus: Vec<u8> =
             (0..4103u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         for (tree, set) in [
             (compile_class(&ordinary), ordinary),
             (compile_class(&negated), negated),
-            (deep, deep_set),
+            (wide, wide_set),
         ] {
             let code = CcCode::new(&tree);
             for len in [0usize, 1, 511, 512, 513, 1100, 4096 + 7] {
@@ -675,20 +824,53 @@ mod tests {
                 let words: [&[u64]; BASIS_COUNT] =
                     std::array::from_fn(|k| basis.stream(k).as_words());
                 let nwords = len.div_ceil(64);
-                let mut grouped = vec![0u64; nwords];
-                code.fill_groups::<LANES>(&words, &mut grouped, nwords);
-                let mut scalar = vec![0u64; nwords];
-                code.fill_groups::<1>(&words, &mut scalar, nwords);
+                let mut grouped = [BitStream::zeros(nwords * 64)];
+                code.circuit.fill_groups::<LANES>(&words, &mut grouped, nwords);
+                let mut scalar = [BitStream::zeros(nwords * 64)];
+                code.circuit.fill_groups::<1>(&words, &mut scalar, nwords);
                 assert_eq!(grouped, scalar, "{set:?} over {len} bytes");
                 for (i, &b) in input.iter().enumerate() {
-                    assert_eq!(
-                        grouped[i >> 6] >> (i & 63) & 1 == 1,
-                        set.contains(b),
-                        "{set:?}: position {i} of {len}"
-                    );
+                    let got = grouped[0].get(i);
+                    assert_eq!(got, set.contains(b), "{set:?}: position {i} of {len}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_shared_circuit_computes_every_class_and_shares_the_nibble_terms() {
+        let all: Vec<u8> = (0..=255).collect();
+        let basis = Basis::transpose(&all);
+        let mut sets: Vec<ByteSet> = (0..=255u8).map(ByteSet::singleton).collect();
+        sets.extend([
+            ByteSet::word(),
+            ByteSet::digit().complement(),
+            ByteSet::from_bytes([b'a', b'e', b'i', b'o', b'u']),
+            ByteSet::EMPTY,
+            ByteSet::FULL,
+            ByteSet::range(0x80, 0xff),
+        ]);
+        let circuit = ClassCircuit::for_classes(&sets);
+        assert_eq!(circuit.len(), sets.len());
+        let mut streams = vec![BitStream::zeros(257); sets.len()];
+        circuit.eval_into(&basis, &mut streams);
+        for (set, stream) in sets.iter().zip(&streams) {
+            for b in 0..=255u8 {
+                assert_eq!(stream.get(b as usize), set.contains(b), "byte {b:#04x} of {set:?}");
+            }
+            assert!(!stream.get(256), "peek bit of {set:?}");
+        }
+        // Eight negated literals, sixteen two-literal terms, thirty-two
+        // nibble terms and one AND per byte, against fifteen gates a byte
+        // compiled alone.
+        let bytes = ClassCircuit::for_classes(&sets[..256]);
+        assert_eq!(bytes.gate_count(), 8 + 16 + 32 + 256);
+        let alone: usize = sets.iter().map(|s| compile_class(s).gate_count()).sum();
+        assert!(circuit.gate_count() < alone / 4, "{} vs {alone}", circuit.gate_count());
+        // No class is no work.
+        let none = ClassCircuit::for_classes(&[]);
+        assert!(none.is_empty());
+        none.eval_into(&basis, &mut []);
     }
 
     #[test]

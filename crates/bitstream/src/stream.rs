@@ -6,7 +6,7 @@
 //! here that operation is called [`BitStream::advance`] (and the opposite
 //! direction [`BitStream::retreat`]) to keep the direction unambiguous.
 
-use crate::wide;
+use crate::wide::{self, FusedStage};
 use std::fmt;
 
 /// A fixed-length sequence of bits, one per text position.
@@ -396,25 +396,65 @@ impl BitStream {
     ///
     /// Panics if `acc.len() != prev.len()` or `consumed > self.len()`.
     pub fn or_history_tail(&self, prev: &BitStream, consumed: usize, acc: &mut BitStream) {
-        let k = prev.len;
-        assert_eq!(acc.len, k, "history accumulator holds {} bits, slot needs {k}", acc.len);
         assert!(consumed <= self.len, "{consumed} consumed positions of {}", self.len);
-        // Word `i` of the tail is 64 bits of `prev ++ self` from position
-        // `consumed + 64 i`; the tail ends where the consumed positions
-        // do, so `self` is never read at or past `consumed`.
-        for (i, w) in acc.words.iter_mut().enumerate() {
-            let p = consumed + (i << 6);
-            *w |= if p >= k {
-                wide::gather_word(&self.words, p - k)
-            } else {
-                let from_prev = wide::gather_word(&prev.words, p);
-                match (k - p, self.words.first()) {
-                    (gap, Some(&first)) if gap < 64 => from_prev | first << gap,
-                    _ => from_prev,
-                }
-            };
+        history_tail(&self.words, 0, prev, consumed, acc);
+    }
+
+    /// [`BitStream::or_history_tail`] of a `len`-bit stream known only by
+    /// the `last` two of its words, older first — what a
+    /// [`FusedStage`] keeps of its advance's input, which is never stored.
+    /// Two words reach back far enough for the histories such a step
+    /// carries (at most 63 bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prev` is longer than 63 bits, `acc.len() != prev.len()`
+    /// or `consumed > len`.
+    pub fn or_history_tail_of(
+        last: [u64; 2],
+        len: usize,
+        prev: &BitStream,
+        consumed: usize,
+        acc: &mut BitStream,
+    ) {
+        assert!(prev.len < 64, "a fused advance carries at most 63 bits, not {}", prev.len);
+        assert!(consumed <= len, "{consumed} consumed positions of {len}");
+        match len.div_ceil(64) {
+            0 => history_tail(&[], 0, prev, consumed, acc),
+            1 => history_tail(&last[1..], 0, prev, consumed, acc),
+            words => history_tail(&last, words - 2, prev, consumed, acc),
         }
-        acc.mask_tail();
+    }
+
+    /// Runs `stages` over this stream and ANDs `tail` onto the result, in
+    /// one pass into a reusable output (see [`FusedStage`]): `out` is
+    /// reshaped to this stream's length and overwritten, bit for bit what
+    /// one [`BitStream::and_into`] and one
+    /// [`BitStream::advance_with_carry_into`] per stage would leave there,
+    /// without the streams in between. `out` must not alias an operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand's length differs.
+    pub fn fused_into(
+        &self,
+        stages: &mut [FusedStage<'_>],
+        tail: Option<&BitStream>,
+        out: &mut BitStream,
+    ) {
+        let tail = tail.map(|tail| &tail.words[..]);
+        for operand in stages.iter().filter_map(FusedStage::and_words).chain(tail) {
+            assert_eq!(
+                operand.len(),
+                self.words.len(),
+                "bitstream length mismatch: {} vs {} words",
+                self.words.len(),
+                operand.len()
+            );
+        }
+        out.reshape(self.len);
+        wide::fused_into(&self.words, stages, tail, &mut out.words);
+        out.mask_tail();
     }
 
     /// [`BitStream::add`] with an explicit carry bit injected below bit 0,
@@ -657,6 +697,37 @@ impl BitStream {
             }
         }
     }
+}
+
+/// ORs into `acc` the last `prev.len()` bits of `prev ++ src[0..consumed)`,
+/// where `words` are `src`'s words from word `base` on. `src` is read
+/// only below `consumed`, and `base` must be low enough for that tail to
+/// start inside `words`.
+fn history_tail(
+    words: &[u64],
+    base: usize,
+    prev: &BitStream,
+    consumed: usize,
+    acc: &mut BitStream,
+) {
+    let k = prev.len;
+    assert_eq!(acc.len, k, "history accumulator holds {} bits, slot needs {k}", acc.len);
+    // Word `i` of the tail is 64 bits of `prev ++ src` from position
+    // `consumed + 64 i`; the tail ends where the consumed positions do.
+    for (i, w) in acc.words.iter_mut().enumerate() {
+        let p = consumed + (i << 6);
+        *w |= if p >= k {
+            wide::gather_word(words, p - k - (base << 6))
+        } else {
+            debug_assert_eq!(base, 0, "a tail reaching into `prev` starts at word 0");
+            let from_prev = wide::gather_word(&prev.words, p);
+            match (k - p, words.first()) {
+                (gap, Some(&first)) if gap < 64 => from_prev | first << gap,
+                _ => from_prev,
+            }
+        };
+    }
+    acc.mask_tail();
 }
 
 impl fmt::Debug for BitStream {
@@ -987,6 +1058,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Runs `shape` — per stage whether it ANDs `operands[i]`, and its
+    /// amount — over `first` fused, and checks the result and the input
+    /// tail each advance keeps against every step materialised.
+    fn check_fused(
+        first: &BitStream,
+        shape: &[(bool, u32)],
+        operands: &[BitStream],
+        and_tail: bool,
+        what: &str,
+    ) {
+        let len = first.len();
+        let hists: Vec<BitStream> =
+            shape.iter().enumerate().map(|(i, &(_, k))| noise(k as usize, 17 + i as u64)).collect();
+        let tail = and_tail.then(|| &operands[shape.len()]);
+        let mut stages: Vec<FusedStage<'_>> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(and, k))| {
+                let word = hists[i].as_words().first().copied().unwrap_or(0);
+                FusedStage::new(and.then(|| &operands[i]), k, word)
+            })
+            .collect();
+        let mut fused = noise(len + 70, 9);
+        first.fused_into(&mut stages, tail, &mut fused);
+
+        let mut value = first.clone();
+        let mut next = BitStream::default();
+        for (i, (&(and, k), stage)) in shape.iter().zip(&stages).enumerate() {
+            if and {
+                value.and_into(&operands[i], &mut next);
+                std::mem::swap(&mut value, &mut next);
+            }
+            for consumed in [len - 1, len] {
+                let mut want = noise(k as usize, 3);
+                let mut got = want.clone();
+                value.or_history_tail(&hists[i], consumed, &mut want);
+                BitStream::or_history_tail_of(stage.last(), len, &hists[i], consumed, &mut got);
+                assert_eq!(got, want, "{what}: stage {i}");
+            }
+            value.advance_with_carry_into(k as usize, &hists[i], &mut next);
+            std::mem::swap(&mut value, &mut next);
+        }
+        if let Some(tail) = tail {
+            value.and_into(tail, &mut next);
+            std::mem::swap(&mut value, &mut next);
+        }
+        assert_eq!(fused, value, "{what}");
+    }
+
+    #[test]
+    fn a_fused_pass_is_its_stages_taken_one_stream_at_a_time() {
+        // Lengths on both sides of a word and of a word-group, amounts at
+        // both ends of the fusable range and all ones, histories longer
+        // than the stream.
+        let shapes: [&[(bool, u32)]; 4] = [
+            &[(true, 1), (true, 1), (true, 1)],
+            &[(false, 1)],
+            &[(false, 63), (true, 2), (false, 1), (true, 33), (true, 7)],
+            &[(true, 5)],
+        ];
+        for len in [1usize, 2, 3, 62, 63, 64, 65, 127, 128, 129, 511, 512, 513, 577, 1030] {
+            for (seed, shape) in shapes.iter().enumerate() {
+                let seed = seed as u64;
+                let first = noise(len, seed ^ 0x51);
+                let operands: Vec<BitStream> =
+                    (0..=shape.len() as u64).map(|i| noise(len, seed * 31 + i)).collect();
+                // Odd shapes end on an AND.
+                let what = format!("len {len} shape {seed}");
+                check_fused(&first, shape, &operands, seed % 2 == 1, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fused_pass_carries_lone_markers_through_empty_groups() {
+        // Markers on both sides of every word-group seam of a stream that
+        // is empty otherwise, so groups reach stages empty and are woken
+        // only by the word carried in from the group below; the operands
+        // let everything, nothing, or every other group through.
+        let len = 4 * 512 + 130;
+        let seams: Vec<usize> = (1..=4).flat_map(|g| [g * 512 - 2, g * 512 - 1, g * 512]).collect();
+        let ends = [0, 63, 64, len - 2, len - 1];
+        let first = BitStream::from_positions(len, &[&seams[..], &ends].concat());
+        let every_other = BitStream::from_positions(
+            len,
+            &(0..len).filter(|p| (p / 512) % 2 == 0).collect::<Vec<_>>(),
+        );
+        let operands =
+            [BitStream::ones(len), every_other, BitStream::zeros(len), BitStream::ones(len)];
+        for shape in [
+            &[(false, 1), (false, 1), (false, 1)][..],
+            &[(true, 1), (false, 63), (false, 2)],
+            &[(false, 1), (true, 1), (false, 1)],
+            &[(false, 2), (false, 1), (true, 1)],
+        ] {
+            for and_tail in [false, true] {
+                let what = format!("{shape:?} tail {and_tail}");
+                check_fused(&first, shape, &operands, and_tail, &what);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=63")]
+    fn a_fused_advance_stays_inside_one_word() {
+        let _ = FusedStage::new(None, 64, 0);
     }
 
     #[test]

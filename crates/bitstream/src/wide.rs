@@ -17,7 +17,6 @@
 //! trace of the grouping — it is an execution detail, never stream
 //! state.
 
-#[cfg(doc)]
 use crate::stream::BitStream;
 
 /// Words per word-group: the `N` every kernel entry point below runs at.
@@ -184,6 +183,140 @@ fn advance_n<const N: usize>(src: &[u64], out: &mut [u64], word_shift: usize, bi
     {
         *slot = (hv << bit_shift) | (lv >> inv);
     }
+}
+
+/// One stage of a fused pass ([`BitStream::fused_into`]): the running
+/// value is ANDed with a stream, if the stage has one, and then advanced
+/// — `value = (value & and) >> amount`, a character of a literal.
+#[derive(Debug)]
+pub struct FusedStage<'a> {
+    and: Option<&'a [u64]>,
+    amount: u32,
+    /// The two most recent words of the advance's input, older first.
+    /// Before the pass the carry-in — the `amount` bits of the input's
+    /// history — sits in the top bits of `last[1]`, where the funnel
+    /// shift pulls it into the vacated low positions; after the pass
+    /// these are the input's final two words (a one-word stream leaves
+    /// the carry-in in `last[0]`).
+    last: [u64; 2],
+}
+
+impl<'a> FusedStage<'a> {
+    /// Advances by one position, ANDs with nothing and carries nothing
+    /// in: the filler of a fixed-size stage list.
+    pub const IDLE: FusedStage<'static> = FusedStage { and: None, amount: 1, last: [0, 0] };
+
+    /// `(value & and) >> amount`, the advance's vacated positions filled
+    /// from `history`: its low `amount` bits are the advance's input at
+    /// the `amount` positions before this stream (`0`: nothing there).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `amount` is in `1..=63`.
+    pub fn new(and: Option<&'a BitStream>, amount: u32, history: u64) -> FusedStage<'a> {
+        assert!((1..=63).contains(&amount), "a fused advance moves 1..=63 positions, not {amount}");
+        FusedStage {
+            and: and.map(BitStream::as_words),
+            amount,
+            last: [0, history << (64 - amount)],
+        }
+    }
+
+    pub(crate) fn and_words(&self) -> Option<&'a [u64]> {
+        self.and
+    }
+
+    /// After the pass: the last two words of the advance's input, which
+    /// was never stored, for [`BitStream::or_history_tail_of`].
+    pub fn last(&self) -> [u64; 2] {
+        self.last
+    }
+}
+
+/// `out = (stages(first)) & tail`: every stage applied to each word-group
+/// of `first` in turn, the running value held in registers between
+/// stages and never in a stream. The word an advance pulls across a group
+/// boundary travels in its stage, lane-to-lane inside a group exactly as
+/// word-to-word between groups, so the result is what one [`zip_into`] and
+/// one [`advance_into`] per stage over the whole streams would produce.
+///
+/// `first` and every operand hold `out.len()` words.
+pub(crate) fn fused_into(
+    first: &[u64],
+    stages: &mut [FusedStage<'_>],
+    tail: Option<&[u64]>,
+    out: &mut [u64],
+) {
+    // A literal advances by one position per character. With the amount a
+    // constant a group's shifts compile to immediate funnel shifts; a
+    // run-time amount costs every word its count set-up (40 µs of a 64 KiB
+    // push of 32 Snort rules).
+    if stages.iter().all(|stage| stage.amount == 1) {
+        let done = fused_n::<LANES, true>(first, stages, tail, out, 0);
+        fused_n::<1, true>(first, stages, tail, out, done);
+    } else {
+        let done = fused_n::<LANES, false>(first, stages, tail, out, 0);
+        fused_n::<1, false>(first, stages, tail, out, done);
+    }
+}
+
+/// Every whole `N`-word group of `out` from word `from` on; returns the
+/// index of the first word left over. `UNIT`: every stage advances by 1.
+fn fused_n<const N: usize, const UNIT: bool>(
+    first: &[u64],
+    stages: &mut [FusedStage<'_>],
+    tail: Option<&[u64]>,
+    out: &mut [u64],
+    from: usize,
+) -> usize {
+    const ONES: [u64; LANES] = [u64::MAX; LANES];
+    let mut wi = from;
+    while wi + N <= out.len() {
+        let mut value = [0u64; N];
+        value.copy_from_slice(&first[wi..wi + N]);
+        let mut at = 0;
+        while at < stages.len() {
+            // Past its first characters a literal's markers are rare: most
+            // groups reach most stages empty, and all an empty group does
+            // to a stage is pass on the word carried in from below.
+            if value.iter().fold(0, |any, &w| any | w) == 0 {
+                while let Some(stage) = stages.get_mut(at) {
+                    let amount = if UNIT { 1 } else { stage.amount };
+                    let carried = stage.last[1] >> (64 - amount);
+                    stage.last = [if N >= 2 { 0 } else { stage.last[1] }, 0];
+                    at += 1;
+                    if carried != 0 {
+                        value[0] = carried;
+                        break;
+                    }
+                }
+                continue;
+            }
+            let stage = &mut stages[at];
+            at += 1;
+            // A stage without an operand ANDs with ones.
+            let and = stage.and.map_or(&ONES[..N], |words| &words[wi..wi + N]);
+            for (v, &w) in value.iter_mut().zip(and) {
+                *v &= w;
+            }
+            // below[lane] is the input word under value[lane].
+            let mut below = [stage.last[1]; N];
+            below[1..].copy_from_slice(&value[..N - 1]);
+            stage.last = [below[N - 1], value[N - 1]];
+            let amount = if UNIT { 1 } else { stage.amount };
+            for (v, &b) in value.iter_mut().zip(&below) {
+                *v = (*v << amount) | (b >> (64 - amount));
+            }
+        }
+        if let Some(words) = tail {
+            for (v, &w) in value.iter_mut().zip(&words[wi..wi + N]) {
+                *v &= w;
+            }
+        }
+        out[wi..wi + N].copy_from_slice(&value);
+        wi += N;
+    }
+    wi
 }
 
 /// Funnel-shifts `src` toward lower bit positions by

@@ -1,7 +1,8 @@
 //! Property tests: `BitStream` operations against a `Vec<bool>` model,
-//! and transposition round trips.
+//! transposition round trips, and class circuits against their sets.
 
-use bitgen_bitstream::{Basis, BitStream};
+use bitgen_bitstream::{Basis, BitStream, CcCode, ClassCircuit};
+use bitgen_regex::ByteSet;
 use proptest::prelude::*;
 
 /// Reference model: a plain vector of bits.
@@ -43,6 +44,17 @@ impl Model {
 
 fn arb_model(max_len: usize) -> impl Strategy<Value = Model> {
     prop::collection::vec(any::<bool>(), 0..max_len).prop_map(Model)
+}
+
+/// Byte classes of the shapes rule sets produce: single bytes, ranges,
+/// scattered sets, their complements, the empty and the full class.
+fn arb_class() -> impl Strategy<Value = ByteSet> {
+    let base = prop_oneof![
+        any::<u8>().prop_map(ByteSet::singleton),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| ByteSet::range(a.min(b), a.max(b))),
+        prop::collection::vec(any::<u8>(), 0..12).prop_map(ByteSet::from_bytes),
+    ];
+    (base, any::<bool>()).prop_map(|(set, negate)| if negate { set.complement() } else { set })
 }
 
 fn arb_pair(max_len: usize) -> impl Strategy<Value = (Model, Model)> {
@@ -142,5 +154,38 @@ proptest! {
             if b { cur += 1; best = best.max(cur); } else { cur = 0; }
         }
         prop_assert_eq!(m.to_stream().longest_run(), best);
+    }
+
+    #[test]
+    fn shared_circuits_compute_every_class_however_they_are_grouped(
+        classes in prop::collection::vec(arb_class(), 0..24),
+        picks in prop::collection::vec(any::<bool>(), 24),
+    ) {
+        // Position b of the basis holds byte b: a class stream is its
+        // class's truth table, whatever else the circuit was built for.
+        let every_byte: Vec<u8> = (0..=255).collect();
+        let basis = Basis::transpose(&every_byte);
+        let subset: Vec<ByteSet> =
+            classes.iter().zip(&picks).filter(|(_, &pick)| pick).map(|(c, _)| *c).collect();
+        for together in [&classes, &subset] {
+            let circuit = ClassCircuit::for_classes(together);
+            let mut streams = vec![BitStream::zeros(257); together.len()];
+            circuit.eval_into(&basis, &mut streams);
+            let mut alone = BitStream::zeros(257);
+            let mut gates_alone = 0;
+            for (class, stream) in together.iter().zip(&streams) {
+                for byte in 0..=255u8 {
+                    let got = stream.get(usize::from(byte));
+                    prop_assert_eq!(got, class.contains(byte), "{:?}", class);
+                }
+                prop_assert!(!stream.get(256), "peek bit of {:?}", class);
+                let code = CcCode::for_class(class);
+                code.eval_into(&basis, &mut alone);
+                prop_assert_eq!(&alone, stream, "{:?} compiled alone", class);
+                gates_alone += code.gate_count();
+            }
+            let shared = circuit.gate_count();
+            prop_assert!(shared <= gates_alone, "{} shared, {} alone", shared, gates_alone);
+        }
     }
 }

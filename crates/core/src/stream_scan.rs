@@ -43,8 +43,7 @@ use crate::error::Error;
 use crate::swap::StagedRules;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
-    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics,
-    PreparedProgram,
+    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecScratch, Metrics, PreparedProgram,
 };
 use bitgen_gpu::{CtaWork, FaultPlan};
 use bitgen_ir::{
@@ -130,10 +129,9 @@ struct SwapRollback<'e> {
     ctas: Vec<ExecMetrics>,
 }
 
-/// What one push's windows produced, held until the push commits.
+/// What one push's windows produced beside the scanner's `union`, held
+/// until the push commits.
 struct PushWindows {
-    /// Union of every group's outputs over the chunk.
-    union: BitStream,
     /// Per-group device work, priced together at commit.
     works: Vec<CtaWork>,
     /// Counted events of the windows the executor ran (degraded windows
@@ -180,6 +178,10 @@ pub struct StreamScanner<'e> {
     class_streams: ClassStreams,
     /// The windows' slot buffers.
     scratch: ExecScratch,
+    /// Union of every group's outputs over the current chunk: each window
+    /// that passes its checks ORs its outputs in where they lie, and a
+    /// committed push reads the match ends off it.
+    union: BitStream,
     /// Cooperative cancellation checked at word-chunk granularity.
     cancel: Option<CancelToken>,
     /// Per-push wall-clock budget.
@@ -225,6 +227,7 @@ impl BitGen {
             basis: Basis::empty(),
             class_streams: ClassStreams::new(),
             scratch: ExecScratch::new(),
+            union: BitStream::default(),
             cancel: None,
             timeout: None,
             carries,
@@ -445,7 +448,7 @@ impl StreamScanner<'_> {
         // The transaction: a window writes only the outgoing half of its
         // group's carry and no group rotates before all have succeeded, so
         // the scanner never advances part-way through a push.
-        match self.run_windows(chunk.len(), &ctl) {
+        match self.run_windows(&ctl) {
             Ok(windows) => Ok(self.commit(chunk.len(), windows)),
             Err((group, e)) => {
                 // The one failure exit: put the whole boundary back (a
@@ -468,11 +471,12 @@ impl StreamScanner<'_> {
     /// class table over it — once, for every group's window over this
     /// chunk and every retry of them. These buffers and the scratch are
     /// reused from push to push: in the steady state the transpose, the
-    /// class streams and the windows' slot buffers allocate nothing, and
-    /// what a push still allocates is what it hands out (each group's
-    /// output streams, the match positions).
+    /// class streams, the windows' slot buffers and the union of their
+    /// outputs allocate nothing, and what a push still allocates is what
+    /// it hands out (the match positions).
     fn load_chunk(&mut self, chunk: &[u8]) {
         self.basis.transpose_into(chunk);
+        self.union.reset_zeros(chunk.len());
         // The engine's stream programs were prepared together, so any one
         // of them evaluates the table they all index.
         if let Some(prepared) = self.engine.stream_programs.first() {
@@ -483,11 +487,10 @@ impl StreamScanner<'_> {
     /// Push phase 1: every group's window over the loaded chunk, under
     /// the [`RetryPolicy`]. Rotates nothing. A failure names the group it
     /// stopped at and leaves the clean-up to `push`.
-    fn run_windows(&mut self, len: usize, ctl: &RunControl) -> Result<PushWindows, (usize, Error)> {
+    fn run_windows(&mut self, ctl: &RunControl) -> Result<PushWindows, (usize, Error)> {
         let config = self.engine.exec_config();
         let groups = self.carries.len();
         let mut run = PushWindows {
-            union: BitStream::zeros(len),
             works: Vec::with_capacity(groups),
             window_metrics: Vec::with_capacity(groups),
             retried: 0,
@@ -501,14 +504,14 @@ impl StreamScanner<'_> {
                 .validate(layout)
                 .map_err(|error| (group, Error::CarryCorrupted { group, error }))?;
             let mut attempt = 0u32;
-            let outputs = loop {
+            loop {
                 attempt += 1;
                 let fault = self.take_fault_shot(group);
                 let e = match self.run_window(group, &config, ctl, fault) {
-                    Ok(outcome) => {
-                        run.works.push(outcome.metrics.cta_work());
-                        run.window_metrics.push((group, outcome.metrics));
-                        break outcome.outputs;
+                    Ok(metrics) => {
+                        run.works.push(metrics.cta_work());
+                        run.window_metrics.push((group, metrics));
+                        break;
                     }
                     Err(e) => e,
                 };
@@ -526,15 +529,12 @@ impl StreamScanner<'_> {
                 if !self.retry.degrade {
                     return Err((group, e));
                 }
-                let outputs = self.interpret_window(group, ctl).map_err(|ie| (group, ie))?;
+                self.interpret_window(group, ctl).map_err(|ie| (group, ie))?;
                 // Degraded windows contribute no device work, mirroring
                 // degraded batch slots.
                 run.works.push(ExecMetrics::default().cta_work());
                 run.degraded = true;
-                break outputs;
-            };
-            for out in &outputs {
-                run.union.or_clipped(out);
+                break;
             }
         }
         Ok(run)
@@ -545,23 +545,24 @@ impl StreamScanner<'_> {
     /// panic isolation the batch grid gives each CTA slot: a panicking
     /// window (or injected [`FaultPlan`]) is caught, the scratch — in an
     /// unknown state mid-unwind — is discarded, and the failure surfaces
-    /// as a typed [`Error::WorkerPanicked`].
+    /// as a typed [`Error::WorkerPanicked`]. A window that passes its
+    /// checks ORs its outputs into the push's union; no other does.
     fn run_window(
         &mut self,
         group: usize,
         config: &ExecConfig,
         ctl: &RunControl,
         fault: Option<FaultPlan>,
-    ) -> Result<ExecOutcome, Error> {
+    ) -> Result<ExecMetrics, Error> {
         let prog = &self.engine.stream_programs[group];
         let config = ExecConfig { fault, ..*config };
-        let (classes, basis) = (&self.class_streams, &self.basis);
+        let (classes, basis, union) = (&self.class_streams, &self.basis, &mut self.union);
         let (scratch, carry) = (&mut self.scratch, &mut self.carries[group]);
         let run = catch_unwind(AssertUnwindSafe(|| {
-            prog.execute_window_on(classes, basis, &config, scratch, ctl, carry)
+            prog.execute_window_into(classes, basis, &config, scratch, ctl, carry, union)
         }));
         match run {
-            Ok(Ok(outcome)) => Ok(outcome),
+            Ok(Ok(metrics)) => Ok(metrics),
             Ok(Err(e)) => Err(Error::Exec(e)),
             Err(_) => {
                 self.scratch = ExecScratch::new();
@@ -571,17 +572,17 @@ impl StreamScanner<'_> {
     }
 
     /// Replays one group's window on the reference interpreter — the
-    /// per-chunk degradation path. Exact matches by construction; the
-    /// device cost model sees no work.
-    fn interpret_window(
-        &mut self,
-        group: usize,
-        ctl: &RunControl,
-    ) -> Result<Vec<BitStream>, Error> {
+    /// per-chunk degradation path — and ORs its outputs into the push's
+    /// union. Exact matches by construction; the device cost model sees no
+    /// work.
+    fn interpret_window(&mut self, group: usize, ctl: &RunControl) -> Result<(), Error> {
         let prog = self.engine.stream_programs[group].program();
-        try_interpret_chunk(prog, &self.basis, ctl, &mut self.carries[group])
-            .map(|replay| replay.outputs)
-            .map_err(|e| Error::Exec(ExecError::from(e)))
+        let replay = try_interpret_chunk(prog, &self.basis, ctl, &mut self.carries[group])
+            .map_err(|e| Error::Exec(ExecError::from(e)))?;
+        for out in &replay.outputs {
+            self.union.or_clipped(out);
+        }
+        Ok(())
     }
 
     /// Push phase 2, the commit: every carry rotates and the metrics
@@ -615,7 +616,7 @@ impl StreamScanner<'_> {
         let off = m.bytes_scanned;
         m.bytes_scanned += len as u64;
         let ends: Vec<u64> =
-            run.union.positions().into_iter().map(|p| off + p as u64).collect();
+            self.union.positions().into_iter().map(|p| off + p as u64).collect();
         m.match_count += ends.len() as u64;
         ends
     }

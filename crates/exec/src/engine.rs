@@ -6,7 +6,7 @@ use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
 use crate::prepared::{BatchPlan, ClassStreams, FusedPlan, PlannedSegment, StreamTables};
 use crate::scheme::Scheme;
-use crate::seq::{is_written, Accounting, Slots};
+use crate::seq::{Accounting, Slots};
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_gpu::{Cta, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
@@ -209,12 +209,12 @@ impl From<InterpError> for ExecError {
 /// streams that cross segments in an environment keyed by stream id,
 /// draws window output buffers from a pool and returns every intermediate
 /// to it afterwards. A streaming window computes in the few slot buffers
-/// its program's stream plan assigns (DESIGN.md §10) and leaves them in
-/// place for the next window. Either way a caller that runs many
-/// same-sized inputs through one scratch reaches a steady state where no
-/// per-call heap growth occurs, and a fresh scratch behaves exactly like
-/// the scratch-free entry points — the scratch never changes outputs or
-/// metrics, only where the buffers come from.
+/// its program's stream plan assigns (DESIGN.md §10) and leaves them,
+/// outputs included, in place for the next window. Either way a caller
+/// that runs many same-sized inputs through one scratch reaches a steady
+/// state where no per-call heap growth occurs, and a fresh scratch behaves
+/// exactly like the scratch-free entry points — the scratch never changes
+/// outputs or metrics, only where the buffers come from.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     env: ById,
@@ -225,6 +225,9 @@ pub struct ExecScratch {
     spare: BitStream,
     /// Streaming windows: one bit per stream the window has written.
     written: Vec<u64>,
+    /// Streaming windows: private copies of class streams a fault drill
+    /// corrupted (see [`Slots`]).
+    private: Vec<(StreamId, BitStream)>,
     /// Class streams of windows whose caller did not evaluate them.
     classes: ClassStreams,
 }
@@ -386,7 +389,7 @@ pub fn execute_prepared_with(
     let ctl = RunControl::unlimited();
     if let Some(carry) = carry {
         let tables = StreamTables::of(prog);
-        return execute_streaming_window(prog, &tables, None, basis, config, scratch, &ctl, carry);
+        return streaming_window_outcome(prog, &tables, None, basis, config, scratch, &ctl, carry);
     }
     BatchPlan::new(prog.clone(), config).execute(basis, config, scratch, &ctl)
 }
@@ -489,15 +492,20 @@ impl BatchPlan {
 /// One streaming window of `prog` over a chunk basis: the whole program
 /// runs sequentially (instruction at a time) with cross-chunk carries —
 /// the body behind [`crate::PreparedProgram::execute_window`],
-/// [`crate::PreparedProgram::execute_window_on`] and the
+/// [`crate::PreparedProgram::execute_window_on`],
+/// [`crate::PreparedProgram::execute_window_into`] and the
 /// carry-parameterised branch of [`execute_prepared_with`]. `tables` must
 /// have been built from `prog`; `classes`, when given, are `tables`' class
 /// table evaluated over `basis`, otherwise they are evaluated here.
 ///
-/// Every value is computed into one of the plan's slot buffers in
-/// `scratch` (DESIGN.md §10, "Stream plan"); what the window charges the
-/// modelled clock is a function of the instructions and the window length
-/// alone and does not see that.
+/// Every value a later statement reads from memory lives where the plan
+/// puts it — a slot buffer in `scratch`, or the class streams, which the
+/// window only reads (DESIGN.md §10, "Stream plan"); what the window
+/// charges the modelled clock is a function of the instructions and the
+/// window length alone and does not see that. Once every check has
+/// passed, `output` is shown each program output in order, still in its
+/// place (`None`: nothing wrote it, all zeros); the slots stay warm for
+/// the next window.
 ///
 /// Hardening mirrors the batch path: an armed [`ExecConfig::fault`]
 /// corrupts the window deterministically (see [`crate::seq::StreamFault`]), the
@@ -521,7 +529,8 @@ pub(crate) fn execute_streaming_window(
     scratch: &mut ExecScratch,
     ctl: &RunControl,
     carry: &mut CarryState,
-) -> Result<ExecOutcome, ExecError> {
+    output: &mut dyn FnMut(Option<&BitStream>),
+) -> Result<(ExecMetrics, bool), ExecError> {
     let plan = tables.plan.as_ref().map_err(|&e| ExecError::from(e))?;
     let stream_len = Program::stream_len(basis.len());
     let mut metrics = ExecMetrics { segments: 1, threads: config.threads, ..ExecMetrics::default() };
@@ -542,6 +551,7 @@ pub(crate) fn execute_streaming_window(
     }
     scratch.written.clear();
     scratch.written.resize(plan.stream_count().div_ceil(64), 0);
+    scratch.private.clear();
     let reference = config.cross_check.then(|| carry.fork());
     let expected_slots = carry.slot_count() as u64;
     let mut env = Slots {
@@ -551,6 +561,8 @@ pub(crate) fn execute_streaming_window(
         written: &mut scratch.written,
         table: &tables.classes,
         classes: classes.streams(),
+        private: &mut scratch.private,
+        linked: None,
     };
     let mut seq = Accounting::new(&mut metrics.counters, stream_len, config, config.fault);
     let carries = CarryWalk::new(carry, &tables.layout);
@@ -571,26 +583,14 @@ pub(crate) fn execute_streaming_window(
         return Err(ExecError::CounterMismatch { expected: expected_slots, observed });
     }
     // The sequential model materialises every stream it writes, however
-    // few buffers the host needed for them.
-    let streams_written: usize = scratch.written.iter().map(|w| w.count_ones() as usize).sum();
+    // few of them the host stored.
+    let streams_written: usize = env.written.iter().map(|w| w.count_ones() as usize).sum();
     metrics.peak_materialized_bytes =
         metrics.peak_materialized_bytes.max(streams_written * stream_len.div_ceil(8));
-    let ids = prog.outputs();
-    let outputs: Vec<BitStream> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| match plan.slot(id).filter(|_| is_written(&scratch.written, id)) {
-            None => BitStream::zeros(stream_len),
-            // Outputs are pinned, so the value moves out of its slot —
-            // unless the same stream is listed again further on.
-            Some(slot) if ids[i + 1..].contains(&id) => scratch.slots[slot].clone(),
-            Some(slot) => std::mem::take(&mut scratch.slots[slot]),
-        })
-        .collect();
     if let Some(mut fork) = reference {
         let want = try_interpret_chunk(prog, basis, ctl, &mut fork)?;
-        for (i, (got, want)) in outputs.iter().zip(&want.outputs).enumerate() {
-            if got != want {
+        for (i, (&id, want)) in prog.outputs().iter().zip(&want.outputs).enumerate() {
+            if env.get(id).map_or(want.any(), |got| got != want) {
                 return Err(ExecError::CrossCheckMismatch { output: i });
             }
         }
@@ -598,7 +598,34 @@ pub(crate) fn execute_streaming_window(
             return Err(ExecError::CarryDiverged);
         }
     }
+    for &id in prog.outputs() {
+        output(env.get(id));
+    }
     let fault_fired = fault_state.as_ref().is_some_and(|f| f.fired);
+    Ok((metrics, fault_fired))
+}
+
+/// [`execute_streaming_window`] with the outputs copied out of their
+/// places: what the doors that return an [`ExecOutcome`] run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn streaming_window_outcome(
+    prog: &Program,
+    tables: &StreamTables,
+    classes: Option<&ClassStreams>,
+    basis: &Basis,
+    config: &ExecConfig,
+    scratch: &mut ExecScratch,
+    ctl: &RunControl,
+    carry: &mut CarryState,
+) -> Result<ExecOutcome, ExecError> {
+    let stream_len = Program::stream_len(basis.len());
+    let mut outputs = Vec::with_capacity(prog.outputs().len());
+    let mut copy = |value: Option<&BitStream>| {
+        outputs.push(value.cloned().unwrap_or_else(|| BitStream::zeros(stream_len)));
+    };
+    let (metrics, fault_fired) = execute_streaming_window(
+        prog, tables, classes, basis, config, scratch, ctl, carry, &mut copy,
+    )?;
     Ok(ExecOutcome { outputs, metrics, fault_fired })
 }
 
@@ -1246,6 +1273,115 @@ mod tests {
         }
     }
 
+    /// The fault an armed window injects, on the reference machine: one
+    /// buffer per stream, every statement its own step.
+    struct FaultAt {
+        plan: FaultPlan,
+        seen: u32,
+    }
+
+    impl bitgen_ir::Observer for FaultAt {
+        fn inspects(&self) -> bool {
+            true
+        }
+
+        fn value(
+            &mut self,
+            _op: &Op,
+            value: &mut BitStream,
+            _carry: Option<&mut CarryState>,
+        ) -> bool {
+            self.seen += 1;
+            if self.seen != self.plan.trigger {
+                return true;
+            }
+            if self.plan.kind == FaultKind::SkipBarrier {
+                return false;
+            }
+            let bit = self.plan.seed as usize % value.len();
+            let flipped = !value.get(bit);
+            value.set(bit, flipped);
+            true
+        }
+    }
+
+    #[test]
+    fn faults_fire_on_the_op_they_name_whatever_an_unarmed_window_fuses() {
+        use crate::{ClassStreams, PreparedProgram};
+        // A literal twice over: class matches a window reads in place,
+        // and a chain of `&`/`>>` links it runs as one pass. An armed
+        // window takes them one by one again, so trigger `t` is the
+        // `t`-th instruction of the program text, as it always was.
+        let prog = lower_group(&[parse("abcab").unwrap(), parse("cab").unwrap()]);
+        let ops: Vec<Op> = {
+            let mut ops = Vec::new();
+            prog.for_each_op(&mut |op| ops.push(op.clone()));
+            ops
+        };
+        assert_eq!(ops.len(), prog.stmts().len(), "straight-line");
+        let prepared = PreparedProgram::new_all(vec![prog.clone()]).remove(0);
+        let (fused, advances) = prepared.fused_advances();
+        assert!(prepared.class_copies() == 0 && fused == advances && advances >= 8);
+        let tables = StreamTables::of(&prog);
+        let plan = tables.plan.as_ref().unwrap();
+        let basis = Basis::transpose(b"abcab cab abcabcab xcab");
+        let ctl = RunControl::unlimited();
+        let mut classes = ClassStreams::new();
+        prepared.evaluate_classes(&basis, &mut classes);
+        let pristine = classes.clone();
+        let mut scratch = ExecScratch::new();
+        let (mut on_match, mut on_link) = (0, 0);
+        for (at, op) in ops.iter().enumerate() {
+            let trigger = at as u32 + 1;
+            on_match += usize::from(matches!(op, Op::MatchCc { .. }));
+            on_link += usize::from(matches!(op, Op::And { .. }) && plan.is_link(op.dst()));
+            for kind in [FaultKind::SmemFlip, FaultKind::SkipBarrier] {
+                let plan = FaultPlan { kind, trigger, seed: 5 + u64::from(trigger) };
+                let config = ExecConfig { fault: Some(plan), ..ExecConfig::default() };
+                let mut carry = CarryState::for_layout(prepared.carry_layout());
+                let got = prepared
+                    .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, &mut carry);
+                assert_eq!(classes.streams(), pristine.streams(), "{kind:?} at {trigger}");
+
+                let mut env = ById::default();
+                env.reset(prog.num_streams() as usize);
+                let mut want_carry = CarryState::for_program(&prog);
+                let layout = bitgen_ir::CarryLayout::of(&prog);
+                let walked = walk(
+                    prog.stmts(),
+                    &mut env,
+                    &mut FaultAt { plan, seen: 0 },
+                    &basis,
+                    &ctl,
+                    Some(CarryWalk::new(&mut want_carry, &layout)),
+                );
+                match (kind, walked) {
+                    // A flipped bit flows wherever the value is read.
+                    (FaultKind::SmemFlip, Ok(_)) => {
+                        let got = got.unwrap_or_else(|e| panic!("flip at {trigger}: {e}"));
+                        assert!(got.fault_fired, "flip at {trigger}");
+                        for (&id, out) in prog.outputs().iter().zip(&got.outputs) {
+                            assert_eq!(Some(out), env.get(id), "flip at {trigger}: output {id}");
+                        }
+                        assert_eq!(carry, want_carry, "flip at {trigger}");
+                    }
+                    // A lost store is missed by its first reader, or by
+                    // the store count if nothing reads it.
+                    (FaultKind::SkipBarrier, Err(e)) => {
+                        assert_eq!(e, InterpError::UnwrittenStream { id: op.dst() });
+                        assert_eq!(got.unwrap_err(), ExecError::UnwrittenStream { id: op.dst() });
+                    }
+                    (FaultKind::SkipBarrier, Ok(_)) => {
+                        let (issued, stored) = (ops.len() as u64, ops.len() as u64 - 1);
+                        assert_eq!(got.unwrap_err(), ExecError::StoreElided { issued, stored });
+                    }
+                    (kind, walked) => panic!("{kind:?} at {trigger}: {walked:?}"),
+                }
+            }
+        }
+        assert!(on_match >= 3 && on_link >= 4, "{on_match} class matches, {on_link} elided `&`s");
+    }
+
     #[test]
     fn a_lost_store_never_reads_as_another_streams_bits() {
         // Every value dies at the next instruction, so two slots
@@ -1365,7 +1501,7 @@ mod tests {
                 tables.plan = SlotPlan::of(other);
                 let mut carry = CarryState::for_program(prog);
                 let mut scratch = ExecScratch::new();
-                match execute_streaming_window(
+                match streaming_window_outcome(
                     prog, &tables, None, &basis, &config, &mut scratch, &ctl, &mut carry,
                 ) {
                     Ok(out) => assert_eq!(out.outputs, want, "program {i} in the slots of {j}"),

@@ -5,26 +5,33 @@
 //! owns its program (DESIGN.md §10).
 
 use crate::engine::{
-    apply_transforms, execute_streaming_window, ExecConfig, ExecError, ExecOutcome, ExecScratch,
+    apply_transforms, execute_streaming_window, streaming_window_outcome, ExecConfig, ExecError,
+    ExecOutcome, ExecScratch,
 };
+use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, SegmentKind};
-use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit};
 use bitgen_ir::{
-    ByteSet, CarryLayout, CarryState, InterpError, Op, Program, RunControl, SlotPlan, StreamId,
+    ByteSet, CarryLayout, CarryState, InterpError, Op, Place, Program, RunControl, SlotPlan,
+    StreamId,
 };
 use bitgen_kernel::{compile, CodegenOptions, Compiled};
 use bitgen_passes::{OverlapInfo, PassMetrics};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The distinct byte classes of the programs prepared together, each with
-/// its flattened circuit, sorted by class so a `MatchCc` finds its index
-/// by search. The index is the class's position in a [`ClassStreams`].
+/// The distinct byte classes of the programs prepared together, sorted so
+/// a `MatchCc` finds its index by search, and the one circuit computing
+/// them all. The index is the class's position in a [`ClassStreams`].
 #[derive(Debug)]
 pub(crate) struct ClassTable {
     classes: Box<[ByteSet]>,
-    circuits: Box<[CcCode]>,
+    circuit: ClassCircuit,
+    /// Per class, the gates of its circuit compiled alone: what a
+    /// `MatchCc` costs on the modelled device, which evaluates the paper's
+    /// circuit per class whatever the host shares.
+    gates: Box<[u32]>,
 }
 
 impl ClassTable {
@@ -39,32 +46,50 @@ impl ClassTable {
         }
         classes.sort_unstable();
         classes.dedup();
-        let circuits = classes.iter().map(CcCode::for_class).collect();
-        ClassTable { classes: classes.into_boxed_slice(), circuits }
+        let gates = classes.iter().map(|class| compile_class(class).gate_count() as u32).collect();
+        let circuit = ClassCircuit::for_classes(&classes);
+        ClassTable { classes: classes.into_boxed_slice(), circuit, gates }
     }
 
-    /// Index and circuit of `class`, `None` for a class of no program the
-    /// table was built from.
-    pub(crate) fn find(&self, class: &ByteSet) -> Option<(usize, &CcCode)> {
+    /// The table's classes, sorted.
+    pub(crate) fn classes(&self) -> &[ByteSet] {
+        &self.classes
+    }
+
+    /// Index and gate count of `class`, `None` for a class of no program
+    /// the table was built from.
+    pub(crate) fn find(&self, class: &ByteSet) -> Option<(usize, usize)> {
         let index = self.classes.binary_search(class).ok()?;
-        Some((index, &self.circuits[index]))
+        Some((index, self.gates(index)))
+    }
+
+    /// Gate count of the class at `index`, compiled alone.
+    pub(crate) fn gates(&self, index: usize) -> usize {
+        self.gates[index] as usize
     }
 
     pub(crate) fn len(&self) -> usize {
         self.classes.len()
     }
 
+    /// Gates per position of the shared circuit, and of the classes
+    /// compiled one by one.
+    pub(crate) fn gate_counts(&self) -> (usize, usize) {
+        (self.circuit.gate_count(), self.gates.iter().map(|&gates| gates as usize).sum())
+    }
+
     /// Evaluates every class over `basis` into `out`, one window-length
-    /// stream each (peek position clear), reusing `out`'s buffers.
+    /// stream each (peek position clear), reusing `out`'s buffers: one
+    /// sweep of the shared circuit over the basis.
     pub(crate) fn evaluate(&self, basis: &Basis, out: &mut ClassStreams) {
         let stream_len = Program::stream_len(basis.len());
-        out.streams.resize_with(self.circuits.len(), BitStream::default);
-        for (circuit, stream) in self.circuits.iter().zip(&mut out.streams) {
+        out.streams.resize_with(self.classes.len(), BitStream::default);
+        for stream in &mut out.streams {
             if stream.len() != stream_len {
                 stream.reset_zeros(stream_len);
             }
-            circuit.eval_into(basis, stream);
         }
+        self.circuit.eval_into(basis, &mut out.streams);
     }
 }
 
@@ -97,8 +122,8 @@ impl ClassStreams {
 
 /// The tables a streaming window reads instead of re-deriving: the class
 /// table (shared by the programs prepared together — an engine's groups
-/// reuse most of their classes), the carry layout and the slot of every
-/// stream.
+/// reuse most of their classes), the carry layout and the place of every
+/// stream: a slot, or the table's stream of its class.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamTables {
     pub(crate) classes: Arc<ClassTable>,
@@ -120,7 +145,7 @@ impl StreamTables {
             .map(|p| StreamTables {
                 classes: Arc::clone(&classes),
                 layout: CarryLayout::of(p),
-                plan: SlotPlan::of(p),
+                plan: SlotPlan::with_classes(p, classes.classes()),
             })
             .collect()
     }
@@ -163,9 +188,46 @@ impl PreparedProgram {
     }
 
     /// Stream buffers a window of this program keeps resident at once
-    /// (`0` for a program that reads a stream before writing it).
+    /// (`0` for a program that reads a stream before writing it). Class
+    /// streams are not among them: a window reads those in place.
     pub fn live_slots(&self) -> usize {
         self.tables.plan.as_ref().map_or(0, SlotPlan::slot_count)
+    }
+
+    /// `Advance` instructions a window runs inside a fused pass — the
+    /// value shifted or the shifted value is a link of the stream plan,
+    /// never stored — and all `Advance` instructions of the program.
+    pub fn fused_advances(&self) -> (usize, usize) {
+        let Ok(plan) = &self.tables.plan else { return (0, 0) };
+        let (mut fused, mut all) = (0, 0);
+        self.program.for_each_op(&mut |op| {
+            if let Op::Advance { dst, src, .. } = op {
+                all += 1;
+                fused += usize::from(plan.is_link(*dst) || plan.is_link(*src));
+            }
+        });
+        (fused, all)
+    }
+
+    /// `MatchCc` instructions whose value a window copies out of the
+    /// shared class streams into a slot, instead of reading it in place.
+    pub fn class_copies(&self) -> usize {
+        let Ok(plan) = &self.tables.plan else { return 0 };
+        let mut copies = 0;
+        self.program.for_each_op(&mut |op| {
+            if let Op::MatchCc { dst, .. } = op {
+                copies += usize::from(!matches!(plan.place(*dst), Some(Place::Class(_))));
+            }
+        });
+        copies
+    }
+
+    /// Gates per position of the one circuit
+    /// [`PreparedProgram::evaluate_classes`] runs, and of the same classes
+    /// compiled one by one — what the windows' `MatchCc` instructions
+    /// charge the modelled device.
+    pub fn class_gates(&self) -> (usize, usize) {
+        self.tables.classes.gate_counts()
     }
 
     /// Distinct classes of the programs prepared together — the streams
@@ -199,7 +261,7 @@ impl PreparedProgram {
         ctl: &RunControl,
         carry: &mut CarryState,
     ) -> Result<ExecOutcome, ExecError> {
-        execute_streaming_window(
+        streaming_window_outcome(
             &self.program,
             &self.tables,
             None,
@@ -233,7 +295,7 @@ impl PreparedProgram {
         ctl: &RunControl,
         carry: &mut CarryState,
     ) -> Result<ExecOutcome, ExecError> {
-        execute_streaming_window(
+        streaming_window_outcome(
             &self.program,
             &self.tables,
             Some(classes),
@@ -243,6 +305,50 @@ impl PreparedProgram {
             ctl,
             carry,
         )
+    }
+
+    /// [`PreparedProgram::execute_window_on`] for a caller that wants the
+    /// union of the outputs over the chunk and not each of them: every
+    /// output is ORed into `union` (a stream over the chunk's positions;
+    /// the window's peek position is dropped) where the window left it,
+    /// and nothing is copied out. `union` is touched only by a window
+    /// that passed all its checks.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PreparedProgram::execute_window`].
+    ///
+    /// # Panics
+    ///
+    /// As [`PreparedProgram::execute_window_on`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_window_into(
+        &self,
+        classes: &ClassStreams,
+        basis: &Basis,
+        config: &ExecConfig,
+        scratch: &mut ExecScratch,
+        ctl: &RunControl,
+        carry: &mut CarryState,
+        union: &mut BitStream,
+    ) -> Result<ExecMetrics, ExecError> {
+        let mut or_in = |value: Option<&BitStream>| {
+            if let Some(value) = value {
+                union.or_clipped(value);
+            }
+        };
+        execute_streaming_window(
+            &self.program,
+            &self.tables,
+            Some(classes),
+            basis,
+            config,
+            scratch,
+            ctl,
+            carry,
+            &mut or_in,
+        )
+        .map(|(metrics, _)| metrics)
     }
 }
 

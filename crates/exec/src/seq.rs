@@ -9,11 +9,14 @@ use crate::engine::ExecConfig;
 use crate::prepared::ClassTable;
 use bitgen_bitstream::{Basis, BitStream, CcCode};
 use bitgen_gpu::{CtaCounters, FaultKind, FaultPlan};
-use bitgen_ir::{ByteSet, CarryState, Observer, Op, Program, SlotPlan, Stmt, StreamEnv, StreamId};
+use bitgen_ir::{
+    ByteSet, CarryState, Observer, Op, Place, Program, SlotPlan, Stmt, StreamEnv, StreamId,
+};
 use bitgen_kernel::WORD_BITS;
 
-/// A streaming window's streams, in the slots of its program's stream
-/// plan (DESIGN.md §10, "Stream plan").
+/// A streaming window's streams where its program's stream plan puts
+/// them (DESIGN.md §10, "Stream plan"): in a slot buffer, or — a class
+/// alias — in the caller's class streams.
 pub(crate) struct Slots<'a> {
     pub(crate) plan: &'a SlotPlan,
     /// One buffer per slot (at least `plan.slot_count()`).
@@ -27,17 +30,38 @@ pub(crate) struct Slots<'a> {
     pub(crate) written: &'a mut [u64],
     pub(crate) table: &'a ClassTable,
     /// `table`'s classes evaluated over this window, shared with the
-    /// caller's other windows over the same chunk: read-only here.
+    /// caller's other windows over the same chunk and with every retry of
+    /// this one: never written here.
     pub(crate) classes: &'a [BitStream],
+    /// Class aliases whose value an inspecting observer changed: their
+    /// private copies, so that the shared stream stays what the circuit
+    /// computed. Empty unless a fault fired on a `MatchCc`.
+    pub(crate) private: &'a mut Vec<(StreamId, BitStream)>,
+    /// The link whose value the plan's link slot holds, if any: a link a
+    /// fused pass consumed was never stored, and reads as unwritten.
+    pub(crate) linked: Option<StreamId>,
 }
 
 pub(crate) fn is_written(written: &[u64], id: StreamId) -> bool {
     written.get(id.index() >> 6).is_some_and(|w| w >> (id.index() & 63) & 1 == 1)
 }
 
+impl Slots<'_> {
+    fn mark_written(&mut self, id: StreamId) {
+        self.written[id.index() >> 6] |= 1 << (id.index() & 63);
+    }
+}
+
 impl StreamEnv for Slots<'_> {
     fn get(&self, id: StreamId) -> Option<&BitStream> {
-        self.plan.slot(id).filter(|_| is_written(self.written, id)).map(|slot| &self.bufs[slot])
+        match self.plan.place(id).filter(|_| is_written(self.written, id))? {
+            Place::Slot(_) if self.plan.is_link(id) && self.linked != Some(id) => None,
+            Place::Slot(slot) => Some(&self.bufs[slot]),
+            Place::Class(class) => Some(
+                (self.private.iter().find(|(changed, _)| *changed == id))
+                    .map_or(&self.classes[class], |(_, copy)| copy),
+            ),
+        }
     }
 
     fn out(&mut self, _op: &Op) -> BitStream {
@@ -46,11 +70,9 @@ impl StreamEnv for Slots<'_> {
 
     fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize {
         match self.table.find(class) {
-            // A private copy: whatever happens to this value later, the
-            // shared class stream stays what the circuit computed.
-            Some((i, circuit)) => {
+            Some((i, gates)) => {
                 out.copy_from(&self.classes[i]);
-                circuit.gate_count()
+                gates
             }
             None => {
                 let circuit = CcCode::for_class(class);
@@ -61,26 +83,59 @@ impl StreamEnv for Slots<'_> {
         }
     }
 
-    /// `false` if the plan has no slot for `id` — it has one for every
+    /// `false` if the plan has no place for `id` — it has one for every
     /// destination of its program, so the store is reported lost rather
     /// than trusted.
     fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
-        let Some(slot) = self.plan.slot(id) else { return false };
-        *self.spare = std::mem::replace(&mut self.bufs[slot], value);
-        self.written[id.index() >> 6] |= 1 << (id.index() & 63);
+        match self.plan.place(id) {
+            None => return false,
+            Some(Place::Slot(slot)) => {
+                *self.spare = std::mem::replace(&mut self.bufs[slot], value);
+                if self.plan.is_link(id) {
+                    self.linked = Some(id);
+                }
+            }
+            // Only a machine that shows values to its observer computes a
+            // class alias: what comes back is the shared stream, unless
+            // the observer changed it.
+            Some(Place::Class(class)) => {
+                self.private.retain(|(changed, _)| *changed != id);
+                if value == self.classes[class] {
+                    *self.spare = value;
+                } else {
+                    self.private.push((id, value));
+                }
+            }
+        }
+        self.mark_written(id);
         true
     }
 
     fn discard(&mut self, value: BitStream) {
         *self.spare = value;
     }
+
+    fn alias_cc(&mut self, dst: StreamId) -> Option<usize> {
+        let Some(Place::Class(class)) = self.plan.place(dst) else { return None };
+        self.mark_written(dst);
+        Some(self.table.gates(class))
+    }
+
+    fn is_link(&self, id: StreamId) -> bool {
+        self.plan.is_link(id)
+    }
+
+    fn elide(&mut self, id: StreamId) {
+        self.mark_written(id);
+    }
 }
 
 /// Deterministic fault injection for streaming windows — the counterpart
 /// of the CTA emulator's `arm_fault`. The plan's `trigger` counts
 /// *executed ops* (loop trips re-count their bodies, so the firing point
-/// is deterministic for a given program and chunk) and each kind maps onto
-/// this path's failure surface:
+/// is deterministic for a given program and chunk; an armed window takes
+/// every op singly, so the count does not depend on what an unarmed one
+/// would have fused) and each kind maps onto this path's failure surface:
 ///
 /// - `SmemFlip`: flips one seed-selected bit of the op's computed value
 ///   (caught by cross-check, or masked if the bit is dead);
@@ -140,15 +195,15 @@ impl<'a> Accounting<'a> {
 }
 
 impl Observer for Accounting<'_> {
-    fn op(
-        &mut self,
-        op: &Op,
-        gates: usize,
-        value: &mut BitStream,
-        carry: Option<&mut CarryState>,
-    ) -> bool {
+    /// An armed fault counts and corrupts single steps.
+    fn inspects(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    fn op(&mut self, op: &Op, gates: usize) {
         // One loop per instruction; shifts load two adjacent blocks per
-        // block (Fig. 5).
+        // block (Fig. 5). The modelled machine materialises every value,
+        // whatever the host did to compute it.
         let (passes, words) = (self.passes, self.words);
         let (alu, loads) = match op {
             Op::MatchCc { .. } => (gates as u64 * passes, 8 * words),
@@ -168,6 +223,9 @@ impl Observer for Accounting<'_> {
         // One barrier between consecutive instruction loops (Fig. 5b).
         c.barriers += 1;
         self.issued += 1;
+    }
+
+    fn value(&mut self, _op: &Op, value: &mut BitStream, carry: Option<&mut CarryState>) -> bool {
         let Some(fault) = self.fault.as_mut().filter(|f| !f.fired) else { return true };
         fault.ops_seen += 1;
         if fault.ops_seen < fault.plan.trigger.max(1) {

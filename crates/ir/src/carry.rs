@@ -230,6 +230,30 @@ impl<'a> CarryWalk<'a> {
         self.state.add_through_into(self.slot - 1, a, b, out);
     }
 
+    /// `Advance(_, k)` through the next slot from inside a fused pass
+    /// (`k < 64`): the slot, and its incoming history as the word a
+    /// [`bitgen_bitstream::FusedStage`] starts from.
+    pub fn fused_in(&mut self, k: usize) -> (usize, u64) {
+        self.slot += 1;
+        let incoming = &self.state.slots[self.slot - 1].incoming;
+        debug_assert_eq!(incoming.len(), k, "carry slot width mismatch");
+        (self.slot - 1, incoming.as_words().first().copied().unwrap_or(0))
+    }
+
+    /// After the pass: accumulates `slot`'s outgoing history from the
+    /// `last` two words of the advance's `len`-bit input, which the pass
+    /// never stored — what [`CarryState::advance_through_into`] does with
+    /// the whole input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty.
+    pub fn fused_out(&mut self, slot: usize, last: [u64; 2], len: usize) {
+        let s = &mut self.state.slots[slot];
+        let consumed = len.checked_sub(1).expect("window must hold the peek position");
+        BitStream::or_history_tail_of(last, len, &s.incoming, consumed, &mut s.outgoing);
+    }
+
     /// Arrives at the next `if`/`while` statement: its body's span, and
     /// whether any incoming carry inside it is pending — a marker crossed
     /// the chunk boundary, so the body must run even when its guard is

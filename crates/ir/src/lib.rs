@@ -60,7 +60,7 @@ pub use lower::{
 pub use machine::{walk, ById, Observer, StreamEnv, Walked};
 pub use pretty::pretty;
 pub use program::{Op, Program, Stmt, StreamId};
-pub use slots::SlotPlan;
+pub use slots::{Place, SlotPlan};
 pub use stats::ProgramStats;
 pub use verify::{verify, VerifyError};
 // The class type of [`Op::MatchCc`], so IR consumers can name it.

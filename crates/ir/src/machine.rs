@@ -7,12 +7,21 @@
 //! instantiation with one buffer per stream id ([`ById`]) and the observer
 //! that does nothing (`()`); executors add their own environments and
 //! observers, never their own walk.
+//!
+//! The small-step semantics is one statement, one stream. An environment
+//! may name streams it does not want stored — a class stream it already
+//! holds ([`StreamEnv::alias_cc`]), a value only the next statement reads
+//! ([`StreamEnv::is_link`]) — and the walk then refines those steps: the
+//! class is read in place, a chain of links and the statement ending it
+//! run as one pass over the words. The observer is told about the same
+//! ops in the same order either way, and one that wants to see values
+//! ([`Observer::inspects`]) gets every step taken singly.
 
 use crate::carry::{CarryState, CarryWalk};
 use crate::control::RunControl;
 use crate::interp::InterpError;
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_bitstream::{Basis, BitStream, CcCode, FusedStage};
 use bitgen_regex::ByteSet;
 
 /// Where a sequential machine keeps its streams.
@@ -34,25 +43,57 @@ pub trait StreamEnv {
     /// Takes back a buffer from [`StreamEnv::out`] whose value the
     /// observer dropped.
     fn discard(&mut self, _value: BitStream) {}
+
+    /// `dst = match(class)` without computing anything, for an
+    /// environment that already holds that class's stream over this
+    /// window where reads of `dst` will find it: `dst` counts as written
+    /// from here on. Returns the class circuit's gate count, `None` to
+    /// have the value computed and committed like any other.
+    fn alias_cc(&mut self, _dst: StreamId) -> Option<usize> {
+        None
+    }
+
+    /// Whether `id` is a link ([`crate::SlotPlan::is_link`]): its value
+    /// may stay inside the pass that also runs its one reader.
+    fn is_link(&self, _id: StreamId) -> bool {
+        false
+    }
+
+    /// Link `id` was computed and consumed inside one pass: it counts as
+    /// written, and nothing was stored.
+    fn elide(&mut self, _id: StreamId) {}
 }
 
 /// What a sequential machine reports while it runs. Every hook defaults
 /// to nothing.
 pub trait Observer {
-    /// `op` computed `value` (`gates` is its circuit's gate count for a
-    /// `MatchCc`, zero otherwise) and is about to store it; `carry` is the
-    /// window's carry state when streaming. `false` drops the store.
-    fn op(
+    /// Whether [`Observer::value`] wants to see every value. The machine
+    /// then takes every statement singly and materialises each value,
+    /// class streams and links included.
+    fn inspects(&self) -> bool {
+        false
+    }
+
+    /// `op` ran (`gates` is its circuit's gate count for a `MatchCc`, zero
+    /// otherwise). Told once per executed op, in program order, however
+    /// the machine got its value.
+    fn op(&mut self, _op: &Op, _gates: usize) {}
+
+    /// Only when [`Observer::inspects`]: `op` computed `value` and is
+    /// about to store it; `carry` is the window's carry state when
+    /// streaming. `false` drops the store.
+    fn value(
         &mut self,
         _op: &Op,
-        _gates: usize,
         _value: &mut BitStream,
         _carry: Option<&mut CarryState>,
     ) -> bool {
         true
     }
 
-    /// Whether the environment had a place for the value `op` let through.
+    /// Whether the value of the last op told was stored where its readers
+    /// look: the environment had a place for it, or it was an alias or a
+    /// link and needed none.
     fn stored(&mut self, _committed: bool) {}
 
     /// An `if`/`while` condition was reduced to a bit.
@@ -144,6 +185,26 @@ impl StreamEnv for ById {
     }
 }
 
+/// Whether `reader`, reading `op`'s value, can run in one pass with it:
+/// an `&` feeding a `>>`, or a `>>` feeding a `>>` or an `&`, every shift
+/// by less than a word — the shape of a literal, `((c & a) >> 1 & b) >> 1`.
+pub(crate) fn fuses(op: &Op, reader: &Op) -> bool {
+    let within_a_word = |amount: u32| (1..64).contains(&amount);
+    let value = op.dst();
+    match (op, reader) {
+        (Op::And { .. }, Op::Advance { src, amount, .. }) => {
+            *src == value && within_a_word(*amount)
+        }
+        (Op::Advance { amount: by, .. }, Op::Advance { src, amount, .. }) => {
+            *src == value && within_a_word(*by) && within_a_word(*amount)
+        }
+        (Op::Advance { amount: by, .. }, Op::And { a, b, .. }) => {
+            (*a == value) != (*b == value) && within_a_word(*by)
+        }
+        _ => false,
+    }
+}
+
 /// What a finished [`walk`] counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Walked {
@@ -158,9 +219,9 @@ pub struct Walked {
 /// Runs `stmts` over `basis` in `env`, reporting to `observer`.
 ///
 /// All streams span [`Program::stream_len`]`(basis.len())` positions.
-/// `ctl` is polled once per executed statement — each statement processes
-/// a whole stream, so the poll is amortised over kilobytes of work while
-/// cancellation still lands promptly. With `carry: Some(..)` this is one
+/// `ctl` is polled once per executed statement or fused chain of them —
+/// each processes a whole stream, so the poll is amortised over kilobytes
+/// of work while cancellation still lands promptly. With `carry: Some(..)` this is one
 /// streaming window: shifts and additions read and accumulate cross-chunk
 /// carries, and a body with a pending carry runs even when its condition
 /// is locally empty.
@@ -178,8 +239,9 @@ pub fn walk<E: StreamEnv, O: Observer>(
     carry: Option<CarryWalk<'_>>,
 ) -> Result<Walked, InterpError> {
     let len = Program::stream_len(basis.len());
+    let single = observer.inspects();
     let mut machine =
-        Machine { env, observer, basis, len, ctl, carry, loop_trips: 0, ops_executed: 0 };
+        Machine { env, observer, basis, len, ctl, carry, single, loop_trips: 0, ops_executed: 0 };
     machine.run(stmts)?;
     Ok(Walked {
         loop_trips: machine.loop_trips,
@@ -195,18 +257,33 @@ struct Machine<'a, E, O> {
     len: usize,
     ctl: &'a RunControl,
     carry: Option<CarryWalk<'a>>,
+    /// Every statement is its own step and every value is materialised.
+    single: bool,
     loop_trips: usize,
     ops_executed: usize,
 }
 
+/// Advances one fused pass carries at most; a longer chain of links is
+/// cut into several passes, the value between two of them stored.
+const MAX_STAGES: usize = 16;
+
 impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
     fn run(&mut self, stmts: &[Stmt]) -> Result<(), InterpError> {
-        for stmt in stmts {
+        let mut rest = stmts;
+        while let Some((stmt, after)) = rest.split_first() {
             if !self.ctl.is_unlimited() {
                 self.ctl.check()?;
             }
+            let chain = rest;
+            rest = after;
             match stmt {
-                Stmt::Op(op) => self.exec(op)?,
+                Stmt::Op(op) => match self.links(op, after) {
+                    0 => self.exec(op)?,
+                    links => {
+                        self.exec_fused(&chain[..=links])?;
+                        rest = &after[links..];
+                    }
+                },
                 Stmt::If { cond, body } => {
                     // A pending carry inside the body means a marker
                     // crossed the chunk boundary: the body must run even
@@ -255,14 +332,106 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
         Ok(())
     }
 
+    /// How many of the statements `after` `head` run in one pass with
+    /// it: as long as the value at hand is a link, the next statement is
+    /// its reader and joins.
+    fn links(&self, head: &Op, after: &[Stmt]) -> usize {
+        let mut links = 0;
+        let mut stages = usize::from(matches!(head, Op::Advance { .. }));
+        let mut op = head;
+        while !self.single && self.env.is_link(op.dst()) {
+            let Some(Stmt::Op(reader)) = after.get(links) else { break };
+            stages += usize::from(matches!(reader, Op::Advance { .. }));
+            if stages > MAX_STAGES || !fuses(op, reader) {
+                break;
+            }
+            links += 1;
+            op = reader;
+        }
+        links
+    }
+
     /// Reduces condition `cond` to a bit.
     fn any(&mut self, cond: StreamId) -> Result<bool, InterpError> {
         self.observer.reduction();
         Ok(self.env.get(cond).ok_or(InterpError::UnwrittenStream { id: cond })?.any())
     }
 
+    /// A chain of links and the statement that ends it as one pass: every
+    /// `&` and `>>` of the chain applied to a few words of the first
+    /// operand at a time, carries read and accumulated through the slots a
+    /// step-by-step walk would use, and only the last value stored.
+    fn exec_fused(&mut self, chain: &[Stmt]) -> Result<(), InterpError> {
+        let ops = || {
+            chain.iter().map(|stmt| match stmt {
+                Stmt::Op(op) => op,
+                _ => unreachable!("a link and its reader are instructions"),
+            })
+        };
+        let (head, last) = match (ops().next(), ops().next_back()) {
+            (Some(head), Some(last)) => (head, last),
+            _ => unreachable!("a chain is two statements or more"),
+        };
+        self.ops_executed += chain.len();
+        let mut out = self.env.out(last);
+        let env = &*self.env;
+        let get = |id: StreamId| env.get(id).ok_or(InterpError::UnwrittenStream { id });
+        // The head brings the first operand; every later `&` brings the
+        // operand that is not the link, which waits for the `>>` it feeds.
+        let (first, mut and) = match *head {
+            Op::And { a, b, .. } => (get(a)?, Some(get(b)?)),
+            Op::Advance { src, .. } => (get(src)?, None),
+            _ => unreachable!("links are `&` and `>>`"),
+        };
+        let mut stages = [FusedStage::IDLE; MAX_STAGES];
+        let mut slots = [0usize; MAX_STAGES];
+        let mut staged = 0;
+        let mut link = head.dst();
+        for (i, op) in ops().enumerate() {
+            match *op {
+                Op::And { a, b, .. } if i > 0 => and = Some(get(if a == link { b } else { a })?),
+                Op::And { .. } => {}
+                Op::Advance { amount, .. } => {
+                    let history = self.carry.as_mut().map_or(0, |walk| {
+                        let (slot, history) = walk.fused_in(amount as usize);
+                        slots[staged] = slot;
+                        history
+                    });
+                    stages[staged] = FusedStage::new(and.take(), amount, history);
+                    staged += 1;
+                }
+                _ => unreachable!("links are `&` and `>>`"),
+            }
+            link = op.dst();
+        }
+        first.fused_into(&mut stages[..staged], and, &mut out);
+        if let Some(walk) = &mut self.carry {
+            for (stage, &slot) in stages[..staged].iter().zip(&slots) {
+                walk.fused_out(slot, stage.last(), self.len);
+            }
+        }
+        // The observer hears every op in order; a link was stored where
+        // its one reader looked, inside the pass.
+        for op in ops().take(chain.len() - 1) {
+            self.observer.op(op, 0);
+            self.env.elide(op.dst());
+            self.observer.stored(true);
+        }
+        self.observer.op(last, 0);
+        let committed = self.env.commit(last.dst(), out);
+        self.observer.stored(committed);
+        Ok(())
+    }
+
     fn exec(&mut self, op: &Op) -> Result<(), InterpError> {
         self.ops_executed += 1;
+        if let (false, Op::MatchCc { dst, .. }) = (self.single, op) {
+            if let Some(gates) = self.env.alias_cc(*dst) {
+                self.observer.op(op, gates);
+                self.observer.stored(true);
+                return Ok(());
+            }
+        }
         // The value is computed into a buffer of the environment's and
         // stored only once the observer lets it through.
         let mut out = self.env.out(op);
@@ -288,8 +457,9 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
             Op::Zero { .. } => out.reset_zeros(self.len),
             Op::Ones { .. } => out.reset_ones(self.len),
         }
+        self.observer.op(op, gates);
         let carry = self.carry.as_mut().map(CarryWalk::state_mut);
-        if self.observer.op(op, gates, &mut out, carry) {
+        if !self.single || self.observer.value(op, &mut out, carry) {
             let committed = self.env.commit(op.dst(), out);
             self.observer.stored(committed);
         } else {

@@ -16,14 +16,43 @@
 //! Outputs stay live to the end of the program. Two streams share a slot
 //! only when one's range ends strictly before the other's begins, so an
 //! instruction's destination never shares with its own operands either.
+//!
+//! Two kinds of stream take no part in that allocation, because a window
+//! never stores them (DESIGN.md §10, "Stream plan"):
+//!
+//! - a **class alias**: the destination of a `MatchCc` that is the
+//!   stream's only definition, when the caller keeps that class's stream
+//!   for the whole window anyway ([`SlotPlan::with_classes`]) — reading
+//!   the destination reads the shared class stream;
+//! - a **link**: an `And` or `Advance` whose value is defined once and
+//!   read once, by the very next statement of the same block, the two
+//!   being a pair the machine fuses (`machine::fuses`: an `&` feeding a
+//!   `>>`, or a `>>` feeding a `>>` or an `&`, every shift by less than a
+//!   word). A sequential machine runs a chain of links and
+//!   the statement that ends it as one pass over the words; the links all
+//!   name one extra slot that only a machine taking every step singly
+//!   ever fills.
 
 use crate::interp::InterpError;
-use crate::program::{Program, Stmt, StreamId};
+use crate::machine::fuses;
+use crate::program::{Op, Program, Stmt, StreamId};
+use bitgen_regex::ByteSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Slot value of a stream the program never touches.
 const NO_SLOT: u32 = u32::MAX;
+/// Set in the slot value of a class alias; the rest is the class's index.
+const CLASS: u32 = 1 << 31;
+
+/// Where a window finds a stream ([`SlotPlan::place`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// In this slot buffer.
+    Slot(usize),
+    /// In the caller's stream of the class with this index.
+    Class(usize),
+}
 
 /// The slot of every stream of one program.
 ///
@@ -33,6 +62,8 @@ const NO_SLOT: u32 = u32::MAX;
 pub struct SlotPlan {
     slot_of: Box<[u32]>,
     slots: usize,
+    /// The slot every link names, `NO_SLOT` for a program without links.
+    link_slot: u32,
 }
 
 impl SlotPlan {
@@ -46,6 +77,18 @@ impl SlotPlan {
     /// use before definition, and what executing the program would trip
     /// over at that instruction.
     pub fn of(program: &Program) -> Result<SlotPlan, InterpError> {
+        SlotPlan::with_classes(program, &[])
+    }
+
+    /// [`SlotPlan::of`] for a machine that keeps one stream per class of
+    /// `classes` (sorted) for the whole window: a `MatchCc` of one of them
+    /// that is its destination's only definition becomes a
+    /// [`Place::Class`] and needs no slot.
+    ///
+    /// # Errors
+    ///
+    /// As [`SlotPlan::of`].
+    pub fn with_classes(program: &Program, classes: &[ByteSet]) -> Result<SlotPlan, InterpError> {
         let mut ranges = Ranges {
             first: vec![UNTOUCHED; program.num_streams() as usize],
             last: vec![0; program.num_streams() as usize],
@@ -59,19 +102,36 @@ impl SlotPlan {
                 ranges.last[out.index()] = end;
             }
         }
-        Ok(ranges.assign())
+        let streams = ranges.first.len();
+        Ok(ranges.assign(&unstored(program, streams, classes)))
     }
 
-    /// The slot holding `id`, `None` for a stream the program never
-    /// writes.
-    pub fn slot(&self, id: StreamId) -> Option<usize> {
+    /// Where `id` lives, `None` for a stream the program never writes.
+    pub fn place(&self, id: StreamId) -> Option<Place> {
         match self.slot_of.get(id.index()) {
             None | Some(&NO_SLOT) => None,
-            Some(&slot) => Some(slot as usize),
+            Some(&class) if class & CLASS != 0 => Some(Place::Class((class & !CLASS) as usize)),
+            Some(&slot) => Some(Place::Slot(slot as usize)),
         }
     }
 
-    /// Slots the program needs: the most streams live at once.
+    /// The slot holding `id`, `None` for a stream the program never
+    /// writes and for a class alias.
+    pub fn slot(&self, id: StreamId) -> Option<usize> {
+        match self.place(id) {
+            Some(Place::Slot(slot)) => Some(slot),
+            Some(Place::Class(_)) | None => None,
+        }
+    }
+
+    /// Whether `id` is a link: read by the next statement alone, which a
+    /// machine may run in one pass with the statement defining it.
+    pub fn is_link(&self, id: StreamId) -> bool {
+        self.link_slot != NO_SLOT && self.slot_of.get(id.index()) == Some(&self.link_slot)
+    }
+
+    /// Slots the program needs: the most stored streams live at once, and
+    /// one more if it has links.
     pub fn slot_count(&self) -> usize {
         self.slots
     }
@@ -152,11 +212,12 @@ impl Ranges {
 
     /// Linear scan over the ranges in order of their first position,
     /// handing each the lowest slot whose previous range has ended.
-    fn assign(self) -> SlotPlan {
-        let mut order: Vec<usize> =
-            (0..self.first.len()).filter(|&id| self.first[id] != UNTOUCHED).collect();
-        order.sort_unstable_by_key(|&id| (self.first[id], id));
+    fn assign(self, unstored: &[u32]) -> SlotPlan {
         let mut slot_of = vec![NO_SLOT; self.first.len()].into_boxed_slice();
+        let mut order: Vec<usize> = (0..self.first.len())
+            .filter(|&id| self.first[id] != UNTOUCHED && unstored[id] == NO_SLOT)
+            .collect();
+        order.sort_unstable_by_key(|&id| (self.first[id], id));
         let mut active: BinaryHeap<Reverse<(usize, u32)>> = BinaryHeap::new();
         let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
         let mut slots = 0u32;
@@ -178,7 +239,76 @@ impl Ranges {
             slot_of[id] = slot;
             active.push(Reverse((self.last[id], slot)));
         }
-        SlotPlan { slot_of, slots: slots as usize }
+        let link_slot = if unstored.contains(&LINK) { slots } else { NO_SLOT };
+        for (slot, &kind) in slot_of.iter_mut().zip(unstored) {
+            match kind {
+                NO_SLOT => {}
+                LINK => *slot = link_slot,
+                class => *slot = class,
+            }
+        }
+        let slots = slots as usize + usize::from(link_slot != NO_SLOT);
+        SlotPlan { slot_of, slots, link_slot }
+    }
+}
+
+/// [`unstored`] value of a link.
+const LINK: u32 = CLASS - 1;
+
+/// The streams a window does not store: per stream `NO_SLOT` (stored),
+/// `LINK`, or the slot value of a class alias.
+fn unstored(program: &Program, streams: usize, classes: &[ByteSet]) -> Vec<u32> {
+    // Definitions and reads of every stream, anywhere in the program;
+    // being an output or a condition is a read.
+    let (mut defs, mut reads) = (vec![0u32; streams], vec![0u32; streams]);
+    for &out in program.outputs() {
+        if let Some(count) = reads.get_mut(out.index()) {
+            *count += 1;
+        }
+    }
+    count(program.stmts(), &mut defs, &mut reads);
+    let mut kinds = vec![NO_SLOT; streams];
+    mark(program.stmts(), &defs, &reads, classes, &mut kinds);
+    kinds
+}
+
+fn mark(stmts: &[Stmt], defs: &[u32], reads: &[u32], classes: &[ByteSet], kinds: &mut [u32]) {
+    for (i, stmt) in stmts.iter().enumerate() {
+        match stmt {
+            Stmt::Op(Op::MatchCc { dst, class }) if defs[dst.index()] == 1 => {
+                if let Ok(index) = classes.binary_search(class) {
+                    kinds[dst.index()] = CLASS | index as u32;
+                }
+            }
+            Stmt::Op(op) => {
+                let dst = op.dst().index();
+                if let (1, 1, Some(Stmt::Op(reader))) = (defs[dst], reads[dst], stmts.get(i + 1)) {
+                    if fuses(op, reader) {
+                        kinds[dst] = LINK;
+                    }
+                }
+            }
+            Stmt::If { body, .. } | Stmt::While { body, .. } => {
+                mark(body, defs, reads, classes, kinds)
+            }
+        }
+    }
+}
+
+fn count(stmts: &[Stmt], defs: &mut [u32], reads: &mut [u32]) {
+    for stmt in stmts {
+        match stmt {
+            Stmt::Op(op) => {
+                defs[op.dst().index()] += 1;
+                for src in op.sources() {
+                    reads[src.index()] += 1;
+                }
+            }
+            Stmt::If { cond, body } | Stmt::While { cond, body } => {
+                reads[cond.index()] += 1;
+                count(body, defs, reads);
+            }
+        }
     }
 }
 
@@ -417,6 +547,84 @@ mod tests {
             vec![s(2)],
         );
         assert_ne!(plan.slot(s(0)), plan.slot(s(1)));
+    }
+
+    #[test]
+    fn links_are_values_only_the_next_statement_reads() {
+        let class = ByteSet::singleton(b'a');
+        let (_, plan) = plan(
+            vec![
+                op(Op::MatchCc { dst: s(0), class }),
+                op(Op::Ones { dst: s(1) }),
+                // A literal's chain: every value but the last is a link.
+                op(Op::And { dst: s(2), a: s(1), b: s(0) }),
+                op(Op::Advance { dst: s(3), src: s(2), amount: 1 }),
+                op(Op::And { dst: s(4), a: s(0), b: s(3) }),
+                op(Op::Advance { dst: s(5), src: s(4), amount: 63 }),
+                op(Op::Advance { dst: s(6), src: s(5), amount: 2 }),
+                // s6 is read twice, s7 by an `&` after an `&`, s8 by a
+                // shift of a whole word, s9 by an `|`.
+                op(Op::And { dst: s(7), a: s(6), b: s(6) }),
+                op(Op::And { dst: s(8), a: s(7), b: s(0) }),
+                op(Op::Advance { dst: s(9), src: s(8), amount: 64 }),
+                op(Op::Or { dst: s(10), a: s(9), b: s(0) }),
+                // s11 is read by a condition, s12 is an output, s13 is
+                // read one statement late.
+                op(Op::Advance { dst: s(11), src: s(10), amount: 1 }),
+                Stmt::If {
+                    cond: s(11),
+                    body: vec![
+                        op(Op::And { dst: s(12), a: s(0), b: s(1) }),
+                        op(Op::Advance { dst: s(13), src: s(12), amount: 1 }),
+                        op(Op::Zero { dst: s(14) }),
+                        op(Op::And { dst: s(15), a: s(13), b: s(0) }),
+                        // The last statement of a body has no next one.
+                        op(Op::Advance { dst: s(16), src: s(15), amount: 1 }),
+                    ],
+                },
+                // s17 is written twice.
+                op(Op::And { dst: s(17), a: s(0), b: s(1) }),
+                op(Op::Advance { dst: s(17), src: s(17), amount: 1 }),
+            ],
+            18,
+            vec![s(12), s(17)],
+        );
+        let links: Vec<u32> = (0..18).filter(|&i| plan.is_link(s(i))).collect();
+        assert_eq!(links, vec![2, 3, 4, 5, 15]);
+        // They all name one slot, which nothing else is given.
+        let link_slot = plan.slot(s(2));
+        for i in 0..18 {
+            assert_eq!(plan.slot(s(i)) == link_slot, plan.is_link(s(i)), "s{i}");
+        }
+    }
+
+    #[test]
+    fn class_aliases_are_matches_of_a_kept_class_defined_once() {
+        let (digit, word) = (ByteSet::digit(), ByteSet::word());
+        let program = Program::new(
+            vec![
+                op(Op::MatchCc { dst: s(0), class: digit }),
+                op(Op::MatchCc { dst: s(1), class: digit }),
+                op(Op::MatchCc { dst: s(2), class: word }),
+                // s3 is written again: it needs a buffer of its own.
+                op(Op::MatchCc { dst: s(3), class: digit }),
+                op(Op::And { dst: s(3), a: s(3), b: s(2) }),
+                op(Op::Or { dst: s(4), a: s(0), b: s(1) }),
+            ],
+            5,
+            vec![s(3), s(4), s(1)],
+        );
+        let plan = SlotPlan::with_classes(&program, &[digit]).unwrap();
+        // Two matches of one class read one stream, output or not.
+        assert_eq!(plan.place(s(0)), Some(Place::Class(0)));
+        assert_eq!(plan.place(s(1)), Some(Place::Class(0)));
+        assert_eq!((plan.slot(s(0)), plan.is_link(s(0))), (None, false));
+        // `word` is not kept, s3 is not defined once.
+        assert!(matches!(plan.place(s(2)), Some(Place::Slot(_))));
+        assert!(matches!(plan.place(s(3)), Some(Place::Slot(_))));
+        // s4 is born where s2 dies: two buffers hold s2, s3 and s4.
+        assert_eq!(plan.slot_count(), 2);
+        assert_eq!(SlotPlan::of(&program).unwrap().place(s(0)), Some(Place::Slot(0)));
     }
 
     #[test]

@@ -456,7 +456,7 @@ fn respond(
                 Err(e) => error_reply(&e, draining),
             }
         }
-        Request::Push { id, offset, chunk } => match service.push_chunk_at(id, offset, &chunk) {
+        Request::Push { id, offset, chunk } => match service.push_owned(id, offset, chunk) {
             Ok(ends) => {
                 let mut reply = format!("OK {}", ends.len());
                 for end in ends {
@@ -821,7 +821,8 @@ impl Client {
         let offset = self.offsets.get(&id).copied();
         let offset_token =
             offset.map_or_else(|| "-".to_string(), |o| o.to_string());
-        let request = format!("PUSH {id} {offset_token} {}", wire::hex_encode(chunk));
+        let mut request = format!("PUSH {id} {offset_token} ");
+        wire::hex_encode_into(chunk, &mut request);
         let parse = |payload: &str| {
             let mut parts = payload.split_whitespace();
             let count = parts.next()?.parse::<u64>().ok()?;

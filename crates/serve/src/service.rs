@@ -744,12 +744,24 @@ impl ScanService {
         offset: Option<u64>,
         chunk: &[u8],
     ) -> Result<Vec<u64>, ServeError> {
+        self.push_owned(id, offset, chunk.to_vec())
+    }
+
+    /// [`ScanService::push_chunk_at`] for a caller that is done with the
+    /// bytes — the daemon, which decoded them off the wire for this push:
+    /// the chunk moves into the queued job.
+    pub(crate) fn push_owned(
+        &self,
+        id: StreamId,
+        offset: Option<u64>,
+        chunk: Vec<u8>,
+    ) -> Result<Vec<u64>, ServeError> {
         let slot = self.slot(id)?;
         let tenant = slot.tenant.clone();
         self.refuse_if_draining(Some(&tenant))?;
         let budget = self.inner.budget_for(&tenant);
         let (reply, result) = mpsc::sync_channel(1);
-        let job = Job { slot, offset, chunk: chunk.to_vec(), accepted: Instant::now(), reply };
+        let job = Job { slot, offset, chunk, accepted: Instant::now(), reply };
         // Count the job in flight *before* re-checking the drain flag
         // so the drain barrier can never miss it (flag-then-counter
         // handshake with `drain`).

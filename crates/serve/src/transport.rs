@@ -185,7 +185,12 @@ impl<R: Read> LineReader<R> {
         if line.len() > self.max_line {
             return Err(Error::FrameTooLarge { limit: self.max_line, length: line.len() });
         }
-        Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()))
+        // A well-formed frame is UTF-8 already and becomes the line as it
+        // is; anything else is repaired into something that parses to a
+        // typed refusal.
+        let line = String::from_utf8(line)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        Ok(Frame::Line(line))
     }
 
     /// Reads until a complete line, EOF, the read deadline, or the

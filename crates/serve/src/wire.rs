@@ -38,16 +38,36 @@
 
 /// Lowercase hex encoding; the empty payload is `-`.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    if bytes.is_empty() {
-        return "-".to_string();
-    }
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for byte in bytes {
-        const DIGITS: &[u8; 16] = b"0123456789abcdef";
-        out.push(DIGITS[usize::from(byte >> 4)] as char);
-        out.push(DIGITS[usize::from(byte & 0xf)] as char);
-    }
+    let mut out = String::new();
+    hex_encode_into(bytes, &mut out);
     out
+}
+
+/// Both digits of each byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0u8; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = [b"0123456789abcdef"[byte >> 4], b"0123456789abcdef"[byte & 0xf]];
+        byte += 1;
+    }
+    table
+};
+
+/// Appends [`hex_encode`]`(bytes)` to `out` — a request line is built in
+/// one buffer, operands encoded where they go.
+pub fn hex_encode_into(bytes: &[u8], out: &mut String) {
+    if bytes.is_empty() {
+        out.push('-');
+        return;
+    }
+    let mut line = std::mem::take(out).into_bytes();
+    let start = line.len();
+    line.resize(start + 2 * bytes.len(), 0);
+    for (pair, &byte) in line[start..].chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+    }
+    *out = String::from_utf8(line).expect("hex digits after valid UTF-8 are valid UTF-8");
 }
 
 /// Value of each byte as a hex digit (either case), `NOT_HEX` otherwise.
@@ -211,59 +231,81 @@ pub enum Request {
     Shutdown,
 }
 
+/// Splits the next whitespace-separated token off `rest`: the tokens of
+/// [`str::split_whitespace`], one at a time, so that a long last operand
+/// is never scanned for the tokens after it.
+fn next_token<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let text = rest.trim_start();
+    let (token, tail) = text.split_at(text.find(char::is_whitespace).unwrap_or(text.len()));
+    *rest = tail;
+    (!token.is_empty()).then_some(token)
+}
+
+/// The chunk of a `PUSH`: the first token of `rest` (`-` when there is
+/// none), tokens after it ignored.
+fn chunk_operand(rest: &str) -> Option<Vec<u8>> {
+    let text = rest.trim();
+    // A chunk is the last thing on its line unless the client appended
+    // something: decode what is there, and look for a token boundary only
+    // if that is not hex.
+    hex_decode(text).or_else(|| hex_decode(text.split_whitespace().next().unwrap_or("-")))
+}
+
 /// Parses one request line; `Err` carries the complaint for an `ERR
 /// PROTO` reply.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut tokens = line.split_whitespace();
-    let verb = tokens.next().ok_or_else(|| "empty request".to_string())?;
-    let rest: Vec<&str> = tokens.collect();
+    let mut rest = line;
+    let verb = next_token(&mut rest).ok_or_else(|| "empty request".to_string())?;
     let text_operand = |token: &str, what: &str| -> Result<String, String> {
         let bytes =
             hex_decode(token).ok_or_else(|| format!("{what} is not hex: {token:?}"))?;
         String::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))
     };
-    let id_operand = |token: Option<&&str>| -> Result<u64, String> {
+    let id_operand = |token: Option<&str>| -> Result<u64, String> {
         token
             .ok_or_else(|| "missing stream id".to_string())?
             .parse::<u64>()
-            .map_err(|_| format!("bad stream id: {:?}", token.copied().unwrap_or("")))
+            .map_err(|_| format!("bad stream id: {:?}", token.unwrap_or("")))
     };
-    let patterns_operand = |tokens: &[&str]| -> Result<Vec<String>, String> {
-        if tokens.is_empty() {
+    let patterns_operand = |tokens: &str| -> Result<Vec<String>, String> {
+        let patterns: Vec<String> = (tokens.split_whitespace())
+            .map(|t| text_operand(t, "pattern"))
+            .collect::<Result<_, _>>()?;
+        if patterns.is_empty() {
             return Err("at least one pattern is required".to_string());
         }
-        tokens.iter().map(|t| text_operand(t, "pattern")).collect()
+        Ok(patterns)
     };
     match verb {
         "OPEN" => {
             let tenant = text_operand(
-                rest.first().ok_or_else(|| "missing tenant".to_string())?,
+                next_token(&mut rest).ok_or_else(|| "missing tenant".to_string())?,
                 "tenant",
             )?;
-            let durable = rest.get(1) == Some(&"D");
-            let patterns = patterns_operand(&rest[if durable { 2 } else { 1 }..])?;
+            let mut after_flag = rest;
+            let durable = next_token(&mut after_flag) == Some("D");
+            let patterns = patterns_operand(if durable { after_flag } else { rest })?;
             Ok(Request::Open { tenant, durable, patterns })
         }
         "PUSH" => {
-            let id = id_operand(rest.first())?;
-            let offset = match rest.get(1) {
+            let id = id_operand(next_token(&mut rest))?;
+            let offset = match next_token(&mut rest) {
                 None => return Err("missing push offset".to_string()),
-                Some(&"-") => None,
+                Some("-") => None,
                 Some(tok) => Some(
                     tok.parse::<u64>().map_err(|_| format!("bad push offset: {tok:?}"))?,
                 ),
             };
-            let chunk = hex_decode(rest.get(2).copied().unwrap_or("-"))
-                .ok_or_else(|| "chunk is not hex".to_string())?;
+            let chunk = chunk_operand(rest).ok_or_else(|| "chunk is not hex".to_string())?;
             Ok(Request::Push { id, offset, chunk })
         }
         "SWAP" => {
-            let id = id_operand(rest.first())?;
-            Ok(Request::Swap { id, patterns: patterns_operand(&rest[1..])? })
+            let id = id_operand(next_token(&mut rest))?;
+            Ok(Request::Swap { id, patterns: patterns_operand(rest)? })
         }
-        "CANCEL" => Ok(Request::Cancel { id: id_operand(rest.first())? }),
-        "RESET" => Ok(Request::Reset { id: id_operand(rest.first())? }),
-        "CLOSE" => Ok(Request::Close { id: id_operand(rest.first())? }),
+        "CANCEL" => Ok(Request::Cancel { id: id_operand(next_token(&mut rest))? }),
+        "RESET" => Ok(Request::Reset { id: id_operand(next_token(&mut rest))? }),
+        "CLOSE" => Ok(Request::Close { id: id_operand(next_token(&mut rest))? }),
         "STATS" => Ok(Request::Stats),
         "PING" => Ok(Request::Ping),
         "DRAIN" => Ok(Request::Drain),

@@ -94,6 +94,47 @@ fn request_line(request: &Request) -> String {
     }
 }
 
+/// The request grammar over the tokens of the *whole* line
+/// (`split_whitespace`, every token collected first): what
+/// `wire::parse_request`, which peels operands off the front and never
+/// tokenises a chunk, must keep accepting.
+fn parse_by_tokens(line: &str) -> Option<Request> {
+    let tokens: Vec<&str> = line.split_whitespace().collect();
+    let (verb, rest) = tokens.split_first()?;
+    let text = |token: &&str| String::from_utf8(wire::hex_decode(token)?).ok();
+    let id = || rest.first()?.parse::<u64>().ok();
+    let patterns = |tokens: &[&str]| -> Option<Vec<String>> {
+        (!tokens.is_empty()).then(|| tokens.iter().map(text).collect())?
+    };
+    Some(match *verb {
+        "OPEN" => {
+            let durable = rest.get(1) == Some(&"D");
+            Request::Open {
+                tenant: text(rest.first()?)?,
+                durable,
+                patterns: patterns(&rest[if durable { 2 } else { 1 }..])?,
+            }
+        }
+        "PUSH" => Request::Push {
+            id: id()?,
+            offset: match *rest.get(1)? {
+                "-" => None,
+                at => Some(at.parse::<u64>().ok()?),
+            },
+            chunk: wire::hex_decode(rest.get(2).copied().unwrap_or("-"))?,
+        },
+        "SWAP" => Request::Swap { id: id()?, patterns: patterns(&rest[1..])? },
+        "CANCEL" => Request::Cancel { id: id()? },
+        "RESET" => Request::Reset { id: id()? },
+        "CLOSE" => Request::Close { id: id()? },
+        "STATS" => Request::Stats,
+        "PING" => Request::Ping,
+        "DRAIN" => Request::Drain,
+        "SHUTDOWN" => Request::Shutdown,
+        _ => return None,
+    })
+}
+
 fn arb_metrics() -> impl Strategy<Value = ServeMetrics> {
     let tenant = (arb_text(), any::<u32>(), any::<u32>()).prop_map(|(name, a, b)| {
         let (a, b) = (u64::from(a), u64::from(b));
@@ -192,6 +233,34 @@ proptest! {
         if let Ok(parsed) = wire::parse_request(&String::from_utf8_lossy(&bytes)) {
             prop_assert_eq!(wire::parse_request(&request_line(&parsed)), Ok(parsed));
         }
+    }
+
+    #[test]
+    fn peeled_operands_are_the_tokens_of_the_whole_line(
+        request in arb_request(),
+        splices in prop::collection::vec((0usize..4096, 0usize..12), 0..6),
+        steps in arb_mutations(),
+    ) {
+        // Separators of every kind `split_whitespace` knows (one- and
+        // multi-byte), doubled, leading, trailing, inside operands, and
+        // tokens after the last operand — then the usual damage.
+        const SPLICES: [&str; 12] = [
+            " ", "\t", "\r", "\u{b}", "\u{c}", "\u{85}", "\u{a0}", "\u{2003}", "  ", " - ", " D ",
+            " 6a zz",
+        ];
+        let mut line = request_line(&request);
+        for (at, what) in splices {
+            let mut at = at % (line.len() + 1);
+            while !line.is_char_boundary(at) {
+                at -= 1;
+            }
+            line.insert_str(at, SPLICES[what]);
+        }
+        prop_assert_eq!(wire::parse_request(&line).ok(), parse_by_tokens(&line), "{:?}", line);
+        let mut bytes = line.into_bytes();
+        mutate(&mut bytes, &steps);
+        let line = String::from_utf8_lossy(&bytes);
+        prop_assert_eq!(wire::parse_request(&line).ok(), parse_by_tokens(&line), "{:?}", line);
     }
 
     #[test]

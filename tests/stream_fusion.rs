@@ -1,0 +1,196 @@
+//! The served window against its specification.
+//!
+//! A streaming window refines the walker's small steps (DESIGN.md §10,
+//! "Stream plan"): class streams are read where the shared circuit left
+//! them, and a chain of single-reader `&`/`>>` links runs as one pass
+//! whose intermediate values are never stored. None of that may be
+//! visible: on every application's rule set, at chunk sizes on both sides
+//! of a word and of a word-group and at the served 64 KiB, over a carried
+//! multi-push stream, the window must leave the outputs, the carry state
+//! and every counted event of the walk that takes each statement singly —
+//! and the outputs and carry of the reference interpreter.
+//!
+//! The coverage gate at the end keeps a lowering change from silently
+//! un-fusing the served rule set.
+
+use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan};
+use bitgen_bitstream::{Basis, BitStream, ClassCircuit};
+use bitgen_exec::{ClassStreams, ExecScratch, PreparedProgram};
+use bitgen_ir::{try_interpret_chunk, CarryState, Op, RunControl};
+use bitgen_workloads::{generate, AppKind, WorkloadConfig};
+
+/// A fault that never fires: an armed window takes every statement
+/// singly, so this is the unfused walk through the public door.
+const SINGLE_STEPS: FaultPlan = FaultPlan { kind: FaultKind::SmemFlip, trigger: u32::MAX, seed: 0 };
+
+fn engine_for(kind: AppKind, rules: usize, input_len: usize) -> (BitGen, Vec<u8>) {
+    let workload = generate(
+        kind,
+        &WorkloadConfig { regexes: rules, input_len, seed: 0xb17, witness_density: 0.05 },
+    );
+    let patterns: Vec<&str> = workload.patterns.iter().map(String::as_str).collect();
+    let engine = BitGen::compile_with(&patterns, EngineConfig::default())
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+    (engine, workload.input)
+}
+
+/// Streams `pushes` chunks of `chunk` bytes through every group of
+/// `engine` three ways — fused, every statement singly, reference
+/// interpreter — each with its own carry.
+fn assert_fused_is_single_stepped(
+    kind: AppKind,
+    engine: &BitGen,
+    input: &[u8],
+    chunk: usize,
+    pushes: usize,
+) {
+    let ctl = RunControl::unlimited();
+    let fused_config = ExecConfig::default();
+    let single_config = ExecConfig { fault: Some(SINGLE_STEPS), ..ExecConfig::default() };
+    let programs = engine.stream_programs();
+    let fresh = |p: &PreparedProgram| CarryState::for_layout(p.carry_layout());
+    let mut fused: Vec<CarryState> = programs.iter().map(fresh).collect();
+    let mut single = fused.clone();
+    let mut reference = fused.clone();
+    let (mut scratch_a, mut scratch_b) = (ExecScratch::new(), ExecScratch::new());
+    let mut classes = ClassStreams::new();
+    for (push, piece) in input.chunks(chunk).take(pushes).enumerate() {
+        let basis = Basis::transpose(piece);
+        programs[0].evaluate_classes(&basis, &mut classes);
+        for (group, prepared) in programs.iter().enumerate() {
+            let what = format!("{} group {group} chunk {chunk} push {push}", kind.name());
+            let (carry_a, carry_b) = (&mut fused[group], &mut single[group]);
+            let a = prepared
+                .execute_window_on(&classes, &basis, &fused_config, &mut scratch_a, &ctl, carry_a)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let b = prepared
+                .execute_window_on(&classes, &basis, &single_config, &mut scratch_b, &ctl, carry_b)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let want = try_interpret_chunk(prepared.program(), &basis, &ctl, &mut reference[group])
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(!a.fault_fired && !b.fault_fired, "{what}");
+            assert_eq!(a.outputs, want.outputs, "{what}: fused outputs");
+            assert_eq!(b.outputs, want.outputs, "{what}: single-stepped outputs");
+            assert_eq!(a.metrics, b.metrics, "{what}: counted events");
+            // Mid-window: what the window accumulated, not yet rotated.
+            assert_eq!(fused[group], reference[group], "{what}: fused carry-out");
+            assert_eq!(single[group], reference[group], "{what}: single-stepped carry-out");
+            // The union door ORs the same outputs in place.
+            let mut union = BitStream::zeros(piece.len());
+            let mut again = fused[group].fork();
+            let metrics = prepared
+                .execute_window_into(
+                    &classes,
+                    &basis,
+                    &fused_config,
+                    &mut scratch_a,
+                    &ctl,
+                    &mut again,
+                    &mut union,
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(metrics, a.metrics, "{what}: union door metrics");
+            assert_eq!(again, fused[group], "{what}: union door carry");
+            let mut want_union = BitStream::zeros(piece.len());
+            want.outputs.iter().for_each(|out| want_union.or_clipped(out));
+            assert_eq!(union, want_union, "{what}: union door");
+            for carry in [&mut fused[group], &mut single[group], &mut reference[group]] {
+                carry.rotate();
+            }
+            assert_eq!(fused[group].seal(), reference[group].seal(), "{what}: seal");
+            assert_eq!(fused[group], single[group], "{what}: boundary");
+        }
+    }
+}
+
+#[test]
+fn fused_windows_are_the_single_stepped_walk_on_every_application() {
+    for kind in AppKind::ALL {
+        let (engine, input) = engine_for(kind, 8, 3 * 4096);
+        for chunk in [1usize, 63, 64, 65] {
+            assert_fused_is_single_stepped(kind, &engine, &input, chunk, 6);
+        }
+        assert_fused_is_single_stepped(kind, &engine, &input, 4096, 3);
+    }
+}
+
+#[test]
+fn fused_windows_are_the_single_stepped_walk_at_the_served_chunk_size() {
+    // Two carried 64 KiB pushes per application: the window the daemon
+    // serves, word-group seams and empty groups included.
+    for kind in AppKind::ALL {
+        let (engine, input) = engine_for(kind, 4, 2 * 65536);
+        assert_fused_is_single_stepped(kind, &engine, &input, 65536, 2);
+    }
+}
+
+#[test]
+fn shared_class_circuits_compute_their_classes_with_no_more_gates() {
+    let every_byte: Vec<u8> = (0..=255).collect();
+    let basis = Basis::transpose(&every_byte);
+    for kind in AppKind::ALL {
+        let (engine, _) = engine_for(kind, 16, 64);
+        let mut classes: Vec<_> = (engine.stream_programs().iter())
+            .flat_map(|p| p.program().classes())
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes.len(), engine.stream_programs()[0].class_count(), "{}", kind.name());
+        let circuit = ClassCircuit::for_classes(&classes);
+        let mut streams = vec![BitStream::zeros(257); classes.len()];
+        circuit.eval_into(&basis, &mut streams);
+        for (class, stream) in classes.iter().zip(&streams) {
+            for byte in 0..=255u8 {
+                assert_eq!(
+                    stream.get(usize::from(byte)),
+                    class.contains(byte),
+                    "{}: byte {byte:#04x} of {class:?}",
+                    kind.name()
+                );
+            }
+            assert!(!stream.get(256), "{}: peek bit of {class:?}", kind.name());
+        }
+        let (shared, one_by_one) = engine.stream_programs()[0].class_gates();
+        assert_eq!(shared, circuit.gate_count(), "{}", kind.name());
+        assert!(shared <= one_by_one, "{}: {shared} shared gates, {one_by_one} alone", kind.name());
+    }
+}
+
+#[test]
+fn the_served_rule_set_stays_fused() {
+    // The benchmark's deployment: 32 Snort rules, eight groups.
+    let (engine, input) = engine_for(AppKind::Snort, 32, 4096);
+    let programs = engine.stream_programs();
+    assert_eq!(programs.len(), 8);
+    let (mut fused, mut advances, mut matches) = (0, 0, 0);
+    for prepared in programs {
+        let (f, a) = prepared.fused_advances();
+        fused += f;
+        advances += a;
+        prepared
+            .program()
+            .for_each_op(&mut |op| matches += usize::from(matches!(op, Op::MatchCc { .. })));
+        assert_eq!(prepared.class_copies(), 0, "a window copies no class stream");
+        // 27–33 before class streams were read in place.
+        assert!(prepared.live_slots() < 27, "{} live slots", prepared.live_slots());
+    }
+    assert!(matches > 200 && advances > 500, "{matches} class matches, {advances} advances");
+    assert!(fused * 5 >= advances * 4, "{fused} of {advances} advances run inside a fused pass");
+    // And a window holds no more stream buffers than its plan's slots and
+    // the buffer the next value is computed into: nothing was copied out
+    // of the class streams, no link was stored.
+    let basis = Basis::transpose(&input);
+    let mut classes = ClassStreams::new();
+    programs[0].evaluate_classes(&basis, &mut classes);
+    for prepared in programs {
+        let mut scratch = ExecScratch::new();
+        let mut carry = CarryState::for_layout(prepared.carry_layout());
+        let (config, ctl) = (ExecConfig::default(), RunControl::unlimited());
+        prepared
+            .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, &mut carry)
+            .unwrap();
+        // The link slot stays empty in a window that fuses.
+        let buffers = scratch.pooled_streams();
+        assert!(buffers <= prepared.live_slots(), "{buffers} buffers");
+    }
+}
