@@ -11,11 +11,27 @@ cargo build --release
 # stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), the
 # served window against the single-stepped walk and the reference on
 # every application up to 64 KiB chunks, with its fused-coverage gate
-# (stream_fusion), the wire tokenisation differential (wire_fuzz), both
-# soaks and the cross-process drills on the built binaries (cli_drills:
-# rule swap, checkpoint resume, 8-client serve smoke, drain → adopt)
-# run here, once.
+# (stream_fusion), the wire tokenisation differential (wire_fuzz), the
+# `LineReader` framing fuzz (bitgen-serve's transport tests: arbitrary
+# bytes in arbitrary pieces with stalls, against splitting the whole
+# input), both soaks and the cross-process drills on the built binaries
+# (cli_drills: rule swap, checkpoint resume, 8-client serve smoke,
+# drain → adopt) run here, once.
 cargo test -q
+
+# Non-test `src` lines per crate, each file cut at its first
+# `#[cfg(test)]`: the figure CHANGES.md and ROADMAP.md report. The
+# streaming executor may not grow past where PR 25 left it, so ROADMAP
+# item 1(b) pays in crates/exec for what it adds.
+EXEC_BUDGET=1920
+for dir in crates/*/src; do
+  lines=$(find "$dir" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)
+  printf 'non-test src lines: %-10s %6d\n' "$(basename "$(dirname "$dir")")" "$lines"
+  if [ "$dir" = crates/exec/src ] && [ "$lines" -gt "$EXEC_BUDGET" ]; then
+    echo "ci: crates/exec/src has $lines non-test lines, budget $EXEC_BUDGET" >&2
+    exit 1
+  fi
+done
 
 # Benchmark smoke: the oracle-gated benchmark package (its own
 # workspace, built from benchmark/) against the current crates, 3 s

@@ -92,15 +92,16 @@ impl CcExpr {
         out
     }
 
-    /// Evaluates the circuit into `out`: flattens it to [`CcCode`] and
-    /// runs [`CcCode::eval_into`]. Callers that evaluate one circuit many
-    /// times should keep the [`CcCode`].
+    /// Evaluates the circuit into `out` as a single-root
+    /// [`ClassCircuit`]; positions at and past `basis.len()` end up zero.
+    /// Callers that evaluate one class many times should keep its
+    /// [`ClassCircuit`].
     ///
     /// # Panics
     ///
     /// Panics if `out` is shorter than `basis.len()` bits.
     pub fn eval_into(&self, basis: &Basis, out: &mut BitStream) {
-        CcCode::new(self).eval_into(basis, out);
+        ClassCircuit::of_expr(self).eval_into(basis, std::slice::from_mut(out));
     }
 
     /// Number of gates (AND/OR/NOT nodes) in the circuit.
@@ -200,6 +201,13 @@ impl ClassCircuit {
         let mut builder = Builder::default();
         let roots = sets.iter().map(|set| builder.class(set)).collect();
         builder.finish(roots)
+    }
+
+    /// The circuit of `expr` as it is written, with one root.
+    fn of_expr(expr: &CcExpr) -> ClassCircuit {
+        let mut builder = Builder::default();
+        let root = builder.expr(expr);
+        builder.finish(vec![root])
     }
 
     /// Classes the circuit computes: the streams
@@ -427,56 +435,6 @@ impl Builder {
         } else {
             any
         }
-    }
-}
-
-/// One class's circuit in the form it is evaluated in: the single-root
-/// case of [`ClassCircuit`], a fraction of the boxed tree.
-///
-/// # Examples
-///
-/// ```
-/// use bitgen_bitstream::{Basis, BitStream, CcCode};
-/// use bitgen_regex::ByteSet;
-///
-/// let code = CcCode::for_class(&ByteSet::range(b'a', b'z'));
-/// let basis = Basis::transpose(b"abz{");
-/// let mut s = BitStream::zeros(4);
-/// code.eval_into(&basis, &mut s);
-/// assert_eq!(s.positions(), vec![0, 1, 2]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CcCode {
-    circuit: ClassCircuit,
-    gates: usize,
-}
-
-impl CcCode {
-    /// Flattens `expr`.
-    pub fn new(expr: &CcExpr) -> CcCode {
-        let mut builder = Builder::default();
-        let root = builder.expr(expr);
-        CcCode { circuit: builder.finish(vec![root]), gates: expr.gate_count() }
-    }
-
-    /// The flattened circuit of a byte class ([`compile_class`]).
-    pub fn for_class(set: &ByteSet) -> CcCode {
-        CcCode::new(&compile_class(set))
-    }
-
-    /// [`CcExpr::gate_count`] of the flattened circuit.
-    pub fn gate_count(&self) -> usize {
-        self.gates
-    }
-
-    /// [`ClassCircuit::eval_into`] for the one class: `out` is cleared
-    /// first, positions at and past `basis.len()` end up zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `basis.len()` bits.
-    pub fn eval_into(&self, basis: &Basis, out: &mut BitStream) {
-        self.circuit.eval_into(basis, std::slice::from_mut(out));
     }
 }
 
@@ -757,23 +715,28 @@ mod tests {
         ];
         for set in &sets {
             let tree = compile_class(set);
-            let code = CcCode::new(&tree);
-            assert_eq!(code.gate_count(), tree.gate_count());
+            let flat = ClassCircuit::of_expr(&tree);
+            // Hash-consing only ever merges gates.
+            assert!(flat.gate_count() <= tree.gate_count(), "{set:?}");
             // Everything but the every-other-byte set evaluates on the stack.
-            let fits = code.values() <= INLINE_VALUES;
-            assert_eq!(fits, set.ranges().len() < 100, "{set:?} needs {} values", code.values());
-            let mut out = BitStream::zeros(256);
-            code.eval_into(&basis, &mut out);
-            for b in 0..=255u8 {
-                assert_eq!(out.get(b as usize), tree.eval_byte(b), "byte {b:#04x} of {set:?}");
+            let fits = flat.values() <= INLINE_VALUES;
+            assert_eq!(fits, set.ranges().len() < 100, "{set:?} needs {} values", flat.values());
+            // The tree as written and the class as a shared circuit builds it.
+            for circuit in [flat, ClassCircuit::for_classes(std::slice::from_ref(set))] {
+                let mut out = [BitStream::zeros(256)];
+                circuit.eval_into(&basis, &mut out);
+                for b in 0..=255u8 {
+                    let want = tree.eval_byte(b);
+                    assert_eq!(out[0].get(b as usize), want, "byte {b:#04x} of {set:?}");
+                }
             }
         }
     }
 
-    impl CcCode {
+    impl ClassCircuit {
         /// Entries of the value file evaluation needs.
         fn values(&self) -> usize {
-            BASIS_COUNT + self.circuit.gates.len()
+            BASIS_COUNT + self.gates.len()
         }
     }
 
@@ -789,12 +752,11 @@ mod tests {
     #[test]
     fn deep_hand_built_circuits_spill_and_still_evaluate() {
         let (tree, _) = wide_or_tree();
-        let code = CcCode::new(&tree);
-        assert!(code.values() > INLINE_VALUES);
+        assert!(ClassCircuit::of_expr(&tree).values() > INLINE_VALUES);
         let input: Vec<u8> = (0..=255).collect();
         let basis = Basis::transpose(&input);
         let mut out = BitStream::zeros(256);
-        code.eval_into(&basis, &mut out);
+        tree.eval_into(&basis, &mut out);
         for b in 0..=255u8 {
             assert_eq!(out.get(b as usize), tree.eval_byte(b));
         }
@@ -809,7 +771,7 @@ mod tests {
         let negated = ByteSet::range(b'a', b'z').complement();
         assert!(matches!(compile_class(&negated), CcExpr::Not(_)));
         let (wide, wide_set) = wide_or_tree();
-        assert!(CcCode::new(&wide).values() > INLINE_VALUES);
+        assert!(ClassCircuit::of_expr(&wide).values() > INLINE_VALUES);
         let corpus: Vec<u8> =
             (0..4103u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         for (tree, set) in [
@@ -817,7 +779,7 @@ mod tests {
             (compile_class(&negated), negated),
             (wide, wide_set),
         ] {
-            let code = CcCode::new(&tree);
+            let circuit = ClassCircuit::of_expr(&tree);
             for len in [0usize, 1, 511, 512, 513, 1100, 4096 + 7] {
                 let input = &corpus[..len];
                 let basis = Basis::transpose(input);
@@ -825,9 +787,9 @@ mod tests {
                     std::array::from_fn(|k| basis.stream(k).as_words());
                 let nwords = len.div_ceil(64);
                 let mut grouped = [BitStream::zeros(nwords * 64)];
-                code.circuit.fill_groups::<LANES>(&words, &mut grouped, nwords);
+                circuit.fill_groups::<LANES>(&words, &mut grouped, nwords);
                 let mut scalar = [BitStream::zeros(nwords * 64)];
-                code.circuit.fill_groups::<1>(&words, &mut scalar, nwords);
+                circuit.fill_groups::<1>(&words, &mut scalar, nwords);
                 assert_eq!(grouped, scalar, "{set:?} over {len} bytes");
                 for (i, &b) in input.iter().enumerate() {
                     let got = grouped[0].get(i);

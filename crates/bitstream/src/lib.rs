@@ -31,7 +31,7 @@ mod stream;
 mod transpose;
 mod wide;
 
-pub use ccc::{compile_class, CcCode, CcExpr, ClassCircuit};
+pub use ccc::{compile_class, CcExpr, ClassCircuit};
 pub use stream::BitStream;
 pub use wide::FusedStage;
 pub use transpose::{Basis, BASIS_COUNT};

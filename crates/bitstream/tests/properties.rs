@@ -1,7 +1,7 @@
 //! Property tests: `BitStream` operations against a `Vec<bool>` model,
 //! transposition round trips, and class circuits against their sets.
 
-use bitgen_bitstream::{Basis, BitStream, CcCode, ClassCircuit};
+use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit};
 use bitgen_regex::ByteSet;
 use proptest::prelude::*;
 
@@ -179,10 +179,10 @@ proptest! {
                     prop_assert_eq!(got, class.contains(byte), "{:?}", class);
                 }
                 prop_assert!(!stream.get(256), "peek bit of {:?}", class);
-                let code = CcCode::for_class(class);
-                code.eval_into(&basis, &mut alone);
+                ClassCircuit::for_classes(std::slice::from_ref(class))
+                    .eval_into(&basis, std::slice::from_mut(&mut alone));
                 prop_assert_eq!(&alone, stream, "{:?} compiled alone", class);
-                gates_alone += code.gate_count();
+                gates_alone += compile_class(class).gate_count();
             }
             let shared = circuit.gate_count();
             prop_assert!(shared <= gates_alone, "{} shared, {} alone", shared, gates_alone);

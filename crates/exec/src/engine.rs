@@ -228,8 +228,6 @@ pub struct ExecScratch {
     /// Streaming windows: private copies of class streams a fault drill
     /// corrupted (see [`Slots`]).
     private: Vec<(StreamId, BitStream)>,
-    /// Class streams of windows whose caller did not evaluate them.
-    classes: ClassStreams,
 }
 
 impl ExecScratch {
@@ -240,7 +238,7 @@ impl ExecScratch {
 
     /// Every stream buffer the scratch holds on to between calls.
     fn buffers(&self) -> impl Iterator<Item = &BitStream> {
-        self.pool.iter().chain(&self.slots).chain([&self.spare]).chain(self.classes.streams())
+        self.pool.iter().chain(&self.slots).chain([&self.spare])
     }
 
     /// Total words of capacity currently held by recycled buffers.
@@ -370,11 +368,11 @@ pub fn apply_transforms(program: &mut Program, config: &ExecConfig) -> PassMetri
 /// fused windowed execution assumes whole-stream inputs and is skipped.
 /// Streaming callers must pass *untransformed* programs (shift
 /// rebalancing introduces non-causal retreats that cannot stream).
-/// This is the one-shot door, never interrupted: the program's class
-/// circuits and carry layout (without a carry, its [`BatchPlan`]) are
-/// derived for this call only. Callers that stream many windows of one
-/// program keep a [`crate::PreparedProgram`], callers that scan many
-/// inputs the plan; both take a [`RunControl`].
+/// This is the one-shot door, never interrupted: the program's stream
+/// tables and class streams (without a carry, its [`BatchPlan`]) are
+/// derived for this call only, and the outputs are copied out. Callers
+/// that stream many windows keep a [`crate::PreparedProgram`], callers
+/// that scan many inputs the plan; both take a [`RunControl`].
 ///
 /// # Errors
 ///
@@ -387,11 +385,20 @@ pub fn execute_prepared_with(
     carry: Option<&mut CarryState>,
 ) -> Result<ExecOutcome, ExecError> {
     let ctl = RunControl::unlimited();
-    if let Some(carry) = carry {
-        let tables = StreamTables::of(prog);
-        return streaming_window_outcome(prog, &tables, None, basis, config, scratch, &ctl, carry);
-    }
-    BatchPlan::new(prog.clone(), config).execute(basis, config, scratch, &ctl)
+    let Some(carry) = carry else {
+        return BatchPlan::new(prog.clone(), config).execute(basis, config, scratch, &ctl);
+    };
+    let (tables, mut classes) = (StreamTables::of(prog), ClassStreams::new());
+    tables.classes.evaluate(basis, &mut classes);
+    let stream_len = Program::stream_len(basis.len());
+    let mut outputs = Vec::with_capacity(prog.outputs().len());
+    let mut copy = |value: Option<&BitStream>| {
+        outputs.push(value.cloned().unwrap_or_else(|| BitStream::zeros(stream_len)));
+    };
+    let (metrics, fault_fired) = execute_streaming_window(
+        prog, &tables, &classes, basis, config, scratch, &ctl, carry, &mut copy,
+    )?;
+    Ok(ExecOutcome { outputs, metrics, fault_fired })
 }
 
 impl BatchPlan {
@@ -491,12 +498,10 @@ impl BatchPlan {
 
 /// One streaming window of `prog` over a chunk basis: the whole program
 /// runs sequentially (instruction at a time) with cross-chunk carries —
-/// the body behind [`crate::PreparedProgram::execute_window`],
-/// [`crate::PreparedProgram::execute_window_on`],
-/// [`crate::PreparedProgram::execute_window_into`] and the
-/// carry-parameterised branch of [`execute_prepared_with`]. `tables` must
-/// have been built from `prog`; `classes`, when given, are `tables`' class
-/// table evaluated over `basis`, otherwise they are evaluated here.
+/// the body behind [`crate::PreparedProgram::execute_window_into`] and
+/// the carry-parameterised branch of [`execute_prepared_with`]. `tables`
+/// must have been built from `prog`, and `classes` are `tables`' class
+/// table evaluated over `basis`.
 ///
 /// Every value a later statement reads from memory lives where the plan
 /// puts it — a slot buffer in `scratch`, or the class streams, which the
@@ -523,7 +528,7 @@ impl BatchPlan {
 pub(crate) fn execute_streaming_window(
     prog: &Program,
     tables: &StreamTables,
-    classes: Option<&ClassStreams>,
+    classes: &ClassStreams,
     basis: &Basis,
     config: &ExecConfig,
     scratch: &mut ExecScratch,
@@ -534,13 +539,6 @@ pub(crate) fn execute_streaming_window(
     let plan = tables.plan.as_ref().map_err(|&e| ExecError::from(e))?;
     let stream_len = Program::stream_len(basis.len());
     let mut metrics = ExecMetrics { segments: 1, threads: config.threads, ..ExecMetrics::default() };
-    let classes = match classes {
-        Some(shared) => shared,
-        None => {
-            tables.classes.evaluate(basis, &mut scratch.classes);
-            &scratch.classes
-        }
-    };
     assert!(
         classes.streams().len() == tables.classes.len()
             && classes.streams().iter().all(|s| s.len() == stream_len),
@@ -603,30 +601,6 @@ pub(crate) fn execute_streaming_window(
     }
     let fault_fired = fault_state.as_ref().is_some_and(|f| f.fired);
     Ok((metrics, fault_fired))
-}
-
-/// [`execute_streaming_window`] with the outputs copied out of their
-/// places: what the doors that return an [`ExecOutcome`] run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn streaming_window_outcome(
-    prog: &Program,
-    tables: &StreamTables,
-    classes: Option<&ClassStreams>,
-    basis: &Basis,
-    config: &ExecConfig,
-    scratch: &mut ExecScratch,
-    ctl: &RunControl,
-    carry: &mut CarryState,
-) -> Result<ExecOutcome, ExecError> {
-    let stream_len = Program::stream_len(basis.len());
-    let mut outputs = Vec::with_capacity(prog.outputs().len());
-    let mut copy = |value: Option<&BitStream>| {
-        outputs.push(value.cloned().unwrap_or_else(|| BitStream::zeros(stream_len)));
-    };
-    let (metrics, fault_fired) = execute_streaming_window(
-        prog, tables, classes, basis, config, scratch, ctl, carry, &mut copy,
-    )?;
-    Ok(ExecOutcome { outputs, metrics, fault_fired })
 }
 
 /// Mutable state threaded through one execution: the run's metrics, its
@@ -1191,20 +1165,35 @@ mod tests {
             let basis = Basis::transpose(piece);
             prepared[0].evaluate_classes(&basis, &mut classes);
             for (p, carry) in prepared.iter().zip(&mut carries) {
-                // A fresh scratch evaluating its own classes is the
-                // reference: reuse never changes outputs or metrics.
+                // The one-shot door on a fresh scratch, deriving its own
+                // tables and classes, is the reference: reuse never
+                // changes outputs or metrics.
                 let mut fork = carry.clone();
-                let fresh = p
-                    .execute_window(&basis, &config, &mut ExecScratch::new(), &ctl, &mut fork)
+                let fresh = execute_prepared_with(
+                    p.program(),
+                    &basis,
+                    &config,
+                    &mut ExecScratch::new(),
+                    Some(&mut fork),
+                )
+                .unwrap();
+                let mut union = BitStream::zeros(piece.len());
+                let metrics = p
+                    .execute_window_into(
+                        &classes,
+                        &basis,
+                        &config,
+                        &mut scratch,
+                        &ctl,
+                        carry,
+                        &mut union,
+                    )
                     .unwrap();
-                let out = p
-                    .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, carry)
-                    .unwrap();
-                assert_eq!(out.outputs, fresh.outputs);
-                assert_eq!(out.metrics, fresh.metrics);
+                assert_eq!(union, fresh.union().resized(piece.len()));
+                assert_eq!(metrics, fresh.metrics);
                 assert_eq!(*carry, fork);
                 carry.rotate();
-                fresh_ends.extend(out.union().positions());
+                fresh_ends.extend(union.positions());
             }
             let held = (scratch.pooled_words(), classes.capacity_words());
             let words = Program::stream_len(piece.len()).div_ceil(64);
@@ -1246,19 +1235,30 @@ mod tests {
         let mut classes = ClassStreams::new();
         prepared.evaluate_classes(&basis, &mut classes);
         let pristine = classes.clone();
+        // Each value through the one-shot door, whose own class streams
+        // are shared by both matches; the engine's shared streams through
+        // the union door.
         let run = |fault| {
             let config = ExecConfig { fault, ..ExecConfig::default() };
             let mut carry = CarryState::for_layout(prepared.carry_layout());
+            let mut union = BitStream::zeros(8);
+            let ctl = RunControl::unlimited();
             prepared
-                .execute_window_on(
+                .execute_window_into(
                     &classes,
                     &basis,
                     &config,
                     &mut ExecScratch::new(),
-                    &RunControl::unlimited(),
-                    &mut carry,
+                    &ctl,
+                    &mut carry.clone(),
+                    &mut union,
                 )
-                .unwrap()
+                .unwrap();
+            let (prog, mut scratch) = (prepared.program(), ExecScratch::new());
+            let out = execute_prepared_with(prog, &basis, &config, &mut scratch, Some(&mut carry));
+            let out = out.unwrap();
+            assert_eq!(union, out.union().resized(8));
+            out
         };
         let clean = run(None);
         for kind in [FaultKind::SmemFlip, FaultKind::CorruptTrips] {
@@ -1339,9 +1339,27 @@ mod tests {
                 let plan = FaultPlan { kind, trigger, seed: 5 + u64::from(trigger) };
                 let config = ExecConfig { fault: Some(plan), ..ExecConfig::default() };
                 let mut carry = CarryState::for_layout(prepared.carry_layout());
-                let got = prepared
-                    .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, &mut carry);
+                let mut union = BitStream::zeros(basis.len());
+                let shared = prepared.execute_window_into(
+                    &classes,
+                    &basis,
+                    &config,
+                    &mut scratch,
+                    &ctl,
+                    &mut carry.clone(),
+                    &mut union,
+                );
                 assert_eq!(classes.streams(), pristine.streams(), "{kind:?} at {trigger}");
+                let got =
+                    execute_prepared_with(&prog, &basis, &config, &mut scratch, Some(&mut carry));
+                let what = format!("{kind:?} at {trigger}");
+                match (&shared, &got) {
+                    (Ok(metrics), Ok(got)) => {
+                        assert_eq!(*metrics, got.metrics, "{what}");
+                        assert_eq!(union, got.union().resized(basis.len()), "{what}");
+                    }
+                    _ => assert_eq!(shared.as_ref().err(), got.as_ref().err(), "{what}"),
+                }
 
                 let mut env = ById::default();
                 env.reset(prog.num_streams() as usize);
@@ -1492,6 +1510,7 @@ mod tests {
         let basis = Basis::transpose(b"abcbcd bbac xaby aaab cat abcd xy");
         let config = ExecConfig { cross_check: true, ..ExecConfig::default() };
         let ctl = RunControl::unlimited();
+        let zeros = BitStream::zeros(Program::stream_len(basis.len()));
         let mut caught = 0;
         for (i, prog) in programs.iter().enumerate() {
             let mut fork = CarryState::for_program(prog);
@@ -1499,12 +1518,23 @@ mod tests {
             for (j, other) in programs.iter().enumerate() {
                 let mut tables = StreamTables::of(prog);
                 tables.plan = SlotPlan::of(other);
+                let mut classes = ClassStreams::new();
+                tables.classes.evaluate(&basis, &mut classes);
                 let mut carry = CarryState::for_program(prog);
                 let mut scratch = ExecScratch::new();
-                match streaming_window_outcome(
-                    prog, &tables, None, &basis, &config, &mut scratch, &ctl, &mut carry,
+                let mut outputs = Vec::new();
+                match execute_streaming_window(
+                    prog,
+                    &tables,
+                    &classes,
+                    &basis,
+                    &config,
+                    &mut scratch,
+                    &ctl,
+                    &mut carry,
+                    &mut |value| outputs.push(value.unwrap_or(&zeros).clone()),
                 ) {
-                    Ok(out) => assert_eq!(out.outputs, want, "program {i} in the slots of {j}"),
+                    Ok(_) => assert_eq!(outputs, want, "program {i} in the slots of {j}"),
                     Err(
                         ExecError::CrossCheckMismatch { .. }
                         | ExecError::UnwrittenStream { .. }
@@ -1523,22 +1553,28 @@ mod tests {
     #[test]
     fn streaming_window_errors_propagate() {
         use bitgen_ir::CancelToken;
-        let prog = lower(&parse("a+b").unwrap());
+        let prepared = crate::PreparedProgram::new_all(vec![lower(&parse("a+b").unwrap())]);
         let basis = Basis::transpose(b"aaab");
-        let mut carry = CarryState::for_program(&prog);
+        let mut classes = ClassStreams::new();
+        prepared[0].evaluate_classes(&basis, &mut classes);
+        let mut carry = CarryState::for_layout(prepared[0].carry_layout());
         let token = CancelToken::new();
         token.cancel();
         let ctl = RunControl::unlimited().with_cancel(token);
-        let err = crate::PreparedProgram::new_all(vec![prog])[0]
-            .execute_window(
+        let mut union = BitStream::from_positions(4, &[1]);
+        let err = prepared[0]
+            .execute_window_into(
+                &classes,
                 &basis,
                 &ExecConfig::default(),
                 &mut ExecScratch::new(),
                 &ctl,
                 &mut carry,
+                &mut union,
             )
             .unwrap_err();
         assert_eq!(err, ExecError::Cancelled);
+        assert_eq!(union.positions(), vec![1], "a failed window leaves the union alone");
     }
 
     #[test]

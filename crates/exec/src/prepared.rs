@@ -4,10 +4,7 @@
 //! segments, overlap analyses and compiled kernels, its [`BatchPlan`]. Each
 //! owns its program (DESIGN.md §10).
 
-use crate::engine::{
-    apply_transforms, execute_streaming_window, streaming_window_outcome, ExecConfig, ExecError,
-    ExecOutcome, ExecScratch,
-};
+use crate::engine::{apply_transforms, execute_streaming_window, ExecConfig, ExecError, ExecScratch};
 use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, SegmentKind};
@@ -154,9 +151,9 @@ impl StreamTables {
 /// A stream program together with its input-independent tables — what an
 /// engine keeps resident so that a streaming window only executes.
 ///
-/// [`PreparedProgram::execute_window`] and the one-shot
+/// [`PreparedProgram::execute_window_into`] and the one-shot
 /// [`crate::execute_prepared_with`]`(.., Some(carry))` run the same body;
-/// the latter derives the tables for that one call.
+/// the latter derives the tables and class streams for that one call.
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Program,
@@ -243,84 +240,23 @@ impl PreparedProgram {
         self.tables.classes.evaluate(basis, out);
     }
 
-    /// Executes one streaming window over a chunk basis — see
-    /// [`crate::execute_prepared_with`] for the carry contract and
-    /// [`BatchPlan::execute`] for the errors. The class streams
-    /// are evaluated for this call; callers running several programs
-    /// over one chunk evaluate them once and use
-    /// [`PreparedProgram::execute_window_on`].
+    /// Executes one streaming window over a chunk basis, reading the
+    /// class streams the caller evaluated over the same `basis` with
+    /// [`PreparedProgram::evaluate_classes`] of this program (or of one
+    /// prepared together with it) — see [`crate::execute_prepared_with`]
+    /// for the carry contract. Every output is ORed into `union` (a
+    /// stream over the chunk's positions; the window's peek position is
+    /// dropped) where the window left it, and nothing is copied out.
+    /// `union` is touched only by a window that passed all its checks.
     ///
     /// # Errors
     ///
     /// Same as [`BatchPlan::execute`].
-    pub fn execute_window(
-        &self,
-        basis: &Basis,
-        config: &ExecConfig,
-        scratch: &mut ExecScratch,
-        ctl: &RunControl,
-        carry: &mut CarryState,
-    ) -> Result<ExecOutcome, ExecError> {
-        streaming_window_outcome(
-            &self.program,
-            &self.tables,
-            None,
-            basis,
-            config,
-            scratch,
-            ctl,
-            carry,
-        )
-    }
-
-    /// [`PreparedProgram::execute_window`] reading class streams the
-    /// caller evaluated over the same `basis` with
-    /// [`PreparedProgram::evaluate_classes`] of this program (or of one
-    /// prepared together with it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PreparedProgram::execute_window`].
     ///
     /// # Panics
     ///
     /// Panics if `classes` was not evaluated over `basis` by a program
     /// prepared together with this one.
-    pub fn execute_window_on(
-        &self,
-        classes: &ClassStreams,
-        basis: &Basis,
-        config: &ExecConfig,
-        scratch: &mut ExecScratch,
-        ctl: &RunControl,
-        carry: &mut CarryState,
-    ) -> Result<ExecOutcome, ExecError> {
-        streaming_window_outcome(
-            &self.program,
-            &self.tables,
-            Some(classes),
-            basis,
-            config,
-            scratch,
-            ctl,
-            carry,
-        )
-    }
-
-    /// [`PreparedProgram::execute_window_on`] for a caller that wants the
-    /// union of the outputs over the chunk and not each of them: every
-    /// output is ORed into `union` (a stream over the chunk's positions;
-    /// the window's peek position is dropped) where the window left it,
-    /// and nothing is copied out. `union` is touched only by a window
-    /// that passed all its checks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PreparedProgram::execute_window`].
-    ///
-    /// # Panics
-    ///
-    /// As [`PreparedProgram::execute_window_on`].
     #[allow(clippy::too_many_arguments)]
     pub fn execute_window_into(
         &self,
@@ -340,7 +276,7 @@ impl PreparedProgram {
         execute_streaming_window(
             &self.program,
             &self.tables,
-            Some(classes),
+            classes,
             basis,
             config,
             scratch,
@@ -407,7 +343,7 @@ impl BatchPlan {
     /// [`BatchPlan::passes`] is the default record.
     pub fn new(program: Program, config: &ExecConfig) -> BatchPlan {
         let key = BatchPlan::key_of(config);
-        let options = CodegenOptions { merge_size: key.1, ..CodegenOptions::default() };
+        let options = CodegenOptions { merge_size: key.1 };
         let segments = segment_program(&program, key.0);
         let intermediates = intermediate_count(&segments, &program);
         // Segments are consecutive runs of whole top-level statements.

@@ -7,11 +7,9 @@
 
 use crate::engine::ExecConfig;
 use crate::prepared::ClassTable;
-use bitgen_bitstream::{Basis, BitStream, CcCode};
+use bitgen_bitstream::{Basis, BitStream};
 use bitgen_gpu::{CtaCounters, FaultKind, FaultPlan};
-use bitgen_ir::{
-    ByteSet, CarryState, Observer, Op, Place, Program, SlotPlan, Stmt, StreamEnv, StreamId,
-};
+use bitgen_ir::{ByteSet, CarryState, Observer, Op, Place, SlotPlan, Stmt, StreamEnv, StreamId};
 use bitgen_kernel::WORD_BITS;
 
 /// A streaming window's streams where its program's stream plan puts
@@ -68,19 +66,11 @@ impl StreamEnv for Slots<'_> {
         std::mem::take(self.spare)
     }
 
-    fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize {
-        match self.table.find(class) {
-            Some((i, gates)) => {
-                out.copy_from(&self.classes[i]);
-                gates
-            }
-            None => {
-                let circuit = CcCode::for_class(class);
-                out.reset_zeros(Program::stream_len(basis.len()));
-                circuit.eval_into(basis, out);
-                circuit.gate_count()
-            }
-        }
+    /// Every class of the program is in the table it was prepared with.
+    fn match_cc(&mut self, class: &ByteSet, _basis: &Basis, out: &mut BitStream) -> usize {
+        let (i, gates) = self.table.find(class).expect("a class of the window's program");
+        out.copy_from(&self.classes[i]);
+        gates
     }
 
     /// `false` if the plan has no place for `id` — it has one for every

@@ -619,7 +619,7 @@ mod tests {
         let mut prog = lower(&parse("ab{2,4}c(de)*f").unwrap());
         rebalance(&mut prog);
         insert_zero_skips(&mut prog, ZbsConfig::default());
-        let compiled = compile(&prog, &[], &[], &CodegenOptions { merge_size: 4, ..CodegenOptions::default() });
+        let compiled = compile(&prog, &[], &[], &CodegenOptions { merge_size: 4 });
         let basis = basis_for(b"abbcdedef abbbbcf");
         let mut cta = Cta::new(&compiled.kernel, 8);
         let mut c = CtaCounters::new(compiled.kernel.num_sites as usize);

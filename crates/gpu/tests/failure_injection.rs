@@ -65,7 +65,7 @@ fn intact_kernels_are_race_free() {
         let prog = lower(&parse(pat).unwrap());
         for merge in [1, 4] {
             let compiled =
-                compile(&prog, &[], &[], &CodegenOptions { merge_size: merge, ..Default::default() });
+                compile(&prog, &[], &[], &CodegenOptions { merge_size: merge });
             run(&compiled.kernel, b"abcdef abcd abbc xqy zz", 4)
                 .unwrap_or_else(|e| panic!("{pat:?} merge {merge}: {e}"));
         }
@@ -77,7 +77,7 @@ fn every_single_barrier_omission_is_caught() {
     // A shift-heavy kernel: removing *any* barrier must produce a race on
     // an input that exercises every shift group.
     let prog = lower(&parse("abcdef").unwrap());
-    let compiled = compile(&prog, &[], &[], &CodegenOptions { merge_size: 2, ..Default::default() });
+    let compiled = compile(&prog, &[], &[], &CodegenOptions { merge_size: 2 });
     let total = compiled.kernel.barrier_count();
     assert!(total >= 4, "expected several barriers, got {total}");
     let mut caught = 0;

@@ -21,7 +21,7 @@ use crate::carry::{CarryState, CarryWalk};
 use crate::control::RunControl;
 use crate::interp::InterpError;
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::{Basis, BitStream, CcCode, FusedStage};
+use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit, FusedStage};
 use bitgen_regex::ByteSet;
 
 /// Where a sequential machine keeps its streams.
@@ -112,8 +112,9 @@ impl Observer for () {}
 #[derive(Debug, Clone, Default)]
 pub struct ById {
     vars: Vec<Option<BitStream>>,
-    /// Sorted by class.
-    circuits: Vec<(ByteSet, CcCode)>,
+    /// Sorted by class; each with the gate count of its tree
+    /// ([`compile_class`]), what a `MatchCc` charges.
+    circuits: Vec<(ByteSet, ClassCircuit, usize)>,
 }
 
 impl ById {
@@ -160,10 +161,11 @@ impl StreamEnv for ById {
     }
 
     fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize {
-        let at = match self.circuits.binary_search_by(|(c, _)| c.cmp(class)) {
+        let at = match self.circuits.binary_search_by(|(c, ..)| c.cmp(class)) {
             Ok(at) => at,
             Err(at) => {
-                self.circuits.insert(at, (*class, CcCode::for_class(class)));
+                let circuit = ClassCircuit::for_classes(std::slice::from_ref(class));
+                self.circuits.insert(at, (*class, circuit, compile_class(class).gate_count()));
                 at
             }
         };
@@ -174,9 +176,9 @@ impl StreamEnv for ById {
         if out.len() != len {
             out.reset_zeros(len);
         }
-        let circuit = &self.circuits[at].1;
-        circuit.eval_into(basis, out);
-        circuit.gate_count()
+        let (_, circuit, gates) = &self.circuits[at];
+        circuit.eval_into(basis, std::slice::from_mut(out));
+        *gates
     }
 
     fn commit(&mut self, id: StreamId, value: BitStream) -> bool {

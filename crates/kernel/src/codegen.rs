@@ -22,15 +22,11 @@ pub struct CodegenOptions {
     /// Maximum number of SHIFT instructions sharing one barrier pair — the
     /// paper's *merge size* (Fig. 13 sweeps 1, 4, 16, 32; default 8).
     pub merge_size: usize,
-    /// Share common sub-circuits across the character classes of a block
-    /// (Parabix performs the same global CSE when emitting class code).
-    /// On by default; disable for the ablation.
-    pub class_cse: bool,
 }
 
 impl Default for CodegenOptions {
     fn default() -> CodegenOptions {
-        CodegenOptions { merge_size: 8, class_cse: true }
+        CodegenOptions { merge_size: 8 }
     }
 }
 
@@ -87,8 +83,7 @@ pub fn compile(
         du: DefUse::of(program),
         options: *options,
         basis_reg_base: program.num_streams(),
-        scratch_base: program.num_streams() + 8,
-        scratch_used: 0,
+        cse_base: program.num_streams() + 8,
         num_slots: 0,
         num_sites: 0,
         cse_regs: 0,
@@ -146,24 +141,21 @@ struct Codegen {
     du: DefUse,
     options: CodegenOptions,
     basis_reg_base: u32,
-    scratch_base: u32,
-    scratch_used: u32,
+    /// First virtual register of the shared circuit nodes, past the basis
+    /// words.
+    cse_base: u32,
     num_slots: u32,
     num_sites: u32,
-    /// Registers holding shared circuit nodes (allocated past scratch).
+    /// Registers holding shared circuit nodes.
     cse_regs: u32,
     /// Dense register of every virtual register (one per stream, basis
-    /// word, scratch level and shared circuit node) an instruction has
-    /// named so far, numbered in first-touch order: the kernel's register
-    /// file holds exactly the registers it references.
+    /// word and shared circuit node) an instruction has named so far,
+    /// numbered in first-touch order: the kernel's register file holds
+    /// exactly the registers it references.
     dense: HashMap<u32, Reg>,
     stats: CodegenStats,
     circuit_cache: HashMap<bitgen_regex::ByteSet, CcExpr>,
 }
-
-/// Scratch registers reserved between the basis block and the CSE pool
-/// (circuit depth never approaches this).
-const SCRATCH_SLOTS: u32 = 32;
 
 impl Codegen {
     fn dense(&mut self, virt: u32) -> Reg {
@@ -328,14 +320,8 @@ impl Codegen {
                 .entry(*class)
                 .or_insert_with(|| compile_class(class))
                 .clone();
-            if self.options.class_cse {
-                let root = self.emit_circuit_cse(&circuit, out, cse);
-                out.push(KStmt::Op(KOp::Copy { dst: self.reg(*dst), a: root }));
-            } else {
-                let target = self.reg(*dst);
-                let used = self.emit_circuit(&circuit, target, 0, out);
-                self.scratch_used = self.scratch_used.max(used);
-            }
+            let root = self.emit_circuit_cse(&circuit, out, cse);
+            out.push(KStmt::Op(KOp::Copy { dst: self.reg(*dst), a: root }));
             return;
         }
         let site = self.num_sites;
@@ -405,42 +391,9 @@ impl Codegen {
     }
 
     fn alloc_cse_reg(&mut self) -> Reg {
-        let r = self.dense(self.scratch_base + SCRATCH_SLOTS + self.cse_regs);
+        let r = self.dense(self.cse_base + self.cse_regs);
         self.cse_regs += 1;
         r
-    }
-
-    /// Expands a character-class circuit into register ops; returns the
-    /// number of scratch registers used.
-    fn emit_circuit(&mut self, e: &CcExpr, target: Reg, depth: u32, out: &mut Vec<KStmt>) -> u32 {
-        match e {
-            CcExpr::Const(b) => {
-                out.push(KStmt::Op(KOp::Const { dst: target, ones: *b }));
-                depth
-            }
-            CcExpr::Basis(k) => {
-                let a = self.dense(self.basis_reg_base + *k as u32);
-                out.push(KStmt::Op(KOp::Copy { dst: target, a }));
-                depth
-            }
-            CcExpr::Not(a) => {
-                let used = self.emit_circuit(a, target, depth, out);
-                out.push(KStmt::Op(KOp::Not { dst: target, a: target }));
-                used
-            }
-            CcExpr::And(a, b) | CcExpr::Or(a, b) => {
-                let scratch = self.dense(self.scratch_base + depth);
-                let u1 = self.emit_circuit(a, target, depth + 1, out);
-                let u2 = self.emit_circuit(b, scratch, depth + 1, out);
-                let kop = if matches!(e, CcExpr::And(..)) {
-                    KOp::And { dst: target, a: target, b: scratch }
-                } else {
-                    KOp::Or { dst: target, a: target, b: scratch }
-                };
-                out.push(KStmt::Op(kop));
-                u1.max(u2).max(depth + 1)
-            }
-        }
     }
 }
 
@@ -460,7 +413,7 @@ mod tests {
 
     fn kernel_for(pattern: &str, merge: usize) -> Compiled {
         let prog = lower(&parse(pattern).unwrap());
-        compile(&prog, &[], &[], &CodegenOptions { merge_size: merge, ..CodegenOptions::default() })
+        compile(&prog, &[], &[], &CodegenOptions { merge_size: merge })
     }
 
     #[test]
@@ -485,8 +438,8 @@ mod tests {
         // precisely why the paper pairs merging with Shift Rebalancing.
         let mut prog = lower(&parse("abcdefgh").unwrap());
         rebalance(&mut prog);
-        let small = compile(&prog, &[], &[], &CodegenOptions { merge_size: 1, ..CodegenOptions::default() });
-        let large = compile(&prog, &[], &[], &CodegenOptions { merge_size: 8, ..CodegenOptions::default() });
+        let small = compile(&prog, &[], &[], &CodegenOptions { merge_size: 1 });
+        let large = compile(&prog, &[], &[], &CodegenOptions { merge_size: 8 });
         assert!(large.stats.shift_groups < small.stats.shift_groups);
         assert_eq!(small.stats.shifts, large.stats.shifts);
         assert!(large.kernel.barrier_count() < small.kernel.barrier_count());
@@ -505,9 +458,9 @@ mod tests {
         // with a generous merge size the group count should not exceed the
         // unbalanced one.
         let mut prog = lower(&parse("abbbb").unwrap());
-        let before = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16, ..CodegenOptions::default() });
+        let before = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16 });
         rebalance(&mut prog);
-        let after = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16, ..CodegenOptions::default() });
+        let after = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16 });
         assert!(
             after.stats.shift_groups <= before.stats.shift_groups,
             "rebalanced {} vs original {}",
@@ -521,7 +474,7 @@ mod tests {
         // /abb/ rebalanced: b-class shifted by 1 and 2 → one smem copy.
         let mut prog = lower(&parse("abb").unwrap());
         rebalance(&mut prog);
-        let c = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16, ..CodegenOptions::default() });
+        let c = compile(&prog, &[], &[], &CodegenOptions { merge_size: 16 });
         assert!(
             c.stats.smem_copies_saved >= 1,
             "expected a shared smem copy, got {:?}",
@@ -579,20 +532,23 @@ mod tests {
         // Lowercase letters share most of their basis prefix; digits share
         // range comparisons.
         let prog = lower(&parse("[a-m][n-z][a-z][0-9][0-4]").unwrap());
-        let with = compile(&prog, &[], &[], &CodegenOptions::default());
-        let without = compile(
-            &prog,
-            &[],
-            &[],
-            &CodegenOptions { class_cse: false, ..CodegenOptions::default() },
-        );
-        assert!(with.stats.gates_shared > 0);
-        assert!(
-            with.kernel.op_count() < without.kernel.op_count(),
-            "CSE must shrink the kernel: {} vs {}",
-            with.kernel.op_count(),
-            without.kernel.op_count()
-        );
+        let c = compile(&prog, &[], &[], &CodegenOptions::default());
+        assert!(c.stats.gates_shared > 0);
+        // Gate ops of the kernel that are not the program's own: the
+        // class circuits, each distinct node once, against every class
+        // expanded alone.
+        let (mut kernel_gates, mut program_gates) = (0, 0);
+        c.kernel.for_each_op(&mut |op| {
+            let gate = matches!(op, KOp::And { .. } | KOp::Or { .. } | KOp::Not { .. });
+            kernel_gates += usize::from(gate || matches!(op, KOp::Const { .. }));
+        });
+        prog.for_each_op(&mut |op| {
+            let gate = matches!(op, Op::And { .. } | Op::Or { .. } | Op::Not { .. });
+            program_gates += usize::from(gate || matches!(op, Op::Zero { .. } | Op::Ones { .. }));
+        });
+        let circuit_ops = kernel_gates - program_gates;
+        let alone: usize = prog.classes().iter().map(|c| compile_class(c).gate_count()).sum();
+        assert!(circuit_ops < alone, "CSE must shrink the circuits: {circuit_ops} vs {alone}");
     }
 
     #[test]

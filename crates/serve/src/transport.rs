@@ -204,10 +204,12 @@ impl<R: Read> LineReader<R> {
             }
             self.scanned = self.buf.len();
             if self.buf.len() > self.max_line {
-                return Err(Error::FrameTooLarge {
-                    limit: self.max_line,
-                    length: self.buf.len(),
-                });
+                // A trailing `\r` may be the first half of a `\r\n` the
+                // next read completes: it is not part of the frame yet.
+                let length = self.buf.len() - usize::from(self.buf.last() == Some(&b'\r'));
+                if length > self.max_line {
+                    return Err(Error::FrameTooLarge { limit: self.max_line, length });
+                }
             }
             let mut chunk = [0u8; 8 * 1024];
             match self.inner.read(&mut chunk) {
@@ -229,6 +231,7 @@ impl<R: Read> LineReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_lines_and_keeps_partial_bytes_across_polls() {
@@ -335,5 +338,139 @@ mod tests {
         assert_eq!(reader.read_frame().unwrap(), Frame::TimedOut);
         assert_eq!(reader.read_frame().unwrap(), Frame::Line("cd".to_string()));
         assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+    }
+
+    /// Serves `bytes` in the planned pieces, each preceded by the planned
+    /// stall (`0` would block, `1` is interrupted, anything else none);
+    /// past the plan, everything that is left at once.
+    struct Pieces {
+        bytes: Vec<u8>,
+        plan: Vec<(usize, u8)>,
+        step: usize,
+        stalled: bool,
+        served: usize,
+        would_blocks: usize,
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let (size, stall) = self.plan.get(self.step).copied().unwrap_or((usize::MAX, 2));
+            if stall < 2 && !self.stalled {
+                self.stalled = true;
+                self.would_blocks += usize::from(stall == 0);
+                let kind = if stall == 0 { ErrorKind::WouldBlock } else { ErrorKind::Interrupted };
+                return Err(io::Error::new(kind, "stall"));
+            }
+            (self.stalled, self.step) = (false, self.step + 1);
+            let n = size.min(buf.len()).min(self.bytes.len() - self.served);
+            buf[..n].copy_from_slice(&self.bytes[self.served..self.served + n]);
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    /// What a frame should be: a line, or the end of the reads.
+    #[derive(Debug, PartialEq)]
+    enum Want {
+        Line(String),
+        TooLarge,
+        Eof,
+    }
+
+    /// The whole input split on `\n`, one trailing `\r` stripped: a line
+    /// longer than `max_line` is refused and ends the frames, and so does
+    /// an unterminated tail. Each line with its byte length on the wire.
+    fn oracle(input: &[u8], max_line: usize) -> Vec<(Want, usize)> {
+        let mut pieces: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
+        let tail = pieces.pop().expect("split yields at least the tail");
+        let mut frames = Vec::new();
+        for raw in pieces {
+            let line = raw.strip_suffix(b"\r").unwrap_or(raw);
+            if line.len() > max_line {
+                frames.push((Want::TooLarge, 0));
+                return frames;
+            }
+            frames.push((Want::Line(String::from_utf8_lossy(line).into_owned()), raw.len() + 1));
+        }
+        let tail = tail.strip_suffix(b"\r").unwrap_or(tail);
+        frames.push((if tail.len() > max_line { Want::TooLarge } else { Want::Eof }, 0));
+        frames
+    }
+
+    /// Lines of `len` bytes drawn from an alphabet with a stray `\r` and
+    /// bytes that are not UTF-8, each ended by `\n`, `\r\n`, nothing (it
+    /// runs into the next) or a lone `\r`.
+    fn wire_bytes(segments: &[(usize, u8, u64)]) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"az \r\xff\xc3\xa9\xe2";
+        let mut bytes = Vec::new();
+        for &(len, end, seed) in segments {
+            let mut x = seed | 1;
+            bytes.extend((0..len).map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ALPHABET[(x >> 33) as usize % ALPHABET.len()]
+            }));
+            bytes.extend_from_slice([&b"\n"[..], b"\r\n", b"", b"\r"][usize::from(end % 4)]);
+        }
+        bytes
+    }
+
+    proptest! {
+        /// Whatever pieces the bytes arrive in and whatever stalls come
+        /// between them, the frames are the whole input's split, and the
+        /// buffer holds at most `max_line` bytes, a `\r` that may start a
+        /// terminator and one read.
+        #[test]
+        fn line_reader_frames_like_splitting_the_whole_input(
+            segments in prop::collection::vec(
+                (
+                    prop_oneof![0usize..9, 0usize..80, 8185usize..8200],
+                    0u8..4,
+                    any::<u64>(),
+                ),
+                0..7,
+            ),
+            plan in prop::collection::vec(
+                (prop_oneof![1usize..4, 1usize..100, 1usize..12_000], 0u8..5),
+                0..40,
+            ),
+            max_line in prop::sample::select(vec![1usize, 7, 64, 8193]),
+        ) {
+            let bytes = wire_bytes(&segments);
+            let want = oracle(&bytes, max_line);
+            let source =
+                Pieces { bytes, plan, step: 0, stalled: false, served: 0, would_blocks: 0 };
+            let mut reader = LineReader::new(source, max_line);
+            let (mut got, mut consumed, mut timeouts) = (Vec::new(), 0, 0);
+            let last = loop {
+                let frame = reader.read_frame();
+                // Everything served and not yet framed was buffered at once.
+                let held = reader.inner.served - consumed;
+                prop_assert!(held <= max_line + 1 + 8 * 1024, "held {} bytes", held);
+                match frame {
+                    Ok(Frame::TimedOut) => {
+                        timeouts += 1;
+                        prop_assert_eq!(reader.buf.len(), held, "the partial line is kept");
+                    }
+                    Ok(Frame::Line(line)) => {
+                        let Some((_, raw)) = want.get(got.len()) else { break Want::Line(line) };
+                        consumed += raw;
+                        got.push(Want::Line(line));
+                    }
+                    Ok(Frame::Eof) => break Want::Eof,
+                    Err(Error::FrameTooLarge { limit, length }) => {
+                        prop_assert!(limit == max_line && length > max_line);
+                        break Want::TooLarge;
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            got.push(last);
+            let want: Vec<Want> = want.into_iter().map(|(frame, _)| frame).collect();
+            prop_assert_eq!(got, want, "max_line {}", max_line);
+            if timeouts < reader.inner.would_blocks {
+                prop_assert!(matches!(want.last(), Some(Want::TooLarge)), "a stall went unseen");
+            }
+            prop_assert!(timeouts <= reader.inner.would_blocks);
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! exactly once.
 
 use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, StreamCheckpoint};
-use bitgen_bitstream::Basis;
-use bitgen_exec::{execute_prepared_with, ExecScratch};
+use bitgen_bitstream::{Basis, BitStream};
+use bitgen_exec::{execute_prepared_with, ClassStreams, ExecScratch};
 use bitgen_ir::{CarryState, RunControl};
 use bitgen_regex::{multi_match_ends, parse, Ast};
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
@@ -125,13 +125,17 @@ proptest! {
         sizes in arb_chunking(),
         fault_seed in 0u64..1000,
     ) {
-        // The engine-owned door (tables prepared at compile) and the
-        // one-shot door (tables derived per call) run one body: every
-        // window must leave the same outputs, the same ExecMetrics — the
-        // alu_ops charged from prepared gate counts included — and the
-        // same carry, clean or with the same seeded fault armed.
+        // The engine's door (tables prepared at compile, class streams
+        // evaluated once per chunk, outputs ORed into a union) and the
+        // one-shot door (tables and class streams derived per call,
+        // outputs copied out) run one body: every window must leave the
+        // same union, the same ExecMetrics — the alu_ops charged from
+        // prepared gate counts included — the same carry mid-window and
+        // after the rotate, seal included, or fail with the same error,
+        // clean or with the same seeded fault armed.
         let engine = BitGen::compile(&patterns).unwrap();
         let ctl = RunControl::unlimited();
+        let mut classes = ClassStreams::new();
         for prepared in engine.stream_programs() {
             let program = prepared.program();
             let mut owned = CarryState::for_layout(prepared.carry_layout());
@@ -147,24 +151,29 @@ proptest! {
                 }
                 let basis = Basis::transpose(&input[pos..pos + size]);
                 pos += size;
+                prepared.evaluate_classes(&basis, &mut classes);
                 // The armed window runs on copies; the clean one advances.
                 let plan = FaultPlan::from_seed(fault_seed + window as u64);
                 let armed = (plan.kind != FaultKind::Panic).then_some(plan);
                 for fault in armed.map(Some).into_iter().chain([None]) {
                     let config = ExecConfig { fault, ..ExecConfig::default() };
                     let (mut a, mut b) = (owned.clone(), one_shot.clone());
-                    let via_engine =
-                        prepared.execute_window(&basis, &config, &mut scratch_a, &ctl, &mut a);
+                    let mut union = BitStream::zeros(size);
+                    let via_engine = prepared.execute_window_into(
+                        &classes, &basis, &config, &mut scratch_a, &ctl, &mut a, &mut union,
+                    );
                     let via_call = execute_prepared_with(
                         program, &basis, &config, &mut scratch_b, Some(&mut b),
                     );
                     match (via_engine, via_call) {
                         (Ok(x), Ok(y)) => {
-                            prop_assert_eq!(x.outputs, y.outputs);
-                            prop_assert_eq!(x.metrics, y.metrics);
-                            prop_assert_eq!(x.fault_fired, y.fault_fired);
+                            prop_assert_eq!(&union, &y.union().resized(size));
+                            prop_assert_eq!(x, y.metrics);
                         }
-                        (x, y) => prop_assert_eq!(x.err(), y.err(), "fault {:?}", fault),
+                        (x, y) => {
+                            prop_assert_eq!(x.err(), y.err(), "fault {:?}", fault);
+                            prop_assert!(!union.any(), "a failed window left a union");
+                        }
                     }
                     // Mid-window state too: a fault that fired on a
                     // different op would leave different carries behind.
@@ -172,6 +181,7 @@ proptest! {
                     if fault.is_none() {
                         a.rotate();
                         b.rotate();
+                        prop_assert_eq!(a.seal(), b.seal());
                         let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
                         a.write_bytes(&mut bytes_a);
                         b.write_bytes(&mut bytes_b);
@@ -194,27 +204,32 @@ proptest! {
         // went through the wrong slot fails here — at chunk sizes on both
         // sides of a word and of a word-group.
         let engine = BitGen::compile(&patterns).unwrap();
+        let programs = engine.stream_programs();
         let config = ExecConfig { cross_check: true, ..ExecConfig::default() };
         let ctl = RunControl::unlimited();
         for chunk in [1usize, 2, 3, 7, 63, 64, 65, 4096] {
             let input: Vec<u8> =
                 seed.iter().cycle().take(seed.len() + 3 * chunk + 5).copied().collect();
             let batch = batch_ends(&engine, &input);
-            let mut scratch = ExecScratch::new();
+            let (mut scratch, mut classes) = (ExecScratch::new(), ClassStreams::new());
+            let mut carries: Vec<CarryState> =
+                programs.iter().map(|p| CarryState::for_layout(p.carry_layout())).collect();
             let mut ends = Vec::new();
-            for prepared in engine.stream_programs() {
-                let mut carry = CarryState::for_layout(prepared.carry_layout());
-                for (i, piece) in input.chunks(chunk).enumerate() {
-                    let basis = Basis::transpose(piece);
-                    let out = prepared
-                        .execute_window(&basis, &config, &mut scratch, &ctl, &mut carry)
-                        .unwrap_or_else(|e| {
-                            panic!("{patterns:?} chunk {chunk} window {i}: {e}")
-                        });
+            for (i, piece) in input.chunks(chunk).enumerate() {
+                // One evaluation of the engine's classes serves every group.
+                let basis = Basis::transpose(piece);
+                programs[0].evaluate_classes(&basis, &mut classes);
+                let mut union = BitStream::zeros(piece.len());
+                for (prepared, carry) in programs.iter().zip(&mut carries) {
+                    let what = format!("{patterns:?} chunk {chunk} window {i}");
+                    prepared
+                        .execute_window_into(
+                            &classes, &basis, &config, &mut scratch, &ctl, carry, &mut union,
+                        )
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
                     carry.rotate();
-                    let here = out.union().positions().into_iter().filter(|&p| p < piece.len());
-                    ends.extend(here.map(|p| (i * chunk + p) as u64));
                 }
+                ends.extend(union.positions().into_iter().map(|p| (i * chunk + p) as u64));
             }
             ends.sort_unstable();
             ends.dedup();
@@ -359,21 +374,26 @@ fn window_metrics_digest(patterns: &[&str], input: &[u8], chunk: usize) -> (u64,
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut totals = [0u64; 6];
     let mut peak = 0usize;
+    let mut classes = ClassStreams::new();
     for prepared in engine.stream_programs() {
         let mut carry = CarryState::for_layout(prepared.carry_layout());
         let mut scratch = ExecScratch::new();
         for piece in input.chunks(chunk) {
-            let out = prepared
-                .execute_window(
-                    &Basis::transpose(piece),
+            let basis = Basis::transpose(piece);
+            prepared.evaluate_classes(&basis, &mut classes);
+            let metrics = prepared
+                .execute_window_into(
+                    &classes,
+                    &basis,
                     &ExecConfig::default(),
                     &mut scratch,
                     &ctl,
                     &mut carry,
+                    &mut BitStream::zeros(piece.len()),
                 )
                 .unwrap();
             carry.rotate();
-            let c = &out.metrics.counters;
+            let c = &metrics.counters;
             for (total, v) in totals.iter_mut().zip([
                 c.alu_ops,
                 c.global_load_words,
@@ -384,8 +404,8 @@ fn window_metrics_digest(patterns: &[&str], input: &[u8], chunk: usize) -> (u64,
             ]) {
                 *total += v;
             }
-            peak = peak.max(out.metrics.peak_materialized_bytes);
-            for b in format!("{:?}{:?}", out.metrics, out.metrics.cta_work()).bytes() {
+            peak = peak.max(metrics.peak_materialized_bytes);
+            for b in format!("{:?}{:?}", metrics, metrics.cta_work()).bytes() {
                 digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }

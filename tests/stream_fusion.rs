@@ -15,7 +15,7 @@
 
 use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan};
 use bitgen_bitstream::{Basis, BitStream, ClassCircuit};
-use bitgen_exec::{ClassStreams, ExecScratch, PreparedProgram};
+use bitgen_exec::{execute_prepared_with, ClassStreams, ExecScratch, PreparedProgram};
 use bitgen_ir::{try_interpret_chunk, CarryState, Op, RunControl};
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 
@@ -35,8 +35,9 @@ fn engine_for(kind: AppKind, rules: usize, input_len: usize) -> (BitGen, Vec<u8>
 }
 
 /// Streams `pushes` chunks of `chunk` bytes through every group of
-/// `engine` three ways — fused, every statement singly, reference
-/// interpreter — each with its own carry.
+/// `engine` four ways — fused and every statement singly through the
+/// engine's door, fused through the one-shot door that copies each output
+/// out, and the reference interpreter — each with its own carry.
 fn assert_fused_is_single_stepped(
     kind: AppKind,
     engine: &BitGen,
@@ -51,51 +52,50 @@ fn assert_fused_is_single_stepped(
     let fresh = |p: &PreparedProgram| CarryState::for_layout(p.carry_layout());
     let mut fused: Vec<CarryState> = programs.iter().map(fresh).collect();
     let mut single = fused.clone();
+    let mut one_shot = fused.clone();
     let mut reference = fused.clone();
-    let (mut scratch_a, mut scratch_b) = (ExecScratch::new(), ExecScratch::new());
+    let (mut scratch, mut one_shot_scratch) = (ExecScratch::new(), ExecScratch::new());
     let mut classes = ClassStreams::new();
     for (push, piece) in input.chunks(chunk).take(pushes).enumerate() {
         let basis = Basis::transpose(piece);
         programs[0].evaluate_classes(&basis, &mut classes);
         for (group, prepared) in programs.iter().enumerate() {
             let what = format!("{} group {group} chunk {chunk} push {push}", kind.name());
-            let (carry_a, carry_b) = (&mut fused[group], &mut single[group]);
-            let a = prepared
-                .execute_window_on(&classes, &basis, &fused_config, &mut scratch_a, &ctl, carry_a)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            let b = prepared
-                .execute_window_on(&classes, &basis, &single_config, &mut scratch_b, &ctl, carry_b)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
             let want = try_interpret_chunk(prepared.program(), &basis, &ctl, &mut reference[group])
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert!(!a.fault_fired && !b.fault_fired, "{what}");
-            assert_eq!(a.outputs, want.outputs, "{what}: fused outputs");
-            assert_eq!(b.outputs, want.outputs, "{what}: single-stepped outputs");
-            assert_eq!(a.metrics, b.metrics, "{what}: counted events");
+            let mut want_union = BitStream::zeros(piece.len());
+            want.outputs.iter().for_each(|out| want_union.or_clipped(out));
+            let copied = execute_prepared_with(
+                prepared.program(),
+                &basis,
+                &fused_config,
+                &mut one_shot_scratch,
+                Some(&mut one_shot[group]),
+            )
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(!copied.fault_fired, "{what}");
+            assert_eq!(copied.outputs, want.outputs, "{what}: fused outputs");
+            let mut window = |config: &ExecConfig, carry: &mut CarryState| {
+                let mut union = BitStream::zeros(piece.len());
+                let metrics = prepared
+                    .execute_window_into(
+                        &classes, &basis, config, &mut scratch, &ctl, carry, &mut union,
+                    )
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                (metrics, union)
+            };
+            let (fused_metrics, fused_union) = window(&fused_config, &mut fused[group]);
+            let (single_metrics, single_union) = window(&single_config, &mut single[group]);
+            assert_eq!(fused_union, want_union, "{what}: fused union");
+            assert_eq!(single_union, want_union, "{what}: single-stepped union");
+            assert_eq!(fused_metrics, single_metrics, "{what}: counted events");
+            assert_eq!(copied.metrics, fused_metrics, "{what}: one-shot door metrics");
             // Mid-window: what the window accumulated, not yet rotated.
             assert_eq!(fused[group], reference[group], "{what}: fused carry-out");
             assert_eq!(single[group], reference[group], "{what}: single-stepped carry-out");
-            // The union door ORs the same outputs in place.
-            let mut union = BitStream::zeros(piece.len());
-            let mut again = fused[group].fork();
-            let metrics = prepared
-                .execute_window_into(
-                    &classes,
-                    &basis,
-                    &fused_config,
-                    &mut scratch_a,
-                    &ctl,
-                    &mut again,
-                    &mut union,
-                )
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert_eq!(metrics, a.metrics, "{what}: union door metrics");
-            assert_eq!(again, fused[group], "{what}: union door carry");
-            let mut want_union = BitStream::zeros(piece.len());
-            want.outputs.iter().for_each(|out| want_union.or_clipped(out));
-            assert_eq!(union, want_union, "{what}: union door");
-            for carry in [&mut fused[group], &mut single[group], &mut reference[group]] {
-                carry.rotate();
+            assert_eq!(one_shot[group], reference[group], "{what}: one-shot carry-out");
+            for carries in [&mut fused, &mut single, &mut one_shot, &mut reference] {
+                carries[group].rotate();
             }
             assert_eq!(fused[group].seal(), reference[group].seal(), "{what}: seal");
             assert_eq!(fused[group], single[group], "{what}: boundary");
@@ -186,8 +186,11 @@ fn the_served_rule_set_stays_fused() {
         let mut scratch = ExecScratch::new();
         let mut carry = CarryState::for_layout(prepared.carry_layout());
         let (config, ctl) = (ExecConfig::default(), RunControl::unlimited());
+        let mut union = BitStream::zeros(basis.len());
         prepared
-            .execute_window_on(&classes, &basis, &config, &mut scratch, &ctl, &mut carry)
+            .execute_window_into(
+                &classes, &basis, &config, &mut scratch, &ctl, &mut carry, &mut union,
+            )
             .unwrap();
         // The link slot stays empty in a window that fuses.
         let buffers = scratch.pooled_streams();
