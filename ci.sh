@@ -11,7 +11,11 @@ cargo build --release
 # stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), the
 # served window against the single-stepped walk and the reference on
 # every application up to 64 KiB chunks, with its fused-coverage gate
-# (stream_fusion), the wire tokenisation differential (wire_fuzz), the
+# (stream_fusion), the served-pricing differential (served_pricing: each
+# group's fused DTM- form of a window against the CTA emulator, field by
+# field on every application, and every push billed the cheaper launch),
+# the kernel digest over 729 generated kernels (codegen_golden), the
+# wire tokenisation differential (wire_fuzz), the
 # `LineReader` framing fuzz (bitgen-serve's transport tests: arbitrary
 # bytes in arbitrary pieces with stalls, against splitting the whole
 # input), both soaks and the cross-process drills on the built binaries

@@ -443,12 +443,65 @@ impl Builder {
 /// Uses maximal-range decomposition; when the complement decomposes into
 /// fewer ranges, compiles the complement and negates.
 pub fn compile_class(set: &ByteSet) -> CcExpr {
+    build_class(set, &mut Trees)
+}
+
+/// Where [`build_class`] puts a class's circuit: each call returns a node
+/// built from nodes returned before. A sink must fold as [`CcExpr::not`],
+/// [`CcExpr::and`] and [`CcExpr::or`] do — constants and double negation
+/// away, nothing else — so that every sink builds the same tree
+/// [`compile_class`] returns, in whatever form it keeps nodes (a code
+/// generator interns them straight into its own node table).
+pub trait GateSink {
+    /// A built node.
+    type Node;
+    /// A constant bit.
+    fn constant(&mut self, value: bool) -> Self::Node;
+    /// The `k`-th basis stream.
+    fn basis(&mut self, k: u8) -> Self::Node;
+    /// Negation.
+    fn not(&mut self, a: Self::Node) -> Self::Node;
+    /// Conjunction.
+    fn and(&mut self, a: Self::Node, b: Self::Node) -> Self::Node;
+    /// Disjunction.
+    fn or(&mut self, a: Self::Node, b: Self::Node) -> Self::Node;
+}
+
+/// Builds the circuit [`compile_class`] returns for `set` into `sink`.
+pub fn build_class<S: GateSink>(set: &ByteSet, sink: &mut S) -> S::Node {
     let (ranges, complement) = class_ranges(set);
-    let any = ranges_expr(&ranges);
+    let any = ranges_node(&ranges, sink);
     if complement {
-        CcExpr::not(any)
+        sink.not(any)
     } else {
         any
+    }
+}
+
+/// The [`GateSink`] of [`CcExpr`] trees.
+struct Trees;
+
+impl GateSink for Trees {
+    type Node = CcExpr;
+
+    fn constant(&mut self, value: bool) -> CcExpr {
+        CcExpr::Const(value)
+    }
+
+    fn basis(&mut self, k: u8) -> CcExpr {
+        CcExpr::Basis(k)
+    }
+
+    fn not(&mut self, a: CcExpr) -> CcExpr {
+        CcExpr::not(a)
+    }
+
+    fn and(&mut self, a: CcExpr, b: CcExpr) -> CcExpr {
+        CcExpr::and(a, b)
+    }
+
+    fn or(&mut self, a: CcExpr, b: CcExpr) -> CcExpr {
+        CcExpr::or(a, b)
     }
 }
 
@@ -464,82 +517,95 @@ fn class_ranges(set: &ByteSet) -> (Vec<(u8, u8)>, bool) {
     }
 }
 
-fn ranges_expr(ranges: &[(u8, u8)]) -> CcExpr {
-    let mut out = CcExpr::Const(false);
+fn ranges_node<S: GateSink>(ranges: &[(u8, u8)], sink: &mut S) -> S::Node {
+    let mut out = sink.constant(false);
     for &(lo, hi) in ranges {
-        out = CcExpr::or(out, range_expr(lo, hi));
+        let range = range_node(lo, hi, sink);
+        out = sink.or(out, range);
     }
     out
 }
 
 fn range_expr(lo: u8, hi: u8) -> CcExpr {
+    range_node(lo, hi, &mut Trees)
+}
+
+fn range_node<S: GateSink>(lo: u8, hi: u8, sink: &mut S) -> S::Node {
     if lo == hi {
-        return byte_eq(lo);
+        return byte_eq(lo, sink);
     }
     match (lo, hi) {
-        (0, 255) => CcExpr::Const(true),
-        (0, _) => le_expr(hi, 0),
-        (_, 255) => ge_expr(lo, 0),
+        (0, 255) => sink.constant(true),
+        (0, _) => le_node(hi, 0, sink),
+        (_, 255) => ge_node(lo, 0, sink),
         _ => {
             // Factor out the common high-bit prefix of lo and hi: bits that
             // agree become equality literals; the range test applies only to
             // the disagreeing suffix.
             let mut k = 0;
-            let mut prefix = CcExpr::Const(true);
+            let mut prefix = sink.constant(true);
             while k < 8 && (lo >> (7 - k)) & 1 == (hi >> (7 - k)) & 1 {
-                prefix = CcExpr::and(prefix, bit_literal(lo, k));
+                let literal = bit_literal(lo, k, sink);
+                prefix = sink.and(prefix, literal);
                 k += 1;
             }
-            CcExpr::and(prefix, CcExpr::and(ge_expr(lo, k), le_expr(hi, k)))
+            let (ge, le) = (ge_node(lo, k, sink), le_node(hi, k, sink));
+            let suffix = sink.and(ge, le);
+            sink.and(prefix, suffix)
         }
     }
 }
 
 /// Matches bytes equal to `val`: an AND over all eight basis literals.
-fn byte_eq(val: u8) -> CcExpr {
-    let mut e = CcExpr::Const(true);
+fn byte_eq<S: GateSink>(val: u8, sink: &mut S) -> S::Node {
+    let mut e = sink.constant(true);
     for k in 0..8 {
-        e = CcExpr::and(e, bit_literal(val, k));
+        let literal = bit_literal(val, k, sink);
+        e = sink.and(e, literal);
     }
     e
 }
 
 /// Literal for basis bit `k` of `val`: `b_k` if the bit is set, `¬b_k`
 /// otherwise.
-fn bit_literal(val: u8, k: usize) -> CcExpr {
+fn bit_literal<S: GateSink>(val: u8, k: usize, sink: &mut S) -> S::Node {
+    let basis = sink.basis(k as u8);
     if val >> (7 - k) & 1 == 1 {
-        CcExpr::Basis(k as u8)
+        basis
     } else {
-        CcExpr::not(CcExpr::Basis(k as u8))
+        sink.not(basis)
     }
 }
 
 /// Matches bytes `b` with `b[k..] >= val[k..]` (suffix comparison starting
 /// at basis bit `k`).
-fn ge_expr(val: u8, k: usize) -> CcExpr {
+fn ge_node<S: GateSink>(val: u8, k: usize, sink: &mut S) -> S::Node {
     if k == 8 {
-        return CcExpr::Const(true);
+        return sink.constant(true);
     }
-    let rest = ge_expr(val, k + 1);
+    let rest = ge_node(val, k + 1, sink);
+    let basis = sink.basis(k as u8);
     if val >> (7 - k) & 1 == 1 {
         // Bit must be 1 and the suffix must still be >=.
-        CcExpr::and(CcExpr::Basis(k as u8), rest)
+        sink.and(basis, rest)
     } else {
         // Bit 1 makes b strictly greater; bit 0 defers to the suffix.
-        CcExpr::or(CcExpr::Basis(k as u8), rest)
+        sink.or(basis, rest)
     }
 }
 
 /// Matches bytes `b` with `b[k..] <= val[k..]`.
-fn le_expr(val: u8, k: usize) -> CcExpr {
+fn le_node<S: GateSink>(val: u8, k: usize, sink: &mut S) -> S::Node {
     if k == 8 {
-        return CcExpr::Const(true);
+        return sink.constant(true);
     }
-    let rest = le_expr(val, k + 1);
+    let rest = le_node(val, k + 1, sink);
+    let basis = sink.basis(k as u8);
+    let literal = sink.not(basis);
     if val >> (7 - k) & 1 == 1 {
-        CcExpr::or(CcExpr::not(CcExpr::Basis(k as u8)), rest)
+        sink.or(literal, rest)
     } else {
-        CcExpr::and(CcExpr::not(CcExpr::Basis(k as u8)), rest)
+        sink.and(literal, rest)
     }
 }
 
@@ -615,7 +681,7 @@ mod tests {
         // complement is clearly smaller: everything except one range.
         let set = ByteSet::range(b'a', b'z').complement();
         check(&set);
-        let direct = ranges_expr(&set.ranges());
+        let direct = ranges_node(&set.ranges(), &mut Trees);
         let via_compile = compile_class(&set);
         assert!(
             via_compile.gate_count() <= direct.gate_count(),
@@ -745,7 +811,8 @@ mod tests {
     /// path.
     fn wide_or_tree() -> (CcExpr, ByteSet) {
         let bytes = || (0..=255u8).filter(|b| b % 3 == 0);
-        let tree = bytes().fold(CcExpr::Const(false), |any, b| CcExpr::or(any, byte_eq(b)));
+        let tree =
+            bytes().fold(CcExpr::Const(false), |any, b| CcExpr::or(any, byte_eq(b, &mut Trees)));
         (tree, ByteSet::from_bytes(bytes()))
     }
 

@@ -8,6 +8,7 @@
 
 use crate::error::Error;
 use crate::group::{group_regexes, GroupingStrategy};
+use crate::price::TwinPrice;
 use bitgen_bitstream::BitStream;
 use bitgen_exec::{
     BatchPlan, ExecConfig, ExecMetrics, FallbackPolicy, Metrics, PreparedProgram, Scheme,
@@ -223,6 +224,11 @@ pub struct BitGen {
     /// that cannot stream — and the batch side is built from it. See
     /// DESIGN.md §10.
     pub(crate) stream_programs: Vec<PreparedProgram>,
+    /// What each group's window costs as the paper's fused DTM- launch
+    /// would run it: a few counts per fused segment, derived once
+    /// ([`BitGen::fused_form`]). `None` under `Sequential` and `Base`,
+    /// whose pushes bill sequentially only.
+    pub(crate) stream_prices: Option<Box<[TwinPrice]>>,
     /// The `MatchStar` lowerings the batch side is built from instead,
     /// kept only under [`EngineConfig::match_star`] (empty otherwise: the
     /// streamed lowering is then the only one).
@@ -485,16 +491,22 @@ impl BitGen {
         let star_lowerings = if config.match_star { lower_groups(true)? } else { Vec::new() };
         let lowered = lower_groups(false)?;
         let stream_programs = PreparedProgram::new_all(lowered.clone());
-        Ok(BitGen {
+        let mut engine = BitGen {
             batch: std::iter::repeat_with(OnceLock::new).take(groups.len()).collect(),
             groups,
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
+            stream_prices: None,
             star_lowerings,
             pattern_count: asts.len(),
             generation: 0,
             config,
-        })
+        };
+        // Priced once the parse and lowering are gone: pricing compiles
+        // kernels, and none of its transients should stack on theirs.
+        drop((asts, lowered));
+        engine.stream_prices = TwinPrice::of_all(&engine.stream_programs, &engine.exec_config());
+        Ok(engine)
     }
 
     /// Number of compiled patterns.

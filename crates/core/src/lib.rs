@@ -60,6 +60,7 @@ mod engine;
 mod error;
 mod fold;
 mod group;
+mod price;
 mod session;
 mod stream_scan;
 pub mod swap;

@@ -392,6 +392,7 @@ impl ScanSession<'_> {
                         passes,
                         retries: 0,
                         degraded,
+                        fused_pushes: 0,
                         swaps: 0,
                         swap_rollbacks: 0,
                         cost: cost.clone(),

@@ -132,10 +132,9 @@ struct SwapRollback<'e> {
 /// What one push's windows produced beside the scanner's `union`, held
 /// until the push commits.
 struct PushWindows {
-    /// Per-group device work, priced together at commit.
-    works: Vec<CtaWork>,
-    /// Counted events of the windows the executor ran (degraded windows
-    /// have none).
+    /// Counted events of the windows the executor ran, priced together at
+    /// commit (degraded windows have none: they bill no device work,
+    /// mirroring degraded batch slots).
     window_metrics: Vec<(usize, ExecMetrics)>,
     retried: u64,
     degraded: bool,
@@ -491,7 +490,6 @@ impl StreamScanner<'_> {
         let config = self.engine.exec_config();
         let groups = self.carries.len();
         let mut run = PushWindows {
-            works: Vec::with_capacity(groups),
             window_metrics: Vec::with_capacity(groups),
             retried: 0,
             degraded: false,
@@ -509,7 +507,6 @@ impl StreamScanner<'_> {
                 let fault = self.take_fault_shot(group);
                 let e = match self.run_window(group, &config, ctl, fault) {
                     Ok(metrics) => {
-                        run.works.push(metrics.cta_work());
                         run.window_metrics.push((group, metrics));
                         break;
                     }
@@ -530,9 +527,6 @@ impl StreamScanner<'_> {
                     return Err((group, e));
                 }
                 self.interpret_window(group, ctl).map_err(|ie| (group, ie))?;
-                // Degraded windows contribute no device work, mirroring
-                // degraded batch slots.
-                run.works.push(ExecMetrics::default().cta_work());
                 run.degraded = true;
                 break;
             }
@@ -594,8 +588,28 @@ impl StreamScanner<'_> {
         for carry in &mut self.carries {
             carry.rotate();
         }
-        let device = &self.engine.config().device;
-        let cost = device.estimate(&run.works);
+        let engine = self.engine;
+        let device = &engine.config().device;
+        let estimate = |works: Vec<CtaWork>| device.estimate(&works);
+        // The push bills the cheaper launch: its windows as walked, one
+        // instruction at a time, or — when no group degraded — the same
+        // windows as the paper's fused DTM- kernels (DESIGN.md §10, "How a
+        // served push is billed"); a tie bills the walk. A fused form is
+        // arithmetic on its window's counts, redone in place when billed.
+        let mut billed = run.window_metrics;
+        let mut cost = estimate(billed.iter().map(|(_, window)| window.cta_work()).collect());
+        if let Some(prices) = engine.stream_prices.as_deref().filter(|_| !run.degraded) {
+            let config = engine.exec_config();
+            let fused = |(group, window): &(usize, ExecMetrics)| {
+                prices[*group].fused_form(window, len, &config)
+            };
+            let fused_cost = estimate(billed.iter().map(|form| fused(form).cta_work()).collect());
+            if fused_cost.seconds < cost.seconds {
+                billed.iter_mut().for_each(|form| form.1 = fused(form));
+                cost = fused_cost;
+                self.metrics.fused_pushes += 1;
+            }
+        }
         let transpose = device.transpose_seconds(len);
         let m = &mut self.metrics;
         m.retries += run.retried;
@@ -610,7 +624,7 @@ impl StreamScanner<'_> {
         m.cost.memory_seconds += cost.memory_seconds;
         m.cost.barrier_stall_frac = cost.barrier_stall_frac;
         m.cost.occupancy = cost.occupancy;
-        for (group, wm) in run.window_metrics {
+        for (group, wm) in billed {
             absorb_window(&mut m.ctas[group], &wm);
         }
         let off = m.bytes_scanned;
@@ -719,14 +733,17 @@ impl StreamScanner<'_> {
     ///
     /// - `seconds()` is the accumulated modelled time, each push priced
     ///   over exactly the bytes it consumed — carry slots, not a
-    ///   re-scanned tail, bridge the chunk boundary;
+    ///   re-scanned tail, bridge the chunk boundary — as the cheaper of
+    ///   two launches of its windows: walked one instruction at a time,
+    ///   or fused as the paper's DTM- kernels ([`BitGen::fused_form`]);
+    /// - `fused_pushes` counts the pushes billed fused;
     /// - `retries` counts window replays across committed pushes;
     /// - `degraded` counts pushes in which at least one group's window
     ///   was recovered on the CPU reference interpreter — matches stay
     ///   exact, the counter exists so operators can see the device path
-    ///   misbehaving;
-    /// - `ctas[group]` accumulates each group's counted hardware events
-    ///   (see [`Metrics::counters_total`]).
+    ///   misbehaving; such a push is never billed fused;
+    /// - `ctas[group]` accumulates each group's counted hardware events,
+    ///   of the launch each push billed (see [`Metrics::counters_total`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

@@ -41,4 +41,5 @@ pub use scheme::Scheme;
 // fault drills without importing the defining crates.
 pub use bitgen_gpu::{FaultKind, FaultPlan};
 pub use bitgen_ir::{CancelToken, RunControl};
-pub use segment::{intermediate_count, segment_program, Segment, SegmentKind};
+pub use segment::{intermediate_count, segment_program, segment_ranges, Segment, SegmentKind};
+pub use seq::sequential_charge;

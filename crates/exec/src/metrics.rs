@@ -108,6 +108,9 @@ pub struct Metrics {
     /// and were rolled back to the previous generation (the stream keeps
     /// serving the old rules instead of poisoning). Always ≤ `swaps`.
     pub swap_rollbacks: u64,
+    /// Committed streaming pushes billed as the paper's fused DTM- launch,
+    /// the cheaper one; `0` for batch, and from zero again on resume.
+    pub fused_pushes: u64,
     /// Device cost breakdown of the launch (zeroed per-push accumulation
     /// for streaming scans).
     pub cost: CostBreakdown,

@@ -7,13 +7,13 @@
 use crate::engine::{apply_transforms, execute_streaming_window, ExecConfig, ExecError, ExecScratch};
 use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
-use crate::segment::{intermediate_count, segment_program, SegmentKind};
+use crate::segment::{intermediate_count, segment_ranges, SegmentKind};
 use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit};
 use bitgen_ir::{
     ByteSet, CarryLayout, CarryState, InterpError, Op, Place, Program, RunControl, SlotPlan,
     StreamId,
 };
-use bitgen_kernel::{compile, CodegenOptions, Compiled};
+use bitgen_kernel::{CodegenOptions, Compiled, Compiler};
 use bitgen_passes::{OverlapInfo, PassMetrics};
 use std::ops::Range;
 use std::sync::Arc;
@@ -227,6 +227,12 @@ impl PreparedProgram {
         self.tables.classes.gate_counts()
     }
 
+    /// Gates of `class` compiled alone — what a window's `MatchCc` of it
+    /// charges — if a program prepared together with this one matches it.
+    pub fn class_gates_of(&self, class: &ByteSet) -> Option<usize> {
+        self.tables.classes.find(class).map(|(_, gates)| gates)
+    }
+
     /// Distinct classes of the programs prepared together — the streams
     /// [`PreparedProgram::evaluate_classes`] fills.
     pub fn class_count(&self) -> usize {
@@ -344,25 +350,22 @@ impl BatchPlan {
     pub fn new(program: Program, config: &ExecConfig) -> BatchPlan {
         let key = BatchPlan::key_of(config);
         let options = CodegenOptions { merge_size: key.1 };
-        let segments = segment_program(&program, key.0);
+        let segments = segment_ranges(&program, key.0);
         let intermediates = intermediate_count(&segments, &program);
-        // Segments are consecutive runs of whole top-level statements.
-        let mut at = 0;
+        let mut compiler = Compiler::default();
         let segments: Vec<PlannedSegment> = segments
             .into_iter()
             .map(|seg| {
-                let range = at..at + seg.stmts.len();
-                at = range.end;
                 let fused = (seg.kind == SegmentKind::Fused).then(|| {
-                    let sub = Program::new(seg.stmts, program.num_streams(), seg.outputs.clone());
-                    let compiled = compile(&sub, &seg.inputs, &seg.outputs, &options);
+                    let stmts = program.stmts()[seg.stmts.clone()].to_vec();
+                    let sub = Program::new(stmts, program.num_streams(), seg.outputs.clone());
+                    let compiled = compiler.compile(&sub, &seg.inputs, &seg.outputs, &options);
                     let max_live_regs = compiled.kernel.max_live_regs();
                     FusedPlan { info: OverlapInfo::analyze(&sub), compiled, max_live_regs }
                 });
-                PlannedSegment { range, inputs: seg.inputs, outputs: seg.outputs, fused }
+                PlannedSegment { range: seg.stmts, inputs: seg.inputs, outputs: seg.outputs, fused }
             })
             .collect();
-        debug_assert_eq!(at, program.stmts().len(), "segments cover the program");
         BatchPlan { program, passes: PassMetrics::default(), key, segments, intermediates }
     }
 

@@ -12,8 +12,8 @@
 //! bottom out in the word-group kernels of `bitgen-bitstream`.
 
 use crate::scheme::Scheme;
-use bitgen_ir::{Program, Stmt, StreamId};
-use std::collections::BTreeSet;
+use bitgen_ir::{Op, Program, Stmt, StreamId};
+use std::ops::Range;
 
 /// How a segment is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +29,13 @@ pub enum SegmentKind {
 
 /// A segment of a program.
 #[derive(Debug, Clone)]
-pub struct Segment {
+pub struct Segment<S = Vec<Stmt>> {
     /// Execution style.
     pub kind: SegmentKind,
-    /// The statements of this segment (whole subtrees).
-    pub stmts: Vec<Stmt>,
+    /// The statements of this segment (whole subtrees) — or, from
+    /// [`segment_ranges`], their range of the program's top-level
+    /// statements.
+    pub stmts: S,
     /// Streams read by this segment but produced by an earlier one;
     /// loaded from global memory.
     pub inputs: Vec<StreamId>,
@@ -57,118 +59,109 @@ pub struct Segment {
 /// assert!(segment_program(&prog, Scheme::Sequential).len() > 1);
 /// ```
 pub fn segment_program(program: &Program, scheme: Scheme) -> Vec<Segment> {
-    let pieces = cut(program.stmts(), scheme);
-    wire(pieces, program)
+    let stmts = program.stmts();
+    (segment_ranges(program, scheme).into_iter())
+        .map(|Segment { kind, stmts: range, inputs, outputs }| Segment {
+            kind,
+            stmts: stmts[range].to_vec(),
+            inputs,
+            outputs,
+        })
+        .collect()
 }
 
-/// Raw cut: groups of whole top-level statements plus their kind.
-fn cut(stmts: &[Stmt], scheme: Scheme) -> Vec<(SegmentKind, Vec<Stmt>)> {
-    match scheme {
-        Scheme::Dtm | Scheme::Sr | Scheme::Zbs => {
-            vec![(SegmentKind::Fused, stmts.to_vec())]
-        }
-        Scheme::Sequential => stmts
-            .iter()
-            .map(|s| (SegmentKind::Sequential, vec![s.clone()]))
-            .collect(),
+/// [`segment_program`] without copying a statement: each segment names
+/// its consecutive range of `program.stmts()`.
+pub fn segment_ranges(program: &Program, scheme: Scheme) -> Vec<Segment<Range<usize>>> {
+    wire(cut(program.stmts(), scheme), program)
+}
+
+/// Raw cut: consecutive ranges of whole top-level statements plus their
+/// kind.
+fn cut(stmts: &[Stmt], scheme: Scheme) -> Vec<(SegmentKind, Range<usize>)> {
+    // Statements that run alone, sequentially; runs of the others fuse.
+    let alone = |s: &Stmt| match scheme {
+        Scheme::Sequential => true,
+        // Base fuses runs of bitwise instructions; shifts and control flow
+        // run alone.
         Scheme::Base => {
-            // Fuse runs of bitwise instructions; shifts and control flow
-            // run alone.
-            let mut out: Vec<(SegmentKind, Vec<Stmt>)> = Vec::new();
-            let mut run: Vec<Stmt> = Vec::new();
-            for s in stmts {
-                let is_plain = matches!(
-                    s,
-                    Stmt::Op(op) if !op.is_shift() && !matches!(op, bitgen_ir::Op::Add { .. })
-                );
-                if is_plain {
-                    run.push(s.clone());
-                } else {
-                    if !run.is_empty() {
-                        out.push((SegmentKind::Fused, std::mem::take(&mut run)));
-                    }
-                    out.push((SegmentKind::Sequential, vec![s.clone()]));
-                }
-            }
-            if !run.is_empty() {
-                out.push((SegmentKind::Fused, run));
-            }
-            out
+            !matches!(s, Stmt::Op(op) if !op.is_shift() && !matches!(op, Op::Add { .. }))
         }
-        Scheme::DtmStatic => {
-            // Fuse everything except subtrees containing `while` loops,
-            // whose overlap cannot be bounded statically.
-            let mut out: Vec<(SegmentKind, Vec<Stmt>)> = Vec::new();
-            let mut run: Vec<Stmt> = Vec::new();
-            for s in stmts {
-                if contains_while(std::slice::from_ref(s)) {
-                    if !run.is_empty() {
-                        out.push((SegmentKind::Fused, std::mem::take(&mut run)));
-                    }
-                    out.push((SegmentKind::Sequential, vec![s.clone()]));
-                } else {
-                    run.push(s.clone());
-                }
-            }
-            if !run.is_empty() {
-                out.push((SegmentKind::Fused, run));
-            }
-            out
+        // DTM- fuses everything except subtrees containing `while` loops,
+        // whose overlap cannot be bounded statically.
+        Scheme::DtmStatic => contains_while(std::slice::from_ref(s)),
+        Scheme::Dtm | Scheme::Sr | Scheme::Zbs => false,
+    };
+    let (mut out, mut run) = (Vec::new(), 0);
+    for (i, _) in stmts.iter().enumerate().filter(|(_, s)| alone(s)) {
+        if run < i {
+            out.push((SegmentKind::Fused, run..i));
         }
+        out.push((SegmentKind::Sequential, i..i + 1));
+        run = i + 1;
     }
+    // DTM and up run the whole program as one fused segment, even an
+    // empty one.
+    if run < stmts.len() || scheme >= Scheme::Dtm {
+        out.push((SegmentKind::Fused, run..stmts.len()));
+    }
+    out
 }
 
 /// Subtrees whose cross-block reach cannot be bounded statically:
 /// `while` loops and long additions (unbounded carry chains).
 fn contains_while(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| match s {
-        Stmt::Op(op) => matches!(op, bitgen_ir::Op::Add { .. }),
+        Stmt::Op(op) => matches!(op, Op::Add { .. }),
         Stmt::While { .. } => true,
         Stmt::If { body, .. } => contains_while(body),
     })
 }
 
-/// Computes boundary inputs/outputs for each piece.
-fn wire(pieces: Vec<(SegmentKind, Vec<Stmt>)>, program: &Program) -> Vec<Segment> {
-    let n = pieces.len();
-    let mut defs: Vec<BTreeSet<StreamId>> = Vec::with_capacity(n);
-    let mut uses: Vec<BTreeSet<StreamId>> = Vec::with_capacity(n);
-    for (_, stmts) in &pieces {
-        let mut d = BTreeSet::new();
-        let mut u = BTreeSet::new();
-        collect(stmts, &mut d, &mut u);
-        defs.push(d);
-        uses.push(u);
-    }
-    let program_outputs: BTreeSet<StreamId> = program.outputs().iter().copied().collect();
-    let mut segments = Vec::with_capacity(n);
-    for (i, (kind, stmts)) in pieces.into_iter().enumerate() {
-        let defined_before: BTreeSet<StreamId> =
-            defs[..i].iter().flatten().copied().collect();
-        let inputs: Vec<StreamId> =
-            uses[i].intersection(&defined_before).copied().collect();
-        let used_after: BTreeSet<StreamId> =
-            uses[i + 1..].iter().flatten().copied().collect();
-        let outputs: Vec<StreamId> = defs[i]
-            .iter()
-            .filter(|d| used_after.contains(d) || program_outputs.contains(d))
-            .copied()
-            .collect();
-        segments.push(Segment { kind, stmts, inputs, outputs });
+/// Computes boundary inputs/outputs for each piece: its inputs — read
+/// there, defined by an earlier piece — in one forward pass over a
+/// defined-before bitset, its outputs — defined there, read by a later
+/// piece or a program output — in one backward pass over a used-after
+/// bitset. Only what a pass keeps is sorted.
+fn wire(pieces: Vec<(SegmentKind, Range<usize>)>, program: &Program) -> Vec<Segment<Range<usize>>> {
+    let streams = program.num_streams() as usize;
+    let sorted = |mut ids: Vec<StreamId>| {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let mut defined = vec![false; streams];
+    let mut segments: Vec<Segment<Range<usize>>> = (pieces.into_iter())
+        .map(|(kind, range)| {
+            let (stmts, mut inputs) = (&program.stmts()[range.clone()], Vec::new());
+            visit(stmts, &mut |id, def| if !def && defined[id.index()] { inputs.push(id) });
+            visit(stmts, &mut |id, def| if def { defined[id.index()] = true });
+            Segment { kind, stmts: range, inputs: sorted(inputs), outputs: Vec::new() }
+        })
+        .collect();
+    let mut used = vec![false; streams];
+    program.outputs().iter().for_each(|id| used[id.index()] = true);
+    for seg in segments.iter_mut().rev() {
+        let (stmts, mut outputs) = (&program.stmts()[seg.stmts.clone()], Vec::new());
+        visit(stmts, &mut |id, def| if def && used[id.index()] { outputs.push(id) });
+        visit(stmts, &mut |id, def| if !def { used[id.index()] = true });
+        seg.outputs = sorted(outputs);
     }
     segments
 }
 
-fn collect(stmts: &[Stmt], defs: &mut BTreeSet<StreamId>, uses: &mut BTreeSet<StreamId>) {
+/// Calls `f(id, true)` on every stream `stmts` write and `f(id, false)` on
+/// every stream they read, conditions included.
+fn visit(stmts: &[Stmt], f: &mut impl FnMut(StreamId, bool)) {
     for s in stmts {
         match s {
             Stmt::Op(op) => {
-                uses.extend(op.sources());
-                defs.insert(op.dst());
+                op.sources().for_each(|id| f(id, false));
+                f(op.dst(), true);
             }
             Stmt::If { cond, body } | Stmt::While { cond, body } => {
-                uses.insert(*cond);
-                collect(body, defs, uses);
+                f(*cond, false);
+                visit(body, f);
             }
         }
     }
@@ -177,24 +170,146 @@ fn collect(stmts: &[Stmt], defs: &mut BTreeSet<StreamId>, uses: &mut BTreeSet<St
 /// Number of distinct boundary streams across all segments — the
 /// Table 4 `#Intermediate Bitstream` column (program outputs excluded:
 /// they are results, not intermediates).
-pub fn intermediate_count(segments: &[Segment], program: &Program) -> usize {
-    let outs: BTreeSet<StreamId> = program.outputs().iter().copied().collect();
-    let mut ids = BTreeSet::new();
-    for seg in segments {
-        for &o in &seg.outputs {
-            if !outs.contains(&o) {
-                ids.insert(o);
-            }
-        }
-    }
+pub fn intermediate_count<S>(segments: &[Segment<S>], program: &Program) -> usize {
+    let mut ids: Vec<StreamId> = (segments.iter().flat_map(|seg| &seg.outputs))
+        .filter(|id| !program.outputs().contains(id))
+        .copied()
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
     ids.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitgen_ir::lower;
-    use bitgen_regex::parse;
+    use crate::engine::{apply_transforms, ExecConfig};
+    use bitgen_ir::{lower, lower_group_with, LowerOptions};
+    use bitgen_regex::{parse, Ast, ByteSet};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Segmentation as first written: every statement copied into its
+    /// piece, and each piece wired against the union of every earlier
+    /// piece's definitions and of every later piece's uses.
+    fn reference(program: &Program, scheme: Scheme) -> Vec<Segment> {
+        let stmts = program.stmts();
+        let pieces: Vec<(SegmentKind, Vec<Stmt>)> = match scheme {
+            Scheme::Dtm | Scheme::Sr | Scheme::Zbs => vec![(SegmentKind::Fused, stmts.to_vec())],
+            Scheme::Sequential => {
+                stmts.iter().map(|s| (SegmentKind::Sequential, vec![s.clone()])).collect()
+            }
+            Scheme::Base | Scheme::DtmStatic => {
+                let mut out = Vec::new();
+                let mut run: Vec<Stmt> = Vec::new();
+                for s in stmts {
+                    let alone = match scheme {
+                        Scheme::Base => !matches!(
+                            s,
+                            Stmt::Op(op) if !op.is_shift() && !matches!(op, Op::Add { .. })
+                        ),
+                        _ => contains_while(std::slice::from_ref(s)),
+                    };
+                    if alone {
+                        if !run.is_empty() {
+                            out.push((SegmentKind::Fused, std::mem::take(&mut run)));
+                        }
+                        out.push((SegmentKind::Sequential, vec![s.clone()]));
+                    } else {
+                        run.push(s.clone());
+                    }
+                }
+                if !run.is_empty() {
+                    out.push((SegmentKind::Fused, run));
+                }
+                out
+            }
+        };
+        let sets = |stmts: &[Stmt]| {
+            let (mut defs, mut uses) = (BTreeSet::new(), BTreeSet::new());
+            visit(stmts, &mut |id, def| {
+                if def { defs.insert(id) } else { uses.insert(id) };
+            });
+            (defs, uses)
+        };
+        let (defs, uses): (Vec<_>, Vec<_>) = pieces.iter().map(|(_, s)| sets(s)).unzip();
+        let program_outputs: BTreeSet<StreamId> = program.outputs().iter().copied().collect();
+        (pieces.into_iter().enumerate())
+            .map(|(i, (kind, stmts))| {
+                let defined_before: BTreeSet<StreamId> =
+                    defs[..i].iter().flatten().copied().collect();
+                let used_after: BTreeSet<StreamId> =
+                    uses[i + 1..].iter().flatten().copied().collect();
+                let inputs = uses[i].intersection(&defined_before).copied().collect();
+                let outputs = (defs[i].iter())
+                    .filter(|d| used_after.contains(d) || program_outputs.contains(d))
+                    .copied()
+                    .collect();
+                Segment { kind, stmts, inputs, outputs }
+            })
+            .collect()
+    }
+
+    fn arb_ast() -> impl Strategy<Value = Ast> {
+        let leaf = prop::sample::select(b"abcd".to_vec())
+            .prop_map(|b| Ast::Class(ByteSet::singleton(b)));
+        leaf.prop_recursive(3, 20, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Ast::Concat),
+                prop::collection::vec(inner.clone(), 2..3).prop_map(Ast::Alt),
+                inner.clone().prop_map(|a| Ast::Star(Box::new(a))),
+                (inner, 1u32..3).prop_map(|(a, n)| Ast::Repeat {
+                    node: Box::new(a),
+                    min: n,
+                    max: Some(n + 1),
+                }),
+            ]
+        })
+    }
+
+    #[test]
+    fn an_empty_program_segments_as_before() {
+        let empty = Program::new(Vec::new(), 0, Vec::new());
+        for scheme in Scheme::ALL {
+            let kinds = |segs: Vec<Segment>| segs.iter().map(|s| s.kind).collect::<Vec<_>>();
+            assert_eq!(kinds(segment_program(&empty, scheme)), kinds(reference(&empty, scheme)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn linear_wiring_returns_the_reference_segments(
+            asts in prop::collection::vec(arb_ast(), 1..4),
+            match_star in any::<bool>(),
+            combine in any::<bool>(),
+            transformed_for in prop::sample::select(Scheme::ALL.to_vec()),
+        ) {
+            // Lowered programs, `Add`s under MatchStar, and the guarded,
+            // rebalanced ones the transforms leave.
+            let options = LowerOptions { match_star, log_repetition: false };
+            let mut prog = lower_group_with(&asts, options);
+            if combine {
+                prog.combine_outputs();
+            }
+            apply_transforms(&mut prog, &ExecConfig::for_scheme(transformed_for));
+            for scheme in Scheme::ALL {
+                let got = segment_program(&prog, scheme);
+                let want = reference(&prog, scheme);
+                let fields =
+                    |s: &Segment| (s.kind, s.stmts.clone(), s.inputs.clone(), s.outputs.clone());
+                prop_assert_eq!(
+                    got.iter().map(fields).collect::<Vec<_>>(),
+                    want.iter().map(fields).collect::<Vec<_>>(),
+                    "{} of {:?}", scheme, asts
+                );
+                let ranges = segment_ranges(&prog, scheme);
+                let intermediates = intermediate_count(&want, &prog);
+                prop_assert_eq!(intermediate_count(&ranges, &prog), intermediates);
+            }
+        }
+    }
 
     #[test]
     fn fused_schemes_have_one_segment() {

@@ -145,10 +145,8 @@ pub(crate) struct StreamFault {
     pub(crate) counter_bump: u64,
 }
 
-/// The executor's observer: per instruction, the ALU issues, words moved
-/// and barrier of sequential blockwise execution (Fig. 1a / Fig. 5: one
-/// pass over the whole stream per instruction, every value materialised),
-/// an armed fault, and the lost-store tally.
+/// The executor's observer: per instruction, its [`sequential_charge`]
+/// over the whole stream, an armed fault, and the lost-store tally.
 pub(crate) struct Accounting<'a> {
     counters: &'a mut CtaCounters,
     /// Block iterations per full pass.
@@ -191,25 +189,11 @@ impl Observer for Accounting<'_> {
     }
 
     fn op(&mut self, op: &Op, gates: usize) {
-        // One loop per instruction; shifts load two adjacent blocks per
-        // block (Fig. 5). The modelled machine materialises every value,
-        // whatever the host did to compute it.
-        let (passes, words) = (self.passes, self.words);
-        let (alu, loads) = match op {
-            Op::MatchCc { .. } => (gates as u64 * passes, 8 * words),
-            Op::And { .. }
-            | Op::Or { .. }
-            | Op::Add { .. }
-            | Op::Xor { .. }
-            | Op::Advance { .. }
-            | Op::Retreat { .. } => (passes, 2 * words),
-            Op::Not { .. } | Op::Assign { .. } => (passes, words),
-            Op::Zero { .. } | Op::Ones { .. } => (passes, 0),
-        };
+        let (alu, loads) = sequential_charge(op, gates);
         let c = &mut *self.counters;
-        c.alu_ops += alu;
-        c.global_load_words += loads;
-        c.global_store_words += words;
+        c.alu_ops += alu * self.passes;
+        c.global_load_words += loads * self.words;
+        c.global_store_words += self.words;
         // One barrier between consecutive instruction loops (Fig. 5b).
         c.barriers += 1;
         self.issued += 1;
@@ -246,6 +230,25 @@ impl Observer for Accounting<'_> {
 
     fn skipped(&mut self, body: &[Stmt]) {
         self.counters.skipped_ops += Stmt::op_count(body) as u64 * self.passes;
+    }
+}
+
+/// What sequential blockwise execution (Fig. 1a / Fig. 5: one loop per
+/// instruction, shifts loading two adjacent blocks) charges an instruction
+/// whose class circuit has `gates` gates: ALU issues per block pass and
+/// words loaded per stream word. Each also stores a word per stream word
+/// and costs a barrier: every value is materialised, whatever the host did.
+pub fn sequential_charge(op: &Op, gates: usize) -> (u64, u64) {
+    match op {
+        Op::MatchCc { .. } => (gates as u64, 8),
+        Op::And { .. }
+        | Op::Or { .. }
+        | Op::Add { .. }
+        | Op::Xor { .. }
+        | Op::Advance { .. }
+        | Op::Retreat { .. } => (1, 2),
+        Op::Not { .. } | Op::Assign { .. } => (1, 1),
+        Op::Zero { .. } | Op::Ones { .. } => (1, 0),
     }
 }
 

@@ -647,6 +647,34 @@ mod tests {
     }
 
     #[test]
+    fn a_straight_line_kernel_counts_what_its_static_walk_says_on_any_window() {
+        // No loop, no guard: every instruction runs once per window, so
+        // the emulator's counts are the kernel's, whatever the data.
+        let prog = lower(&parse("ab[0-9]{2,4}c|x.y").unwrap());
+        let compiled = compile(&prog, &[], &[], &CodegenOptions::default());
+        let input: Vec<u8> = (0..700u32).map(|i| b"ab012cx-y"[i as usize % 9]).collect();
+        let basis = basis_for(&input);
+        for threads in [1, 2, 8, 64] {
+            let want = compiled.kernel.window_counts(threads).expect("straight-line kernel");
+            let mut cta = Cta::new(&compiled.kernel, threads);
+            for start in [-64i64, 0, 37, 640] {
+                let mut c = CtaCounters::new(0);
+                let inputs = WindowInputs { basis: &basis, globals: &[] };
+                cta.run_window(inputs, start, &mut c).unwrap();
+                let got = [c.alu_ops, c.smem_stores, c.smem_loads, c.barriers];
+                let counted = [want.alu_ops, want.smem_stores, want.smem_loads, want.barriers];
+                assert_eq!(got, counted.map(u64::from));
+                assert_eq!(c.global_load_words, u64::from(want.global_load_words));
+                assert_eq!(c.global_store_words, u64::from(want.global_store_words));
+                assert_eq!((c.reductions, c.skipped_ops, c.window_iterations), (0, 0, 1));
+            }
+        }
+        let looped = lower(&parse("a(bc)*d").unwrap());
+        let looped = compile(&looped, &[], &[], &CodegenOptions::default());
+        assert_eq!(looped.kernel.window_counts(8), None);
+    }
+
+    #[test]
     fn unarmed_cta_never_fires() {
         let prog = lower(&parse("cat").unwrap());
         let compiled = compile(&prog, &[], &[], &CodegenOptions::default());

@@ -34,37 +34,40 @@ pub fn pretty(program: &Program) -> String {
 }
 
 fn write_stmts(stmts: &[Stmt], indent: usize, out: &mut String) {
-    let pad = "    ".repeat(indent);
     for stmt in stmts {
+        (0..indent).for_each(|_| out.push_str("    "));
         match stmt {
             Stmt::Op(op) => {
-                let _ = writeln!(out, "{pad}{}", render_op(op));
+                let _ = write_op(op, out);
+                out.push('\n');
             }
             Stmt::If { cond, body } => {
-                let _ = writeln!(out, "{pad}if ({cond}):");
+                let _ = writeln!(out, "if ({cond}):");
                 write_stmts(body, indent + 1, out);
             }
             Stmt::While { cond, body } => {
-                let _ = writeln!(out, "{pad}while ({cond}):");
+                let _ = writeln!(out, "while ({cond}):");
                 write_stmts(body, indent + 1, out);
             }
         }
     }
 }
 
-fn render_op(op: &Op) -> String {
+/// Writes `op` in listing notation straight into `out`: fingerprinting
+/// renders every instruction of an engine.
+fn write_op(op: &Op, out: &mut String) -> std::fmt::Result {
     match op {
-        Op::MatchCc { dst, class } => format!("{dst} = match(text, {class})"),
-        Op::And { dst, a, b } => format!("{dst} = {a} & {b}"),
-        Op::Or { dst, a, b } => format!("{dst} = {a} | {b}"),
-        Op::Add { dst, a, b } => format!("{dst} = {a} + {b}"),
-        Op::Xor { dst, a, b } => format!("{dst} = {a} ^ {b}"),
-        Op::Not { dst, src } => format!("{dst} = ~{src}"),
-        Op::Advance { dst, src, amount } => format!("{dst} = {src} >> {amount}"),
-        Op::Retreat { dst, src, amount } => format!("{dst} = {src} << {amount}"),
-        Op::Assign { dst, src } => format!("{dst} = {src}"),
-        Op::Zero { dst } => format!("{dst} = 0"),
-        Op::Ones { dst } => format!("{dst} = ~0"),
+        Op::MatchCc { dst, class } => write!(out, "{dst} = match(text, {class})"),
+        Op::And { dst, a, b } => write!(out, "{dst} = {a} & {b}"),
+        Op::Or { dst, a, b } => write!(out, "{dst} = {a} | {b}"),
+        Op::Add { dst, a, b } => write!(out, "{dst} = {a} + {b}"),
+        Op::Xor { dst, a, b } => write!(out, "{dst} = {a} ^ {b}"),
+        Op::Not { dst, src } => write!(out, "{dst} = ~{src}"),
+        Op::Advance { dst, src, amount } => write!(out, "{dst} = {src} >> {amount}"),
+        Op::Retreat { dst, src, amount } => write!(out, "{dst} = {src} << {amount}"),
+        Op::Assign { dst, src } => write!(out, "{dst} = {src}"),
+        Op::Zero { dst } => write!(out, "{dst} = 0"),
+        Op::Ones { dst } => write!(out, "{dst} = ~0"),
     }
 }
 
@@ -100,7 +103,9 @@ mod tests {
             (Op::Ones { dst: d }, "= ~0"),
             (Op::Assign { dst: d, src: s }, "S1 = S0"),
         ] {
-            assert!(render_op(&op).contains(needle), "{op:?}");
+            let mut text = String::new();
+            write_op(&op, &mut text).unwrap();
+            assert!(text.contains(needle), "{op:?}");
         }
     }
 }

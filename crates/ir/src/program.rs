@@ -144,17 +144,19 @@ impl Op {
         }
     }
 
-    /// The variables this instruction reads, in operand order.
-    pub fn sources(&self) -> Vec<StreamId> {
-        match *self {
-            Op::MatchCc { .. } | Op::Zero { .. } | Op::Ones { .. } => vec![],
-            Op::Not { src, .. } | Op::Assign { src, .. } => vec![src],
-            Op::Advance { src, .. } | Op::Retreat { src, .. } => vec![src],
+    /// The variables this instruction reads, in operand order (nothing is
+    /// allocated: every pass over a program asks this of every op).
+    pub fn sources(&self) -> impl Iterator<Item = StreamId> {
+        let (a, b) = match *self {
+            Op::MatchCc { .. } | Op::Zero { .. } | Op::Ones { .. } => (None, None),
+            Op::Not { src, .. } | Op::Assign { src, .. } => (Some(src), None),
+            Op::Advance { src, .. } | Op::Retreat { src, .. } => (Some(src), None),
             Op::And { a, b, .. }
             | Op::Or { a, b, .. }
             | Op::Add { a, b, .. }
-            | Op::Xor { a, b, .. } => vec![a, b],
-        }
+            | Op::Xor { a, b, .. } => (Some(a), Some(b)),
+        };
+        a.into_iter().chain(b)
     }
 
     /// Returns `true` for the shift instructions (`Advance`/`Retreat`),
@@ -349,13 +351,13 @@ mod tests {
     fn op_dst_and_sources() {
         let op = Op::And { dst: s(2), a: s(0), b: s(1) };
         assert_eq!(op.dst(), s(2));
-        assert_eq!(op.sources(), vec![s(0), s(1)]);
+        assert_eq!(op.sources().collect::<Vec<_>>(), vec![s(0), s(1)]);
         let sh = Op::Advance { dst: s(3), src: s(2), amount: 4 };
         assert!(sh.is_shift());
         assert_eq!(sh.signed_shift(), 4);
         let re = Op::Retreat { dst: s(4), src: s(3), amount: 2 };
         assert_eq!(re.signed_shift(), -2);
-        assert_eq!(Op::Zero { dst: s(5) }.sources(), vec![]);
+        assert_eq!(Op::Zero { dst: s(5) }.sources().count(), 0);
         assert!(!Op::Assign { dst: s(1), src: s(0) }.is_shift());
     }
 

@@ -12,9 +12,11 @@
 //! copy (the paper's redundant-copy elimination).
 
 use crate::kir::{KOp, KStmt, Kernel, Reg, Slot};
-use bitgen_bitstream::{compile_class, CcExpr};
+use bitgen_bitstream::{build_class, GateSink};
 use bitgen_ir::{DefUse, Op, Program, Stmt, StreamId};
+use bitgen_regex::ByteSet;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Options controlling kernel generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,67 +79,224 @@ pub fn compile(
     outputs: &[StreamId],
     options: &CodegenOptions,
 ) -> Compiled {
-    let outputs: Vec<StreamId> =
-        if outputs.is_empty() { program.outputs().to_vec() } else { outputs.to_vec() };
-    let mut cg = Codegen {
-        du: DefUse::of(program),
-        options: *options,
-        basis_reg_base: program.num_streams(),
-        cse_base: program.num_streams() + 8,
-        num_slots: 0,
-        num_sites: 0,
-        cse_regs: 0,
-        dense: HashMap::new(),
-        stats: CodegenStats::default(),
-        circuit_cache: HashMap::new(),
-    };
-    let mut stmts = Vec::new();
-    // Preload the basis words used by the program's classes.
-    let mut basis_used = [false; 8];
-    for class in program.classes() {
-        mark_basis(&compile_class(&class), &mut basis_used);
-    }
-    for (bit, used) in basis_used.iter().enumerate() {
-        if *used {
-            let dst = cg.dense(cg.basis_reg_base + bit as u32);
-            stmts.push(KStmt::Op(KOp::LoadBasis { dst, bit: bit as u8 }));
-        }
-    }
-    // Load materialised segment inputs.
-    for (i, &id) in inputs.iter().enumerate() {
-        stmts.push(KStmt::Op(KOp::LoadGlobal { dst: cg.reg(id), input: i as u32 }));
-    }
-    cg.gen_stmts(program.stmts(), &mut stmts);
-    // Store outputs.
-    for (i, &id) in outputs.iter().enumerate() {
-        stmts.push(KStmt::Op(KOp::StoreGlobal { output: i as u32, src: cg.reg(id) }));
-    }
-    // Kernels stay resident for the life of an engine: no spare capacity.
-    stmts.shrink_to_fit();
-    let kernel = Kernel {
-        stmts,
-        num_regs: cg.dense.len() as u32,
-        num_slots: cg.num_slots.max(1),
-        num_inputs: inputs.len() as u32,
-        num_outputs: outputs.len() as u32,
-        num_sites: cg.num_sites,
-    };
-    Compiled { kernel, stats: cg.stats }
+    Compiler::default().compile(program, inputs, outputs, options)
 }
 
-fn mark_basis(e: &CcExpr, used: &mut [bool; 8]) {
-    match e {
-        CcExpr::Const(_) => {}
-        CcExpr::Basis(k) => used[*k as usize] = true,
-        CcExpr::Not(a) => mark_basis(a, used),
-        CcExpr::And(a, b) | CcExpr::Or(a, b) => {
-            mark_basis(a, used);
-            mark_basis(b, used);
+/// [`compile`] for several programs that share byte classes — an
+/// engine's groups, a plan's segments: each distinct class's circuit is
+/// built once, for every program the compiler compiles, and each kernel
+/// is exactly the one [`compile`] emits. The table lives as long as the
+/// caller keeps the compiler; nothing is cached anywhere else.
+#[derive(Default)]
+pub struct Compiler {
+    circuits: Circuits,
+}
+
+impl Compiler {
+    /// Compiles `program` into a [`Kernel`], as [`compile`] does.
+    pub fn compile(
+        &mut self,
+        program: &Program,
+        inputs: &[StreamId],
+        outputs: &[StreamId],
+        options: &CodegenOptions,
+    ) -> Compiled {
+        let outputs: Vec<StreamId> =
+            if outputs.is_empty() { program.outputs().to_vec() } else { outputs.to_vec() };
+        let streams = program.num_streams() as usize;
+        let roots = self.circuits.add(program);
+        let basis_used = self.circuits.basis_used(&roots);
+        let nodes = self.circuits.nodes.len();
+        let mut cg = Codegen {
+            du: DefUse::of(program),
+            options: *options,
+            basis_reg_base: program.num_streams(),
+            cse_base: program.num_streams() + 8,
+            num_slots: 0,
+            num_sites: 0,
+            cse_regs: 0,
+            dense: vec![UNNAMED; streams + 8 + nodes],
+            num_regs: 0,
+            stats: CodegenStats::default(),
+            circuits: &self.circuits,
+            cse: vec![(0, Reg(0)); nodes],
+            block: 0,
+            last_seen: vec![Seen::default(); streams],
+            slots: (Vec::new(), Vec::new()),
+        };
+        let mut stmts = Vec::new();
+        // Preload the basis words the program's classes read.
+        for (bit, used) in basis_used.iter().enumerate() {
+            if *used {
+                let dst = cg.dense(cg.basis_reg_base + bit as u32);
+                stmts.push(KStmt::Op(KOp::LoadBasis { dst, bit: bit as u8 }));
+            }
+        }
+        // Load materialised segment inputs.
+        for (i, &id) in inputs.iter().enumerate() {
+            stmts.push(KStmt::Op(KOp::LoadGlobal { dst: cg.reg(id), input: i as u32 }));
+        }
+        cg.gen_stmts(program.stmts(), &mut stmts);
+        // Store outputs.
+        for (i, &id) in outputs.iter().enumerate() {
+            stmts.push(KStmt::Op(KOp::StoreGlobal { output: i as u32, src: cg.reg(id) }));
+        }
+        // Kernels stay resident for the life of an engine: no spare capacity.
+        stmts.shrink_to_fit();
+        let kernel = Kernel {
+            stmts,
+            num_regs: cg.num_regs,
+            num_slots: cg.num_slots.max(1),
+            num_inputs: inputs.len() as u32,
+            num_outputs: outputs.len() as u32,
+            num_sites: cg.num_sites,
+        };
+        Compiled { kernel, stats: cg.stats }
+    }
+}
+
+/// A node of the interned class circuits; operands are node ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Node {
+    Const(bool),
+    Basis(u8),
+    Not(u32),
+    And(u32, u32),
+    Or(u32, u32),
+}
+
+/// Every distinct class a [`Compiler`] has met, built once
+/// ([`build_class`]) straight into one interned node table: structurally
+/// equal subtrees — within a class or across classes — are one node, so a
+/// block's circuit CSE finds a subtree by its id instead of by hashing
+/// the tree. The leaves have fixed ids: `0` and `1` the constants, `2 + k`
+/// basis stream `k`.
+struct Circuits {
+    nodes: Vec<Node>,
+    /// Per node, the gates of its subtree as a tree
+    /// ([`bitgen_bitstream::CcExpr::gate_count`]): what reusing it saves.
+    gates: Vec<usize>,
+    ids: HashMap<Node, u32>,
+    /// The root node of each class built: every class of a program the
+    /// compiler compiles has one.
+    roots: HashMap<ByteSet, u32>,
+}
+
+impl Default for Circuits {
+    fn default() -> Circuits {
+        let constants = [Node::Const(false), Node::Const(true)];
+        Circuits {
+            nodes: constants.into_iter().chain((0..8).map(Node::Basis)).collect(),
+            gates: vec![0; 10],
+            ids: HashMap::new(),
+            roots: HashMap::new(),
         }
     }
 }
 
-struct Codegen {
+impl Circuits {
+    /// Builds the classes of `program` not built yet; returns the root
+    /// node of each class match.
+    fn add(&mut self, program: &Program) -> Vec<u32> {
+        let mut roots = Vec::new();
+        program.for_each_op(&mut |op| {
+            if let Op::MatchCc { class, .. } = op {
+                let root = match self.roots.get(class) {
+                    Some(&root) => root,
+                    None => {
+                        let root = build_class(class, self);
+                        self.roots.insert(*class, root);
+                        root
+                    }
+                };
+                roots.push(root);
+            }
+        });
+        roots
+    }
+
+    /// The id of gate `node`, whose subtree has `gates` gates.
+    fn intern(&mut self, node: Node, gates: usize) -> u32 {
+        if let Some(&id) = self.ids.get(&node) {
+            return id;
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.gates.push(gates);
+        self.ids.insert(node, id);
+        id
+    }
+
+    fn gates(&self, node: u32) -> usize {
+        self.gates[node as usize]
+    }
+
+    /// The basis streams the circuits under `roots` read. Not every
+    /// interned node is in a circuit: folding drops operands (`b7 | 1` is
+    /// `1`).
+    fn basis_used(&self, roots: &[u32]) -> [bool; 8] {
+        let mut used = [false; 8];
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = roots.to_vec();
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n as usize], true) {
+                continue;
+            }
+            match self.nodes[n as usize] {
+                Node::Const(_) => {}
+                Node::Basis(k) => used[k as usize] = true,
+                Node::Not(a) => stack.push(a),
+                Node::And(a, b) | Node::Or(a, b) => stack.extend([a, b]),
+            }
+        }
+        used
+    }
+}
+
+/// Folds exactly as `CcExpr`'s smart constructors do, so a class interns
+/// as the tree `compile_class` returns.
+impl GateSink for Circuits {
+    type Node = u32;
+
+    fn constant(&mut self, value: bool) -> u32 {
+        u32::from(value)
+    }
+
+    fn basis(&mut self, k: u8) -> u32 {
+        2 + u32::from(k)
+    }
+
+    fn not(&mut self, a: u32) -> u32 {
+        match self.nodes[a as usize] {
+            Node::Const(value) => self.constant(!value),
+            Node::Not(inner) => inner,
+            _ => self.intern(Node::Not(a), 1 + self.gates(a)),
+        }
+    }
+
+    fn and(&mut self, a: u32, b: u32) -> u32 {
+        match (self.nodes[a as usize], self.nodes[b as usize]) {
+            (Node::Const(false), _) | (_, Node::Const(false)) => self.constant(false),
+            (Node::Const(true), _) => b,
+            (_, Node::Const(true)) => a,
+            _ => self.intern(Node::And(a, b), 1 + self.gates(a) + self.gates(b)),
+        }
+    }
+
+    fn or(&mut self, a: u32, b: u32) -> u32 {
+        match (self.nodes[a as usize], self.nodes[b as usize]) {
+            (Node::Const(true), _) | (_, Node::Const(true)) => self.constant(true),
+            (Node::Const(false), _) => b,
+            (_, Node::Const(false)) => a,
+            _ => self.intern(Node::Or(a, b), 1 + self.gates(a) + self.gates(b)),
+        }
+    }
+}
+
+/// A virtual register no instruction has named yet.
+const UNNAMED: u32 = u32::MAX;
+
+struct Codegen<'c> {
     du: DefUse,
     options: CodegenOptions,
     basis_reg_base: u32,
@@ -152,15 +311,35 @@ struct Codegen {
     /// word and shared circuit node) an instruction has named so far,
     /// numbered in first-touch order: the kernel's register file holds
     /// exactly the registers it references.
-    dense: HashMap<u32, Reg>,
+    dense: Vec<u32>,
+    num_regs: u32,
     stats: CodegenStats,
-    circuit_cache: HashMap<bitgen_regex::ByteSet, CcExpr>,
+    circuits: &'c Circuits,
+    /// Per circuit node, the block that computed it and where: class
+    /// CSE is scoped to a block (no control flow inside one, so every
+    /// cached node's definition dominates its reuses).
+    cse: Vec<(u32, Reg)>,
+    /// The block being generated, counting from 1.
+    block: u32,
+    /// Per stream, where the block being scheduled last defined and read
+    /// it (shift scheduling).
+    last_seen: Vec<Seen>,
+    /// The sources a shift group stores and the slot each member reads,
+    /// reused from group to group.
+    slots: (Vec<StreamId>, Vec<Slot>),
 }
 
-impl Codegen {
+impl Codegen<'_> {
     fn dense(&mut self, virt: u32) -> Reg {
-        let next = Reg(self.dense.len() as u32);
-        *self.dense.entry(virt).or_insert(next)
+        let v = virt as usize;
+        if v >= self.dense.len() {
+            self.dense.resize(v + 1, UNNAMED);
+        }
+        if self.dense[v] == UNNAMED {
+            self.dense[v] = self.num_regs;
+            self.num_regs += 1;
+        }
+        Reg(self.dense[v])
     }
 
     fn reg(&mut self, id: StreamId) -> Reg {
@@ -168,18 +347,21 @@ impl Codegen {
     }
 
     fn gen_stmts(&mut self, stmts: &[Stmt], out: &mut Vec<KStmt>) {
-        let mut run: Vec<Op> = Vec::new();
-        for stmt in stmts {
-            match stmt {
-                Stmt::Op(op) => run.push(op.clone()),
+        let mut at = 0;
+        while at < stmts.len() {
+            match &stmts[at] {
+                Stmt::Op(_) => {
+                    let run = stmts[at..].iter().take_while(|s| matches!(s, Stmt::Op(_))).count();
+                    self.gen_block(&stmts[at..at + run], out);
+                    at += run;
+                    continue;
+                }
                 Stmt::If { cond, body } => {
-                    self.flush_run(&mut run, out);
                     let mut kbody = Vec::new();
                     self.gen_stmts(body, &mut kbody);
                     out.push(KStmt::If { cond: self.reg(*cond), body: kbody.into() });
                 }
                 Stmt::While { cond, body } => {
-                    self.flush_run(&mut run, out);
                     let site = self.num_sites;
                     self.num_sites += 1;
                     let mut kbody = Vec::new();
@@ -187,140 +369,136 @@ impl Codegen {
                     out.push(KStmt::While { cond: self.reg(*cond), body: kbody.into(), site });
                 }
             }
+            at += 1;
         }
-        self.flush_run(&mut run, out);
-    }
-
-    fn flush_run(&mut self, run: &mut Vec<Op>, out: &mut Vec<KStmt>) {
-        if run.is_empty() {
-            return;
-        }
-        let block = std::mem::take(run);
-        self.gen_block(&block, out);
     }
 
     /// Schedules the shifts of a straight-line block into barrier groups
     /// and emits the block.
-    fn gen_block(&mut self, block: &[Op], out: &mut Vec<KStmt>) {
-        let groups = self.schedule_shifts(block);
-        // anchor position -> group index
-        let mut anchored: HashMap<usize, usize> = HashMap::new();
+    fn gen_block(&mut self, block: &[Stmt], out: &mut Vec<KStmt>) {
+        let ops: Vec<&Op> = block
+            .iter()
+            .map(|s| match s {
+                Stmt::Op(op) => op,
+                _ => unreachable!("a block is a run of instructions"),
+            })
+            .collect();
+        self.block += 1;
+        let (groups, members) = self.schedule_shifts(&ops);
+        // Per block position: the group anchored there, and whether a
+        // group emits the shift there.
+        let mut anchored = vec![None; ops.len()];
+        let mut swallowed = vec![false; ops.len()];
         for (gi, g) in groups.iter().enumerate() {
-            anchored.insert(g.anchor, gi);
+            anchored[g.anchor] = Some(gi);
         }
-        // positions of shifts swallowed by some group
-        let mut swallowed: HashMap<usize, ()> = HashMap::new();
-        for g in &groups {
-            for &(pos, _) in &g.members {
-                swallowed.insert(pos, ());
+        members.iter().for_each(|&pos| swallowed[pos] = true);
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(gi) = anchored[i] {
+                self.emit_group(&members[groups[gi].members.clone()], &ops, out);
             }
-        }
-        // Class-circuit CSE is scoped to the block: inside one block there
-        // is no control flow, so every cached node's definition dominates
-        // its reuses.
-        let mut cse: HashMap<CcExpr, Reg> = HashMap::new();
-        for (i, op) in block.iter().enumerate() {
-            if let Some(&gi) = anchored.get(&i) {
-                self.emit_group(&groups[gi], out);
+            if !swallowed[i] {
+                self.emit_op(op, out);
             }
-            if swallowed.contains_key(&i) {
-                continue; // emitted by its group
-            }
-            self.emit_op(op, out, &mut cse);
         }
     }
 
     /// Greedy shift scheduling (§5.3): walk the block in order, merging
     /// each shift into the open group when legal, else starting a new one.
-    fn schedule_shifts(&mut self, block: &[Op]) -> Vec<ShiftGroup> {
-        // Definition positions per variable (all of them, in order).
-        let mut defs: HashMap<StreamId, Vec<usize>> = HashMap::new();
+    /// Returns the groups and, group after group, their members' block
+    /// positions.
+    fn schedule_shifts(&mut self, block: &[&Op]) -> (Vec<ShiftGroup>, Vec<usize>) {
+        let here = self.block;
+        let (mut groups, mut members): (Vec<ShiftGroup>, Vec<usize>) = (Vec::new(), Vec::new());
         for (i, op) in block.iter().enumerate() {
-            defs.entry(op.dst()).or_default().push(i);
-        }
-        let latest_def_before = |v: StreamId, i: usize| -> Option<usize> {
-            defs.get(&v)?.iter().copied().rfind(|&d| d < i)
-        };
-        let mut groups: Vec<ShiftGroup> = Vec::new();
-        for (i, op) in block.iter().enumerate() {
-            let (src, _amount) = match op {
-                Op::Advance { src, amount, .. } => (*src, *amount),
-                Op::Retreat { src, amount, .. } => (*src, *amount),
-                _ => continue,
-            };
-            self.stats.shifts += 1;
-            let dst = op.dst();
-            let mergeable = groups.last().is_some_and(|g| {
-                if g.members.len() >= self.options.merge_size {
-                    return false;
+            if let Op::Advance { src, .. } | Op::Retreat { src, .. } = op {
+                self.stats.shifts += 1;
+                let dst = op.dst();
+                // Where this block last defined or read a stream before `i`.
+                let seen =
+                    |id: StreamId| Some(self.last_seen[id.index()]).filter(|s| s.block == here);
+                let mergeable = groups.last().is_some_and(|g| {
+                    if g.members.len() >= self.options.merge_size {
+                        return false;
+                    }
+                    let p = g.anchor as u32;
+                    // (1) operand ready at the anchor: its latest definition
+                    // before the shift precedes the anchor, i.e. it is not
+                    // (re)defined in [p, i).
+                    if seen(*src).and_then(|s| s.def).is_some_and(|d| d >= p) {
+                        return false;
+                    }
+                    // (2) hoisting the definition of dst to the anchor is
+                    // unobservable: dst defined exactly once in the whole
+                    // program (here) and not read in [p, i).
+                    self.du.def_count(dst) == 1
+                        && seen(dst).and_then(|s| s.read).is_none_or(|r| r < p)
+                });
+                members.push(i);
+                match groups.last_mut() {
+                    Some(g) if mergeable => g.members.end += 1,
+                    _ => {
+                        let at = members.len() - 1;
+                        groups.push(ShiftGroup { anchor: i, members: at..at + 1 });
+                    }
                 }
-                let p = g.anchor;
-                // (1) operand ready at the anchor: its latest definition
-                // before the shift precedes the anchor, i.e. it is not
-                // (re)defined in [p, i).
-                let ready = match latest_def_before(src, i) {
-                    None => true, // defined outside the block
-                    Some(d) => d < p,
-                };
-                if !ready {
-                    return false;
-                }
-                // (2) hoisting the definition of dst to the anchor is
-                // unobservable: dst defined exactly once in the whole
-                // program and neither read nor written in [p, i).
-                if self.du.def_count(dst) != 1 {
-                    return false;
-                }
-                !block[p..i].iter().any(|o| o.dst() == dst || o.sources().contains(&dst))
-            });
-            if mergeable {
-                let g = groups.last_mut().expect("mergeable implies a group exists");
-                g.members.push((i, op.clone()));
-            } else {
-                groups.push(ShiftGroup { anchor: i, members: vec![(i, op.clone())] });
             }
+            let mut note = |id: StreamId, def: bool| {
+                let s = &mut self.last_seen[id.index()];
+                if s.block != here {
+                    *s = Seen { block: here, def: None, read: None };
+                }
+                *(if def { &mut s.def } else { &mut s.read }) = Some(i as u32);
+            };
+            op.sources().for_each(|src| note(src, false));
+            note(op.dst(), true);
         }
-        groups
+        (groups, members)
     }
 
     /// Emits one shift group: distinct sources go to shared memory once,
     /// one barrier, all shifted reads, one barrier.
-    fn emit_group(&mut self, group: &ShiftGroup, out: &mut Vec<KStmt>) {
+    fn emit_group(&mut self, members: &[usize], block: &[&Op], out: &mut Vec<KStmt>) {
         self.stats.shift_groups += 1;
-        let mut slot_of: HashMap<StreamId, Slot> = HashMap::new();
-        for (_, op) in &group.members {
-            let src = op.sources()[0];
-            if slot_of.contains_key(&src) {
+        let shift = |pos: usize| match *block[pos] {
+            Op::Advance { dst, src, amount } => (dst, src, amount as i64),
+            Op::Retreat { dst, src, amount } => (dst, src, -(amount as i64)),
+            ref other => unreachable!("non-shift {other:?} in group"),
+        };
+        // The slot of a source is its index in `stored`.
+        let (mut stored, mut slots) = std::mem::take(&mut self.slots);
+        stored.clear();
+        slots.clear();
+        for &pos in members {
+            let (_, src, _) = shift(pos);
+            match stored.iter().position(|&s| s == src) {
                 // Redundant-copy elimination: the same unshifted stream is
                 // stored once and read at several distances.
-                self.stats.smem_copies_saved += 1;
-                continue;
+                Some(slot) => {
+                    self.stats.smem_copies_saved += 1;
+                    slots.push(Slot(slot as u32));
+                }
+                None => {
+                    let slot = Slot(stored.len() as u32);
+                    stored.push(src);
+                    slots.push(slot);
+                    out.push(KStmt::Op(KOp::SmemStore { slot, src: self.reg(src) }));
+                }
             }
-            let slot = Slot(slot_of.len() as u32);
-            slot_of.insert(src, slot);
-            out.push(KStmt::Op(KOp::SmemStore { slot, src: self.reg(src) }));
         }
-        self.num_slots = self.num_slots.max(slot_of.len() as u32);
+        self.num_slots = self.num_slots.max(stored.len() as u32);
         out.push(KStmt::Op(KOp::Barrier));
-        for (_, op) in &group.members {
-            let (dst, src, shift) = match op {
-                Op::Advance { dst, src, amount } => (*dst, *src, *amount as i64),
-                Op::Retreat { dst, src, amount } => (*dst, *src, -(*amount as i64)),
-                other => unreachable!("non-shift {other:?} in group"),
-            };
-            out.push(KStmt::Op(KOp::ShiftRead { dst: self.reg(dst), slot: slot_of[&src], shift }));
+        for (&pos, &slot) in members.iter().zip(&slots) {
+            let (dst, _, shift) = shift(pos);
+            out.push(KStmt::Op(KOp::ShiftRead { dst: self.reg(dst), slot, shift }));
         }
         out.push(KStmt::Op(KOp::Barrier));
+        self.slots = (stored, slots);
     }
 
-    fn emit_op(&mut self, op: &Op, out: &mut Vec<KStmt>, cse: &mut HashMap<CcExpr, Reg>) {
+    fn emit_op(&mut self, op: &Op, out: &mut Vec<KStmt>) {
         if let Op::MatchCc { dst, class } = op {
-            let circuit = self
-                .circuit_cache
-                .entry(*class)
-                .or_insert_with(|| compile_class(class))
-                .clone();
-            let root = self.emit_circuit_cse(&circuit, out, cse);
+            let root = self.emit_circuit(self.circuits.roots[class], out);
             out.push(KStmt::Op(KOp::Copy { dst: self.reg(*dst), a: root }));
             return;
         }
@@ -343,41 +521,39 @@ impl Codegen {
         out.push(KStmt::Op(kop));
     }
 
-    /// Expands a circuit with hash-consing: every distinct sub-circuit is
-    /// computed once per block and its register reused — the cross-class
-    /// sharing Parabix performs (lowercase letters share the `¬b0∧b1∧b2`
-    /// prefix, digit tests share range comparisons, ...).
-    fn emit_circuit_cse(
-        &mut self,
-        e: &CcExpr,
-        out: &mut Vec<KStmt>,
-        cse: &mut HashMap<CcExpr, Reg>,
-    ) -> Reg {
-        if let CcExpr::Basis(k) = e {
-            return self.dense(self.basis_reg_base + *k as u32);
+    /// Expands a circuit node with hash-consing: every distinct sub-circuit
+    /// is computed once per block and its register reused — the
+    /// cross-class sharing Parabix performs (lowercase letters share the
+    /// `¬b0∧b1∧b2` prefix, digit tests share range comparisons, ...).
+    fn emit_circuit(&mut self, node: u32, out: &mut Vec<KStmt>) -> Reg {
+        let n = node as usize;
+        let kind = self.circuits.nodes[n];
+        if let Node::Basis(k) = kind {
+            return self.dense(self.basis_reg_base + u32::from(k));
         }
-        if let Some(&r) = cse.get(e) {
-            self.stats.gates_shared += e.gate_count().max(1);
-            return r;
+        let (block, reg) = self.cse[n];
+        if block == self.block {
+            self.stats.gates_shared += self.circuits.gates(node).max(1);
+            return reg;
         }
-        let r = match e {
-            CcExpr::Basis(_) => unreachable!("handled above"),
-            CcExpr::Const(b) => {
+        let r = match kind {
+            Node::Basis(_) => unreachable!("handled above"),
+            Node::Const(ones) => {
                 let r = self.alloc_cse_reg();
-                out.push(KStmt::Op(KOp::Const { dst: r, ones: *b }));
+                out.push(KStmt::Op(KOp::Const { dst: r, ones }));
                 r
             }
-            CcExpr::Not(a) => {
-                let ra = self.emit_circuit_cse(a, out, cse);
+            Node::Not(a) => {
+                let ra = self.emit_circuit(a, out);
                 let r = self.alloc_cse_reg();
                 out.push(KStmt::Op(KOp::Not { dst: r, a: ra }));
                 r
             }
-            CcExpr::And(a, b) | CcExpr::Or(a, b) => {
-                let ra = self.emit_circuit_cse(a, out, cse);
-                let rb = self.emit_circuit_cse(b, out, cse);
+            Node::And(a, b) | Node::Or(a, b) => {
+                let ra = self.emit_circuit(a, out);
+                let rb = self.emit_circuit(b, out);
                 let r = self.alloc_cse_reg();
-                let kop = if matches!(e, CcExpr::And(..)) {
+                let kop = if matches!(kind, Node::And(..)) {
                     KOp::And { dst: r, a: ra, b: rb }
                 } else {
                     KOp::Or { dst: r, a: ra, b: rb }
@@ -386,7 +562,7 @@ impl Codegen {
                 r
             }
         };
-        cse.insert(e.clone(), r);
+        self.cse[n] = (self.block, r);
         r
     }
 
@@ -397,16 +573,27 @@ impl Codegen {
     }
 }
 
+/// Block positions of a stream's latest definition and latest read so
+/// far, valid for the block numbered `block` only.
+#[derive(Clone, Copy, Default)]
+struct Seen {
+    block: u32,
+    def: Option<u32>,
+    read: Option<u32>,
+}
+
 struct ShiftGroup {
     /// Block position the group is anchored at (its first shift).
     anchor: usize,
-    /// `(original position, op)` of each member, in program order.
-    members: Vec<(usize, Op)>,
+    /// Where the block positions of its members, in program order, are
+    /// in the block's schedule.
+    members: Range<usize>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitgen_bitstream::{compile_class, CcExpr};
     use bitgen_ir::lower;
     use bitgen_passes::rebalance;
     use bitgen_regex::parse;
@@ -565,5 +752,48 @@ mod tests {
             })
         }
         assert!(has_if(&c.kernel.stmts));
+    }
+
+    #[test]
+    fn classes_intern_as_the_trees_compile_class_returns() {
+        fn tree(c: &Circuits, n: u32) -> CcExpr {
+            match c.nodes[n as usize] {
+                Node::Const(value) => CcExpr::Const(value),
+                Node::Basis(k) => CcExpr::Basis(k),
+                Node::Not(a) => CcExpr::Not(Box::new(tree(c, a))),
+                Node::And(a, b) => CcExpr::And(Box::new(tree(c, a)), Box::new(tree(c, b))),
+                Node::Or(a, b) => CcExpr::Or(Box::new(tree(c, a)), Box::new(tree(c, b))),
+            }
+        }
+        let mut sets: Vec<ByteSet> = (0..=255).map(ByteSet::singleton).collect();
+        for lo in (0..=255u8).step_by(13) {
+            for hi in (lo..=255).step_by(19) {
+                sets.extend([ByteSet::range(lo, hi), ByteSet::range(lo, hi).complement()]);
+            }
+        }
+        sets.extend([ByteSet::EMPTY, ByteSet::FULL, ByteSet::dot(), ByteSet::word()]);
+        sets.push(ByteSet::from_bytes((0..=255u8).filter(|b| b % 3 == 0)));
+        // One node table for all of them, as one program's classes share.
+        let mut circuits = Circuits::default();
+        for set in &sets {
+            let root = build_class(set, &mut circuits);
+            let want = compile_class(set);
+            assert_eq!(tree(&circuits, root), want, "{set:?}");
+            assert_eq!(circuits.gates(root), want.gate_count(), "{set:?}");
+            let mut read = [false; 8];
+            fn mark(e: &CcExpr, read: &mut [bool; 8]) {
+                match e {
+                    CcExpr::Const(_) => {}
+                    CcExpr::Basis(k) => read[*k as usize] = true,
+                    CcExpr::Not(a) => mark(a, read),
+                    CcExpr::And(a, b) | CcExpr::Or(a, b) => {
+                        mark(a, read);
+                        mark(b, read);
+                    }
+                }
+            }
+            mark(&want, &mut read);
+            assert_eq!(circuits.basis_used(&[root]), read, "{set:?}");
+        }
     }
 }

@@ -164,18 +164,20 @@ impl KOp {
 
     /// Every register the op names: its destination, then its sources.
     pub fn regs(&self) -> impl Iterator<Item = Reg> {
-        let sources = match *self {
-            KOp::Not { a, .. }
-            | KOp::Copy { a, .. }
-            | KOp::SmemStore { src: a, .. }
-            | KOp::StoreGlobal { src: a, .. } => [Some(a), None],
-            KOp::And { a, b, .. }
-            | KOp::Or { a, b, .. }
-            | KOp::Add { a, b, .. }
-            | KOp::Xor { a, b, .. } => [Some(a), Some(b)],
-            _ => [None, None],
+        let (regs, named) = match *self {
+            KOp::LoadBasis { dst, .. }
+            | KOp::LoadGlobal { dst, .. }
+            | KOp::Const { dst, .. }
+            | KOp::ShiftRead { dst, .. } => ([dst; 3], 1),
+            KOp::SmemStore { src, .. } | KOp::StoreGlobal { src, .. } => ([src; 3], 1),
+            KOp::Not { dst, a } | KOp::Copy { dst, a } => ([dst, a, a], 2),
+            KOp::And { dst, a, b }
+            | KOp::Or { dst, a, b }
+            | KOp::Add { dst, a, b, .. }
+            | KOp::Xor { dst, a, b } => ([dst, a, b], 3),
+            KOp::Barrier => ([Reg(0); 3], 0),
         };
-        self.dst().into_iter().chain(sources.into_iter().flatten())
+        regs.into_iter().take(named)
     }
 }
 
@@ -292,19 +294,20 @@ impl Kernel {
     /// touched inside a loop are conservatively kept live across the whole
     /// loop (loop-carried values are live between trips).
     pub fn max_live_regs(&self) -> u32 {
-        use std::collections::HashMap;
-        // Interval per register over a linearised position space.
-        let mut intervals: HashMap<u32, (u32, u32)> = HashMap::new();
-        fn touch(intervals: &mut HashMap<u32, (u32, u32)>, r: Reg, pos: u32) {
-            let e = intervals.entry(r.0).or_insert((pos, pos));
-            e.0 = e.0.min(pos);
-            e.1 = e.1.max(pos);
+        /// First and last position touching each register, over a
+        /// linearised position space (`UNTOUCHED`: none).
+        type Intervals = Vec<(u32, u32)>;
+        const UNTOUCHED: (u32, u32) = (u32::MAX, 0);
+        fn touch(intervals: &mut Intervals, r: Reg, pos: u32) {
+            let at = r.0 as usize;
+            if at >= intervals.len() {
+                intervals.resize(at + 1, UNTOUCHED);
+            }
+            let iv = &mut intervals[at];
+            iv.0 = iv.0.min(pos);
+            iv.1 = iv.1.max(pos);
         }
-        fn walk(
-            stmts: &[KStmt],
-            pos: &mut u32,
-            intervals: &mut HashMap<u32, (u32, u32)>,
-        ) {
+        fn walk(stmts: &[KStmt], pos: &mut u32, intervals: &mut Intervals) {
             for s in stmts {
                 *pos += 1;
                 match s {
@@ -317,7 +320,7 @@ impl Kernel {
                         // Any register live anywhere in the body is kept
                         // live across the whole body (loop-carried values
                         // are live between trips).
-                        for iv in intervals.values_mut() {
+                        for iv in intervals.iter_mut() {
                             if iv.1 >= start && iv.0 <= end {
                                 iv.0 = iv.0.min(start);
                                 iv.1 = iv.1.max(end);
@@ -327,23 +330,78 @@ impl Kernel {
                 }
             }
         }
+        let mut intervals = vec![UNTOUCHED; self.num_regs as usize];
         let mut pos = 0;
         walk(&self.stmts, &mut pos, &mut intervals);
-        // Sweep the interval endpoints for the maximum overlap.
-        let mut events: Vec<(u32, i32)> = Vec::with_capacity(intervals.len() * 2);
-        for (_, (s, e)) in intervals {
-            events.push((s, 1));
-            events.push((e + 1, -1));
+        // Registers live at each position, from where intervals open and
+        // close: the maximum of the running sum.
+        let mut opened = vec![0i32; pos as usize + 2];
+        for &(start, end) in intervals.iter().filter(|iv| **iv != UNTOUCHED) {
+            opened[start as usize] += 1;
+            opened[end as usize + 1] -= 1;
         }
-        events.sort_unstable();
         let mut live = 0i32;
         let mut max = 0i32;
-        for (_, d) in events {
-            live += d;
+        for delta in opened {
+            live += delta;
             max = max.max(live);
         }
         max.max(1) as u32
     }
+
+    /// What one window of this kernel costs a CTA of `threads` threads,
+    /// event for event as the emulator counts it — known without running
+    /// it, because a kernel without control flow executes every
+    /// instruction exactly once per window whatever the data. `None` for a
+    /// kernel with an `if` or a `while`, whose skips and trips depend on
+    /// the data.
+    pub fn window_counts(&self, threads: usize) -> Option<WindowCounts> {
+        let mut c = WindowCounts::default();
+        let words = threads as u32;
+        for stmt in &self.stmts {
+            let KStmt::Op(op) = stmt else { return None };
+            match op {
+                KOp::LoadBasis { .. } | KOp::LoadGlobal { .. } => c.global_load_words += words,
+                KOp::Const { .. }
+                | KOp::Not { .. }
+                | KOp::And { .. }
+                | KOp::Or { .. }
+                | KOp::Xor { .. }
+                | KOp::Copy { .. } => c.alu_ops += 1,
+                // A CTA-level carry scan: log T steps through shared memory.
+                KOp::Add { .. } => {
+                    c.alu_ops += threads.ilog2().max(1) + 2;
+                    c.smem_stores += 1;
+                    c.smem_loads += 1;
+                    c.barriers += 2;
+                }
+                KOp::SmemStore { .. } => c.smem_stores += 1,
+                KOp::Barrier => c.barriers += 1,
+                KOp::ShiftRead { .. } => c.smem_loads += 1,
+                KOp::StoreGlobal { .. } => c.global_store_words += words,
+            }
+        }
+        Some(c)
+    }
+}
+
+/// The events one window of a straight-line kernel costs a CTA
+/// ([`Kernel::window_counts`]), named as the emulator's counters are. One
+/// window's worth fits 32 bits; engines keep these per fused segment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowCounts {
+    /// Register ALU instructions issued.
+    pub alu_ops: u32,
+    /// Shared-memory stores.
+    pub smem_stores: u32,
+    /// Shared-memory shifted reads.
+    pub smem_loads: u32,
+    /// Barriers.
+    pub barriers: u32,
+    /// Words loaded from global memory.
+    pub global_load_words: u32,
+    /// Words stored to global memory.
+    pub global_store_words: u32,
 }
 
 #[cfg(test)]
@@ -396,5 +454,77 @@ mod tests {
     fn display_forms() {
         assert_eq!(Reg(3).to_string(), "r3");
         assert_eq!(Slot(2).to_string(), "smem2");
+    }
+
+    /// The interval sweep as first written: a map per register and a
+    /// sorted event list.
+    fn max_live_regs_reference(kernel: &Kernel) -> u32 {
+        use std::collections::HashMap;
+        fn walk(stmts: &[KStmt], pos: &mut u32, iv: &mut HashMap<u32, (u32, u32)>) {
+            let touch = |iv: &mut HashMap<u32, (u32, u32)>, r: Reg, pos: u32| {
+                let e = iv.entry(r.0).or_insert((pos, pos));
+                *e = (e.0.min(pos), e.1.max(pos));
+            };
+            for s in stmts {
+                *pos += 1;
+                match s {
+                    KStmt::Op(op) => op.regs().for_each(|r| touch(iv, r, *pos)),
+                    KStmt::If { cond, body } | KStmt::While { cond, body, .. } => {
+                        let start = *pos;
+                        touch(iv, *cond, start);
+                        walk(body, pos, iv);
+                        for v in iv.values_mut() {
+                            if v.1 >= start && v.0 <= *pos {
+                                *v = (v.0.min(start), v.1.max(*pos));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut iv = HashMap::new();
+        walk(&kernel.stmts, &mut 0, &mut iv);
+        let mut events: Vec<(u32, i32)> =
+            iv.values().flat_map(|&(s, e)| [(s, 1), (e + 1, -1)]).collect();
+        events.sort_unstable();
+        let (mut live, mut max) = (0, 0);
+        for (_, d) in events {
+            live += d;
+            max = max.max(live);
+        }
+        max.max(1) as u32
+    }
+
+    #[test]
+    fn live_registers_agree_with_the_reference_sweep() {
+        use crate::{compile, CodegenOptions};
+        use bitgen_ir::lower_group;
+        use bitgen_passes::{insert_zero_skips, rebalance, ZbsConfig};
+        use bitgen_regex::parse;
+        assert_eq!(sample().max_live_regs(), max_live_regs_reference(&sample()));
+        let sets = [&["abc"][..], &["a(bc)*d", "x[0-9]{2,5}y"], &["(a|bb)+c", "q.{0,3}z", "k+"]];
+        for patterns in sets {
+            let asts: Vec<_> = patterns.iter().map(|p| parse(p).unwrap()).collect();
+            let mut prog = lower_group(&asts);
+            for transform in 0..3 {
+                if transform == 1 {
+                    rebalance(&mut prog);
+                } else if transform == 2 {
+                    insert_zero_skips(&mut prog, ZbsConfig::default());
+                }
+                let kernel = compile(&prog, &[], &[], &CodegenOptions::default()).kernel;
+                let want = max_live_regs_reference(&kernel);
+                assert_eq!(kernel.max_live_regs(), want, "{patterns:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_counts_are_none_under_control_flow() {
+        let straight = Kernel { stmts: sample().stmts[..5].to_vec(), ..sample() };
+        let counts = straight.window_counts(4).unwrap();
+        assert_eq!((counts.alu_ops, counts.global_load_words), (0, 4));
+        assert_eq!((counts.smem_stores, counts.smem_loads, counts.barriers), (1, 1, 2));
+        assert_eq!(sample().window_counts(4), None);
     }
 }

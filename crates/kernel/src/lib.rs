@@ -18,6 +18,6 @@ mod codegen;
 mod emit;
 mod kir;
 
-pub use codegen::{compile, CodegenOptions, CodegenStats, Compiled};
+pub use codegen::{compile, CodegenOptions, CodegenStats, Compiled, Compiler};
 pub use emit::emit_cuda;
-pub use kir::{KOp, KStmt, Kernel, Reg, Slot, WORD_BITS};
+pub use kir::{KOp, KStmt, Kernel, Reg, Slot, WindowCounts, WORD_BITS};

@@ -182,20 +182,26 @@ impl ByteSet {
     /// assert_eq!(s.ranges(), vec![(b'a', b'c'), (b'x', b'x')]);
     /// ```
     pub fn ranges(&self) -> Vec<(u8, u8)> {
-        let mut out = Vec::new();
-        let mut cur: Option<(u8, u8)> = None;
-        for b in self.iter() {
-            match cur {
-                Some((lo, hi)) if hi as u16 + 1 == b as u16 => cur = Some((lo, b)),
-                Some(r) => {
-                    out.push(r);
-                    cur = Some((b, b));
+        // The first byte at or after `from` that is (`member`) or is not
+        // in the set, `256` if none: a word at a time.
+        let seek = |from: usize, member: bool| {
+            let mut at = from;
+            while at < 256 {
+                let word = self.words[at >> 6];
+                let rest = if member { word } else { !word } >> (at & 63);
+                if rest != 0 {
+                    return at + rest.trailing_zeros() as usize;
                 }
-                None => cur = Some((b, b)),
+                at = (at | 63) + 1;
             }
-        }
-        if let Some(r) = cur {
-            out.push(r);
+            256
+        };
+        let mut out = Vec::new();
+        let mut lo = seek(0, true);
+        while lo < 256 {
+            let end = seek(lo, false);
+            out.push((lo as u8, (end - 1) as u8));
+            lo = seek(end, true);
         }
         out
     }
@@ -413,6 +419,45 @@ mod tests {
     #[test]
     fn ranges_of_full_set() {
         assert_eq!(ByteSet::FULL.ranges(), vec![(0, 255)]);
+    }
+
+    #[test]
+    fn ranges_agree_with_a_byte_at_a_time_scan() {
+        fn scanned(s: &ByteSet) -> Vec<(u8, u8)> {
+            let mut out: Vec<(u8, u8)> = Vec::new();
+            for b in s.iter() {
+                match out.last_mut() {
+                    Some((_, hi)) if u16::from(*hi) + 1 == u16::from(b) => *hi = b,
+                    _ => out.push((b, b)),
+                }
+            }
+            out
+        }
+        let mut sets = vec![ByteSet::EMPTY, ByteSet::FULL, ByteSet::dot(), ByteSet::word()];
+        // Runs ending and starting on every side of the word seams.
+        for (lo, hi) in [(0, 63), (63, 64), (64, 127), (60, 200), (128, 255), (191, 192)] {
+            sets.push(ByteSet::range(lo, hi));
+            sets.push(ByteSet::range(lo, hi).complement());
+        }
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200 {
+            let mut words = [0u64; 4];
+            for w in &mut words {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Sparse, dense and run-heavy words alike.
+                *w = match x % 3 {
+                    0 => x & x.rotate_left(17),
+                    1 => x | x.rotate_left(29),
+                    _ => x.wrapping_sub(x >> 9),
+                };
+            }
+            sets.push(ByteSet { words });
+        }
+        for s in &sets {
+            assert_eq!(s.ranges(), scanned(s), "{s:?}");
+        }
     }
 
     #[test]
