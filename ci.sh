@@ -20,8 +20,14 @@ cargo build --release
 # bytes in arbitrary pieces with stalls, against splitting the whole
 # input), both soaks and the cross-process drills on the built binaries
 # (cli_drills: rule swap, checkpoint resume, 8-client serve smoke,
-# drain → adopt) run here, once.
-cargo test -q
+# drain → adopt) run here, once. The `match_star` arms hold a MatchStar
+# engine to one lowering per group: it streams nested class stars
+# exactly (stream_carry), its fused DTM- price is exact on `Add`
+# segments (served_pricing), its batch side is built from the streamed
+# program (match_star), and a plain engine's checkpoint is refused on it
+# (checkpoint_compat). `--no-fail-fast` runs every test binary, so one
+# run shows every red suite; any failure still fails the script.
+cargo test -q --no-fail-fast
 
 # Non-test `src` lines per crate, each file cut at its first
 # `#[cfg(test)]`: the figure CHANGES.md and ROADMAP.md report. The

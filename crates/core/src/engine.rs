@@ -216,23 +216,19 @@ impl std::error::Error for CompileError {}
 #[derive(Debug, Clone)]
 pub struct BitGen {
     pub(crate) groups: Vec<Vec<usize>>,
-    /// Each group's lowering with its streaming tables: same grouping and
-    /// output combination for both sides, fixpoint-loop stars (`MatchStar`
-    /// additions inside loops cannot carry across chunk boundaries), class
-    /// circuits and carry layout prepared once. A [`crate::StreamScanner`]
-    /// runs it as it is — shift rebalancing introduces non-causal retreats
-    /// that cannot stream — and the batch side is built from it. See
-    /// DESIGN.md §10.
+    /// Each group's one lowering with its streaming tables, under every
+    /// config: class circuits and carry layout prepared once. A
+    /// [`crate::StreamScanner`] runs it as it is — shift rebalancing
+    /// introduces non-causal retreats that cannot stream — and the batch
+    /// side and the degrade replay are built from it. A `MatchStar`
+    /// addition streams like an advance: its carry-out is an OR over
+    /// markers. See DESIGN.md §10.
     pub(crate) stream_programs: Vec<PreparedProgram>,
     /// What each group's window costs as the paper's fused DTM- launch
     /// would run it: a few counts per fused segment, derived once
     /// ([`BitGen::fused_form`]). `None` under `Sequential` and `Base`,
     /// whose pushes bill sequentially only.
     pub(crate) stream_prices: Option<Box<[TwinPrice]>>,
-    /// The `MatchStar` lowerings the batch side is built from instead,
-    /// kept only under [`EngineConfig::match_star`] (empty otherwise: the
-    /// streamed lowering is then the only one).
-    star_lowerings: Vec<Program>,
     /// Each group's batch side — the transformed program, its transform
     /// record, segments, overlap analyses and compiled kernels — built by
     /// the first batch scan that reaches the group and then shared by
@@ -456,40 +452,37 @@ impl BitGen {
         } else {
             group_regexes(&asts, config.cta_count, config.grouping)
         };
-        let lower_groups = |match_star: bool| {
-            let opts = LowerOptions { match_star, log_repetition: config.log_repetition };
-            groups
-                .iter()
-                .map(|g| {
-                    let members: Vec<Ast> = g.iter().map(|&i| asts[i].clone()).collect();
-                    if config.combine_outputs && config.optimize_patterns && members.len() > 1 {
-                        // Only the union matters: lower the whole group as one
-                        // alternation so the optimizer can factor prefixes
-                        // *across* rules (Hyperscan-style set compilation).
-                        let combined = bitgen_regex::optimize(&Ast::Alt(members));
-                        return lower_group_checked(
-                            std::slice::from_ref(&combined),
-                            opts,
-                            &config.limits,
-                        );
-                    }
-                    let mut prog = lower_group_checked(&members, opts, &config.limits)?;
-                    if config.combine_outputs {
-                        prog.combine_outputs();
-                    }
-                    Ok(prog)
-                })
-                .collect::<Result<Vec<Program>, _>>()
-        };
-        // Both sides share the fixpoint-star lowering unless `match_star`
-        // asks the batch side for its own. What stays resident is a deep
-        // copy made while the builder's output is still alive: exact-sized
-        // and contiguous, where that output has slack capacity and sits
-        // among the lowering's temporaries. Every push walks these
-        // statements (serve-small `op_p50_ms` 0.183 → 0.163 ms, resident
-        // heap 0.207 → 0.180 MB for the copy).
-        let star_lowerings = if config.match_star { lower_groups(true)? } else { Vec::new() };
-        let lowered = lower_groups(false)?;
+        let opts =
+            LowerOptions { match_star: config.match_star, log_repetition: config.log_repetition };
+        let lowered = groups
+            .iter()
+            .map(|g| {
+                let members: Vec<Ast> = g.iter().map(|&i| asts[i].clone()).collect();
+                if config.combine_outputs && config.optimize_patterns && members.len() > 1 {
+                    // Only the union matters: lower the whole group as one
+                    // alternation so the optimizer can factor prefixes
+                    // *across* rules (Hyperscan-style set compilation).
+                    let combined = bitgen_regex::optimize(&Ast::Alt(members));
+                    return lower_group_checked(
+                        std::slice::from_ref(&combined),
+                        opts,
+                        &config.limits,
+                    );
+                }
+                let mut prog = lower_group_checked(&members, opts, &config.limits)?;
+                if config.combine_outputs {
+                    prog.combine_outputs();
+                }
+                Ok(prog)
+            })
+            .collect::<Result<Vec<Program>, _>>()?;
+        // Streaming, batch and degrade replay all read this one lowering.
+        // What stays resident is a deep copy made while the builder's
+        // output is still alive: exact-sized and contiguous, where that
+        // output has slack capacity and sits among the lowering's
+        // temporaries. Every push walks these statements (serve-small
+        // `op_p50_ms` 0.183 → 0.163 ms, resident heap 0.207 → 0.180 MB for
+        // the copy).
         let stream_programs = PreparedProgram::new_all(lowered.clone());
         let mut engine = BitGen {
             batch: std::iter::repeat_with(OnceLock::new).take(groups.len()).collect(),
@@ -497,7 +490,6 @@ impl BitGen {
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
             stream_prices: None,
-            star_lowerings,
             pattern_count: asts.len(),
             generation: 0,
             config,
@@ -526,12 +518,6 @@ impl BitGen {
         self.groups.len()
     }
 
-    /// Group `group`'s untransformed lowering: what its batch side is
-    /// built from, and the specification that side refines.
-    pub(crate) fn lowering(&self, group: usize) -> &Program {
-        self.star_lowerings.get(group).unwrap_or_else(|| self.stream_programs[group].program())
-    }
-
     /// Group `group`'s batch side if a batch scan has built it yet; every
     /// later scan of this engine runs this same plan.
     pub fn batch_plan(&self, group: usize) -> Option<&BatchPlan> {
@@ -546,7 +532,8 @@ impl BitGen {
     ///
     /// Panics if `group` is not below [`BitGen::group_count`].
     pub fn batch(&self, group: usize) -> &BatchPlan {
-        self.batch[group].get_or_init(|| BatchPlan::build(self.lowering(group), &self.exec_config()))
+        self.batch[group]
+            .get_or_init(|| BatchPlan::build(self.stream_programs[group].program(), &self.exec_config()))
     }
 
     /// The prepared streaming programs, one per group: the untransformed

@@ -313,7 +313,7 @@ impl ScanSession<'_> {
                     // and kernels refine, so its interpretation lines up
                     // with the kernel path's outputs slot for slot —
                     // without trusting the passes it is backing up.
-                    let lowering = self.engine.lowering(group);
+                    let lowering = self.engine.stream_programs[group].program();
                     let replay = try_interpret(lowering, &self.bases[stream], ctl)
                         .map_err(|e| Error::Exec(ExecError::from(e)))?;
                     resolved.push((
@@ -620,9 +620,12 @@ mod tests {
                 assert_eq!(report.matches.positions(), bitgen_regex::multi_match_ends(&asts, input));
             }
             // The panicked slot's streams are the reference interpretation
-            // of the group's lowering, not of the program the passes made.
-            let lowering = engine.lowering(0);
+            // of the group's one lowering — the program it streams and its
+            // batch side is built from — not of the program the passes made.
+            let lowering = engine.stream_programs[0].program();
             assert_eq!(lowering.while_count() == 0, match_star);
+            let rebuilt = bitgen_exec::BatchPlan::build(lowering, &engine.exec_config());
+            assert_eq!(engine.batch(0).program(), rebuilt.program());
             assert_ne!(lowering, engine.batch(0).program());
             let replay =
                 try_interpret(lowering, &Basis::transpose(inputs[1]), &RunControl::unlimited())

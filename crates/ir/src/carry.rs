@@ -23,8 +23,12 @@
 //! Executors walk a program's carry-bearing ops in pre-order
 //! ([`CarryWalk`]), mirroring the [`CarryLayout`] computed once per
 //! program; while-loop bodies rewind to their first slot on every trip, and slots written inside a loop accumulate their
-//! carry-out across trips by OR (sound because the loop computes a
-//! monotone reachability closure — see DESIGN.md §10).
+//! carry-out across trips by OR. That is sound for both kinds of slot:
+//! the loop computes a monotone reachability closure, and each slot's
+//! carry-out is an OR over the markers that feed it — an advance's
+//! history bits, and the carry of MatchStar's `(M ∧ C) + C`, which is 1
+//! exactly when a marker of `M ∧ C` sits on the run of `C` reaching the
+//! boundary (see DESIGN.md §10).
 
 use crate::fnv::{fnv1a, ByteReader, FNV_OFFSET};
 use crate::program::{Op, Program, Stmt, StreamId};

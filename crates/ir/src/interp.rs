@@ -350,10 +350,20 @@ mod tests {
     fn chunked_match_star_carries_additions() {
         use crate::lower::{lower_group_with, LowerOptions};
         let opts = LowerOptions { match_star: true, ..LowerOptions::default() };
-        for (pat, input) in [("a*b", &b"baaab aab"[..]), ("x[ab]*y", b"xy xabay xaaaaay")] {
+        // Flat class stars, then nested ones: an addition inside a
+        // fixpoint loop carries across the seam like any advance there.
+        for (pat, input) in [
+            ("a*b", &b"baaab aab"[..]),
+            ("x[ab]*y", b"xy xabay xaaaaay"),
+            ("(a[bc]*d)*e", b"abcdade e abbd acbcdabde abxde"),
+            ("(x[ab]*)*y", b"xxabxy y xaxbby xqy"),
+            ("((ab)*[cd]*)*e", b"abcdabde e ababccdde abae"),
+            ("(.*a)*b", b"xaab b qqab\nab aaxb"),
+        ] {
             let prog = lower_group_with(&[parse(pat).unwrap()], opts);
+            assert_eq!(prog.while_count() > 0, pat.starts_with('('), "{pat:?}");
             let batch = interpret(&prog, &Basis::transpose(input)).union().positions();
-            for sizes in [&[1usize][..], &[2], &[3, 1], &[5]] {
+            for sizes in [&[1usize][..], &[2], &[3, 1], &[5], &[7]] {
                 assert_eq!(
                     chunked_union(&prog, input, sizes),
                     batch,

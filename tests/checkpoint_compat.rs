@@ -141,3 +141,49 @@ fn previous_builds_checkpoint_resumes_and_continues_bit_identically() {
     assert_eq!(ends, batch);
     assert_eq!(fnv(FNV_OFFSET, &scanner.checkpoint().to_bytes()), GOLDEN_FINAL_DIGEST);
 }
+
+/// Streams `input[..cut]` through `engine` and checkpoints.
+fn checkpoint_after(engine: &BitGen, input: &[u8], cut: usize) -> StreamCheckpoint {
+    let mut scanner = engine.streamer().unwrap();
+    for chunk in input[..cut].chunks(13) {
+        scanner.push(chunk).unwrap();
+    }
+    scanner.into_checkpoint()
+}
+
+#[test]
+fn a_checkpoint_does_not_cross_the_match_star_seam_silently() {
+    let input = golden_input();
+    let star_config = EngineConfig::default().with_match_star(true);
+    // A class star lowers to an addition under `match_star` and to a
+    // fixpoint loop otherwise: different programs, so the resume is
+    // refused with the typed error instead of carrying the wrong slots.
+    let plain = BitGen::compile(&["a*b"]).unwrap();
+    let star = BitGen::compile_with(&["a*b"], star_config.clone()).unwrap();
+    assert_ne!(plain.stream_fingerprint(), star.stream_fingerprint());
+    let checkpoint = checkpoint_after(&plain, &input, GOLDEN_CUT);
+    assert_eq!(
+        star.resume(&checkpoint).err(),
+        Some(bitgen::Error::CheckpointMismatch {
+            expected: star.stream_fingerprint(),
+            found: plain.stream_fingerprint(),
+        })
+    );
+    // Without a class star the two lowerings are one program, and the
+    // checkpoint resumes and continues exactly.
+    let rules = ["ab", "(ab)*c", "x[ab]{1,4}y", "cat"];
+    let plain = BitGen::compile(&rules).unwrap();
+    let star = BitGen::compile_with(&rules, star_config).unwrap();
+    assert_eq!(plain.stream_fingerprint(), star.stream_fingerprint());
+    let mut scanner = star.resume(&checkpoint_after(&plain, &input, GOLDEN_CUT)).unwrap();
+    let mut ends = Vec::new();
+    for chunk in input[GOLDEN_CUT..].chunks(37) {
+        ends.extend(scanner.push(chunk).unwrap());
+    }
+    let batch: Vec<u64> = (star.find(&input).unwrap().matches.positions().into_iter())
+        .filter(|&end| end >= GOLDEN_CUT)
+        .map(|end| end as u64)
+        .collect();
+    assert!(!batch.is_empty());
+    assert_eq!(ends, batch);
+}

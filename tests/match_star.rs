@@ -5,7 +5,7 @@
 
 use bitgen::{BitGen, EngineConfig, Scheme};
 use bitgen_bitstream::Basis;
-use bitgen_exec::{execute, ExecConfig};
+use bitgen_exec::{execute, BatchPlan, ExecConfig};
 use bitgen_ir::{interpret, lower_group_with, LowerOptions};
 use bitgen_regex::{multi_match_ends, parse, Ast};
 
@@ -99,14 +99,32 @@ fn engine_level_match_star_option() {
         plain.find(input).unwrap().matches.positions(),
         star.find(input).unwrap().matches.positions()
     );
-    // The MatchStar engine compiled away every loop.
+    // One program per group under either config: the batch side is built
+    // from the very lowering the engine streams.
+    for engine in [&plain, &star] {
+        let c = engine.config();
+        let exec = ExecConfig {
+            scheme: c.scheme,
+            threads: c.threads,
+            merge_size: c.merge_size,
+            interval: c.interval,
+            max_regs: c.max_regs,
+            fallback: c.fallback,
+            cross_check: c.cross_check,
+            ..ExecConfig::default()
+        };
+        for (g, streamed) in engine.stream_programs().iter().enumerate() {
+            let rebuilt = BatchPlan::build(streamed.program(), &exec);
+            assert_eq!(engine.batch(g).program(), rebuilt.program(), "group {g}");
+        }
+    }
+    // The MatchStar engine compiled away every loop, on both sides.
     let loops = |engine: &BitGen| -> usize {
         (0..engine.group_count()).map(|g| engine.batch(g).program().while_count()).sum()
     };
     assert_eq!(loops(&star), 0);
     assert!(loops(&plain) > 0);
-    // The streamed lowering keeps its fixpoint loops either way.
-    assert!(star.stream_programs().iter().any(|p| p.program().while_count() > 0));
+    assert!(star.stream_programs().iter().all(|p| p.program().while_count() == 0));
 }
 
 #[test]

@@ -97,11 +97,16 @@ fn assert_fused_is_emulated(what: &str, engine: &BitGen, chunk: &[u8]) {
 
 #[test]
 fn a_windows_fused_form_is_what_the_emulator_counts_under_dtm_static() {
-    for kind in AppKind::ALL {
-        let (patterns, input) = workload(kind, 8, 65536);
-        let engine = compile(&patterns, EngineConfig::default());
-        for len in [1, 63, 2047, 2048, 4096, 65536] {
-            assert_fused_is_emulated(kind.name(), &engine, &input[..len]);
+    // Under `match_star` the streamed programs carry `Add` segments, and
+    // their price must be exact too.
+    for match_star in [false, true] {
+        for kind in AppKind::ALL {
+            let (patterns, input) = workload(kind, 8, 65536);
+            let engine = compile(&patterns, EngineConfig::default().with_match_star(match_star));
+            let what = format!("{} match_star={match_star}", kind.name());
+            for len in [1, 63, 2047, 2048, 4096, 65536] {
+                assert_fused_is_emulated(&what, &engine, &input[..len]);
+            }
         }
     }
 }

@@ -59,6 +59,16 @@ fn arb_patterns() -> impl Strategy<Value = Vec<&'static str>> {
     prop::collection::vec(prop::sample::select(POOL.to_vec()), 1..4)
 }
 
+/// Class stars, flat and nested inside loops: what a MatchStar engine
+/// lowers to additions.
+const CLASS_STARS: &[&str] =
+    &["a*b", "x[ab]*y", "(a[bc]*d)*e", "(x[ab]*)*y", "((ab)*[cd]*)*e", "(.*a)*b"];
+
+/// [`arb_input`]'s alphabet with the `e` that ends some [`CLASS_STARS`].
+fn arb_star_input() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop::sample::select(b"aabbccddexy. ".to_vec()), 0..120)
+}
+
 fn arb_input() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(prop::sample::select(b"aabbccdxy. ".to_vec()), 0..120)
 }
@@ -106,16 +116,26 @@ proptest! {
 
     #[test]
     fn streaming_respects_match_star_engines(
-        input in arb_input(),
+        patterns in arb_patterns(),
+        star in prop::sample::select(CLASS_STARS.to_vec()),
+        input in arb_star_input(),
         sizes in arb_chunking(),
     ) {
-        // Engines compiled with the MatchStar lowering stream via their
-        // fixpoint-loop twin programs; results must still match batch.
+        // A MatchStar engine streams its own lowering: every class star
+        // is an addition whose carry crosses chunk seams, nested stars
+        // put those additions inside fixpoint loops. Streamed matches
+        // must equal batch and the reference matcher.
+        let mut patterns = patterns;
+        patterns.push(star);
         let config = EngineConfig::default().with_match_star(true);
-        let engine = BitGen::compile_with(&["a*b", "x[ab]*y"], config).unwrap();
+        let engine = BitGen::compile_with(&patterns, config).unwrap();
         let batch = batch_ends(&engine, &input);
+        let asts: Vec<Ast> = patterns.iter().map(|p| parse(p).unwrap()).collect();
+        let reference: Vec<u64> =
+            multi_match_ends(&asts, &input).into_iter().map(|p| p as u64).collect();
+        prop_assert_eq!(&batch, &reference, "patterns {:?}", patterns);
         prop_assert_eq!(stream_all(&engine, &input, &sizes), batch,
-            "chunking {:?}", sizes);
+            "patterns {:?} chunking {:?}", patterns, sizes);
     }
 
     #[test]
