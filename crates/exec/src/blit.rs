@@ -1,6 +1,7 @@
 //! Bit-range copying between window word buffers and full-length streams.
 
 use bitgen_bitstream::BitStream;
+use bitgen_gpu::gather_word;
 
 /// ORs `nbits` bits of `src` (32-bit words, starting at bit `src_start`)
 /// into `dst` starting at bit position `dst_start`.
@@ -32,24 +33,8 @@ pub fn blit_or(dst: &mut BitStream, dst_start: usize, src: &[u32], src_start: us
 /// Extracts 64 bits from a `u32` word buffer starting at bit `start`
 /// (bits past the end read as zero).
 fn gather64(words: &[u32], start: usize) -> u64 {
-    u64::from(gather32(words, start)) | (u64::from(gather32(words, start + 32)) << 32)
-}
-
-/// Extracts 32 bits from a `u32` word buffer starting at bit `start`
-/// (bits past the end read as zero).
-fn gather32(words: &[u32], start: usize) -> u32 {
-    let total = words.len() * 32;
-    if start >= total {
-        return 0;
-    }
-    let idx = start / 32;
-    let off = (start % 32) as u32;
-    let lo = words[idx];
-    if off == 0 {
-        return lo;
-    }
-    let hi = if idx + 1 < words.len() { words[idx + 1] } else { 0 };
-    (lo >> off) | (hi << (32 - off))
+    let word = |at: usize| u64::from(gather_word(words, at as i64));
+    word(start) | word(start + 32) << 32
 }
 
 fn mask64(bits: usize) -> u64 {

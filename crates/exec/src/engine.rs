@@ -8,7 +8,7 @@ use crate::prepared::{BatchPlan, ClassStreams, FusedPlan, PlannedSegment, Stream
 use crate::scheme::Scheme;
 use crate::seq::{Accounting, Slots};
 use bitgen_bitstream::{Basis, BitStream};
-use bitgen_gpu::{Cta, FaultPlan, RaceError, WindowInputs};
+use bitgen_gpu::{Cta, CtaFiles, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
     try_interpret, try_interpret_chunk, walk, ById, CarryState, CarryWalk, DefUse, InterpError,
     Interrupt, Program, RunControl, Stmt, StreamEnv, StreamId,
@@ -228,6 +228,8 @@ pub struct ExecScratch {
     /// Streaming windows: private copies of class streams a fault drill
     /// corrupted (see [`Slots`]).
     private: Vec<(StreamId, BitStream)>,
+    /// Fused segments: the CTA's files, one set for every kernel.
+    cta: CtaFiles,
 }
 
 impl ExecScratch {
@@ -652,14 +654,14 @@ fn run_fused(
 
     // Boundary inputs are read where earlier segments left them; output
     // buffers come from the pool and go back on any exit but a commit.
-    let ExecScratch { env, pool, .. } = scratch;
+    let ExecScratch { env, pool, cta: files, .. } = scratch;
     let globals = (seg.inputs.iter())
         .map(|&id| env.get(id).ok_or(ExecError::UnwrittenStream { id }))
         .collect::<Result<Vec<&BitStream>, ExecError>>()?;
     let mut outs = pool.split_off(pool.len().saturating_sub(seg.outputs.len()));
     outs.resize_with(seg.outputs.len(), BitStream::default);
     outs.iter_mut().for_each(|s| s.reset_zeros(stream_len));
-    let mut cta = Cta::new(kernel, config.threads);
+    let mut cta = Cta::with_files(kernel, &fused.facts, config.threads, std::mem::take(files));
     if let Some(plan) = config.fault {
         cta.arm_fault(plan);
     }
@@ -719,6 +721,7 @@ fn run_fused(
         stored_windows += 1;
     }
     cx.fault_fired |= cta.fault_fired();
+    *files = cta.into_files();
     if let Err(e) = result {
         pool.extend(outs);
         return Err(e);

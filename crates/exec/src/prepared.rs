@@ -9,6 +9,7 @@ use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_ranges, SegmentKind};
 use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit};
+use bitgen_gpu::KernelFacts;
 use bitgen_ir::{
     ByteSet, CarryLayout, CarryState, InterpError, Op, Place, Program, RunControl, SlotPlan,
     StreamId,
@@ -305,14 +306,15 @@ pub(crate) struct PlannedSegment {
     pub(crate) fused: Option<FusedPlan>,
 }
 
-/// A fused segment's overlap analysis, kernel and
-/// [`bitgen_kernel::Kernel::max_live_regs`] (a sweep over every register
-/// interval of the kernel).
+/// A fused segment's overlap analysis and kernel, with the kernel's facts
+/// found once: [`bitgen_kernel::Kernel::max_live_regs`] (a sweep over every
+/// register interval) and the emulator's [`KernelFacts`].
 #[derive(Debug, Clone)]
 pub(crate) struct FusedPlan {
     pub(crate) info: OverlapInfo,
     pub(crate) compiled: Compiled,
     pub(crate) max_live_regs: u32,
+    pub(crate) facts: KernelFacts,
 }
 
 /// The batch counterpart of a [`PreparedProgram`]: a group's transformed
@@ -360,8 +362,9 @@ impl BatchPlan {
                     let stmts = program.stmts()[seg.stmts.clone()].to_vec();
                     let sub = Program::new(stmts, program.num_streams(), seg.outputs.clone());
                     let compiled = compiler.compile(&sub, &seg.inputs, &seg.outputs, &options);
-                    let max_live_regs = compiled.kernel.max_live_regs();
-                    FusedPlan { info: OverlapInfo::analyze(&sub), compiled, max_live_regs }
+                    let (max_live_regs, facts) =
+                        (compiled.kernel.max_live_regs(), KernelFacts::of(&compiled.kernel));
+                    FusedPlan { info: OverlapInfo::analyze(&sub), compiled, max_live_regs, facts }
                 });
                 PlannedSegment { range: seg.stmts, inputs: seg.inputs, outputs: seg.outputs, fused }
             })

@@ -21,7 +21,7 @@ mod report;
 
 pub use cost::{throughput_mbps, CostBreakdown, CtaWork};
 pub use counters::CtaCounters;
-pub use cta::{Cta, RaceError, WindowInputs};
+pub use cta::{gather_word, Cta, CtaFiles, KernelFacts, RaceError, WindowInputs};
 pub use device::DeviceConfig;
 pub use fault::{FaultKind, FaultPlan};
 pub use report::profile_report;

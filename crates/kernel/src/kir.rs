@@ -217,9 +217,8 @@ pub struct Kernel {
     /// Size of the per-thread register file. [`crate::compile`] numbers
     /// the registers a kernel references densely, so for a generated
     /// kernel this is exactly how many it names (`0..num_regs`, every one
-    /// referenced) — what the emulator allocates and clears per window —
-    /// and not how many a liveness-based allocator would keep live at
-    /// once, which is [`Kernel::max_live_regs`].
+    /// referenced), and not how many a liveness-based allocator would keep
+    /// live at once, which is [`Kernel::max_live_regs`].
     pub num_regs: u32,
     /// Number of shared-memory slots (each T words).
     pub num_slots: u32,
