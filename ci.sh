@@ -12,8 +12,15 @@ cargo build --release
 # served window against the single-stepped walk and the reference on
 # every application up to 64 KiB chunks, with its fused-coverage gate
 # (stream_fusion), the served-pricing differential (served_pricing: each
-# group's fused DTM- form of a window against the CTA emulator, field by
-# field on every application, and every push billed the cheaper launch),
+# group's fused form of a window against the CTA emulator — DTM- field by
+# field on every application; DTM, replayed over the walk's loop checks,
+# field by field on every application up to 4 KiB and on the served
+# Snort/TCP ×32 sets at 64 B and 4 KiB, within 10 % of the launch at
+# 64 KiB, and through a loop that overflows the window; a twin with an
+# `Add` keeping DTM-; every push billed the cheaper launch, 64 B ones
+# fused), the static per-loop kernel counts against the emulator
+# (bitgen-gpu's cta tests), the walker's loop-check sites against the
+# overlap analysis and the kernels (bitgen-kernel's kir tests),
 # the kernel digest over 729 generated kernels (codegen_golden), the
 # wire tokenisation differential (wire_fuzz), the
 # `LineReader` framing fuzz (bitgen-serve's transport tests: arbitrary
@@ -23,9 +30,9 @@ cargo build --release
 # drain → adopt) run here, once. The `match_star` arms hold a MatchStar
 # engine to one lowering per group: it streams nested class stars
 # exactly (stream_carry), its fused DTM- price is exact on `Add`
-# segments (served_pricing), its batch side is built from the streamed
-# program (match_star), and a plain engine's checkpoint is refused on it
-# (checkpoint_compat). `--no-fail-fast` runs every test binary, so one
+# segments, which keep DTM- under every scheme (served_pricing), its
+# batch side is built from the streamed program (match_star), and a
+# plain engine's checkpoint is refused on it (checkpoint_compat). `--no-fail-fast` runs every test binary, so one
 # run shows every red suite; any failure still fails the script.
 cargo test -q --no-fail-fast
 

@@ -104,7 +104,7 @@ impl BitStream {
 
     /// Positions of all set bits, ascending.
     pub fn positions(&self) -> Vec<usize> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.count_ones());
         for (wi, &w) in self.words.iter().enumerate() {
             let mut bits = w;
             while bits != 0 {

@@ -224,10 +224,10 @@ pub struct BitGen {
     /// addition streams like an advance: its carry-out is an OR over
     /// markers. See DESIGN.md §10.
     pub(crate) stream_programs: Vec<PreparedProgram>,
-    /// What each group's window costs as the paper's fused DTM- launch
-    /// would run it: a few counts per fused segment, derived once
-    /// ([`BitGen::fused_form`]). `None` under `Sequential` and `Base`,
-    /// whose pushes bill sequentially only.
+    /// What each group's window costs as the paper's fused launch on the
+    /// engine's rung (DTM, or DTM-) would run it: a few counts per fused
+    /// segment and loop, derived once ([`BitGen::fused_form`]). `None`
+    /// under `Sequential` and `Base`, whose pushes bill sequentially only.
     pub(crate) stream_prices: Option<Box<[TwinPrice]>>,
     /// Each group's batch side — the transformed program, its transform
     /// record, segments, overlap analyses and compiled kernels — built by

@@ -132,10 +132,12 @@ struct SwapRollback<'e> {
 /// What one push's windows produced beside the scanner's `union`, held
 /// until the push commits.
 struct PushWindows {
-    /// Counted events of the windows the executor ran, priced together at
-    /// commit (degraded windows have none: they bill no device work,
-    /// mirroring degraded batch slots).
-    window_metrics: Vec<(usize, ExecMetrics)>,
+    /// Per window the executor ran, its group, its counted events as
+    /// walked, and — when the engine prices its pushes fused — the same
+    /// window as the fused launch runs it, priced as soon as the window
+    /// passed, off the loop checks it recorded. Degraded windows have none:
+    /// they bill no device work, mirroring degraded batch slots.
+    windows: Vec<(usize, ExecMetrics, Option<ExecMetrics>)>,
     retried: u64,
     degraded: bool,
 }
@@ -490,7 +492,7 @@ impl StreamScanner<'_> {
         let config = self.engine.exec_config();
         let groups = self.carries.len();
         let mut run = PushWindows {
-            window_metrics: Vec::with_capacity(groups),
+            windows: Vec::with_capacity(groups),
             retried: 0,
             degraded: false,
         };
@@ -506,8 +508,11 @@ impl StreamScanner<'_> {
                 attempt += 1;
                 let fault = self.take_fault_shot(group);
                 let e = match self.run_window(group, &config, ctl, fault) {
-                    Ok(metrics) => {
-                        run.window_metrics.push((group, metrics));
+                    Ok(walked) => {
+                        let frontiers = &self.scratch.frontiers;
+                        let len = self.basis.len();
+                        let fused = self.engine.fused_form(group, &walked, frontiers, len);
+                        run.windows.push((group, walked, fused));
                         break;
                     }
                     Err(e) => e,
@@ -552,6 +557,7 @@ impl StreamScanner<'_> {
         let config = ExecConfig { fault, ..*config };
         let (classes, basis, union) = (&self.class_streams, &self.basis, &mut self.union);
         let (scratch, carry) = (&mut self.scratch, &mut self.carries[group]);
+        scratch.frontiers.restart(self.engine.records_frontiers(group));
         let run = catch_unwind(AssertUnwindSafe(|| {
             prog.execute_window_into(classes, basis, &config, scratch, ctl, carry, union)
         }));
@@ -588,24 +594,33 @@ impl StreamScanner<'_> {
         for carry in &mut self.carries {
             carry.rotate();
         }
-        let engine = self.engine;
-        let device = &engine.config().device;
-        let estimate = |works: Vec<CtaWork>| device.estimate(&works);
+        let device = &self.engine.config().device;
         // The push bills the cheaper launch: its windows as walked, one
         // instruction at a time, or — when no group degraded — the same
-        // windows as the paper's fused DTM- kernels (DESIGN.md §10, "How a
-        // served push is billed"); a tie bills the walk. A fused form is
-        // arithmetic on its window's counts, redone in place when billed.
-        let mut billed = run.window_metrics;
-        let mut cost = estimate(billed.iter().map(|(_, window)| window.cta_work()).collect());
-        if let Some(prices) = engine.stream_prices.as_deref().filter(|_| !run.degraded) {
-            let config = engine.exec_config();
-            let fused = |(group, window): &(usize, ExecMetrics)| {
-                prices[*group].fused_form(window, len, &config)
-            };
-            let fused_cost = estimate(billed.iter().map(|form| fused(form).cta_work()).collect());
+        // windows as the paper's fused kernels on the engine's rung
+        // (DESIGN.md §10, "How a served push is billed"); a tie bills the
+        // walk.
+        let mut billed = run.windows;
+        let mut works: Vec<CtaWork> =
+            billed.iter().map(|(_, walked, _)| walked.cta_work()).collect();
+        let mut cost = device.estimate(&works);
+        let priced = !run.degraded && billed.iter().all(|(_, _, fused)| fused.is_some());
+        if priced {
+            // The cost model prices no per-loop trips: they stay out of
+            // the copies it reads.
+            works.clear();
+            for fused in billed.iter_mut().filter_map(|(_, _, fused)| fused.as_mut()) {
+                let trips = std::mem::take(&mut fused.counters.loop_trips);
+                works.push(fused.cta_work());
+                fused.counters.loop_trips = trips;
+            }
+            let fused_cost = device.estimate(&works);
             if fused_cost.seconds < cost.seconds {
-                billed.iter_mut().for_each(|form| form.1 = fused(form));
+                for (_, form, fused) in &mut billed {
+                    if let Some(fused) = fused.take() {
+                        *form = fused;
+                    }
+                }
                 cost = fused_cost;
                 self.metrics.fused_pushes += 1;
             }
@@ -624,8 +639,8 @@ impl StreamScanner<'_> {
         m.cost.memory_seconds += cost.memory_seconds;
         m.cost.barrier_stall_frac = cost.barrier_stall_frac;
         m.cost.occupancy = cost.occupancy;
-        for (group, wm) in billed {
-            absorb_window(&mut m.ctas[group], &wm);
+        for (group, window, _) in billed {
+            absorb_window(&mut m.ctas[group], window);
         }
         let off = m.bytes_scanned;
         m.bytes_scanned += len as u64;
@@ -735,7 +750,8 @@ impl StreamScanner<'_> {
     ///   over exactly the bytes it consumed — carry slots, not a
     ///   re-scanned tail, bridge the chunk boundary — as the cheaper of
     ///   two launches of its windows: walked one instruction at a time,
-    ///   or fused as the paper's DTM- kernels ([`BitGen::fused_form`]);
+    ///   or fused as the paper's kernels on the engine's rung, DTM or DTM-
+    ///   ([`BitGen::fused_form`]);
     /// - `fused_pushes` counts the pushes billed fused;
     /// - `retries` counts window replays across committed pushes;
     /// - `degraded` counts pushes in which at least one group's window
@@ -772,7 +788,11 @@ impl StreamScanner<'_> {
 /// shape fields (threads, shared memory, shift groups) describe the
 /// program and are refreshed in place, and peak figures keep their
 /// maximum.
-fn absorb_window(acc: &mut ExecMetrics, window: &ExecMetrics) {
+fn absorb_window(acc: &mut ExecMetrics, mut window: ExecMetrics) {
+    // A fresh accumulator takes the window's per-loop trips as they are.
+    if acc.counters.loop_trips.is_empty() {
+        std::mem::swap(&mut acc.counters.loop_trips, &mut window.counters.loop_trips);
+    }
     acc.counters += &window.counters;
     acc.window_iterations += window.window_iterations;
     acc.retries += window.retries;
@@ -953,6 +973,7 @@ impl StreamCheckpoint {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use bitgen_exec::Scheme;
 
     fn scan_all(engine: &BitGen, input: &[u8], chunk_sizes: &[usize]) -> Vec<u64> {
         let mut scanner = engine.streamer().unwrap();
@@ -1090,6 +1111,26 @@ mod tests {
         assert_eq!(back, ckpt);
         assert_eq!(back.consumed(), 10);
         assert_eq!(back.fingerprint(), engine.stream_fingerprint());
+    }
+
+    #[test]
+    fn only_a_window_priced_as_dtm_records_its_loop_checks() {
+        // `a(bc)*d` loops, and `x[yz]*w` is an `Add` under MatchStar.
+        let input = b"abcbcd xyzw abcd";
+        let dtm = EngineConfig::default();
+        for (config, records) in [
+            (dtm.clone(), true),
+            (dtm.clone().with_scheme(Scheme::DtmStatic), false),
+            (dtm.clone().with_scheme(Scheme::Sequential), false),
+            (dtm.clone().with_match_star(true).with_cta_count(1), false),
+        ] {
+            let engine = BitGen::compile_with(&["a(bc)*d", "x[yz]*w"], config).unwrap();
+            let mut scanner = engine.streamer().unwrap();
+            scanner.push(input).unwrap();
+            let frontiers = &scanner.scratch.frontiers;
+            assert_eq!(frontiers.is_recording(), records, "{:?}", engine.config().scheme);
+            assert_eq!(frontiers.is_empty(), !records, "{:?}", engine.config().scheme);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::seq::{Accounting, Slots};
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_gpu::{Cta, CtaFiles, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
-    try_interpret, try_interpret_chunk, walk, ById, CarryState, CarryWalk, DefUse, InterpError,
-    Interrupt, Program, RunControl, Stmt, StreamEnv, StreamId,
+    try_interpret, try_interpret_chunk, walk, ById, CarryState, CarryWalk, DefUse, Frontiers,
+    InterpError, Interrupt, Program, RunControl, Stmt, StreamEnv, StreamId,
 };
 use bitgen_kernel::WORD_BITS;
 use bitgen_passes::{insert_zero_skips_with, rebalance_with, Hull, PassMetrics, ZbsConfig};
@@ -230,6 +230,8 @@ pub struct ExecScratch {
     private: Vec<(StreamId, BitStream)>,
     /// Fused segments: the CTA's files, one set for every kernel.
     cta: CtaFiles,
+    /// Streaming windows: the last one's loop checks, while recording.
+    pub frontiers: Frontiers,
 }
 
 impl ExecScratch {
@@ -565,6 +567,7 @@ pub(crate) fn execute_streaming_window(
         linked: None,
     };
     let mut seq = Accounting::new(&mut metrics.counters, stream_len, config, config.fault);
+    seq.frontiers = Some(&mut scratch.frontiers);
     let carries = CarryWalk::new(carry, &tables.layout);
     let walk_end = walk(prog.stmts(), &mut env, &mut seq, basis, ctl, Some(carries))?.carry_slots;
     let Accounting { fault: fault_state, issued, stored, .. } = seq;

@@ -108,8 +108,8 @@ pub struct Metrics {
     /// and were rolled back to the previous generation (the stream keeps
     /// serving the old rules instead of poisoning). Always ≤ `swaps`.
     pub swap_rollbacks: u64,
-    /// Committed streaming pushes billed as the paper's fused DTM- launch,
-    /// the cheaper one; `0` for batch, and from zero again on resume.
+    /// Committed streaming pushes billed as the paper's fused launch (DTM
+    /// or DTM-), the cheaper one; `0` for batch, and from zero on resume.
     pub fused_pushes: u64,
     /// Device cost breakdown of the launch (zeroed per-push accumulation
     /// for streaming scans).

@@ -1,9 +1,9 @@
 //! What this crate adds to the one sequential machine
 //! ([`bitgen_ir::walk`]): the stream-plan environment a streaming window
 //! runs in, and the observer that charges the modelled clock, fires armed
-//! faults and tallies stores. Batch sequential segments run in the
-//! interpreter's own [`bitgen_ir::ById`] environment under the same
-//! observer.
+//! faults, tallies stores and hands loop checks on to a record. Batch
+//! sequential segments run in the interpreter's own [`bitgen_ir::ById`]
+//! environment under the same observer.
 
 use crate::engine::ExecConfig;
 use crate::prepared::ClassTable;
@@ -161,6 +161,7 @@ pub(crate) struct Accounting<'a> {
     pub(crate) issued: u64,
     /// Stores the environment committed.
     pub(crate) stored: u64,
+    pub(crate) frontiers: Option<&'a mut bitgen_ir::Frontiers>,
 }
 
 impl<'a> Accounting<'a> {
@@ -178,6 +179,7 @@ impl<'a> Accounting<'a> {
                 .map(|plan| StreamFault { plan, ops_seen: 0, fired: false, counter_bump: 0 }),
             issued: 0,
             stored: 0,
+            frontiers: None,
         }
     }
 }
@@ -226,6 +228,10 @@ impl Observer for Accounting<'_> {
 
     fn reduction(&mut self) {
         self.counters.reductions += 1;
+    }
+
+    fn loop_check(&mut self, site: usize, cond: &BitStream) {
+        self.frontiers.iter_mut().for_each(|frontiers| frontiers.record(site, cond));
     }
 
     fn skipped(&mut self, body: &[Stmt]) {

@@ -1185,6 +1185,51 @@ mod tests {
     }
 
     #[test]
+    fn a_looped_kernel_counts_its_static_walk_plus_its_trips() {
+        // Given a window's trips, its events are arithmetic: the code
+        // outside the loops once, each body once per trip, and a reduction
+        // per trip and per entry — once per window at top level, once per
+        // trip of the enclosing loop for a nested one.
+        let input: Vec<u8> = (0..900u32).map(|i| b"abcbcdbcbcbcdexaee"[i as usize % 18]).collect();
+        let basis = basis_for(&input);
+        for pattern in ["a(bc)*d", "a((bc)*d)*e", "x(a|(bc)+)*e", "(ab|c)*(d(bc)*)+e"] {
+            let program = lower(&parse(pattern).unwrap());
+            let compiled = compile(&program, &[], &[], &CodegenOptions::default());
+            let mut taken = 0;
+            for threads in [1, 2, 8, 64] {
+                let counts = compiled.kernel.site_counts(threads).expect("no guards");
+                assert!(!counts.loops.is_empty(), "{pattern}");
+                let mut cta = Cta::new(&compiled.kernel, threads);
+                for start in [-64i64, 0, 37, 640, 7000] {
+                    let (_, got, trips) = window(&mut cta, &basis, start);
+                    let mut want = CtaCounters::new(trips.len());
+                    let mut add = |c: &bitgen_kernel::WindowCounts, n: u64| {
+                        want.alu_ops += u64::from(c.alu_ops) * n;
+                        want.smem_stores += u64::from(c.smem_stores) * n;
+                        want.smem_loads += u64::from(c.smem_loads) * n;
+                        want.barriers += u64::from(c.barriers) * n;
+                        want.global_load_words += u64::from(c.global_load_words) * n;
+                        want.global_store_words += u64::from(c.global_store_words) * n;
+                    };
+                    add(&counts.outside, 1);
+                    let mut reductions = 0;
+                    for l in &counts.loops {
+                        let trips_of = |site: u32| trips[site as usize];
+                        add(&l.body, trips_of(l.site));
+                        reductions += trips_of(l.site) + l.parent.map_or(1, trips_of);
+                    }
+                    want.reductions = reductions;
+                    want.window_iterations = 1;
+                    want.loop_trips = trips.clone();
+                    assert_eq!(got, want, "{pattern} at T={threads} from {start}");
+                    taken += trips.iter().filter(|&&t| t > 0).count();
+                }
+            }
+            assert!(taken > 0, "{pattern}: no window took a trip");
+        }
+    }
+
+    #[test]
     fn unarmed_cta_never_fires() {
         let prog = lower(&parse("cat").unwrap());
         let compiled = compile(&prog, &[], &[], &CodegenOptions::default());

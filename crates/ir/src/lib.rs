@@ -11,7 +11,8 @@
 //! - [`interpret`]: the whole-stream reference interpreter (the semantics
 //!   every execution scheme must reproduce);
 //! - [`walk`]: the one sequential machine behind it, generic over where
-//!   streams live ([`StreamEnv`]) and who watches ([`Observer`]);
+//!   streams live ([`StreamEnv`]) and who watches ([`Observer`]), and
+//!   [`Frontiers`], the record of its loop checks;
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
 //! - [`SlotPlan`]: live-range slot assignment for sequential executors;
@@ -37,6 +38,7 @@ mod builder;
 mod carry;
 mod control;
 mod fnv;
+mod frontier;
 mod interp;
 mod limits;
 mod lower;
@@ -52,6 +54,7 @@ pub use builder::ProgramBuilder;
 pub use carry::{BodyLayout, CarryError, CarryLayout, CarryState, CarryWalk};
 pub use control::{CancelToken, Interrupt, RunControl};
 pub use fnv::{fnv1a, ByteReader, FNV_OFFSET};
+pub use frontier::{Check, Frontiers};
 pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
 pub use limits::{CompileLimits, LimitError};
 pub use lower::{

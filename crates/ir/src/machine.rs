@@ -3,7 +3,7 @@
 //!
 //! [`walk`] is statically dispatched over *where the streams live* (a
 //! [`StreamEnv`]) and over an [`Observer`] told about every op, condition
-//! reduction and skipped body. The reference interpreter is the
+//! reduction, loop check and skipped body. The reference interpreter is the
 //! instantiation with one buffer per stream id ([`ById`]) and the observer
 //! that does nothing (`()`); executors add their own environments and
 //! observers, never their own walk.
@@ -98,6 +98,14 @@ pub trait Observer {
 
     /// An `if`/`while` condition was reduced to a bit.
     fn reduction(&mut self) {}
+
+    /// The condition of the `while` loop at dynamic site `site` is about
+    /// to be reduced, and `cond` is its stream: once per check, the last
+    /// (empty) one included. Sites are numbered in pre-order over the
+    /// `while`s and `Add`s of the statements walked, skipped bodies and
+    /// loops that take no trip included ([`Stmt::site_count`]) — the
+    /// numbering of the overlap analysis and of the kernels.
+    fn loop_check(&mut self, _site: usize, _cond: &BitStream) {}
 
     /// An `if` skipped `body`.
     fn skipped(&mut self, _body: &[Stmt]) {}
@@ -244,7 +252,7 @@ pub fn walk<E: StreamEnv, O: Observer>(
     let single = observer.inspects();
     let mut machine =
         Machine { env, observer, basis, len, ctl, carry, single, loop_trips: 0, ops_executed: 0 };
-    machine.run(stmts)?;
+    machine.run(stmts, 0)?;
     Ok(Walked {
         loop_trips: machine.loop_trips,
         ops_executed: machine.ops_executed,
@@ -270,7 +278,9 @@ struct Machine<'a, E, O> {
 const MAX_STAGES: usize = 16;
 
 impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
-    fn run(&mut self, stmts: &[Stmt]) -> Result<(), InterpError> {
+    /// Runs `stmts`, whose first dynamic site is `site`; returns the site
+    /// after them.
+    fn run(&mut self, stmts: &[Stmt], mut site: usize) -> Result<usize, InterpError> {
         let mut rest = stmts;
         while let Some((stmt, after)) = rest.split_first() {
             if !self.ctl.is_unlimited() {
@@ -279,8 +289,12 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
             let chain = rest;
             rest = after;
             match stmt {
+                // A chain of links is `&`s and `>>`s: no `Add` among them.
                 Stmt::Op(op) => match self.links(op, after) {
-                    0 => self.exec(op)?,
+                    0 => {
+                        site += usize::from(matches!(op, Op::Add { .. }));
+                        self.exec(op)?;
+                    }
                     links => {
                         self.exec_fused(&chain[..=links])?;
                         rest = &after[links..];
@@ -293,13 +307,14 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
                     // body's outgoing carries zero, which is exactly the
                     // no-marker semantics.
                     let entered = self.carry.as_mut().map(CarryWalk::enter);
-                    if self.any(*cond)? || entered.is_some_and(|(_, pending)| pending) {
-                        self.run(body)?;
+                    if self.any(*cond, None)? || entered.is_some_and(|(_, pending)| pending) {
+                        site = self.run(body, site)?;
                     } else {
                         if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
                             walk.leave(&span);
                         }
                         self.observer.skipped(body);
+                        site += Stmt::site_count(body);
                     }
                 }
                 Stmt::While { cond, body } => {
@@ -310,11 +325,12 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
                     let entered = self.carry.as_mut().map(CarryWalk::enter);
                     let mut force = entered.is_some_and(|(_, pending)| pending);
                     let mut fuel = self.len + 2 + usize::from(force);
+                    let (this, mut end) = (site, None);
                     loop {
                         if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
                             walk.rewind(&span);
                         }
-                        if !(self.any(*cond)? || force) {
+                        if !(self.any(*cond, Some(this))? || force) {
                             break;
                         }
                         force = false;
@@ -323,15 +339,16 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
                         }
                         fuel -= 1;
                         self.loop_trips += 1;
-                        self.run(body)?;
+                        end = Some(self.run(body, this + 1)?);
                     }
                     if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
                         walk.leave(&span);
                     }
+                    site = end.unwrap_or_else(|| this + 1 + Stmt::site_count(body));
                 }
             }
         }
-        Ok(())
+        Ok(site)
     }
 
     /// How many of the statements `after` `head` run in one pass with
@@ -353,10 +370,15 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
         links
     }
 
-    /// Reduces condition `cond` to a bit.
-    fn any(&mut self, cond: StreamId) -> Result<bool, InterpError> {
+    /// Reduces condition `cond` to a bit; that of the `while` at `site`
+    /// is shown to the observer first.
+    fn any(&mut self, cond: StreamId, site: Option<usize>) -> Result<bool, InterpError> {
         self.observer.reduction();
-        Ok(self.env.get(cond).ok_or(InterpError::UnwrittenStream { id: cond })?.any())
+        let stream = self.env.get(cond).ok_or(InterpError::UnwrittenStream { id: cond })?;
+        if let Some(site) = site {
+            self.observer.loop_check(site, stream);
+        }
+        Ok(stream.any())
     }
 
     /// A chain of links and the statement that ends it as one pass: every
@@ -468,5 +490,63 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
             self.env.discard(out);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ProgramBuilder;
+
+    /// Every loop check a walk reports: the site, and whether the
+    /// condition had a set bit.
+    #[derive(Default)]
+    struct Checks(Vec<(usize, bool)>);
+
+    impl Observer for Checks {
+        fn loop_check(&mut self, site: usize, cond: &BitStream) {
+            self.0.push((site, cond.any()));
+        }
+    }
+
+    #[test]
+    fn loop_checks_carry_pre_order_sites_past_skipped_bodies_and_zero_trip_loops() {
+        let mut b = ProgramBuilder::new();
+        let a = b.match_cc(ByteSet::singleton(b'a'));
+        let bs = b.match_cc(ByteSet::singleton(b'b'));
+        let none = b.zero();
+        b.add(a, bs); // site 0
+        b.if_block(none, |b| {
+            b.while_loop(none, |_| {}); // site 1, in a skipped body
+            b.add(a, a); // site 2
+        });
+        b.while_loop(none, |b| {
+            // Site 3 takes no trip: its body's sites 4 and 5 never run.
+            b.add(a, a);
+            b.while_loop(none, |_| {});
+        });
+        let marker = b.assign_new(a);
+        b.while_loop(marker, |b| {
+            // Site 6: one trip per `b` after the `a`; site 7 one per trip.
+            let inner = b.assign_new(marker);
+            b.while_loop(inner, |b| {
+                let zero = b.zero();
+                b.assign_to(inner, zero);
+            });
+            let next = b.advance(marker, 1);
+            b.and_into(marker, next, bs);
+        });
+        b.mark_output(marker);
+        let program = b.finish();
+        assert_eq!(Stmt::site_count(program.stmts()), 8);
+        let mut env = ById::default();
+        env.reset(program.num_streams() as usize);
+        let mut checks = Checks::default();
+        let basis = Basis::transpose(b"ab");
+        walk(program.stmts(), &mut env, &mut checks, &basis, &RunControl::unlimited(), None)
+            .unwrap();
+        let trip = [(7, true), (7, false)];
+        let want = [[(3, false), (6, true)].as_slice(), &trip, &[(6, true)], &trip, &[(6, false)]];
+        assert_eq!(checks.0, want.concat());
     }
 }

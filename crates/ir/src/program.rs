@@ -214,6 +214,21 @@ impl Stmt {
             })
             .sum()
     }
+
+    /// Dynamic sites in `stmts` — `while` loops and `Add`s, whose reach
+    /// across blocks only the data decides. The overlap analysis, the
+    /// kernels and the walker's loop checks all number them in this
+    /// pre-order, from zero.
+    pub fn site_count(stmts: &[Stmt]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::Op(op) => usize::from(matches!(op, Op::Add { .. })),
+                Stmt::If { body, .. } => Stmt::site_count(body),
+                Stmt::While { body, .. } => 1 + Stmt::site_count(body),
+            })
+            .sum()
+    }
 }
 
 /// A bitstream program: the unit the paper compiles into one GPU device

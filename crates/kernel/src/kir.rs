@@ -349,44 +349,74 @@ impl Kernel {
     }
 
     /// What one window of this kernel costs a CTA of `threads` threads,
-    /// event for event as the emulator counts it — known without running
-    /// it, because a kernel without control flow executes every
-    /// instruction exactly once per window whatever the data. `None` for a
-    /// kernel with an `if` or a `while`, whose skips and trips depend on
-    /// the data.
-    pub fn window_counts(&self, threads: usize) -> Option<WindowCounts> {
-        let mut c = WindowCounts::default();
-        let words = threads as u32;
-        for stmt in &self.stmts {
-            let KStmt::Op(op) = stmt else { return None };
-            match op {
-                KOp::LoadBasis { .. } | KOp::LoadGlobal { .. } => c.global_load_words += words,
-                KOp::Const { .. }
-                | KOp::Not { .. }
-                | KOp::And { .. }
-                | KOp::Or { .. }
-                | KOp::Xor { .. }
-                | KOp::Copy { .. } => c.alu_ops += 1,
-                // A CTA-level carry scan: log T steps through shared memory.
-                KOp::Add { .. } => {
-                    c.alu_ops += threads.ilog2().max(1) + 2;
-                    c.smem_stores += 1;
-                    c.smem_loads += 1;
-                    c.barriers += 2;
+    /// event for event as the emulator counts it, short of the data: the
+    /// instructions outside any loop run exactly once per window, and each
+    /// `while`'s body once per trip, so a window costs
+    /// `outside + Σ trips · body` and reduces `trips + entries` conditions
+    /// per loop — entered once per window at top level, once per trip of
+    /// the loop around it otherwise. `None` for a kernel with an `if`,
+    /// whose skips depend on the data.
+    pub fn site_counts(&self, threads: usize) -> Option<SiteCounts> {
+        fn walk(
+            stmts: &[KStmt],
+            threads: usize,
+            parent: Option<u32>,
+            at: &mut WindowCounts,
+            loops: &mut Vec<LoopCounts>,
+        ) -> Option<()> {
+            for stmt in stmts {
+                match stmt {
+                    KStmt::Op(op) => at.charge(op, threads),
+                    KStmt::If { .. } => return None,
+                    KStmt::While { body, site, .. } => {
+                        let index = loops.len();
+                        let mut trip = WindowCounts::default();
+                        loops.push(LoopCounts { site: *site, parent, body: trip });
+                        walk(body, threads, Some(*site), &mut trip, loops)?;
+                        loops[index].body = trip;
+                    }
                 }
-                KOp::SmemStore { .. } => c.smem_stores += 1,
-                KOp::Barrier => c.barriers += 1,
-                KOp::ShiftRead { .. } => c.smem_loads += 1,
-                KOp::StoreGlobal { .. } => c.global_store_words += words,
             }
+            Some(())
         }
-        Some(c)
+        let mut counts = SiteCounts::default();
+        walk(&self.stmts, threads, None, &mut counts.outside, &mut counts.loops)?;
+        Some(counts)
+    }
+
+    /// What one window of a kernel without control flow costs a CTA of
+    /// `threads` threads — every instruction runs once per window whatever
+    /// the data: [`Kernel::site_counts`] of a loop-free kernel. `None` for
+    /// a kernel with an `if` or a `while`.
+    pub fn window_counts(&self, threads: usize) -> Option<WindowCounts> {
+        self.site_counts(threads).filter(|counts| counts.loops.is_empty()).map(|c| c.outside)
     }
 }
 
+/// What one window of a kernel without `if`s costs a CTA, short of its
+/// loops' trips ([`Kernel::site_counts`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SiteCounts {
+    /// The events of the instructions outside any loop.
+    pub outside: WindowCounts,
+    /// Every `while`, in pre-order.
+    pub loops: Vec<LoopCounts>,
+}
+
+/// One `while` of a kernel ([`SiteCounts::loops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopCounts {
+    /// Its dynamic site ([`KStmt::While::site`]).
+    pub site: u32,
+    /// The site of the loop whose body it is in; `None` at top level.
+    pub parent: Option<u32>,
+    /// The events of one trip of its body, nested loops' bodies excluded.
+    pub body: WindowCounts,
+}
+
 /// The events one window of a straight-line kernel costs a CTA
-/// ([`Kernel::window_counts`]), named as the emulator's counters are. One
-/// window's worth fits 32 bits; engines keep these per fused segment.
+/// ([`Kernel::window_counts`]), or one trip of a loop body, named as the
+/// emulator's counters are. One window's worth fits 32 bits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowCounts {
     /// Register ALU instructions issued.
@@ -401,6 +431,33 @@ pub struct WindowCounts {
     pub global_load_words: u32,
     /// Words stored to global memory.
     pub global_store_words: u32,
+}
+
+impl WindowCounts {
+    /// Counts one execution of `op` by a CTA of `threads` threads.
+    fn charge(&mut self, op: &KOp, threads: usize) {
+        let words = threads as u32;
+        match op {
+            KOp::LoadBasis { .. } | KOp::LoadGlobal { .. } => self.global_load_words += words,
+            KOp::Const { .. }
+            | KOp::Not { .. }
+            | KOp::And { .. }
+            | KOp::Or { .. }
+            | KOp::Xor { .. }
+            | KOp::Copy { .. } => self.alu_ops += 1,
+            // A CTA-level carry scan: log T steps through shared memory.
+            KOp::Add { .. } => {
+                self.alu_ops += threads.ilog2().max(1) + 2;
+                self.smem_stores += 1;
+                self.smem_loads += 1;
+                self.barriers += 2;
+            }
+            KOp::SmemStore { .. } => self.smem_stores += 1,
+            KOp::Barrier => self.barriers += 1,
+            KOp::ShiftRead { .. } => self.smem_loads += 1,
+            KOp::StoreGlobal { .. } => self.global_store_words += words,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -525,5 +582,104 @@ mod tests {
         assert_eq!((counts.alu_ops, counts.global_load_words), (0, 4));
         assert_eq!((counts.smem_stores, counts.smem_loads, counts.barriers), (1, 1, 2));
         assert_eq!(sample().window_counts(4), None);
+    }
+
+    #[test]
+    fn site_counts_split_a_window_at_its_loops() {
+        let counts = sample().site_counts(4).unwrap();
+        let outside = WindowCounts {
+            smem_stores: 1,
+            smem_loads: 1,
+            barriers: 2,
+            global_load_words: 4,
+            global_store_words: 4,
+            ..WindowCounts::default()
+        };
+        assert_eq!(counts.outside, outside);
+        let body = WindowCounts { alu_ops: 1, ..WindowCounts::default() };
+        assert_eq!(counts.loops, vec![LoopCounts { site: 0, parent: None, body }]);
+        let guard = KStmt::If { cond: Reg(0), body: [].into() };
+        let guarded = Kernel { stmts: vec![guard], ..sample() };
+        assert_eq!(guarded.site_counts(4), None);
+    }
+
+    /// The sites of `kernel` in pre-order, each with whether it is a loop.
+    fn kernel_sites(stmts: &[KStmt], out: &mut Vec<(u32, bool)>) {
+        for stmt in stmts {
+            match stmt {
+                KStmt::Op(KOp::Add { site, .. }) => out.push((*site, false)),
+                KStmt::Op(_) => {}
+                KStmt::If { body, .. } => kernel_sites(body, out),
+                KStmt::While { body, site, .. } => {
+                    out.push((*site, true));
+                    kernel_sites(body, out);
+                }
+            }
+        }
+    }
+
+    /// The program's sites in pre-order, each with whether it is a loop.
+    fn program_sites(stmts: &[bitgen_ir::Stmt], out: &mut Vec<bool>) {
+        use bitgen_ir::{Op, Stmt};
+        for stmt in stmts {
+            match stmt {
+                Stmt::Op(op) => out.extend(matches!(op, Op::Add { .. }).then_some(false)),
+                Stmt::If { body, .. } => program_sites(body, out),
+                Stmt::While { body, .. } => {
+                    out.push(true);
+                    program_sites(body, out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_walker_the_overlap_analysis_and_the_kernels_number_sites_alike() {
+        use crate::{compile, CodegenOptions};
+        use bitgen_bitstream::{Basis, BitStream};
+        use bitgen_ir::{lower_group_with, walk, ById, LowerOptions, Observer, RunControl, Stmt};
+        use bitgen_passes::{insert_zero_skips, OverlapInfo, ZbsConfig};
+        use bitgen_regex::parse;
+
+        struct Sites(Vec<usize>);
+        impl Observer for Sites {
+            fn loop_check(&mut self, site: usize, _cond: &BitStream) {
+                self.0.push(site);
+            }
+        }
+        let sets =
+            [&["a((bc)*d)*e", "x+y"][..], &["(a|bb)+c", "q(rs)*t", "k+"], &["a*b", "c(d*e)+"]];
+        let input = b"abcbcdbcde xxy abbac qrsrst kk aab cddeddde";
+        for (patterns, match_star, guard) in sets.iter().flat_map(|p| {
+            [(p, false, false), (p, true, false), (p, false, true)]
+        }) {
+            let what = format!("{patterns:?} match_star={match_star} zbs={guard}");
+            let asts: Vec<_> = patterns.iter().map(|p| parse(p).unwrap()).collect();
+            let options = LowerOptions { match_star, log_repetition: false };
+            let mut program = lower_group_with(&asts, options);
+            if guard {
+                insert_zero_skips(&mut program, ZbsConfig { interval: 2, min_range: 1 });
+            }
+            let kernel = compile(&program, &[], &[], &CodegenOptions::default()).kernel;
+            let mut kernel_order = Vec::new();
+            kernel_sites(&kernel.stmts, &mut kernel_order);
+            let mut program_order = Vec::new();
+            program_sites(program.stmts(), &mut program_order);
+            let numbered: Vec<u32> = (0..kernel.num_sites).collect();
+            assert_eq!(kernel_order.iter().map(|s| s.0).collect::<Vec<_>>(), numbered, "{what}");
+            let kinds: Vec<bool> = kernel_order.iter().map(|s| s.1).collect();
+            assert_eq!(kinds, program_order, "{what}");
+            let sites = Stmt::site_count(program.stmts());
+            assert_eq!(OverlapInfo::analyze(&program).loop_growth.len(), sites, "{what}");
+            assert_eq!(kernel.num_sites as usize, sites, "{what}");
+            // Every check the walker reports names one of the kernel's loops.
+            let mut env = ById::default();
+            env.reset(program.num_streams() as usize);
+            let mut checks = Sites(Vec::new());
+            let (basis, ctl) = (Basis::transpose(input), RunControl::unlimited());
+            walk(program.stmts(), &mut env, &mut checks, &basis, &ctl, None).unwrap();
+            assert_eq!(checks.0.is_empty(), !kinds.contains(&true), "{what}");
+            assert!(checks.0.iter().all(|&site| kinds[site]), "{what}: {:?}", checks.0);
+        }
     }
 }

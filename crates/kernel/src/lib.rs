@@ -20,4 +20,4 @@ mod kir;
 
 pub use codegen::{compile, CodegenOptions, CodegenStats, Compiled, Compiler};
 pub use emit::emit_cuda;
-pub use kir::{KOp, KStmt, Kernel, Reg, Slot, WindowCounts, WORD_BITS};
+pub use kir::{KOp, KStmt, Kernel, LoopCounts, Reg, SiteCounts, Slot, WindowCounts, WORD_BITS};

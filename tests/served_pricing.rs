@@ -2,12 +2,16 @@
 //!
 //! A streaming window walks its program a statement at a time; the push
 //! bills the cheaper of that walk, priced as sequential blockwise
-//! execution, and the same window priced as the paper's DTM- launch. The
-//! DTM- form is arithmetic on the window's own counts
-//! ([`BitGen::fused_form`]), so it must be exactly what the CTA emulator
-//! counts running the untransformed program under `Scheme::DtmStatic`,
-//! field by field; and every push must bill exactly the smaller of the two
-//! launch estimates.
+//! execution, and the same window priced as the paper's fused launch on
+//! the engine's rung ([`BitGen::fused_form`]). Neither fused form runs a
+//! kernel: DTM- is arithmetic on the window's own counts, and DTM replays
+//! the batch executor's window loop over the loop checks the walk
+//! recorded. Each is held here against what the CTA emulator counts
+//! running the untransformed program under `BatchPlan::new(.., rung)`:
+//! DTM- field by field everywhere, DTM field by field wherever the walk's
+//! global frontier is each window's local one, and within 10 % of the
+//! launch's seconds, never below, where it is not. Every push must bill
+//! exactly the smaller of the two launch estimates.
 
 use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, RetryPolicy, Scheme};
 use bitgen_bitstream::{Basis, BitStream};
@@ -43,24 +47,31 @@ fn exec_config(config: &EngineConfig) -> ExecConfig {
     }
 }
 
+/// One group's window over a chunk, as walked and as its fused form
+/// (`None` on an engine that bills sequentially only).
+type Priced = (ExecMetrics, Option<ExecMetrics>);
+
 /// Every group's window over `chunk` from the given carries, through the
-/// scanner's door: the metrics a push of `chunk` commits.
-fn windows(engine: &BitGen, carries: &mut [CarryState], chunk: &[u8]) -> Vec<ExecMetrics> {
+/// scanner's door and priced off the loop checks it recorded: what a push
+/// of `chunk` weighs at commit.
+fn windows(engine: &BitGen, carries: &mut [CarryState], chunk: &[u8]) -> Vec<Priced> {
     let config = exec_config(engine.config());
     let programs = engine.stream_programs();
     let basis = Basis::transpose(chunk);
     let mut classes = ClassStreams::new();
     programs[0].evaluate_classes(&basis, &mut classes);
     let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
-    (programs.iter().zip(carries))
-        .map(|(prepared, carry)| {
+    (programs.iter().zip(carries).enumerate())
+        .map(|(group, (prepared, carry))| {
             let mut union = BitStream::zeros(chunk.len());
-            let (classes, scratch, union) = (&classes, &mut scratch, &mut union);
+            scratch.frontiers.restart(engine.records_frontiers(group));
+            let (classes, scratch_ref, union) = (&classes, &mut scratch, &mut union);
             let window = prepared
-                .execute_window_into(classes, &basis, &config, scratch, &ctl, carry, union)
+                .execute_window_into(classes, &basis, &config, scratch_ref, &ctl, carry, union)
                 .expect("clean window");
             carry.rotate();
-            window
+            let fused = engine.fused_form(group, &window, &scratch.frontiers, chunk.len());
+            (window, fused)
         })
         .collect()
 }
@@ -69,30 +80,51 @@ fn fresh_carries(engine: &BitGen) -> Vec<CarryState> {
     engine.stream_programs().iter().map(|p| CarryState::for_layout(p.carry_layout())).collect()
 }
 
-/// Asserts that a one-push stream's fused forms are what the emulator
-/// counts for `BatchPlan::new(untransformed, DtmStatic)`, field by field.
-fn assert_fused_is_emulated(what: &str, engine: &BitGen, chunk: &[u8]) {
+/// Each group's untransformed program planned as the batch path plans it
+/// under `rung`.
+fn plans(engine: &BitGen, rung: Scheme) -> (Vec<BatchPlan>, ExecConfig) {
+    let config = ExecConfig { scheme: rung, ..exec_config(engine.config()) };
+    let programs = engine.stream_programs().iter();
+    (programs.map(|p| BatchPlan::new(p.program().clone(), &config)).collect(), config)
+}
+
+/// Per group, a one-push stream's fused form of `chunk` and what the
+/// emulator counts running `plans` over it.
+fn priced_and_emulated(
+    engine: &BitGen,
+    (plans, config): &(Vec<BatchPlan>, ExecConfig),
+    chunk: &[u8],
+) -> Vec<(ExecMetrics, ExecMetrics)> {
     let windows = windows(engine, &mut fresh_carries(engine), chunk);
-    let config = ExecConfig { scheme: Scheme::DtmStatic, ..exec_config(engine.config()) };
     let basis = Basis::transpose(chunk);
     let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
-    for (group, (prepared, window)) in engine.stream_programs().iter().zip(&windows).enumerate() {
-        let what = format!("{what} group {group} chunk {}", chunk.len());
-        let fused = engine.fused_form(group, window, chunk.len()).expect("a ZBS engine prices");
-        let plan = BatchPlan::new(prepared.program().clone(), &config);
-        let emulated = plan.execute(&basis, &config, &mut scratch, &ctl).expect("DTM- runs");
-        let emulated = emulated.metrics;
-        assert_eq!(fused.counters, emulated.counters, "{what}: counters");
-        let shape = |m: &ExecMetrics| {
-            (m.threads, m.regs_per_thread, m.smem_bytes, m.shift_groups, m.segments)
-        };
-        assert_eq!(shape(&fused), shape(&emulated), "{what}: threads, regs, smem, groups, segs");
-        let overlap = |m: &ExecMetrics| {
-            (m.intermediates, m.static_overlap, m.window_iterations, m.fallbacks)
-        };
-        assert_eq!(overlap(&fused), overlap(&emulated), "{what}: overlap");
-        assert_eq!(fused.recompute_frac.to_bits(), emulated.recompute_frac.to_bits(), "{what}");
-    }
+    (windows.into_iter().zip(plans))
+        .map(|((_, fused), plan)| {
+            let emulated = plan.execute(&basis, config, &mut scratch, &ctl).expect("plan runs");
+            (fused.expect("this engine prices its pushes fused"), emulated.metrics)
+        })
+        .collect()
+}
+
+/// Asserts `fused` is `emulated` in every field the launch reports.
+fn assert_exact(what: &str, fused: &ExecMetrics, emulated: &ExecMetrics) {
+    assert_eq!(fused.counters, emulated.counters, "{what}: counters");
+    let shape = |m: &ExecMetrics| {
+        (m.threads, m.regs_per_thread, m.smem_bytes, m.shift_groups, m.segments, m.intermediates)
+    };
+    assert_eq!(shape(fused), shape(emulated), "{what}: threads, regs, smem, groups, segs, inter");
+    let overlap = |m: &ExecMetrics| {
+        let fractions = (m.recompute_frac.to_bits(), m.dynamic_overlap_avg.to_bits());
+        let windows = (m.window_iterations, m.retries, m.fallbacks);
+        (m.static_overlap, windows, m.dynamic_overlap_max, fractions)
+    };
+    assert_eq!(overlap(fused), overlap(emulated), "{what}: overlap");
+}
+
+/// The modelled seconds of one launch of every group's `forms`.
+fn launch_seconds(engine: &BitGen, forms: impl Iterator<Item = ExecMetrics>) -> f64 {
+    let works: Vec<CtaWork> = forms.map(|form| form.cta_work()).collect();
+    engine.config().device.estimate(&works).seconds
 }
 
 #[test]
@@ -100,31 +132,159 @@ fn a_windows_fused_form_is_what_the_emulator_counts_under_dtm_static() {
     // Under `match_star` the streamed programs carry `Add` segments, and
     // their price must be exact too.
     for match_star in [false, true] {
+        let config =
+            EngineConfig::default().with_scheme(Scheme::DtmStatic).with_match_star(match_star);
         for kind in AppKind::ALL {
             let (patterns, input) = workload(kind, 8, 65536);
-            let engine = compile(&patterns, EngineConfig::default().with_match_star(match_star));
-            let what = format!("{} match_star={match_star}", kind.name());
+            let engine = compile(&patterns, config.clone());
+            let plans = plans(&engine, Scheme::DtmStatic);
             for len in [1, 63, 2047, 2048, 4096, 65536] {
-                assert_fused_is_emulated(&what, &engine, &input[..len]);
+                let priced = priced_and_emulated(&engine, &plans, &input[..len]);
+                for (group, (fused, emulated)) in priced.iter().enumerate() {
+                    let name = kind.name();
+                    let what = format!("{name} match_star={match_star} group {group} at {len}");
+                    assert_exact(&what, fused, emulated);
+                }
             }
         }
     }
+}
+
+/// The one group whose loop-dependent counts the DTM price may miss: its
+/// local fixpoint in one window outruns what the walk's global frontier
+/// shows there, and the emulator takes a retry the walk does not see.
+const UNSEEN_RETRY: (AppKind, usize, usize) = (AppKind::Dotstar, 65536, 7);
+
+#[test]
+fn a_windows_dtm_form_replays_the_emulated_window_loop() {
+    for kind in AppKind::ALL {
+        let (patterns, input) = workload(kind, 8, 65536);
+        let engine = compile(&patterns, EngineConfig::default());
+        let plans = plans(&engine, Scheme::Dtm);
+        for len in [1, 63, 2047, 2048, 4096] {
+            for (group, (fused, emulated)) in
+                priced_and_emulated(&engine, &plans, &input[..len]).iter().enumerate()
+            {
+                assert_exact(&format!("{} group {group} at {len}", kind.name()), fused, emulated);
+            }
+        }
+        // At 64 KiB the walk's frontier may touch a window more often than
+        // its local fixpoint does: the loop-dependent counts are bounded,
+        // the shape and the launch's windows exact.
+        let priced = priced_and_emulated(&engine, &plans, &input);
+        for (group, (fused, emulated)) in priced.iter().enumerate() {
+            let what = format!("{} group {group} at 65536", kind.name());
+            assert_eq!(fused.static_overlap, emulated.static_overlap, "{what}");
+            assert_eq!(fused.counters.loop_trips.len(), emulated.counters.loop_trips.len());
+            let windows = |m: &ExecMetrics| (m.window_iterations, m.retries, m.fallbacks);
+            if (kind, 65536, group) != UNSEEN_RETRY {
+                assert_eq!(windows(fused), windows(emulated), "{what}");
+            }
+        }
+        assert_launch_bounded(&engine, kind.name(), priced);
+    }
+}
+
+/// Asserts that the launch priced costs what the emulated one does, or at
+/// most 10 % more.
+fn assert_launch_bounded(engine: &BitGen, what: &str, priced: Vec<(ExecMetrics, ExecMetrics)>) {
+    let (fused, emulated): (Vec<_>, Vec<_>) = priced.into_iter().unzip();
+    let (fused, emulated) =
+        (launch_seconds(engine, fused.into_iter()), launch_seconds(engine, emulated.into_iter()));
+    assert!(
+        emulated <= fused && fused <= 1.10 * emulated,
+        "{what}: priced {fused:e} s against {emulated:e} s emulated"
+    );
+}
+
+#[test]
+fn the_served_rule_sets_dtm_forms_are_exact_at_the_served_sizes_and_bounded_at_64_kib() {
+    for kind in [AppKind::Snort, AppKind::Tcp] {
+        let (patterns, input) = workload(kind, 32, 65536);
+        let engine = compile(&patterns, EngineConfig::default());
+        let plans = plans(&engine, Scheme::Dtm);
+        for len in [64, 4096] {
+            for (group, (fused, emulated)) in
+                priced_and_emulated(&engine, &plans, &input[..len]).iter().enumerate()
+            {
+                let what = format!("{} ×32 group {group} at {len}", kind.name());
+                assert_exact(&what, fused, emulated);
+            }
+        }
+        let priced = priced_and_emulated(&engine, &plans, &input);
+        assert_launch_bounded(&engine, &format!("{} ×32 at 65536", kind.name()), priced);
+    }
+}
+
+#[test]
+fn a_loop_that_outgrows_the_window_falls_back_in_both() {
+    // 3 000 trips of `(bc)` need 6 000 bits of overlap; a 64-thread window
+    // holds 2 048. The batch executor counts the windows it ran, then walks
+    // the program; so does the price.
+    let engine = BitGen::compile(&["a(bc)*d"]).unwrap();
+    let mut input = b"xa".to_vec();
+    input.extend(b"bc".repeat(3000));
+    input.extend(b"dy");
+    assert_eq!(input.len(), 6004);
+    let plans = plans(&engine, Scheme::Dtm);
+    let priced = priced_and_emulated(&engine, &plans, &input);
+    let (fused, emulated) = &priced[0];
+    assert_eq!(emulated.fallbacks, 1, "the emulated launch falls back");
+    assert_exact("a(bc)*d over 6 000 bytes of bc", fused, emulated);
 }
 
 #[test]
 fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
     // One-thread CTAs: a 32-bit window keeps no room for overlap, so a
     // segment that shifts falls back and one that does not still fuses.
-    for kind in [AppKind::Snort, AppKind::ExactMatch, AppKind::Tcp] {
+    for (scheme, kind) in [Scheme::DtmStatic, Scheme::Dtm]
+        .into_iter()
+        .flat_map(|s| [AppKind::Snort, AppKind::ExactMatch, AppKind::Tcp].map(|k| (s, k)))
+    {
         let (patterns, input) = workload(kind, 6, 4096);
-        let engine = compile(&patterns, EngineConfig::default().with_cta_threads(1));
+        let config = EngineConfig::default().with_cta_threads(1).with_scheme(scheme);
+        let engine = compile(&patterns, config);
         let windows = windows(&engine, &mut fresh_carries(&engine), &input[..64]);
-        let fallbacks: u64 = (windows.iter().enumerate())
-            .map(|(g, window)| engine.fused_form(g, window, 64).unwrap().fallbacks)
-            .sum();
-        assert!(fallbacks > 0, "{}: no segment outgrew a 32-bit window", kind.name());
+        let fallbacks: u64 =
+            windows.iter().map(|(_, fused)| fused.as_ref().unwrap().fallbacks).sum();
+        assert!(fallbacks > 0, "{} {scheme}: no segment outgrew a 32-bit window", kind.name());
+        let plans = plans(&engine, scheme);
         for len in [1, 63, 4096] {
-            assert_fused_is_emulated(kind.name(), &engine, &input[..len]);
+            for (group, (fused, emulated)) in
+                priced_and_emulated(&engine, &plans, &input[..len]).iter().enumerate()
+            {
+                assert_exact(&format!("{} {scheme} group {group}", kind.name()), fused, emulated);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_twin_with_an_add_keeps_the_dtm_static_bill_and_records_nothing() {
+    // Under MatchStar a class star is an `Add`; a starred group stays a
+    // loop. A group with an `Add` — alone, or beside a loop — is billed
+    // its DTM- form even on a ZBS engine, and its windows record no check:
+    // an addition's carry run per window is not recorded.
+    let patterns = ["a[bc]*d", "x(yz)*w", "[0-9]+q", "k.*m"].map(String::from).to_vec();
+    let (_, input) = workload(AppKind::Snort, 8, 4096);
+    for groups in [1, 2] {
+        let config = EngineConfig::default().with_match_star(true).with_cta_count(groups);
+        let engine = compile(&patterns, config);
+        let plans = plans(&engine, Scheme::DtmStatic);
+        for group in 0..engine.group_count() {
+            let mut adds = false;
+            engine.stream_programs()[group].program().for_each_op(&mut |op| {
+                adds |= matches!(op, bitgen_ir::Op::Add { .. });
+            });
+            assert!(adds, "{groups} groups: group {group} has no `Add`");
+            assert!(!engine.records_frontiers(group), "{groups} groups: group {group} records");
+        }
+        for len in [1, 63, 2048, 4096] {
+            for (group, (fused, emulated)) in
+                priced_and_emulated(&engine, &plans, &input[..len]).iter().enumerate()
+            {
+                assert_exact(&format!("{groups} groups: group {group} at {len}"), fused, emulated);
+            }
         }
     }
 }
@@ -132,7 +292,6 @@ fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
 /// Streams `input` in `sizes`-byte pushes, asserting that each push bills
 /// exactly the smaller of the two launch estimates.
 fn assert_each_push_bills_the_cheaper(engine: &BitGen, input: &[u8], sizes: &[usize]) {
-    let device = &engine.config().device;
     let mut scanner = engine.streamer().unwrap();
     let mut carries = fresh_carries(engine);
     let (mut kernel_seconds, mut fused_pushes) = (0.0f64, 0u64);
@@ -143,15 +302,10 @@ fn assert_each_push_bills_the_cheaper(engine: &BitGen, input: &[u8], sizes: &[us
         }
         let chunk = &input[pos..(pos + size).min(input.len())];
         pos += chunk.len();
-        let windows = windows(engine, &mut carries, chunk);
-        let works = |forms: &[ExecMetrics]| -> Vec<CtaWork> {
-            forms.iter().map(ExecMetrics::cta_work).collect()
-        };
-        let sequential = device.estimate(&works(&windows)).seconds;
-        let fused: Vec<ExecMetrics> = (windows.iter().enumerate())
-            .map(|(g, w)| engine.fused_form(g, w, chunk.len()).unwrap())
-            .collect();
-        let fused = device.estimate(&works(&fused)).seconds;
+        let priced = windows(engine, &mut carries, chunk);
+        let (walked, fused): (Vec<_>, Vec<_>) = priced.into_iter().unzip();
+        let sequential = launch_seconds(engine, walked.into_iter());
+        let fused = launch_seconds(engine, fused.into_iter().map(Option::unwrap));
         kernel_seconds += sequential.min(fused);
         fused_pushes += u64::from(fused < sequential);
         scanner.push(chunk).unwrap();
@@ -183,16 +337,17 @@ proptest! {
 }
 
 #[test]
-fn served_pushes_bill_fused_from_a_few_kilobytes_and_sequential_at_64_bytes() {
-    // serve-bulk and serve-small's rules, and serve-churn's warm set.
+fn served_pushes_bill_fused_at_every_served_size() {
+    // serve-bulk's and serve-small's rules, and serve-churn's warm set:
+    // under DTM even a 64-byte push bills its fused launch.
     for kind in [AppKind::Snort, AppKind::Tcp] {
         let (patterns, input) = workload(kind, 32, 3 * 65536);
         let engine = compile(&patterns, EngineConfig::default());
-        for (chunk, fused) in [(65536, true), (4096, true), (64, false)] {
+        for chunk in [65536, 4096, 64] {
             let mut scanner = engine.streamer().unwrap();
             let pushes = input.chunks(chunk).take(3).map(|c| scanner.push(c).unwrap()).count();
-            let billed = if fused { pushes as u64 } else { 0 };
-            assert_eq!(scanner.metrics().fused_pushes, billed, "{} at {chunk} B", kind.name());
+            let what = format!("{} at {chunk} B", kind.name());
+            assert_eq!(scanner.metrics().fused_pushes, pushes as u64, "{what}");
         }
         assert_each_push_bills_the_cheaper(&engine, &input[..70_000], &[65536, 64, 4096]);
     }
@@ -219,9 +374,11 @@ fn fused_billing_is_the_dtm_static_and_later_schemes_only_and_is_not_checkpointe
     let (patterns, input) = workload(AppKind::Snort, 8, 8192);
     for scheme in Scheme::ALL {
         let engine = compile(&patterns, EngineConfig::default().with_scheme(scheme));
-        let window = &windows(&engine, &mut fresh_carries(&engine), &input)[0];
-        let priced = engine.fused_form(0, window, input.len()).is_some();
+        let (_, fused) = &windows(&engine, &mut fresh_carries(&engine), &input)[0];
+        let priced = fused.is_some();
         assert_eq!(priced, scheme >= Scheme::DtmStatic, "{scheme}");
+        let records = (0..engine.group_count()).any(|group| engine.records_frontiers(group));
+        assert_eq!(records, scheme >= Scheme::Dtm, "{scheme}: only DTM reads loop checks");
         let mut scanner = engine.streamer().unwrap();
         scanner.push(&input).unwrap();
         assert_eq!(scanner.metrics().fused_pushes > 0, priced, "{scheme}");
