@@ -8,7 +8,12 @@ cargo build --release
 # fault drills (fault_tolerance, pathological_patterns), the transform
 # differentials (zbs_differential, pass_complexity), the streaming,
 # recovery, hot-swap and checkpoint suites (stream_carry,
-# stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), the
+# stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), what a
+# stream's carries cost the allocator (carry_alloc: opening a stream,
+# resume + checkpoint and dropping a checkpoint allocate per group, not
+# per carry slot, on the served Snort and TCP ×32 sets; with bitgen-ir's
+# carry tests holding slots of 1, 63, 64, 65 and 130 bits to the
+# checkpoint byte format and a per-slot FNV seal), the
 # served window against the single-stepped walk and the reference on
 # every application up to 64 KiB chunks, with its fused-coverage gate
 # (stream_fusion), the served-pricing differential (served_pricing: each
@@ -44,14 +49,21 @@ cargo test -q --no-fail-fast
 
 # Non-test `src` lines per crate, each file cut at its first
 # `#[cfg(test)]`: the figure CHANGES.md and ROADMAP.md report. The
-# streaming executor may not grow past this budget, so ROADMAP item 1(b)
-# pays in crates/exec for what it adds.
+# streaming executor may not grow past its budget, so ROADMAP item 1(b)
+# pays in crates/exec for what it adds; the serving crate may not grow
+# at all (ROADMAP item 2).
 EXEC_BUDGET=1918
+SERVE_BUDGET=4585
 for dir in crates/*/src; do
   lines=$(find "$dir" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)
   printf 'non-test src lines: %-10s %6d\n' "$(basename "$(dirname "$dir")")" "$lines"
-  if [ "$dir" = crates/exec/src ] && [ "$lines" -gt "$EXEC_BUDGET" ]; then
-    echo "ci: crates/exec/src has $lines non-test lines, budget $EXEC_BUDGET" >&2
+  case "$dir" in
+    crates/exec/src) budget=$EXEC_BUDGET ;;
+    crates/serve/src) budget=$SERVE_BUDGET ;;
+    *) continue ;;
+  esac
+  if [ "$lines" -gt "$budget" ]; then
+    echo "ci: $dir has $lines non-test lines, budget $budget" >&2
     exit 1
   fi
 done

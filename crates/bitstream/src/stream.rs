@@ -361,9 +361,10 @@ impl BitStream {
 
     /// [`BitStream::advance`] with carry injection, into a reusable
     /// output: the `k` vacated low positions are filled from `hist`, the
-    /// last `k` bits of the stream's history before this window (bit *i*
-    /// of `hist` is the stream's value at global position
-    /// `window_start - k + i`). `out` must not alias `self`.
+    /// last `k` bits of the stream's history before this window as words
+    /// (bit *i* of `hist` is the stream's value at global position
+    /// `window_start - k + i`; bits past `k` clear). `out` must not alias
+    /// `self`.
     ///
     /// This is the streaming form of the paper's cross-block shift
     /// dependency: the carry-out of chunk *k* becomes the carry-in of
@@ -371,22 +372,29 @@ impl BitStream {
     ///
     /// # Panics
     ///
-    /// Panics if `hist.len() != k`.
-    pub fn advance_with_carry_into(&self, k: usize, hist: &BitStream, out: &mut BitStream) {
-        assert_eq!(hist.len, k, "carry history holds {} bits, shift needs {k}", hist.len);
+    /// Panics if `hist` is not the `k.div_ceil(64)` words of a `k`-bit
+    /// history.
+    pub fn advance_with_carry_into(&self, k: usize, hist: &[u64], out: &mut BitStream) {
+        assert_eq!(
+            hist.len(),
+            k.div_ceil(64),
+            "carry history holds {} words, shift needs {k} bits",
+            hist.len()
+        );
         self.advance_into(k, out);
-        // The low min(k, len) positions of `out` are zero, and `hist` keeps
-        // bits past its length masked, so a word-wise OR injects the carry.
-        for (o, &h) in out.words.iter_mut().zip(&hist.words) {
+        // The low min(k, len) positions of `out` are zero, and `hist`
+        // keeps bits past `k` clear, so a word-wise OR injects the carry.
+        for (o, &h) in out.words.iter_mut().zip(hist) {
             *o |= h;
         }
         out.mask_tail();
     }
 
-    /// Rolls a shift-carry history forward by one window, ORing the
-    /// result into `acc`: the last `prev.len()` bits of the sequence
+    /// Rolls a `width`-bit shift-carry history forward by one window,
+    /// ORing the result into `acc`: the last `width` bits of the sequence
     /// `prev ++ self[0..consumed)`. Loop trips accumulate one slot's
-    /// outgoing history this way.
+    /// outgoing history this way. `prev` and `acc` are the history's
+    /// words, bits past `width` clear.
     ///
     /// `prev` is the history entering this window and `consumed` is how
     /// many positions of `self` became final (the chunk length — the
@@ -394,10 +402,11 @@ impl BitStream {
     ///
     /// # Panics
     ///
-    /// Panics if `acc.len() != prev.len()` or `consumed > self.len()`.
-    pub fn or_history_tail(&self, prev: &BitStream, consumed: usize, acc: &mut BitStream) {
+    /// Panics if `prev` or `acc` is not `width.div_ceil(64)` words long,
+    /// or `consumed > self.len()`.
+    pub fn or_history_tail(&self, prev: &[u64], width: usize, consumed: usize, acc: &mut [u64]) {
         assert!(consumed <= self.len, "{consumed} consumed positions of {}", self.len);
-        history_tail(&self.words, 0, prev, consumed, acc);
+        history_tail(&self.words, 0, prev, width, consumed, acc);
     }
 
     /// [`BitStream::or_history_tail`] of a `len`-bit stream known only by
@@ -408,21 +417,22 @@ impl BitStream {
     ///
     /// # Panics
     ///
-    /// Panics if `prev` is longer than 63 bits, `acc.len() != prev.len()`
-    /// or `consumed > len`.
+    /// Panics if `width` exceeds 63 bits, `prev` or `acc` is not
+    /// `width.div_ceil(64)` words long, or `consumed > len`.
     pub fn or_history_tail_of(
         last: [u64; 2],
         len: usize,
-        prev: &BitStream,
+        prev: &[u64],
+        width: usize,
         consumed: usize,
-        acc: &mut BitStream,
+        acc: &mut [u64],
     ) {
-        assert!(prev.len < 64, "a fused advance carries at most 63 bits, not {}", prev.len);
+        assert!(width < 64, "a fused advance carries at most 63 bits, not {width}");
         assert!(consumed <= len, "{consumed} consumed positions of {len}");
         match len.div_ceil(64) {
-            0 => history_tail(&[], 0, prev, consumed, acc),
-            1 => history_tail(&last[1..], 0, prev, consumed, acc),
-            words => history_tail(&last, words - 2, prev, consumed, acc),
+            0 => history_tail(&[], 0, prev, width, consumed, acc),
+            1 => history_tail(&last[1..], 0, prev, width, consumed, acc),
+            words => history_tail(&last, words - 2, prev, width, consumed, acc),
         }
     }
 
@@ -699,35 +709,43 @@ impl BitStream {
     }
 }
 
-/// ORs into `acc` the last `prev.len()` bits of `prev ++ src[0..consumed)`,
-/// where `words` are `src`'s words from word `base` on. `src` is read
-/// only below `consumed`, and `base` must be low enough for that tail to
-/// start inside `words`.
+/// ORs into `acc` the last `k` bits of `prev ++ src[0..consumed)`, where
+/// `prev` and `acc` are `k`-bit histories as words and `words` are
+/// `src`'s words from word `base` on. `src` is read only below
+/// `consumed`, and `base` must be low enough for that tail to start
+/// inside `words`.
 fn history_tail(
     words: &[u64],
     base: usize,
-    prev: &BitStream,
+    prev: &[u64],
+    k: usize,
     consumed: usize,
-    acc: &mut BitStream,
+    acc: &mut [u64],
 ) {
-    let k = prev.len;
-    assert_eq!(acc.len, k, "history accumulator holds {} bits, slot needs {k}", acc.len);
+    let nwords = k.div_ceil(64);
+    assert_eq!(prev.len(), nwords, "carry history holds {} words, slot needs {k} bits", prev.len());
+    assert_eq!(acc.len(), nwords, "accumulator holds {} words, slot needs {k} bits", acc.len());
     // Word `i` of the tail is 64 bits of `prev ++ src` from position
     // `consumed + 64 i`; the tail ends where the consumed positions do.
-    for (i, w) in acc.words.iter_mut().enumerate() {
+    for (i, w) in acc.iter_mut().enumerate() {
         let p = consumed + (i << 6);
         *w |= if p >= k {
             wide::gather_word(words, p - k - (base << 6))
         } else {
             debug_assert_eq!(base, 0, "a tail reaching into `prev` starts at word 0");
-            let from_prev = wide::gather_word(&prev.words, p);
+            let from_prev = wide::gather_word(prev, p);
             match (k - p, words.first()) {
                 (gap, Some(&first)) if gap < 64 => from_prev | first << gap,
                 _ => from_prev,
             }
         };
     }
-    acc.mask_tail();
+    let rem = k & 63;
+    if rem != 0 {
+        if let Some(last) = acc.last_mut() {
+            *last &= (1u64 << rem) - 1;
+        }
+    }
 }
 
 impl fmt::Debug for BitStream {
@@ -955,13 +973,13 @@ mod tests {
     /// kernels as values, for assertions.
     fn advance_with_carry(s: &BitStream, k: usize, hist: &BitStream) -> BitStream {
         let mut out = BitStream::default();
-        s.advance_with_carry_into(k, hist, &mut out);
+        s.advance_with_carry_into(k, hist.as_words(), &mut out);
         out
     }
 
     fn history_tail(window: &BitStream, prev: &BitStream, consumed: usize) -> BitStream {
         let mut next = BitStream::zeros(prev.len());
-        window.or_history_tail(prev, consumed, &mut next);
+        window.or_history_tail(prev.as_words(), prev.len(), consumed, &mut next.words);
         next
     }
 
@@ -1053,7 +1071,7 @@ mod tests {
                     // Accumulating ORs into what the slot already holds.
                     let held = noise(k, 99);
                     let mut acc = held.clone();
-                    window.or_history_tail(&prev, consumed, &mut acc);
+                    window.or_history_tail(prev.as_words(), k, consumed, &mut acc.words);
                     assert_eq!(acc, held.or(&want), "k {k} len {len} consumed {consumed}");
                 }
             }
@@ -1095,11 +1113,18 @@ mod tests {
             for consumed in [len - 1, len] {
                 let mut want = noise(k as usize, 3);
                 let mut got = want.clone();
-                value.or_history_tail(&hists[i], consumed, &mut want);
-                BitStream::or_history_tail_of(stage.last(), len, &hists[i], consumed, &mut got);
+                value.or_history_tail(hists[i].as_words(), k as usize, consumed, &mut want.words);
+                BitStream::or_history_tail_of(
+                    stage.last(),
+                    len,
+                    hists[i].as_words(),
+                    k as usize,
+                    consumed,
+                    &mut got.words,
+                );
                 assert_eq!(got, want, "{what}: stage {i}");
             }
-            value.advance_with_carry_into(k as usize, &hists[i], &mut next);
+            value.advance_with_carry_into(k as usize, hists[i].as_words(), &mut next);
             std::mem::swap(&mut value, &mut next);
         }
         if let Some(tail) = tail {
@@ -1175,7 +1200,7 @@ mod tests {
         let hist = noise(70, 3);
         for dirty_len in [0usize, 64, 200, 1000] {
             let mut out = noise(dirty_len, 4);
-            a.advance_with_carry_into(70, &hist, &mut out);
+            a.advance_with_carry_into(70, hist.as_words(), &mut out);
             let mut want = a.advance(70);
             want.or_at(0, &hist);
             assert_eq!(out, want, "dirty {dirty_len}");

@@ -119,6 +119,9 @@ pub struct CarryLayout {
     /// an output that is never read back) — the only retreat the peek
     /// position makes exact. [`CarryState::for_layout`] refuses the rest.
     streamable: bool,
+    /// The seal of the zeroed state, so that opening a stream hashes
+    /// nothing.
+    zero_seal: u64,
 }
 
 /// What one `if`/`while` body spans, as pre-order index ranges.
@@ -143,7 +146,8 @@ impl CarryLayout {
                 reads[src.index()] = true;
             }
         });
-        let mut layout = CarryLayout { widths: Vec::new(), bodies: Vec::new(), streamable: true };
+        let mut layout =
+            CarryLayout { widths: Vec::new(), bodies: Vec::new(), streamable: true, zero_seal: 0 };
         let mut streamable = true;
         layout.walk(program.stmts(), true, &mut |dst, amount, top_level| {
             streamable &= top_level
@@ -155,6 +159,7 @@ impl CarryLayout {
         // Resident for the life of an engine: drop the growth slack.
         layout.widths.shrink_to_fit();
         layout.bodies.shrink_to_fit();
+        layout.zero_seal = CarryState::zeroed(&layout).seal_of();
         layout
     }
 
@@ -239,9 +244,9 @@ impl<'a> CarryWalk<'a> {
     /// [`bitgen_bitstream::FusedStage`] starts from.
     pub fn fused_in(&mut self, k: usize) -> (usize, u64) {
         self.slot += 1;
-        let incoming = &self.state.slots[self.slot - 1].incoming;
-        debug_assert_eq!(incoming.len(), k, "carry slot width mismatch");
-        (self.slot - 1, incoming.as_words().first().copied().unwrap_or(0))
+        let slot = self.slot - 1;
+        debug_assert_eq!(self.state.slots[slot].width as usize, k, "carry slot width mismatch");
+        (slot, self.state.incoming[self.state.word_at(slot)])
     }
 
     /// After the pass: accumulates `slot`'s outgoing history from the
@@ -253,9 +258,17 @@ impl<'a> CarryWalk<'a> {
     ///
     /// Panics if the window is empty.
     pub fn fused_out(&mut self, slot: usize, last: [u64; 2], len: usize) {
-        let s = &mut self.state.slots[slot];
+        let s = &mut *self.state;
+        let words = s.words(slot..slot + 1);
         let consumed = len.checked_sub(1).expect("window must hold the peek position");
-        BitStream::or_history_tail_of(last, len, &s.incoming, consumed, &mut s.outgoing);
+        BitStream::or_history_tail_of(
+            last,
+            len,
+            &s.incoming[words.clone()],
+            s.slots[slot].width as usize,
+            consumed,
+            &mut s.outgoing[words],
+        );
     }
 
     /// Arrives at the next `if`/`while` statement: its body's span, and
@@ -302,30 +315,36 @@ impl<'a> CarryWalk<'a> {
 /// buffers once the window completes. A freshly built state has all
 /// slots zero, which is exactly the before-start-of-stream semantics of
 /// batch execution (shifts pull in zeros, additions start carry-less).
+///
+/// Each side is one word buffer holding every slot's carry back to
+/// back, a slot of width `w` taking `w.div_ceil(64)` words with the bits
+/// past `w` clear. A state is three allocations whatever its slot count,
+/// so cloning, dropping, rotating or discarding one costs a copy or a
+/// fill of its words, not an allocation per slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CarryState {
-    slots: Vec<Slot>,
+    /// Each slot's width and first word, in pre-order.
+    slots: Vec<SlotShape>,
+    /// Carries entering the current window; read-only while executing.
+    incoming: Vec<u64>,
+    /// Carries accumulated for the next window, laid out as `incoming`.
+    outgoing: Vec<u64>,
     /// Checksum over the incoming carries, refreshed by [`CarryState::rotate`].
     ///
-    /// During a window only the outgoing buffers mutate, so the seal
+    /// During a window only the outgoing buffer mutates, so the seal
     /// stays valid from one rotate to the next; [`CarryState::validate`]
     /// recomputes it to detect corruption that happened *between*
     /// pushes (stray writes, bitrot in a deserialized checkpoint).
     seal: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Slot {
-    /// Carry entering the current window; read-only while executing.
-    incoming: BitStream,
-    /// Carry accumulated for the next window.
-    outgoing: BitStream,
-}
-
-impl Slot {
-    fn new(width: usize) -> Slot {
-        Slot { incoming: BitStream::zeros(width), outgoing: BitStream::zeros(width) }
-    }
+/// Where one slot's carry lies in a [`CarryState`]'s word buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotShape {
+    /// Carry width in bits.
+    width: u32,
+    /// Index of the slot's first word.
+    word: u32,
 }
 
 impl CarryState {
@@ -357,9 +376,23 @@ impl CarryState {
             "program is not streamable: Retreat is only supported as the \
              top-level output normalisation `retreat(cursors, 1)`"
         );
-        let slots: Vec<Slot> = layout.widths.iter().map(|&w| Slot::new(w as usize)).collect();
-        let seal = seal_of(&slots);
-        CarryState { slots, seal }
+        CarryState::zeroed(layout)
+    }
+
+    /// The zeroed state of `layout`, sealed with its recorded seal.
+    fn zeroed(layout: &CarryLayout) -> CarryState {
+        let mut words = 0;
+        let slots: Vec<SlotShape> = layout
+            .widths
+            .iter()
+            .map(|&width| {
+                let slot = SlotShape { width, word: words };
+                words += width.div_ceil(64);
+                slot
+            })
+            .collect();
+        let zeros = vec![0; words as usize];
+        CarryState { slots, incoming: zeros.clone(), outgoing: zeros, seal: layout.zero_seal }
     }
 
     /// Number of carry slots.
@@ -367,15 +400,23 @@ impl CarryState {
         self.slots.len()
     }
 
+    /// The first word of `slot`; one past the last word for the slot
+    /// past the end.
+    fn word_at(&self, slot: usize) -> usize {
+        self.slots.get(slot).map_or(self.incoming.len(), |s| s.word as usize)
+    }
+
+    /// The words of `slots` in either buffer.
+    fn words(&self, slots: Range<usize>) -> Range<usize> {
+        self.word_at(slots.start)..self.word_at(slots.end)
+    }
+
     /// Flips the buffers after a window: this window's carry-out becomes
     /// the next window's carry-in, and the outgoing side is zeroed.
     pub fn rotate(&mut self) {
-        for s in &mut self.slots {
-            std::mem::swap(&mut s.incoming, &mut s.outgoing);
-            let w = s.outgoing.len();
-            s.outgoing.reset_zeros(w);
-        }
-        self.seal = seal_of(&self.slots);
+        std::mem::swap(&mut self.incoming, &mut self.outgoing);
+        self.outgoing.fill(0);
+        self.seal = self.seal_of();
     }
 
     /// The integrity checksum recorded at the last rotate (or at
@@ -404,26 +445,18 @@ impl CarryState {
             });
         }
         for (slot, (s, &w)) in self.slots.iter().zip(expected).enumerate() {
-            let w = w as usize;
-            if s.incoming.len() != w {
+            if s.width != w {
                 return Err(CarryError::SlotWidthMismatch {
                     slot,
-                    expected: w,
-                    found: s.incoming.len(),
+                    expected: w as usize,
+                    found: s.width as usize,
                 });
             }
-            if s.outgoing.len() != w {
-                return Err(CarryError::SlotWidthMismatch {
-                    slot,
-                    expected: w,
-                    found: s.outgoing.len(),
-                });
-            }
-            if s.outgoing.any() {
+            if self.outgoing[self.words(slot..slot + 1)].iter().any(|&w| w != 0) {
                 return Err(CarryError::DirtyOutgoing { slot });
             }
         }
-        let found = seal_of(&self.slots);
+        let found = self.seal_of();
         if found != self.seal {
             return Err(CarryError::ChecksumMismatch { expected: self.seal, found });
         }
@@ -437,9 +470,9 @@ impl CarryState {
     /// information.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend((self.slots.len() as u32).to_le_bytes());
-        for s in &self.slots {
-            out.extend((s.incoming.len() as u64).to_le_bytes());
-            for &w in s.incoming.as_words() {
+        for (slot, s) in self.slots.iter().enumerate() {
+            out.extend(u64::from(s.width).to_le_bytes());
+            for &w in &self.incoming[self.words(slot..slot + 1)] {
                 out.extend(w.to_le_bytes());
             }
         }
@@ -460,6 +493,7 @@ impl CarryState {
     /// cover the stored bits.
     pub fn read_bytes(reader: &mut ByteReader<'_>) -> Result<CarryState, CarryError> {
         const TRUNCATED: CarryError = CarryError::Malformed { reason: "truncated" };
+        const WIDE: CarryError = CarryError::Malformed { reason: "carry slot implausibly wide" };
         // Each slot record is at least its 8-byte width header, so the
         // bytes remaining bound how many slots can follow — a flipped
         // count byte must not drive `Vec::with_capacity` beyond what the
@@ -468,27 +502,35 @@ impl CarryState {
             .count(8)
             .ok_or(CarryError::Malformed { reason: "slot count truncated or exceeds payload" })?;
         let mut slots = Vec::with_capacity(n);
+        let mut incoming = Vec::new();
         for _ in 0..n {
-            let width = reader.u64().ok_or(TRUNCATED)? as usize;
+            let width = reader.u64().ok_or(TRUNCATED)?;
             // A slot's words must actually follow it: `width` bits is
             // `width/64` words of 8 bytes each, so a width wider than
             // the remaining bytes can encode is corruption. Bounding it
             // keeps a flipped length byte from forcing a huge allocation.
-            if width > reader.remaining().saturating_mul(8) {
-                return Err(CarryError::Malformed { reason: "carry slot implausibly wide" });
+            if width > reader.remaining().saturating_mul(8) as u64 {
+                return Err(WIDE);
             }
-            let words = (0..width.div_ceil(64))
-                .map(|_| reader.u64().ok_or(TRUNCATED))
-                .collect::<Result<Vec<u64>, CarryError>>()?;
-            let incoming = BitStream::from_words(words, width);
-            slots.push(Slot { outgoing: BitStream::zeros(width), incoming });
+            let width = u32::try_from(width).map_err(|_| WIDE)?;
+            let word = incoming.len() as u32;
+            for _ in 0..width.div_ceil(64) {
+                incoming.push(reader.u64().ok_or(TRUNCATED)?);
+            }
+            // Bits past the width are dead: clear them, as the seal
+            // covers them cleared.
+            if let (Some(last), tail @ 1..) = (incoming.last_mut(), width % 64) {
+                *last &= (1 << tail) - 1;
+            }
+            slots.push(SlotShape { width, word });
         }
         let seal = reader.u64().ok_or(TRUNCATED)?;
-        let found = seal_of(&slots);
+        let state = CarryState { slots, outgoing: vec![0; incoming.len()], incoming, seal };
+        let found = state.seal_of();
         if found != seal {
             return Err(CarryError::ChecksumMismatch { expected: seal, found });
         }
-        Ok(CarryState { slots, seal })
+        Ok(state)
     }
 
     /// Fault-drill hook: flips one seed-selected bit of one slot's
@@ -500,15 +542,12 @@ impl CarryState {
         if self.slots.is_empty() {
             return;
         }
-        let slot = seed as usize % self.slots.len();
-        let s = &mut self.slots[slot];
-        let width = s.outgoing.len();
-        if width == 0 {
+        let s = self.slots[seed as usize % self.slots.len()];
+        if s.width == 0 {
             return;
         }
-        let bit = (seed >> 16) as usize % width;
-        let cur = s.outgoing.get(bit);
-        s.outgoing.set(bit, !cur);
+        let bit = (seed >> 16) as usize % s.width as usize;
+        self.outgoing[s.word as usize + bit / 64] ^= 1 << (bit % 64);
     }
 
     /// A copy with the same incoming carries and zeroed outgoing side —
@@ -525,17 +564,14 @@ impl CarryState {
     /// it entered the window with — incoming carries and seal untouched —
     /// without having kept a copy of it.
     pub fn discard_outgoing(&mut self) {
-        for s in &mut self.slots {
-            let w = s.outgoing.len();
-            s.outgoing.reset_zeros(w);
-        }
+        self.outgoing.fill(0);
     }
 
     /// `true` if any incoming carry in `range` is pending. Guards use
     /// this to run a body whose condition is locally empty but which owes
     /// work to a marker that crossed the chunk boundary.
     pub fn pending(&self, range: Range<usize>) -> bool {
-        self.slots[range].iter().any(|s| s.incoming.any())
+        self.incoming[self.words(range)].iter().any(|&w| w != 0)
     }
 
     /// Executes `Advance(src, k)` through slot `slot` into `out`: injects
@@ -555,11 +591,12 @@ impl CarryState {
         k: usize,
         out: &mut BitStream,
     ) {
-        let s = &mut self.slots[slot];
-        debug_assert_eq!(s.incoming.len(), k, "carry slot width mismatch");
-        src.advance_with_carry_into(k, &s.incoming, out);
+        debug_assert_eq!(self.slots[slot].width as usize, k, "carry slot width mismatch");
+        let words = self.words(slot..slot + 1);
+        let incoming = &self.incoming[words.clone()];
+        src.advance_with_carry_into(k, incoming, out);
         let consumed = src.len().checked_sub(1).expect("window must hold the peek position");
-        src.or_history_tail(&s.incoming, consumed, &mut s.outgoing);
+        src.or_history_tail(incoming, k, consumed, &mut self.outgoing[words]);
     }
 
     /// Executes `Add(a, b)` through slot `slot` into `out`: injects the
@@ -577,27 +614,28 @@ impl CarryState {
         b: &BitStream,
         out: &mut BitStream,
     ) {
-        let s = &mut self.slots[slot];
+        let word = self.word_at(slot);
         let boundary = a.len().checked_sub(1).expect("window must hold the peek position");
-        if a.add_with_carry_into(b, s.incoming.get(0), boundary, out) {
-            s.outgoing.set(0, true);
+        if a.add_with_carry_into(b, self.incoming[word] & 1 != 0, boundary, out) {
+            self.outgoing[word] |= 1;
         }
     }
-}
 
-/// FNV-1a over the incoming carries: slot count, then each slot's width
-/// and words. Cheap (one multiply per byte over a few machine words) and
-/// stable across processes, which checkpoint serialization relies on.
-fn seal_of(slots: &[Slot]) -> u64 {
-    let fnv_word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
-    let mut h = fnv_word(FNV_OFFSET, slots.len() as u64);
-    for s in slots {
-        h = fnv_word(h, s.incoming.len() as u64);
-        for &w in s.incoming.as_words() {
-            h = fnv_word(h, w);
+    /// FNV-1a over the incoming carries: slot count, then each slot's
+    /// width and words. Cheap (one multiply per byte over a few machine
+    /// words) and stable across processes, which checkpoint
+    /// serialization relies on.
+    fn seal_of(&self) -> u64 {
+        let fnv_word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
+        let mut h = fnv_word(FNV_OFFSET, self.slots.len() as u64);
+        for (slot, s) in self.slots.iter().enumerate() {
+            h = fnv_word(h, u64::from(s.width));
+            for &w in &self.incoming[self.words(slot..slot + 1)] {
+                h = fnv_word(h, w);
+            }
         }
+        h
     }
-    h
 }
 
 #[cfg(test)]
@@ -788,6 +826,68 @@ mod tests {
         assert_eq!(reader.remaining(), 0);
         assert_eq!(back, state);
         back.validate(&CarryLayout::of(&prog)).unwrap();
+    }
+
+    #[test]
+    fn slots_across_word_edges_round_trip_and_seal_as_each_slot_hashed_alone() {
+        use crate::program::{Op, Program, Stmt, StreamId};
+        let widths = [1u32, 63, 64, 65, 130];
+        let s = StreamId;
+        let mut stmts = vec![Stmt::Op(Op::Ones { dst: s(0) })];
+        for (i, &amount) in widths.iter().enumerate() {
+            stmts.push(Stmt::Op(Op::Advance { dst: s(i as u32 + 1), src: s(0), amount }));
+        }
+        let prog = Program::new(stmts, widths.len() as u32 + 1, vec![s(1)]);
+        let layout = CarryLayout::of(&prog);
+        let mut state = CarryState::for_layout(&layout);
+        let len = 200;
+        let marks: Vec<usize> = (0..len).filter(|p| p % 7 == 0 || p % 11 == 3).collect();
+        let window = BitStream::from_positions(len, &marks);
+        for (slot, &k) in widths.iter().enumerate() {
+            state.advance_through(slot, &window, k as usize);
+        }
+        state.rotate();
+        state.validate(&layout).unwrap();
+
+        // Each slot's carry, from its definition: the last `k` bits of
+        // `k` zeros followed by the window's consumed positions.
+        let consumed = len - 1;
+        let histories: Vec<BitStream> = widths
+            .iter()
+            .map(|&k| {
+                let k = k as usize;
+                let bits: Vec<usize> =
+                    (0..k).filter(|t| consumed + t >= k && window.get(consumed + t - k)).collect();
+                BitStream::from_positions(k, &bits)
+            })
+            .collect();
+        let fnv_word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
+        let mut seal = fnv_word(FNV_OFFSET, widths.len() as u64);
+        let mut want = (widths.len() as u32).to_le_bytes().to_vec();
+        for history in &histories {
+            seal = fnv_word(seal, history.len() as u64);
+            want.extend((history.len() as u64).to_le_bytes());
+            for &w in history.as_words() {
+                seal = fnv_word(seal, w);
+                want.extend(w.to_le_bytes());
+            }
+        }
+        want.extend(seal.to_le_bytes());
+        assert_eq!(state.seal(), seal);
+
+        let mut bytes = Vec::new();
+        state.write_bytes(&mut bytes);
+        assert_eq!(bytes, want);
+        let back = CarryState::read_bytes(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!((back.seal(), &back), (seal, &state));
+        back.validate(&layout).unwrap();
+        // The next window reads each slot's carry back in.
+        let mut resumed = back;
+        for (slot, (&k, history)) in widths.iter().zip(&histories).enumerate() {
+            let next = resumed.advance_through(slot, &BitStream::zeros(len), k as usize);
+            let landed: Vec<usize> = history.positions().into_iter().filter(|&p| p < len).collect();
+            assert_eq!(next.positions(), landed, "width {k}");
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! of the paper's algebra, not for stored finite ones.
 
 use bitgen_ir::{DefUse, Op, Program, Stmt, StreamId};
-use std::collections::HashMap;
 
 /// What the rebalancing pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,6 +67,8 @@ pub fn rebalance(program: &mut Program) -> RebalanceStats {
 /// hand the same cache to the next pass.
 pub fn rebalance_with(program: &mut Program, du: &mut DefUse) -> RebalanceStats {
     let mut stats = RebalanceStats::default();
+    // One block buffer for every block of every sweep.
+    let mut out = Emitted::default();
     for _ in 0..MAX_ITERATIONS {
         stats.iterations += 1;
         // Rewrites within one iteration consult the iteration-start
@@ -78,7 +79,7 @@ pub fn rebalance_with(program: &mut Program, du: &mut DefUse) -> RebalanceStats 
         let mut changed = false;
         let mut fresh = Fresh { program_next: program.num_streams() };
         let mut stmts = std::mem::take(program.stmts_mut());
-        rewrite_stmts(&mut stmts, &snapshot, du, &mut fresh, &mut stats, &mut changed);
+        rewrite_stmts(&mut stmts, &snapshot, du, &mut fresh, &mut stats, &mut changed, &mut out);
         *program.stmts_mut() = stmts;
         while program.num_streams() < fresh.program_next {
             program.fresh_stream();
@@ -109,6 +110,7 @@ fn rewrite_stmts(
     fresh: &mut Fresh,
     stats: &mut RebalanceStats,
     changed: &mut bool,
+    out: &mut Emitted,
 ) {
     // Transform each maximal run of plain instructions, recursing into
     // `if` bodies. `while` bodies are left untouched: a rewrite there adds
@@ -121,15 +123,15 @@ fn rewrite_stmts(
         match stmt {
             Stmt::Op(op) => run.push(op),
             mut ctl => {
-                flush_run(&mut run, stmts, du, live, fresh, stats, changed);
+                flush_run(&mut run, stmts, du, live, fresh, stats, changed, out);
                 if let Stmt::If { body, .. } = &mut ctl {
-                    rewrite_stmts(body, du, live, fresh, stats, changed);
+                    rewrite_stmts(body, du, live, fresh, stats, changed, out);
                 }
                 stmts.push(ctl);
             }
         }
     }
-    flush_run(&mut run, stmts, du, live, fresh, stats, changed);
+    flush_run(&mut run, stmts, du, live, fresh, stats, changed, out);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -141,15 +143,16 @@ fn flush_run(
     fresh: &mut Fresh,
     stats: &mut RebalanceStats,
     changed: &mut bool,
+    emitted: &mut Emitted,
 ) {
     if run.is_empty() {
         return;
     }
     let mut block = std::mem::take(run);
-    if rewrite_block(&mut block, du, live, fresh, stats) {
+    if rewrite_block(&mut block, du, live, fresh, stats, emitted) {
         *changed = true;
     }
-    if merge_shifts(&mut block, du, live, stats) {
+    if merge_shifts(&mut block, du, live, stats, emitted) {
         *changed = true;
     }
     out.extend(block.into_iter().map(Stmt::Op));
@@ -159,45 +162,67 @@ fn flush_run(
 /// instruction (the folded shift), so emitted slots are tombstoned in
 /// place rather than shifted: indices stay stable and the def/depth maps
 /// never need rebuilding — the rescans that made this pass quadratic.
+///
+/// One buffer serves every block of a pass: [`Emitted::finish`] empties
+/// it, clearing only the index entries its block set.
+#[derive(Default)]
 struct Emitted {
     slots: Vec<Option<Op>>,
-    /// Defining slot of each id defined so far (dead ids are evicted when
-    /// their slot is tombstoned).
-    def_pos: HashMap<StreamId, usize>,
+    /// Defining slot of each id defined so far in the block, indexed by
+    /// stream id ([`NO_DEF`]: none; dead ids are evicted when their slot
+    /// is tombstoned).
+    def_pos: Vec<u32>,
     /// Topological depth per emitted slot: `1 + max(depth of in-block
     /// source definitions)`; sources defined outside the block count 0.
     depth: Vec<usize>,
 }
 
+/// [`Emitted::def_pos`] of an id the block does not define.
+const NO_DEF: u32 = u32::MAX;
+
 impl Emitted {
-    fn with_capacity(n: usize) -> Emitted {
-        Emitted { slots: Vec::with_capacity(n), def_pos: HashMap::new(), depth: Vec::new() }
+    fn def_of(&self, v: StreamId) -> Option<usize> {
+        match self.def_pos.get(v.index()) {
+            Some(&p) if p != NO_DEF => Some(p as usize),
+            _ => None,
+        }
     }
 
     fn push(&mut self, op: Op) {
         let mut d = 0;
         for s in op.sources() {
-            if let Some(&j) = self.def_pos.get(&s) {
+            if let Some(j) = self.def_of(s) {
                 d = d.max(self.depth[j] + 1);
             }
         }
-        self.def_pos.insert(op.dst(), self.slots.len());
+        let dst = op.dst().index();
+        if dst >= self.def_pos.len() {
+            self.def_pos.resize(dst + 1, NO_DEF);
+        }
+        self.def_pos[dst] = self.slots.len() as u32;
         self.depth.push(d);
         self.slots.push(Some(op));
     }
 
     fn remove(&mut self, j: usize) -> Op {
         let op = self.slots[j].take().expect("tombstoning a live slot");
-        self.def_pos.remove(&op.dst());
+        self.def_pos[op.dst().index()] = NO_DEF;
         op
     }
 
     fn var_depth(&self, v: StreamId) -> usize {
-        self.def_pos.get(&v).map_or(0, |&p| self.depth[p] + 1)
+        self.def_of(v).map_or(0, |p| self.depth[p] + 1)
     }
 
-    fn finish(self) -> Vec<Op> {
-        self.slots.into_iter().flatten().collect()
+    /// Moves the live ops into `block` and empties the buffer. An id's
+    /// entry is set only while its defining op is live, so clearing the
+    /// live ops' entries clears them all.
+    fn finish(&mut self, block: &mut Vec<Op>) {
+        for op in self.slots.drain(..).flatten() {
+            self.def_pos[op.dst().index()] = NO_DEF;
+            block.push(op);
+        }
+        self.depth.clear();
     }
 }
 
@@ -215,15 +240,15 @@ fn rewrite_block(
     live: &mut DefUse,
     fresh: &mut Fresh,
     stats: &mut RebalanceStats,
+    out: &mut Emitted,
 ) -> bool {
     let mut changed = false;
-    let mut out = Emitted::with_capacity(block.len());
     let mut pending: Vec<Op> = Vec::new();
     for op in block.drain(..) {
         pending.push(op);
         while let Some(op) = pending.pop() {
             stats.visits += 1;
-            let Some(rw) = find_rewrite(&op, du, &out) else {
+            let Some(rw) = find_rewrite(&op, du, out) else {
                 out.push(op);
                 continue;
             };
@@ -248,7 +273,7 @@ fn rewrite_block(
             changed = true;
         }
     }
-    *block = out.finish();
+    out.finish(block);
     changed
 }
 
@@ -266,13 +291,11 @@ struct Rewrite {
 
 fn find_rewrite(op: &Op, du: &DefUse, out: &Emitted) -> Option<Rewrite> {
     let &Op::And { dst, a, b } = op else { return None };
-    // Try each operand as the shifted one; prefer the deeper.
-    let mut candidates: Vec<(StreamId, StreamId)> = vec![(a, b), (b, a)];
-    candidates.sort_by_key(|&(sh, _)| {
-        std::cmp::Reverse(out.def_pos.get(&sh).map_or(0, |&p| out.depth[p]))
-    });
+    // Try each operand as the shifted one: the deeper first, `a` on ties.
+    let depth = |v| out.def_of(v).map_or(0, |p| out.depth[p]);
+    let candidates = if depth(b) > depth(a) { [(b, a), (a, b)] } else { [(a, b), (b, a)] };
     for (sh_operand, other) in candidates {
-        let Some(&j) = out.def_pos.get(&sh_operand) else { continue };
+        let Some(j) = out.def_of(sh_operand) else { continue };
         let Some(Op::Advance { src: x, amount, dst: sdst }) = out.slots[j] else { continue };
         debug_assert_eq!(sdst, sh_operand);
         // Only single-def single-use temporaries may be folded away.
@@ -306,9 +329,9 @@ fn merge_shifts(
     du: &DefUse,
     live: &mut DefUse,
     stats: &mut RebalanceStats,
+    out: &mut Emitted,
 ) -> bool {
     let mut changed = false;
-    let mut out = Emitted::with_capacity(block.len());
     for mut op in block.drain(..) {
         loop {
             stats.visits += 1;
@@ -317,7 +340,7 @@ fn merge_shifts(
                 Op::Retreat { src, amount, .. } => (src, amount, false),
                 _ => break,
             };
-            let Some(&j) = out.def_pos.get(&inner_id) else { break };
+            let Some(j) = out.def_of(inner_id) else { break };
             if !du.is_linear_temp(inner_id) {
                 break;
             }
@@ -340,7 +363,7 @@ fn merge_shifts(
         }
         out.push(op);
     }
-    *block = out.finish();
+    out.finish(block);
     changed
 }
 
