@@ -31,9 +31,11 @@
 //!     Ask the daemon to exit cleanly without draining.
 //! ```
 
-use bitgen_serve::{Client, DaemonConfig, RetryConfig, ScanService, ServeConfig, ServeOutcome};
+use bitgen_serve::{
+    Client, DaemonConfig, Endpoint, RetryConfig, ScanService, ServeConfig, ServeOutcome,
+};
 use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -80,8 +82,7 @@ fn usage() -> ! {
 
 #[derive(Default)]
 struct Options {
-    socket: Option<String>,
-    tcp: Option<String>,
+    endpoint: Option<Endpoint>,
     tenant: String,
     patterns: Vec<String>,
     chunk: usize,
@@ -102,8 +103,20 @@ fn parse_options(args: &mut std::env::Args) -> Options {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--socket" => opts.socket = Some(args.next().unwrap_or_else(|| usage())),
-            "--tcp" => opts.tcp = Some(args.next().unwrap_or_else(|| usage())),
+            "--socket" | "--tcp" => {
+                let value = args.next().unwrap_or_else(|| usage());
+                let endpoint = if arg == "--socket" {
+                    Endpoint::Unix(PathBuf::from(value))
+                } else {
+                    Endpoint::Tcp(value)
+                };
+                let kind = std::mem::discriminant(&endpoint);
+                if opts.endpoint.as_ref().is_some_and(|e| std::mem::discriminant(e) != kind) {
+                    eprintln!("bitgen-serve: pick one of --socket and --tcp");
+                    std::process::exit(2);
+                }
+                opts.endpoint = Some(endpoint);
+            }
             "--tenant" => opts.tenant = args.next().unwrap_or_else(|| usage()),
             "-e" | "--regexp" => opts.patterns.push(args.next().unwrap_or_else(|| usage())),
             "-f" | "--file" => {
@@ -146,20 +159,17 @@ fn parse_options(args: &mut std::env::Args) -> Options {
             _ => usage(),
         }
     }
-    if opts.socket.is_some() && opts.tcp.is_some() {
-        eprintln!("bitgen-serve: pick one of --socket and --tcp");
-        std::process::exit(2);
-    }
     opts
+}
+
+/// The `--socket` or `--tcp` endpoint; every command needs one.
+fn endpoint(opts: &Options) -> &Endpoint {
+    opts.endpoint.as_ref().unwrap_or_else(|| usage())
 }
 
 fn connect(opts: &Options) -> std::io::Result<Client> {
     let retry = if opts.retry { RetryConfig::resilient() } else { RetryConfig::default() };
-    match (&opts.socket, &opts.tcp) {
-        (Some(path), None) => Client::connect_with(Path::new(path), retry),
-        (None, Some(addr)) => Client::connect_tcp_with(addr, retry),
-        _ => usage(),
-    }
+    Client::connect_to(endpoint(opts), retry)
 }
 
 fn run_serve(opts: &Options) -> ExitCode {
@@ -190,18 +200,9 @@ fn run_serve(opts: &Options) -> ExitCode {
     if let Some(secs) = opts.drain_deadline {
         daemon_config.drain_deadline = Duration::from_secs(secs);
     }
-    let outcome = match (&opts.socket, &opts.tcp) {
-        (Some(path), None) => {
-            eprintln!("bitgen-serve: serving on {path}");
-            bitgen_serve::serve_unix_with(Path::new(path), service, daemon_config)
-        }
-        (None, Some(addr)) => {
-            eprintln!("bitgen-serve: serving on {addr}");
-            bitgen_serve::serve_tcp(addr, service, daemon_config)
-        }
-        _ => usage(),
-    };
-    match outcome {
+    let endpoint = endpoint(opts);
+    eprintln!("bitgen-serve: serving on {endpoint}");
+    match bitgen_serve::serve(endpoint, service, daemon_config) {
         Ok(ServeOutcome { drained: Some(manifest), forced }) => {
             eprintln!(
                 "bitgen-serve: drained {} stream(s){}",
@@ -283,9 +284,9 @@ fn run_scan(opts: &Options) -> ExitCode {
 }
 
 fn run_stats(opts: &Options) -> ExitCode {
-    match connect(opts).and_then(|mut c| c.stats()) {
-        Ok(json) => {
-            println!("{json}");
+    match connect(opts).and_then(|mut c| c.metrics()) {
+        Ok(metrics) => {
+            println!("{}", metrics.to_json());
             ExitCode::SUCCESS
         }
         Err(e) => {

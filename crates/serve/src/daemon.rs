@@ -26,13 +26,11 @@ use crate::drain::DrainManifest;
 use crate::fault::{WireFaultKind, WireFaultPlan};
 use crate::metrics::ServeMetrics;
 use crate::service::{ScanService, ServeError, StreamId};
-use crate::transport::{Connection, Frame, LineReader, Listener};
+use crate::transport::{Endpoint, Frame, LineReader, Listener, Socket};
 use crate::wire::{self, ErrCode, Request};
 use bitgen::Error;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -96,32 +94,25 @@ pub struct ServeOutcome {
     pub forced: bool,
 }
 
-/// Runs `service` behind a Unix socket at `path` with default
-/// [`DaemonConfig`] until a client sends `SHUTDOWN` or `DRAIN`. The
-/// caller constructs (and may pre-[`warm`]) the service; this function
-/// owns it from here and shuts it down on the way out. Replaces any
-/// stale socket file at `path`, removes it again when done. Blocks the
-/// calling thread for the life of the daemon; connection handlers run
-/// on their own threads.
+/// Runs `service` behind `endpoint` until a client sends `SHUTDOWN` or
+/// `DRAIN`. The caller constructs (and may pre-[`warm`]) the service;
+/// this function owns it from here and shuts it down on the way out.
+/// A manifest at [`DaemonConfig::manifest_path`] is adopted before the
+/// bind. On a Unix path only a stale socket is replaced, and the socket
+/// file is removed again when done. Blocks the calling thread for the
+/// life of the daemon; connection handlers run on their own threads.
 ///
 /// [`warm`]: ScanService::warm
 ///
 /// # Errors
 ///
-/// Socket creation/accept failures and manifest adoption/write
-/// failures; protocol and scan errors go to the offending client as
-/// `ERR` lines instead.
-pub fn serve_unix(path: &Path, service: ScanService) -> io::Result<ServeOutcome> {
-    serve_unix_with(path, service, DaemonConfig::default())
-}
-
-/// [`serve_unix`] with an explicit [`DaemonConfig`].
-///
-/// # Errors
-///
-/// As [`serve_unix`].
-pub fn serve_unix_with(
-    path: &Path,
+/// Manifest adoption/write failures and socket bind/accept failures:
+/// on a Unix path, [`io::ErrorKind::AlreadyExists`] when something that
+/// is not a socket is there, and [`io::ErrorKind::AddrInUse`] when a
+/// daemon still answers on it. Protocol and scan errors go to the
+/// offending client as `ERR` lines instead.
+pub fn serve(
+    endpoint: &Endpoint,
     service: ScanService,
     config: DaemonConfig,
 ) -> io::Result<ServeOutcome> {
@@ -130,38 +121,17 @@ pub fn serve_unix_with(
     // manifest stream is resumable — and a corrupt manifest must
     // refuse to serve before ever accepting a connection.
     adopt_at_startup(&service, &config)?;
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let outcome = serve_loop(listener, service, config);
-    let _ = std::fs::remove_file(path);
-    outcome
+    let listener = Listener::bind(endpoint)?;
+    serve_loop(&listener, service, config)
 }
 
-/// Runs `service` behind a TCP socket bound at `addr` (e.g.
-/// `"127.0.0.1:7700"`); same lifecycle as [`serve_unix_with`].
+/// [`serve`] on a Unix socket at `path` with default [`DaemonConfig`].
 ///
 /// # Errors
 ///
-/// As [`serve_unix`].
-pub fn serve_tcp(addr: &str, service: ScanService, config: DaemonConfig) -> io::Result<ServeOutcome> {
-    serve_tcp_listener(TcpListener::bind(addr)?, service, config)
-}
-
-/// [`serve_tcp`] over an already-bound listener — bind port 0 first
-/// when the test needs to learn the ephemeral port.
-///
-/// # Errors
-///
-/// As [`serve_unix`].
-pub fn serve_tcp_listener(
-    listener: TcpListener,
-    service: ScanService,
-    config: DaemonConfig,
-) -> io::Result<ServeOutcome> {
-    adopt_at_startup(&service, &config)?;
-    listener.set_nonblocking(true)?;
-    serve_loop(listener, service, config)
+/// As [`serve`].
+pub fn serve_unix(path: &Path, service: ScanService) -> io::Result<ServeOutcome> {
+    serve(&Endpoint::Unix(path.to_path_buf()), service, DaemonConfig::default())
 }
 
 /// Adopts (then deletes) a drain manifest left by a predecessor, before
@@ -190,8 +160,8 @@ struct ConnCtx<'a> {
     index: u64,
 }
 
-fn serve_loop<L: Listener>(
-    listener: L,
+fn serve_loop(
+    listener: &Listener,
     service: ScanService,
     config: DaemonConfig,
 ) -> io::Result<ServeOutcome> {
@@ -201,7 +171,7 @@ fn serve_loop<L: Listener>(
     let drained = std::thread::scope(|scope| -> io::Result<Option<(DrainManifest, bool)>> {
         // Only this thread touches `peers`; handlers get their own
         // split handles.
-        let mut peers: Vec<L::Conn> = Vec::new();
+        let mut peers: Vec<Socket> = Vec::new();
         let mut conn_index = 0u64;
         let accept_result = loop {
             if stop.load(Ordering::SeqCst) {
@@ -215,8 +185,8 @@ fn serve_loop<L: Listener>(
             }
             match listener.poll_accept() {
                 Ok(Some(conn)) => {
-                    let Ok(writer) = conn.split() else { continue };
-                    if let Ok(peer) = conn.split() {
+                    let Ok(writer) = conn.try_clone() else { continue };
+                    if let Ok(peer) = conn.try_clone() {
                         peers.push(peer);
                     }
                     let ctx = ConnCtx {
@@ -271,12 +241,11 @@ enum Action {
 /// Serves one connection until EOF, a frame-bound trip, a mid-frame
 /// stall, shutdown, or daemon closing. Streams the client opened
 /// without the durable flag are closed on the way out.
-fn handle_connection<C: Connection>(conn: C, mut writer: C, ctx: ConnCtx<'_>) {
+fn handle_connection(conn: Socket, mut writer: Socket, ctx: ConnCtx<'_>) {
     // The socket deadline is a short poll tick so the loop observes
     // `closing`; the real mid-frame deadline is enforced below.
     let poll = ctx.config.read_timeout.min(Duration::from_millis(100));
-    let _ = conn.set_read_deadline(Some(poll.max(Duration::from_millis(1))));
-    let _ = writer.set_write_deadline(ctx.config.write_timeout);
+    let _ = conn.set_deadlines(Some(poll.max(Duration::from_millis(1))), ctx.config.write_timeout);
     let mut reader = LineReader::new(conn, ctx.config.max_line);
     let mut opened: Vec<StreamId> = Vec::new();
     let mut replies = 0u64;
@@ -456,7 +425,7 @@ fn respond(
                 Err(e) => error_reply(&e, draining),
             }
         }
-        Request::Push { id, offset, chunk } => match service.push_owned(id, offset, chunk) {
+        Request::Push { id, offset, chunk } => match service.push_chunk_at(id, offset, chunk) {
             Ok(ends) => {
                 let mut reply = format!("OK {}", ends.len());
                 for end in ends {
@@ -541,17 +510,10 @@ impl RetryConfig {
     }
 }
 
-/// Where a [`Client`] connects.
-#[derive(Debug, Clone)]
-enum Endpoint {
-    Unix(PathBuf),
-    Tcp(String),
-}
-
 /// One live connection: framed reader plus writer.
 struct ClientWire {
-    reader: LineReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    reader: LineReader<Socket>,
+    writer: Socket,
 }
 
 impl std::fmt::Debug for ClientWire {
@@ -591,45 +553,25 @@ pub struct Client {
 
 impl Client {
     /// Connects to a Unix-socket daemon at `path` (no retries — the
-    /// pre-fault-tolerance profile; see [`Client::connect_with`]).
+    /// pre-fault-tolerance profile; see [`Client::connect_to`]).
     ///
     /// # Errors
     ///
     /// Connection failures.
     pub fn connect(path: &Path) -> io::Result<Client> {
-        Client::connect_with(path, RetryConfig::default())
+        Client::connect_to(&Endpoint::Unix(path.to_path_buf()), RetryConfig::default())
     }
 
-    /// Connects to a Unix-socket daemon with an explicit retry policy.
+    /// Connects to the daemon at `endpoint` with an explicit retry
+    /// policy. The first connection is made here; later ones replace a
+    /// connection a failure dropped.
     ///
     /// # Errors
     ///
     /// Connection failures.
-    pub fn connect_with(path: &Path, retry: RetryConfig) -> io::Result<Client> {
-        Client::from_endpoint(Endpoint::Unix(path.to_path_buf()), retry)
-    }
-
-    /// Connects to a TCP daemon at `addr` (e.g. `"127.0.0.1:7700"`).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect_tcp(addr: &str) -> io::Result<Client> {
-        Client::connect_tcp_with(addr, RetryConfig::default())
-    }
-
-    /// Connects to a TCP daemon with an explicit retry policy.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect_tcp_with(addr: &str, retry: RetryConfig) -> io::Result<Client> {
-        Client::from_endpoint(Endpoint::Tcp(addr.to_string()), retry)
-    }
-
-    fn from_endpoint(endpoint: Endpoint, retry: RetryConfig) -> io::Result<Client> {
+    pub fn connect_to(endpoint: &Endpoint, retry: RetryConfig) -> io::Result<Client> {
         let mut client = Client {
-            endpoint,
+            endpoint: endpoint.clone(),
             retry,
             rng: retry.seed | 1,
             wire: None,
@@ -654,26 +596,10 @@ impl Client {
 
     fn ensure_wire(&mut self) -> io::Result<&mut ClientWire> {
         if self.wire.is_none() {
-            let (reader, writer): (Box<dyn Read + Send>, Box<dyn Write + Send>) =
-                match &self.endpoint {
-                    Endpoint::Unix(path) => {
-                        let stream = UnixStream::connect(path)?;
-                        stream.set_read_timeout(self.retry.io_timeout)?;
-                        stream.set_write_timeout(self.retry.io_timeout)?;
-                        let writer = stream.try_clone()?;
-                        (Box::new(stream), Box::new(writer))
-                    }
-                    Endpoint::Tcp(addr) => {
-                        let stream = TcpStream::connect(addr.as_str())?;
-                        stream.set_read_timeout(self.retry.io_timeout)?;
-                        stream.set_write_timeout(self.retry.io_timeout)?;
-                        let _ = stream.set_nodelay(true);
-                        let writer = stream.try_clone()?;
-                        (Box::new(stream), Box::new(writer))
-                    }
-                };
-            self.wire =
-                Some(ClientWire { reader: LineReader::new(reader, CLIENT_MAX_LINE), writer });
+            let socket = Socket::connect(&self.endpoint, self.retry.io_timeout)?;
+            let writer = socket.try_clone()?;
+            let reader = LineReader::new(socket, CLIENT_MAX_LINE);
+            self.wire = Some(ClientWire { reader, writer });
         }
         self.wire.as_mut().ok_or_else(|| io::Error::other("wire vanished"))
     }
@@ -886,24 +812,12 @@ impl Client {
         Ok(totals)
     }
 
-    /// Fetches the service counters as a JSON string.
+    /// Fetches and parses the service counters. A reply that does not
+    /// parse is retried like a torn one, never returned.
     ///
     /// # Errors
     ///
     /// Transport failures or the daemon's `ERR` reply.
-    pub fn stats(&mut self) -> io::Result<String> {
-        // Validated by parsing: a truncated record must be retried,
-        // not returned.
-        self.call("STATS", true, |payload| {
-            ServeMetrics::from_json(payload).map(|_| payload.to_string())
-        })
-    }
-
-    /// Fetches and parses the service counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::stats`].
     pub fn metrics(&mut self) -> io::Result<ServeMetrics> {
         self.call("STATS", true, ServeMetrics::from_json)
     }

@@ -30,9 +30,9 @@
 //! assert_eq!(ends, vec![5, 6, 7, 8, 9]);
 //! ```
 //!
-//! The daemon form ([`serve_unix`]/[`serve_tcp`] / the `bitgen-serve`
+//! The daemon form ([`serve`] on an [`Endpoint`], or the `bitgen-serve`
 //! binary) exposes the same service over a Unix or TCP socket with a
-//! line protocol ([`wire`]).
+//! line protocol ([`wire`]); [`Client::connect_to`] is its other end.
 //!
 //! The serving layer is crash-tolerant: a daemon drains on request (or
 //! on `SIGTERM`), checkpointing every open stream into a sealed
@@ -56,13 +56,11 @@ mod service;
 mod transport;
 pub mod wire;
 
-pub use daemon::{
-    serve_tcp, serve_tcp_listener, serve_unix, serve_unix_with, Client, DaemonConfig,
-    RetryConfig, ServeOutcome,
-};
+pub use daemon::{serve, serve_unix, Client, DaemonConfig, RetryConfig, ServeOutcome};
 pub use drain::{AckRecord, DrainEntry, DrainManifest};
 pub use fault::{WireFaultKind, WireFaultPlan};
 pub use metrics::{ServeMetrics, TenantMetrics};
 pub use service::{
     Admission, ScanService, ServeConfig, ServeError, StreamId, StreamStats, TenantBudget,
 };
+pub use transport::Endpoint;

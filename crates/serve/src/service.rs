@@ -724,7 +724,7 @@ impl ScanService {
     /// the stream stays at its previous chunk boundary and the same
     /// bytes can be re-pushed.
     pub fn push_chunk(&self, id: StreamId, chunk: &[u8]) -> Result<Vec<u64>, ServeError> {
-        self.push_chunk_at(id, None, chunk)
+        self.push_chunk_at(id, None, chunk.to_vec())
     }
 
     /// [`ScanService::push_chunk`] with an idempotency key: `offset` is
@@ -732,6 +732,8 @@ impl ScanService {
     /// chunk. A push whose ack was lost can be re-sent with the same
     /// offset — the service recognises the already-committed boundary
     /// and returns the recorded ends without scanning the bytes twice.
+    /// The chunk moves into the queued job, so a caller that decoded it
+    /// for this push (the daemon, off the wire) copies nothing.
     ///
     /// # Errors
     ///
@@ -739,18 +741,6 @@ impl ScanService {
     /// [`ServeError::OffsetMismatch`] when `offset` matches neither the
     /// committed boundary nor the replay window.
     pub fn push_chunk_at(
-        &self,
-        id: StreamId,
-        offset: Option<u64>,
-        chunk: &[u8],
-    ) -> Result<Vec<u64>, ServeError> {
-        self.push_owned(id, offset, chunk.to_vec())
-    }
-
-    /// [`ScanService::push_chunk_at`] for a caller that is done with the
-    /// bytes — the daemon, which decoded them off the wire for this push:
-    /// the chunk moves into the queued job.
-    pub(crate) fn push_owned(
         &self,
         id: StreamId,
         offset: Option<u64>,
@@ -1092,13 +1082,14 @@ mod tests {
     fn lost_ack_replay_returns_recorded_ends_without_rescanning() {
         let service = ScanService::start(ServeConfig::default());
         let admission = service.open_stream("acme", &["cat"]).unwrap();
-        let first = service.push_chunk_at(admission.stream, Some(0), b"cat and ").unwrap();
+        let first = service.push_chunk_at(admission.stream, Some(0), b"cat and ".to_vec()).unwrap();
         assert_eq!(first, vec![2]);
         // The ack "got lost": the client re-pushes the same boundary.
-        let replayed = service.push_chunk_at(admission.stream, Some(0), b"cat and ").unwrap();
+        let replayed =
+            service.push_chunk_at(admission.stream, Some(0), b"cat and ".to_vec()).unwrap();
         assert_eq!(replayed, first);
         // Then continues from where it actually was.
-        let next = service.push_chunk_at(admission.stream, Some(8), b"catfish").unwrap();
+        let next = service.push_chunk_at(admission.stream, Some(8), b"catfish".to_vec()).unwrap();
         assert_eq!(next, vec![10]);
         let m = service.metrics();
         assert_eq!(m.pushes_completed, 2, "the replay must not scan again");
@@ -1106,7 +1097,7 @@ mod tests {
         assert_eq!(m.bytes_scanned, 15);
         assert_eq!(m.tenants["acme"].retries, 1);
         // A diverged offset is a typed refusal that names the boundary.
-        let err = service.push_chunk_at(admission.stream, Some(3), b"zzz").unwrap_err();
+        let err = service.push_chunk_at(admission.stream, Some(3), b"zzz".to_vec()).unwrap_err();
         match err {
             ServeError::OffsetMismatch { stream, expected } => {
                 assert_eq!((stream, expected), (admission.stream, 15));
@@ -1164,7 +1155,7 @@ mod tests {
     fn replay_window_survives_the_drain_handoff() {
         let service = ScanService::start(ServeConfig::default());
         let admission = service.open_stream("acme", &["cat"]).unwrap();
-        let acked = service.push_chunk_at(admission.stream, Some(0), b"catalog!").unwrap();
+        let acked = service.push_chunk_at(admission.stream, Some(0), b"catalog!".to_vec()).unwrap();
         let (manifest, _) = service.drain(Duration::from_secs(5));
         service.shutdown();
 
@@ -1173,7 +1164,7 @@ mod tests {
         // The ack was lost in the crash; the client re-pushes the same
         // chunk at the same boundary against the successor.
         let replayed =
-            successor.push_chunk_at(admission.stream, Some(0), b"catalog!").unwrap();
+            successor.push_chunk_at(admission.stream, Some(0), b"catalog!".to_vec()).unwrap();
         assert_eq!(replayed, acked);
         let m = successor.metrics();
         assert_eq!((m.pushes_replayed, m.pushes_completed), (1, 0));

@@ -1,13 +1,15 @@
-//! The transport seam between the daemon loop and the kernel: a
-//! [`Listener`]/[`Connection`] trait pair implemented for Unix-domain
-//! and TCP sockets, plus the bounded [`LineReader`] both share.
+//! The only module that knows Unix-domain from TCP: an [`Endpoint`]
+//! names where a daemon listens and a client connects, a [`Listener`]
+//! binds and accepts on it, and a [`Socket`] is one connected peer of
+//! either family. The daemon loop and the client are written once
+//! against these two types, plus the bounded [`LineReader`] both share.
 //!
-//! The daemon loop (`daemon.rs`) is written once against these traits;
-//! `serve_unix` and `serve_tcp` differ only in which listener they
-//! hand it. Accepting is non-blocking (`poll_accept`) so the loop can
-//! interleave accepts with stop/drain-flag checks without a poke
-//! connection, and reads carry a deadline so a stalled peer cannot
-//! pin a connection thread forever.
+//! Binding a Unix path replaces only a *stale* socket: a path that is
+//! not a socket, or a socket some daemon still answers on, is refused.
+//! Accepting is non-blocking (`poll_accept`) so the loop can interleave
+//! accepts with stop/drain-flag checks without a poke connection, and
+//! reads carry a deadline so a stalled peer cannot pin a connection
+//! thread forever.
 //!
 //! [`LineReader`] is the frame bound the wire protocol relies on: it
 //! accumulates bytes until a newline, and refuses to buffer more than
@@ -16,117 +18,193 @@
 //! peer streams garbage without ever sending a newline.
 
 use bitgen::Error;
+use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// One accepted peer: a byte stream with deadlines and an out-of-band
-/// hangup, independent of address family.
-pub trait Connection: Read + Write + Send {
+/// Where a daemon listens and a client connects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Endpoint {
+    /// A Unix-domain socket file.
+    Unix(PathBuf),
+    /// A TCP address, e.g. `"127.0.0.1:7700"`.
+    Tcp(String),
+}
+
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Endpoint::Unix(path) => path.display().fmt(f),
+            Endpoint::Tcp(addr) => f.write_str(addr),
+        }
+    }
+}
+
+/// One connected peer, of either family.
+pub(crate) enum Socket {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+/// Runs `$body` on whichever stream `$socket` holds, bound to `$s`.
+macro_rules! either {
+    ($socket:expr, $s:ident => $body:expr) => {
+        match $socket {
+            Socket::Unix($s) => $body,
+            Socket::Tcp($s) => $body,
+        }
+    };
+}
+
+impl Socket {
+    /// Connects to `endpoint`, with `timeout` bounding every read and
+    /// write.
+    pub(crate) fn connect(endpoint: &Endpoint, timeout: Option<Duration>) -> io::Result<Socket> {
+        let socket = match endpoint {
+            Endpoint::Unix(path) => Socket::Unix(UnixStream::connect(path)?),
+            Endpoint::Tcp(addr) => Socket::tcp(TcpStream::connect(addr.as_str())?),
+        };
+        socket.set_deadlines(timeout, timeout)?;
+        Ok(socket)
+    }
+
+    fn tcp(stream: TcpStream) -> Socket {
+        // One request per line: latency over batching.
+        let _ = stream.set_nodelay(true);
+        Socket::Tcp(stream)
+    }
+
     /// A second handle onto the same socket (reader/writer split).
-    fn split(&self) -> io::Result<Self>
-    where
-        Self: Sized;
+    pub(crate) fn try_clone(&self) -> io::Result<Socket> {
+        match self {
+            Socket::Unix(s) => s.try_clone().map(Socket::Unix),
+            Socket::Tcp(s) => s.try_clone().map(Socket::Tcp),
+        }
+    }
 
     /// Hang up both directions; unblocks any thread parked in a read.
     /// Best-effort: the socket may already be gone.
-    fn hang_up(&self);
-
-    /// Bound how long a single `read` may park. `None` removes the
-    /// bound. Reads that trip it fail `WouldBlock`/`TimedOut`.
-    fn set_read_deadline(&self, timeout: Option<Duration>) -> io::Result<()>;
-
-    /// Bound how long a single `write` may park.
-    fn set_write_deadline(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Connection for UnixStream {
-    fn split(&self) -> io::Result<Self> {
-        self.try_clone()
+    pub(crate) fn hang_up(&self) {
+        let _ = either!(self, s => s.shutdown(Shutdown::Both));
     }
 
-    fn hang_up(&self) {
-        let _ = self.shutdown(Shutdown::Both);
-    }
-
-    fn set_read_deadline(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn set_write_deadline(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_write_timeout(timeout)
+    /// Bounds how long a single `read` and a single `write` may park,
+    /// on every handle of the socket. `None` removes a bound. Reads that
+    /// trip it fail `WouldBlock`/`TimedOut`.
+    pub(crate) fn set_deadlines(
+        &self,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> io::Result<()> {
+        either!(self, s => s.set_read_timeout(read))?;
+        either!(self, s => s.set_write_timeout(write))
     }
 }
 
-impl Connection for TcpStream {
-    fn split(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-
-    fn hang_up(&self) {
-        let _ = self.shutdown(Shutdown::Both);
-    }
-
-    fn set_read_deadline(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn set_write_deadline(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_write_timeout(timeout)
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        either!(self, s => s.read(buf))
     }
 }
 
-/// An accept source the daemon can poll without parking, so one loop
-/// interleaves accepting peers with watching its stop and drain flags.
-pub trait Listener: Send {
-    /// The connection type this listener produces.
-    type Conn: Connection + 'static;
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        either!(self, s => s.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        either!(self, s => s.flush())
+    }
+}
+
+/// A bound, non-blocking accept source the daemon can poll without
+/// parking, so one loop interleaves accepting peers with watching its
+/// stop and drain flags. A Unix listener removes its socket file when
+/// dropped.
+pub(crate) enum Listener {
+    Unix(UnixListener, PathBuf),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Binds `endpoint` for non-blocking accepts.
+    ///
+    /// # Errors
+    ///
+    /// A Unix path that exists and is not a socket is refused with
+    /// [`ErrorKind::AlreadyExists`], and a socket that still accepts a
+    /// connection with [`ErrorKind::AddrInUse`]; only a stale socket is
+    /// replaced. Otherwise the bind's own failure.
+    pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
+        let listener = match endpoint {
+            Endpoint::Unix(path) => Listener::Unix(bind_unix(path)?, path.clone()),
+            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
+        };
+        match &listener {
+            Listener::Unix(l, _) => l.set_nonblocking(true)?,
+            Listener::Tcp(l) => l.set_nonblocking(true)?,
+        }
+        Ok(listener)
+    }
 
     /// Accept one pending peer, or `Ok(None)` when none is waiting.
-    /// The returned connection is in blocking mode.
-    fn poll_accept(&self) -> io::Result<Option<Self::Conn>>;
-}
-
-fn nonblocking_accept<C>(accepted: io::Result<C>) -> io::Result<Option<C>> {
-    match accepted {
-        Ok(conn) => Ok(Some(conn)),
-        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-        // A peer that connected and vanished before we accepted is not
-        // a listener failure; try again on the next poll.
-        Err(e) if e.kind() == ErrorKind::ConnectionAborted => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-impl Listener for UnixListener {
-    type Conn = UnixStream;
-
-    fn poll_accept(&self) -> io::Result<Option<UnixStream>> {
-        match nonblocking_accept(self.accept().map(|(conn, _)| conn))? {
-            Some(conn) => {
-                conn.set_nonblocking(false)?;
+    /// The returned socket is in blocking mode.
+    pub(crate) fn poll_accept(&self) -> io::Result<Option<Socket>> {
+        let accepted = match self {
+            Listener::Unix(l, _) => l.accept().map(|(conn, _)| Socket::Unix(conn)),
+            Listener::Tcp(l) => l.accept().map(|(conn, _)| Socket::tcp(conn)),
+        };
+        match accepted {
+            Ok(conn) => {
+                either!(&conn, s => s.set_nonblocking(false))?;
                 Ok(Some(conn))
             }
-            None => Ok(None),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+            // A peer that connected and vanished before we accepted is
+            // not a listener failure; try again on the next poll.
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => Ok(None),
+            Err(e) => Err(e),
         }
     }
 }
 
-impl Listener for TcpListener {
-    type Conn = TcpStream;
-
-    fn poll_accept(&self) -> io::Result<Option<TcpStream>> {
-        match nonblocking_accept(self.accept().map(|(conn, _)| conn))? {
-            Some(conn) => {
-                conn.set_nonblocking(false)?;
-                // One request per line: latency over batching.
-                let _ = conn.set_nodelay(true);
-                Ok(Some(conn))
-            }
-            None => Ok(None),
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// Binds a Unix socket at `path`, replacing a socket file no daemon
+/// answers on and refusing anything else that is there.
+fn bind_unix(path: &Path) -> io::Result<UnixListener> {
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if !meta.file_type().is_socket() => {
+            return Err(io::Error::new(
+                ErrorKind::AlreadyExists,
+                format!("{} exists and is not a socket", path.display()),
+            ));
+        }
+        Ok(_) => match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(io::Error::new(
+                    ErrorKind::AddrInUse,
+                    format!("a daemon is already serving on {}", path.display()),
+                ));
+            }
+            // Nothing listens on it: the socket is stale.
+            Err(e) if e.kind() == ErrorKind::ConnectionRefused => std::fs::remove_file(path)?,
+            Err(e) => return Err(e),
+        },
+        Err(e) if e.kind() == ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    UnixListener::bind(path)
 }
 
 /// What one [`LineReader::read_frame`] call produced.

@@ -1,9 +1,10 @@
 //! Cross-process drills: the built binaries driven the way an operator
 //! drives them, so `cargo test` covers what a shell script used to.
 
-use bitgen_serve::ServeMetrics;
+use bitgen_serve::{Client, Endpoint, RetryConfig, ServeMetrics};
+use std::ffi::OsString;
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -38,19 +39,19 @@ impl Drop for Scratch {
 struct Spawned(Child);
 
 impl Spawned {
-    /// Boots a daemon on `socket` and waits until it accepts.
-    fn daemon(socket: &Path, extra: &[&str]) -> Spawned {
+    /// Boots a daemon on `endpoint` and waits until it accepts.
+    fn daemon(endpoint: &Endpoint, extra: &[&str]) -> Spawned {
         let child = Command::new(SERVE)
-            .args(["serve", "--socket"])
-            .arg(socket)
+            .arg("serve")
+            .args(flags(endpoint))
             .args(extra)
             .stderr(Stdio::null())
             .spawn()
             .expect("bitgen-serve serve starts");
         let daemon = Spawned(child);
         let bound = Instant::now() + Duration::from_secs(5);
-        while std::os::unix::net::UnixStream::connect(socket).is_err() {
-            assert!(Instant::now() < bound, "daemon never bound {socket:?}");
+        while Client::connect_to(endpoint, RetryConfig::default()).is_err() {
+            assert!(Instant::now() < bound, "daemon never bound {endpoint}");
             std::thread::sleep(Duration::from_millis(20));
         }
         daemon
@@ -77,13 +78,21 @@ impl Drop for Spawned {
     }
 }
 
-/// `bitgen-serve <verb> --socket SOCKET`, run to completion.
-fn control(verb: &str, socket: &Path) -> Output {
-    Command::new(SERVE).arg(verb).arg("--socket").arg(socket).output().expect("client runs")
+/// The command-line flag and value that name `endpoint`.
+fn flags(endpoint: &Endpoint) -> [OsString; 2] {
+    match endpoint {
+        Endpoint::Unix(path) => ["--socket".into(), path.into()],
+        Endpoint::Tcp(addr) => ["--tcp".into(), addr.into()],
+    }
 }
 
-fn stats(socket: &Path) -> ServeMetrics {
-    let out = control("stats", socket);
+/// `bitgen-serve <verb> (--socket PATH | --tcp ADDR)`, run to completion.
+fn control(verb: &str, endpoint: &Endpoint) -> Output {
+    Command::new(SERVE).arg(verb).args(flags(endpoint)).output().expect("client runs")
+}
+
+fn stats(endpoint: &Endpoint) -> ServeMetrics {
+    let out = control("stats", endpoint);
     assert!(out.status.success(), "stats failed: {}", String::from_utf8_lossy(&out.stderr));
     let json = String::from_utf8(out.stdout).expect("stats is text");
     ServeMetrics::from_json(json.trim()).unwrap_or_else(|| panic!("stats is not JSON: {json}"))
@@ -206,16 +215,17 @@ fn bitgrep_checkpoint_resumes_across_processes() {
 /// sharing a pattern set (the compiled-pattern cache must report hits),
 /// the odd ones split across distinct sets — every client's output
 /// byte-identical to `bitgrep --positions` on the same input, and a
-/// clean daemon exit (status 0) after `shutdown`.
+/// clean daemon exit (status 0) after `shutdown`. Then the same daemon
+/// binary on a TCP endpoint: one client, the same diff, `stats` and a
+/// clean `shutdown` over `--tcp`.
 #[test]
 fn serve_smoke_eight_clients_match_bitgrep_and_share_the_cache() {
     let dir = Scratch::new("serve-drill");
-    let socket = dir.0.join("bitgen.sock");
+    let socket = Endpoint::Unix(dir.0.join("bitgen.sock"));
     let inputs = [
         dir.file("in0.bin", &b"cat dog aab cat xaby dooog aab xx ".repeat(4)),
         dir.file("in1.bin", &b"aab xaby cat cat dog aab dooog yy ".repeat(5)),
     ];
-    let mut daemon = Spawned::daemon(&socket, &["-e", "cat"]);
     let pats_of = |i: usize| -> &[&str] {
         match i {
             0 | 2 | 4 | 6 => &["cat", "do+g"],
@@ -224,21 +234,19 @@ fn serve_smoke_eight_clients_match_bitgrep_and_share_the_cache() {
             _ => &["a+b", "x[ab]{1,4}y"],
         }
     };
-    let clients: Vec<Child> = (0..8)
-        .map(|i| {
-            Command::new(SERVE)
-                .args(["scan", "--socket"])
-                .arg(&socket)
-                .args(["--tenant", &format!("t{i}"), "--chunk", &(7 + i).to_string()])
-                .args(patterns(pats_of(i)))
-                .arg(&inputs[i % 2])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("scan client starts")
-        })
-        .collect();
-    for (i, client) in clients.into_iter().enumerate() {
+    let scan = |endpoint: &Endpoint, i: usize| {
+        Command::new(SERVE)
+            .arg("scan")
+            .args(flags(endpoint))
+            .args(["--tenant", &format!("t{i}"), "--chunk", &(7 + i).to_string()])
+            .args(patterns(pats_of(i)))
+            .arg(&inputs[i % 2])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("scan client starts")
+    };
+    let check = |i: usize, client: Child| {
         let got = client.wait_with_output().expect("scan client finishes");
         assert!(got.status.success(), "client {i} failed");
         let mut args = patterns(pats_of(i));
@@ -246,10 +254,26 @@ fn serve_smoke_eight_clients_match_bitgrep_and_share_the_cache() {
         let want = bitgrep(args);
         assert!(!want.stdout.is_empty());
         assert_eq!(got.stdout, want.stdout, "client {i} drifted from bitgrep --positions");
+    };
+
+    let mut daemon = Spawned::daemon(&socket, &["-e", "cat"]);
+    let clients: Vec<Child> = (0..8).map(|i| scan(&socket, i)).collect();
+    for (i, client) in clients.into_iter().enumerate() {
+        check(i, client);
     }
     assert!(stats(&socket).cache_hits > 0, "four tenants shared one pattern set");
     assert!(control("shutdown", &socket).status.success());
     assert!(daemon.exit().success(), "daemon exited nonzero after shutdown");
+
+    // A free port, reserved by binding it and letting it go.
+    let free = std::net::TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr());
+    let tcp = Endpoint::Tcp(free.expect("a free local port").to_string());
+    let mut daemon = Spawned::daemon(&tcp, &[]);
+    check(7, scan(&tcp, 7));
+    let pushes = std::fs::metadata(&inputs[1]).expect("input").len().div_ceil(14);
+    assert_eq!(stats(&tcp).pushes_completed, pushes, "client 7's input in 14-byte chunks");
+    assert!(control("shutdown", &tcp).status.success());
+    assert!(daemon.exit().success(), "TCP daemon exited nonzero after shutdown");
 }
 
 /// Drain → adopt: a daemon is drained mid-scan, its durable streams
@@ -259,15 +283,15 @@ fn serve_smoke_eight_clients_match_bitgrep_and_share_the_cache() {
 #[test]
 fn drained_daemon_hands_its_streams_to_a_successor() {
     let dir = Scratch::new("drain-drill");
-    let socket = dir.0.join("drain.sock");
+    let socket = Endpoint::Unix(dir.0.join("drain.sock"));
     let manifest = dir.0.join("drain.manifest");
     let input = dir.file("input.bin", &b"cat dog aab cat xaby dooog aab xx ".repeat(4096));
     let got = dir.0.join("got");
-    let flags = ["--drain-manifest", manifest.to_str().expect("utf-8 temp dir")];
-    let mut drained = Spawned::daemon(&socket, &flags);
+    let manifest_flags = ["--drain-manifest", manifest.to_str().expect("utf-8 temp dir")];
+    let mut drained = Spawned::daemon(&socket, &manifest_flags);
     let scan = Command::new(SERVE)
-        .args(["scan", "--socket"])
-        .arg(&socket)
+        .arg("scan")
+        .args(flags(&socket))
         .args(["--retry", "--tenant", "mover", "--chunk", "96", "-e", "cat", "-e", "do+g"])
         .arg(&input)
         .stdout(File::create(&got).expect("output file"))
@@ -284,7 +308,7 @@ fn drained_daemon_hands_its_streams_to_a_successor() {
     assert!(drained.exit().success(), "drained daemon exited nonzero");
     // Restart on the same socket and manifest: durable streams are
     // adopted and the in-flight client resumes from its last acked offset.
-    let mut successor = Spawned::daemon(&socket, &flags);
+    let mut successor = Spawned::daemon(&socket, &manifest_flags);
     assert!(scan.exit().success(), "the retrying client failed");
     let want = bitgrep(["-e", "cat", "-e", "do+g", "--positions", input.to_str().expect("utf-8")]);
     assert!(!want.stdout.is_empty());

@@ -16,10 +16,12 @@
 
 use bitgen::BitGen;
 use bitgen_serve::{
-    Client, DaemonConfig, RetryConfig, ScanService, ServeConfig, WireFaultPlan,
+    serve, Client, DaemonConfig, Endpoint, RetryConfig, ScanService, ServeConfig, WireFaultPlan,
 };
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Shared rule-set pool, as in the serve soak.
@@ -84,7 +86,7 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bitgen-drain-{tag}-{}", std::process::id()))
 }
 
-fn wait_for_socket(path: &PathBuf) {
+fn wait_for_socket(path: &Path) {
     let mut waited = 0;
     while !path.exists() && waited < 1000 {
         std::thread::sleep(Duration::from_millis(5));
@@ -113,8 +115,8 @@ fn drain_handoff_64_streams_bit_identical() {
         let socket = socket.clone();
         let config = config.clone();
         std::thread::spawn(move || {
-            bitgen_serve::serve_unix_with(
-                &socket,
+            serve(
+                &Endpoint::Unix(socket),
                 ScanService::start(ServeConfig { workers: 4, ..ServeConfig::default() }),
                 config,
             )
@@ -150,8 +152,8 @@ fn drain_handoff_64_streams_bit_identical() {
     let second = {
         let socket = socket.clone();
         std::thread::spawn(move || {
-            bitgen_serve::serve_unix_with(
-                &socket,
+            serve(
+                &Endpoint::Unix(socket),
                 ScanService::start(ServeConfig { workers: 4, ..ServeConfig::default() }),
                 config,
             )
@@ -224,18 +226,26 @@ fn served_head_total(expected: &[Vec<u64>], plans: &[Plan]) -> u64 {
 /// same bit-identical output, same shutdown handshake.
 #[test]
 fn tcp_transport_round_trips_bit_identically() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = std::thread::spawn(move || {
-        bitgen_serve::serve_tcp_listener(
-            listener,
-            ScanService::start(ServeConfig::default()),
-            DaemonConfig::default(),
-        )
-    });
+    // Reserve a free port, then hand its address to the daemon.
+    let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+    let endpoint = Endpoint::Tcp(addr);
+    let server = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            serve(&endpoint, ScanService::start(ServeConfig::default()), DaemonConfig::default())
+        })
+    };
 
     let input: Vec<u8> = SOUP.repeat(5);
-    let mut client = Client::connect_tcp(&addr).unwrap();
+    let mut waited = 0;
+    let mut client = loop {
+        match Client::connect_to(&endpoint, RetryConfig::default()) {
+            Ok(client) => break client,
+            Err(e) => assert!(waited < 1000, "daemon never bound {endpoint}: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        waited += 1;
+    };
     let (id, hit) = client.open("tcp-tenant", SETS[1]).unwrap();
     assert!(!hit);
     let mut served = Vec::new();
@@ -262,15 +272,13 @@ fn tcp_transport_round_trips_bit_identically() {
 /// hangup, not unbounded buffering — asserted at the wire level.
 #[test]
 fn oversized_frame_is_refused_typed_on_the_wire() {
-    use std::io::{BufRead, BufReader, Write};
-
     let socket = temp_path("frame.sock");
     let config = DaemonConfig { max_line: 64, ..DaemonConfig::default() };
     let server = {
         let socket = socket.clone();
         std::thread::spawn(move || {
-            bitgen_serve::serve_unix_with(
-                &socket,
+            serve(
+                &Endpoint::Unix(socket),
                 ScanService::start(ServeConfig::default()),
                 config,
             )
@@ -278,7 +286,7 @@ fn oversized_frame_is_refused_typed_on_the_wire() {
     };
     wait_for_socket(&socket);
 
-    let mut raw = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let mut raw = UnixStream::connect(&socket).unwrap();
     raw.write_all(b"PING x").unwrap();
     raw.write_all(&vec![b'x'; 4096]).unwrap();
     raw.write_all(b"\n").unwrap();
@@ -308,8 +316,8 @@ fn wire_faults_are_survived_by_the_retrying_client() {
     let server = {
         let socket = socket.clone();
         std::thread::spawn(move || {
-            bitgen_serve::serve_unix_with(
-                &socket,
+            serve(
+                &Endpoint::Unix(socket),
                 ScanService::start(ServeConfig::default()),
                 config,
             )
@@ -324,7 +332,7 @@ fn wire_faults_are_survived_by_the_retrying_client() {
     };
     let input: Vec<u8> = SOUP.repeat(8);
     let chunks: Vec<&[u8]> = input.chunks(21).collect();
-    let mut client = Client::connect_with(&socket, retry).unwrap();
+    let mut client = Client::connect_to(&Endpoint::Unix(socket), retry).unwrap();
     // Durable: the stream must survive the torn connections.
     let (id, _) = client.open_durable("fault-tenant", SETS[0]).unwrap();
     let mut served = Vec::new();
@@ -369,18 +377,95 @@ fn wire_faults_are_survived_by_the_retrying_client() {
 /// A corrupt manifest refuses adoption at startup — typed, before the
 /// socket ever binds — instead of serving with silently lost streams.
 #[test]
-fn tampered_manifest_refuses_to_serve()  {
+fn tampered_manifest_refuses_to_serve() {
     let socket = temp_path("tamper.sock");
     let manifest_path = temp_path("tamper.manifest");
     std::fs::write(&manifest_path, b"BGDM not a manifest").unwrap();
-    let err = bitgen_serve::serve_unix_with(
-        &socket,
+    let err = serve(
+        &Endpoint::Unix(socket.clone()),
         ScanService::start(ServeConfig::default()),
         DaemonConfig { manifest_path: Some(manifest_path.clone()), ..DaemonConfig::default() },
     )
     .unwrap_err();
     assert!(err.to_string().contains("checkpoint"), "typed refusal, got: {err}");
+    assert!(!socket.exists(), "a refused adoption must never bind");
     let _ = std::fs::remove_file(&manifest_path);
+}
+
+/// Starts a default daemon on a Unix socket at `path` and returns why it
+/// refused to start; fails if it is serving there after five seconds.
+fn refused_serve(path: &Path) -> std::io::Error {
+    let endpoint = Endpoint::Unix(path.to_path_buf());
+    let (sent, outcome) = std::sync::mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let service = ScanService::start(ServeConfig::default());
+        let _ = sent.send(serve(&endpoint, service, DaemonConfig::default()));
+    });
+    match outcome.recv_timeout(Duration::from_secs(5)) {
+        Ok(result) => {
+            daemon.join().unwrap();
+            result.expect_err("serve must refuse this path")
+        }
+        Err(_) => panic!("serve took over {} and is serving on it", path.display()),
+    }
+}
+
+/// `serve` replaces only a stale socket: a regular file at the path is
+/// refused, typed, and keeps its content.
+#[test]
+fn serve_leaves_a_file_that_is_not_a_socket() {
+    let path = temp_path("regular.sock");
+    std::fs::write(&path, b"keep me").unwrap();
+    let err = refused_serve(&path);
+    assert_eq!(err.kind(), ErrorKind::AlreadyExists, "got: {err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"keep me", "the file must survive");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A second daemon on a live daemon's socket is refused, typed, and the
+/// first keeps its address and still answers `PING`. Once it is gone, a
+/// socket file nobody answers on is stale and a new daemon replaces it.
+#[test]
+fn serve_refuses_a_live_socket_and_replaces_a_stale_one() {
+    let socket = temp_path("live.sock");
+    let spawn = || {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            serve(
+                &Endpoint::Unix(socket),
+                ScanService::start(ServeConfig::default()),
+                DaemonConfig::default(),
+            )
+        })
+    };
+    let first = spawn();
+    wait_for_socket(&socket);
+
+    let err = refused_serve(&socket);
+    assert_eq!(err.kind(), ErrorKind::AddrInUse, "got: {err}");
+    let mut raw = UnixStream::connect(&socket).expect("the first daemon keeps its socket");
+    raw.write_all(b"PING\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(raw).read_line(&mut line).unwrap();
+    assert_eq!(line, "OK\n", "the first daemon must still answer");
+    Client::connect(&socket).unwrap().shutdown().unwrap();
+    first.join().unwrap().unwrap();
+
+    // A socket file whose listener is gone: stale, so it is replaced.
+    drop(std::os::unix::net::UnixListener::bind(&socket).unwrap());
+    let second = spawn();
+    let mut waited = 0;
+    let mut client = loop {
+        match Client::connect(&socket) {
+            Ok(client) => break client,
+            Err(e) => assert!(waited < 1000, "the stale socket was never replaced: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        waited += 1;
+    };
+    client.shutdown().unwrap();
+    second.join().unwrap().unwrap();
+    assert!(!socket.exists(), "the daemon must remove its socket on exit");
 }
 
 /// Forced drain: a push caught in flight at the deadline is cancelled

@@ -311,8 +311,8 @@ fn daemon_round_trip_over_unix_socket() {
     let (consumed, matches) = alpha.close(id).unwrap();
     assert_eq!(consumed, input.len() as u64);
     assert_eq!(matches, served.len() as u64);
-    let stats = beta.stats().unwrap();
-    assert!(stats.contains("\"cache_hits\":1"), "stats: {stats}");
+    let stats = beta.metrics().unwrap();
+    assert_eq!(stats.cache_hits, 1, "stats: {}", stats.to_json());
 
     let engine = BitGen::compile(SETS[1]).unwrap();
     let mut scanner = engine.streamer().unwrap();
