@@ -409,61 +409,41 @@ fn respond(
     let reply = match request {
         Request::Open { tenant, durable, patterns } => {
             let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
-            match service.open_stream(&tenant, &refs) {
-                Ok(admission) => {
-                    if durable {
-                        // Durable streams outlive this connection; the
-                        // service checkpoints them into the drain
-                        // manifest.
-                    } else {
-                        opened.push(admission.stream);
-                        let _ = service.set_durable(admission.stream, false);
-                    }
-                    let verdict = if admission.cache_hit { "HIT" } else { "MISS" };
-                    format!("OK {} {verdict}", admission.stream)
+            service.open_stream(&tenant, &refs).map(|admission| {
+                // Durable streams outlive this connection; the service
+                // checkpoints them into the drain manifest.
+                if !durable {
+                    opened.push(admission.stream);
+                    let _ = service.set_durable(admission.stream, false);
                 }
-                Err(e) => error_reply(&e, draining),
-            }
+                let verdict = if admission.cache_hit { "HIT" } else { "MISS" };
+                format!("OK {} {verdict}", admission.stream)
+            })
         }
-        Request::Push { id, offset, chunk } => match service.push_chunk_at(id, offset, chunk) {
-            Ok(ends) => {
-                let mut reply = format!("OK {}", ends.len());
-                for end in ends {
-                    reply.push(' ');
-                    reply.push_str(&end.to_string());
-                }
-                reply
+        Request::Push { id, offset, chunk } => service.push_chunk_at(id, offset, chunk).map(|ends| {
+            let mut reply = format!("OK {}", ends.len());
+            for end in ends {
+                reply.push(' ');
+                reply.push_str(&end.to_string());
             }
-            Err(e) => error_reply(&e, draining),
-        },
+            reply
+        }),
         Request::Swap { id, patterns } => {
             let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
-            match service.swap_rules(id, &refs) {
-                Ok(generation) => format!("OK {generation}"),
-                Err(e) => error_reply(&e, draining),
-            }
+            service.swap_rules(id, &refs).map(|generation| format!("OK {generation}"))
         }
-        Request::Cancel { id } => match service.cancel_stream(id) {
-            Ok(()) => "OK".to_string(),
-            Err(e) => error_reply(&e, draining),
-        },
-        Request::Reset { id } => match service.reset_cancel(id) {
-            Ok(()) => "OK".to_string(),
-            Err(e) => error_reply(&e, draining),
-        },
-        Request::Close { id } => match service.close_stream(id) {
-            Ok(stats) => {
-                opened.retain(|open| *open != id);
-                format!("OK {} {}", stats.consumed, stats.match_count)
-            }
-            Err(e) => error_reply(&e, draining),
-        },
-        Request::Stats => format!("OK {}", service.metrics().to_json()),
-        Request::Ping => "OK".to_string(),
+        Request::Cancel { id } => service.cancel_stream(id).map(|()| "OK".to_string()),
+        Request::Reset { id } => service.reset_cancel(id).map(|()| "OK".to_string()),
+        Request::Close { id } => service.close_stream(id).map(|stats| {
+            opened.retain(|open| *open != id);
+            format!("OK {} {}", stats.consumed, stats.match_count)
+        }),
+        Request::Stats => Ok(format!("OK {}", service.metrics().to_json())),
+        Request::Ping => Ok("OK".to_string()),
         Request::Drain => return ("OK".to_string(), Action::Drain, true),
         Request::Shutdown => return ("OK".to_string(), Action::Shutdown, true),
     };
-    (reply, Action::None, exempt)
+    (reply.unwrap_or_else(|e| error_reply(&e, draining)), Action::None, exempt)
 }
 
 /// Retry/backoff policy for [`Client`]. The default performs no

@@ -47,11 +47,25 @@
 //! client completes across the handoff is bit-identical to one that
 //! never moved.
 //!
-//! Push idempotency rides the same machinery: each slot remembers its
-//! last acknowledged push (offset + ends). A client that never saw the
-//! ack re-pushes the same boundary and gets the recorded ends back —
-//! counted as a replay, never scanned twice — and the replay window
-//! travels in the manifest, so the guarantee spans the restart too.
+//! Push idempotency rides the same machinery: beside the checkpoint,
+//! under the one lock every push, swap and drain takes, a stream keeps
+//! its pattern lineage and its last acknowledged push (offset + ends).
+//! A client that never saw the ack re-pushes the same boundary and gets
+//! the recorded ends back — counted as a replay, never scanned twice —
+//! and the replay window travels in the manifest, so the guarantee
+//! spans the restart too.
+//!
+//! # One admission path
+//!
+//! [`ScanService::open_stream`], [`ScanService::adopt_stream`] and
+//! [`ScanService::adopt_manifest`] all admit a *lineage* (a base
+//! generation and the pattern sets from there) at a *boundary* (a fresh
+//! stream, a moved checkpoint, or a manifest entry's checkpoint and
+//! replay window), and all find the engine through one cache lookup
+//! keyed by the generation the lineage reaches. Only a lineage that
+//! starts at generation 0 can be compiled; one that starts later is
+//! served from engines a hot swap published here, or refused with
+//! [`Error::GenerationMismatch`] and nothing cached.
 
 use crate::cache::{PatternCache, RuleSetId};
 use crate::drain::{AckRecord, DrainEntry, DrainManifest};
@@ -221,15 +235,6 @@ struct StreamSlot {
     /// connection-scoped ones non-durable, since their lifetime is a
     /// connection that cannot outlive the daemon anyway.
     durable: AtomicBool,
-    /// Generation of `lineage[0]`'s engine; `0` unless the stream was
-    /// adopted mid-lineage (see [`crate::drain::DrainEntry`]).
-    base_generation: u64,
-    /// Pattern sets from `base_generation` onward — the compile set
-    /// plus each hot swap's set — enough to rebuild the engine after a
-    /// restart.
-    lineage: Mutex<Vec<Vec<String>>>,
-    /// The last acknowledged push: the idempotent replay window.
-    last_ack: Mutex<Option<AckRecord>>,
     /// Per-push wall budget; replaceable while the stream is live.
     deadline: Mutex<Option<Duration>>,
     /// Cancellation for the in-flight (or next) push; replaced by
@@ -244,6 +249,54 @@ struct StreamSlot {
 struct StreamState {
     engine: Arc<BitGen>,
     checkpoint: StreamCheckpoint,
+    /// Enough to rebuild `engine` after a restart.
+    lineage: Lineage,
+    /// The last acknowledged push: the idempotent replay window.
+    last_ack: Option<AckRecord>,
+}
+
+/// A stream's rule timeline: the generation its first pattern set was
+/// compiled at (`0` unless the stream was adopted mid-lineage, see
+/// [`crate::drain::DrainEntry`]), then that set and each hot swap's set.
+#[derive(Debug)]
+struct Lineage {
+    base: u64,
+    sets: Vec<Vec<String>>,
+}
+
+impl Lineage {
+    fn new(base: u64, patterns: &[&str]) -> Lineage {
+        Lineage { base, sets: vec![patterns.iter().map(|p| p.to_string()).collect()] }
+    }
+
+    /// The generation the lineage reaches and the pattern set it holds
+    /// there. An empty lineage, or one that runs past `u64::MAX` (a
+    /// forged manifest entry), is a typed [`Error::CheckpointInvalid`].
+    fn tip(&self) -> Result<(u64, &[String]), Error> {
+        let swaps = (self.sets.len() as u64).saturating_sub(1);
+        match (self.base.checked_add(swaps), self.sets.last()) {
+            (Some(generation), Some(last)) => Ok((generation, last)),
+            _ => Err(Error::CheckpointInvalid {
+                reason: format!(
+                    "a pattern lineage of {} sets from generation {} reaches no generation",
+                    self.sets.len(),
+                    self.base
+                ),
+            }),
+        }
+    }
+}
+
+/// Where an admitted stream starts on its lineage.
+enum Boundary {
+    /// A new stream at byte 0 ([`ScanService::open_stream`]).
+    Fresh,
+    /// A checkpoint taken elsewhere ([`ScanService::adopt_stream`]).
+    Moved(StreamCheckpoint),
+    /// A drain-manifest entry, under its original id with its replay
+    /// window. Neither the drain flag nor the tenant budget is checked:
+    /// refusing a stream admitted before the restart would lose it.
+    Manifest { id: StreamId, checkpoint: StreamCheckpoint, last_ack: Option<AckRecord> },
 }
 
 /// How a worker answered a push.
@@ -315,16 +368,22 @@ impl Inner {
         self.metrics.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
-    /// Fetches or compiles the engine for `(patterns, generation)`
-    /// under the serving config, updating the cache counters.
-    fn engine_for(
-        &self,
-        patterns: &[&str],
-        generation: u64,
-    ) -> Result<(Arc<BitGen>, bool), Error> {
-        let id = RuleSetId::new(&self.config.engine, generation, patterns);
+    /// The engine at the tip of `lineage` under the serving config: the
+    /// cached one, or one compiled by replaying the lineage
+    /// ([`BitGen::compile_lineage`]) — only when it starts at generation
+    /// 0. A later start names an engine only a hot swap on this service
+    /// can have published; without it the lineage is refused with
+    /// [`Error::GenerationMismatch`] and nothing is cached. Updates the
+    /// cache counters.
+    fn engine_for(&self, lineage: &Lineage) -> Result<(Arc<BitGen>, bool), Error> {
+        let (generation, last) = lineage.tip()?;
+        let refs: Vec<&str> = last.iter().map(String::as_str).collect();
+        let id = RuleSetId::new(&self.config.engine, generation, &refs);
         let (engine, hit, evicted) = lock(&self.cache).get_or_compile(id, || {
-            BitGen::compile_with(patterns, self.config.engine.clone())
+            if lineage.base != 0 {
+                return Err(Error::GenerationMismatch { expected: 0, found: generation });
+            }
+            BitGen::compile_lineage(&lineage.sets, self.config.engine.clone())
         })?;
         self.note_cache_outcome(hit, evicted);
         Ok((engine, hit))
@@ -344,7 +403,7 @@ impl Inner {
         let committed = state.checkpoint.consumed();
         if let Some(at) = offset {
             if at != committed {
-                if let Some(ack) = lock(&slot.last_ack).as_ref() {
+                if let Some(ack) = &state.last_ack {
                     if ack.offset == at && at + chunk.len() as u64 == committed {
                         return Ok(PushOutcome::Replayed(ack.ends.clone()));
                     }
@@ -362,7 +421,7 @@ impl Inner {
         scanner.set_timeout(*lock(&slot.deadline));
         let ends = scanner.push(chunk)?;
         state.checkpoint = scanner.into_checkpoint();
-        *lock(&slot.last_ack) = Some(AckRecord { offset: committed, ends: ends.clone() });
+        state.last_ack = Some(AckRecord { offset: committed, ends: ends.clone() });
         Ok(PushOutcome::Scanned(ends))
     }
 
@@ -396,22 +455,6 @@ impl Inner {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
     }
-}
-
-/// Everything [`ScanService::admit`] needs to install one slot.
-struct AdmitSpec<'a> {
-    /// `Some` preserves an id across a drain handoff; `None` mints one.
-    id: Option<StreamId>,
-    tenant: &'a str,
-    engine: Arc<BitGen>,
-    cache_hit: bool,
-    checkpoint: StreamCheckpoint,
-    base_generation: u64,
-    lineage: Vec<Vec<String>>,
-    last_ack: Option<AckRecord>,
-    /// Manifest adoption skips the budget — refusing a stream that was
-    /// already admitted before the restart would lose it.
-    enforce_budget: bool,
 }
 
 /// The service: construct with [`ScanService::start`], share by
@@ -470,15 +513,6 @@ impl ScanService {
         Ok(())
     }
 
-    /// Refuses a tenant already at its open-stream budget *before* the
-    /// admission touches the shared pattern cache, so refused opens can
-    /// neither compile nor evict. Advisory: [`ScanService::admit`]
-    /// repeats the check under the `streams` lock it installs under.
-    fn refuse_if_over_budget(&self, tenant: &str) -> Result<(), ServeError> {
-        let budget = self.inner.budget_for(tenant);
-        self.check_stream_budget(&lock(&self.inner.streams), tenant, &budget)
-    }
-
     /// Typed refusal when `tenant` already holds `budget.max_streams`
     /// of the open `streams`.
     fn check_stream_budget(
@@ -512,31 +546,19 @@ impl ScanService {
     /// a drain; compile errors when the pattern set is new and does not
     /// compile.
     pub fn open_stream(&self, tenant: &str, patterns: &[&str]) -> Result<Admission, ServeError> {
-        self.refuse_if_draining(Some(tenant))?;
-        self.refuse_if_over_budget(tenant)?;
-        let (engine, hit) = self.inner.engine_for(patterns, 0)?;
-        let checkpoint = engine.streamer()?.into_checkpoint();
-        self.admit(AdmitSpec {
-            id: None,
-            tenant,
-            engine,
-            cache_hit: hit,
-            checkpoint,
-            base_generation: 0,
-            lineage: vec![patterns.iter().map(|p| p.to_string()).collect()],
-            last_ack: None,
-            enforce_budget: true,
-        })
+        self.admit(tenant, Lineage::new(0, patterns), Boundary::Fresh)
     }
 
     /// Admits a stream that continues from `checkpoint` — the
     /// migration path for streams checkpointed on another worker,
-    /// another service instance, or disk. The engine comes from the
-    /// cache under the checkpoint's generation (hot-swapped generations
-    /// are published there by [`ScanService::swap_rules`]); a fresh
-    /// compile serves generation 0 only, so a post-swap checkpoint
-    /// without its engine cached is a typed
-    /// [`Error::GenerationMismatch`], never a silent cross-wire.
+    /// another service instance, or disk. `patterns` is the set the
+    /// checkpoint's generation runs, so the stream's lineage starts
+    /// there. The engine comes from the cache under that generation
+    /// (hot-swapped generations are published there by
+    /// [`ScanService::swap_rules`]); a fresh compile serves generation 0
+    /// only, so a post-swap checkpoint without its engine cached is a
+    /// typed [`Error::GenerationMismatch`] that caches nothing, never a
+    /// silent cross-wire.
     ///
     /// # Errors
     ///
@@ -549,40 +571,28 @@ impl ScanService {
         patterns: &[&str],
         checkpoint: StreamCheckpoint,
     ) -> Result<Admission, ServeError> {
-        self.refuse_if_draining(Some(tenant))?;
-        self.refuse_if_over_budget(tenant)?;
-        let (engine, hit) = self.inner.engine_for(patterns, checkpoint.generation())?;
-        // Validate now so a bad checkpoint is refused at admission, not
-        // on the first push.
-        engine.resume(&checkpoint)?;
-        let base_generation = checkpoint.generation();
-        self.admit(AdmitSpec {
-            id: None,
-            tenant,
-            engine,
-            cache_hit: hit,
-            checkpoint,
-            base_generation,
-            lineage: vec![patterns.iter().map(|p| p.to_string()).collect()],
-            last_ack: None,
-            enforce_budget: true,
-        })
+        let lineage = Lineage::new(checkpoint.generation(), patterns);
+        self.admit(tenant, lineage, Boundary::Moved(checkpoint))
     }
 
     /// Adopts every stream of a drain manifest, preserving stream ids,
     /// committed boundaries, generations, and replay windows — the
     /// successor half of [`ScanService::drain`]. Engines are fetched
-    /// from the cache or rebuilt by replaying the recorded pattern
-    /// lineage ([`BitGen::compile_lineage`]), and each checkpoint is
-    /// validated before its slot is installed. Tenant budgets are not
-    /// enforced here: these streams were already admitted before the
-    /// restart.
+    /// from the cache or, for a lineage that starts at generation 0,
+    /// rebuilt by replaying it ([`BitGen::compile_lineage`]), and each
+    /// checkpoint is validated before its slot is installed. Neither
+    /// tenant budgets nor the drain flag are enforced here: these
+    /// streams were already admitted before the restart.
     ///
     /// # Errors
     ///
-    /// The first entry that fails (invalid checkpoint, incomplete
-    /// lineage, compile failure) aborts with its error; entries adopted
-    /// before it remain adopted.
+    /// The first entry that fails aborts with its error; entries
+    /// adopted before it remain adopted. An invalid checkpoint, an
+    /// empty or overflowing lineage, or generations that disagree are
+    /// [`Error::CheckpointInvalid`]; a lineage that starts mid-way
+    /// (the stream was itself adopted from a post-swap checkpoint)
+    /// whose engine is not cached is [`Error::GenerationMismatch`];
+    /// otherwise the compile failure.
     pub fn adopt_manifest(
         &self,
         manifest: &DrainManifest,
@@ -591,68 +601,55 @@ impl ScanService {
     }
 
     fn adopt_entry(&self, entry: &DrainEntry) -> Result<Admission, ServeError> {
-        let invalid = |reason: String| {
-            ServeError::Scan(Error::CheckpointInvalid { reason })
-        };
         let checkpoint = StreamCheckpoint::from_bytes(&entry.checkpoint)?;
-        if checkpoint.generation() != entry.generation {
-            return Err(invalid(format!(
-                "drain manifest stream {}: checkpoint generation {} disagrees with \
-                 the recorded generation {}",
-                entry.stream,
-                checkpoint.generation(),
-                entry.generation
-            )));
+        let lineage = Lineage { base: entry.base_generation, sets: entry.lineage.clone() };
+        let (reached, _) = lineage.tip()?;
+        if checkpoint.generation() != entry.generation || reached != entry.generation {
+            return Err(ServeError::Scan(Error::CheckpointInvalid {
+                reason: format!(
+                    "drain manifest stream {}: recorded generation {}, checkpoint generation \
+                     {} and lineage generation {reached} disagree",
+                    entry.stream,
+                    entry.generation,
+                    checkpoint.generation()
+                ),
+            }));
         }
-        let last = entry
-            .lineage
-            .last()
-            .ok_or_else(|| invalid(format!("drain manifest stream {}: empty lineage", entry.stream)))?;
-        let lineage_gen =
-            entry.base_generation + entry.lineage.len() as u64 - 1;
-        if lineage_gen != entry.generation {
-            return Err(invalid(format!(
-                "drain manifest stream {}: lineage reaches generation {lineage_gen} \
-                 but the checkpoint is at {}",
-                entry.stream, entry.generation
-            )));
-        }
-        let refs: Vec<&str> = last.iter().map(String::as_str).collect();
-        let id = RuleSetId::new(&self.inner.config.engine, entry.generation, &refs);
-        let (engine, hit, evicted) = lock(&self.inner.cache).get_or_compile(id, || {
-            if entry.base_generation == 0 {
-                BitGen::compile_lineage(&entry.lineage, self.inner.config.engine.clone())
-            } else {
-                Err(Error::CheckpointInvalid {
-                    reason: format!(
-                        "drain manifest stream {}: lineage starts at generation {} \
-                         (the stream was itself adopted mid-lineage) and no cached \
-                         engine holds that generation",
-                        entry.stream, entry.base_generation
-                    ),
-                })
-            }
-        })?;
-        self.inner.note_cache_outcome(hit, evicted);
-        engine.resume(&checkpoint)?;
-        let admission = self.admit(AdmitSpec {
-            id: Some(entry.stream),
-            tenant: &entry.tenant,
-            engine,
-            cache_hit: hit,
-            checkpoint,
-            base_generation: entry.base_generation,
-            lineage: entry.lineage.clone(),
-            last_ack: entry.last_ack.clone(),
-            enforce_budget: false,
-        })?;
-        self.inner.metrics.streams_adopted.fetch_add(1, Ordering::Relaxed);
-        Ok(admission)
+        let boundary =
+            Boundary::Manifest { id: entry.stream, checkpoint, last_ack: entry.last_ack.clone() };
+        self.admit(&entry.tenant, lineage, boundary)
     }
 
-    fn admit(&self, spec: AdmitSpec<'_>) -> Result<Admission, ServeError> {
-        let budget = self.inner.budget_for(spec.tenant);
-        let id = match spec.id {
+    /// The one admission path: find the engine at `lineage`'s tip, place
+    /// the stream at `boundary`, install its slot.
+    fn admit(
+        &self,
+        tenant: &str,
+        lineage: Lineage,
+        boundary: Boundary,
+    ) -> Result<Admission, ServeError> {
+        let budget = self.inner.budget_for(tenant);
+        let (kept_id, checkpoint, last_ack) = match boundary {
+            Boundary::Fresh => (None, None, None),
+            Boundary::Moved(checkpoint) => (None, Some(checkpoint), None),
+            Boundary::Manifest { id, checkpoint, last_ack } => (Some(id), Some(checkpoint), last_ack),
+        };
+        let adopted = kept_id.is_some();
+        if !adopted {
+            self.refuse_if_draining(Some(tenant))?;
+            // Checked before the cache is touched, so a refused admission
+            // can neither compile nor evict; repeated under the lock the
+            // slot is installed under.
+            self.check_stream_budget(&lock(&self.inner.streams), tenant, &budget)?;
+        }
+        let (engine, cache_hit) = self.inner.engine_for(&lineage)?;
+        let checkpoint = match checkpoint {
+            // Validate now so a bad checkpoint is refused at admission,
+            // not on the first push.
+            Some(checkpoint) => engine.resume(&checkpoint).map(|_| checkpoint)?,
+            None => engine.streamer()?.into_checkpoint(),
+        };
+        let id = match kept_id {
             Some(id) => {
                 // Keep minted ids clear of every adopted one.
                 self.inner.next_id.fetch_max(id, Ordering::Relaxed);
@@ -662,35 +659,29 @@ impl ScanService {
         };
         let admission = Admission {
             stream: id,
-            cache_hit: spec.cache_hit,
-            generation: spec.checkpoint.generation(),
-            fingerprint: spec.engine.stream_fingerprint(),
+            cache_hit,
+            generation: checkpoint.generation(),
+            fingerprint: engine.stream_fingerprint(),
         };
         let slot = Arc::new(StreamSlot {
             id,
-            tenant: spec.tenant.to_string(),
+            tenant: tenant.to_string(),
             durable: AtomicBool::new(true),
-            base_generation: spec.base_generation,
-            lineage: Mutex::new(spec.lineage),
-            last_ack: Mutex::new(spec.last_ack),
             deadline: Mutex::new(budget.deadline),
             cancel: Mutex::new(CancelToken::new()),
-            state: Mutex::new(StreamState { engine: spec.engine, checkpoint: spec.checkpoint }),
+            state: Mutex::new(StreamState { engine, checkpoint, lineage, last_ack }),
         });
         {
             let mut streams = lock(&self.inner.streams);
-            if spec.enforce_budget {
-                self.check_stream_budget(&streams, spec.tenant, &budget)?;
+            if !adopted {
+                self.check_stream_budget(&streams, tenant, &budget)?;
             }
             // Occupancy is checked before anything is written: a
             // duplicate id must leave the live stream's slot in place.
-            match streams.entry(admission.stream) {
+            match streams.entry(id) {
                 Entry::Occupied(_) => {
                     return Err(ServeError::Scan(Error::CheckpointInvalid {
-                        reason: format!(
-                            "stream id {} is already open on this service",
-                            admission.stream
-                        ),
+                        reason: format!("stream id {id} is already open on this service"),
                     }));
                 }
                 Entry::Vacant(vacant) => {
@@ -699,7 +690,10 @@ impl ScanService {
             }
         }
         self.inner.metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.tenant(spec.tenant, |t| t.open_streams += 1);
+        if adopted {
+            self.inner.metrics.streams_adopted.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.metrics.tenant(tenant, |t| t.open_streams += 1);
         Ok(admission)
     }
 
@@ -853,10 +847,10 @@ impl ScanService {
         self.inner.metrics.hot_swaps.fetch_add(1, Ordering::Relaxed);
         state.checkpoint = committed;
         state.engine = swapped;
-        lock(&slot.lineage).push(patterns.iter().map(|p| p.to_string()).collect());
+        state.lineage.sets.push(patterns.iter().map(|p| p.to_string()).collect());
         // The old replay window's ends belong to the old generation's
         // timeline; a swap is a new boundary, not a re-pushable one.
-        *lock(&slot.last_ack) = None;
+        state.last_ack = None;
         Ok(generation)
     }
 
@@ -886,7 +880,7 @@ impl ScanService {
     ///
     /// The compile failure, when the set is new and does not compile.
     pub fn warm(&self, patterns: &[&str]) -> Result<bool, ServeError> {
-        Ok(self.inner.engine_for(patterns, 0)?.1)
+        Ok(self.inner.engine_for(&Lineage::new(0, patterns))?.1)
     }
 
     /// `true` once [`ScanService::drain`] has begun: every admission,
@@ -939,10 +933,10 @@ impl ScanService {
                     stream: slot.id,
                     tenant: slot.tenant.clone(),
                     generation: state.checkpoint.generation(),
-                    base_generation: slot.base_generation,
-                    lineage: lock(&slot.lineage).clone(),
+                    base_generation: state.lineage.base,
+                    lineage: state.lineage.sets.clone(),
                     checkpoint: state.checkpoint.to_bytes(),
-                    last_ack: lock(&slot.last_ack).clone(),
+                    last_ack: state.last_ack.clone(),
                 }
             })
             .collect();
@@ -1185,6 +1179,12 @@ mod tests {
         // The successor has an empty cache: the engine must come from
         // replaying the lineage, not a lucky cache hit.
         let successor = ScanService::start(ServeConfig::default());
+        // A forged base generation whose lineage runs past u64::MAX is a
+        // typed refusal, not an overflow.
+        let mut forged = manifest.clone();
+        forged.entries[0].base_generation = u64::MAX;
+        let err = successor.adopt_manifest(&forged).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::CheckpointInvalid { .. })), "{err}");
         successor.adopt_manifest(&manifest).unwrap();
         served.extend(successor.push_chunk(admission.stream, b"cat dog ").unwrap());
 

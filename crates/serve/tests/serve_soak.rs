@@ -266,7 +266,7 @@ fn checkpoint_migrates_between_service_instances() {
     // A generation-1 checkpoint cannot be adopted where the swapped
     // engine was never published: fresh compiles serve generation 0.
     let c = first.open_stream("mover", SETS[0]).unwrap();
-    first.push_chunk(c.stream, &input[..32]).unwrap();
+    let mut swapped_ends = first.push_chunk(c.stream, &input[..32]).unwrap();
     first.swap_rules(c.stream, SETS[1]).unwrap();
     let swapped = first.checkpoint(c.stream).unwrap();
     let err = second.adopt_stream("mover", SETS[1], swapped).unwrap_err();
@@ -274,6 +274,18 @@ fn checkpoint_migrates_between_service_instances() {
         matches!(err, ServeError::Scan(Error::GenerationMismatch { .. })),
         "expected a typed generation refusal, got {err}"
     );
+
+    // The refusal cached nothing: the same stream, drained with its
+    // lineage, is rebuilt on that instance and scans on bit-identically.
+    let (manifest, _) = first.drain(Duration::from_secs(5));
+    second.adopt_manifest(&manifest).unwrap();
+    swapped_ends.extend(second.push_chunk(c.stream, &input[32..64]).unwrap());
+    let mut scanner = engine.streamer().unwrap();
+    let mut standalone = scanner.push(&input[..32]).unwrap();
+    let staged = engine.prepare_swap(SETS[1]).unwrap();
+    scanner.commit_swap(&staged).unwrap();
+    standalone.extend(scanner.push(&input[32..64]).unwrap());
+    assert_eq!(swapped_ends, standalone);
 }
 
 /// The daemon end of the tentpole, in-process: a Unix-socket server, a
