@@ -53,7 +53,7 @@ cargo test -q --no-fail-fast
 # pays in crates/exec for what it adds; the serving crate may not grow
 # at all (ROADMAP item 2).
 EXEC_BUDGET=1918
-SERVE_BUDGET=4540
+SERVE_BUDGET=4478
 for dir in crates/*/src; do
   lines=$(find "$dir" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)
   printf 'non-test src lines: %-10s %6d\n' "$(basename "$(dirname "$dir")")" "$lines"

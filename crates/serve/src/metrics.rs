@@ -6,11 +6,17 @@
 //! control, queue wait, drain/adopt lifecycle — the numbers an operator
 //! watches to size the pool and the budgets, plus a per-tenant
 //! breakdown for spotting the tenant that is eating the queue.
+//!
+//! The service's live counters are one [`ServeMetrics`] behind one
+//! mutex: each push, refusal, admission, swap, close or drain takes that
+//! lock once and bumps plain fields, and [`crate::ScanService::metrics`]
+//! returns a clone. A tenant's row is created, and its name copied, the
+//! first time the tenant is counted. Outside the struct declarations
+//! each counter is named once, in a `(key, field)` table row that both
+//! renders the `STATS` JSON and parses it back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A point-in-time snapshot of the service counters, taken with
@@ -94,7 +100,10 @@ pub struct TenantMetrics {
     pub open_streams: u64,
     /// Pushes committed for the tenant.
     pub pushes: u64,
-    /// Requests refused for the tenant (admission, queue, or drain).
+    /// Requests refused for the tenant: admissions over its stream
+    /// budget, pushes over a queue bound, pushes whose offset named
+    /// neither the committed boundary nor the replay window, and every
+    /// request (admission, push or swap) refused during a drain.
     pub rejections: u64,
     /// Pushes answered from the tenant's replay windows — how often its
     /// clients retried an already-committed chunk.
@@ -102,148 +111,134 @@ pub struct TenantMetrics {
 }
 
 impl ServeMetrics {
-    /// Renders the snapshot as one JSON object with a stable key order
+    /// Renders the record as one JSON object with a stable key order
     /// — scalar counters first, flat, then a `"tenants"` object keyed
     /// by tenant name, sorted.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');
-        let field = |s: &mut String, key: &str, value: &str| {
-            if !s.ends_with('{') {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{key}\":{value}");
-        };
-        field(&mut s, "cache_hits", &self.cache_hits.to_string());
-        field(&mut s, "cache_misses", &self.cache_misses.to_string());
-        field(&mut s, "cache_evictions", &self.cache_evictions.to_string());
-        field(&mut s, "streams_opened", &self.streams_opened.to_string());
-        field(&mut s, "streams_closed", &self.streams_closed.to_string());
-        field(&mut s, "rejected_admissions", &self.rejected_admissions.to_string());
-        field(&mut s, "rejected_pushes", &self.rejected_pushes.to_string());
-        field(&mut s, "rejected_draining", &self.rejected_draining.to_string());
-        field(&mut s, "pushes_completed", &self.pushes_completed.to_string());
-        field(&mut s, "pushes_failed", &self.pushes_failed.to_string());
-        field(&mut s, "pushes_replayed", &self.pushes_replayed.to_string());
-        field(&mut s, "queue_wait_seconds", &json_f64(self.queue_wait_seconds));
-        field(&mut s, "queue_wait_max_seconds", &json_f64(self.queue_wait_max_seconds));
-        field(&mut s, "hot_swaps", &self.hot_swaps.to_string());
-        field(&mut s, "bytes_scanned", &self.bytes_scanned.to_string());
-        field(&mut s, "match_count", &self.match_count.to_string());
-        field(&mut s, "drains", &self.drains.to_string());
-        field(&mut s, "drains_forced", &self.drains_forced.to_string());
-        field(&mut s, "streams_drained", &self.streams_drained.to_string());
-        field(&mut s, "streams_adopted", &self.streams_adopted.to_string());
+        write_scalars(&mut s, self.clone().scalars());
         s.push_str(",\"tenants\":{");
         for (i, (tenant, t)) in self.tenants.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(
-                s,
-                "\"{}\":{{\"open_streams\":{},\"pushes\":{},\"rejections\":{},\"retries\":{}}}",
-                json_escape(tenant),
-                t.open_streams,
-                t.pushes,
-                t.rejections,
-                t.retries,
-            );
+            let mut t = *t;
+            let _ = write!(s, "\"{}\":{{", json_escape(tenant));
+            write_scalars(&mut s, t.scalars());
+            s.push('}');
         }
         s.push_str("}}");
         s
     }
 
     /// Parses the output of [`Self::to_json`] back into a
-    /// snapshot — the wire `STATS` reply on the client side. Tolerates
+    /// record — the wire `STATS` reply on the client side. Tolerates
     /// any key order and unknown scalar keys (skipped), so old clients
     /// keep working when new counters appear. `None` when the text is
     /// not that shape.
     pub fn from_json(text: &str) -> Option<ServeMetrics> {
-        let mut p = JsonCursor::new(text);
+        let mut p = JsonCursor { text, pos: 0 };
         let mut m = ServeMetrics::default();
-        p.expect('{')?;
-        loop {
-            if p.try_consume('}') {
-                break;
+        p.object(|p, key| {
+            if key != "tenants" {
+                return p.scalar(&key, m.scalars());
             }
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "tenants" {
-                p.expect('{')?;
-                loop {
-                    if p.try_consume('}') {
-                        break;
-                    }
-                    let tenant = p.string()?;
-                    p.expect(':')?;
-                    p.expect('{')?;
-                    let mut t = TenantMetrics::default();
-                    loop {
-                        if p.try_consume('}') {
-                            break;
-                        }
-                        let field = p.string()?;
-                        p.expect(':')?;
-                        let value = p.number()?;
-                        let cell = match field.as_str() {
-                            "open_streams" => &mut t.open_streams,
-                            "pushes" => &mut t.pushes,
-                            "rejections" => &mut t.rejections,
-                            "retries" => &mut t.retries,
-                            _ => {
-                                p.try_consume(',');
-                                continue;
-                            }
-                        };
-                        *cell = value as u64;
-                        p.try_consume(',');
-                    }
-                    m.tenants.insert(tenant, t);
-                    p.try_consume(',');
-                }
-            } else {
-                let value = p.number()?;
-                match key.as_str() {
-                    "cache_hits" => m.cache_hits = value as u64,
-                    "cache_misses" => m.cache_misses = value as u64,
-                    "cache_evictions" => m.cache_evictions = value as u64,
-                    "streams_opened" => m.streams_opened = value as u64,
-                    "streams_closed" => m.streams_closed = value as u64,
-                    "rejected_admissions" => m.rejected_admissions = value as u64,
-                    "rejected_pushes" => m.rejected_pushes = value as u64,
-                    "rejected_draining" => m.rejected_draining = value as u64,
-                    "pushes_completed" => m.pushes_completed = value as u64,
-                    "pushes_failed" => m.pushes_failed = value as u64,
-                    "pushes_replayed" => m.pushes_replayed = value as u64,
-                    "queue_wait_seconds" => m.queue_wait_seconds = value,
-                    "queue_wait_max_seconds" => m.queue_wait_max_seconds = value,
-                    "hot_swaps" => m.hot_swaps = value as u64,
-                    "bytes_scanned" => m.bytes_scanned = value as u64,
-                    "match_count" => m.match_count = value as u64,
-                    "drains" => m.drains = value as u64,
-                    "drains_forced" => m.drains_forced = value as u64,
-                    "streams_drained" => m.streams_drained = value as u64,
-                    "streams_adopted" => m.streams_adopted = value as u64,
-                    _ => {}
-                }
-            }
-            p.try_consume(',');
-        }
+            p.object(|p, tenant| {
+                let t = m.tenants.entry(tenant).or_default();
+                p.object(|p, field| p.scalar(&field, t.scalars()))
+            })
+        })?;
         Some(m)
+    }
+
+    /// Records one push's time in the queue.
+    pub(crate) fn note_queue_wait(&mut self, waited: Duration) {
+        let seconds = waited.as_secs_f64();
+        self.queue_wait_seconds += seconds;
+        self.queue_wait_max_seconds = self.queue_wait_max_seconds.max(seconds);
+    }
+
+    /// Updates `tenant`'s row, creating it on the tenant's first
+    /// appearance — the only time the name is copied.
+    pub(crate) fn tenant(&mut self, tenant: &str, update: impl FnOnce(&mut TenantMetrics)) {
+        match self.tenants.get_mut(tenant) {
+            Some(row) => update(row),
+            None => update(self.tenants.entry(tenant.to_string()).or_default()),
+        }
+    }
+
+    /// The scalar counters in `STATS` key order: the one place outside
+    /// the declaration that names each of them.
+    fn scalars(&mut self) -> [Row<'_>; 20] {
+        use Scalar::{Count, Seconds};
+        [
+            ("cache_hits", Count(&mut self.cache_hits)),
+            ("cache_misses", Count(&mut self.cache_misses)),
+            ("cache_evictions", Count(&mut self.cache_evictions)),
+            ("streams_opened", Count(&mut self.streams_opened)),
+            ("streams_closed", Count(&mut self.streams_closed)),
+            ("rejected_admissions", Count(&mut self.rejected_admissions)),
+            ("rejected_pushes", Count(&mut self.rejected_pushes)),
+            ("rejected_draining", Count(&mut self.rejected_draining)),
+            ("pushes_completed", Count(&mut self.pushes_completed)),
+            ("pushes_failed", Count(&mut self.pushes_failed)),
+            ("pushes_replayed", Count(&mut self.pushes_replayed)),
+            ("queue_wait_seconds", Seconds(&mut self.queue_wait_seconds)),
+            ("queue_wait_max_seconds", Seconds(&mut self.queue_wait_max_seconds)),
+            ("hot_swaps", Count(&mut self.hot_swaps)),
+            ("bytes_scanned", Count(&mut self.bytes_scanned)),
+            ("match_count", Count(&mut self.match_count)),
+            ("drains", Count(&mut self.drains)),
+            ("drains_forced", Count(&mut self.drains_forced)),
+            ("streams_drained", Count(&mut self.streams_drained)),
+            ("streams_adopted", Count(&mut self.streams_adopted)),
+        ]
+    }
+}
+
+impl TenantMetrics {
+    /// The tenant counters in `STATS` key order.
+    fn scalars(&mut self) -> [Row<'_>; 4] {
+        [
+            ("open_streams", Scalar::Count(&mut self.open_streams)),
+            ("pushes", Scalar::Count(&mut self.pushes)),
+            ("rejections", Scalar::Count(&mut self.rejections)),
+            ("retries", Scalar::Count(&mut self.retries)),
+        ]
+    }
+}
+
+/// One counter field, as the JSON table reads and writes it.
+enum Scalar<'a> {
+    Count(&'a mut u64),
+    Seconds(&'a mut f64),
+}
+
+/// A table row: a counter's `STATS` key and its field.
+type Row<'a> = (&'static str, Scalar<'a>);
+
+/// Writes `"key":value` pairs, comma-separated, in table order.
+fn write_scalars<'a>(s: &mut String, rows: impl IntoIterator<Item = Row<'a>>) {
+    for (i, (key, value)) in rows.into_iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = match value {
+            Scalar::Count(v) => write!(s, "\"{key}\":{v}"),
+            Scalar::Seconds(v) => write!(s, "\"{key}\":{}", json_f64(*v)),
+        };
     }
 }
 
 /// Finite-safe JSON float rendering (JSON has no NaN/Inf literals).
 fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
+    if !v.is_finite() {
         "null".to_string()
+    } else if v.fract() == 0.0 {
+        format!("{v}.0")
+    } else {
+        format!("{v}")
     }
 }
 
@@ -272,10 +267,6 @@ struct JsonCursor<'a> {
 }
 
 impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> JsonCursor<'a> {
-        JsonCursor { text, pos: 0 }
-    }
-
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
@@ -287,13 +278,7 @@ impl<'a> JsonCursor<'a> {
     }
 
     fn expect(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        if self.bytes().get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
+        self.try_consume(c).then_some(())
     }
 
     fn try_consume(&mut self, c: char) -> bool {
@@ -346,6 +331,31 @@ impl<'a> JsonCursor<'a> {
         }
     }
 
+    /// An object, `member` reading each value after its key. Commas
+    /// between members are optional.
+    fn object(&mut self, mut member: impl FnMut(&mut Self, String) -> Option<()>) -> Option<()> {
+        self.expect('{')?;
+        while !self.try_consume('}') {
+            let key = self.string()?;
+            self.expect(':')?;
+            member(self, key)?;
+            self.try_consume(',');
+        }
+        Some(())
+    }
+
+    /// A number stored into the row of `rows` named `key`; skipped
+    /// when no row is.
+    fn scalar<'r>(&mut self, key: &str, rows: impl IntoIterator<Item = Row<'r>>) -> Option<()> {
+        let value = self.number()?;
+        match rows.into_iter().find(|(name, _)| *name == key) {
+            Some((_, Scalar::Count(cell))) => *cell = value as u64,
+            Some((_, Scalar::Seconds(cell))) => *cell = value,
+            None => {}
+        }
+        Some(())
+    }
+
     /// A JSON number, or `null` (rendered for non-finite floats), as
     /// `f64`. Counters fit exactly: they are far below 2^53 in
     /// practice.
@@ -367,91 +377,22 @@ impl<'a> JsonCursor<'a> {
     }
 }
 
-/// The live counter cells the service threads bump. The scalar cells
-/// are lock-free atomics so workers never serialise on a metrics
-/// mutex; the per-tenant map takes a short mutex only on open, close,
-/// reject, and replay — never inside a scan.
-#[derive(Debug, Default)]
-pub(crate) struct MetricCells {
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub cache_evictions: AtomicU64,
-    pub streams_opened: AtomicU64,
-    pub streams_closed: AtomicU64,
-    pub rejected_admissions: AtomicU64,
-    pub rejected_pushes: AtomicU64,
-    pub rejected_draining: AtomicU64,
-    pub pushes_completed: AtomicU64,
-    pub pushes_failed: AtomicU64,
-    pub pushes_replayed: AtomicU64,
-    pub queue_wait_nanos: AtomicU64,
-    pub queue_wait_max_nanos: AtomicU64,
-    pub hot_swaps: AtomicU64,
-    pub bytes_scanned: AtomicU64,
-    pub match_count: AtomicU64,
-    pub drains: AtomicU64,
-    pub drains_forced: AtomicU64,
-    pub streams_drained: AtomicU64,
-    pub streams_adopted: AtomicU64,
-    tenants: Mutex<BTreeMap<String, TenantMetrics>>,
-}
-
-impl MetricCells {
-    /// Records one request's time-in-queue.
-    pub fn note_queue_wait(&self, waited: Duration) {
-        let nanos = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-        self.queue_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.queue_wait_max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Bumps one tenant's breakdown cells.
-    pub fn tenant(&self, tenant: &str, update: impl FnOnce(&mut TenantMetrics)) {
-        let mut map = self.tenants.lock().unwrap_or_else(|p| p.into_inner());
-        update(map.entry(tenant.to_string()).or_default());
-    }
-
-    /// Snapshots every cell into the public record.
-    pub fn snapshot(&self) -> ServeMetrics {
-        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        ServeMetrics {
-            cache_hits: get(&self.cache_hits),
-            cache_misses: get(&self.cache_misses),
-            cache_evictions: get(&self.cache_evictions),
-            streams_opened: get(&self.streams_opened),
-            streams_closed: get(&self.streams_closed),
-            rejected_admissions: get(&self.rejected_admissions),
-            rejected_pushes: get(&self.rejected_pushes),
-            rejected_draining: get(&self.rejected_draining),
-            pushes_completed: get(&self.pushes_completed),
-            pushes_failed: get(&self.pushes_failed),
-            pushes_replayed: get(&self.pushes_replayed),
-            queue_wait_seconds: get(&self.queue_wait_nanos) as f64 / 1e9,
-            queue_wait_max_seconds: get(&self.queue_wait_max_nanos) as f64 / 1e9,
-            hot_swaps: get(&self.hot_swaps),
-            bytes_scanned: get(&self.bytes_scanned),
-            match_count: get(&self.match_count),
-            drains: get(&self.drains),
-            drains_forced: get(&self.drains_forced),
-            streams_drained: get(&self.streams_drained),
-            streams_adopted: get(&self.streams_adopted),
-            tenants: self.tenants.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_and_json_are_stable() {
-        let cells = MetricCells::default();
-        cells.cache_hits.store(3, Ordering::Relaxed);
-        cells.cache_misses.store(1, Ordering::Relaxed);
-        cells.note_queue_wait(Duration::from_millis(2));
-        cells.note_queue_wait(Duration::from_millis(5));
-        cells.tenant("acme", |t| t.open_streams += 2);
-        let snap = cells.snapshot();
+        let mut live = ServeMetrics { cache_hits: 3, cache_misses: 1, ..ServeMetrics::default() };
+        live.note_queue_wait(Duration::from_millis(2));
+        live.note_queue_wait(Duration::from_millis(5));
+        live.tenant("acme", |t| t.open_streams += 2);
+        live.tenant("acme", |t| t.pushes += 1);
+        let snap = live.clone();
+        assert_eq!(
+            snap.tenants["acme"],
+            TenantMetrics { open_streams: 2, pushes: 1, rejections: 0, retries: 0 }
+        );
         assert_eq!(snap.cache_hits, 3);
         assert_eq!(snap.cache_misses, 1);
         assert!((snap.queue_wait_seconds - 0.007).abs() < 1e-9);
@@ -496,6 +437,19 @@ mod tests {
             "zeta \"quoted\" törn 🦀".to_string(),
             TenantMetrics { open_streams: 0, pushes: 7, rejections: 0, retries: 0 },
         );
+        // The exact bytes `Client::metrics` and every STATS reader parse.
+        let expected = concat!(
+            r#"{"cache_hits":1,"cache_misses":2,"cache_evictions":3,"streams_opened":4,"#,
+            r#""streams_closed":5,"rejected_admissions":6,"rejected_pushes":7,"#,
+            r#""rejected_draining":8,"pushes_completed":9,"pushes_failed":10,"#,
+            r#""pushes_replayed":11,"queue_wait_seconds":0.125,"queue_wait_max_seconds":0.5,"#,
+            r#""hot_swaps":12,"bytes_scanned":13,"match_count":14,"drains":15,"#,
+            r#""drains_forced":16,"streams_drained":17,"streams_adopted":18,"tenants":{"#,
+            r#""acme":{"open_streams":2,"pushes":40,"rejections":1,"retries":3},"#,
+            r#""zeta \"quoted\" törn 🦀":"#,
+            r#"{"open_streams":0,"pushes":7,"rejections":0,"retries":0}}}"#,
+        );
+        assert_eq!(m.to_json(), expected);
         let parsed = ServeMetrics::from_json(&m.to_json()).expect("round trip");
         assert_eq!(parsed, m);
         // Unknown scalar keys are skipped, not fatal.

@@ -9,15 +9,15 @@
 //! tenants, FIFO within one.
 
 use bitgen::Error;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 #[derive(Debug)]
 struct QueueState<T> {
-    /// FIFO per tenant.
-    queues: HashMap<String, VecDeque<T>>,
-    /// Tenants in first-seen order; the round-robin cycle.
-    order: Vec<String>,
+    /// One FIFO per tenant, tenants in first-seen order: the
+    /// round-robin cycle. A tenant's name is copied once, when it first
+    /// enqueues.
+    queues: Vec<(String, VecDeque<T>)>,
     cursor: usize,
     total: usize,
     open: bool,
@@ -36,8 +36,7 @@ impl<T> FairQueue<T> {
     pub fn new(total_capacity: usize) -> FairQueue<T> {
         FairQueue {
             state: Mutex::new(QueueState {
-                queues: HashMap::new(),
-                order: Vec::new(),
+                queues: Vec::new(),
                 cursor: 0,
                 total: 0,
                 open: true,
@@ -65,8 +64,14 @@ impl<T> FairQueue<T> {
                 ),
             });
         }
-        let known = state.order.iter().any(|t| t == tenant);
-        let queue = state.queues.entry(tenant.to_string()).or_default();
+        let idx = match state.queues.iter().position(|(name, _)| name == tenant) {
+            Some(idx) => idx,
+            None => {
+                state.queues.push((tenant.to_string(), VecDeque::new()));
+                state.queues.len() - 1
+            }
+        };
+        let queue = &mut state.queues[idx].1;
         if queue.len() >= tenant_capacity.max(1) {
             let depth = queue.len();
             return Err(Error::Overloaded {
@@ -74,9 +79,6 @@ impl<T> FairQueue<T> {
             });
         }
         queue.push_back(item);
-        if !known {
-            state.order.push(tenant.to_string());
-        }
         state.total += 1;
         drop(state);
         self.ready.notify_one();
@@ -89,13 +91,10 @@ impl<T> FairQueue<T> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if state.total > 0 {
-                let tenants = state.order.len();
+                let tenants = state.queues.len();
                 for step in 0..tenants {
                     let idx = (state.cursor + step) % tenants;
-                    let tenant = state.order[idx].clone();
-                    if let Some(item) =
-                        state.queues.get_mut(&tenant).and_then(VecDeque::pop_front)
-                    {
+                    if let Some(item) = state.queues[idx].1.pop_front() {
                         state.cursor = (idx + 1) % tenants;
                         state.total -= 1;
                         return Some(item);

@@ -69,7 +69,7 @@
 
 use crate::cache::{PatternCache, RuleSetId};
 use crate::drain::{AckRecord, DrainEntry, DrainManifest};
-use crate::metrics::{MetricCells, ServeMetrics};
+use crate::metrics::ServeMetrics;
 use crate::queue::FairQueue;
 use bitgen::{BitGen, CancelToken, EngineConfig, Error, RetryPolicy, StreamCheckpoint};
 use std::collections::hash_map::Entry;
@@ -334,7 +334,9 @@ struct Inner {
     streams: Mutex<HashMap<StreamId, Arc<StreamSlot>>>,
     budgets: Mutex<HashMap<String, TenantBudget>>,
     queue: FairQueue<Job>,
-    metrics: MetricCells,
+    /// The service's counters: one record, locked once per push,
+    /// refusal, admission, swap, close or drain.
+    metrics: Mutex<ServeMetrics>,
     next_id: AtomicU64,
     /// Set by [`ScanService::drain`]; admissions and pushes check it.
     draining: AtomicBool,
@@ -359,13 +361,20 @@ impl Inner {
             .unwrap_or_else(|| self.config.default_budget.clone())
     }
 
-    fn note_cache_outcome(&self, hit: bool, evicted: u64) {
-        if hit {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.metrics.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+    /// Updates the counters under their one lock.
+    fn count(&self, update: impl FnOnce(&mut ServeMetrics)) {
+        update(&mut lock(&self.metrics));
+    }
+
+    /// Counts a refusal of `tenant`'s request — `bump` bumps the
+    /// global counter, then the tenant's `rejections` — and returns
+    /// `error` as the typed reply.
+    fn refuse(&self, tenant: &str, bump: fn(&mut ServeMetrics), error: Error) -> ServeError {
+        self.count(|m| {
+            bump(m);
+            m.tenant(tenant, |t| t.rejections += 1);
+        });
+        ServeError::Scan(error)
     }
 
     /// The engine at the tip of `lineage` under the serving config: the
@@ -385,7 +394,11 @@ impl Inner {
             }
             BitGen::compile_lineage(&lineage.sets, self.config.engine.clone())
         })?;
-        self.note_cache_outcome(hit, evicted);
+        self.count(|m| {
+            m.cache_hits += u64::from(hit);
+            m.cache_misses += u64::from(!hit);
+            m.cache_evictions += evicted;
+        });
         Ok((engine, hit))
     }
 
@@ -427,28 +440,28 @@ impl Inner {
 
     fn worker_loop(&self) {
         while let Some(job) = self.queue.dequeue() {
-            self.metrics.note_queue_wait(job.accepted.elapsed());
+            let waited = job.accepted.elapsed();
             let result = self.run_push(&job.slot, job.offset, &job.chunk);
-            match &result {
-                Ok(PushOutcome::Scanned(ends)) => {
-                    self.metrics.pushes_completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .bytes_scanned
-                        .fetch_add(job.chunk.len() as u64, Ordering::Relaxed);
-                    self.metrics.match_count.fetch_add(ends.len() as u64, Ordering::Relaxed);
-                    self.metrics.tenant(&job.slot.tenant, |t| t.pushes += 1);
+            let tenant = &job.slot.tenant;
+            self.count(|m| {
+                m.note_queue_wait(waited);
+                match &result {
+                    Ok(PushOutcome::Scanned(ends)) => {
+                        m.pushes_completed += 1;
+                        m.bytes_scanned += job.chunk.len() as u64;
+                        m.match_count += ends.len() as u64;
+                        m.tenant(tenant, |t| t.pushes += 1);
+                    }
+                    Ok(PushOutcome::Replayed(_)) => {
+                        m.pushes_replayed += 1;
+                        m.tenant(tenant, |t| t.retries += 1);
+                    }
+                    Err(ServeError::OffsetMismatch { .. }) => {
+                        m.tenant(tenant, |t| t.rejections += 1);
+                    }
+                    Err(_) => m.pushes_failed += 1,
                 }
-                Ok(PushOutcome::Replayed(_)) => {
-                    self.metrics.pushes_replayed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.tenant(&job.slot.tenant, |t| t.retries += 1);
-                }
-                Err(ServeError::OffsetMismatch { .. }) => {
-                    self.metrics.tenant(&job.slot.tenant, |t| t.rejections += 1);
-                }
-                Err(_) => {
-                    self.metrics.pushes_failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            });
             // A vanished caller (disconnected client) is not an error;
             // the push already committed or rolled back.
             let _ = job.reply.send(result.map(PushOutcome::into_ends));
@@ -479,7 +492,7 @@ impl ScanService {
             streams: Mutex::new(HashMap::new()),
             budgets: Mutex::new(HashMap::new()),
             queue: FairQueue::new(config.queue_capacity),
-            metrics: MetricCells::default(),
+            metrics: Mutex::default(),
             next_id: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
@@ -501,14 +514,11 @@ impl ScanService {
         lock(&self.inner.budgets).insert(tenant.to_string(), budget);
     }
 
-    /// Typed refusal while the drain lifecycle owns the service.
-    fn refuse_if_draining(&self, tenant: Option<&str>) -> Result<(), ServeError> {
+    /// Typed refusal of `tenant`'s request while the drain lifecycle
+    /// owns the service.
+    fn refuse_if_draining(&self, tenant: &str) -> Result<(), ServeError> {
         if self.inner.draining.load(Ordering::SeqCst) {
-            self.inner.metrics.rejected_draining.fetch_add(1, Ordering::Relaxed);
-            if let Some(tenant) = tenant {
-                self.inner.metrics.tenant(tenant, |t| t.rejections += 1);
-            }
-            return Err(ServeError::Scan(Error::Draining));
+            return Err(self.inner.refuse(tenant, |m| m.rejected_draining += 1, Error::Draining));
         }
         Ok(())
     }
@@ -525,14 +535,9 @@ impl ScanService {
         if open < budget.max_streams.max(1) {
             return Ok(());
         }
-        self.inner.metrics.rejected_admissions.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.tenant(tenant, |t| t.rejections += 1);
-        Err(ServeError::Scan(Error::Overloaded {
-            reason: format!(
-                "tenant {tenant:?} is at its budget of {} open streams",
-                budget.max_streams
-            ),
-        }))
+        let reason =
+            format!("tenant {tenant:?} is at its budget of {} open streams", budget.max_streams);
+        Err(self.inner.refuse(tenant, |m| m.rejected_admissions += 1, Error::Overloaded { reason }))
     }
 
     /// Admits a new stream for `tenant` on `patterns`, compiling them
@@ -636,7 +641,7 @@ impl ScanService {
         };
         let adopted = kept_id.is_some();
         if !adopted {
-            self.refuse_if_draining(Some(tenant))?;
+            self.refuse_if_draining(tenant)?;
             // Checked before the cache is touched, so a refused admission
             // can neither compile nor evict; repeated under the lock the
             // slot is installed under.
@@ -689,11 +694,11 @@ impl ScanService {
                 }
             }
         }
-        self.inner.metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
-        if adopted {
-            self.inner.metrics.streams_adopted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.metrics.tenant(tenant, |t| t.open_streams += 1);
+        self.inner.count(|m| {
+            m.streams_opened += 1;
+            m.streams_adopted += u64::from(adopted);
+            m.tenant(tenant, |t| t.open_streams += 1);
+        });
         Ok(admission)
     }
 
@@ -741,27 +746,21 @@ impl ScanService {
         chunk: Vec<u8>,
     ) -> Result<Vec<u64>, ServeError> {
         let slot = self.slot(id)?;
-        let tenant = slot.tenant.clone();
-        self.refuse_if_draining(Some(&tenant))?;
-        let budget = self.inner.budget_for(&tenant);
+        let tenant = slot.tenant.as_str();
+        let budget = self.inner.budget_for(tenant);
         let (reply, result) = mpsc::sync_channel(1);
-        let job = Job { slot, offset, chunk, accepted: Instant::now(), reply };
-        // Count the job in flight *before* re-checking the drain flag
-        // so the drain barrier can never miss it (flag-then-counter
+        let job = Job { slot: Arc::clone(&slot), offset, chunk, accepted: Instant::now(), reply };
+        // Count the job in flight *before* checking the drain flag so
+        // the drain barrier can never miss it (flag-then-counter
         // handshake with `drain`).
         self.inner.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.inner.draining.load(Ordering::SeqCst) {
+        if let Err(refused) = self.refuse_if_draining(tenant) {
             self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-            drop(job);
-            self.inner.metrics.rejected_draining.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.tenant(&tenant, |t| t.rejections += 1);
-            return Err(ServeError::Scan(Error::Draining));
+            return Err(refused);
         }
-        if let Err(rejected) = self.inner.queue.enqueue(&tenant, job, budget.max_queued) {
+        if let Err(rejected) = self.inner.queue.enqueue(tenant, job, budget.max_queued) {
             self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-            self.inner.metrics.rejected_pushes.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.tenant(&tenant, |t| t.rejections += 1);
-            return Err(ServeError::Scan(rejected));
+            return Err(self.inner.refuse(tenant, |m| m.rejected_pushes += 1, rejected));
         }
         match result.recv() {
             Ok(outcome) => outcome,
@@ -829,8 +828,8 @@ impl ScanService {
     /// Compile or limit errors from staging (the stream is untouched),
     /// [`Error::Draining`] during a drain, or resume/commit failures.
     pub fn swap_rules(&self, id: StreamId, patterns: &[&str]) -> Result<u64, ServeError> {
-        self.refuse_if_draining(None)?;
         let slot = self.slot(id)?;
+        self.refuse_if_draining(&slot.tenant)?;
         let mut state = lock(&slot.state);
         let engine = state.engine.clone();
         let staged = engine.prepare_swap(patterns)?;
@@ -843,8 +842,10 @@ impl ScanService {
         let swapped = Arc::new(staged.into_engine());
         let id = RuleSetId::new(&self.inner.config.engine, generation, patterns);
         let evicted = lock(&self.inner.cache).insert(id, Arc::clone(&swapped));
-        self.inner.metrics.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.inner.metrics.hot_swaps.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(|m| {
+            m.cache_evictions += evicted;
+            m.hot_swaps += 1;
+        });
         state.checkpoint = committed;
         state.engine = swapped;
         state.lineage.sets.push(patterns.iter().map(|p| p.to_string()).collect());
@@ -861,10 +862,10 @@ impl ScanService {
     pub fn close_stream(&self, id: StreamId) -> Result<StreamStats, ServeError> {
         let slot =
             lock(&self.inner.streams).remove(&id).ok_or(ServeError::UnknownStream(id))?;
-        self.inner.metrics.streams_closed.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .metrics
-            .tenant(&slot.tenant, |t| t.open_streams = t.open_streams.saturating_sub(1));
+        self.inner.count(|m| {
+            m.streams_closed += 1;
+            m.tenant(&slot.tenant, |t| t.open_streams = t.open_streams.saturating_sub(1));
+        });
         let state = lock(&slot.state);
         Ok(StreamStats {
             consumed: state.checkpoint.consumed(),
@@ -941,17 +942,17 @@ impl ScanService {
             })
             .collect();
         entries.sort_by_key(|e| e.stream);
-        inner.metrics.drains.fetch_add(1, Ordering::Relaxed);
-        if forced {
-            inner.metrics.drains_forced.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.metrics.streams_drained.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        inner.count(|m| {
+            m.drains += 1;
+            m.drains_forced += u64::from(forced);
+            m.streams_drained += entries.len() as u64;
+        });
         (DrainManifest { entries }, forced)
     }
 
     /// Snapshot of the service counters.
     pub fn metrics(&self) -> ServeMetrics {
-        self.inner.metrics.snapshot()
+        lock(&self.inner.metrics).clone()
     }
 
     /// Stops accepting work, drains pushes already accepted (their
@@ -1121,9 +1122,14 @@ mod tests {
             service.open_stream("acme", &["cat"]),
             Err(ServeError::Scan(Error::Draining))
         ));
+        assert!(matches!(
+            service.swap_rules(admission.stream, &["dog"]),
+            Err(ServeError::Scan(Error::Draining))
+        ));
         let drained = service.metrics();
         assert_eq!((drained.drains, drained.streams_drained), (1, 1));
-        assert_eq!(drained.rejected_draining, 2);
+        assert_eq!(drained.rejected_draining, 3);
+        assert_eq!(drained.tenants["acme"].rejections, 3, "every refusal charges its tenant");
         service.shutdown();
 
         // Round-trip through bytes, like a real handoff would.
