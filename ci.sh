@@ -99,7 +99,7 @@ for table in table1 table3 table4 table5 table6 fig12 fig13 fig14 fig15; do
 done
 rm -rf "$TABLEDIR"
 
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Panic-hygiene pass over the library crates: unwrap/expect are flagged
 # (warnings only — documented invariants remain, but new ones get seen).

@@ -533,32 +533,6 @@ impl BitStream {
         out
     }
 
-    /// ORs `src` into `self` at offset `dst_start`; bits of `src` that fall
-    /// past the end of `self` are dropped.
-    pub fn or_at(&mut self, dst_start: usize, src: &BitStream) {
-        if src.len == 0 || dst_start >= self.len {
-            return;
-        }
-        let base = dst_start >> 6;
-        let off = (dst_start & 63) as u32;
-        let nd = self.words.len();
-        for (i, &w) in src.words.iter().enumerate() {
-            let d = base + i;
-            if d >= nd {
-                break;
-            }
-            if off == 0 {
-                self.words[d] |= w;
-            } else {
-                self.words[d] |= w << off;
-                if d + 1 < nd {
-                    self.words[d + 1] |= w >> (64 - off);
-                }
-            }
-        }
-        self.mask_tail();
-    }
-
     /// ORs the first `min(self.len(), other.len())` bits of `other` into
     /// `self`.
     ///
@@ -920,16 +894,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_or_at() {
+    fn slice_reads_zeros_past_the_end() {
         let s = BitStream::from_positions(100, &[10, 20, 90]);
         let w = s.slice(15, 20);
         assert_eq!(w.positions(), vec![5]);
         // Slicing past the end reads zeros.
         let tail = s.slice(85, 30);
         assert_eq!(tail.positions(), vec![5]);
-        let mut dst = BitStream::zeros(50);
-        dst.or_at(40, &BitStream::from_positions(20, &[0, 15]));
-        assert_eq!(dst.positions(), vec![40]);
     }
 
     #[test]
@@ -1202,7 +1173,7 @@ mod tests {
             let mut out = noise(dirty_len, 4);
             a.advance_with_carry_into(70, hist.as_words(), &mut out);
             let mut want = a.advance(70);
-            want.or_at(0, &hist);
+            want.or_clipped(&hist);
             assert_eq!(out, want, "dirty {dirty_len}");
 
             let mut out = noise(dirty_len, 5);
@@ -1276,7 +1247,7 @@ mod tests {
             let mut glued = lo_sum.resized(96);
             // Drop the low window's provisional peek bit before gluing.
             glued.set(split, false);
-            glued.or_at(split, &hi_sum);
+            glued.or_clipped(&hi_sum.resized(96).advance(split));
             assert_eq!(glued, whole, "split at {split}");
         }
     }
@@ -1350,20 +1321,6 @@ mod tests {
         assert_eq!(s.count_ones(), 4);
         s.or_word(0, 0b101);
         assert_eq!(s.positions(), vec![0, 2, 64, 65, 66, 67]);
-    }
-
-    #[test]
-    fn or_at_offset_word_crossings() {
-        // Offsets straddling word boundaries, destination shorter than
-        // the shifted source.
-        for off in [0usize, 1, 31, 63, 64, 65] {
-            let src = BitStream::from_positions(70, &[0, 1, 63, 64, 69]);
-            let mut dst = BitStream::zeros(100);
-            dst.or_at(off, &src);
-            let expect: Vec<usize> =
-                [0usize, 1, 63, 64, 69].iter().map(|p| p + off).filter(|&p| p < 100).collect();
-            assert_eq!(dst.positions(), expect, "offset {off}");
-        }
     }
 
     #[test]

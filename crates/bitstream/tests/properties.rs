@@ -108,7 +108,7 @@ proptest! {
     }
 
     #[test]
-    fn slice_or_at_round_trip(m in arb_model(256), start in 0usize..100, len in 1usize..100) {
+    fn slice_reads_the_source_bits(m in arb_model(256), start in 0usize..100, len in 1usize..100) {
         let s = m.to_stream();
         let window = s.slice(start, len);
         // Every window bit corresponds to the source bit.
@@ -116,13 +116,6 @@ proptest! {
             let src = start + i;
             let expect = src < s.len() && s.get(src);
             prop_assert_eq!(window.get(i), expect);
-        }
-        // Blitting the window back reproduces the covered range.
-        let mut back = BitStream::zeros(s.len());
-        back.or_at(start, &window);
-        for i in 0..s.len() {
-            let covered = i >= start && i < start + len;
-            prop_assert_eq!(back.get(i), covered && s.get(i));
         }
     }
 

@@ -30,8 +30,9 @@ pub enum RecoveryPolicy {
     /// Surface the failure as a typed [`Error`] (default).
     #[default]
     Fail,
-    /// Replay the failed CTA's program on the reference interpreter
-    /// (`bitgen_ir::try_interpret`) and keep scanning. Matches stay
+    /// Replay the failed CTA's group lowering on the reference
+    /// interpreter — the degrade replay a streamed window gets too, run
+    /// in the failed slot's own worker — and keep scanning. Matches stay
     /// correct; the affected slots report no device metrics and the
     /// [`ScanReport`] is flagged `degraded`.
     Degrade,
@@ -331,10 +332,10 @@ impl ScanReport {
     }
 
     /// True when at least one of this stream's CTAs failed on the
-    /// kernel scheme and was recovered on the CPU baseline
-    /// ([`RecoveryPolicy::Degrade`]). Matches are still exact; timings
-    /// and counters undercount the recovered slots. View over
-    /// [`Metrics::is_degraded`].
+    /// kernel scheme and was recovered by replaying its group's lowering
+    /// on the reference interpreter ([`RecoveryPolicy::Degrade`]).
+    /// Matches are still exact; timings and counters undercount the
+    /// recovered slots. View over [`Metrics::is_degraded`].
     pub fn degraded(&self) -> bool {
         self.metrics.is_degraded()
     }

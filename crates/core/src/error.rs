@@ -39,7 +39,8 @@ pub enum Error {
     /// A worker thread panicked while running one (group × stream) CTA.
     /// The scan aborted, but other workers' slots were unaffected;
     /// compile with [`crate::RecoveryPolicy::Degrade`] to recover the
-    /// affected streams on the CPU baseline instead.
+    /// affected streams instead, replaying the group's lowering on the
+    /// reference interpreter.
     WorkerPanicked {
         /// Index of the regex group whose CTA panicked.
         group: usize,

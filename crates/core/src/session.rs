@@ -18,16 +18,17 @@
 use crate::engine::{run_control, BitGen, RecoveryPolicy, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
-use bitgen_exec::{ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics};
+use bitgen_exec::{
+    ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics, PreparedProgram,
+};
 use bitgen_gpu::FaultPlan;
-use bitgen_ir::{try_interpret, CancelToken, RunControl};
+use bitgen_ir::{try_interpret_chunk, CancelToken, CarryState, RunControl};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// How one (group × stream) CTA slot ended: cleanly, or with a typed
-/// error — an executor failure, or a panic caught and isolated to the
-/// slot ([`Error::WorkerPanicked`]).
-type SlotRun = Result<Box<ExecOutcome>, Error>;
+/// How one (group × stream) CTA slot ended: its outcome and whether the
+/// degrade `replay` recovered it, or the typed error that stopped it.
+type SlotRun = Result<(ExecOutcome, bool), Error>;
 
 /// Per-stream accumulator used by `merge`: the union match stream,
 /// optional per-pattern streams, per-group metrics, degraded slots.
@@ -44,6 +45,76 @@ struct GridCtx<'a> {
     config: &'a ExecConfig,
     fault: Option<(usize, usize, FaultPlan)>,
     ctl: &'a RunControl,
+}
+
+/// The one panic guard of a (group × stream) slot, batch CTA or streamed
+/// window: runs `run` on `scratch`, and if it panics (a fault in the
+/// emulator, or an injected [`FaultPlan`]) replaces the scratch — in an
+/// unknown state mid-unwind — and reports [`Error::WorkerPanicked`], so
+/// the failure stays confined to the slot.
+pub(crate) fn guarded<T>(
+    scratch: &mut ExecScratch,
+    group: usize,
+    stream: usize,
+    run: impl FnOnce(&mut ExecScratch) -> Result<T, ExecError>,
+) -> Result<T, Error> {
+    match catch_unwind(AssertUnwindSafe(|| run(scratch))) {
+        Ok(ran) => ran.map_err(Error::Exec),
+        Err(_) => {
+            *scratch = ExecScratch::new();
+            Err(Error::WorkerPanicked { group, stream })
+        }
+    }
+}
+
+/// The one degrade replay: the group's lowering — the specification the
+/// transforms and kernels refine, so its outputs line up with the kernel
+/// path's without trusting the passes it backs up — run on the reference
+/// interpreter over `basis` from `carry`, under the scan's or push's own
+/// cancel token and deadline. A push replays from its boundary carry; a
+/// batch slot from a zeroed one, over which one chunk interprets exactly
+/// as the whole input does.
+pub(crate) fn replay(
+    prepared: &PreparedProgram,
+    basis: &Basis,
+    ctl: &RunControl,
+    carry: &mut CarryState,
+) -> Result<Vec<BitStream>, Error> {
+    try_interpret_chunk(prepared.program(), basis, ctl, carry)
+        .map(|replayed| replayed.outputs)
+        .map_err(|e| Error::Exec(ExecError::from(e)))
+}
+
+/// The session's one worker loop: `items` in contiguous chunks, one per
+/// state in `states` (never more chunks than items), each chunk on its
+/// own scoped thread with its own state — or all in place on the first
+/// state when one worker is enough. `run` is handed each item's index.
+///
+/// # Panics
+///
+/// Panics if `states` is empty.
+fn in_chunks<T: Send, S: Send>(
+    items: &mut [T],
+    states: &mut [S],
+    run: impl Fn(usize, &mut T, &mut S) + Sync,
+) {
+    let workers = states.len().min(items.len());
+    if workers <= 1 {
+        let state = &mut states[0];
+        items.iter_mut().enumerate().for_each(|(i, item)| run(i, item, state));
+        return;
+    }
+    let chunk = items.len().div_ceil(workers);
+    let run = &run;
+    std::thread::scope(|scope| {
+        for ((ci, part), state) in items.chunks_mut(chunk).enumerate().zip(states) {
+            scope.spawn(move || {
+                for (j, item) in part.iter_mut().enumerate() {
+                    run(ci * chunk + j, item, state);
+                }
+            });
+        }
+    });
 }
 
 /// A reusable scanner over a compiled engine.
@@ -173,9 +244,9 @@ impl ScanSession<'_> {
     ///
     /// Propagates the first execution failure in (stream, group) order.
     /// A worker panic surfaces as [`Error::WorkerPanicked`] naming the
-    /// slot; under [`crate::RecoveryPolicy::Degrade`] failed slots are
+    /// slot; under [`crate::RecoveryPolicy::Degrade`] a failed slot is
     /// replayed on the reference interpreter instead and the affected
-    /// reports come back with `degraded` set.
+    /// report comes back with `degraded` set.
     pub fn scan_many(&mut self, inputs: &[&[u8]]) -> Result<Vec<ScanReport>, Error> {
         if inputs.is_empty() {
             return Ok(Vec::new());
@@ -183,8 +254,9 @@ impl ScanSession<'_> {
         self.threads = self.threads();
         self.transpose_streams(inputs);
         let ctl = run_control(self.cancel.as_ref(), self.timeout);
-        let slots = self.execute_grid(inputs.len(), &ctl);
-        let outcomes = self.resolve(slots, &ctl)?;
+        // The first failure in canonical slot order is the scan's error,
+        // whichever worker hit it first.
+        let outcomes = self.execute_grid(inputs.len(), &ctl).into_iter().collect::<Result<_, _>>()?;
         Ok(self.merge(inputs, outcomes))
     }
 
@@ -195,47 +267,37 @@ impl ScanSession<'_> {
         if self.bases.len() < s {
             self.bases.resize_with(s, Basis::empty);
         }
-        let active = &mut self.bases[..s];
-        let workers = self.threads.min(s).max(1);
-        if workers <= 1 {
-            for (basis, input) in active.iter_mut().zip(inputs) {
-                basis.transpose_into(input);
-            }
-            return;
-        }
-        let chunk = s.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (bases, ins) in active.chunks_mut(chunk).zip(inputs.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (basis, input) in bases.iter_mut().zip(ins) {
-                        basis.transpose_into(input);
-                    }
-                });
-            }
+        in_chunks(&mut self.bases[..s], &mut vec![(); self.threads], |i, basis, ()| {
+            basis.transpose_into(inputs[i]);
         });
     }
 
-    /// Runs one CTA slot with panic isolation: a panicking emulator (or
-    /// injected [`FaultPlan`]) is caught here, its scratch — in an
-    /// unknown state mid-unwind — is discarded, and the failure stays
-    /// confined to this slot.
+    /// Runs one CTA slot under the panic guard, and recovers it there if
+    /// it fails: an interrupt (cancellation, deadline) is returned as it
+    /// is — every slot fails the same way, and recovering them all would
+    /// override the caller's request to stop — and under
+    /// [`crate::RecoveryPolicy::Degrade`] any other failure is replayed at
+    /// once, in this worker, and flagged degraded.
     fn run_slot(cx: GridCtx<'_>, idx: usize, scratch: &mut ExecScratch) -> SlotRun {
         let armed = cx.fault.filter(|&(stream, group, _)| idx == stream * cx.g + group);
         let config = ExecConfig { fault: armed.map(|(.., plan)| plan), ..*cx.config };
         let (group, stream) = (idx % cx.g, idx / cx.g);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            // The engine's resident plan: only the first scan to reach a
-            // group transforms, segments, analyses and compiles it.
-            cx.engine.batch(group).execute(&cx.bases[stream], &config, scratch, cx.ctl)
-        }));
-        match run {
-            Ok(Ok(outcome)) => Ok(Box::new(outcome)),
-            Ok(Err(e)) => Err(Error::Exec(e)),
-            Err(_) => {
-                *scratch = ExecScratch::new();
-                Err(Error::WorkerPanicked { group, stream })
-            }
+        let basis = &cx.bases[stream];
+        // The engine's resident plan: only the first scan to reach a group
+        // transforms, segments, analyses and compiles it.
+        let failure = match guarded(scratch, group, stream, |scratch| {
+            cx.engine.batch(group).execute(basis, &config, scratch, cx.ctl)
+        }) {
+            Ok(outcome) => return Ok((outcome, false)),
+            Err(failure) => failure,
+        };
+        if failure.is_interrupt() || cx.engine.config().recovery != RecoveryPolicy::Degrade {
+            return Err(failure);
         }
+        let prepared = &cx.engine.stream_programs[group];
+        let mut carry = CarryState::for_layout(prepared.carry_layout());
+        let outputs = replay(prepared, basis, cx.ctl, &mut carry)?;
+        Ok((ExecOutcome { outputs, metrics: ExecMetrics::default(), fault_fired: false }, true))
     }
 
     /// Phase 2: run all `s × g` CTAs. Slot `i` pairs stream `i / g`
@@ -259,75 +321,10 @@ impl ScanSession<'_> {
             fault: self.fault,
             ctl,
         };
-        if workers <= 1 {
-            let scratch = &mut self.scratches[0];
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(Self::run_slot(cx, idx, scratch));
-            }
-        } else {
-            let chunk = slot_count.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for ((ci, slot_chunk), scratch) in
-                    slots.chunks_mut(chunk).enumerate().zip(self.scratches.iter_mut())
-                {
-                    scope.spawn(move || {
-                        for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                            let idx = ci * chunk + j;
-                            *slot = Some(Self::run_slot(cx, idx, scratch));
-                        }
-                    });
-                }
-            });
-        }
+        in_chunks(&mut slots, &mut self.scratches[..workers], |idx, slot, scratch| {
+            *slot = Some(Self::run_slot(cx, idx, scratch));
+        });
         slots.into_iter().map(|slot| slot.expect("every slot executed")).collect()
-    }
-
-    /// Phase 2½: recover or surface failed slots. Under
-    /// [`crate::RecoveryPolicy::Degrade`] a failed slot's untransformed
-    /// lowering is replayed on the reference interpreter, under the scan's
-    /// own cancel token and deadline, and flagged degraded; otherwise
-    /// the first failure in canonical slot order becomes the scan's
-    /// error, independent of which worker hit it first.
-    fn resolve(
-        &self,
-        slots: Vec<SlotRun>,
-        ctl: &RunControl,
-    ) -> Result<Vec<(ExecOutcome, bool)>, Error> {
-        let g = self.engine.group_count();
-        let mut resolved = Vec::with_capacity(slots.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Ok(outcome) => resolved.push((*outcome, false)),
-                Err(failure) => {
-                    let (group, stream) = (idx % g, idx / g);
-                    // Cancellation and deadlines are honoured regardless
-                    // of policy: every slot fails the same way, and
-                    // "recovering" them all on the CPU would silently
-                    // override the caller's request to stop.
-                    if failure.is_interrupt()
-                        || self.engine.config().recovery != RecoveryPolicy::Degrade
-                    {
-                        return Err(failure);
-                    }
-                    // The lowering is the specification the transforms
-                    // and kernels refine, so its interpretation lines up
-                    // with the kernel path's outputs slot for slot —
-                    // without trusting the passes it is backing up.
-                    let lowering = self.engine.stream_programs[group].program();
-                    let replay = try_interpret(lowering, &self.bases[stream], ctl)
-                        .map_err(|e| Error::Exec(ExecError::from(e)))?;
-                    resolved.push((
-                        ExecOutcome {
-                            outputs: replay.outputs,
-                            metrics: ExecMetrics::default(),
-                            fault_fired: false,
-                        },
-                        true,
-                    ));
-                }
-            }
-        }
-        Ok(resolved)
     }
 
     /// Phase 3: fold the slot outcomes into per-stream reports and
@@ -470,6 +467,32 @@ mod tests {
             reports_agree(&reference, &got);
             assert_eq!(session.threads(), want);
         }
+        // A failed slot recovers in whichever worker ran it, and that never
+        // shows: the same exact matches, degraded flags and modelled time at
+        // every worker count.
+        let degraded: Vec<Vec<ScanReport>> = [1, 2, 8, 64]
+            .into_iter()
+            .map(|threads| {
+                let config = EngineConfig::default()
+                    .with_threads(threads)
+                    .with_recovery(RecoveryPolicy::Degrade)
+                    .with_combine_outputs(false);
+                let engine = BitGen::compile_with(&pats, config).unwrap();
+                let mut session = engine.session();
+                let plan = FaultPlan { kind: bitgen_gpu::FaultKind::Panic, trigger: 1, seed: 0 };
+                session.inject_fault(4, engine.group_count() - 1, plan);
+                session.scan_many(&slices).unwrap()
+            })
+            .collect();
+        for got in &degraded {
+            for (i, (x, y)) in degraded[0].iter().zip(got).enumerate() {
+                assert_eq!(x.matches, reference[i].matches);
+                assert_eq!(x.matches, y.matches);
+                assert_eq!(x.per_pattern, y.per_pattern);
+                assert_eq!((x.degraded(), y.degraded()), (i == 4, i == 4));
+                assert_eq!(x.metrics.kernel_seconds.to_bits(), y.metrics.kernel_seconds.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -602,6 +625,7 @@ mod tests {
     #[test]
     fn a_degraded_slot_replays_the_untransformed_lowering() {
         use bitgen_gpu::FaultKind;
+        use bitgen_ir::try_interpret;
         let pats = ["a[bc]*d", "cat", "[0-9]*x"];
         let asts: Vec<_> = pats.iter().map(|p| bitgen_regex::parse(p).unwrap()).collect();
         let inputs: [&[u8]; 2] = [b"abcbcd cat 42x", b"ad cat x abbd 7x"];
@@ -639,27 +663,26 @@ mod tests {
 
     #[test]
     fn degrade_replay_is_typed_and_runs_under_the_scans_control() {
+        use bitgen_gpu::FaultKind;
         let config = EngineConfig::default().with_recovery(RecoveryPolicy::Degrade);
         let engine = BitGen::compile_with(&["a(bc)*d"], config).unwrap();
         let mut session = engine.session();
         let input: &[u8] = b"abcbcd ad";
-        session.transpose_streams(&[input]);
-        let failed = || vec![Err(Error::WorkerPanicked { group: 0, stream: 0 })];
         // A failed slot is replayed on the reference interpreter and
         // flagged degraded.
-        let replayed = session.resolve(failed(), &RunControl::unlimited()).unwrap();
-        assert!(replayed[0].1);
-        assert_eq!(
-            session.merge(&[input], replayed)[0].matches,
-            engine.find(input).unwrap().matches
-        );
+        session.inject_fault(0, 0, FaultPlan { kind: FaultKind::Panic, trigger: 1, seed: 0 });
+        let replayed = session.scan(input).unwrap();
+        assert!(replayed.degraded());
+        assert_eq!(replayed.matches, engine.find(input).unwrap().matches);
         // The replay polls the scan's cancel token: it used to run to
         // completion on a door that could only panic.
         let token = CancelToken::new();
         token.cancel();
         let stopped = RunControl::unlimited().with_cancel(token);
+        let prepared = &engine.stream_programs[0];
+        let mut carry = CarryState::for_layout(prepared.carry_layout());
         assert_eq!(
-            session.resolve(failed(), &stopped).err(),
+            replay(prepared, &Basis::transpose(input), &stopped, &mut carry).err(),
             Some(Error::Exec(ExecError::Cancelled))
         );
     }

@@ -40,16 +40,12 @@
 
 use crate::engine::{run_control, BitGen};
 use crate::error::Error;
+use crate::session::{guarded, replay};
 use crate::swap::StagedRules;
 use bitgen_bitstream::{Basis, BitStream};
-use bitgen_exec::{
-    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecScratch, Metrics, PreparedProgram,
-};
+use bitgen_exec::{ClassStreams, ExecConfig, ExecMetrics, ExecScratch, Metrics, PreparedProgram};
 use bitgen_gpu::{CtaWork, FaultPlan};
-use bitgen_ir::{
-    fnv1a, pretty, try_interpret_chunk, ByteReader, CancelToken, CarryState, RunControl, FNV_OFFSET,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use bitgen_ir::{fnv1a, pretty, ByteReader, CancelToken, CarryState, RunControl, FNV_OFFSET};
 use std::time::Duration;
 
 /// How a [`StreamScanner`] responds to a detected fault inside a push.
@@ -540,12 +536,11 @@ impl StreamScanner<'_> {
     }
 
     /// Runs one group's *streaming* program (untransformed, fixpoint
-    /// loops — see DESIGN.md §10) over the loaded chunk, with the same
-    /// panic isolation the batch grid gives each CTA slot: a panicking
-    /// window (or injected [`FaultPlan`]) is caught, the scratch — in an
-    /// unknown state mid-unwind — is discarded, and the failure surfaces
-    /// as a typed [`Error::WorkerPanicked`]. A window that passes its
-    /// checks ORs its outputs into the push's union; no other does.
+    /// loops — see DESIGN.md §10) over the loaded chunk, under the panic
+    /// guard every batch CTA slot runs under (`guarded`): a panicking
+    /// window surfaces as a typed [`Error::WorkerPanicked`] on fresh
+    /// scratch. A window that passes its checks ORs its outputs into the
+    /// push's union; no other does.
     fn run_window(
         &mut self,
         group: usize,
@@ -556,30 +551,20 @@ impl StreamScanner<'_> {
         let prog = &self.engine.stream_programs[group];
         let config = ExecConfig { fault, ..*config };
         let (classes, basis, union) = (&self.class_streams, &self.basis, &mut self.union);
-        let (scratch, carry) = (&mut self.scratch, &mut self.carries[group]);
-        scratch.frontiers.restart(self.engine.records_frontiers(group));
-        let run = catch_unwind(AssertUnwindSafe(|| {
+        let carry = &mut self.carries[group];
+        self.scratch.frontiers.restart(self.engine.records_frontiers(group));
+        guarded(&mut self.scratch, group, 0, |scratch| {
             prog.execute_window_into(classes, basis, &config, scratch, ctl, carry, union)
-        }));
-        match run {
-            Ok(Ok(metrics)) => Ok(metrics),
-            Ok(Err(e)) => Err(Error::Exec(e)),
-            Err(_) => {
-                self.scratch = ExecScratch::new();
-                Err(Error::WorkerPanicked { group, stream: 0 })
-            }
-        }
+        })
     }
 
-    /// Replays one group's window on the reference interpreter — the
-    /// per-chunk degradation path — and ORs its outputs into the push's
-    /// union. Exact matches by construction; the device cost model sees no
-    /// work.
+    /// Replays one group's window with the degrade `replay` a failed batch
+    /// slot gets, from the group's boundary carry — the per-chunk
+    /// degradation path — and ORs its outputs into the push's union. Exact
+    /// matches by construction; the device cost model sees no work.
     fn interpret_window(&mut self, group: usize, ctl: &RunControl) -> Result<(), Error> {
-        let prog = self.engine.stream_programs[group].program();
-        let replay = try_interpret_chunk(prog, &self.basis, ctl, &mut self.carries[group])
-            .map_err(|e| Error::Exec(ExecError::from(e)))?;
-        for out in &replay.outputs {
+        let prepared = &self.engine.stream_programs[group];
+        for out in &replay(prepared, &self.basis, ctl, &mut self.carries[group])? {
             self.union.or_clipped(out);
         }
         Ok(())

@@ -358,8 +358,9 @@ fn worker_panic_is_isolated_and_typed() {
     }
 }
 
-/// Under [`RecoveryPolicy::Degrade`] a faulted CTA falls back to the
-/// CPU bitstream baseline: the scan succeeds, the affected stream is
+/// Under [`RecoveryPolicy::Degrade`] a faulted CTA is replayed on the
+/// reference interpreter over its group's lowering, in its own worker:
+/// the scan succeeds, the affected stream is
 /// flagged degraded, and every stream's matches — including the
 /// recovered one — are bit-identical to a clean run.
 #[test]

@@ -166,6 +166,9 @@ fn golden_input(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// What [`batch_metrics_digest`] reads off one batch run.
+type MetricsDigest = (u64, [u64; 6], usize, u64);
+
 /// One batch run of `prog` (already transformed, so no pass timings enter
 /// the record): an FNV-1a digest of the full `ExecMetrics` and
 /// `cta_work()` renderings, next to the readable counters the cost model
@@ -175,7 +178,7 @@ fn batch_metrics_digest(
     prog: &Program,
     input: &[u8],
     config: &ExecConfig,
-) -> (u64, [u64; 6], usize, u64) {
+) -> MetricsDigest {
     let basis = Basis::transpose(input);
     let out = execute_prepared_with(prog, &basis, config, &mut ExecScratch::new(), None).unwrap();
     let want: Vec<Vec<usize>> =
@@ -214,7 +217,7 @@ fn batch_sequential_metrics_are_golden() {
     let mixed = lowered(&["(a|bb)+c", "x[ab]{1,4}y", "a{2,}", "c{3,}d", ".{0,3}x"]);
     let mut sparse = vec![b'z'; 2048];
     sparse[700..708].copy_from_slice(b"xyzw0123");
-    let cases: [(&Program, Vec<u8>, usize, [(u64, [u64; 6], usize, u64); 3]); 3] = [
+    let cases: [(&Program, Vec<u8>, usize, [MetricsDigest; 3]); 3] = [
         (
             &while_loops,
             golden_input(1000, 0xb17),
