@@ -48,15 +48,17 @@ cargo build --release
 cargo test -q --no-fail-fast
 
 # Non-test `src` lines per crate, each file cut at its first
-# `#[cfg(test)]`: the figure CHANGES.md and ROADMAP.md report. The
-# streaming executor may not grow past its budget, so ROADMAP item 1(b)
-# pays in crates/exec for what it adds; the serving crate may not grow
-# at all (ROADMAP item 2).
+# `#[cfg(test)]`, then their workspace total: the figures CHANGES.md and
+# ROADMAP.md report. The streaming executor may not grow past its
+# budget, so ROADMAP item 1(b) pays in crates/exec for what it adds; the
+# serving crate may not grow at all (ROADMAP item 2).
 EXEC_BUDGET=1918
 SERVE_BUDGET=4478
+total=0
 for dir in crates/*/src; do
   lines=$(find "$dir" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)
   printf 'non-test src lines: %-10s %6d\n' "$(basename "$(dirname "$dir")")" "$lines"
+  total=$((total + lines))
   case "$dir" in
     crates/exec/src) budget=$EXEC_BUDGET ;;
     crates/serve/src) budget=$SERVE_BUDGET ;;
@@ -67,6 +69,7 @@ for dir in crates/*/src; do
     exit 1
   fi
 done
+printf 'non-test src lines: %-10s %6d\n' total "$total"
 
 # Benchmark smoke: the oracle-gated benchmark package (its own
 # workspace, built from benchmark/) against the current crates, 3 s

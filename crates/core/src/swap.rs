@@ -113,11 +113,12 @@ impl BitGen {
 
     /// Rebuilds the engine for a post-swap checkpoint from its pattern
     /// lineage: `lineage[0]` is the generation-0 rule set, each later
-    /// entry the patterns a subsequent hot swap installed. The chain is
-    /// replayed — compile generation 0, then [`BitGen::prepare_swap`]
-    /// each successor — so the returned engine sits at generation
-    /// `lineage.len() - 1` with the exact fingerprint/generation pair a
-    /// checkpoint taken after those swaps records.
+    /// entry the patterns a subsequent hot swap installed. Each
+    /// [`BitGen::prepare_swap`] compiles its patterns under its parent's
+    /// configuration, so the chain's engine is its tip compiled once under
+    /// `config`, at generation `lineage.len() - 1`: the exact
+    /// fingerprint/generation pair a checkpoint taken after those swaps
+    /// records. The earlier sets only count generations; none is compiled.
     ///
     /// This is the adoption path for checkpoints that outlive the
     /// process that made them (drain manifests, disk handoff): a fresh
@@ -127,21 +128,18 @@ impl BitGen {
     /// # Errors
     ///
     /// [`Error::CheckpointInvalid`] on an empty lineage; otherwise
-    /// whatever compiling any generation in the chain returns
-    /// ([`Error::Compile`], [`Error::LimitExceeded`]).
+    /// whatever compiling the tip returns ([`Error::Compile`],
+    /// [`Error::LimitExceeded`]).
     pub fn compile_lineage(
         lineage: &[Vec<String>],
         config: EngineConfig,
     ) -> Result<BitGen, Error> {
-        let base = lineage.first().ok_or_else(|| Error::CheckpointInvalid {
+        let tip = lineage.last().ok_or_else(|| Error::CheckpointInvalid {
             reason: "pattern lineage is empty; nothing to compile".to_string(),
         })?;
-        let refs: Vec<&str> = base.iter().map(String::as_str).collect();
+        let refs: Vec<&str> = tip.iter().map(String::as_str).collect();
         let mut engine = BitGen::compile_with(&refs, config)?;
-        for patterns in &lineage[1..] {
-            let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
-            engine = engine.prepare_swap(&refs)?.into_engine();
-        }
+        engine.generation = lineage.len() as u64 - 1;
         Ok(engine)
     }
 }
@@ -273,6 +271,30 @@ mod tests {
             BitGen::compile_lineage(&[], crate::EngineConfig::default()),
             Err(Error::CheckpointInvalid { .. })
         ));
+    }
+
+    #[test]
+    fn a_lineage_rebuilds_its_tip_whatever_the_sets_before_it() {
+        let sets = |middle: &str| -> Vec<Vec<String>> {
+            [&["cat"][..], &[middle], &["dog", "a+b"]]
+                .iter()
+                .map(|set| set.iter().map(|p| p.to_string()).collect())
+                .collect()
+        };
+        let config = crate::EngineConfig::default();
+        let chained = BitGen::compile(&["cat"]).unwrap();
+        let chained = chained.prepare_swap(&["e+f"]).unwrap().into_engine();
+        let chained = chained.prepare_swap(&["dog", "a+b"]).unwrap().into_engine();
+        for middle in ["e+f", "(oops"] {
+            // A middle set that no longer parses still rebuilds the tip.
+            let rebuilt = BitGen::compile_lineage(&sets(middle), config.clone()).unwrap();
+            assert_eq!(rebuilt.generation(), 2, "{middle}");
+            assert_eq!(rebuilt.stream_fingerprint(), chained.stream_fingerprint(), "{middle}");
+        }
+        // The tip itself must compile.
+        let mut bad_tip = sets("e+f");
+        bad_tip[2] = vec!["(oops".to_string()];
+        assert!(matches!(BitGen::compile_lineage(&bad_tip, config), Err(Error::Compile(_))));
     }
 
     #[test]

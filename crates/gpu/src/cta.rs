@@ -24,7 +24,7 @@
 use crate::counters::CtaCounters;
 use crate::fault::{FaultKind, FaultPlan};
 use bitgen_bitstream::BitStream;
-use bitgen_kernel::{KOp, KStmt, Kernel, Reg, WORD_BITS};
+use bitgen_kernel::{pack_spans, KOp, KStmt, Kernel, Reg, UNTOUCHED_SPAN, WORD_BITS};
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
@@ -77,7 +77,8 @@ pub struct WindowInputs<'a> {
 /// sets are usually empty.
 ///
 /// Registers share a row when no window can need both values at once, as
-/// a register allocator would have them: the file holds as many rows as
+/// a register allocator would have them ([`pack_spans`], the packer a
+/// stream window's slots use too): the file holds as many rows as
 /// registers are live at once (34–40 for the Snort ×32 batch kernels,
 /// which name 262–289), not one per register.
 #[derive(Debug, Clone)]
@@ -112,7 +113,7 @@ impl KernelFacts {
             written: vec![false; len],
             exposed: vec![false; len],
             trail: Vec::new(),
-            spans: vec![UNTOUCHED; regs as usize],
+            spans: vec![UNTOUCHED_SPAN; regs as usize],
             at: 0,
         };
         proof.stmts(&kernel.stmts);
@@ -122,7 +123,7 @@ impl KernelFacts {
         for (span, _) in spans.iter_mut().zip(&exposed).filter(|(_, &exposed)| exposed) {
             span.0 = 0;
         }
-        let (rows, height) = assign_rows(&spans);
+        let (rows, height) = pack_spans(&spans);
         let entries = |flags: &[bool], set: bool| {
             (0u32..).zip(flags).filter(|&(_, &flag)| flag == set).map(|(i, _)| i).collect()
         };
@@ -148,9 +149,6 @@ impl KernelFacts {
         self.height
     }
 }
-
-/// A register no statement touches.
-const UNTOUCHED: (u32, u32) = (u32::MAX, 0);
 
 /// One walk over a kernel's statements, in pre-order, proving its facts.
 /// Its registers, slots and outputs are laid end to end as *entries*:
@@ -258,43 +256,6 @@ impl Proof<'_> {
             }
         }
     }
-}
-
-/// Gives every register a row of the register file from its span, and
-/// returns the rows and how many there are. Registers whose spans are
-/// disjoint share a row: the spans are coloured greedily in order of their
-/// start, which takes as many rows as spans overlap at most.
-fn assign_rows(spans: &[(u32, u32)]) -> (Box<[u32]>, u32) {
-    let touched = || spans.iter().enumerate().filter(|(_, &span)| span != UNTOUCHED);
-    let last = touched().map(|(_, span)| span.1 as usize).max().unwrap_or(0);
-    // The touched registers in the order of where their spans start, or
-    // end: a counting sort over the statements.
-    let order = |at: fn((u32, u32)) -> u32| {
-        let mut next = vec![0u32; last + 2];
-        touched().for_each(|(_, &span)| next[at(span) as usize + 1] += 1);
-        (1..next.len()).for_each(|i| next[i] += next[i - 1]);
-        let mut order = vec![0; next[last + 1] as usize];
-        for (r, &span) in touched() {
-            let place = &mut next[at(span) as usize];
-            order[*place as usize] = r;
-            *place += 1;
-        }
-        order
-    };
-    let (mut rows, mut free, mut height) = (vec![0u32; spans.len()], Vec::new(), 0);
-    let mut ended = order(|span| span.1).into_iter().peekable();
-    for r in order(|span| span.0) {
-        // A span that ends before this one starts also started before it,
-        // so it has a row to give back.
-        while let Some(done) = ended.next_if(|&done| spans[done].1 < spans[r].0) {
-            free.push(rows[done]);
-        }
-        rows[r] = free.pop().unwrap_or_else(|| {
-            height += 1;
-            height - 1
-        });
-    }
-    (rows.into(), height)
 }
 
 /// The buffers a [`Cta`] computes in, kept apart from any kernel so that

@@ -16,13 +16,14 @@ pub struct DefUse {
 impl DefUse {
     /// Computes def/use counts. Control-flow conditions and program outputs
     /// count as uses; executing a loop body repeatedly does not multiply
-    /// counts (these are static, per-occurrence counts).
+    /// counts (these are static, per-occurrence counts). Ids past
+    /// `num_streams` grow the tables, as [`DefUse::note_op_added`] does.
     pub fn of(program: &Program) -> DefUse {
         let n = program.num_streams() as usize;
         let mut du = DefUse { defs: vec![0; n], uses: vec![0; n] };
         du.walk(program.stmts());
         for &out in program.outputs() {
-            du.uses[out.index()] += 1;
+            du.note_use(out);
         }
         du
     }
@@ -30,14 +31,9 @@ impl DefUse {
     fn walk(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
             match stmt {
-                Stmt::Op(op) => {
-                    self.defs[op.dst().index()] += 1;
-                    for s in op.sources() {
-                        self.uses[s.index()] += 1;
-                    }
-                }
+                Stmt::Op(op) => self.note_op_added(op),
                 Stmt::If { cond, body } | Stmt::While { cond, body } => {
-                    self.uses[cond.index()] += 1;
+                    self.note_use(*cond);
                     self.walk(body);
                 }
             }
@@ -81,9 +77,13 @@ impl DefUse {
         self.ensure_streams(op.dst().0 + 1);
         self.defs[op.dst().index()] += 1;
         for s in op.sources() {
-            self.ensure_streams(s.0 + 1);
-            self.uses[s.index()] += 1;
+            self.note_use(s);
         }
+    }
+
+    fn note_use(&mut self, id: StreamId) {
+        self.ensure_streams(id.0 + 1);
+        self.uses[id.index()] += 1;
     }
 
     /// Records an instruction removed from the analysed program.

@@ -15,7 +15,8 @@
 //!   [`Frontiers`], the record of its loop checks;
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
-//! - [`SlotPlan`]: live-range slot assignment for sequential executors;
+//! - [`SlotPlan`]: live-range slot assignment for sequential executors,
+//!   through [`pack_spans`], the one live-range packer;
 //! - [`pretty`]: Listing-3-style printing.
 //!
 //! # Examples
@@ -63,7 +64,7 @@ pub use lower::{
 pub use machine::{walk, ById, Observer, StreamEnv, Walked};
 pub use pretty::pretty;
 pub use program::{Op, Program, Stmt, StreamId};
-pub use slots::{Place, SlotPlan};
+pub use slots::{pack_spans, Place, SlotPlan, UNTOUCHED_SPAN};
 pub use stats::ProgramStats;
 pub use verify::{verify, VerifyError};
 // The class type of [`Op::MatchCc`], so IR consumers can name it.

@@ -6,7 +6,8 @@
 //! [`SlotPlan`] is that register allocation done once per program — the
 //! host-side analogue of the kernel crate's `Kernel::max_live_regs` — so
 //! an executor indexes a few dozen reusable buffers by slot instead of
-//! keeping one buffer per stream id.
+//! keeping one buffer per stream id. The analogy is literal: both, and the
+//! emulator's register rows, pack their live ranges with [`pack_spans`].
 //!
 //! Live ranges are intervals over the program's statements in pre-order.
 //! Every stream touched inside an `if`/`while` body (its condition
@@ -33,12 +34,53 @@
 //!   name one extra slot that only a machine taking every step singly
 //!   ever fills.
 
+use crate::analysis::DefUse;
 use crate::interp::InterpError;
 use crate::machine::fuses;
 use crate::program::{Op, Program, Stmt, StreamId};
 use bitgen_regex::ByteSet;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// The span of a stream or register nothing touches.
+pub const UNTOUCHED_SPAN: (u32, u32) = (u32::MAX, 0);
+
+/// The one live-range packer: gives every closed span `(first, last)` a
+/// row and returns the rows and how many there are. Spans whose ranges are
+/// disjoint share a row: they are coloured greedily in order of their
+/// start, each taking the row freed last, which takes as many rows as
+/// spans overlap at most. An
+/// [`UNTOUCHED_SPAN`] takes no row (its entry reads 0).
+pub fn pack_spans(spans: &[(u32, u32)]) -> (Box<[u32]>, u32) {
+    let touched = || spans.iter().enumerate().filter(|(_, &span)| span != UNTOUCHED_SPAN);
+    let last = touched().map(|(_, span)| span.1 as usize).max().unwrap_or(0);
+    // The touched spans in the order of where they start, or end: a
+    // counting sort over the positions.
+    let order = |at: fn((u32, u32)) -> u32| {
+        let mut next = vec![0u32; last + 2];
+        touched().for_each(|(_, &span)| next[at(span) as usize + 1] += 1);
+        (1..next.len()).for_each(|i| next[i] += next[i - 1]);
+        let mut order = vec![0; next[last + 1] as usize];
+        for (i, &span) in touched() {
+            let place = &mut next[at(span) as usize];
+            order[*place as usize] = i;
+            *place += 1;
+        }
+        order
+    };
+    let (mut rows, mut free, mut height) = (vec![0u32; spans.len()], Vec::new(), 0);
+    let mut ended = order(|span| span.1).into_iter().peekable();
+    for i in order(|span| span.0) {
+        // A span that ends before this one starts also started before it,
+        // so it has a row to give back.
+        while let Some(done) = ended.next_if(|&done| spans[done].1 < spans[i].0) {
+            free.push(rows[done]);
+        }
+        rows[i] = free.pop().unwrap_or_else(|| {
+            height += 1;
+            height - 1
+        });
+    }
+    (rows.into(), height)
+}
 
 /// Slot value of a stream the program never touches.
 const NO_SLOT: u32 = u32::MAX;
@@ -90,20 +132,21 @@ impl SlotPlan {
     /// As [`SlotPlan::of`].
     pub fn with_classes(program: &Program, classes: &[ByteSet]) -> Result<SlotPlan, InterpError> {
         let mut ranges = Ranges {
-            first: vec![UNTOUCHED; program.num_streams() as usize],
-            last: vec![0; program.num_streams() as usize],
+            spans: vec![UNTOUCHED_SPAN; program.num_streams() as usize],
             touched: Vec::new(),
             pos: 0,
         };
         ranges.walk(program.stmts())?;
         let end = ranges.pos + 1;
         for &out in program.outputs() {
-            if ranges.first.get(out.index()).is_some_and(|&first| first != UNTOUCHED) {
-                ranges.last[out.index()] = end;
+            let span = ranges.spans.get_mut(out.index());
+            if let Some(span) = span.filter(|span| **span != UNTOUCHED_SPAN) {
+                span.1 = end;
             }
         }
-        let streams = ranges.first.len();
-        Ok(ranges.assign(&unstored(program, streams, classes)))
+        let mut kinds = vec![NO_SLOT; ranges.spans.len()];
+        mark(program.stmts(), &DefUse::of(program), classes, &mut kinds);
+        Ok(ranges.assign(&kinds))
     }
 
     /// Where `id` lives, `None` for a stream the program never writes.
@@ -142,18 +185,14 @@ impl SlotPlan {
     }
 }
 
-/// `first` of a stream not touched yet.
-const UNTOUCHED: usize = usize::MAX;
-
 /// Live ranges under construction: per stream the first and last
 /// statement position touching it.
 struct Ranges {
-    first: Vec<usize>,
-    last: Vec<usize>,
+    spans: Vec<(u32, u32)>,
     /// Streams touched so far inside the bodies being walked, innermost
     /// last; each body widens the ones past its mark.
     touched: Vec<usize>,
-    pos: usize,
+    pos: u32,
 }
 
 impl Ranges {
@@ -179,8 +218,7 @@ impl Ranges {
                     inside.sort_unstable();
                     inside.dedup();
                     for &id in &inside {
-                        self.first[id] = self.first[id].min(start);
-                        self.last[id] = end;
+                        self.spans[id] = (self.spans[id].0.min(start), end);
                     }
                     self.touched.append(&mut inside);
                 }
@@ -190,8 +228,8 @@ impl Ranges {
     }
 
     fn read(&mut self, id: StreamId) -> Result<(), InterpError> {
-        match self.first.get(id.index()) {
-            None | Some(&UNTOUCHED) => Err(InterpError::UnwrittenStream { id }),
+        match self.spans.get(id.index()) {
+            None | Some(&UNTOUCHED_SPAN) => Err(InterpError::UnwrittenStream { id }),
             Some(_) => {
                 self.touch(id.index());
                 Ok(())
@@ -200,114 +238,57 @@ impl Ranges {
     }
 
     fn touch(&mut self, id: usize) {
-        if id >= self.first.len() {
+        if id >= self.spans.len() {
             // A destination past `num_streams`: the executors accept it.
-            self.first.resize(id + 1, UNTOUCHED);
-            self.last.resize(id + 1, 0);
+            self.spans.resize(id + 1, UNTOUCHED_SPAN);
         }
-        self.first[id] = self.first[id].min(self.pos);
-        self.last[id] = self.pos;
+        self.spans[id] = (self.spans[id].0.min(self.pos), self.pos);
         self.touched.push(id);
     }
 
-    /// Linear scan over the ranges in order of their first position,
-    /// handing each the lowest slot whose previous range has ended.
-    fn assign(self, unstored: &[u32]) -> SlotPlan {
-        let mut slot_of = vec![NO_SLOT; self.first.len()].into_boxed_slice();
-        let mut order: Vec<usize> = (0..self.first.len())
-            .filter(|&id| self.first[id] != UNTOUCHED && unstored[id] == NO_SLOT)
+    /// Packs the stored streams' ranges into slots, then gives every link
+    /// the one slot past them and every class alias its class.
+    fn assign(self, kinds: &[u32]) -> SlotPlan {
+        let stored = (self.spans.iter().zip(kinds))
+            .map(|(&span, &kind)| if kind == NO_SLOT { span } else { UNTOUCHED_SPAN });
+        let (rows, slots) = pack_spans(&stored.collect::<Vec<_>>());
+        let link_slot = if kinds.contains(&LINK) { slots } else { NO_SLOT };
+        let slot_of = (self.spans.iter().zip(kinds).zip(rows.iter()))
+            .map(|((&span, &kind), &row)| match kind {
+                _ if span == UNTOUCHED_SPAN => NO_SLOT,
+                NO_SLOT => row,
+                LINK => link_slot,
+                class => class,
+            })
             .collect();
-        order.sort_unstable_by_key(|&id| (self.first[id], id));
-        let mut active: BinaryHeap<Reverse<(usize, u32)>> = BinaryHeap::new();
-        let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        let mut slots = 0u32;
-        for id in order {
-            while let Some(&Reverse((last, slot))) = active.peek() {
-                if last >= self.first[id] {
-                    break;
-                }
-                active.pop();
-                free.push(Reverse(slot));
-            }
-            let slot = free.pop().map_or_else(
-                || {
-                    slots += 1;
-                    slots - 1
-                },
-                |Reverse(slot)| slot,
-            );
-            slot_of[id] = slot;
-            active.push(Reverse((self.last[id], slot)));
-        }
-        let link_slot = if unstored.contains(&LINK) { slots } else { NO_SLOT };
-        for (slot, &kind) in slot_of.iter_mut().zip(unstored) {
-            match kind {
-                NO_SLOT => {}
-                LINK => *slot = link_slot,
-                class => *slot = class,
-            }
-        }
         let slots = slots as usize + usize::from(link_slot != NO_SLOT);
         SlotPlan { slot_of, slots, link_slot }
     }
 }
 
-/// [`unstored`] value of a link.
+/// The kind [`mark`] gives a link.
 const LINK: u32 = CLASS - 1;
 
-/// The streams a window does not store: per stream `NO_SLOT` (stored),
-/// `LINK`, or the slot value of a class alias.
-fn unstored(program: &Program, streams: usize, classes: &[ByteSet]) -> Vec<u32> {
-    // Definitions and reads of every stream, anywhere in the program;
-    // being an output or a condition is a read.
-    let (mut defs, mut reads) = (vec![0u32; streams], vec![0u32; streams]);
-    for &out in program.outputs() {
-        if let Some(count) = reads.get_mut(out.index()) {
-            *count += 1;
-        }
-    }
-    count(program.stmts(), &mut defs, &mut reads);
-    let mut kinds = vec![NO_SLOT; streams];
-    mark(program.stmts(), &defs, &reads, classes, &mut kinds);
-    kinds
-}
-
-fn mark(stmts: &[Stmt], defs: &[u32], reads: &[u32], classes: &[ByteSet], kinds: &mut [u32]) {
+/// Marks the streams a window does not store: per stream `NO_SLOT`
+/// (stored), `LINK`, or the slot value of a class alias. Being an output
+/// or a condition is a read.
+fn mark(stmts: &[Stmt], du: &DefUse, classes: &[ByteSet], kinds: &mut [u32]) {
     for (i, stmt) in stmts.iter().enumerate() {
         match stmt {
-            Stmt::Op(Op::MatchCc { dst, class }) if defs[dst.index()] == 1 => {
+            Stmt::Op(Op::MatchCc { dst, class }) if du.def_count(*dst) == 1 => {
                 if let Ok(index) = classes.binary_search(class) {
                     kinds[dst.index()] = CLASS | index as u32;
                 }
             }
             Stmt::Op(op) => {
-                let dst = op.dst().index();
-                if let (1, 1, Some(Stmt::Op(reader))) = (defs[dst], reads[dst], stmts.get(i + 1)) {
-                    if fuses(op, reader) {
-                        kinds[dst] = LINK;
-                    }
+                let next = stmts.get(i + 1);
+                if du.is_linear_temp(op.dst())
+                    && matches!(next, Some(Stmt::Op(reader)) if fuses(op, reader))
+                {
+                    kinds[op.dst().index()] = LINK;
                 }
             }
-            Stmt::If { body, .. } | Stmt::While { body, .. } => {
-                mark(body, defs, reads, classes, kinds)
-            }
-        }
-    }
-}
-
-fn count(stmts: &[Stmt], defs: &mut [u32], reads: &mut [u32]) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Op(op) => {
-                defs[op.dst().index()] += 1;
-                for src in op.sources() {
-                    reads[src.index()] += 1;
-                }
-            }
-            Stmt::If { cond, body } | Stmt::While { cond, body } => {
-                reads[cond.index()] += 1;
-                count(body, defs, reads);
-            }
+            Stmt::If { body, .. } | Stmt::While { body, .. } => mark(body, du, classes, kinds),
         }
     }
 }
@@ -318,6 +299,7 @@ mod tests {
     use crate::lower::{lower_group_with, LowerOptions};
     use crate::program::Op;
     use bitgen_regex::{parse, ByteSet};
+    use proptest::prelude::*;
 
     fn s(i: u32) -> StreamId {
         StreamId(i)
@@ -665,22 +647,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lowered_programs_need_a_fraction_of_their_streams() {
-        for patterns in [
+    /// Every group's lowering, with `match_star` off and on.
+    fn lowerings() -> Vec<Program> {
+        let groups = [
             &["a(bc)*d", "cat", "[0-9]+x"][..],
             &["(a|bb)+c", "x[ab]{1,4}y", "(a*b)+"],
             &["abcdefghijklmnopqrstuvwxyz0123456789"],
-        ] {
+        ];
+        let options =
+            [LowerOptions::default(), LowerOptions { match_star: true, log_repetition: true }];
+        let mut programs = Vec::new();
+        for patterns in groups {
             let asts: Vec<_> = patterns.iter().map(|p| parse(p).unwrap()).collect();
-            for opts in
-                [LowerOptions::default(), LowerOptions { match_star: true, log_repetition: true }]
-            {
-                let program = lower_group_with(&asts, opts);
-                let plan = SlotPlan::of(&program).unwrap();
-                assert_sound(&program, &plan);
-                assert!(plan.slot_count() <= program.num_streams() as usize);
-            }
+            programs.extend(options.map(|opts| lower_group_with(&asts, opts)));
+        }
+        programs
+    }
+
+    #[test]
+    fn lowered_programs_need_a_fraction_of_their_streams() {
+        for program in lowerings() {
+            let plan = SlotPlan::of(&program).unwrap();
+            assert_sound(&program, &plan);
+            assert!(plan.slot_count() <= program.num_streams() as usize);
         }
         let literal = lower_group_with(
             &[parse("abcdefghijklmnopqrstuvwxyz0123456789").unwrap()],
@@ -693,5 +682,106 @@ mod tests {
             plan.slot_count(),
             literal.num_streams()
         );
+    }
+
+    #[test]
+    fn lowered_programs_take_no_more_slots_than_streams_live_at_once() {
+        /// Every stream `stmt` touches, bodies included, and how many
+        /// statements it numbers in pre-order.
+        fn touches(stmt: &Stmt, streams: &mut Vec<StreamId>) -> u32 {
+            match stmt {
+                Stmt::Op(op) => {
+                    streams.extend(op.sources().chain([op.dst()]));
+                    1
+                }
+                Stmt::If { cond, body } | Stmt::While { cond, body } => {
+                    streams.push(*cond);
+                    1 + body.iter().map(|stmt| touches(stmt, streams)).sum::<u32>()
+                }
+            }
+        }
+        for program in lowerings() {
+            let plan = SlotPlan::of(&program).unwrap();
+            // A stream lives from the first to the last top-level statement
+            // touching it, over the whole of an `if` or `while`; an output
+            // to one past the last statement.
+            let mut live: Vec<Option<(u32, u32)>> = vec![None; plan.stream_count()];
+            let mut at = 1;
+            for stmt in program.stmts() {
+                let mut streams = Vec::new();
+                let end = at + touches(stmt, &mut streams) - 1;
+                for id in streams {
+                    let span = live[id.index()].get_or_insert((at, end));
+                    *span = (span.0.min(at), span.1.max(end));
+                }
+                at = end + 1;
+            }
+            for &out in program.outputs() {
+                if let Some(span) = &mut live[out.index()] {
+                    span.1 = at;
+                }
+            }
+            let stored: Vec<(u32, u32)> = (0..plan.stream_count())
+                .filter(|&id| plan.slot(StreamId(id as u32)).is_some())
+                .filter(|&id| !plan.is_link(StreamId(id as u32)))
+                .filter_map(|id| live[id])
+                .collect();
+            let most = (1..=at)
+                .map(|pos| stored.iter().filter(|span| (span.0..=span.1).contains(&pos)).count())
+                .max()
+                .unwrap_or(0);
+            let links = (0..plan.stream_count()).any(|id| plan.is_link(StreamId(id as u32)));
+            assert_eq!(plan.slot_count(), most + usize::from(links));
+        }
+    }
+
+    /// The open/close sweep `Kernel::max_live_regs` ran before it packed:
+    /// the most spans covering one position.
+    fn most_spans_at_once(spans: &[(u32, u32)]) -> u32 {
+        let mut opened = vec![0i32; spans.iter().map(|s| s.1 as usize + 2).max().unwrap_or(0)];
+        for &(start, end) in spans.iter().filter(|&&span| span != UNTOUCHED_SPAN) {
+            opened[start as usize] += 1;
+            opened[end as usize + 1] -= 1;
+        }
+        let (mut live, mut most) = (0, 0);
+        for delta in opened {
+            live += delta;
+            most = most.max(live);
+        }
+        most as u32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packer gives overlapping spans distinct rows, every row below
+        /// its count, and takes exactly as many rows as spans overlap most:
+        /// over untouched spans, spans of one position, shared end points
+        /// and nesting, on a few positions so that all of them are common.
+        #[test]
+        fn packed_spans_share_rows_only_when_disjoint(
+            raw in prop::collection::vec((0u32..16, 0u32..6, 0u8..6), 0..40)
+        ) {
+            let spans: Vec<(u32, u32)> = raw
+                .iter()
+                .map(|&(start, len, kind)| {
+                    if kind == 0 { UNTOUCHED_SPAN } else { (start, start + len) }
+                })
+                .collect();
+            let (rows, count) = pack_spans(&spans);
+            prop_assert_eq!(rows.len(), spans.len());
+            prop_assert_eq!(count, most_spans_at_once(&spans));
+            let touched: Vec<usize> =
+                (0..spans.len()).filter(|&i| spans[i] != UNTOUCHED_SPAN).collect();
+            for &i in &touched {
+                prop_assert!(rows[i] < count);
+                for &j in touched.iter().filter(|&&j| j > i) {
+                    let (a, b) = (spans[i], spans[j]);
+                    if a.0 <= b.1 && b.0 <= a.1 {
+                        prop_assert_ne!(rows[i], rows[j]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! emulator in `bitgen-gpu` executes this IR and *checks* the barrier
 //! discipline rather than assuming it.
 
+use bitgen_ir::{pack_spans, UNTOUCHED_SPAN};
 use std::fmt;
 
 /// Machine word size in bits (the GPU word size of the paper).
@@ -291,61 +292,40 @@ impl Kernel {
     /// real register allocator reuses registers once values die, and the
     /// paper's `-maxrregcount` tuning presumes exactly that. Registers
     /// touched inside a loop are conservatively kept live across the whole
-    /// loop (loop-carried values are live between trips).
+    /// loop (loop-carried values are live between trips). The count is
+    /// the rows [`pack_spans`] takes for those spans.
     pub fn max_live_regs(&self) -> u32 {
-        /// First and last position touching each register, over a
-        /// linearised position space (`UNTOUCHED`: none).
-        type Intervals = Vec<(u32, u32)>;
-        const UNTOUCHED: (u32, u32) = (u32::MAX, 0);
-        fn touch(intervals: &mut Intervals, r: Reg, pos: u32) {
+        fn touch(spans: &mut Vec<(u32, u32)>, r: Reg, pos: u32) {
             let at = r.0 as usize;
-            if at >= intervals.len() {
-                intervals.resize(at + 1, UNTOUCHED);
+            if at >= spans.len() {
+                spans.resize(at + 1, UNTOUCHED_SPAN);
             }
-            let iv = &mut intervals[at];
-            iv.0 = iv.0.min(pos);
-            iv.1 = iv.1.max(pos);
+            let span = &mut spans[at];
+            *span = (span.0.min(pos), span.1.max(pos));
         }
-        fn walk(stmts: &[KStmt], pos: &mut u32, intervals: &mut Intervals) {
+        fn walk(stmts: &[KStmt], pos: &mut u32, spans: &mut Vec<(u32, u32)>) {
             for s in stmts {
                 *pos += 1;
                 match s {
-                    KStmt::Op(op) => op.regs().for_each(|r| touch(intervals, r, *pos)),
+                    KStmt::Op(op) => op.regs().for_each(|r| touch(spans, r, *pos)),
                     KStmt::If { cond, body } | KStmt::While { cond, body, .. } => {
                         let start = *pos;
-                        touch(intervals, *cond, start);
-                        walk(body, pos, intervals);
+                        touch(spans, *cond, start);
+                        walk(body, pos, spans);
                         let end = *pos;
                         // Any register live anywhere in the body is kept
                         // live across the whole body (loop-carried values
                         // are live between trips).
-                        for iv in intervals.iter_mut() {
-                            if iv.1 >= start && iv.0 <= end {
-                                iv.0 = iv.0.min(start);
-                                iv.1 = iv.1.max(end);
-                            }
+                        for span in spans.iter_mut().filter(|s| s.1 >= start && s.0 <= end) {
+                            *span = (span.0.min(start), span.1.max(end));
                         }
                     }
                 }
             }
         }
-        let mut intervals = vec![UNTOUCHED; self.num_regs as usize];
-        let mut pos = 0;
-        walk(&self.stmts, &mut pos, &mut intervals);
-        // Registers live at each position, from where intervals open and
-        // close: the maximum of the running sum.
-        let mut opened = vec![0i32; pos as usize + 2];
-        for &(start, end) in intervals.iter().filter(|iv| **iv != UNTOUCHED) {
-            opened[start as usize] += 1;
-            opened[end as usize + 1] -= 1;
-        }
-        let mut live = 0i32;
-        let mut max = 0i32;
-        for delta in opened {
-            live += delta;
-            max = max.max(live);
-        }
-        max.max(1) as u32
+        let mut spans = vec![UNTOUCHED_SPAN; self.num_regs as usize];
+        walk(&self.stmts, &mut 0, &mut spans);
+        pack_spans(&spans).1.max(1)
     }
 
     /// What one window of this kernel costs a CTA of `threads` threads,

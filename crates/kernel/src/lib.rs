@@ -21,3 +21,5 @@ mod kir;
 pub use codegen::{compile, CodegenOptions, CodegenStats, Compiled, Compiler};
 pub use emit::emit_cuda;
 pub use kir::{KOp, KStmt, Kernel, LoopCounts, Reg, SiteCounts, Slot, WindowCounts, WORD_BITS};
+// The one live-range packer, for the emulator's register rows.
+pub use bitgen_ir::{pack_spans, UNTOUCHED_SPAN};

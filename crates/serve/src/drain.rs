@@ -7,9 +7,9 @@
 //! and a post-hot-swap engine cannot be rebuilt from a pattern set
 //! alone (a fresh compile is generation 0 by definition). So each
 //! entry records the stream's **pattern lineage** — the generation-0
-//! set plus each swap's set, in order — which
-//! [`bitgen::BitGen::compile_lineage`] replays to land on the exact
-//! generation the checkpoint demands. The entry also records the
+//! set plus each swap's set, in order — from which
+//! [`bitgen::BitGen::compile_lineage`] rebuilds the exact generation
+//! the checkpoint demands. The entry also records the
 //! stream's last push acknowledgement, so a client whose final ack was
 //! lost in the crash gets the idempotent replay instead of a double
 //! scan, *across* the restart.

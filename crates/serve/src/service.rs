@@ -43,7 +43,7 @@
 //! [`DrainManifest`]. A successor service —
 //! [`ScanService::adopt_manifest`] — revives every stream *under its
 //! original id* at the exact committed boundary, rebuilding post-swap
-//! engines by replaying each stream's pattern lineage. The scan a
+//! engines from each stream's pattern lineage. The scan a
 //! client completes across the handoff is bit-identical to one that
 //! never moved.
 //!
@@ -378,7 +378,7 @@ impl Inner {
     }
 
     /// The engine at the tip of `lineage` under the serving config: the
-    /// cached one, or one compiled by replaying the lineage
+    /// cached one, or one compiled from the lineage's tip
     /// ([`BitGen::compile_lineage`]) — only when it starts at generation
     /// 0. A later start names an engine only a hot swap on this service
     /// can have published; without it the lineage is refused with
@@ -584,7 +584,7 @@ impl ScanService {
     /// committed boundaries, generations, and replay windows — the
     /// successor half of [`ScanService::drain`]. Engines are fetched
     /// from the cache or, for a lineage that starts at generation 0,
-    /// rebuilt by replaying it ([`BitGen::compile_lineage`]), and each
+    /// rebuilt from its tip ([`BitGen::compile_lineage`]), and each
     /// checkpoint is validated before its slot is installed. Neither
     /// tenant budgets nor the drain flag are enforced here: these
     /// streams were already admitted before the restart.
