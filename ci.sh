@@ -33,10 +33,15 @@ cargo build --release
 # sites against the
 # overlap analysis and the kernels (bitgen-kernel's kir tests),
 # the kernel digest over 729 generated kernels (codegen_golden), the
-# wire tokenisation differential (wire_fuzz), the
+# wire tokenisation differential and the raw-frame mutation fuzz
+# (wire_fuzz: raw `PUSH` frames cut mid-payload, with lengths past the
+# bound, missing or not decimal, or bytes trailing the payload, through a
+# daemon, against a walk of the whole input), the raw frame at the
+# daemon (raw_push: served as its hex twin, stalled, replayed), the
 # `LineReader` framing fuzz (bitgen-serve's transport tests: arbitrary
-# bytes in arbitrary pieces with stalls, against splitting the whole
-# input), both soaks and the cross-process drills on the built binaries
+# bytes and raw payloads holding `\n`, `\r` and 0xff in arbitrary pieces
+# with stalls, against walking the whole input), both soaks and the
+# cross-process drills on the built binaries
 # (cli_drills: rule swap, checkpoint resume, 8-client serve smoke,
 # drain → adopt) run here, once. The `match_star` arms hold a MatchStar
 # engine to one lowering per group: it streams nested class stars
@@ -53,7 +58,7 @@ cargo test -q --no-fail-fast
 # budget, so ROADMAP item 1(b) pays in crates/exec for what it adds; the
 # serving crate may not grow at all (ROADMAP item 2).
 EXEC_BUDGET=1918
-SERVE_BUDGET=4478
+SERVE_BUDGET=4477
 total=0
 for dir in crates/*/src; do
   lines=$(find "$dir" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} +)

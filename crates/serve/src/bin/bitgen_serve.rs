@@ -128,30 +128,16 @@ fn parse_options(args: &mut std::env::Args) -> Options {
                 opts.patterns
                     .extend(text.lines().filter(|l| !l.is_empty()).map(String::from));
             }
-            "--chunk" => {
-                opts.chunk =
-                    args.next().and_then(|v| v.parse().ok()).filter(|n| *n > 0).unwrap_or_else(
-                        || usage(),
-                    );
-            }
-            "--workers" => {
-                opts.workers =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--queue" => {
-                opts.queue = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--cache" => {
-                opts.cache = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
+            "--chunk" => match number(args) {
+                0 => usage(),
+                n => opts.chunk = n,
+            },
+            "--workers" => opts.workers = number(args),
+            "--queue" => opts.queue = number(args),
+            "--cache" => opts.cache = number(args),
             "--retry" => opts.retry = true,
-            "--drain-manifest" => {
-                opts.drain_manifest = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--drain-deadline" => {
-                opts.drain_deadline =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
-            }
+            "--drain-manifest" => opts.drain_manifest = Some(args.next().unwrap_or_else(|| usage())),
+            "--drain-deadline" => opts.drain_deadline = Some(number(args)),
             "-h" | "--help" => usage(),
             other if !other.starts_with('-') && opts.file.is_none() => {
                 opts.file = Some(other.to_string());
@@ -160,6 +146,17 @@ fn parse_options(args: &mut std::env::Args) -> Options {
         }
     }
     opts
+}
+
+/// The next argument as a number; usage when there is none.
+fn number<T: std::str::FromStr>(args: &mut std::env::Args) -> T {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// Reports `e` and exits 2: an I/O, startup or daemon-reported error.
+fn fail(e: &dyn std::fmt::Display) -> ExitCode {
+    eprintln!("bitgen-serve: {e}");
+    ExitCode::from(2)
 }
 
 /// The `--socket` or `--tcp` endpoint; every command needs one.
@@ -187,8 +184,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     if !opts.patterns.is_empty() {
         let pats: Vec<&str> = opts.patterns.iter().map(String::as_str).collect();
         if let Err(e) = service.warm(&pats) {
-            eprintln!("bitgen-serve: {e}");
-            return ExitCode::from(2);
+            return fail(&e);
         }
     }
     install_drain_signals();
@@ -209,17 +205,10 @@ fn run_serve(opts: &Options) -> ExitCode {
                 manifest.entries.len(),
                 if forced { " (deadline-forced)" } else { "" }
             );
-            if forced {
-                ExitCode::from(3)
-            } else {
-                ExitCode::SUCCESS
-            }
+            ExitCode::from(if forced { 3 } else { 0 })
         }
         Ok(ServeOutcome { drained: None, .. }) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("bitgen-serve: {e}");
-            ExitCode::from(2)
-        }
+        Err(e) => fail(&e),
     }
 }
 
@@ -230,16 +219,12 @@ fn run_scan(opts: &Options) -> ExitCode {
     let input = match &opts.file {
         Some(path) => match std::fs::read(path) {
             Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!("bitgen-serve: {path}: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return fail(&format!("{path}: {e}")),
         },
         None => {
             let mut buf = Vec::new();
             if let Err(e) = std::io::stdin().read_to_end(&mut buf) {
-                eprintln!("bitgen-serve: stdin: {e}");
-                return ExitCode::from(2);
+                return fail(&format!("stdin: {e}"));
             }
             buf
         }
@@ -276,43 +261,15 @@ fn run_scan(opts: &Options) -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Err(e) => {
-            eprintln!("bitgen-serve: {e}");
-            ExitCode::from(2)
-        }
+        Err(e) => fail(&e),
     }
 }
 
-fn run_stats(opts: &Options) -> ExitCode {
-    match connect(opts).and_then(|mut c| c.metrics()) {
-        Ok(metrics) => {
-            println!("{}", metrics.to_json());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("bitgen-serve: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_drain(opts: &Options) -> ExitCode {
-    match connect(opts).and_then(|mut c| c.drain()) {
+/// Runs one of the daemon verbs `stats`, `drain` and `shutdown`.
+fn run_verb(opts: &Options, verb: impl FnOnce(&mut Client) -> std::io::Result<()>) -> ExitCode {
+    match connect(opts).and_then(|mut client| verb(&mut client)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("bitgen-serve: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_shutdown(opts: &Options) -> ExitCode {
-    match connect(opts).and_then(|mut c| c.shutdown()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("bitgen-serve: {e}");
-            ExitCode::from(2)
-        }
+        Err(e) => fail(&e),
     }
 }
 
@@ -324,9 +281,9 @@ fn main() -> ExitCode {
     match command.as_str() {
         "serve" => run_serve(&opts),
         "scan" => run_scan(&opts),
-        "stats" => run_stats(&opts),
-        "drain" => run_drain(&opts),
-        "shutdown" => run_shutdown(&opts),
+        "stats" => run_verb(&opts, |c| c.metrics().map(|m| println!("{}", m.to_json()))),
+        "drain" => run_verb(&opts, Client::drain),
+        "shutdown" => run_verb(&opts, Client::shutdown),
         _ => usage(),
     }
 }

@@ -78,6 +78,7 @@ use bitgen_baselines::{CpuBitstreamEngine, DfaEngine, HybridEngine, MultiNfa};
 use std::io::{Read as _, Seek as _};
 use std::process::ExitCode;
 
+#[derive(Default)]
 struct Options {
     patterns: Vec<String>,
     file: Option<String>,
@@ -85,11 +86,9 @@ struct Options {
     line_numbers: bool,
     positions: bool,
     engine: String,
-    scheme: Scheme,
-    device: DeviceConfig,
-    threads: usize,
-    scan_threads: usize,
-    match_star: bool,
+    /// The bitgen engine's configuration: `--scheme`, `--device`,
+    /// `--threads`, `--scan-threads` and `--match-star` set its fields.
+    config: EngineConfig,
     profile: bool,
     checkpoint: Option<String>,
     max_bytes: Option<u64>,
@@ -126,29 +125,11 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        patterns: Vec::new(),
-        file: None,
-        count: false,
-        line_numbers: false,
-        positions: false,
-        engine: "bitgen".to_string(),
-        scheme: Scheme::Zbs,
-        device: DeviceConfig::rtx3090(),
-        threads: 64,
-        scan_threads: 0,
-        match_star: false,
-        profile: false,
-        checkpoint: None,
-        max_bytes: None,
-        swap_rules: None,
-    };
+    let mut opts = Options { engine: "bitgen".to_string(), ..Options::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-e" | "--regexp" => {
-                opts.patterns.push(args.next().unwrap_or_else(|| usage()));
-            }
+            "-e" | "--regexp" => opts.patterns.push(args.next().unwrap_or_else(|| usage())),
             "-f" | "--file" => {
                 let path = args.next().unwrap_or_else(|| usage());
                 let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -163,7 +144,7 @@ fn parse_args() -> Options {
             "--positions" => opts.positions = true,
             "--engine" => opts.engine = args.next().unwrap_or_else(|| usage()),
             "--scheme" => {
-                opts.scheme = match args.next().as_deref() {
+                opts.config.scheme = match args.next().as_deref() {
                     Some("seq") => Scheme::Sequential,
                     Some("base") => Scheme::Base,
                     Some("dtm-") => Scheme::DtmStatic,
@@ -174,30 +155,19 @@ fn parse_args() -> Options {
                 }
             }
             "--device" => {
-                opts.device = match args.next().as_deref() {
+                opts.config.device = match args.next().as_deref() {
                     Some("3090") => DeviceConfig::rtx3090(),
                     Some("h100") => DeviceConfig::h100(),
                     Some("l40s") => DeviceConfig::l40s(),
                     _ => usage(),
                 }
             }
-            "--threads" => {
-                opts.threads =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--scan-threads" => {
-                opts.scan_threads =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--match-star" => opts.match_star = true,
+            "--threads" => opts.config.threads = number(&mut args),
+            "--scan-threads" => opts.config.scan_threads = number(&mut args),
+            "--match-star" => opts.config.match_star = true,
             "--profile" => opts.profile = true,
-            "--checkpoint" => {
-                opts.checkpoint = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--max-bytes" => {
-                opts.max_bytes =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
-            }
+            "--checkpoint" => opts.checkpoint = Some(args.next().unwrap_or_else(|| usage())),
+            "--max-bytes" => opts.max_bytes = Some(number(&mut args)),
             "--swap-rules" => {
                 let spec = args.next().unwrap_or_else(|| usage());
                 let (file, offset) = spec.rsplit_once('@').unwrap_or_else(|| usage());
@@ -227,6 +197,11 @@ fn parse_args() -> Options {
     opts
 }
 
+/// The next argument as a number; usage when there is none.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
 fn read_input(file: &Option<String>) -> std::io::Result<Vec<u8>> {
     match file {
         Some(path) => std::fs::read(path),
@@ -236,15 +211,6 @@ fn read_input(file: &Option<String>) -> std::io::Result<Vec<u8>> {
             Ok(buf)
         }
     }
-}
-
-fn engine_config(opts: &Options) -> EngineConfig {
-    EngineConfig::default()
-        .with_scheme(opts.scheme)
-        .with_device(opts.device.clone())
-        .with_cta_threads(opts.threads)
-        .with_threads(opts.scan_threads)
-        .with_match_star(opts.match_star)
 }
 
 /// Streaming chunk size for the bitgen engine: large enough to amortise
@@ -362,22 +328,13 @@ fn open_reader(
         }
         None => {
             let mut stdin = std::io::stdin();
-            let mut left = skip;
-            let mut buf = [0u8; 8192];
-            while left > 0 {
-                let want = buf.len().min(left as usize);
-                match stdin.read(&mut buf[..want]) {
-                    Ok(0) => {
-                        return Err(ScanFailure::Usage(format!(
-                            "checkpoint is {skip} bytes in, but stdin ended after {} \
-                             bytes; re-feed the original stream to resume",
-                            skip - left
-                        )));
-                    }
-                    Ok(n) => left -= n as u64,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ScanFailure::Usage(e.to_string())),
-                }
+            let skipped = std::io::copy(&mut stdin.by_ref().take(skip), &mut std::io::sink())
+                .map_err(|e| ScanFailure::Usage(e.to_string()))?;
+            if skipped < skip {
+                return Err(ScanFailure::Usage(format!(
+                    "checkpoint is {skip} bytes in, but stdin ended after {skipped} \
+                     bytes; re-feed the original stream to resume"
+                )));
             }
             Ok(Box::new(stdin))
         }
@@ -409,7 +366,7 @@ fn is_closed_output(e: &std::io::Error) -> bool {
 /// checkpointing under `--checkpoint`, and EPIPE-as-success.
 fn run_streaming(opts: &Options) -> Result<ExitCode, ScanFailure> {
     let pats: Vec<&str> = opts.patterns.iter().map(String::as_str).collect();
-    let engine = BitGen::compile_with(&pats, engine_config(opts))
+    let engine = BitGen::compile_with(&pats, opts.config.clone())
         .map_err(|e| ScanFailure::Compile(e.to_string()))?;
     // Phase 1 of `--swap-rules`: compile the replacement set up front,
     // under the same config and budgets. A bad rules file fails the run
@@ -507,20 +464,13 @@ fn run_streaming(opts: &Options) -> Result<ExitCode, ScanFailure> {
             *b -= n as u64;
         }
         let offset = scanner.consumed();
-        let ends = match scanner.push(&buf[..n]) {
-            Ok(ends) => ends,
-            Err(e) => {
-                // The push rolled back to the last chunk boundary; keep
-                // the checkpoint current so a rerun resumes there.
-                if let Some(path) = &opts.checkpoint {
-                    persist_checkpoint(path, &scanner)?;
-                }
-                return Err(ScanFailure::Exec(e.to_string()));
-            }
-        };
+        let pushed = scanner.push(&buf[..n]);
+        // A failed push rolled back to the last chunk boundary; either
+        // way the checkpoint is kept current, so a rerun resumes there.
         if let Some(path) = &opts.checkpoint {
             persist_checkpoint(path, &scanner)?;
         }
+        let ends = pushed.map_err(|e| ScanFailure::Exec(e.to_string()))?;
         match printer.feed(&buf[..n], &ends, offset) {
             Ok(()) => {}
             Err(e) if is_closed_output(&e) => {
@@ -578,12 +528,12 @@ fn run_batch(opts: &Options) -> Result<ExitCode, ScanFailure> {
     let pats: Vec<&str> = opts.patterns.iter().map(String::as_str).collect();
     let matches = match opts.engine.as_str() {
         "bitgen" => {
-            let engine = BitGen::compile_with(&pats, engine_config(opts))
+            let engine = BitGen::compile_with(&pats, opts.config.clone())
                 .map_err(|e| ScanFailure::Compile(e.to_string()))?;
             let report =
                 engine.find(&input).map_err(|e| ScanFailure::Exec(e.to_string()))?;
             if opts.profile {
-                eprint!("{}", report.profile(&opts.device));
+                eprint!("{}", report.profile(&opts.config.device));
                 eprintln!(
                     "modelled: {:.3} ms, {:.1} MB/s",
                     report.seconds() * 1e3,

@@ -17,8 +17,9 @@
 //! same manifest path) adopts every stream bit-identically.
 //!
 //! Frames are bounded ([`DaemonConfig::max_line`]): a peer that
-//! streams bytes without a newline gets a typed `FRAME` error and a
-//! hangup, never unbounded buffering. A seeded [`WireFaultPlan`] can
+//! streams bytes without a newline, or announces a raw payload longer
+//! than a line, gets a typed `FRAME` error and a hangup, never unbounded
+//! buffering. A seeded [`WireFaultPlan`] can
 //! be installed to corrupt replies deterministically — the test
 //! harness for the client's retry/replay machinery.
 
@@ -30,6 +31,7 @@ use crate::transport::{Endpoint, Frame, LineReader, Listener, Socket};
 use crate::wire::{self, ErrCode, Request};
 use bitgen::Error;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,13 +42,13 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Longest request line accepted, in bytes (excluding the
-    /// newline). One-over is refused with a typed `FRAME` error and a
-    /// hangup. Chunk operands are hex, so the largest pushable chunk
-    /// is a bit under half this.
+    /// newline), and longest raw `PUSH` payload: the largest chunk a
+    /// [`Client`] can push is `max_line` bytes. One-over is refused with
+    /// a typed `FRAME` error and a hangup.
     pub max_line: usize,
-    /// How long a peer may sit mid-frame (bytes sent, no newline)
-    /// before the connection is dropped. Idle connections — nothing
-    /// buffered — are never timed out.
+    /// How long a peer may sit mid-frame (a line without its newline, or
+    /// a raw payload short of its length) before the connection is
+    /// dropped. Idle connections — nothing owed — are never timed out.
     pub read_timeout: Duration,
     /// Bound on a single reply write; a peer that stops reading is
     /// dropped instead of blocking a handler forever.
@@ -239,8 +241,9 @@ enum Action {
 }
 
 /// Serves one connection until EOF, a frame-bound trip, a mid-frame
-/// stall, shutdown, or daemon closing. Streams the client opened
-/// without the durable flag are closed on the way out.
+/// stall, a raw header that cannot be framed, shutdown, or daemon
+/// closing. Streams the client opened without the durable flag are
+/// closed on the way out.
 fn handle_connection(conn: Socket, mut writer: Socket, ctx: ConnCtx<'_>) {
     // The socket deadline is a short poll tick so the loop observes
     // `closing`; the real mid-frame deadline is enforced below.
@@ -250,44 +253,50 @@ fn handle_connection(conn: Socket, mut writer: Socket, ctx: ConnCtx<'_>) {
     let mut opened: Vec<StreamId> = Vec::new();
     let mut replies = 0u64;
     let mut partial_since: Option<Instant> = None;
-    loop {
+    // The last raw push header's stream and offset: its payload's push.
+    let mut header: (u64, Option<u64>) = (0, None);
+    // The refusal a connection that cannot go on is hung up with.
+    let last_words = loop {
         if ctx.closing.load(Ordering::SeqCst) {
-            break;
+            break None;
         }
         let frame = match reader.read_frame() {
-            Ok(frame) => frame,
-            Err(e @ Error::FrameTooLarge { .. }) => {
-                // The stream is out of sync past an oversized frame;
-                // reply typed, then hang up.
-                let _ = write_line(&mut writer, &wire::err_line(ErrCode::Frame, &e.to_string()));
-                break;
-            }
-            Err(_) => break,
-        };
-        let line = match frame {
-            Frame::Eof => break,
-            Frame::TimedOut => {
-                if reader.has_partial() {
-                    let since = *partial_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= ctx.config.read_timeout {
-                        let _ = write_line(
-                            &mut writer,
-                            &wire::err_line(ErrCode::Proto, "read deadline: frame never finished"),
-                        );
-                        break;
-                    }
-                } else {
+            Ok(Frame::TimedOut) => {
+                if !reader.has_partial() {
                     partial_since = None;
+                } else if partial_since.get_or_insert_with(Instant::now).elapsed()
+                    >= ctx.config.read_timeout
+                {
+                    break Some(wire::err_line(ErrCode::Proto, "read deadline: frame never finished"));
                 }
                 continue;
             }
-            Frame::Line(line) => line,
+            Ok(frame) => frame,
+            // The stream is out of sync past an oversized frame.
+            Err(e) => break Some(wire::err_line(ErrCode::Frame, &e.to_string())),
         };
+        // Any other frame finishes the one the deadline was timing.
         partial_since = None;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, action, exempt) = respond(&line, ctx.service, &mut opened);
+        let request = match frame {
+            Frame::Eof | Frame::TimedOut => break None,
+            Frame::Payload(chunk) => Ok(Request::Push { id: header.0, offset: header.1, chunk }),
+            Frame::Line(line) if line.trim().is_empty() => continue,
+            Frame::Line(line) => match wire::parse_request(&line) {
+                Ok(Request::PushHeader { id, offset, len }) => {
+                    if let Err(e) = reader.expect_payload(len) {
+                        break Some(wire::err_line(ErrCode::Frame, &e.to_string()));
+                    }
+                    header = (id, offset);
+                    continue;
+                }
+                // What follows a refused raw header cannot be framed.
+                Err(complaint) if wire::announces_payload(&line) => {
+                    break Some(wire::err_line(ErrCode::Proto, &complaint));
+                }
+                parsed => parsed,
+            },
+        };
+        let (reply, action, exempt) = respond(request, ctx.service, &mut opened);
         let fault = if exempt {
             None
         } else {
@@ -307,15 +316,20 @@ fn handle_connection(conn: Socket, mut writer: Socket, ctx: ConnCtx<'_>) {
         match action {
             Action::Shutdown => {
                 ctx.stop.store(true, Ordering::SeqCst);
-                break;
+                break None;
             }
             Action::Drain => ctx.drain.store(true, Ordering::SeqCst),
             Action::None => {}
         }
         if sent.is_err() || dropped {
-            break;
+            break None;
         }
+    };
+    if let Some(refusal) = last_words {
+        let _ = write_line(&mut writer, &refusal);
     }
+    // The accept loop keeps a handle too: hang up for real.
+    writer.hang_up();
     for id in opened {
         let _ = ctx.service.close_stream(id);
     }
@@ -386,16 +400,16 @@ fn error_reply(e: &ServeError, draining: bool) -> String {
     }
 }
 
-/// Computes the reply line for one request, the lifecycle action it
-/// demands, and whether the reply is exempt from fault injection
+/// Computes the reply line for one parsed request, the lifecycle action
+/// it demands, and whether the reply is exempt from fault injection
 /// (stream lifecycle replies stay exact so accounting reconciles; the
 /// push/ack path is where the faults belong).
 fn respond(
-    line: &str,
+    request: Result<Request, String>,
     service: &ScanService,
     opened: &mut Vec<StreamId>,
 ) -> (String, Action, bool) {
-    let request = match wire::parse_request(line) {
+    let request = match request {
         Ok(r) => r,
         Err(complaint) => {
             return (wire::err_line(ErrCode::Proto, &complaint), Action::None, false)
@@ -423,11 +437,16 @@ fn respond(
         Request::Push { id, offset, chunk } => service.push_chunk_at(id, offset, chunk).map(|ends| {
             let mut reply = format!("OK {}", ends.len());
             for end in ends {
-                reply.push(' ');
-                reply.push_str(&end.to_string());
+                // Writing into a `String` cannot fail.
+                let _ = write!(reply, " {end}");
             }
             reply
         }),
+        // The connection loop reads a header's payload and serves the
+        // push the two make.
+        Request::PushHeader { .. } => {
+            return (wire::err_line(ErrCode::Proto, "raw push header"), Action::None, false)
+        }
         Request::Swap { id, patterns } => {
             let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
             service.swap_rules(id, &refs).map(|generation| format!("OK {generation}"))
@@ -512,6 +531,16 @@ enum Attempt {
     Refused(ErrCode, String),
 }
 
+/// A request line: `head`, each pattern hex-encoded, the newline.
+fn pattern_line(mut head: String, patterns: &[&str]) -> Vec<u8> {
+    for pattern in patterns {
+        head.push(' ');
+        head.push_str(&wire::hex_encode(pattern.as_bytes()));
+    }
+    head.push('\n');
+    head.into_bytes()
+}
+
 /// A blocking client for the daemon's line protocol, over Unix or TCP,
 /// with optional retry/backoff and idempotent push resume.
 ///
@@ -584,15 +613,15 @@ impl Client {
         self.wire.as_mut().ok_or_else(|| io::Error::other("wire vanished"))
     }
 
-    /// One request/reply exchange on the current connection. `sent` is
-    /// set once request bytes may have reached the daemon — the point
-    /// past which retrying a non-idempotent request could double it.
-    fn try_once(&mut self, request: &str, sent: &mut bool) -> io::Result<Attempt> {
+    /// One request/reply exchange on the current connection: the whole
+    /// request, its newline or raw payload included, goes out in one
+    /// write. `sent` is set once request bytes may have reached the
+    /// daemon — the point past which retrying a non-idempotent request
+    /// could double it.
+    fn try_once(&mut self, request: &[u8], sent: &mut bool) -> io::Result<Attempt> {
         let wire = self.ensure_wire()?;
         *sent = true;
-        wire.writer.write_all(request.as_bytes())?;
-        wire.writer.write_all(b"\n")?;
-        wire.writer.flush()?;
+        wire.writer.write_all(request)?;
         match wire.reader.read_frame() {
             Ok(Frame::Line(line)) => {
                 if let Some(ok) = line.strip_prefix("OK") {
@@ -603,7 +632,8 @@ impl Client {
                 }
                 Err(io::Error::other(format!("malformed daemon reply: {line:?}")))
             }
-            Ok(Frame::Eof) => {
+            // A client reader is never armed for a payload.
+            Ok(Frame::Eof | Frame::Payload(_)) => {
                 Err(io::Error::new(io::ErrorKind::UnexpectedEof, "daemon hung up"))
             }
             Ok(Frame::TimedOut) => Err(io::Error::new(
@@ -636,7 +666,7 @@ impl Client {
     /// (an `OPEN`, say) could double it.
     fn call<T>(
         &mut self,
-        request: &str,
+        request: &[u8],
         idempotent: bool,
         parse: impl Fn(&str) -> Option<T>,
     ) -> io::Result<T> {
@@ -671,14 +701,8 @@ impl Client {
     }
 
     fn open_inner(&mut self, tenant: &str, durable: bool, patterns: &[&str]) -> io::Result<(u64, bool)> {
-        let mut request = format!("OPEN {}", wire::hex_encode(tenant.as_bytes()));
-        if durable {
-            request.push_str(" D");
-        }
-        for pattern in patterns {
-            request.push(' ');
-            request.push_str(&wire::hex_encode(pattern.as_bytes()));
-        }
+        let tenant = wire::hex_encode(tenant.as_bytes());
+        let request = pattern_line(format!("OPEN {tenant}{}", if durable { " D" } else { "" }), patterns);
         let (id, hit) = self.call(&request, false, |payload| {
             let mut parts = payload.split_whitespace();
             let id = parts.next()?.parse::<u64>().ok()?;
@@ -725,10 +749,7 @@ impl Client {
     /// Transport failures or the daemon's `ERR` reply.
     pub fn push(&mut self, id: u64, chunk: &[u8]) -> io::Result<Vec<u64>> {
         let offset = self.offsets.get(&id).copied();
-        let offset_token =
-            offset.map_or_else(|| "-".to_string(), |o| o.to_string());
-        let mut request = format!("PUSH {id} {offset_token} ");
-        wire::hex_encode_into(chunk, &mut request);
+        let request = wire::push_frame(id, offset, chunk);
         let parse = |payload: &str| {
             let mut parts = payload.split_whitespace();
             let count = parts.next()?.parse::<u64>().ok()?;
@@ -764,12 +785,7 @@ impl Client {
     ///
     /// Transport failures or the daemon's `ERR` reply.
     pub fn swap(&mut self, id: u64, patterns: &[&str]) -> io::Result<u64> {
-        let mut request = format!("SWAP {id}");
-        for pattern in patterns {
-            request.push(' ');
-            request.push_str(&wire::hex_encode(pattern.as_bytes()));
-        }
-        self.call(&request, false, |payload| {
+        self.call(&pattern_line(format!("SWAP {id}"), patterns), false, |payload| {
             let mut parts = payload.split_whitespace();
             let generation = parts.next()?.parse::<u64>().ok()?;
             parts.next().is_none().then_some(generation)
@@ -782,7 +798,7 @@ impl Client {
     ///
     /// Transport failures or the daemon's `ERR` reply.
     pub fn close(&mut self, id: u64) -> io::Result<(u64, u64)> {
-        let totals = self.call(&format!("CLOSE {id}"), false, |payload| {
+        let totals = self.call(format!("CLOSE {id}\n").as_bytes(), false, |payload| {
             let mut parts = payload.split_whitespace();
             let consumed = parts.next()?.parse::<u64>().ok()?;
             let matches = parts.next()?.parse::<u64>().ok()?;
@@ -799,7 +815,7 @@ impl Client {
     ///
     /// Transport failures or the daemon's `ERR` reply.
     pub fn metrics(&mut self) -> io::Result<ServeMetrics> {
-        self.call("STATS", true, ServeMetrics::from_json)
+        self.call(b"STATS\n", true, ServeMetrics::from_json)
     }
 
     /// Asks the daemon to drain: checkpoint every durable stream into
@@ -810,7 +826,7 @@ impl Client {
     ///
     /// Transport failures or the daemon's `ERR` reply.
     pub fn drain(&mut self) -> io::Result<()> {
-        self.call("DRAIN", true, |payload| payload.is_empty().then_some(()))
+        self.call(b"DRAIN\n", true, |payload| payload.is_empty().then_some(()))
     }
 
     /// Asks the daemon to exit cleanly without draining.
@@ -819,6 +835,40 @@ impl Client {
     ///
     /// Transport failures or the daemon's `ERR` reply.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        self.call("SHUTDOWN", true, |payload| payload.is_empty().then_some(()))
+        self.call(b"SHUTDOWN\n", true, |payload| payload.is_empty().then_some(()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeConfig;
+
+    /// A push reply is `OK`, the count, then each end: written into one
+    /// buffer, byte for byte what it was when each end was its own
+    /// string.
+    #[test]
+    fn push_replies_are_exact() {
+        let service = ScanService::start(ServeConfig::default());
+        let mut opened = Vec::new();
+        let open = Request::Open {
+            tenant: "t".to_string(),
+            durable: false,
+            patterns: vec!["GET /[a-z]+".to_string()],
+        };
+        let (reply, _, exempt) = respond(Ok(open), &service, &mut opened);
+        let id = reply.strip_suffix(" MISS").and_then(|r| r.strip_prefix("OK "));
+        let id: u64 = id.and_then(|id| id.parse().ok()).expect("OK <id> MISS");
+        assert!(exempt);
+        let mut push = |chunk: &[u8]| {
+            let request = Request::Push { id, offset: None, chunk: chunk.to_vec() };
+            respond(Ok(request), &service, &mut opened).0
+        };
+        assert_eq!(push(b"GET /index"), "OK 5 5 6 7 8 9");
+        assert_eq!(push(b" no match"), "OK 0");
+        assert_eq!(push(b" GET /ab"), "OK 2 25 26");
+        let header = Request::PushHeader { id, offset: None, len: 3 };
+        assert_eq!(respond(Ok(header), &service, &mut opened).0, "ERR PROTO raw push header");
+        service.shutdown();
     }
 }

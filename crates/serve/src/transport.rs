@@ -15,11 +15,12 @@
 //! accumulates bytes until a newline, and refuses to buffer more than
 //! `max_line` bytes of unterminated frame — the typed
 //! [`Error::FrameTooLarge`] instead of unbounded memory growth when a
-//! peer streams garbage without ever sending a newline.
+//! peer streams garbage without ever sending a newline. A raw push's
+//! payload is read under the same bound, deadline and end of input.
 
 use bitgen::Error;
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -213,17 +214,23 @@ pub enum Frame {
     /// A complete newline-terminated line (newline and any trailing
     /// `\r` stripped).
     Line(String),
-    /// The peer closed the connection. Any unterminated trailing bytes
-    /// are discarded — a frame without its newline was never sent
-    /// completely.
+    /// All the bytes [`LineReader::expect_payload`] asked for, as sent.
+    Payload(Vec<u8>),
+    /// The peer closed the connection. Any unterminated trailing bytes,
+    /// or a payload short of its length, are discarded — that frame was
+    /// never sent completely.
     Eof,
     /// The read deadline elapsed with no complete line; buffered bytes
     /// are kept and the caller may poll again.
     TimedOut,
 }
 
+/// How many owed payload bytes [`LineReader::expect_payload`] makes room
+/// for before any of them arrive: a served chunk's worth.
+const PAYLOAD_READ_AHEAD: usize = 64 * 1024;
+
 /// A newline framer with a hard bound on how much unterminated input
-/// it will buffer.
+/// it will buffer, which also reads the raw payload a line announces.
 ///
 /// Frames longer than `max_line` bytes (excluding the terminator) are
 /// refused with [`Error::FrameTooLarge`]. After a refusal the stream
@@ -237,24 +244,46 @@ pub struct LineReader<R> {
     /// repeated polls don't rescan the accumulated prefix.
     scanned: usize,
     max_line: usize,
+    /// The length of the raw payload owed next: it gathers in `buf`.
+    payload: Option<usize>,
 }
 
 impl<R: Read> LineReader<R> {
     /// Wraps `inner`, bounding unterminated frames at `max_line` bytes.
     pub fn new(inner: R, max_line: usize) -> Self {
-        LineReader { inner, buf: Vec::new(), scanned: 0, max_line }
+        LineReader { inner, buf: Vec::new(), scanned: 0, max_line, payload: None }
     }
 
-    /// `true` when unterminated bytes are buffered — the peer is
-    /// mid-frame. The daemon uses this to tell a stalled half-frame
-    /// (enforce the read deadline) from an idle connection (leave it
-    /// alone).
+    /// `true` when unterminated bytes are buffered or a payload is owed
+    /// — the peer is mid-frame. The daemon uses this to tell a stalled
+    /// half-frame (enforce the read deadline) from an idle connection
+    /// (leave it alone).
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        !self.buf.is_empty() || self.payload.is_some()
     }
 
-    fn take_line(&mut self, newline_at: usize) -> Result<Frame, Error> {
-        let mut line: Vec<u8> = self.buf.drain(..=newline_at).collect();
+    /// Makes the next frame the `len` raw bytes after the line just read:
+    /// those buffered first, then read straight into the buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::FrameTooLarge`] past `max_line`, with nothing read.
+    pub fn expect_payload(&mut self, len: usize) -> Result<(), Error> {
+        if len > self.max_line {
+            return Err(Error::FrameTooLarge { limit: self.max_line, length: len });
+        }
+        // Sized up front only as far as one read ahead: past that the
+        // buffer grows as bytes arrive, never on the length's word alone.
+        self.buf.reserve_exact(len.saturating_sub(self.buf.len()).min(PAYLOAD_READ_AHEAD));
+        self.payload = Some(len);
+        Ok(())
+    }
+
+    /// Hands over the line ending at `scanned`; the line keeps the
+    /// buffer, and only the bytes after it move.
+    fn take_line(&mut self) -> Result<Frame, Error> {
+        let rest = self.buf.split_off(self.scanned);
+        let mut line = std::mem::replace(&mut self.buf, rest);
         self.scanned = 0;
         line.pop(); // the newline itself
         if line.last() == Some(&b'\r') {
@@ -271,33 +300,50 @@ impl<R: Read> LineReader<R> {
         Ok(Frame::Line(line))
     }
 
-    /// Reads until a complete line, EOF, the read deadline, or the
-    /// frame bound — whichever comes first.
+    /// Reads until a complete line (or the armed payload), EOF, the
+    /// read deadline, or the frame bound — whichever comes first.
     pub fn read_frame(&mut self) -> Result<Frame, Error> {
         loop {
-            if let Some(pos) =
-                self.buf[self.scanned..].iter().position(|&b| b == b'\n')
-            {
-                return self.take_line(self.scanned + pos);
-            }
-            self.scanned = self.buf.len();
-            if self.buf.len() > self.max_line {
-                // A trailing `\r` may be the first half of a `\r\n` the
-                // next read completes: it is not part of the frame yet.
-                let length = self.buf.len() - usize::from(self.buf.last() == Some(&b'\r'));
-                if length > self.max_line {
-                    return Err(Error::FrameTooLarge { limit: self.max_line, length });
+            let read = match self.payload {
+                // Handed over as `take_line` hands over a line; a payload
+                // is armed only right after one, with `scanned` at 0.
+                Some(len) if self.buf.len() >= len => {
+                    self.payload = None;
+                    let rest = self.buf.split_off(len);
+                    return Ok(Frame::Payload(std::mem::replace(&mut self.buf, rest)));
                 }
-            }
-            let mut chunk = [0u8; 8 * 1024];
-            match self.inner.read(&mut chunk) {
+                // Straight into the buffer, and no further than the payload.
+                Some(len) => {
+                    let missing = (len - self.buf.len()) as u64;
+                    self.inner.by_ref().take(missing).read_to_end(&mut self.buf)
+                }
+                None => {
+                    // `skip_until` finds the newline a word at a time
+                    // (std's `memchr`); the bytes before `scanned` hold none.
+                    let mut unscanned = &self.buf[self.scanned..];
+                    self.scanned += unscanned.skip_until(b'\n').unwrap_or(0);
+                    if self.buf[..self.scanned].ends_with(b"\n") {
+                        return self.take_line();
+                    }
+                    // A trailing `\r` may be the first half of a `\r\n` the
+                    // next read completes: it is not part of the frame yet.
+                    let length = self.buf.len() - usize::from(self.buf.last() == Some(&b'\r'));
+                    if length > self.max_line {
+                        return Err(Error::FrameTooLarge { limit: self.max_line, length });
+                    }
+                    let mut chunk = [0u8; 8 * 1024];
+                    let read = self.inner.read(&mut chunk);
+                    if let Ok(n) = read {
+                        self.buf.extend_from_slice(&chunk[..n]);
+                    }
+                    read
+                }
+            };
+            match read {
                 Ok(0) => return Ok(Frame::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        || e.kind() == ErrorKind::TimedOut =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(Frame::TimedOut);
                 }
                 Err(_) => return Ok(Frame::Eof),
@@ -447,62 +493,140 @@ mod tests {
         }
     }
 
-    /// What a frame should be: a line, or the end of the reads.
+    /// What a frame should be: a line, a payload, or the end of the reads.
     #[derive(Debug, PartialEq)]
     enum Want {
         Line(String),
+        Payload(Vec<u8>),
         TooLarge,
         Eof,
     }
 
-    /// The whole input split on `\n`, one trailing `\r` stripped: a line
-    /// longer than `max_line` is refused and ends the frames, and so does
-    /// an unterminated tail. Each line with its byte length on the wire.
+    /// The payload length a line announces in these tests: `#` and a
+    /// number, as a raw `PUSH` header ends.
+    fn announced(line: &[u8]) -> Option<usize> {
+        std::str::from_utf8(line.strip_prefix(b"#")?).ok()?.parse().ok()
+    }
+
+    /// The whole input walked front to back: lines split on `\n`, one
+    /// trailing `\r` stripped, and after a line that announces a payload
+    /// exactly that many bytes, whatever they are. A line or payload
+    /// longer than `max_line` is refused and ends the frames, and so
+    /// does an unterminated tail or a payload cut short. Each frame with
+    /// its byte length on the wire.
     fn oracle(input: &[u8], max_line: usize) -> Vec<(Want, usize)> {
-        let mut pieces: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
-        let tail = pieces.pop().expect("split yields at least the tail");
         let mut frames = Vec::new();
-        for raw in pieces {
+        let mut at = 0;
+        loop {
+            let rest = &input[at..];
+            let Some(newline) = rest.iter().position(|&b| b == b'\n') else {
+                let tail = rest.strip_suffix(b"\r").unwrap_or(rest);
+                frames.push((if tail.len() > max_line { Want::TooLarge } else { Want::Eof }, 0));
+                return frames;
+            };
+            let raw = &rest[..newline];
             let line = raw.strip_suffix(b"\r").unwrap_or(raw);
             if line.len() > max_line {
                 frames.push((Want::TooLarge, 0));
                 return frames;
             }
-            frames.push((Want::Line(String::from_utf8_lossy(line).into_owned()), raw.len() + 1));
+            frames.push((Want::Line(String::from_utf8_lossy(line).into_owned()), newline + 1));
+            at += newline + 1;
+            if let Some(len) = announced(line) {
+                if len > max_line || input.len() - at < len {
+                    frames.push((if len > max_line { Want::TooLarge } else { Want::Eof }, 0));
+                    return frames;
+                }
+                frames.push((Want::Payload(input[at..at + len].to_vec()), len));
+                at += len;
+            }
         }
-        let tail = tail.strip_suffix(b"\r").unwrap_or(tail);
-        frames.push((if tail.len() > max_line { Want::TooLarge } else { Want::Eof }, 0));
-        frames
+    }
+
+    #[test]
+    fn a_payload_is_its_announced_bytes_under_the_line_bounds() {
+        // Any byte, newlines included, and framing resumes right after.
+        let input: &[u8] = b"#5\na\n\r\xff#next\n#4\nab";
+        let mut reader = LineReader::new(input, 8);
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("#5".to_string()));
+        reader.expect_payload(5).unwrap();
+        assert!(reader.has_partial(), "an owed payload is mid-frame");
+        assert_eq!(reader.read_frame().unwrap(), Frame::Payload(b"a\n\r\xff#".to_vec()));
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("next".to_string()));
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("#4".to_string()));
+        // Cut short: the end of input, never a short payload.
+        reader.expect_payload(4).unwrap();
+        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+        // Past the bound: refused before a byte is read.
+        let mut reader = LineReader::new(&b"#9\n123456789"[..], 8);
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("#9".to_string()));
+        match reader.expect_payload(9) {
+            Err(Error::FrameTooLarge { limit: 8, length: 9 }) => {}
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert!(reader.payload.is_none(), "nothing is armed past the bound");
+    }
+
+    #[test]
+    fn an_announced_length_alone_reserves_at_most_one_read_ahead() {
+        let bound = 4 << 20;
+        let mut reader = LineReader::new(&b"#4194304\n"[..], bound);
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("#4194304".to_string()));
+        reader.expect_payload(bound).unwrap();
+        let reserved = reader.buf.capacity();
+        assert!(reserved <= PAYLOAD_READ_AHEAD + 64, "{reserved} bytes reserved for nothing sent");
+        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+        // A payload past the read-ahead grows as it arrives, exactly.
+        let payload: Vec<u8> = (0..3 * PAYLOAD_READ_AHEAD + 5).map(|i| (i % 251) as u8).collect();
+        let input = [&b"#196613\n"[..], &payload, b"next\n"].concat();
+        let mut reader = LineReader::new(&input[..], bound);
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("#196613".to_string()));
+        reader.expect_payload(payload.len()).unwrap();
+        assert_eq!(reader.read_frame().unwrap(), Frame::Payload(payload));
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("next".to_string()));
     }
 
     /// Lines of `len` bytes drawn from an alphabet with a stray `\r` and
     /// bytes that are not UTF-8, each ended by `\n`, `\r\n`, nothing (it
-    /// runs into the next) or a lone `\r`.
+    /// runs into the next) or a lone `\r`; and, for the ends 4 and 5, raw
+    /// frames: the header `#<len>` ended by `\n` or `\r\n`, then `len`
+    /// bytes with `\n`, `\r`, `0xff` and `#` among them.
     fn wire_bytes(segments: &[(usize, u8, u64)]) -> Vec<u8> {
         const ALPHABET: &[u8] = b"az \r\xff\xc3\xa9\xe2";
+        const PAYLOAD: &[u8] = b"az\n\r\xff#";
         let mut bytes = Vec::new();
         for &(len, end, seed) in segments {
+            let (alphabet, end) = match end {
+                0..4 => (ALPHABET, [&b"\n"[..], b"\r\n", b"", b"\r"][usize::from(end)]),
+                _ => (PAYLOAD, if end == 4 { &b"\n"[..] } else { b"\r\n" }),
+            };
+            if alphabet == PAYLOAD {
+                bytes.extend_from_slice(format!("#{len}").as_bytes());
+                bytes.extend_from_slice(end);
+            }
             let mut x = seed | 1;
             bytes.extend((0..len).map(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ALPHABET[(x >> 33) as usize % ALPHABET.len()]
+                alphabet[(x >> 33) as usize % alphabet.len()]
             }));
-            bytes.extend_from_slice([&b"\n"[..], b"\r\n", b"", b"\r"][usize::from(end % 4)]);
+            if alphabet == ALPHABET {
+                bytes.extend_from_slice(end);
+            }
         }
         bytes
     }
 
     proptest! {
         /// Whatever pieces the bytes arrive in and whatever stalls come
-        /// between them, the frames are the whole input's split, and the
-        /// buffer holds at most `max_line` bytes, a `\r` that may start a
+        /// between them, the frames are the whole input's walk, and the
+        /// reader holds at most `max_line` bytes, a `\r` that may start a
         /// terminator and one read.
         #[test]
         fn line_reader_frames_like_splitting_the_whole_input(
             segments in prop::collection::vec(
                 (
                     prop_oneof![0usize..9, 0usize..80, 8185usize..8200],
-                    0u8..4,
+                    0u8..6,
                     any::<u64>(),
                 ),
                 0..7,
@@ -512,8 +636,13 @@ mod tests {
                 0..40,
             ),
             max_line in prop::sample::select(vec![1usize, 7, 64, 8193]),
+            cut in any::<u64>(),
         ) {
-            let bytes = wire_bytes(&segments);
+            let mut bytes = wire_bytes(&segments);
+            // One input in four ends early, mid-line or mid-payload.
+            if cut.is_multiple_of(4) {
+                bytes.truncate((cut / 4) as usize % (bytes.len() + 1));
+            }
             let want = oracle(&bytes, max_line);
             let source =
                 Pieces { bytes, plan, step: 0, stalled: false, served: 0, would_blocks: 0 };
@@ -527,12 +656,21 @@ mod tests {
                 match frame {
                     Ok(Frame::TimedOut) => {
                         timeouts += 1;
-                        prop_assert_eq!(reader.buf.len(), held, "the partial line is kept");
+                        prop_assert_eq!(reader.buf.len(), held, "the partial frame is kept");
                     }
                     Ok(Frame::Line(line)) => {
                         let Some((_, raw)) = want.get(got.len()) else { break Want::Line(line) };
                         consumed += raw;
+                        let armed = announced(line.as_bytes()).map(|len| reader.expect_payload(len));
                         got.push(Want::Line(line));
+                        if let Some(Err(Error::FrameTooLarge { limit, length })) = armed {
+                            prop_assert!(limit == max_line && length > max_line);
+                            break Want::TooLarge;
+                        }
+                    }
+                    Ok(Frame::Payload(payload)) => {
+                        consumed += payload.len();
+                        got.push(Want::Payload(payload));
                     }
                     Ok(Frame::Eof) => break Want::Eof,
                     Err(Error::FrameTooLarge { limit, length }) => {

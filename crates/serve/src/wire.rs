@@ -1,13 +1,15 @@
 //! The daemon's line protocol: one request per line, one `OK`/`ERR`
-//! reply per request, all binary operands (tenant names, patterns,
-//! chunk bytes) lowercase-hex-encoded so the framing never collides
-//! with payload bytes.
+//! reply per request. Text operands (tenant names, patterns) and a
+//! text client's chunk bytes are lowercase-hex-encoded so the framing
+//! never collides with payload bytes; a raw `PUSH` instead sends its
+//! chunk as it is, behind a header line that gives its length.
 //!
 //! Requests:
 //!
 //! | line | reply |
 //! |---|---|
 //! | `OPEN <tenant-hex> [D] <pattern-hex>…` | `OK <id> HIT\|MISS` |
+//! | `PUSH <id> <offset\|-> #<len>`, then `<len>` raw bytes | `OK <n> <end>…` |
 //! | `PUSH <id> <offset\|-> <chunk-hex>` | `OK <n> <end>…` |
 //! | `SWAP <id> <pattern-hex>…` | `OK <generation>` |
 //! | `CANCEL <id>` / `RESET <id>` | `OK` |
@@ -18,6 +20,14 @@
 //! | `SHUTDOWN` | `OK` (daemon then exits cleanly) |
 //!
 //! An empty hex operand is spelled `-` so every token is non-empty.
+//!
+//! Framing: a request is one line of at most the daemon's `max_line`
+//! bytes. A raw `PUSH` header ([`Request::PushHeader`], built by
+//! [`push_frame`]) is followed by exactly `<len>` bytes of any value,
+//! `\n` included; `<len>` is decimal and at most `max_line`. A longer
+//! one is refused `FRAME` unread, a `PUSH` line that does not parse but
+//! has a `#` operand ([`announces_payload`]) is refused `PROTO`, and
+//! both hang up: what follows cannot be framed.
 //!
 //! `OPEN`'s optional `D` marks the stream **durable**: it survives the
 //! connection that opened it, so a client that loses its connection can
@@ -38,9 +48,14 @@
 
 /// Lowercase hex encoding; the empty payload is `-`.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::new();
-    hex_encode_into(bytes, &mut out);
-    out
+    if bytes.is_empty() {
+        return "-".to_string();
+    }
+    let mut digits = vec![0u8; 2 * bytes.len()];
+    for (pair, &byte) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+    }
+    String::from_utf8(digits).expect("hex digits are valid UTF-8")
 }
 
 /// Both digits of each byte value.
@@ -54,20 +69,21 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
     table
 };
 
-/// Appends [`hex_encode`]`(bytes)` to `out` — a request line is built in
-/// one buffer, operands encoded where they go.
-pub fn hex_encode_into(bytes: &[u8], out: &mut String) {
-    if bytes.is_empty() {
-        out.push('-');
-        return;
-    }
-    let mut line = std::mem::take(out).into_bytes();
-    let start = line.len();
-    line.resize(start + 2 * bytes.len(), 0);
-    for (pair, &byte) in line[start..].chunks_exact_mut(2).zip(bytes) {
-        pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
-    }
-    *out = String::from_utf8(line).expect("hex digits after valid UTF-8 are valid UTF-8");
+/// One `PUSH` as [`crate::Client`] sends it, in one write: the raw
+/// frame of `chunk`, its header line then its bytes.
+pub fn push_frame(id: u64, offset: Option<u64>, chunk: &[u8]) -> Vec<u8> {
+    let offset = offset.map_or_else(|| "-".to_string(), |at| at.to_string());
+    let header = format!("PUSH {id} {offset} #{}\n", chunk.len());
+    [header.as_bytes(), chunk].concat()
+}
+
+/// Whether `line`, when [`parse_request`] refuses it, was still meant as
+/// a raw `PUSH` header: its verb is `PUSH` and one of its operands starts
+/// with `#`. Raw bytes follow such a line, so nothing after it can be
+/// framed.
+pub fn announces_payload(line: &str) -> bool {
+    let mut tokens = line.split_whitespace();
+    tokens.next() == Some("PUSH") && tokens.any(|token| token.starts_with('#'))
 }
 
 /// Value of each byte as a hex digit (either case), `NOT_HEX` otherwise.
@@ -138,34 +154,28 @@ pub enum ErrCode {
     Shutdown,
 }
 
+/// Each code with its wire token, in declaration order: the one table
+/// both directions read.
+const ERR_TOKENS: [(ErrCode, &str); 8] = [
+    (ErrCode::Proto, "PROTO"),
+    (ErrCode::Scan, "SCAN"),
+    (ErrCode::UnknownStream, "UNKNOWN"),
+    (ErrCode::Overloaded, "OVERLOADED"),
+    (ErrCode::Draining, "DRAINING"),
+    (ErrCode::Frame, "FRAME"),
+    (ErrCode::Offset, "OFFSET"),
+    (ErrCode::Shutdown, "SHUTDOWN"),
+];
+
 impl ErrCode {
     /// The wire token for this code.
     pub fn token(self) -> &'static str {
-        match self {
-            ErrCode::Proto => "PROTO",
-            ErrCode::Scan => "SCAN",
-            ErrCode::UnknownStream => "UNKNOWN",
-            ErrCode::Overloaded => "OVERLOADED",
-            ErrCode::Draining => "DRAINING",
-            ErrCode::Frame => "FRAME",
-            ErrCode::Offset => "OFFSET",
-            ErrCode::Shutdown => "SHUTDOWN",
-        }
+        ERR_TOKENS[self as usize].1
     }
 
     /// Inverse of [`ErrCode::token`].
     pub fn parse(token: &str) -> Option<ErrCode> {
-        Some(match token {
-            "PROTO" => ErrCode::Proto,
-            "SCAN" => ErrCode::Scan,
-            "UNKNOWN" => ErrCode::UnknownStream,
-            "OVERLOADED" => ErrCode::Overloaded,
-            "DRAINING" => ErrCode::Draining,
-            "FRAME" => ErrCode::Frame,
-            "OFFSET" => ErrCode::Offset,
-            "SHUTDOWN" => ErrCode::Shutdown,
-            _ => return None,
-        })
+        ERR_TOKENS.iter().find(|(_, t)| *t == token).map(|(code, _)| *code)
     }
 
     /// `true` for the transient rejections a client should retry with
@@ -197,6 +207,17 @@ pub enum Request {
         offset: Option<u64>,
         /// The chunk bytes.
         chunk: Vec<u8>,
+    },
+    /// The header line of a raw push, `PUSH <id> <offset|-> #<len>`:
+    /// the chunk is the `len` bytes after the line, which the daemon
+    /// reads and then serves as the [`Request::Push`] they make.
+    PushHeader {
+        /// Stream handle from `OPEN`.
+        id: u64,
+        /// As [`Request::Push`]'s.
+        offset: Option<u64>,
+        /// How many payload bytes follow the header line.
+        len: usize,
     },
     /// Hot-swap a live stream onto a new pattern set.
     Swap {
@@ -296,6 +317,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     tok.parse::<u64>().map_err(|_| format!("bad push offset: {tok:?}"))?,
                 ),
             };
+            if let Some(len) = rest.trim_start().strip_prefix('#') {
+                let digits = &len[..len.find(char::is_whitespace).unwrap_or(len.len())];
+                let len = Some(digits)
+                    .filter(|d| d.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|d| d.parse::<usize>().ok())
+                    .ok_or_else(|| format!("bad push length: {digits:?}"))?;
+                return Ok(Request::PushHeader { id, offset, len });
+            }
             let chunk = chunk_operand(rest).ok_or_else(|| "chunk is not hex".to_string())?;
             Ok(Request::Push { id, offset, chunk })
         }
@@ -416,6 +445,55 @@ mod tests {
     }
 
     #[test]
+    fn raw_push_headers_parse_and_bad_lengths_are_refused() {
+        assert_eq!(
+            parse_request("PUSH 3 128 #65536").unwrap(),
+            Request::PushHeader { id: 3, offset: Some(128), len: 65536 }
+        );
+        assert_eq!(
+            parse_request(" PUSH 3 - #0 ").unwrap(),
+            Request::PushHeader { id: 3, offset: None, len: 0 }
+        );
+        // Decimal digits only, and present; a hex chunk never starts
+        // with `#`, so the hex form parses as before.
+        for bad in ["PUSH 3 - #", "PUSH 3 - # 5", "PUSH 3 - #+5", "PUSH 3 - #-5", "PUSH 3 - #0x10",
+            "PUSH 3 - #5a", "PUSH 3 - #99999999999999999999999", "PUSH 3 #5", "PUSH x - #5"]
+        {
+            assert!(parse_request(bad).is_err(), "{bad:?} should not parse");
+        }
+        assert_eq!(
+            parse_request("PUSH 3 - 6162").unwrap(),
+            Request::Push { id: 3, offset: None, chunk: b"ab".to_vec() }
+        );
+    }
+
+    #[test]
+    fn a_push_frame_is_its_header_line_then_the_chunk_as_it_is() {
+        let chunk = b"a\nb\r\xff";
+        let frame = push_frame(7, Some(64), chunk);
+        assert_eq!(frame, b"PUSH 7 64 #5\na\nb\r\xff");
+        let header = std::str::from_utf8(&frame[..frame.len() - chunk.len() - 1]).unwrap();
+        assert_eq!(
+            parse_request(header).unwrap(),
+            Request::PushHeader { id: 7, offset: Some(64), len: chunk.len() }
+        );
+        // An empty chunk is a header with nothing after it.
+        assert_eq!(push_frame(7, None, b""), b"PUSH 7 - #0\n");
+    }
+
+    #[test]
+    fn a_refused_push_with_a_hash_operand_announces_a_payload() {
+        for meant in ["PUSH 3 - #", "PUSH 3 - #5a", "PUSH x - #5", "PUSH 3 #5", "\tPUSH 3 - # 5"] {
+            assert!(parse_request(meant).is_err(), "{meant:?} should not parse");
+            assert!(announces_payload(meant), "{meant:?} announces a payload");
+        }
+        // Another verb, or no `#` operand, announces nothing.
+        for text in ["PUSHX 3 - #5", "PING #5", "PUSH 3 - zz", "PUSH 3 - 6g#"] {
+            assert!(!announces_payload(text), "{text:?} announces no payload");
+        }
+    }
+
+    #[test]
     fn err_lines_carry_codes_and_stay_single_line() {
         let line = err_line(ErrCode::Overloaded, "multi\nline\rmsg");
         assert_eq!(line, "ERR OVERLOADED multi line msg");
@@ -426,17 +504,9 @@ mod tests {
             Some((ErrCode::Scan, "something went wrong"))
         );
         assert_eq!(split_err("OK 3"), None);
-        for code in [
-            ErrCode::Proto,
-            ErrCode::Scan,
-            ErrCode::UnknownStream,
-            ErrCode::Overloaded,
-            ErrCode::Draining,
-            ErrCode::Frame,
-            ErrCode::Offset,
-            ErrCode::Shutdown,
-        ] {
-            assert_eq!(ErrCode::parse(code.token()), Some(code));
+        for (code, token) in ERR_TOKENS {
+            assert_eq!(code.token(), token, "the table is in declaration order");
+            assert_eq!(ErrCode::parse(token), Some(code));
             assert_eq!(
                 code.retryable(),
                 matches!(code, ErrCode::Overloaded | ErrCode::Draining)

@@ -1,17 +1,26 @@
 //! Adversarial decoding at the daemon's untrusted edge, in the style of
 //! `tests/checkpoint_fuzz.rs`: request lines ([`wire::parse_request`]),
-//! `STATS` replies ([`ServeMetrics::from_json`]) and drain manifests
-//! ([`DrainManifest::from_bytes`]) come from other processes. Whatever
-//! bit flips, truncations and spliced-in bytes do to a valid encoding,
-//! the decoder returns a value that re-encodes to itself or fails
-//! typed; it never panics and never sizes an allocation from a length
-//! field the input does not back.
+//! raw `PUSH` frames, `STATS` replies ([`ServeMetrics::from_json`]) and
+//! drain manifests ([`DrainManifest::from_bytes`]) come from other
+//! processes. Whatever bit flips, truncations and spliced-in bytes do to
+//! a valid encoding, the decoder returns a value that re-encodes to
+//! itself or fails typed; it never panics and never sizes an allocation
+//! from a length field the input does not back (a raw frame's length
+//! buys at most one 64 KiB read ahead, pinned by `bitgen-serve`'s
+//! transport unit tests).
 
-use bitgen::Error;
+use bitgen::{BitGen, Error};
 use bitgen_ir::{fnv1a, FNV_OFFSET};
 use bitgen_serve::wire::{self, Request};
-use bitgen_serve::{AckRecord, DrainEntry, DrainManifest, ServeMetrics, TenantMetrics};
+use bitgen_serve::{
+    serve, AckRecord, DaemonConfig, DrainEntry, DrainManifest, Endpoint, ScanService,
+    ServeConfig, ServeMetrics, TenantMetrics,
+};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 /// One fuzzing step on encoded bytes; parameters are reduced modulo the
 /// current length when applied, so every step is valid for every
@@ -53,6 +62,13 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<bool>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(
             |(id, checked, at, chunk)| Request::Push { id, offset: checked.then_some(at), chunk }
         ),
+        (any::<u64>(), any::<bool>(), any::<u64>(), any::<u32>()).prop_map(
+            |(id, checked, at, len)| Request::PushHeader {
+                id,
+                offset: checked.then_some(at),
+                len: len as usize,
+            }
+        ),
         (any::<u64>(), arb_patterns()).prop_map(|(id, patterns)| Request::Swap { id, patterns }),
         any::<u64>().prop_map(|id| Request::Cancel { id }),
         any::<u64>().prop_map(|id| Request::Reset { id }),
@@ -83,6 +99,9 @@ fn request_line(request: &Request) -> String {
             offset.map_or("-".to_string(), |at| at.to_string()),
             wire::hex_encode(chunk)
         ),
+        Request::PushHeader { id, offset, len } => {
+            format!("PUSH {id} {} #{len}", offset.map_or("-".to_string(), |at| at.to_string()))
+        }
         Request::Swap { id, patterns } => format!("SWAP {id}{}", hex_all(patterns)),
         Request::Cancel { id } => format!("CANCEL {id}"),
         Request::Reset { id } => format!("RESET {id}"),
@@ -115,14 +134,23 @@ fn parse_by_tokens(line: &str) -> Option<Request> {
                 patterns: patterns(&rest[if durable { 2 } else { 1 }..])?,
             }
         }
-        "PUSH" => Request::Push {
-            id: id()?,
-            offset: match *rest.get(1)? {
-                "-" => None,
-                at => Some(at.parse::<u64>().ok()?),
-            },
-            chunk: wire::hex_decode(rest.get(2).copied().unwrap_or("-"))?,
-        },
+        "PUSH" => {
+            let (id, offset) = (
+                id()?,
+                match *rest.get(1)? {
+                    "-" => None,
+                    at => Some(at.parse::<u64>().ok()?),
+                },
+            );
+            let operand = rest.get(2).copied().unwrap_or("-");
+            match operand.strip_prefix('#') {
+                Some(len) if len.bytes().all(|b| b.is_ascii_digit()) => {
+                    Request::PushHeader { id, offset, len: len.parse().ok()? }
+                }
+                Some(_) => return None,
+                None => Request::Push { id, offset, chunk: wire::hex_decode(operand)? },
+            }
+        }
         "SWAP" => Request::Swap { id: id()?, patterns: patterns(&rest[1..])? },
         "CANCEL" => Request::Cancel { id: id()? },
         "RESET" => Request::Reset { id: id()? },
@@ -300,6 +328,206 @@ proptest! {
         if let Some(parsed) = manifest_or_typed(&bytes) {
             assert_manifest_is_backed_by(&parsed, &bytes);
         }
+    }
+}
+
+/// The frame bound of the raw-frame fuzz's daemon: small, so lengths
+/// past it are cheap to write.
+const FRAME_BOUND: usize = 64;
+
+/// The patterns the raw-frame fuzz scans with.
+const FRAME_PATTERNS: &[&str] = &["a\\nb", "xb+"];
+
+/// A daemon on a fresh socket, shut down on drop.
+struct FuzzDaemon {
+    socket: std::path::PathBuf,
+    server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+impl FuzzDaemon {
+    fn start(tag: u64) -> FuzzDaemon {
+        let socket = std::env::temp_dir()
+            .join(format!("bitgen-wire-fuzz-{}-{tag}.sock", std::process::id()));
+        let endpoint = Endpoint::Unix(socket.clone());
+        let config = DaemonConfig { max_line: FRAME_BOUND, ..DaemonConfig::default() };
+        let server = std::thread::spawn(move || {
+            serve(&endpoint, ScanService::start(ServeConfig::default()), config).map(|_| ())
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !socket.exists() {
+            assert!(Instant::now() < deadline, "daemon never bound {}", socket.display());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        FuzzDaemon { socket, server: Some(server) }
+    }
+}
+
+impl Drop for FuzzDaemon {
+    fn drop(&mut self) {
+        if let Ok(mut conn) = UnixStream::connect(&self.socket) {
+            let _ = conn.write_all(b"SHUTDOWN\n");
+            let _ = BufReader::new(conn).read_line(&mut String::new());
+        }
+        if let Some(server) = self.server.take() {
+            let _ = server.join();
+        }
+    }
+}
+
+/// A reply as the fuzz predicts it: an `OK` line exactly, or the code
+/// of an `ERR` line.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Ok(String),
+    Err(String),
+}
+
+fn classify(line: &str) -> Reply {
+    match line.strip_prefix("ERR ") {
+        Some(rest) => Reply::Err(rest.split(' ').next().unwrap_or("").to_string()),
+        None => Reply::Ok(line.to_string()),
+    }
+}
+
+/// One raw frame of the fuzz, damaged or not: `PUSH <id> - #<len>`, then
+/// the payload. The damage is none (0), a cut mid-payload that ends the
+/// input (1), a length past the bound (2), a length that is missing or
+/// not decimal (3), or bytes trailing the payload (4).
+fn damaged_frame(id: u64, payload: &[u8], damage: u8, pick: usize, trail: &[u8]) -> Vec<u8> {
+    const BAD_LENGTHS: [&str; 8] = ["#", "#+5", "#-1", "#0x10", "#5a", "# 5", "#\u{661}", "#5.0"];
+    let length = match damage {
+        2 => format!("#{}", FRAME_BOUND + 1 + pick),
+        3 => BAD_LENGTHS[pick % BAD_LENGTHS.len()].to_string(),
+        _ => format!("#{}", payload.len()),
+    };
+    let mut frame = format!("PUSH {id} - {length}\n").into_bytes();
+    match damage {
+        1 => frame.extend_from_slice(&payload[..pick % (payload.len() + 1)]),
+        4 => {
+            frame.extend_from_slice(payload);
+            frame.extend_from_slice(trail);
+        }
+        _ => frame.extend_from_slice(payload),
+    }
+    frame
+}
+
+/// The replies a daemon with `FRAME_BOUND` owes `input` on a connection
+/// that then ends, by walking the whole input: lines split on `\n`, and
+/// after a raw header exactly its `len` bytes. A refusal that cannot be
+/// framed past (a line or a length over the bound, a `#` operand that
+/// does not parse) ends the replies, as the end of input does.
+fn frame_replies(input: &[u8], scanner: &mut bitgen::StreamScanner<'_>) -> Vec<Reply> {
+    let mut scan = |chunk: &[u8]| {
+        let ends = scanner.push(chunk).unwrap();
+        let mut reply = format!("OK {}", ends.len());
+        for end in ends {
+            reply.push_str(&format!(" {end}"));
+        }
+        Reply::Ok(reply)
+    };
+    let (mut replies, mut at) = (Vec::new(), 0);
+    while let Some(newline) = input[at..].iter().position(|&b| b == b'\n') {
+        let raw = &input[at..at + newline];
+        let line = raw.strip_suffix(b"\r").unwrap_or(raw);
+        at += newline + 1;
+        if line.len() > FRAME_BOUND {
+            replies.push(Reply::Err("FRAME".to_string()));
+            return replies;
+        }
+        let text = String::from_utf8_lossy(line);
+        if text.trim().is_empty() {
+            continue;
+        }
+        match wire::parse_request(&text) {
+            Ok(Request::PushHeader { len, .. }) if len > FRAME_BOUND => {
+                replies.push(Reply::Err("FRAME".to_string()));
+                return replies;
+            }
+            Ok(Request::PushHeader { len, .. }) => {
+                let Some(payload) = input.get(at..at + len) else { return replies };
+                at += len;
+                replies.push(scan(payload));
+            }
+            Ok(Request::Push { chunk, .. }) => replies.push(scan(&chunk)),
+            Ok(Request::Ping) => replies.push(Reply::Ok("OK".to_string())),
+            Ok(other) => panic!("the fuzz never builds {other:?}"),
+            Err(_) => {
+                replies.push(Reply::Err("PROTO".to_string()));
+                if wire::announces_payload(&text) {
+                    return replies;
+                }
+            }
+        }
+    }
+    let tail = input[at..].strip_suffix(b"\r").unwrap_or(&input[at..]);
+    if tail.len() > FRAME_BOUND {
+        replies.push(Reply::Err("FRAME".to_string()));
+    }
+    replies
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Raw frames through a daemon, damaged the ways a frame can be:
+    /// cut mid-payload, a length past the bound, a length missing or not
+    /// decimal, bytes trailing the payload. Payloads hold `\n`, `\r`
+    /// and `0xff`. Every reply is the one a walk of the whole input
+    /// predicts — a scan of exactly the announced bytes, or a typed
+    /// refusal — and the connection ends; nothing panics, hangs or
+    /// reads a payload as requests.
+    #[test]
+    fn damaged_raw_frames_frame_exactly_or_refuse_typed(
+        frames in prop::collection::vec(
+            (
+                prop::collection::vec(prop::sample::select(b"ab\n\r\xffx ".to_vec()), 0..48),
+                prop_oneof![Just(0u8), 0u8..5],
+                0usize..256,
+                prop::collection::vec(prop::sample::select(b"ab\n\r\xffx ".to_vec()), 1..12),
+            ),
+            1..4,
+        ),
+        tag in any::<u64>(),
+    ) {
+        let daemon = FuzzDaemon::start(tag);
+        let mut conn = UnixStream::connect(&daemon.socket).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut open = format!("OPEN {}", wire::hex_encode(b"fuzz"));
+        for pattern in FRAME_PATTERNS {
+            open.push_str(&format!(" {}", wire::hex_encode(pattern.as_bytes())));
+        }
+        conn.write_all(format!("{open}\n").as_bytes()).unwrap();
+        let mut opened = String::new();
+        reader.read_line(&mut opened).unwrap();
+        let id: u64 = opened.split(' ').nth(1).and_then(|id| id.parse().ok()).expect("OK <id>");
+
+        let mut input = Vec::new();
+        for (payload, damage, pick, trail) in &frames {
+            input.extend(damaged_frame(id, payload, *damage, *pick, trail));
+            if *damage == 1 {
+                break;
+            }
+        }
+        if !frames.iter().any(|(_, damage, _, _)| *damage == 1) {
+            input.extend_from_slice(b"PING\n");
+        }
+        // The daemon may hang up before it has read everything.
+        let _ = conn.write_all(&input);
+        let _ = conn.shutdown(Shutdown::Write);
+        let mut got = Vec::new();
+        loop {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => got.push(classify(line.trim_end_matches('\n'))),
+            }
+        }
+        let engine = BitGen::compile(FRAME_PATTERNS).unwrap();
+        let mut scanner = engine.streamer().unwrap();
+        let want = frame_replies(&input, &mut scanner);
+        prop_assert_eq!(got, want, "input {:?}", String::from_utf8_lossy(&input));
     }
 }
 
