@@ -15,8 +15,7 @@ use bitgen_exec::{
 };
 use bitgen_gpu::{CostBreakdown, DeviceConfig};
 use bitgen_ir::{
-    fnv1a, lower_group_checked, CancelToken, CompileLimits, LowerOptions, Program, RunControl,
-    FNV_OFFSET,
+    lower_group_checked, CancelToken, CompileLimits, LowerOptions, Program, RunControl,
 };
 use bitgen_regex::{parse, Ast, ParseError};
 use std::fmt;
@@ -180,20 +179,6 @@ impl EngineConfig {
         self.cross_check = cross_check;
         self
     }
-
-    /// An in-process fingerprint over every knob in the configuration.
-    ///
-    /// Two configs with the same fingerprint compile the same patterns
-    /// into interchangeable engines, so serving layers key compiled-
-    /// pattern caches on `(config fingerprint, patterns, generation)`.
-    /// The value hashes the `Debug` rendering: stable within a build of
-    /// this crate, **not** across versions — never persist it (that is
-    /// what [`BitGen::stream_fingerprint`]-carrying checkpoints are
-    /// for).
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a, same construction the checkpoint codec uses.
-        fnv1a(FNV_OFFSET, format!("{self:?}").as_bytes())
-    }
 }
 
 /// Pattern `index` failed to parse.
@@ -246,9 +231,9 @@ pub struct BitGen {
     /// programs above.
     pub(crate) stream_fingerprint: u64,
     pattern_count: usize,
-    /// Rule-set generation in a hot-swap lineage: `0` for a fresh
-    /// compile, parent + 1 for an engine staged by
-    /// [`BitGen::prepare_swap`]. Checked (alongside the stream
+    /// Rule-set generation: `0` for a fresh compile, the one asked of
+    /// [`BitGen::compile_at`] (which [`BitGen::prepare_swap`] asks for
+    /// parent + 1), set nowhere else. Checked (alongside the stream
     /// fingerprint) when resuming a [`crate::StreamCheckpoint`], so a
     /// stream suspended after a swap only restores onto the generation
     /// it was actually serving.
@@ -507,9 +492,9 @@ impl BitGen {
         self.pattern_count
     }
 
-    /// Rule-set generation in a hot-swap lineage: `0` for a fresh
-    /// compile, parent + 1 for an engine produced by
-    /// [`BitGen::prepare_swap`]. See [`crate::StagedRules`].
+    /// Rule-set generation: `0` for a fresh compile, parent + 1 for an
+    /// engine produced by [`BitGen::prepare_swap`], or the one asked of
+    /// [`BitGen::compile_at`]. See [`crate::StagedRules`].
     pub fn generation(&self) -> u64 {
         self.generation
     }

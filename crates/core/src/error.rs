@@ -81,11 +81,10 @@ pub enum Error {
     },
     /// A checkpoint's rule-set generation does not match the engine asked
     /// to resume it: the stream had hot-swapped a different number of
-    /// times than the engine's lineage records, so its byte counters and
-    /// match history belong to a different rule timeline. Rebuild the
-    /// engine for the checkpoint's generation (compile the original
-    /// rules, then replay the [`crate::BitGen::prepare_swap`] chain) and
-    /// resume on that.
+    /// times than the engine's generation records, so its byte counters
+    /// and match history belong to a different rule timeline. Rebuild the
+    /// engine for the checkpoint's generation (its current rules through
+    /// [`crate::BitGen::compile_at`]) and resume on that.
     GenerationMismatch {
         /// Generation of the engine asked to resume.
         expected: u64,
@@ -94,9 +93,10 @@ pub enum Error {
     },
     /// A staged rule-set swap ([`crate::StagedRules`]) was committed onto
     /// a scanner it was not prepared for — wrong parent engine, wrong
-    /// generation, or a previous swap still awaiting its first window.
-    /// The scanner is untouched: commit is atomic and rejects before
-    /// adopting anything.
+    /// generation, or a previous swap still awaiting its first window —
+    /// or was asked of an engine at generation `u64::MAX`, which no
+    /// generation can follow. The scanner is untouched: commit is atomic
+    /// and rejects before adopting anything.
     SwapMismatch {
         /// Why the commit was refused.
         reason: String,

@@ -580,17 +580,15 @@ mod tests {
 
     #[test]
     fn the_served_path_never_builds_a_batch_side() {
-        // Everything `bitgen-serve` calls — compile, swap staging, lineage
-        // replay, streamer, resume, push — leaves every cell empty: no
-        // transformed program, no kernel.
+        // Everything `bitgen-serve` calls — compile, swap staging, a
+        // compile at a later generation, streamer, resume, push — leaves
+        // every cell empty: no transformed program, no kernel.
         let idle = |e: &BitGen| (0..e.group_count()).all(|g| e.batch_plan(g).is_none());
-        let owned = |pats: &[&str]| pats.iter().map(|p| p.to_string()).collect::<Vec<_>>();
         let generations: [&[&str]; 3] = [&["a(bc)*d", "cat", "[0-9]+x"], &["dog", "c+d"], &["x[ab]{1,4}y"]];
         let config = EngineConfig::default().with_cta_count(3);
         let engine = BitGen::compile_with(generations[0], config.clone()).unwrap();
         let staged = engine.prepare_swap(generations[1]).unwrap();
-        let lineage: Vec<Vec<String>> = generations.iter().map(|g| owned(g)).collect();
-        let replayed = BitGen::compile_lineage(&lineage, config).unwrap();
+        let replayed = BitGen::compile_at(generations[2], config, 2).unwrap();
         assert_eq!(replayed.generation(), 2);
         let input = &streams()[8];
         let mut scanner = engine.streamer().unwrap();

@@ -255,8 +255,8 @@ impl BitGen {
     /// engine with a different streaming compile (different patterns,
     /// grouping, or lowering), [`Error::GenerationMismatch`] when the
     /// fingerprints agree but the checkpoint sits at a different rule-set
-    /// generation (the stream had hot-swapped; rebuild its
-    /// [`crate::StagedRules`] lineage and resume on that engine),
+    /// generation (the stream had hot-swapped; rebuild its engine with
+    /// [`BitGen::compile_at`] and resume on that),
     /// [`Error::CheckpointInvalid`] / [`Error::CarryCorrupted`] when its
     /// carry states fail validation against this engine's programs.
     pub fn resume(&self, checkpoint: &StreamCheckpoint) -> Result<StreamScanner<'_>, Error> {

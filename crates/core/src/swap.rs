@@ -98,48 +98,44 @@ impl BitGen {
     /// # Errors
     ///
     /// [`Error::Compile`] when a pattern fails to parse,
-    /// [`Error::LimitExceeded`] when the set blows a compile budget —
-    /// in both cases no staged generation exists and every live stream
-    /// is untouched.
+    /// [`Error::LimitExceeded`] when the set blows a compile budget,
+    /// [`Error::SwapMismatch`] when this engine sits at `u64::MAX` and no
+    /// generation can follow — in each case no staged generation exists
+    /// and every live stream is untouched.
     pub fn prepare_swap(&self, patterns: &[&str]) -> Result<StagedRules, Error> {
-        let mut engine = BitGen::compile_with(patterns, self.config().clone())?;
-        engine.generation = self.generation + 1;
+        let generation = self.generation.checked_add(1).ok_or_else(|| Error::SwapMismatch {
+            reason: format!("generation {} is the last; none can follow it", self.generation),
+        })?;
         Ok(StagedRules {
-            engine,
+            engine: BitGen::compile_at(patterns, self.config().clone(), generation)?,
             parent_fingerprint: self.stream_fingerprint(),
             parent_generation: self.generation,
         })
     }
 
-    /// Rebuilds the engine for a post-swap checkpoint from its pattern
-    /// lineage: `lineage[0]` is the generation-0 rule set, each later
-    /// entry the patterns a subsequent hot swap installed. Each
-    /// [`BitGen::prepare_swap`] compiles its patterns under its parent's
-    /// configuration, so the chain's engine is its tip compiled once under
-    /// `config`, at generation `lineage.len() - 1`: the exact
-    /// fingerprint/generation pair a checkpoint taken after those swaps
-    /// records. The earlier sets only count generations; none is compiled.
+    /// Compiles `patterns` under `config` as rule-set `generation`: the
+    /// engine a checkpoint taken at that generation on those patterns
+    /// resumes onto. Each [`BitGen::prepare_swap`] compiles its patterns
+    /// under its parent's configuration, so the engine a stream runs
+    /// after any number of swaps is its current patterns compiled once at
+    /// its current generation; the sets before them decide nothing.
     ///
     /// This is the adoption path for checkpoints that outlive the
     /// process that made them (drain manifests, disk handoff): a fresh
-    /// host has no staged generations to share, but the lineage is
-    /// enough to reconstruct one bit-identically.
+    /// host has no staged generations to share, but the generation and
+    /// the patterns are enough to rebuild one bit-identically.
     ///
     /// # Errors
     ///
-    /// [`Error::CheckpointInvalid`] on an empty lineage; otherwise
-    /// whatever compiling the tip returns ([`Error::Compile`],
+    /// Whatever compiling `patterns` returns ([`Error::Compile`],
     /// [`Error::LimitExceeded`]).
-    pub fn compile_lineage(
-        lineage: &[Vec<String>],
+    pub fn compile_at(
+        patterns: &[&str],
         config: EngineConfig,
+        generation: u64,
     ) -> Result<BitGen, Error> {
-        let tip = lineage.last().ok_or_else(|| Error::CheckpointInvalid {
-            reason: "pattern lineage is empty; nothing to compile".to_string(),
-        })?;
-        let refs: Vec<&str> = tip.iter().map(String::as_str).collect();
-        let mut engine = BitGen::compile_with(&refs, config)?;
-        engine.generation = lineage.len() as u64 - 1;
+        let mut engine = BitGen::compile_with(patterns, config)?;
+        engine.generation = generation;
         Ok(engine)
     }
 }
@@ -236,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn lineage_replay_resumes_post_swap_checkpoints_bit_identically() {
+    fn compile_at_resumes_post_swap_checkpoints_bit_identically() {
         // Live timeline: gen 0 scans, swaps to gen 1, scans, checkpoints.
         let base = BitGen::compile(&["cat"]).unwrap();
         let staged = base.prepare_swap(&["dog", "a+b"]).unwrap();
@@ -246,11 +242,10 @@ mod tests {
         ends.extend(scanner.push(b"cat dog aab ").unwrap());
         let checkpoint = scanner.checkpoint();
 
-        // A fresh host rebuilds the generation-1 engine from the lineage
-        // alone and continues the stream bit-identically.
-        let lineage = vec![vec!["cat".to_string()], vec!["dog".to_string(), "a+b".to_string()]];
+        // A fresh host rebuilds the generation-1 engine from its
+        // generation and patterns alone and continues bit-identically.
         let rebuilt =
-            BitGen::compile_lineage(&lineage, crate::EngineConfig::default()).unwrap();
+            BitGen::compile_at(&["dog", "a+b"], crate::EngineConfig::default(), 1).unwrap();
         assert_eq!(rebuilt.generation(), 1);
         assert_eq!(rebuilt.stream_fingerprint(), staged.engine().stream_fingerprint());
         let mut resumed = rebuilt.resume(&checkpoint).unwrap();
@@ -266,35 +261,27 @@ mod tests {
         want.extend(truth.push(b"dog aab cat ").unwrap());
         assert_eq!(ends, want);
 
-        // An empty lineage is a typed refusal, not a panic.
+        // A chain of swaps lands where one compile at its generation does.
+        let chained = staged.into_engine().prepare_swap(&["e+f"]).unwrap().into_engine();
+        let direct = BitGen::compile_at(&["e+f"], crate::EngineConfig::default(), 2).unwrap();
+        assert_eq!(
+            (chained.generation(), chained.stream_fingerprint()),
+            (direct.generation(), direct.stream_fingerprint())
+        );
         assert!(matches!(
-            BitGen::compile_lineage(&[], crate::EngineConfig::default()),
-            Err(Error::CheckpointInvalid { .. })
+            BitGen::compile_at(&["(oops"], crate::EngineConfig::default(), 2),
+            Err(Error::Compile(_))
         ));
     }
 
     #[test]
-    fn a_lineage_rebuilds_its_tip_whatever_the_sets_before_it() {
-        let sets = |middle: &str| -> Vec<Vec<String>> {
-            [&["cat"][..], &[middle], &["dog", "a+b"]]
-                .iter()
-                .map(|set| set.iter().map(|p| p.to_string()).collect())
-                .collect()
-        };
-        let config = crate::EngineConfig::default();
-        let chained = BitGen::compile(&["cat"]).unwrap();
-        let chained = chained.prepare_swap(&["e+f"]).unwrap().into_engine();
-        let chained = chained.prepare_swap(&["dog", "a+b"]).unwrap().into_engine();
-        for middle in ["e+f", "(oops"] {
-            // A middle set that no longer parses still rebuilds the tip.
-            let rebuilt = BitGen::compile_lineage(&sets(middle), config.clone()).unwrap();
-            assert_eq!(rebuilt.generation(), 2, "{middle}");
-            assert_eq!(rebuilt.stream_fingerprint(), chained.stream_fingerprint(), "{middle}");
-        }
-        // The tip itself must compile.
-        let mut bad_tip = sets("e+f");
-        bad_tip[2] = vec!["(oops".to_string()];
-        assert!(matches!(BitGen::compile_lineage(&bad_tip, config), Err(Error::Compile(_))));
+    fn the_last_generation_stages_nothing() {
+        let last = BitGen::compile_at(&["ab"], crate::EngineConfig::default(), u64::MAX).unwrap();
+        assert!(matches!(last.prepare_swap(&["cd"]), Err(Error::SwapMismatch { .. })));
+        // One below it still swaps, onto the last.
+        let below =
+            BitGen::compile_at(&["ab"], crate::EngineConfig::default(), u64::MAX - 1).unwrap();
+        assert_eq!(below.prepare_swap(&["cd"]).unwrap().generation(), u64::MAX);
     }
 
     #[test]

@@ -3,22 +3,25 @@
 //! An IDS/WAF-shaped deployment has thousands of clients but a handful
 //! of rule sets. Compiling a pattern set is the expensive step (parse,
 //! group, lower, prepare the streaming tables; the daemon only streams,
-//! so no transform pass or kernel is ever built), so the service keys
-//! each compiled [`BitGen`] by *what it would compile* — the pattern list
-//! in order, the full [`EngineConfig`] fingerprint, and the rule-set
-//! generation — and every admission asking for the same rule set shares
-//! one engine behind an [`Arc`].
+//! so no transform pass or kernel is ever built), so the cache keeps one
+//! [`RuleSet`] — a generation, its pattern list in order, and the engine
+//! compiled from them — per rule set a stream can run, and every stream
+//! on it holds the same record behind an [`Arc`]. The cache owns the one
+//! [`EngineConfig`] its engines compile under, so the key is FNV-1a over
+//! the generation and the patterns alone.
 //!
 //! Generations are part of the key on purpose: a hot-swapped engine at
 //! generation `g+1` is a different rule timeline than a fresh compile
 //! of the same patterns at generation 0 ([`bitgen::Error::GenerationMismatch`]
 //! enforces this at resume), so they must never collide in the cache.
+//! Any generation compiles ([`BitGen::compile_at`]): the engine a stream
+//! runs after its swaps is its current patterns compiled at its current
+//! generation.
 //!
 //! The 64-bit key only *finds* an entry. FNV-1a is not collision
-//! resistant and patterns are tenant-supplied, so every entry keeps what
-//! it was compiled from and a lookup is a hit only when that agrees —
-//! a crafted collision recompiles, it never serves another tenant's
-//! engine.
+//! resistant and patterns are tenant-supplied, so a lookup is a hit only
+//! when the entry's generation and patterns agree — a crafted collision
+//! recompiles, it never serves another tenant's engine.
 //!
 //! Eviction is LRU with a hard entry cap. Evicting an entry only
 //! forgets it for future admissions — streams already scanning hold
@@ -30,66 +33,61 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// What one engine is compiled from — the config fingerprint, the
-/// generation and the pattern list in order — with its cache key: FNV-1a
-/// over all three (patterns length-prefixed so `["ab","c"]` and
-/// `["a","bc"]` cannot collide).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RuleSetId<'a> {
-    key: u64,
-    config: u64,
-    generation: u64,
-    patterns: &'a [&'a str],
-}
-
-impl<'a> RuleSetId<'a> {
-    pub fn new(config: &EngineConfig, generation: u64, patterns: &'a [&'a str]) -> RuleSetId<'a> {
-        let config = config.fingerprint();
-        let mut key = FNV_OFFSET;
-        let mut absorb = |bytes: &[u8]| key = fnv1a(key, bytes);
-        absorb(&config.to_le_bytes());
-        absorb(&generation.to_le_bytes());
-        absorb(&(patterns.len() as u64).to_le_bytes());
-        for pattern in patterns {
-            absorb(&(pattern.len() as u64).to_le_bytes());
-            absorb(pattern.as_bytes());
-        }
-        RuleSetId { key, config, generation, patterns }
-    }
-}
-
-/// A cached engine beside what it was compiled from.
+/// One served rule set: the pattern list a stream runs and the engine
+/// compiled from it, which carries the generation. Shared behind an
+/// [`Arc`] by the cache and every stream on it.
 #[derive(Debug)]
-struct Entry {
-    config: u64,
-    generation: u64,
-    patterns: Vec<String>,
-    engine: Arc<BitGen>,
+pub(crate) struct RuleSet {
+    pub patterns: Vec<String>,
+    pub engine: BitGen,
 }
 
-impl Entry {
-    fn is(&self, id: &RuleSetId<'_>) -> bool {
-        self.config == id.config
-            && self.generation == id.generation
-            && self.patterns.iter().map(String::as_str).eq(id.patterns.iter().copied())
+impl RuleSet {
+    /// `engine` beside the patterns it was compiled from.
+    pub fn new(engine: BitGen, patterns: &[&str]) -> RuleSet {
+        RuleSet { patterns: patterns.iter().map(|p| p.to_string()).collect(), engine }
+    }
+
+    pub fn generation(&self) -> u64 {
+        self.engine.generation()
+    }
+
+    fn is(&self, generation: u64, patterns: &[&str]) -> bool {
+        self.generation() == generation
+            && self.patterns.iter().map(String::as_str).eq(patterns.iter().copied())
     }
 }
 
-/// LRU cache of compiled engines. Not thread-safe by itself — the
+/// The cache key of a rule set: FNV-1a over the generation and the
+/// pattern list, each pattern length-prefixed so `["ab","c"]` and
+/// `["a","bc"]` cannot collide.
+fn key<S: AsRef<str>>(generation: u64, patterns: &[S]) -> u64 {
+    let mut key = fnv1a(FNV_OFFSET, &generation.to_le_bytes());
+    key = fnv1a(key, &(patterns.len() as u64).to_le_bytes());
+    for pattern in patterns {
+        key = fnv1a(key, &(pattern.as_ref().len() as u64).to_le_bytes());
+        key = fnv1a(key, pattern.as_ref().as_bytes());
+    }
+    key
+}
+
+/// LRU cache of compiled rule sets. Not thread-safe by itself — the
 /// service wraps it in a mutex (compiles run under the lock, which is
 /// exactly the point: concurrent admissions of the same pattern set
 /// wait for one compile instead of racing N).
 #[derive(Debug)]
 pub(crate) struct PatternCache {
+    config: EngineConfig,
     capacity: usize,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Arc<RuleSet>>,
     /// Least-recently-used key at the front.
     order: VecDeque<u64>,
 }
 
 impl PatternCache {
-    pub fn new(capacity: usize) -> PatternCache {
+    pub fn new(config: EngineConfig, capacity: usize) -> PatternCache {
         PatternCache {
+            config,
             capacity: capacity.max(1),
             entries: HashMap::new(),
             order: VecDeque::new(),
@@ -103,32 +101,46 @@ impl PatternCache {
         self.order.push_back(key);
     }
 
-    /// Returns the cached engine of `id`, or compiles one with `compile`
-    /// and caches it. The boolean is `true` on a hit; an entry under
-    /// `id`'s key that was compiled from something else is a miss, and
-    /// is replaced. The third value counts entries evicted to make room
-    /// (0 or 1).
+    /// Returns the cached rule set of `patterns` at `generation`, or
+    /// compiles and caches one. The boolean is `true` on a hit; an entry
+    /// under the same key that was compiled from something else is a
+    /// miss, and is replaced. The third value counts entries evicted to
+    /// make room (0 or 1).
     pub fn get_or_compile(
         &mut self,
-        id: RuleSetId<'_>,
-        compile: impl FnOnce() -> Result<BitGen, Error>,
-    ) -> Result<(Arc<BitGen>, bool, u64), Error> {
-        if let Some(entry) = self.entries.get(&id.key).filter(|e| e.is(&id)) {
-            let engine = Arc::clone(&entry.engine);
-            self.touch(id.key);
-            return Ok((engine, true, 0));
-        }
-        let engine = Arc::new(compile()?);
-        let evicted = self.insert(id, engine.clone());
-        Ok((engine, false, evicted))
+        generation: u64,
+        patterns: &[&str],
+    ) -> Result<(Arc<RuleSet>, bool, u64), Error> {
+        self.lookup(key(generation, patterns), generation, patterns)
     }
 
-    /// Inserts an already-compiled engine (hot-swap publication path) as
-    /// the entry of `id`. Returns how many entries were evicted to make
-    /// room.
-    pub fn insert(&mut self, id: RuleSetId<'_>, engine: Arc<BitGen>) -> u64 {
+    fn lookup(
+        &mut self,
+        key: u64,
+        generation: u64,
+        patterns: &[&str],
+    ) -> Result<(Arc<RuleSet>, bool, u64), Error> {
+        if let Some(rules) = self.entries.get(&key).filter(|r| r.is(generation, patterns)) {
+            let rules = Arc::clone(rules);
+            self.touch(key);
+            return Ok((rules, true, 0));
+        }
+        let engine = BitGen::compile_at(patterns, self.config.clone(), generation)?;
+        let rules = Arc::new(RuleSet::new(engine, patterns));
+        let evicted = self.put(key, Arc::clone(&rules));
+        Ok((rules, false, evicted))
+    }
+
+    /// Publishes a rule set compiled elsewhere (the hot-swap path, whose
+    /// engine was staged under this cache's config). Returns how many
+    /// entries were evicted to make room.
+    pub fn insert(&mut self, rules: Arc<RuleSet>) -> u64 {
+        self.put(key(rules.generation(), &rules.patterns), rules)
+    }
+
+    fn put(&mut self, key: u64, rules: Arc<RuleSet>) -> u64 {
         let mut evicted = 0;
-        if !self.entries.contains_key(&id.key) {
+        if !self.entries.contains_key(&key) {
             while self.entries.len() >= self.capacity {
                 match self.order.pop_front() {
                     Some(old) => {
@@ -139,10 +151,8 @@ impl PatternCache {
                 }
             }
         }
-        let patterns = id.patterns.iter().map(|p| p.to_string()).collect();
-        let entry = Entry { config: id.config, generation: id.generation, patterns, engine };
-        self.entries.insert(id.key, entry);
-        self.touch(id.key);
+        self.entries.insert(key, rules);
+        self.touch(key);
         evicted
     }
 
@@ -156,91 +166,88 @@ impl PatternCache {
 mod tests {
     use super::*;
 
-    fn compile<'a>(patterns: &'a [&'a str]) -> impl FnOnce() -> Result<BitGen, Error> + 'a {
-        move || BitGen::compile(patterns)
-    }
-
-    fn id<'a>(patterns: &'a [&'a str]) -> RuleSetId<'a> {
-        RuleSetId::new(&EngineConfig::default(), 0, patterns)
+    fn cache(capacity: usize) -> PatternCache {
+        PatternCache::new(EngineConfig::default(), capacity)
     }
 
     #[test]
-    fn keys_separate_patterns_configs_and_generations() {
-        let base = EngineConfig::default();
-        let other = EngineConfig::default().with_cta_threads(32);
-        let k = RuleSetId::new(&base, 0, &["ab", "c"]).key;
-        assert_eq!(k, RuleSetId::new(&base, 0, &["ab", "c"]).key);
-        assert_ne!(k, RuleSetId::new(&base, 0, &["a", "bc"]).key);
-        assert_ne!(k, RuleSetId::new(&base, 0, &["c", "ab"]).key);
-        assert_ne!(k, RuleSetId::new(&base, 1, &["ab", "c"]).key);
-        assert_ne!(k, RuleSetId::new(&other, 0, &["ab", "c"]).key);
+    fn keys_separate_patterns_and_generations() {
+        let k = key(0, &["ab", "c"]);
+        assert_eq!(k, key(0, &["ab".to_string(), "c".to_string()]));
+        assert_ne!(k, key(0, &["a", "bc"]));
+        assert_ne!(k, key(0, &["c", "ab"]));
+        assert_ne!(k, key(1, &["ab", "c"]));
     }
 
     #[test]
     fn second_lookup_is_a_hit_on_the_same_engine() {
-        let mut cache = PatternCache::new(4);
-        let (first, hit, _) = cache.get_or_compile(id(&["cat"]), compile(&["cat"])).unwrap();
+        let mut cache = cache(4);
+        let (first, hit, _) = cache.get_or_compile(0, &["cat"]).unwrap();
         assert!(!hit);
-        let (second, hit, _) =
-            cache.get_or_compile(id(&["cat"]), || panic!("must not recompile")).unwrap();
+        let (second, hit, _) = cache.get_or_compile(0, &["cat"]).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &second));
+        // Any generation compiles, as its own entry.
+        let (later, hit, _) = cache.get_or_compile(3, &["cat"]).unwrap();
+        assert!(!hit && later.generation() == 3 && first.generation() == 0);
+        assert_eq!(later.engine.stream_fingerprint(), first.engine.stream_fingerprint());
     }
 
     #[test]
     fn a_colliding_key_is_a_miss_never_another_rule_sets_engine() {
         // A tenant that crafts patterns hashing to a victim's key must
         // get an engine compiled from its own patterns.
-        let mut cache = PatternCache::new(4);
-        let victim = id(&["cat"]);
-        let (first, ..) = cache.get_or_compile(victim, compile(&["cat"])).unwrap();
-        let base = EngineConfig::default();
-        let colliding = [
-            RuleSetId { key: victim.key, ..id(&["dog"]) },
-            RuleSetId { key: victim.key, ..RuleSetId::new(&base, 1, &["cat"]) },
-            RuleSetId { key: victim.key, ..RuleSetId::new(&base.clone().with_cta_threads(32), 0, &["cat"]) },
-        ];
-        let (second, hit, evicted) = cache.get_or_compile(colliding[0], compile(&["dog"])).unwrap();
+        let mut cache = cache(4);
+        let victim = key(0, &["cat"]);
+        let (first, ..) = cache.get_or_compile(0, &["cat"]).unwrap();
+        let (second, hit, evicted) = cache.lookup(victim, 0, &["dog"]).unwrap();
         assert!(!hit && !Arc::ptr_eq(&first, &second));
         assert_eq!((evicted, cache.len()), (0, 1), "the entry under the key is replaced");
-        assert_eq!(second.find(b"cat dog").unwrap().matches.positions(), vec![6]);
+        assert_eq!(second.engine.find(b"cat dog").unwrap().matches.positions(), vec![6]);
         // The replacement is now what the key holds; the victim recompiles.
-        assert!(cache.get_or_compile(colliding[0], || panic!("hit expected")).unwrap().1);
-        assert!(!cache.get_or_compile(victim, compile(&["cat"])).unwrap().1);
-        // Generation and config are part of the identity too, and the
-        // hot-swap publication path stores the same identity.
-        for other in &colliding[1..] {
-            assert!(!cache.get_or_compile(*other, compile(&["cat"])).unwrap().1);
-            cache.insert(victim, Arc::clone(&first));
-            assert!(!cache.get_or_compile(*other, compile(&["cat"])).unwrap().1);
-        }
+        assert!(cache.lookup(victim, 0, &["dog"]).unwrap().1);
+        assert!(!cache.get_or_compile(0, &["cat"]).unwrap().1);
+        // The generation is part of the identity too, and the hot-swap
+        // publication path stores the same identity.
+        assert!(!cache.lookup(victim, 1, &["cat"]).unwrap().1);
+        cache.insert(Arc::clone(&first));
+        assert!(!cache.lookup(victim, 1, &["cat"]).unwrap().1);
     }
 
     #[test]
     fn evicts_least_recently_used_but_keeps_live_engines_alive() {
-        let mut cache = PatternCache::new(2);
-        let (a, _, ev) = cache.get_or_compile(id(&["aa"]), compile(&["aa"])).unwrap();
+        let mut cache = cache(2);
+        let (a, _, ev) = cache.get_or_compile(0, &["aa"]).unwrap();
         assert_eq!(ev, 0);
-        cache.get_or_compile(id(&["bb"]), compile(&["bb"])).unwrap();
+        cache.get_or_compile(0, &["bb"]).unwrap();
         // Touch `aa` so `bb` becomes the LRU victim.
-        cache.get_or_compile(id(&["aa"]), || panic!("hit expected")).unwrap();
-        let (_, hit, ev) = cache.get_or_compile(id(&["cc"]), compile(&["cc"])).unwrap();
+        assert!(cache.get_or_compile(0, &["aa"]).unwrap().1);
+        let (_, hit, ev) = cache.get_or_compile(0, &["cc"]).unwrap();
         assert!(!hit);
         assert_eq!(ev, 1);
         assert_eq!(cache.len(), 2);
         // `bb` was evicted, `aa` survived.
-        assert!(cache.get_or_compile(id(&["aa"]), || panic!("hit expected")).unwrap().1);
-        let (_, hit, _) = cache.get_or_compile(id(&["bb"]), compile(&["bb"])).unwrap();
+        assert!(cache.get_or_compile(0, &["aa"]).unwrap().1);
+        let (_, hit, _) = cache.get_or_compile(0, &["bb"]).unwrap();
         assert!(!hit, "evicted entry must recompile");
         // The evicted-and-recompiled engine is a different allocation;
         // the Arc we held across the eviction still scans fine.
-        assert_eq!(a.find(b"aa").unwrap().match_count(), 1);
+        assert_eq!(a.engine.find(b"aa").unwrap().match_count(), 1);
     }
 
     #[test]
     fn compile_failures_cache_nothing() {
-        let mut cache = PatternCache::new(4);
-        assert!(cache.get_or_compile(id(&["(oops"]), compile(&["(oops"])).is_err());
+        let mut cache = cache(4);
+        assert!(cache.get_or_compile(0, &["(oops"]).is_err());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn engines_compile_under_the_caches_config() {
+        let mut cache = PatternCache::new(EngineConfig::default().with_cta_threads(32), 4);
+        let (rules, ..) = cache.get_or_compile(2, &["ab", "c"]).unwrap();
+        assert_eq!(rules.engine.config().threads, 32);
+        let staged = rules.engine.prepare_swap(&["cd"]).unwrap();
+        assert_eq!(staged.engine().config().threads, 32, "a swap keeps the cache's config");
     }
 }

@@ -35,6 +35,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// How a daemon run behaves around the protocol itself: frame bounds,
@@ -171,9 +172,11 @@ fn serve_loop(
     let drain = AtomicBool::new(false);
     let closing = AtomicBool::new(false);
     let drained = std::thread::scope(|scope| -> io::Result<Option<(DrainManifest, bool)>> {
-        // Only this thread touches `peers`; handlers get their own
-        // split handles.
-        let mut peers: Vec<Socket> = Vec::new();
+        // Only this thread touches `peers`: each live connection's
+        // hang-up handle beside its handler, pruned once the handler
+        // has finished, so a finished connection holds no descriptor.
+        // Handlers get their own split handles.
+        let mut peers: Vec<(Socket, ScopedJoinHandle<'_, ()>)> = Vec::new();
         let mut conn_index = 0u64;
         let accept_result = loop {
             if stop.load(Ordering::SeqCst) {
@@ -187,10 +190,10 @@ fn serve_loop(
             }
             match listener.poll_accept() {
                 Ok(Some(conn)) => {
-                    let Ok(writer) = conn.try_clone() else { continue };
-                    if let Ok(peer) = conn.try_clone() {
-                        peers.push(peer);
-                    }
+                    peers.retain(|(_, handler)| !handler.is_finished());
+                    let (Ok(writer), Ok(peer)) = (conn.try_clone(), conn.try_clone()) else {
+                        continue;
+                    };
                     let ctx = ConnCtx {
                         service: &service,
                         stop: &stop,
@@ -200,7 +203,7 @@ fn serve_loop(
                         index: conn_index,
                     };
                     conn_index += 1;
-                    scope.spawn(move || handle_connection(conn, writer, ctx));
+                    peers.push((peer, scope.spawn(move || handle_connection(conn, writer, ctx))));
                 }
                 Ok(None) => std::thread::sleep(Duration::from_millis(2)),
                 Err(e) => break Err(e),
@@ -221,7 +224,7 @@ fn serve_loop(
             drained = Some((manifest, forced));
         }
         closing.store(true, Ordering::SeqCst);
-        for peer in peers.drain(..) {
+        for (peer, _) in peers.drain(..) {
             peer.hang_up();
         }
         accept_result.and(save_result).map(|()| drained)

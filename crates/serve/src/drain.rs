@@ -3,13 +3,11 @@
 //! daemon adopts at startup.
 //!
 //! A drained stream needs more than its [`bitgen::StreamCheckpoint`]:
-//! the successor must rebuild the *engine* the checkpoint belongs to,
-//! and a post-hot-swap engine cannot be rebuilt from a pattern set
-//! alone (a fresh compile is generation 0 by definition). So each
-//! entry records the stream's **pattern lineage** — the generation-0
-//! set plus each swap's set, in order — from which
-//! [`bitgen::BitGen::compile_lineage`] rebuilds the exact generation
-//! the checkpoint demands. The entry also records the
+//! the successor must rebuild the *engine* the checkpoint belongs to.
+//! That engine is the stream's current patterns compiled at its current
+//! generation ([`bitgen::BitGen::compile_at`]), whatever it swapped
+//! through to get there, so each entry records the generation and the
+//! patterns. The entry also records the
 //! stream's last push acknowledgement, so a client whose final ack was
 //! lost in the crash gets the idempotent replay instead of a double
 //! scan, *across* the restart.
@@ -18,6 +16,19 @@
 //! sealed with the same FNV-1a digest discipline as the checkpoint
 //! format itself: any truncation, splice, or bit flip is a typed
 //! [`Error::CheckpointInvalid`], never a silently wrong adoption.
+//!
+//! # Byte layout (version 1)
+//!
+//! `BGDM`, `u16` version, `u32` entry count; per entry: `u64` stream,
+//! `u64` generation, `u64` base generation, tenant, `u32` lineage
+//! count, each lineage set as a `u32` pattern count and its patterns,
+//! checkpoint, ack tag (`0`, or `1`, `u64` offset, `u32` end count and
+//! `u64` ends); then the `u64` seal. Strings and blobs are a `u32`
+//! length and the bytes, integers little-endian. Earlier builds kept
+//! every set a stream swapped through as its lineage, based at the
+//! generation of its first set. This build writes a one-set lineage
+//! based at the entry's generation, and reads the last set of any
+//! lineage as the entry's patterns: the sets before it decide nothing.
 
 use crate::service::StreamId;
 use bitgen::Error;
@@ -50,15 +61,8 @@ pub struct DrainEntry {
     /// Rule-set generation of the checkpoint (recorded redundantly
     /// with the checkpoint's own field and cross-checked at adoption).
     pub generation: u64,
-    /// Generation of `lineage[0]`'s engine when the stream entered the
-    /// drained service. `0` means the lineage is complete from the
-    /// original compile and the engine is rebuildable anywhere;
-    /// non-zero means the stream was itself adopted mid-lineage and
-    /// only a cache holding that generation can revive it.
-    pub base_generation: u64,
-    /// Pattern sets from `base_generation` onward: the set compiled at
-    /// `base_generation`, then each hot swap's set in order.
-    pub lineage: Vec<Vec<String>>,
+    /// The patterns the stream runs at `generation`, in order.
+    pub patterns: Vec<String>,
     /// The stream's committed boundary, as
     /// [`bitgen::StreamCheckpoint::to_bytes`] serialized it (with its
     /// own inner seal).
@@ -104,15 +108,14 @@ impl DrainManifest {
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for entry in &self.entries {
             out.extend_from_slice(&entry.stream.to_le_bytes());
+            // The generation twice: the entry's, and its one set's base.
             out.extend_from_slice(&entry.generation.to_le_bytes());
-            out.extend_from_slice(&entry.base_generation.to_le_bytes());
+            out.extend_from_slice(&entry.generation.to_le_bytes());
             put_bytes(&mut out, entry.tenant.as_bytes());
-            out.extend_from_slice(&(entry.lineage.len() as u32).to_le_bytes());
-            for patterns in &entry.lineage {
-                out.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
-                for pattern in patterns {
-                    put_bytes(&mut out, pattern.as_bytes());
-                }
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&(entry.patterns.len() as u32).to_le_bytes());
+            for pattern in &entry.patterns {
+                put_bytes(&mut out, pattern.as_bytes());
             }
             put_bytes(&mut out, &entry.checkpoint);
             match &entry.last_ack {
@@ -137,7 +140,8 @@ impl DrainManifest {
     /// # Errors
     ///
     /// [`Error::CheckpointInvalid`] on bad magic, unsupported version,
-    /// truncation, or seal mismatch. The inner checkpoints are *not*
+    /// truncation, seal mismatch, or an entry with no pattern set. The
+    /// inner checkpoints are *not*
     /// resumed here — that validation happens at adoption, per stream.
     pub fn from_bytes(bytes: &[u8]) -> Result<DrainManifest, Error> {
         if bytes.len() < MAGIC.len() + 2 + 4 + 8 {
@@ -169,17 +173,20 @@ impl DrainManifest {
         for _ in 0..count {
             let stream = r.u64().ok_or_else(truncated)?;
             let generation = r.u64().ok_or_else(truncated)?;
-            let base_generation = r.u64().ok_or_else(truncated)?;
+            // The base of the lineage: where its first set sat.
+            r.u64().ok_or_else(truncated)?;
             let tenant = string(&mut r)?;
             let sets = r.count(4).ok_or_else(|| invalid("lineage count exceeds payload"))?;
-            let mut lineage = Vec::with_capacity(sets);
+            if sets == 0 {
+                return Err(invalid(&format!("stream {stream} has no pattern set")));
+            }
+            let mut patterns = Vec::new();
             for _ in 0..sets {
                 let n = r.count(4).ok_or_else(|| invalid("pattern count exceeds payload"))?;
-                let mut patterns = Vec::with_capacity(n);
+                patterns = Vec::with_capacity(n);
                 for _ in 0..n {
                     patterns.push(string(&mut r)?);
                 }
-                lineage.push(patterns);
             }
             let checkpoint = r.blob().ok_or_else(truncated)?.to_vec();
             let last_ack = match r.u8().ok_or_else(truncated)? {
@@ -195,15 +202,7 @@ impl DrainManifest {
                 }
                 other => return Err(invalid(&format!("bad ack tag {other}"))),
             };
-            entries.push(DrainEntry {
-                stream,
-                tenant,
-                generation,
-                base_generation,
-                lineage,
-                checkpoint,
-                last_ack,
-            });
+            entries.push(DrainEntry { stream, tenant, generation, patterns, checkpoint, last_ack });
         }
         if r.remaining() != 0 {
             return Err(invalid("trailing bytes after the last entry"));
@@ -249,12 +248,7 @@ mod tests {
                     stream: 7,
                     tenant: "acme".to_string(),
                     generation: 2,
-                    base_generation: 0,
-                    lineage: vec![
-                        vec!["cat".to_string()],
-                        vec!["dog".to_string(), "a+b".to_string()],
-                        vec!["zebra".to_string()],
-                    ],
+                    patterns: vec!["dog".to_string(), "a+b".to_string()],
                     checkpoint: vec![1, 2, 3, 4, 5],
                     last_ack: Some(AckRecord { offset: 4096, ends: vec![4100, 4110] }),
                 },
@@ -262,8 +256,7 @@ mod tests {
                     stream: 9,
                     tenant: "β-tenant".to_string(),
                     generation: 0,
-                    base_generation: 0,
-                    lineage: vec![vec!["x".to_string()]],
+                    patterns: vec!["x".to_string()],
                     checkpoint: vec![],
                     last_ack: None,
                 },
@@ -280,6 +273,48 @@ mod tests {
             DrainManifest::from_bytes(&DrainManifest::default().to_bytes()).unwrap(),
             DrainManifest::default()
         );
+    }
+
+    /// A one-entry manifest whose entry holds `sets` as its lineage,
+    /// based at `base`: the layout earlier builds wrote for a swapped
+    /// stream.
+    fn with_lineage(generation: u64, base: u64, sets: &[&[&str]]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        for field in [3, generation, base] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        put_bytes(&mut out, b"acme");
+        out.extend_from_slice(&(sets.len() as u32).to_le_bytes());
+        for set in sets {
+            out.extend_from_slice(&(set.len() as u32).to_le_bytes());
+            for pattern in *set {
+                put_bytes(&mut out, pattern.as_bytes());
+            }
+        }
+        put_bytes(&mut out, &[9, 9]);
+        out.push(0);
+        let seal = fnv1a(FNV_OFFSET, &out);
+        out.extend_from_slice(&seal.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn a_lineage_reads_as_its_last_set_and_an_empty_one_is_refused() {
+        let lineage: &[&[&str]] = &[&["cat"], &["e+f"], &["dog", "a+b"]];
+        let read = DrainManifest::from_bytes(&with_lineage(2, 0, lineage)).unwrap();
+        let entry = &read.entries[0];
+        assert_eq!((entry.stream, entry.generation), (3, 2));
+        assert_eq!(entry.patterns, ["dog", "a+b"]);
+        assert_eq!(entry.checkpoint, [9, 9]);
+        // Written back, the entry is a one-set lineage based at its
+        // generation: what a stream that never swapped writes.
+        assert_eq!(read.to_bytes(), with_lineage(2, 2, &[&["dog", "a+b"]]));
+        match DrainManifest::from_bytes(&with_lineage(0, 0, &[])) {
+            Err(Error::CheckpointInvalid { reason }) => assert!(reason.contains("no pattern set")),
+            other => panic!("a zero-set lineage must be refused, got {other:?}"),
+        }
     }
 
     #[test]
@@ -305,9 +340,10 @@ mod tests {
     #[test]
     fn counts_beyond_the_remaining_payload_are_refused_before_allocating() {
         // One entry: header(10) + stream/generation/base(24) + tenant
-        // (4 + 4), then the lineage count. Each forged count fits the
-        // *total* payload — the old bound — but not the bytes left after
-        // it; resealed, so the count bound is what refuses it.
+        // (4 + 4), then the lineage count (1 as written). Each forged
+        // count fits the *total* payload — the old bound — but not the
+        // bytes left after it; resealed, so the count bound is what
+        // refuses it.
         let manifest = DrainManifest { entries: vec![sample().entries.remove(0)] };
         let bytes = manifest.to_bytes();
         let payload_len = bytes.len() - 8;

@@ -3,15 +3,16 @@
 //! The multi-tenant scan daemon over [`bitgen`]: the "millions of
 //! users" layer the paper's premise implies. Thousands of clients share
 //! a handful of rule sets, so the service compiles each pattern set
-//! once — keyed by engine-config fingerprint, pattern list, and rule
-//! generation — and shares the prepared engine across every stream
+//! once — keyed by rule generation and pattern list, under the one
+//! engine config it serves — and shares the prepared engine across every stream
 //! ([`ScanService::open_stream`] reports the cache hit). Streams
 //! multiplex over a bounded worker pool with tenant-fair scheduling;
 //! when queues or budgets fill, requests are rejected with a typed
 //! [`bitgen::Error::Overloaded`] instead of buffering without bound.
 //!
 //! Served scans are bit-identical to standalone ones: a stream lives as
-//! an `Arc<BitGen>` plus its latest [`bitgen::StreamCheckpoint`], and
+//! its shared rule set (generation, patterns and engine, one record)
+//! plus its latest [`bitgen::StreamCheckpoint`], and
 //! every push resumes, scans one chunk, and re-checkpoints — the same
 //! contract the core checkpoint tests pin, which also makes moving a
 //! live stream between workers (or machines, via

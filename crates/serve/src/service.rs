@@ -4,9 +4,10 @@
 //!
 //! # How a stream lives here
 //!
-//! A served stream is exactly two values: an `Arc<BitGen>` (shared with
-//! every other stream on the same rule set) and the
-//! [`StreamCheckpoint`] of its last committed chunk boundary. Every
+//! A served stream is exactly two values: its rule set — the generation
+//! and patterns it runs now, and their engine, one record behind an
+//! `Arc` shared with the pattern cache and every other stream on it —
+//! and the [`StreamCheckpoint`] of its last committed chunk boundary. Every
 //! push job *resumes* the checkpoint, pushes one chunk, and stores the
 //! new checkpoint — workers are stateless, so any worker can run any
 //! stream's next chunk. "Checkpoint migration between workers" is not
@@ -42,14 +43,14 @@
 //! nothing is half-scanned), then checkpoint every open stream into a
 //! [`DrainManifest`]. A successor service —
 //! [`ScanService::adopt_manifest`] — revives every stream *under its
-//! original id* at the exact committed boundary, rebuilding post-swap
-//! engines from each stream's pattern lineage. The scan a
+//! original id* at the exact committed boundary, rebuilding each
+//! engine from the stream's generation and patterns. The scan a
 //! client completes across the handoff is bit-identical to one that
 //! never moved.
 //!
 //! Push idempotency rides the same machinery: beside the checkpoint,
 //! under the one lock every push, swap and drain takes, a stream keeps
-//! its pattern lineage and its last acknowledged push (offset + ends).
+//! its last acknowledged push (offset + ends).
 //! A client that never saw the ack re-pushes the same boundary and gets
 //! the recorded ends back — counted as a replay, never scanned twice —
 //! and the replay window travels in the manifest, so the guarantee
@@ -58,20 +59,19 @@
 //! # One admission path
 //!
 //! [`ScanService::open_stream`], [`ScanService::adopt_stream`] and
-//! [`ScanService::adopt_manifest`] all admit a *lineage* (a base
-//! generation and the pattern sets from there) at a *boundary* (a fresh
-//! stream, a moved checkpoint, or a manifest entry's checkpoint and
-//! replay window), and all find the engine through one cache lookup
-//! keyed by the generation the lineage reaches. Only a lineage that
-//! starts at generation 0 can be compiled; one that starts later is
-//! served from engines a hot swap published here, or refused with
-//! [`Error::GenerationMismatch`] and nothing cached.
+//! [`ScanService::adopt_manifest`] all admit a pattern list at a
+//! *boundary* (a fresh stream at generation 0, a moved checkpoint, or a
+//! manifest entry's checkpoint and replay window), and all find or
+//! compile its rule set through one cache lookup by (the boundary's
+//! generation, patterns); [`ScanService::warm`] is the same lookup at
+//! generation 0. The checkpoint's fingerprint and generation checks in
+//! [`bitgen::BitGen::resume`] refuse a boundary the patterns do not run.
 
-use crate::cache::{PatternCache, RuleSetId};
+use crate::cache::{PatternCache, RuleSet};
 use crate::drain::{AckRecord, DrainEntry, DrainManifest};
 use crate::metrics::ServeMetrics;
 use crate::queue::FairQueue;
-use bitgen::{BitGen, CancelToken, EngineConfig, Error, RetryPolicy, StreamCheckpoint};
+use bitgen::{CancelToken, EngineConfig, Error, RetryPolicy, StreamCheckpoint};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -113,9 +113,8 @@ impl Default for TenantBudget {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Engine configuration (including the serving
-    /// [`bitgen::CompileLimits`]) every cached compile runs under. Part
-    /// of the cache key: tenants share an engine only when the whole
-    /// config agrees.
+    /// [`bitgen::CompileLimits`]) every cached compile runs under; the
+    /// pattern cache owns it, so one service serves one config.
     pub engine: EngineConfig,
     /// Worker threads draining the push queue; `0` means one per
     /// available hardware thread.
@@ -154,7 +153,7 @@ pub struct Admission {
     /// Rule-set generation the stream starts at.
     pub generation: u64,
     /// Streaming fingerprint of the serving engine
-    /// ([`BitGen::stream_fingerprint`]).
+    /// ([`bitgen::BitGen::stream_fingerprint`]).
     pub fingerprint: u64,
 }
 
@@ -247,47 +246,15 @@ struct StreamSlot {
 
 #[derive(Debug)]
 struct StreamState {
-    engine: Arc<BitGen>,
+    /// The generation and patterns the stream runs now, with their
+    /// engine: all a restart needs to rebuild it.
+    rules: Arc<RuleSet>,
     checkpoint: StreamCheckpoint,
-    /// Enough to rebuild `engine` after a restart.
-    lineage: Lineage,
     /// The last acknowledged push: the idempotent replay window.
     last_ack: Option<AckRecord>,
 }
 
-/// A stream's rule timeline: the generation its first pattern set was
-/// compiled at (`0` unless the stream was adopted mid-lineage, see
-/// [`crate::drain::DrainEntry`]), then that set and each hot swap's set.
-#[derive(Debug)]
-struct Lineage {
-    base: u64,
-    sets: Vec<Vec<String>>,
-}
-
-impl Lineage {
-    fn new(base: u64, patterns: &[&str]) -> Lineage {
-        Lineage { base, sets: vec![patterns.iter().map(|p| p.to_string()).collect()] }
-    }
-
-    /// The generation the lineage reaches and the pattern set it holds
-    /// there. An empty lineage, or one that runs past `u64::MAX` (a
-    /// forged manifest entry), is a typed [`Error::CheckpointInvalid`].
-    fn tip(&self) -> Result<(u64, &[String]), Error> {
-        let swaps = (self.sets.len() as u64).saturating_sub(1);
-        match (self.base.checked_add(swaps), self.sets.last()) {
-            (Some(generation), Some(last)) => Ok((generation, last)),
-            _ => Err(Error::CheckpointInvalid {
-                reason: format!(
-                    "a pattern lineage of {} sets from generation {} reaches no generation",
-                    self.sets.len(),
-                    self.base
-                ),
-            }),
-        }
-    }
-}
-
-/// Where an admitted stream starts on its lineage.
+/// Where an admitted stream starts.
 enum Boundary {
     /// A new stream at byte 0 ([`ScanService::open_stream`]).
     Fresh,
@@ -377,29 +344,16 @@ impl Inner {
         ServeError::Scan(error)
     }
 
-    /// The engine at the tip of `lineage` under the serving config: the
-    /// cached one, or one compiled from the lineage's tip
-    /// ([`BitGen::compile_lineage`]) — only when it starts at generation
-    /// 0. A later start names an engine only a hot swap on this service
-    /// can have published; without it the lineage is refused with
-    /// [`Error::GenerationMismatch`] and nothing is cached. Updates the
-    /// cache counters.
-    fn engine_for(&self, lineage: &Lineage) -> Result<(Arc<BitGen>, bool), Error> {
-        let (generation, last) = lineage.tip()?;
-        let refs: Vec<&str> = last.iter().map(String::as_str).collect();
-        let id = RuleSetId::new(&self.config.engine, generation, &refs);
-        let (engine, hit, evicted) = lock(&self.cache).get_or_compile(id, || {
-            if lineage.base != 0 {
-                return Err(Error::GenerationMismatch { expected: 0, found: generation });
-            }
-            BitGen::compile_lineage(&lineage.sets, self.config.engine.clone())
-        })?;
+    /// The rule set of `patterns` at `generation`: the cached one, or
+    /// one compiled and cached. Updates the cache counters.
+    fn rules_for(&self, generation: u64, patterns: &[&str]) -> Result<(Arc<RuleSet>, bool), Error> {
+        let (rules, hit, evicted) = lock(&self.cache).get_or_compile(generation, patterns)?;
         self.count(|m| {
             m.cache_hits += u64::from(hit);
             m.cache_misses += u64::from(!hit);
             m.cache_evictions += evicted;
         });
-        Ok((engine, hit))
+        Ok((rules, hit))
     }
 
     /// The worker body: resume at the last boundary, push, commit the
@@ -412,7 +366,8 @@ impl Inner {
         offset: Option<u64>,
         chunk: &[u8],
     ) -> Result<PushOutcome, ServeError> {
-        let mut state = lock(&slot.state);
+        let mut guard = lock(&slot.state);
+        let state = &mut *guard;
         let committed = state.checkpoint.consumed();
         if let Some(at) = offset {
             if at != committed {
@@ -427,8 +382,7 @@ impl Inner {
                 });
             }
         }
-        let engine = state.engine.clone();
-        let mut scanner = engine.resume(&state.checkpoint)?;
+        let mut scanner = state.rules.engine.resume(&state.checkpoint)?;
         scanner.set_retry_policy(self.config.retry);
         scanner.set_cancel_token(lock(&slot.cancel).clone());
         scanner.set_timeout(*lock(&slot.deadline));
@@ -488,7 +442,7 @@ impl ScanService {
             config.workers
         };
         let inner = Arc::new(Inner {
-            cache: Mutex::new(PatternCache::new(config.cache_capacity)),
+            cache: Mutex::new(PatternCache::new(config.engine.clone(), config.cache_capacity)),
             streams: Mutex::new(HashMap::new()),
             budgets: Mutex::new(HashMap::new()),
             queue: FairQueue::new(config.queue_capacity),
@@ -541,8 +495,8 @@ impl ScanService {
     }
 
     /// Admits a new stream for `tenant` on `patterns`, compiling them
-    /// only if no cached engine exists for the exact (patterns, config,
-    /// generation 0) key.
+    /// only if no cached rule set holds the same patterns at
+    /// generation 0.
     ///
     /// # Errors
     ///
@@ -551,53 +505,49 @@ impl ScanService {
     /// a drain; compile errors when the pattern set is new and does not
     /// compile.
     pub fn open_stream(&self, tenant: &str, patterns: &[&str]) -> Result<Admission, ServeError> {
-        self.admit(tenant, Lineage::new(0, patterns), Boundary::Fresh)
+        self.admit(tenant, patterns, Boundary::Fresh)
     }
 
     /// Admits a stream that continues from `checkpoint` — the
     /// migration path for streams checkpointed on another worker,
     /// another service instance, or disk. `patterns` is the set the
-    /// checkpoint's generation runs, so the stream's lineage starts
-    /// there. The engine comes from the cache under that generation
-    /// (hot-swapped generations are published there by
-    /// [`ScanService::swap_rules`]); a fresh compile serves generation 0
-    /// only, so a post-swap checkpoint without its engine cached is a
-    /// typed [`Error::GenerationMismatch`] that caches nothing, never a
+    /// checkpoint's generation runs. The rule set comes from the cache
+    /// under that generation (hot-swapped generations are published
+    /// there by [`ScanService::swap_rules`]) or is compiled at it
+    /// ([`bitgen::BitGen::compile_at`]), so a post-swap checkpoint adopts
+    /// on a service that never saw the swap. Patterns the checkpoint was
+    /// not taken on are a typed [`Error::CheckpointMismatch`], never a
     /// silent cross-wire.
     ///
     /// # Errors
     ///
     /// Everything [`ScanService::open_stream`] returns, plus the
-    /// [`BitGen::resume`] validation errors (fingerprint, generation,
-    /// carry integrity).
+    /// [`bitgen::BitGen::resume`] validation errors (fingerprint,
+    /// generation, carry integrity).
     pub fn adopt_stream(
         &self,
         tenant: &str,
         patterns: &[&str],
         checkpoint: StreamCheckpoint,
     ) -> Result<Admission, ServeError> {
-        let lineage = Lineage::new(checkpoint.generation(), patterns);
-        self.admit(tenant, lineage, Boundary::Moved(checkpoint))
+        self.admit(tenant, patterns, Boundary::Moved(checkpoint))
     }
 
     /// Adopts every stream of a drain manifest, preserving stream ids,
     /// committed boundaries, generations, and replay windows — the
-    /// successor half of [`ScanService::drain`]. Engines are fetched
-    /// from the cache or, for a lineage that starts at generation 0,
-    /// rebuilt from its tip ([`BitGen::compile_lineage`]), and each
-    /// checkpoint is validated before its slot is installed. Neither
-    /// tenant budgets nor the drain flag are enforced here: these
-    /// streams were already admitted before the restart.
+    /// successor half of [`ScanService::drain`]. Each entry's rule set is
+    /// fetched from the cache or compiled at the entry's generation, and
+    /// each checkpoint is validated before its slot is installed.
+    /// Neither tenant budgets nor the drain flag are enforced here:
+    /// these streams were already admitted before the restart.
     ///
     /// # Errors
     ///
     /// The first entry that fails aborts with its error; entries
-    /// adopted before it remain adopted. An invalid checkpoint, an
-    /// empty or overflowing lineage, or generations that disagree are
-    /// [`Error::CheckpointInvalid`]; a lineage that starts mid-way
-    /// (the stream was itself adopted from a post-swap checkpoint)
-    /// whose engine is not cached is [`Error::GenerationMismatch`];
-    /// otherwise the compile failure.
+    /// adopted before it remain adopted. An invalid checkpoint, or an
+    /// entry generation that disagrees with its checkpoint's, is
+    /// [`Error::CheckpointInvalid`]; otherwise the compile failure or
+    /// the [`bitgen::BitGen::resume`] refusal.
     pub fn adopt_manifest(
         &self,
         manifest: &DrainManifest,
@@ -607,30 +557,30 @@ impl ScanService {
 
     fn adopt_entry(&self, entry: &DrainEntry) -> Result<Admission, ServeError> {
         let checkpoint = StreamCheckpoint::from_bytes(&entry.checkpoint)?;
-        let lineage = Lineage { base: entry.base_generation, sets: entry.lineage.clone() };
-        let (reached, _) = lineage.tip()?;
-        if checkpoint.generation() != entry.generation || reached != entry.generation {
+        if checkpoint.generation() != entry.generation {
             return Err(ServeError::Scan(Error::CheckpointInvalid {
                 reason: format!(
-                    "drain manifest stream {}: recorded generation {}, checkpoint generation \
-                     {} and lineage generation {reached} disagree",
+                    "drain manifest stream {}: recorded generation {} and checkpoint \
+                     generation {} disagree",
                     entry.stream,
                     entry.generation,
                     checkpoint.generation()
                 ),
             }));
         }
+        let patterns: Vec<&str> = entry.patterns.iter().map(String::as_str).collect();
         let boundary =
             Boundary::Manifest { id: entry.stream, checkpoint, last_ack: entry.last_ack.clone() };
-        self.admit(&entry.tenant, lineage, boundary)
+        self.admit(&entry.tenant, &patterns, boundary)
     }
 
-    /// The one admission path: find the engine at `lineage`'s tip, place
-    /// the stream at `boundary`, install its slot.
+    /// The one admission path: find or compile the rule set of
+    /// `patterns` at `boundary`'s generation, place the stream at
+    /// `boundary`, install its slot.
     fn admit(
         &self,
         tenant: &str,
-        lineage: Lineage,
+        patterns: &[&str],
         boundary: Boundary,
     ) -> Result<Admission, ServeError> {
         let budget = self.inner.budget_for(tenant);
@@ -647,12 +597,13 @@ impl ScanService {
             // slot is installed under.
             self.check_stream_budget(&lock(&self.inner.streams), tenant, &budget)?;
         }
-        let (engine, cache_hit) = self.inner.engine_for(&lineage)?;
+        let generation = checkpoint.as_ref().map_or(0, StreamCheckpoint::generation);
+        let (rules, cache_hit) = self.inner.rules_for(generation, patterns)?;
         let checkpoint = match checkpoint {
             // Validate now so a bad checkpoint is refused at admission,
             // not on the first push.
-            Some(checkpoint) => engine.resume(&checkpoint).map(|_| checkpoint)?,
-            None => engine.streamer()?.into_checkpoint(),
+            Some(checkpoint) => rules.engine.resume(&checkpoint).map(|_| checkpoint)?,
+            None => rules.engine.streamer()?.into_checkpoint(),
         };
         let id = match kept_id {
             Some(id) => {
@@ -666,7 +617,7 @@ impl ScanService {
             stream: id,
             cache_hit,
             generation: checkpoint.generation(),
-            fingerprint: engine.stream_fingerprint(),
+            fingerprint: rules.engine.stream_fingerprint(),
         };
         let slot = Arc::new(StreamSlot {
             id,
@@ -674,7 +625,7 @@ impl ScanService {
             durable: AtomicBool::new(true),
             deadline: Mutex::new(budget.deadline),
             cancel: Mutex::new(CancelToken::new()),
-            state: Mutex::new(StreamState { engine, checkpoint, lineage, last_ack }),
+            state: Mutex::new(StreamState { rules, checkpoint, last_ack }),
         });
         {
             let mut streams = lock(&self.inner.streams);
@@ -825,30 +776,25 @@ impl ScanService {
     ///
     /// # Errors
     ///
-    /// Compile or limit errors from staging (the stream is untouched),
+    /// Compile or limit errors from staging, or [`Error::SwapMismatch`]
+    /// for a stream at generation `u64::MAX` (the stream is untouched);
     /// [`Error::Draining`] during a drain, or resume/commit failures.
     pub fn swap_rules(&self, id: StreamId, patterns: &[&str]) -> Result<u64, ServeError> {
         let slot = self.slot(id)?;
         self.refuse_if_draining(&slot.tenant)?;
-        let mut state = lock(&slot.state);
-        let engine = state.engine.clone();
-        let staged = engine.prepare_swap(patterns)?;
+        let mut guard = lock(&slot.state);
+        let state = &mut *guard;
+        let staged = state.rules.engine.prepare_swap(patterns)?;
         let generation = staged.generation();
-        let committed = {
-            let mut scanner = engine.resume(&state.checkpoint)?;
-            scanner.commit_swap(&staged)?;
-            scanner.into_checkpoint()
-        };
-        let swapped = Arc::new(staged.into_engine());
-        let id = RuleSetId::new(&self.inner.config.engine, generation, patterns);
-        let evicted = lock(&self.inner.cache).insert(id, Arc::clone(&swapped));
+        let mut scanner = state.rules.engine.resume(&state.checkpoint)?;
+        scanner.commit_swap(&staged)?;
+        state.checkpoint = scanner.into_checkpoint();
+        state.rules = Arc::new(RuleSet::new(staged.into_engine(), patterns));
+        let evicted = lock(&self.inner.cache).insert(Arc::clone(&state.rules));
         self.inner.count(|m| {
             m.cache_evictions += evicted;
             m.hot_swaps += 1;
         });
-        state.checkpoint = committed;
-        state.engine = swapped;
-        state.lineage.sets.push(patterns.iter().map(|p| p.to_string()).collect());
         // The old replay window's ends belong to the old generation's
         // timeline; a swap is a new boundary, not a re-pushable one.
         state.last_ack = None;
@@ -881,7 +827,7 @@ impl ScanService {
     ///
     /// The compile failure, when the set is new and does not compile.
     pub fn warm(&self, patterns: &[&str]) -> Result<bool, ServeError> {
-        Ok(self.inner.engine_for(&Lineage::new(0, patterns))?.1)
+        Ok(self.inner.rules_for(0, patterns)?.1)
     }
 
     /// `true` once [`ScanService::drain`] has begun: every admission,
@@ -934,8 +880,7 @@ impl ScanService {
                     stream: slot.id,
                     tenant: slot.tenant.clone(),
                     generation: state.checkpoint.generation(),
-                    base_generation: state.lineage.base,
-                    lineage: state.lineage.sets.clone(),
+                    patterns: state.rules.patterns.clone(),
                     checkpoint: state.checkpoint.to_bytes(),
                     last_ack: state.last_ack.clone(),
                 }
@@ -976,6 +921,7 @@ impl Drop for ScanService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitgen::BitGen;
 
     #[test]
     fn served_stream_matches_standalone_scanner() {
@@ -1171,7 +1117,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_post_swap_stream_rebuilds_from_its_lineage() {
+    fn drained_post_swap_stream_rebuilds_from_its_generation_and_patterns() {
         let service = ScanService::start(ServeConfig::default());
         let admission = service.open_stream("acme", &["cat"]).unwrap();
         let mut served = service.push_chunk(admission.stream, b"cat dog ").unwrap();
@@ -1179,18 +1125,20 @@ mod tests {
         assert_eq!(generation, 1);
         served.extend(service.push_chunk(admission.stream, b"cat dog ").unwrap());
         let (manifest, _) = service.drain(Duration::from_secs(5));
-        assert_eq!(manifest.entries[0].lineage.len(), 2);
+        assert_eq!(manifest.entries[0].generation, 1);
+        assert_eq!(manifest.entries[0].patterns, ["dog"]);
         service.shutdown();
 
         // The successor has an empty cache: the engine must come from
-        // replaying the lineage, not a lucky cache hit.
+        // compiling the entry's patterns at its generation.
         let successor = ScanService::start(ServeConfig::default());
-        // A forged base generation whose lineage runs past u64::MAX is a
-        // typed refusal, not an overflow.
+        // An entry whose generation disagrees with its checkpoint's is a
+        // typed refusal that admits nothing.
         let mut forged = manifest.clone();
-        forged.entries[0].base_generation = u64::MAX;
+        forged.entries[0].generation = u64::MAX;
         let err = successor.adopt_manifest(&forged).unwrap_err();
         assert!(matches!(err, ServeError::Scan(Error::CheckpointInvalid { .. })), "{err}");
+        assert_eq!(successor.metrics().cache_misses, 0);
         successor.adopt_manifest(&manifest).unwrap();
         served.extend(successor.push_chunk(admission.stream, b"cat dog ").unwrap());
 
@@ -1203,6 +1151,43 @@ mod tests {
         standalone.extend(scanner.push(b"cat dog ").unwrap());
         standalone.extend(scanner.push(b"cat dog ").unwrap());
         assert_eq!(served, standalone);
+    }
+
+    #[test]
+    fn a_stream_at_the_last_generation_refuses_to_swap_typed() {
+        let service = ScanService::start(ServeConfig::default());
+        let last = BitGen::compile_at(&["cat"], EngineConfig::default(), u64::MAX).unwrap();
+        let mut scanner = last.streamer().unwrap();
+        let mut served = scanner.push(b"cat ").unwrap();
+        let admission = service.adopt_stream("acme", &["cat"], scanner.into_checkpoint()).unwrap();
+        assert_eq!(admission.generation, u64::MAX);
+        let err = service.swap_rules(admission.stream, &["dog"]).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::SwapMismatch { .. })), "{err}");
+        // Untouched: the stream keeps scanning its rules at its generation.
+        served.extend(service.push_chunk(admission.stream, b"dog cat").unwrap());
+        assert_eq!(served, vec![2, 10]);
+        assert_eq!(service.metrics().hot_swaps, 0);
+        assert_eq!(service.close_stream(admission.stream).unwrap().generation, u64::MAX);
+    }
+
+    #[test]
+    fn a_manifest_entry_does_not_grow_with_swaps() {
+        // Two streams end on the same rules: one swapped once, one fifty
+        // times. Each entry holds only what its stream runs now.
+        let service = ScanService::start(ServeConfig::default());
+        let once = service.open_stream("acme", &["cat"]).unwrap().stream;
+        let often = service.open_stream("acme", &["cat"]).unwrap().stream;
+        service.swap_rules(once, &["do+g", "a+b"]).unwrap();
+        for round in 0..50 {
+            let set: &[&str] = if round % 2 == 0 { &["c[ab]t", "x"] } else { &["do+g", "a+b"] };
+            service.push_chunk(often, b"cat dog aab ").unwrap();
+            service.swap_rules(often, set).unwrap();
+        }
+        let (manifest, _) = service.drain(Duration::from_secs(5));
+        let entry = |id: StreamId| manifest.entries.iter().find(|e| e.stream == id).unwrap();
+        let size = |id| DrainManifest { entries: vec![entry(id).clone()] }.to_bytes().len();
+        assert_eq!((entry(once).generation, entry(often).generation), (1, 50));
+        assert!(size(often) <= size(once), "{} > {}", size(often), size(once));
     }
 
     #[test]
@@ -1228,8 +1213,7 @@ mod tests {
                 stream: admission.stream,
                 tenant: "acme".to_string(),
                 generation: 0,
-                base_generation: 0,
-                lineage: vec![patterns.iter().map(|p| p.to_string()).collect()],
+                patterns: patterns.iter().map(|p| p.to_string()).collect(),
                 checkpoint: at_zero,
                 last_ack: None,
             }],

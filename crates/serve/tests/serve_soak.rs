@@ -229,8 +229,9 @@ fn soak_64_streams_bit_identical_to_standalone() {
 
 /// Migration between service *instances*: a stream checkpointed on one
 /// daemon continues on a second, and the stitched output equals one
-/// standalone scan. A post-swap checkpoint without its engine published
-/// on the target instance is refused typed, never cross-wired.
+/// standalone scan. A post-swap checkpoint adopts on an instance that
+/// never saw the swap, and drains from there to a third; offered with
+/// the wrong patterns it is refused typed, never cross-wired.
 #[test]
 fn checkpoint_migrates_between_service_instances() {
     let input: Vec<u8> = SOUP.repeat(4);
@@ -263,28 +264,34 @@ fn checkpoint_migrates_between_service_instances() {
     }
     assert_eq!(ends, standalone);
 
-    // A generation-1 checkpoint cannot be adopted where the swapped
-    // engine was never published: fresh compiles serve generation 0.
+    // A generation-1 checkpoint adopts where the swap never ran: its
+    // patterns compile at its generation.
     let c = first.open_stream("mover", SETS[0]).unwrap();
     let mut swapped_ends = first.push_chunk(c.stream, &input[..32]).unwrap();
     first.swap_rules(c.stream, SETS[1]).unwrap();
     let swapped = first.checkpoint(c.stream).unwrap();
-    let err = second.adopt_stream("mover", SETS[1], swapped).unwrap_err();
+    let err = second.adopt_stream("mover", SETS[2], swapped.clone()).unwrap_err();
     assert!(
-        matches!(err, ServeError::Scan(Error::GenerationMismatch { .. })),
-        "expected a typed generation refusal, got {err}"
+        matches!(err, ServeError::Scan(Error::CheckpointMismatch { .. })),
+        "wrong patterns must be a typed fingerprint refusal, got {err}"
     );
+    let d = second.adopt_stream("mover", SETS[1], swapped).unwrap();
+    assert_eq!(d.generation, 1);
+    swapped_ends.extend(second.push_chunk(d.stream, &input[32..64]).unwrap());
 
-    // The refusal cached nothing: the same stream, drained with its
-    // lineage, is rebuilt on that instance and scans on bit-identically.
-    let (manifest, _) = first.drain(Duration::from_secs(5));
-    second.adopt_manifest(&manifest).unwrap();
-    swapped_ends.extend(second.push_chunk(c.stream, &input[32..64]).unwrap());
+    // Drained alone from there, it is adopted by a fresh successor and
+    // scans on bit-identically.
+    let (manifest, _) = second.drain(Duration::from_secs(5));
+    assert_eq!(manifest.entries.len(), 1);
+    let third = ScanService::start(ServeConfig::default());
+    third.adopt_manifest(&manifest).unwrap();
+    swapped_ends.extend(third.push_chunk(d.stream, &input[64..96]).unwrap());
     let mut scanner = engine.streamer().unwrap();
     let mut standalone = scanner.push(&input[..32]).unwrap();
     let staged = engine.prepare_swap(SETS[1]).unwrap();
     scanner.commit_swap(&staged).unwrap();
     standalone.extend(scanner.push(&input[32..64]).unwrap());
+    standalone.extend(scanner.push(&input[64..96]).unwrap());
     assert_eq!(swapped_ends, standalone);
 }
 

@@ -202,14 +202,14 @@ fn arb_manifest() -> impl Strategy<Value = DrainManifest> {
     let ack = (any::<bool>(), any::<u64>(), prop::collection::vec(any::<u64>(), 0..5))
         .prop_map(|(some, offset, ends)| some.then_some(AckRecord { offset, ends }));
     let entry = (
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>()),
         arb_text(),
-        prop::collection::vec(arb_patterns(), 0..3),
+        prop::collection::vec(arb_text(), 0..4),
         prop::collection::vec(any::<u8>(), 0..48),
         ack,
     )
-        .prop_map(|((stream, generation, base_generation), tenant, lineage, checkpoint, last_ack)| {
-            DrainEntry { stream, tenant, generation, base_generation, lineage, checkpoint, last_ack }
+        .prop_map(|((stream, generation), tenant, patterns, checkpoint, last_ack)| {
+            DrainEntry { stream, tenant, generation, patterns, checkpoint, last_ack }
         });
     prop::collection::vec(entry, 0..4).prop_map(|entries| DrainManifest { entries })
 }
@@ -229,8 +229,8 @@ fn assert_manifest_is_backed_by(manifest: &DrainManifest, input: &[u8]) {
     let n = input.len();
     assert!(manifest.entries.capacity() <= n);
     for entry in &manifest.entries {
-        assert!(entry.lineage.capacity() <= n && entry.checkpoint.capacity() <= n);
-        assert!(entry.lineage.iter().all(|patterns| patterns.capacity() <= n));
+        assert!(entry.patterns.capacity() <= n && entry.checkpoint.capacity() <= n);
+        assert!(entry.patterns.iter().all(|pattern| pattern.capacity() <= n));
         assert!(entry.last_ack.iter().all(|ack| ack.ends.capacity() <= n));
     }
 }
@@ -534,7 +534,9 @@ proptest! {
 /// Every count and length field of a manifest, forged to `u32::MAX` (and
 /// to a value a lazy allocator would grant) under a valid seal, is
 /// refused or bounded by the bytes present — found by position sweep, so
-/// the test does not restate the layout.
+/// the test does not restate the layout. Forged to zero, the pattern-set
+/// count of each entry is a typed refusal: an entry must name what its
+/// stream runs.
 #[test]
 fn forged_manifest_counts_are_refused_before_allocating() {
     let text = |s: &str| s.to_string();
@@ -544,8 +546,7 @@ fn forged_manifest_counts_are_refused_before_allocating() {
                 stream: 7,
                 tenant: text("acme"),
                 generation: 1,
-                base_generation: 0,
-                lineage: vec![vec![text("a+b"), text("cat")], vec![text("dog")]],
+                patterns: vec![text("a+b"), text("cat"), text("dog"), text("x")],
                 checkpoint: vec![0xab; 40],
                 last_ack: Some(AckRecord { offset: 64, ends: vec![3, 9, 27] }),
             },
@@ -553,8 +554,7 @@ fn forged_manifest_counts_are_refused_before_allocating() {
                 stream: 8,
                 tenant: text("zeta"),
                 generation: 0,
-                base_generation: 0,
-                lineage: vec![vec![text("x[ab]{1,4}y")]],
+                patterns: vec![text("x[ab]{1,4}y")],
                 checkpoint: vec![0xcd; 24],
                 last_ack: None,
             },
@@ -575,4 +575,23 @@ fn forged_manifest_counts_are_refused_before_allocating() {
     }
     // 15 count and length fields, each forged twice at its exact offset.
     assert!(refused >= 30, "the sweep reached the length fields ({refused} refusals)");
+    let mut empty_sets = std::collections::BTreeSet::new();
+    for at in 0..original.len() - 8 - 4 {
+        let mut bytes = original.clone();
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut bytes);
+        match DrainManifest::from_bytes(&bytes) {
+            Ok(parsed) => assert_manifest_is_backed_by(&parsed, &bytes),
+            Err(Error::CheckpointInvalid { reason }) if reason.contains("no pattern set") => {
+                empty_sets.insert(reason);
+            }
+            Err(Error::CheckpointInvalid { .. }) => {}
+            Err(other) => panic!("from_bytes must fail typed, got {other:?}"),
+        }
+    }
+    let streams: Vec<bool> = ["stream 7 ", "stream 8 "]
+        .iter()
+        .map(|stream| empty_sets.iter().any(|reason| reason.contains(stream)))
+        .collect();
+    assert_eq!(streams, [true, true], "each entry's zero-set lineage is refused: {empty_sets:?}");
 }
