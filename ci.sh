@@ -33,6 +33,11 @@ cargo build --release
 # sites against the
 # overlap analysis and the kernels (bitgen-kernel's kir tests),
 # the kernel digest over 729 generated kernels (codegen_golden), the
+# one window semantics (window_semantics: every window the emulator's
+# window loop steps, retries included, takes the trips and stores the
+# outputs of `walk_window` over its extent, on all ten applications at 8
+# and 32 rules up to 64 KiB; with bitgen's price tests walking every
+# window the counting runner takes and pinning the divergent ones), the
 # wire tokenisation differential and the raw-frame mutation fuzz
 # (wire_fuzz: raw `PUSH` frames cut mid-payload, with lengths past the
 # bound, missing or not decimal, or bytes trailing the payload, through a
@@ -40,7 +45,10 @@ cargo build --release
 # daemon (raw_push: served as its hex twin, stalled, replayed), the
 # `LineReader` framing fuzz (bitgen-serve's transport tests: arbitrary
 # bytes and raw payloads holding `\n`, `\r` and 0xff in arbitrary pieces
-# with stalls, against walking the whole input), an earlier build's
+# with stalls, against walking the whole input; and the bind race, a
+# client connecting the instant a daemon's socket path exists, never
+# refused), a refused adoption that caches and evicts nothing
+# (bitgen-serve's service tests), an earlier build's
 # drain manifest adopted and re-drained (manifest_compat), a daemon's
 # descriptor count after 200 ended connections (daemon_fds, Linux),
 # both soaks and the

@@ -278,3 +278,150 @@ impl BitGen {
         self.stream_prices.as_deref().is_some_and(|prices| prices[group].reads_frontiers())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineConfig;
+    use bitgen_bitstream::{Basis, BitStream};
+    use bitgen_exec::{ClassStreams, ExecScratch};
+    use bitgen_ir::{walk_window, CarryState, RunControl};
+    use bitgen_workloads::{generate, AppKind, WorkloadConfig};
+
+    /// A window whose trips are not its walk's: its start, and its trips
+    /// per site as counted and as walked.
+    type Diverged = (i64, Vec<u64>, Vec<u64>);
+
+    /// The counting runner, every window it takes walked over its extent
+    /// (`tests/window_semantics.rs` holds the emulator to the same walk).
+    struct Checked<'a> {
+        served: Served<'a>,
+        program: &'a Program,
+        basis: &'a Basis,
+        diverged: Vec<Diverged>,
+    }
+
+    impl WindowRunner for Checked<'_> {
+        type Error = Overflow;
+
+        fn run(&mut self, start: i64, step: u64, most: u64) -> Result<(u64, Hull), Overflow> {
+            let (windows, required) = self.served.run(start, step, most)?;
+            let counted = &self.served.trips;
+            for at in (0..windows).map(|i| start + (i * step) as i64) {
+                let extent = at..at + self.served.bits as i64;
+                let walked = walk_window(self.program, self.basis, extent).unwrap().trips;
+                if counted.iter().all(|&trips| trips == 0) {
+                    // Taken as quiet: no check reaches the window.
+                    assert!(walked.iter().all(|&t| t == 0), "a quiet window at {at}: {walked:?}");
+                }
+                if walked[..counted.len()] != counted[..] {
+                    self.diverged.push((at, counted.clone(), walked));
+                }
+            }
+            Ok((windows, required))
+        }
+    }
+
+    /// Per group of `engine`, the windows of its fused form over `chunk`
+    /// whose counted trips are not their walk's.
+    fn diverged(engine: &BitGen, chunk: &[u8]) -> Vec<Vec<Diverged>> {
+        let (config, programs) = (engine.exec_config(), engine.stream_programs());
+        let prices = engine.stream_prices.as_deref().expect("DTM prices fused");
+        let basis = Basis::transpose(chunk);
+        let mut classes = ClassStreams::new();
+        programs[0].evaluate_classes(&basis, &mut classes);
+        let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
+        let stream_len = Program::stream_len(chunk.len()) as u64;
+        let mut groups = Vec::new();
+        for (group, (prepared, price)) in programs.iter().zip(prices).enumerate() {
+            let mut carry = CarryState::for_layout(prepared.carry_layout());
+            let mut union = BitStream::zeros(chunk.len());
+            scratch.frontiers.restart(engine.records_frontiers(group));
+            let walked = prepared.execute_window_into(
+                &classes,
+                &basis,
+                &config,
+                &mut scratch,
+                &ctl,
+                &mut carry,
+                &mut union,
+            );
+            walked.expect("clean window");
+            let mut diverged = Vec::new();
+            for fused in price.fused.iter() {
+                let mut counters = CtaCounters::new(fused.info.loop_count());
+                let (frontiers, bits) = (&scratch.frontiers, config.window().bits);
+                let served =
+                    Served { fused, frontiers, bits, trips: vec![], counters: &mut counters };
+                let program = prepared.program();
+                let mut checked = Checked { served, program, basis: &basis, diverged };
+                let mut tally = WindowTally::default();
+                // An overflow stops the segment; what ran was checked.
+                let _ = config.window().run(&fused.info, stream_len, &mut tally, &mut checked);
+                diverged = checked.diverged;
+            }
+            groups.push(diverged);
+        }
+        groups
+    }
+
+    /// Where the counting runner's trips are not the window's own, as
+    /// DESIGN.md §10 "What is exact and what is bounded" accounts for
+    /// them: the application, rules, chunk and group, and whether every
+    /// such window counts at least its walk's trips at every site (the
+    /// walk's global frontier reaching a window whose own iterate died
+    /// earlier) or not (a window's local loop outrunning the frontier).
+    const DIVERGENT: &[(&str, usize, usize, usize, bool)] = &[
+        ("Brill", 8, 65536, 0, true),
+        ("Brill", 32, 4096, 1, true),
+        ("Brill", 32, 65536, 0, true),
+        ("Brill", 32, 65536, 1, true),
+        ("Brill", 32, 65536, 5, true),
+        ("Brill", 32, 65536, 7, true),
+        ("Dotstar", 8, 65536, 0, true),
+        ("Dotstar", 8, 65536, 3, true),
+        ("Dotstar", 8, 65536, 4, true),
+        ("Dotstar", 8, 65536, 7, false),
+        ("Dotstar", 32, 4096, 2, true),
+        ("Dotstar", 32, 4096, 3, true),
+        ("Dotstar", 32, 65536, 0, true),
+        ("Dotstar", 32, 65536, 2, true),
+        ("Dotstar", 32, 65536, 3, true),
+        ("Dotstar", 32, 65536, 4, true),
+        ("Dotstar", 32, 65536, 6, true),
+        ("Dotstar", 32, 65536, 7, true),
+        ("Snort", 32, 65536, 0, true),
+        ("Ranges1", 32, 65536, 5, true),
+        ("TCP", 8, 65536, 5, true),
+    ];
+
+    #[test]
+    fn every_counted_window_is_its_walk_window() {
+        let mut divergent = Vec::new();
+        for (kind, rules) in AppKind::ALL.into_iter().flat_map(|kind| [(kind, 8), (kind, 32)]) {
+            let (regexes, input_len, seed) = (rules, 65536, 0xb17);
+            let workload = WorkloadConfig { regexes, input_len, seed, witness_density: 0.05 };
+            let w = generate(kind, &workload);
+            let patterns: Vec<&str> = w.patterns.iter().map(String::as_str).collect();
+            let engine = BitGen::compile_with(&patterns, EngineConfig::default()).unwrap();
+            for len in [64, 4096, 65536] {
+                for (group, windows) in diverged(&engine, &w.input[..len]).iter().enumerate() {
+                    let name = kind.name();
+                    for (at, counted, walked) in windows {
+                        println!(
+                            "{name} ×{rules} group {group} at {len}: the window at {at} counts \
+                             trips {counted:?}, walks {walked:?}"
+                        );
+                    }
+                    let over = |(_, counted, walked): &Diverged| {
+                        counted.iter().zip(walked).all(|(counted, walked)| counted >= walked)
+                    };
+                    if !windows.is_empty() {
+                        divergent.push((name, rules, len, group, windows.iter().all(over)));
+                    }
+                }
+            }
+        }
+        assert_eq!(divergent, DIVERGENT);
+    }
+}

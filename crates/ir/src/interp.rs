@@ -3,25 +3,26 @@
 //! Executes a [`Program`] one instruction at a time over full-length
 //! [`BitStream`]s — the semantics every GPU execution scheme must agree
 //! with: the sequential machine of [`crate::walk`] with one buffer per
-//! stream id and nothing observing it. Also records the loop trip counts
-//! used to validate the dynamic overlap analysis.
+//! stream id and an observer that only counts each loop's trips.
+//! [`walk_window`] runs it over one CTA window, whose trips are what the
+//! dynamic overlap analysis reads.
 
 use crate::carry::{CarryLayout, CarryState, CarryWalk};
 use crate::control::{Interrupt, RunControl};
-use crate::machine::{walk, ById, StreamEnv};
-use crate::program::{Program, StreamId};
+use crate::machine::{walk_over, ById, Observer, StreamEnv};
+use crate::program::{Program, Stmt, StreamId};
 use bitgen_bitstream::{Basis, BitStream};
 use std::fmt;
+use std::ops::Range;
 
 /// Result of interpreting a program.
 #[derive(Debug, Clone)]
 pub struct InterpResult {
     /// One match-end stream per program output (per regex in the group).
     pub outputs: Vec<BitStream>,
-    /// Total `while` trips executed, summed over all loops.
-    pub loop_trips: usize,
-    /// Total instructions executed (loop bodies counted per trip).
-    pub ops_executed: usize,
+    /// Per site ([`Stmt::site_count`]'s numbering), the trips its `while`
+    /// took: the checks whose condition had a bit (an `Add`'s site stays 0).
+    pub trips: Vec<u64>,
 }
 
 impl InterpResult {
@@ -120,7 +121,7 @@ pub fn try_interpret(
     basis: &Basis,
     ctl: &RunControl,
 ) -> Result<InterpResult, InterpError> {
-    run_env(program, basis, ctl, None)
+    run_env(program, basis, Program::stream_len(basis.len()), ctl, None)
 }
 
 /// Interprets one streaming window of `program` with cross-chunk carries.
@@ -169,24 +170,63 @@ pub fn try_interpret_chunk(
     carry: &mut CarryState,
 ) -> Result<InterpResult, InterpError> {
     let layout = CarryLayout::of(program);
-    run_env(program, basis, ctl, Some(CarryWalk::new(carry, &layout)))
+    let len = Program::stream_len(basis.len());
+    run_env(program, basis, len, ctl, Some(CarryWalk::new(carry, &layout)))
 }
 
+/// One CTA window of `program`: the program run over the stream positions
+/// `extent` of `basis`'s input, as a window of Dependency-Aware
+/// Thread-Data Mapping computes them (DESIGN.md §10, "Sequential
+/// semantics"). Every stream spans exactly the extent, with no sentinel
+/// position, so `Not`, `Ones` and every loop condition cover all of it; a
+/// position outside `0..basis.len()` holds the byte `0x00`, so a class
+/// that matches it fires there. Output `i`'s bit `j` is position
+/// `extent.start + j`, and [`InterpResult::trips`] are the window's.
+///
+/// # Errors
+///
+/// A read of a stream nothing wrote, or a `while` loop past its fixpoint
+/// bound.
+pub fn walk_window(
+    program: &Program,
+    basis: &Basis,
+    extent: Range<i64>,
+) -> Result<InterpResult, InterpError> {
+    let byte = |at: i64| {
+        let inside = usize::try_from(at).ok().filter(|&at| at < basis.len());
+        let bit = |at, k: usize| u8::from(basis.stream(k).get(at)) << (7 - k);
+        inside.map_or(0, |at| (0..8).fold(0, |byte, k| byte | bit(at, k)))
+    };
+    let window = Basis::transpose(&extent.map(byte).collect::<Vec<u8>>());
+    run_env(program, &window, window.len(), &RunControl::unlimited(), None)
+}
+
+/// Counts, per site, the `while` checks whose condition has a bit: the
+/// trips taken, as a CTA window counts them.
+struct Trips(Vec<u64>);
+
+impl Observer for Trips {
+    fn loop_check(&mut self, site: usize, cond: &BitStream) {
+        self.0[site] += u64::from(cond.any());
+    }
+}
+
+/// `program` walked over `basis` with streams of `len` positions, in a
+/// by-id environment.
 fn run_env(
     program: &Program,
     basis: &Basis,
+    len: usize,
     ctl: &RunControl,
     carry: Option<CarryWalk<'_>>,
 ) -> Result<InterpResult, InterpError> {
     let mut env = ById::default();
     env.reset(program.num_streams() as usize);
-    let walked = walk(program.stmts(), &mut env, &mut (), basis, ctl, carry)?;
-    let outputs = program
-        .outputs()
-        .iter()
-        .map(|&id| env.get(id).cloned().ok_or(InterpError::UnwrittenStream { id }))
-        .collect::<Result<_, _>>()?;
-    Ok(InterpResult { outputs, loop_trips: walked.loop_trips, ops_executed: walked.ops_executed })
+    let mut trips = Trips(vec![0; Stmt::site_count(program.stmts())]);
+    walk_over(program.stmts(), &mut env, &mut trips, basis, len, ctl, carry)?;
+    let output = |&id| env.get(id).cloned().ok_or(InterpError::UnwrittenStream { id });
+    let outputs = program.outputs().iter().map(output).collect::<Result<_, _>>()?;
+    Ok(InterpResult { outputs, trips: trips.0 })
 }
 
 #[cfg(test)]
@@ -263,12 +303,33 @@ mod tests {
     }
 
     #[test]
-    fn loop_trips_counted() {
+    fn a_window_counts_each_loops_trips_over_its_own_extent() {
         let prog = lower(&parse("a(bc)*d").unwrap());
-        let r = interpret(&prog, &Basis::transpose(b"abcbcbcd"));
-        // Frontier survives three (bc) passes plus the emptying trip.
-        assert!(r.loop_trips >= 3, "got {}", r.loop_trips);
-        assert!(r.ops_executed > prog.op_count());
+        let basis = Basis::transpose(b"abcbcbcd abcd");
+        let whole = walk_window(&prog, &basis, 0..64).unwrap();
+        let interpreted = interpret(&prog, &basis);
+        assert_eq!(whole.match_ends(0), interpreted.match_ends(0));
+        assert_eq!(whole.trips, interpreted.trips);
+        // Every frontier moves at once: three (bc) passes from the first
+        // `a`, the second's one pass among them, then an empty check.
+        assert_eq!(whole.trips, vec![4]);
+        // A window from position 3 never sees the first `a`: one pass.
+        let right = walk_window(&prog, &basis, 3..67).unwrap();
+        assert_eq!(right.match_ends(0), vec![12 - 3]);
+        assert_eq!(right.trips, vec![2]);
+    }
+
+    #[test]
+    fn a_window_reads_the_byte_zero_outside_the_input() {
+        // `[^a]` matches 0x00: left of position 0 and from the input's
+        // end on, the sentinel position included, it fires; a match at the
+        // window's last position is advanced past its end and lost.
+        let prog = lower(&parse("[^a]").unwrap());
+        let basis = Basis::transpose(b"aaxa");
+        let r = walk_window(&prog, &basis, -4..8).unwrap();
+        assert_eq!(r.outputs[0].len(), 12);
+        assert_eq!(r.match_ends(0), vec![0, 1, 2, 3, 6, 8, 9, 10]);
+        assert_eq!(interpret(&prog, &basis).match_ends(0), vec![2]);
     }
 
     #[test]

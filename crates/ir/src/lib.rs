@@ -13,6 +13,8 @@
 //! - [`walk`]: the one sequential machine behind it, generic over where
 //!   streams live ([`StreamEnv`]) and who watches ([`Observer`]), and
 //!   [`Frontiers`], the record of its loop checks;
+//! - [`walk_window`]: the same machine over one CTA window, with each
+//!   loop's trips there;
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
 //! - [`SlotPlan`]: live-range slot assignment for sequential executors,
@@ -56,7 +58,9 @@ pub use carry::{BodyLayout, CarryError, CarryLayout, CarryState, CarryWalk};
 pub use control::{CancelToken, Interrupt, RunControl};
 pub use fnv::{fnv1a, ByteReader, FNV_OFFSET};
 pub use frontier::{Check, Frontiers};
-pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
+pub use interp::{
+    interpret, try_interpret, try_interpret_chunk, walk_window, InterpError, InterpResult,
+};
 pub use limits::{CompileLimits, LimitError};
 pub use lower::{
     lower, lower_group, lower_group_checked, lower_group_with, strip_nullable, LowerOptions,

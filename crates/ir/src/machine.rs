@@ -4,9 +4,10 @@
 //! [`walk`] is statically dispatched over *where the streams live* (a
 //! [`StreamEnv`]) and over an [`Observer`] told about every op, condition
 //! reduction, loop check and skipped body. The reference interpreter is the
-//! instantiation with one buffer per stream id ([`ById`]) and the observer
-//! that does nothing (`()`); executors add their own environments and
-//! observers, never their own walk.
+//! instantiation with one buffer per stream id ([`ById`]) and an observer
+//! that only counts each loop's trips, over the whole input or over one
+//! CTA window ([`crate::walk_window`]); executors add their own
+//! environments and observers, never their own walk.
 //!
 //! The small-step semantics is one statement, one stream. An environment
 //! may name streams it does not want stored — a class stream it already
@@ -32,8 +33,9 @@ pub trait StreamEnv {
     /// The buffer `op`'s value is computed into: any length, any bits.
     fn out(&mut self, op: &Op) -> BitStream;
 
-    /// `class` matched against `basis` into a window-length `out` (the
-    /// peek position clear); returns the circuit's gate count.
+    /// `class` matched against `basis` into `out`, which the machine sized
+    /// to the window (any position past `basis` clear); returns the
+    /// circuit's gate count.
     fn match_cc(&mut self, class: &ByteSet, basis: &Basis, out: &mut BitStream) -> usize;
 
     /// Stores `value` as stream `id`; `false` if the environment has no
@@ -111,9 +113,6 @@ pub trait Observer {
     fn skipped(&mut self, _body: &[Stmt]) {}
 }
 
-/// Observes nothing: the reference interpreter's observer.
-impl Observer for () {}
-
 /// One buffer per stream id, and each distinct class compiled once where
 /// it is first met: the reference interpreter's environment, and what a
 /// batch executor keeps the streams that cross its segments in.
@@ -177,13 +176,9 @@ impl StreamEnv for ById {
                 at
             }
         };
-        // Evaluated straight into a window-length stream: the circuit
+        // Evaluated straight into the window-length stream: the circuit
         // runs word-group at a time with no per-node temporaries, and the
         // peek position stays clear.
-        let len = Program::stream_len(basis.len());
-        if out.len() != len {
-            out.reset_zeros(len);
-        }
         let (_, circuit, gates) = &self.circuits[at];
         circuit.eval_into(basis, std::slice::from_mut(out));
         *gates
@@ -218,10 +213,6 @@ pub(crate) fn fuses(op: &Op, reader: &Op) -> bool {
 /// What a finished [`walk`] counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Walked {
-    /// `while` trips executed, summed over all loops.
-    pub loop_trips: usize,
-    /// Instructions executed (loop bodies counted per trip).
-    pub ops_executed: usize,
     /// Carry slots consumed; the layout's slot count after a clean window.
     pub carry_slots: usize,
 }
@@ -249,15 +240,24 @@ pub fn walk<E: StreamEnv, O: Observer>(
     carry: Option<CarryWalk<'_>>,
 ) -> Result<Walked, InterpError> {
     let len = Program::stream_len(basis.len());
+    walk_over(stmts, env, observer, basis, len, ctl, carry)
+}
+
+/// [`walk`] with every stream `len` positions long, whatever `basis`
+/// spans: a CTA window has no sentinel position ([`crate::walk_window`]).
+pub(crate) fn walk_over<E: StreamEnv, O: Observer>(
+    stmts: &[Stmt],
+    env: &mut E,
+    observer: &mut O,
+    basis: &Basis,
+    len: usize,
+    ctl: &RunControl,
+    carry: Option<CarryWalk<'_>>,
+) -> Result<Walked, InterpError> {
     let single = observer.inspects();
-    let mut machine =
-        Machine { env, observer, basis, len, ctl, carry, single, loop_trips: 0, ops_executed: 0 };
+    let mut machine = Machine { env, observer, basis, len, ctl, carry, single };
     machine.run(stmts, 0)?;
-    Ok(Walked {
-        loop_trips: machine.loop_trips,
-        ops_executed: machine.ops_executed,
-        carry_slots: machine.carry.as_ref().map_or(0, CarryWalk::slots_walked),
-    })
+    Ok(Walked { carry_slots: machine.carry.as_ref().map_or(0, CarryWalk::slots_walked) })
 }
 
 struct Machine<'a, E, O> {
@@ -269,8 +269,6 @@ struct Machine<'a, E, O> {
     carry: Option<CarryWalk<'a>>,
     /// Every statement is its own step and every value is materialised.
     single: bool,
-    loop_trips: usize,
-    ops_executed: usize,
 }
 
 /// Advances one fused pass carries at most; a longer chain of links is
@@ -338,7 +336,6 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
                             return Err(InterpError::FixpointDiverged);
                         }
                         fuel -= 1;
-                        self.loop_trips += 1;
                         end = Some(self.run(body, this + 1)?);
                     }
                     if let (Some(walk), Some((span, _))) = (&mut self.carry, entered) {
@@ -396,7 +393,6 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
             (Some(head), Some(last)) => (head, last),
             _ => unreachable!("a chain is two statements or more"),
         };
-        self.ops_executed += chain.len();
         let mut out = self.env.out(last);
         let env = &*self.env;
         let get = |id: StreamId| env.get(id).ok_or(InterpError::UnwrittenStream { id });
@@ -448,7 +444,6 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
     }
 
     fn exec(&mut self, op: &Op) -> Result<(), InterpError> {
-        self.ops_executed += 1;
         if let (false, Op::MatchCc { dst, .. }) = (self.single, op) {
             if let Some(gates) = self.env.alias_cc(*dst) {
                 self.observer.op(op, gates);
@@ -463,7 +458,12 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
         let env = &*self.env;
         let get = |id: StreamId| env.get(id).ok_or(InterpError::UnwrittenStream { id });
         match op {
-            Op::MatchCc { class, .. } => gates = self.env.match_cc(class, self.basis, &mut out),
+            Op::MatchCc { class, .. } => {
+                if out.len() != self.len {
+                    out.reset_zeros(self.len);
+                }
+                gates = self.env.match_cc(class, self.basis, &mut out);
+            }
             Op::And { a, b, .. } => get(*a)?.and_into(get(*b)?, &mut out),
             Op::Or { a, b, .. } => get(*a)?.or_into(get(*b)?, &mut out),
             Op::Xor { a, b, .. } => get(*a)?.xor_into(get(*b)?, &mut out),

@@ -23,14 +23,15 @@
 //! when the entry's generation and patterns agree — a crafted collision
 //! recompiles, it never serves another tenant's engine.
 //!
-//! Eviction is LRU with a hard entry cap. Evicting an entry only
-//! forgets it for future admissions — streams already scanning hold
-//! their own `Arc` clone, so nothing live is ever torn down.
+//! Eviction is LRU with a hard entry cap. A set enters only once the
+//! admission it was compiled for succeeds, so a refused one evicts
+//! nothing. Evicting an entry only forgets it for future admissions —
+//! streams already scanning hold their own `Arc` clone, so nothing live
+//! is ever torn down.
 
 use bitgen::{BitGen, EngineConfig, Error};
 use bitgen_ir::{fnv1a, FNV_OFFSET};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One served rule set: the pattern list a stream runs and the engine
@@ -86,12 +87,8 @@ pub(crate) struct PatternCache {
 
 impl PatternCache {
     pub fn new(config: EngineConfig, capacity: usize) -> PatternCache {
-        PatternCache {
-            config,
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-        }
+        let (entries, order) = (HashMap::new(), VecDeque::new());
+        PatternCache { config, capacity: capacity.max(1), entries, order }
     }
 
     fn touch(&mut self, key: u64) {
@@ -101,55 +98,32 @@ impl PatternCache {
         self.order.push_back(key);
     }
 
-    /// Returns the cached rule set of `patterns` at `generation`, or
-    /// compiles and caches one. The boolean is `true` on a hit; an entry
-    /// under the same key that was compiled from something else is a
-    /// miss, and is replaced. The third value counts entries evicted to
+    /// The cached rule set of `patterns` at `generation`, now the most
+    /// recently used; `None` when there is none, and when the entry under
+    /// its key was compiled from something else.
+    pub fn get(&mut self, generation: u64, patterns: &[&str]) -> Option<Arc<RuleSet>> {
+        let key = key(generation, patterns);
+        let rules = Arc::clone(self.entries.get(&key).filter(|r| r.is(generation, patterns))?);
+        self.touch(key);
+        Some(rules)
+    }
+
+    /// Compiles `patterns` at `generation` under the cache's config,
+    /// caching nothing: [`PatternCache::insert`] publishes it.
+    pub fn compile(&self, generation: u64, patterns: &[&str]) -> Result<RuleSet, Error> {
+        Ok(RuleSet::new(BitGen::compile_at(patterns, self.config.clone(), generation)?, patterns))
+    }
+
+    /// Publishes a rule set compiled under this cache's config, replacing
+    /// whatever its key held. Returns how many entries were evicted to
     /// make room (0 or 1).
-    pub fn get_or_compile(
-        &mut self,
-        generation: u64,
-        patterns: &[&str],
-    ) -> Result<(Arc<RuleSet>, bool, u64), Error> {
-        self.lookup(key(generation, patterns), generation, patterns)
-    }
-
-    fn lookup(
-        &mut self,
-        key: u64,
-        generation: u64,
-        patterns: &[&str],
-    ) -> Result<(Arc<RuleSet>, bool, u64), Error> {
-        if let Some(rules) = self.entries.get(&key).filter(|r| r.is(generation, patterns)) {
-            let rules = Arc::clone(rules);
-            self.touch(key);
-            return Ok((rules, true, 0));
-        }
-        let engine = BitGen::compile_at(patterns, self.config.clone(), generation)?;
-        let rules = Arc::new(RuleSet::new(engine, patterns));
-        let evicted = self.put(key, Arc::clone(&rules));
-        Ok((rules, false, evicted))
-    }
-
-    /// Publishes a rule set compiled elsewhere (the hot-swap path, whose
-    /// engine was staged under this cache's config). Returns how many
-    /// entries were evicted to make room.
     pub fn insert(&mut self, rules: Arc<RuleSet>) -> u64 {
-        self.put(key(rules.generation(), &rules.patterns), rules)
-    }
-
-    fn put(&mut self, key: u64, rules: Arc<RuleSet>) -> u64 {
+        let key = key(rules.generation(), &rules.patterns);
         let mut evicted = 0;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        self.entries.remove(&old);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
-            }
+        while !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            let Some(old) = self.order.pop_front() else { break };
+            self.entries.remove(&old);
+            evicted += 1;
         }
         self.entries.insert(key, rules);
         self.touch(key);
@@ -170,6 +144,21 @@ mod tests {
         PatternCache::new(EngineConfig::default(), capacity)
     }
 
+    /// What an admission does with the cache: the cached set (a hit), or
+    /// one compiled and inserted; and the entries that evicted.
+    fn get_or_compile(
+        cache: &mut PatternCache,
+        generation: u64,
+        patterns: &[&str],
+    ) -> Result<(Arc<RuleSet>, bool, u64), Error> {
+        if let Some(rules) = cache.get(generation, patterns) {
+            return Ok((rules, true, 0));
+        }
+        let rules = Arc::new(cache.compile(generation, patterns)?);
+        let evicted = cache.insert(Arc::clone(&rules));
+        Ok((rules, false, evicted))
+    }
+
     #[test]
     fn keys_separate_patterns_and_generations() {
         let k = key(0, &["ab", "c"]);
@@ -182,13 +171,13 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit_on_the_same_engine() {
         let mut cache = cache(4);
-        let (first, hit, _) = cache.get_or_compile(0, &["cat"]).unwrap();
+        let (first, hit, _) = get_or_compile(&mut cache, 0, &["cat"]).unwrap();
         assert!(!hit);
-        let (second, hit, _) = cache.get_or_compile(0, &["cat"]).unwrap();
+        let (second, hit, _) = get_or_compile(&mut cache, 0, &["cat"]).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &second));
         // Any generation compiles, as its own entry.
-        let (later, hit, _) = cache.get_or_compile(3, &["cat"]).unwrap();
+        let (later, hit, _) = get_or_compile(&mut cache, 3, &["cat"]).unwrap();
         assert!(!hit && later.generation() == 3 && first.generation() == 0);
         assert_eq!(later.engine.stream_fingerprint(), first.engine.stream_fingerprint());
     }
@@ -198,37 +187,35 @@ mod tests {
         // A tenant that crafts patterns hashing to a victim's key must
         // get an engine compiled from its own patterns.
         let mut cache = cache(4);
-        let victim = key(0, &["cat"]);
-        let (first, ..) = cache.get_or_compile(0, &["cat"]).unwrap();
-        let (second, hit, evicted) = cache.lookup(victim, 0, &["dog"]).unwrap();
-        assert!(!hit && !Arc::ptr_eq(&first, &second));
-        assert_eq!((evicted, cache.len()), (0, 1), "the entry under the key is replaced");
-        assert_eq!(second.engine.find(b"cat dog").unwrap().matches.positions(), vec![6]);
-        // The replacement is now what the key holds; the victim recompiles.
-        assert!(cache.lookup(victim, 0, &["dog"]).unwrap().1);
-        assert!(!cache.get_or_compile(0, &["cat"]).unwrap().1);
-        // The generation is part of the identity too, and the hot-swap
-        // publication path stores the same identity.
-        assert!(!cache.lookup(victim, 1, &["cat"]).unwrap().1);
-        cache.insert(Arc::clone(&first));
-        assert!(!cache.lookup(victim, 1, &["cat"]).unwrap().1);
+        let (cat, ..) = get_or_compile(&mut cache, 0, &["cat"]).unwrap();
+        // As if `["dog"]` hashed to the cat set's key.
+        cache.entries.insert(key(0, &["dog"]), Arc::clone(&cat));
+        assert!(cache.get(0, &["dog"]).is_none(), "another set's entry is a miss");
+        let (dog, hit, evicted) = get_or_compile(&mut cache, 0, &["dog"]).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&cat, &dog));
+        assert_eq!((evicted, cache.len()), (0, 2), "the entry under the key is replaced");
+        assert_eq!(dog.engine.find(b"cat dog").unwrap().matches.positions(), vec![6]);
+        assert!(Arc::ptr_eq(&cache.get(0, &["dog"]).unwrap(), &dog));
+        // The generation is part of the identity too.
+        cache.entries.insert(key(1, &["cat"]), Arc::clone(&cat));
+        assert!(cache.get(1, &["cat"]).is_none());
     }
 
     #[test]
     fn evicts_least_recently_used_but_keeps_live_engines_alive() {
         let mut cache = cache(2);
-        let (a, _, ev) = cache.get_or_compile(0, &["aa"]).unwrap();
+        let (a, _, ev) = get_or_compile(&mut cache, 0, &["aa"]).unwrap();
         assert_eq!(ev, 0);
-        cache.get_or_compile(0, &["bb"]).unwrap();
+        get_or_compile(&mut cache, 0, &["bb"]).unwrap();
         // Touch `aa` so `bb` becomes the LRU victim.
-        assert!(cache.get_or_compile(0, &["aa"]).unwrap().1);
-        let (_, hit, ev) = cache.get_or_compile(0, &["cc"]).unwrap();
+        assert!(get_or_compile(&mut cache, 0, &["aa"]).unwrap().1);
+        let (_, hit, ev) = get_or_compile(&mut cache, 0, &["cc"]).unwrap();
         assert!(!hit);
         assert_eq!(ev, 1);
         assert_eq!(cache.len(), 2);
         // `bb` was evicted, `aa` survived.
-        assert!(cache.get_or_compile(0, &["aa"]).unwrap().1);
-        let (_, hit, _) = cache.get_or_compile(0, &["bb"]).unwrap();
+        assert!(get_or_compile(&mut cache, 0, &["aa"]).unwrap().1);
+        let (_, hit, _) = get_or_compile(&mut cache, 0, &["bb"]).unwrap();
         assert!(!hit, "evicted entry must recompile");
         // The evicted-and-recompiled engine is a different allocation;
         // the Arc we held across the eviction still scans fine.
@@ -238,14 +225,14 @@ mod tests {
     #[test]
     fn compile_failures_cache_nothing() {
         let mut cache = cache(4);
-        assert!(cache.get_or_compile(0, &["(oops"]).is_err());
+        assert!(get_or_compile(&mut cache, 0, &["(oops"]).is_err());
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn engines_compile_under_the_caches_config() {
         let mut cache = PatternCache::new(EngineConfig::default().with_cta_threads(32), 4);
-        let (rules, ..) = cache.get_or_compile(2, &["ab", "c"]).unwrap();
+        let (rules, ..) = get_or_compile(&mut cache, 2, &["ab", "c"]).unwrap();
         assert_eq!(rules.engine.config().threads, 32);
         let staged = rules.engine.prepare_swap(&["cd"]).unwrap();
         assert_eq!(staged.engine().config().threads, 32, "a swap keeps the cache's config");

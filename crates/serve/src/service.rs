@@ -65,7 +65,8 @@
 //! compile its rule set through one cache lookup by (the boundary's
 //! generation, patterns); [`ScanService::warm`] is the same lookup at
 //! generation 0. The checkpoint's fingerprint and generation checks in
-//! [`bitgen::BitGen::resume`] refuse a boundary the patterns do not run.
+//! [`bitgen::BitGen::resume`] refuse a boundary the patterns do not run
+//! before a set compiled for it is cached.
 
 use crate::cache::{PatternCache, RuleSet};
 use crate::drain::{AckRecord, DrainEntry, DrainManifest};
@@ -344,16 +345,31 @@ impl Inner {
         ServeError::Scan(error)
     }
 
-    /// The rule set of `patterns` at `generation`: the cached one, or
-    /// one compiled and cached. Updates the cache counters.
-    fn rules_for(&self, generation: u64, patterns: &[&str]) -> Result<(Arc<RuleSet>, bool), Error> {
-        let (rules, hit, evicted) = lock(&self.cache).get_or_compile(generation, patterns)?;
+    /// The rule set of `patterns` at `generation`, whether it was cached,
+    /// and what `place` makes of it. A miss compiles under the cache lock
+    /// and is cached only once `place` accepts it: a refused set counts
+    /// its compile as a miss and evicts nothing.
+    fn rules_for<T>(
+        &self,
+        generation: u64,
+        patterns: &[&str],
+        place: impl FnOnce(&RuleSet) -> Result<T, Error>,
+    ) -> Result<(Arc<RuleSet>, bool, T), Error> {
+        let mut cache = lock(&self.cache);
+        if let Some(rules) = cache.get(generation, patterns) {
+            drop(cache);
+            self.count(|m| m.cache_hits += 1);
+            return Ok((Arc::clone(&rules), true, place(&rules)?));
+        }
+        let rules = Arc::new(cache.compile(generation, patterns)?);
+        let placed = place(&rules);
+        let evicted = if placed.is_ok() { cache.insert(Arc::clone(&rules)) } else { 0 };
+        drop(cache);
         self.count(|m| {
-            m.cache_hits += u64::from(hit);
-            m.cache_misses += u64::from(!hit);
+            m.cache_misses += 1;
             m.cache_evictions += evicted;
         });
-        Ok((rules, hit))
+        Ok((rules, false, placed?))
     }
 
     /// The worker body: resume at the last boundary, push, commit the
@@ -598,13 +614,13 @@ impl ScanService {
             self.check_stream_budget(&lock(&self.inner.streams), tenant, &budget)?;
         }
         let generation = checkpoint.as_ref().map_or(0, StreamCheckpoint::generation);
-        let (rules, cache_hit) = self.inner.rules_for(generation, patterns)?;
-        let checkpoint = match checkpoint {
-            // Validate now so a bad checkpoint is refused at admission,
-            // not on the first push.
-            Some(checkpoint) => rules.engine.resume(&checkpoint).map(|_| checkpoint)?,
-            None => rules.engine.streamer()?.into_checkpoint(),
-        };
+        let (rules, cache_hit, checkpoint) =
+            self.inner.rules_for(generation, patterns, |rules| match checkpoint {
+                // Validate now so a bad checkpoint is refused at admission,
+                // not on the first push, and before its set is cached.
+                Some(checkpoint) => rules.engine.resume(&checkpoint).map(|_| checkpoint),
+                None => Ok(rules.engine.streamer()?.into_checkpoint()),
+            })?;
         let id = match kept_id {
             Some(id) => {
                 // Keep minted ids clear of every adopted one.
@@ -827,7 +843,7 @@ impl ScanService {
     ///
     /// The compile failure, when the set is new and does not compile.
     pub fn warm(&self, patterns: &[&str]) -> Result<bool, ServeError> {
-        Ok(self.inner.rules_for(0, patterns)?.1)
+        Ok(self.inner.rules_for(0, patterns, |_| Ok(()))?.1)
     }
 
     /// `true` once [`ScanService::drain`] has begun: every admission,
@@ -1251,5 +1267,22 @@ mod tests {
             (before.cache_misses, before.cache_evictions, before.cache_hits)
         );
         assert_eq!(after.rejected_admissions, before.rejected_admissions + 2);
+    }
+
+    #[test]
+    fn a_refused_adoption_caches_and_evicts_nothing() {
+        // One entry: were the refused set cached, it would evict `cat`.
+        let service =
+            ScanService::start(ServeConfig { cache_capacity: 1, ..ServeConfig::default() });
+        let cat = service.open_stream("acme", &["cat"]).unwrap();
+        service.push_chunk(cat.stream, b"a cat").unwrap();
+        let checkpoint = service.checkpoint(cat.stream).unwrap();
+        let err = service.adopt_stream("acme", &["dog"], checkpoint).unwrap_err();
+        assert!(matches!(err, ServeError::Scan(Error::CheckpointMismatch { .. })), "{err}");
+        let m = service.metrics();
+        // The refused set was compiled, so it counts a miss, and nothing
+        // else: it was never cached.
+        assert_eq!((m.cache_hits, m.cache_misses, m.cache_evictions), (0, 2, 0));
+        assert!(service.open_stream("acme", &["cat"]).unwrap().cache_hit, "`cat` stayed cached");
     }
 }

@@ -25,6 +25,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Where a daemon listens and a client connects.
@@ -205,7 +206,16 @@ fn bind_unix(path: &Path) -> io::Result<UnixListener> {
         Err(e) if e.kind() == ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    UnixListener::bind(path)
+    // Listening under a sibling name first, the socket is published by a
+    // hard link: the path appears only once it accepts, and the link
+    // fails `AlreadyExists` where a bind there would fail.
+    static BINDS: AtomicUsize = AtomicUsize::new(0);
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(".{}-{}", std::process::id(), BINDS.fetch_add(1, Ordering::Relaxed)));
+    let listener = UnixListener::bind(&temp)?;
+    let published = std::fs::hard_link(&temp, path);
+    std::fs::remove_file(&temp)?;
+    published.map(|()| listener)
 }
 
 /// What one [`LineReader::read_frame`] call produced.
@@ -356,6 +366,35 @@ impl<R: Read> LineReader<R> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_unix_socket_path_appears_only_once_it_listens() {
+        // A client that connects the instant the path exists is never
+        // refused: between a bind and its listen, it would be (about one
+        // round in 25 on two CPUs).
+        let path = std::env::temp_dir().join(format!("bitgen-bind-{}.sock", std::process::id()));
+        let endpoint = Endpoint::Unix(path.clone());
+        for round in 0..1000 {
+            let (watched, (started, running)) = (path.clone(), std::sync::mpsc::channel());
+            let client = std::thread::spawn(move || {
+                started.send(()).unwrap();
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                loop {
+                    match UnixStream::connect(&watched) {
+                        Err(e) if e.kind() == ErrorKind::NotFound => {}
+                        connected => return connected.map(drop),
+                    }
+                    assert!(std::time::Instant::now() < deadline, "the path never appeared");
+                }
+            });
+            running.recv().unwrap();
+            let listener = Listener::bind(&endpoint).unwrap();
+            let connected = client.join().unwrap();
+            drop(listener);
+            assert!(connected.is_ok(), "round {round}: {connected:?}");
+        }
+        assert!(!path.exists(), "the listener takes its path with it");
+    }
 
     #[test]
     fn frames_lines_and_keeps_partial_bytes_across_polls() {
