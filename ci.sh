@@ -5,7 +5,8 @@ cd "$(dirname "$0")"
 
 cargo build --release
 # Tier-1: every unit, integration and doc test, none `#[ignore]`d — the
-# fault drills (fault_tolerance, pathological_patterns), the transform
+# fault drills (fault_tolerance, pathological_patterns; the seeded sweep
+# on a ZBS engine's emulated CTAs and on a DTM- engine's walked ones), the transform
 # differentials (zbs_differential, pass_complexity), the streaming,
 # recovery, hot-swap and checkpoint suites (stream_carry,
 # stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), what a
@@ -24,7 +25,14 @@ cargo build --release
 # 64 KiB, and through a loop that overflows the window; a twin with an
 # `Add` keeping DTM-; every push billed the cheaper launch, 64 B ones
 # fused; a served stream's accumulators keeping the billed launch's
-# recompute and dynamic-overlap figures), the one window loop both clocks
+# recompute and dynamic-overlap figures; a DTM- engine's scan, which walks
+# as a one-push stream, against the oracle and every per-CTA field and
+# the seconds of the emulated DTM- launch, at 1, 2 and 8 threads, with
+# FallbackPolicy::Error's typed overflow, given before the walk even with
+# a fault armed and cross-check on; the same on random rule sets in
+# parallel_scan, whose thread-count proptest runs each case on ZBS and DTM-;
+# a DTM- slot's degrade replay and buffer reuse, and a DTM- engine never
+# building a batch plan, in bitgen's session tests), the one window loop both clocks
 # step (bitgen-passes' windows tests: quiet windows taken at once equal to
 # single steps over random hulls, allowances, streams and trips; a retry
 # at the same store position; overflow past the capacity and not at it;

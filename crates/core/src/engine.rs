@@ -219,8 +219,8 @@ pub struct BitGen {
     /// record, segments, overlap analyses and compiled kernels — built by
     /// the first batch scan that reaches the group and then shared by
     /// every session, worker thread and `find_many` stream of this
-    /// engine. Lazily, so an engine that only streams never pays for, or
-    /// holds, a transformed program or a kernel.
+    /// engine. Lazily, so an engine that only streams, or walks (DTM-),
+    /// never pays for, or holds, a transformed program or a kernel.
     ///
     /// A build runs inside the scan slot's `catch_unwind`. A std
     /// `OnceLock` does not poison: if the build unwinds, the cell stays
@@ -543,8 +543,9 @@ impl BitGen {
     ///
     /// # Errors
     ///
-    /// Propagates execution failures (only possible under
-    /// [`FallbackPolicy::Error`]).
+    /// An overlap overflow under [`FallbackPolicy::Error`], a cancellation
+    /// or deadline, and under [`RecoveryPolicy::Fail`] a cross-check
+    /// mismatch, a counter or race detection, or a worker panic.
     pub fn find(&self, input: &[u8]) -> Result<ScanReport, Error> {
         self.session().scan(input)
     }

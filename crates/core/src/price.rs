@@ -22,11 +22,12 @@
 //! ([`bitgen_passes::Window::run`]) steps the windows, counted instead of
 //! emulated: a kernel without loops is its closed form.
 //!
-//! `fused = window − walk(fused statements) + Σ windows`, and that is what
-//! `BatchPlan::new(program, rung).execute` counts on the CTA emulator for
-//! a one-push stream: field for field under DTM-, and under DTM wherever
-//! the walk's global frontier is each window's local one
-//! (`tests/served_pricing.rs`).
+//! `fused = window − walk(fused statements) + Σ windows`, resident what the
+//! kernels store and what walked segments write. That is every field
+//! `BatchPlan::new(program, rung).execute` counts on the CTA emulator for a
+//! one-push stream: under DTM- everywhere, so a DTM- batch scan bills it
+//! ([`crate::ScanSession`]), and under DTM wherever the walk's global
+//! frontier is each window's local one (`tests/served_pricing.rs`).
 
 use crate::engine::BitGen;
 use bitgen_exec::{
@@ -52,6 +53,13 @@ pub(crate) struct TwinPrice {
     /// window: segments, intermediates, segments that fall back before
     /// any window, and what the kernels ask of a CTA.
     shape: ExecMetrics,
+    /// Of what the walk writes, DTM-'s kernels do not store `unstored`
+    /// streams; DTM's one kernel stores `stored`.
+    unstored: u32,
+    stored: u32,
+    /// [`bitgen_passes::Window::first`]'s error for the first segment that
+    /// outgrows the window, which a batch slot may fail with.
+    pub(crate) overflow: Option<Overflow>,
 }
 
 /// A fused segment's kernel, reduced to what running its windows reads.
@@ -96,23 +104,27 @@ impl TwinPrice {
         let mut shape =
             ExecMetrics { segments: segments.len(), intermediates, ..Default::default() };
         let (mut sequential, mut fused) = ([0u32; 3], Vec::new());
+        let (mut unstored, mut stored, mut overflow) = (0, 0, None);
         for (seg, plan) in segments {
             let Some(plan) = plan else { continue };
             plan.charge_shape(&mut shape, config);
-            if config.window().first(&plan.info).is_err() {
+            if let Err(outgrown) = config.window().first(&plan.info) {
                 // Runs sequentially, as the batch path's fallback does.
                 shape.fallbacks += 1;
+                overflow = overflow.or(Some(outgrown));
                 continue;
             }
             fused.push(Fused {
                 counts: plan.compiled.kernel.site_counts(config.threads)?,
                 info: plan.info,
             });
+            stored += seg.outputs.len() as u32;
             if rung == Scheme::Dtm {
                 continue;
             }
             for stmt in &program.stmts()[seg.stmts] {
                 let Stmt::Op(op) = stmt else { return None };
+                unstored += u32::from(!seg.outputs.contains(&op.dst()));
                 let gates = match op {
                     Op::MatchCc { class, .. } => prepared.class_gates_of(class)?,
                     _ => 0,
@@ -123,11 +135,8 @@ impl TwinPrice {
             }
         }
         let whole = rung == Scheme::Dtm && !fused.is_empty();
-        Some(TwinPrice {
-            sequential: (!whole).then_some(sequential),
-            fused: fused.into_boxed_slice(),
-            shape,
-        })
+        let (sequential, fused) = ((!whole).then_some(sequential), fused.into_boxed_slice());
+        Some(TwinPrice { sequential, fused, shape, unstored, stored, overflow })
     }
 
     /// Whether a window's fused form reads its loop checks: some fused
@@ -147,11 +156,13 @@ impl TwinPrice {
         config: &ExecConfig,
     ) -> ExecMetrics {
         let stream_len = Program::stream_len(len) as u64;
-        let mut form = ExecMetrics {
-            threads: config.threads,
-            peak_materialized_bytes: window.peak_materialized_bytes,
-            ..self.shape.clone()
+        let (bytes, written) = (stream_len.div_ceil(8) as usize, window.peak_materialized_bytes);
+        let peak_materialized_bytes = match self.sequential {
+            Some(_) => written - self.unstored as usize * bytes,
+            None => self.stored as usize * bytes,
         };
+        let mut form =
+            ExecMetrics { threads: config.threads, peak_materialized_bytes, ..self.shape.clone() };
         if let Some(charged) = self.sequential {
             // The loops stay walked; the statements that run fused go.
             let passes = stream_len.div_ceil(config.window_bits() as u64);
@@ -178,6 +189,7 @@ impl TwinPrice {
                 // — runs as walked, as the batch executor's fallback does.
                 form.fallbacks += 1;
                 form.counters += &window.counters;
+                form.peak_materialized_bytes = written;
             }
         }
         form

@@ -2,12 +2,13 @@
 //! executor for the (group × stream) CTA grid.
 //!
 //! The paper's MIMD regime launches S·G CTAs at once — every regex
-//! group paired with every input stream. A [`ScanSession`] emulates
-//! those CTAs on host threads (`std::thread::scope`, no work stealing:
-//! each worker owns a contiguous chunk of the flattened grid) and keeps
+//! group paired with every input stream. A [`ScanSession`] runs those
+//! CTAs on host threads (`std::thread::scope`, no work stealing: each
+//! worker owns a contiguous chunk of the flattened grid) and keeps
 //! per-worker [`ExecScratch`]es and per-stream [`Basis`] buffers alive
 //! across calls, so repeated scans of same-sized inputs reach a steady
-//! state with no per-call buffer growth.
+//! state with no per-call buffer growth. A DTM- CTA walks as a one-push
+//! stream does; other rungs emulate the group's [`bitgen_exec::BatchPlan`].
 //!
 //! Determinism: CTA outcomes are merged in canonical (stream-major,
 //! group-minor) slot order no matter which worker produced them, and
@@ -19,10 +20,11 @@ use crate::engine::{run_control, BitGen, RecoveryPolicy, ScanReport};
 use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
-    ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, Metrics, PreparedProgram,
+    ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, FallbackPolicy,
+    Metrics, PreparedProgram, Scheme,
 };
 use bitgen_gpu::FaultPlan;
-use bitgen_ir::{try_interpret_chunk, CancelToken, CarryState, RunControl};
+use bitgen_ir::{try_interpret_chunk, CancelToken, CarryState, Program, RunControl};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -47,6 +49,15 @@ struct GridCtx<'a> {
     ctl: &'a RunControl,
 }
 
+/// A grid worker's buffers, kept across scans: its executor scratch and,
+/// on DTM-, the class streams of the input `on` in this scan, if any.
+#[derive(Debug, Default)]
+struct Worker {
+    scratch: ExecScratch,
+    classes: ClassStreams,
+    on: Option<usize>,
+}
+
 /// The one panic guard of a (group × stream) slot, batch CTA or streamed
 /// window: runs `run` on `scratch`, and if it panics (a fault in the
 /// emulator, or an injected [`FaultPlan`]) replaces the scratch — in an
@@ -65,6 +76,30 @@ pub(crate) fn guarded<T>(
             Err(Error::WorkerPanicked { group, stream })
         }
     }
+}
+
+/// The window a push runs per group and a DTM- batch slot per slot: the
+/// group's stream twin walked from `carry` under the panic guard (`output`
+/// shown each output once it passed its checks), then priced as the fused
+/// launch on the engine's rung, `None` where it bills sequentially only.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn priced_window(
+    engine: &BitGen,
+    (group, stream): (usize, usize),
+    (basis, classes): (&Basis, &ClassStreams),
+    config: &ExecConfig,
+    scratch: &mut ExecScratch,
+    ctl: &RunControl,
+    carry: &mut CarryState,
+    output: &mut dyn FnMut(Option<&BitStream>),
+) -> Result<(ExecMetrics, Option<ExecMetrics>), Error> {
+    let prepared = &engine.stream_programs[group];
+    scratch.frontiers.restart(engine.records_frontiers(group));
+    let walked = guarded(scratch, group, stream, |scratch| {
+        prepared.execute_window_with(classes, basis, config, scratch, ctl, carry, output)
+    })?;
+    let fused = engine.fused_form(group, &walked, &scratch.frontiers, basis.len());
+    Ok((walked, fused))
 }
 
 /// The one degrade replay: the group's lowering — the specification the
@@ -145,8 +180,8 @@ pub struct ScanSession<'e> {
     threads: usize,
     /// Transpose targets, one per stream slot, grown on demand.
     bases: Vec<Basis>,
-    /// Executor scratch, one per worker, grown on demand.
-    scratches: Vec<ExecScratch>,
+    /// Worker buffers, one per worker, grown on demand.
+    workers: Vec<Worker>,
     /// Deterministic fault armed on one (stream, group) slot — a test
     /// and drill hook, never set in normal operation.
     fault: Option<(usize, usize, FaultPlan)>,
@@ -168,7 +203,7 @@ impl BitGen {
             engine: self,
             threads: self.config().scan_threads,
             bases: Vec::new(),
-            scratches: Vec::new(),
+            workers: Vec::new(),
             fault: None,
             cancel: None,
             timeout: None,
@@ -186,17 +221,17 @@ impl ScanSession<'_> {
     }
 
     /// Total words of capacity currently held by session-owned buffers
-    /// (basis streams and executor scratch buffers). Stable across
-    /// repeated scans of same-sized inputs — exposed so reuse tests and
-    /// benchmarks can assert that.
+    /// (basis streams, and each worker's scratch buffers and class
+    /// streams). Stable across repeated scans of same-sized inputs —
+    /// exposed so reuse tests and benchmarks can assert that.
     pub fn buffer_capacity_words(&self) -> usize {
         let basis_words: usize = self
             .bases
             .iter()
             .flat_map(|b| b.streams().iter().map(BitStream::capacity_words))
             .sum();
-        let pool_words: usize = self.scratches.iter().map(ExecScratch::pooled_words).sum();
-        basis_words + pool_words
+        let worker = |w: &Worker| w.scratch.pooled_words() + w.classes.capacity_words();
+        basis_words + self.workers.iter().map(worker).sum::<usize>()
     }
 
     /// Arms a deterministic fault on the CTA pairing `stream` with
@@ -278,31 +313,52 @@ impl ScanSession<'_> {
     /// override the caller's request to stop — and under
     /// [`crate::RecoveryPolicy::Degrade`] any other failure is replayed at
     /// once, in this worker, and flagged degraded.
-    fn run_slot(cx: GridCtx<'_>, idx: usize, scratch: &mut ExecScratch) -> SlotRun {
+    fn run_slot(cx: GridCtx<'_>, idx: usize, worker: &mut Worker) -> SlotRun {
         let armed = cx.fault.filter(|&(stream, group, _)| idx == stream * cx.g + group);
         let config = ExecConfig { fault: armed.map(|(.., plan)| plan), ..*cx.config };
         let (group, stream) = (idx % cx.g, idx / cx.g);
-        let basis = &cx.bases[stream];
-        // The engine's resident plan: only the first scan to reach a group
-        // transforms, segments, analyses and compiles it.
-        let failure = match guarded(scratch, group, stream, |scratch| {
-            cx.engine.batch(group).execute(basis, &config, scratch, cx.ctl)
-        }) {
+        let (basis, prepared) = (&cx.bases[stream], &cx.engine.stream_programs[group]);
+        let scratch = &mut worker.scratch;
+        let fresh = || CarryState::for_layout(prepared.carry_layout());
+        let ran = if cx.engine.config().scheme == Scheme::DtmStatic {
+            // What a one-push stream of this input runs, from a zeroed carry,
+            // unless a segment outgrows the window under the Error policy. A
+            // worker evaluates the one class table once per input it reaches.
+            if worker.on.replace(stream) != Some(stream) {
+                prepared.evaluate_classes(basis, &mut worker.classes);
+            }
+            let priced = "a DTM- engine prices its twins";
+            let price = &cx.engine.stream_prices.as_deref().expect(priced)[group];
+            let (mut outputs, len) = (Vec::new(), Program::stream_len(basis.len()));
+            let zeros = || BitStream::zeros(len);
+            let keep = &mut |v: Option<&BitStream>| outputs.push(v.cloned().unwrap_or_else(zeros));
+            let (slot, input, carry) = ((group, stream), (basis, &worker.classes), &mut fresh());
+            let ran = match price.overflow.filter(|_| config.fallback == FallbackPolicy::Error) {
+                Some(overflow) => Err(Error::Exec(overflow.into())),
+                None => priced_window(cx.engine, slot, input, &config, scratch, cx.ctl, carry, keep),
+            };
+            let outcome = |metrics| ExecOutcome { outputs, metrics, fault_fired: false };
+            ran.map(|(_, fused)| outcome(fused.expect(priced)))
+        } else {
+            // The engine's resident plan: only the first scan to reach a
+            // group transforms, segments, analyses and compiles it.
+            let plan = cx.engine.batch(group);
+            guarded(scratch, group, stream, |s| plan.execute(basis, &config, s, cx.ctl))
+        };
+        let failure = match ran {
             Ok(outcome) => return Ok((outcome, false)),
             Err(failure) => failure,
         };
         if failure.is_interrupt() || cx.engine.config().recovery != RecoveryPolicy::Degrade {
             return Err(failure);
         }
-        let prepared = &cx.engine.stream_programs[group];
-        let mut carry = CarryState::for_layout(prepared.carry_layout());
-        let outputs = replay(prepared, basis, cx.ctl, &mut carry)?;
+        let outputs = replay(prepared, basis, cx.ctl, &mut fresh())?;
         Ok((ExecOutcome { outputs, metrics: ExecMetrics::default(), fault_fired: false }, true))
     }
 
     /// Phase 2: run all `s × g` CTAs. Slot `i` pairs stream `i / g`
     /// with group `i % g`; workers take contiguous slot chunks and each
-    /// reuses its own scratch. Results land in slot order, so the merge
+    /// reuses its own buffers. Results land in slot order, so the merge
     /// below never depends on scheduling.
     fn execute_grid(&mut self, s: usize, ctl: &RunControl) -> Vec<SlotRun> {
         let g = self.engine.group_count();
@@ -310,9 +366,11 @@ impl ScanSession<'_> {
         let mut slots: Vec<Option<SlotRun>> = Vec::new();
         slots.resize_with(slot_count, || None);
         let workers = self.threads.min(slot_count).max(1);
-        if self.scratches.len() < workers {
-            self.scratches.resize_with(workers, ExecScratch::new);
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, Worker::default);
         }
+        // The classes a worker holds are of the last scan's inputs.
+        self.workers.iter_mut().for_each(|worker| worker.on = None);
         let cx = GridCtx {
             g,
             engine: self.engine,
@@ -321,8 +379,8 @@ impl ScanSession<'_> {
             fault: self.fault,
             ctl,
         };
-        in_chunks(&mut slots, &mut self.scratches[..workers], |idx, slot, scratch| {
-            *slot = Some(Self::run_slot(cx, idx, scratch));
+        in_chunks(&mut slots, &mut self.workers[..workers], |idx, slot, worker| {
+            *slot = Some(Self::run_slot(cx, idx, worker));
         });
         slots.into_iter().map(|slot| slot.expect("every slot executed")).collect()
     }
@@ -510,25 +568,29 @@ mod tests {
 
     #[test]
     fn repeated_scans_stop_growing_buffers() {
-        let engine =
-            BitGen::compile_with(&["a(bc)*d", "cat"], EngineConfig::default().with_threads(4))
-                .unwrap();
-        let inputs = streams();
-        let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let mut session = engine.session();
-        // Warm-up populates the buffers; afterwards same-sized batches
-        // must leave every capacity untouched.
-        let first = session.scan_many(&slices).unwrap();
-        let warm = session.buffer_capacity_words();
-        assert!(warm > 0);
-        for _ in 0..3 {
-            let again = session.scan_many(&slices).unwrap();
-            reports_agree(&first, &again);
-            assert_eq!(session.buffer_capacity_words(), warm);
+        // A DTM- session's class streams are among its buffers.
+        for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+            let config = EngineConfig::default().with_threads(4).with_scheme(scheme);
+            let engine = BitGen::compile_with(&["a(bc)*d", "cat"], config).unwrap();
+            let inputs = streams();
+            let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+            let mut session = engine.session();
+            // Warm-up populates the buffers; afterwards same-sized batches
+            // must leave every capacity untouched.
+            let first = session.scan_many(&slices).unwrap();
+            let warm = session.buffer_capacity_words();
+            assert!(warm > 0, "{scheme}");
+            let classes: usize = session.workers.iter().map(|w| w.classes.capacity_words()).sum();
+            assert_eq!(classes > 0, scheme == Scheme::DtmStatic, "{scheme}");
+            for _ in 0..3 {
+                let again = session.scan_many(&slices).unwrap();
+                reports_agree(&first, &again);
+                assert_eq!(session.buffer_capacity_words(), warm, "{scheme}");
+            }
+            // Smaller batches fit in the same buffers too.
+            session.scan(slices[0]).unwrap();
+            assert_eq!(session.buffer_capacity_words(), warm, "{scheme}");
         }
-        // Smaller batches fit in the same buffers too.
-        session.scan(slices[0]).unwrap();
-        assert_eq!(session.buffer_capacity_words(), warm);
     }
 
     #[test]
@@ -601,6 +663,15 @@ mod tests {
         scanner.commit_swap(&staged).unwrap();
         scanner.push(b"dog ccd").unwrap();
         assert!(idle(&engine) && idle(staged.engine()) && idle(&replayed));
+        // Nor does any scan of a DTM- engine: it walks what a push walks.
+        let config = EngineConfig::default().with_cta_count(3).with_scheme(Scheme::DtmStatic);
+        let walking = BitGen::compile_with(generations[0], config).unwrap();
+        let inputs = streams();
+        let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+        walking.find(input).unwrap();
+        walking.find_many(&slices).unwrap();
+        walking.session().scan_many(&slices).unwrap();
+        assert!(idle(&walking));
     }
 
     #[test]
@@ -627,8 +698,11 @@ mod tests {
         let pats = ["a[bc]*d", "cat", "[0-9]*x"];
         let asts: Vec<_> = pats.iter().map(|p| bitgen_regex::parse(p).unwrap()).collect();
         let inputs: [&[u8]; 2] = [b"abcbcd cat 42x", b"ad cat x abbd 7x"];
-        for match_star in [false, true] {
+        // A DTM- slot panics in its walk, and replays the same lowering.
+        let arms = [Scheme::Zbs, Scheme::DtmStatic].map(|s| [(s, false), (s, true)]);
+        for (scheme, match_star) in arms.into_iter().flatten() {
             let config = EngineConfig::default()
+                .with_scheme(scheme)
                 .with_recovery(RecoveryPolicy::Degrade)
                 .with_match_star(match_star)
                 .with_combine_outputs(false)
@@ -646,9 +720,13 @@ mod tests {
             // batch side is built from — not of the program the passes made.
             let lowering = engine.stream_programs[0].program();
             assert_eq!(lowering.while_count() == 0, match_star);
-            let rebuilt = bitgen_exec::BatchPlan::build(lowering, &engine.exec_config());
-            assert_eq!(engine.batch(0).program(), rebuilt.program());
-            assert_ne!(lowering, engine.batch(0).program());
+            if scheme == Scheme::DtmStatic {
+                assert!(engine.batch_plan(0).is_none(), "a DTM- slot walks its lowering");
+            } else {
+                let rebuilt = bitgen_exec::BatchPlan::build(lowering, &engine.exec_config());
+                assert_eq!(engine.batch(0).program(), rebuilt.program());
+                assert_ne!(lowering, engine.batch(0).program());
+            }
             let replay =
                 try_interpret(lowering, &Basis::transpose(inputs[1]), &RunControl::unlimited())
                     .unwrap();

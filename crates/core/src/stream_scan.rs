@@ -40,7 +40,7 @@
 
 use crate::engine::{run_control, BitGen};
 use crate::error::Error;
-use crate::session::{guarded, replay};
+use crate::session::{priced_window, replay};
 use crate::swap::StagedRules;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{ClassStreams, ExecConfig, ExecMetrics, ExecScratch, Metrics, PreparedProgram};
@@ -483,9 +483,13 @@ impl StreamScanner<'_> {
 
     /// Push phase 1: every group's window over the loaded chunk, under
     /// the [`RetryPolicy`]. Rotates nothing. A failure names the group it
-    /// stopped at and leaves the clean-up to `push`.
+    /// stopped at and leaves the clean-up to `push`. A window runs the
+    /// group's *streaming* program (untransformed, fixpoint loops — see
+    /// DESIGN.md §10) as a DTM- batch slot does (`priced_window`): a panic
+    /// is a typed [`Error::WorkerPanicked`] on fresh scratch, and only a
+    /// window that passes its checks ORs its outputs into the push's union.
     fn run_windows(&mut self, ctl: &RunControl) -> Result<PushWindows, (usize, Error)> {
-        let config = self.engine.exec_config();
+        let (engine, config) = (self.engine, self.engine.exec_config());
         let groups = self.carries.len();
         let mut run = PushWindows {
             windows: Vec::with_capacity(groups),
@@ -502,12 +506,14 @@ impl StreamScanner<'_> {
             let mut attempt = 0u32;
             loop {
                 attempt += 1;
-                let fault = self.take_fault_shot(group);
-                let e = match self.run_window(group, &config, ctl, fault) {
-                    Ok(walked) => {
-                        let frontiers = &self.scratch.frontiers;
-                        let len = self.basis.len();
-                        let fused = self.engine.fused_form(group, &walked, frontiers, len);
+                let config = ExecConfig { fault: self.take_fault_shot(group), ..config };
+                let union = &mut self.union;
+                let mut or_in = |v: Option<&BitStream>| v.map_or((), |v| union.or_clipped(v));
+                let (chunk, scratch) = ((&self.basis, &self.class_streams), &mut self.scratch);
+                let (slot, carry, out) = ((group, 0), &mut self.carries[group], &mut or_in);
+                let ran = priced_window(engine, slot, chunk, &config, scratch, ctl, carry, out);
+                let e = match ran {
+                    Ok((walked, fused)) => {
                         run.windows.push((group, walked, fused));
                         break;
                     }
@@ -527,47 +533,17 @@ impl StreamScanner<'_> {
                 if !self.retry.degrade {
                     return Err((group, e));
                 }
-                self.interpret_window(group, ctl).map_err(|ie| (group, ie))?;
+                // The degrade `replay` from the boundary carry: exact, and
+                // no device work billed.
+                let prepared = &engine.stream_programs[group];
+                let carry = &mut self.carries[group];
+                let replayed = replay(prepared, &self.basis, ctl, carry).map_err(|ie| (group, ie))?;
+                replayed.iter().for_each(|out| self.union.or_clipped(out));
                 run.degraded = true;
                 break;
             }
         }
         Ok(run)
-    }
-
-    /// Runs one group's *streaming* program (untransformed, fixpoint
-    /// loops — see DESIGN.md §10) over the loaded chunk, under the panic
-    /// guard every batch CTA slot runs under (`guarded`): a panicking
-    /// window surfaces as a typed [`Error::WorkerPanicked`] on fresh
-    /// scratch. A window that passes its checks ORs its outputs into the
-    /// push's union; no other does.
-    fn run_window(
-        &mut self,
-        group: usize,
-        config: &ExecConfig,
-        ctl: &RunControl,
-        fault: Option<FaultPlan>,
-    ) -> Result<ExecMetrics, Error> {
-        let prog = &self.engine.stream_programs[group];
-        let config = ExecConfig { fault, ..*config };
-        let (classes, basis, union) = (&self.class_streams, &self.basis, &mut self.union);
-        let carry = &mut self.carries[group];
-        self.scratch.frontiers.restart(self.engine.records_frontiers(group));
-        guarded(&mut self.scratch, group, 0, |scratch| {
-            prog.execute_window_into(classes, basis, &config, scratch, ctl, carry, union)
-        })
-    }
-
-    /// Replays one group's window with the degrade `replay` a failed batch
-    /// slot gets, from the group's boundary carry — the per-chunk
-    /// degradation path — and ORs its outputs into the push's union. Exact
-    /// matches by construction; the device cost model sees no work.
-    fn interpret_window(&mut self, group: usize, ctl: &RunControl) -> Result<(), Error> {
-        let prepared = &self.engine.stream_programs[group];
-        for out in &replay(prepared, &self.basis, ctl, &mut self.carries[group])? {
-            self.union.or_clipped(out);
-        }
-        Ok(())
     }
 
     /// Push phase 2, the commit: every carry rotates and the metrics

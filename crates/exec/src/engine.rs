@@ -19,7 +19,6 @@ use bitgen_passes::{
     insert_zero_skips_with, rebalance_with, Hull, Overflow, OverlapInfo, PassMetrics, Window,
     WindowRunner, WindowTally, ZbsConfig,
 };
-use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 
@@ -193,7 +192,7 @@ impl fmt::Display for ExecError {
     }
 }
 
-impl Error for ExecError {}
+impl std::error::Error for ExecError {}
 
 impl From<Interrupt> for ExecError {
     fn from(i: Interrupt) -> ExecError {
@@ -495,11 +494,9 @@ impl BatchPlan {
                 observed: metrics.counters.window_iterations,
             });
         }
-        let outputs: Vec<BitStream> = prog
-            .outputs()
-            .iter()
-            .map(|&id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
-            .collect();
+        let zeros = || BitStream::zeros(stream_len);
+        let output = |&id: &StreamId| scratch.env.get(id).cloned().unwrap_or_else(zeros);
+        let outputs: Vec<BitStream> = prog.outputs().iter().map(output).collect();
         scratch.recycle();
         if config.cross_check {
             let reference = try_interpret(prog, basis, ctl)?;

@@ -274,23 +274,26 @@ impl PreparedProgram {
         carry: &mut CarryState,
         union: &mut BitStream,
     ) -> Result<ExecMetrics, ExecError> {
-        let mut or_in = |value: Option<&BitStream>| {
-            if let Some(value) = value {
-                union.or_clipped(value);
-            }
-        };
-        execute_streaming_window(
-            &self.program,
-            &self.tables,
-            classes,
-            basis,
-            config,
-            scratch,
-            ctl,
-            carry,
-            &mut or_in,
-        )
-        .map(|(metrics, _)| metrics)
+        let mut or_in = |v: Option<&BitStream>| v.into_iter().for_each(|v| union.or_clipped(v));
+        self.execute_window_with(classes, basis, config, scratch, ctl, carry, &mut or_in)
+    }
+
+    /// [`PreparedProgram::execute_window_into`], showing `output` each
+    /// program output in order, in its place (`None`: all zeros), instead.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_window_with(
+        &self,
+        classes: &ClassStreams,
+        basis: &Basis,
+        config: &ExecConfig,
+        scratch: &mut ExecScratch,
+        ctl: &RunControl,
+        carry: &mut CarryState,
+        output: &mut dyn FnMut(Option<&BitStream>),
+    ) -> Result<ExecMetrics, ExecError> {
+        let (p, t) = (&self.program, &self.tables);
+        execute_streaming_window(p, t, classes, basis, config, scratch, ctl, carry, output)
+            .map(|(metrics, _)| metrics)
     }
 }
 

@@ -11,7 +11,7 @@
 
 use bitgen::{
     BitGen, CancelToken, EngineConfig, Error, ExecError, FaultKind, FaultPlan, RecoveryPolicy,
-    RetryPolicy,
+    RetryPolicy, Scheme,
 };
 use std::sync::Once;
 use std::time::{Duration, Instant};
@@ -49,7 +49,12 @@ fn workload(case: usize) -> Vec<u8> {
 }
 
 fn engine(recovery: RecoveryPolicy) -> BitGen {
+    engine_on(Scheme::Zbs, recovery)
+}
+
+fn engine_on(scheme: Scheme, recovery: RecoveryPolicy) -> BitGen {
     let config = EngineConfig::default()
+        .with_scheme(scheme)
         .with_cta_count(2)
         .with_threads(2)
         .with_cross_check(true)
@@ -62,12 +67,20 @@ fn engine(recovery: RecoveryPolicy) -> BitGen {
 /// counts as *detected* when the scan returns a typed error, *masked*
 /// when it succeeds with matches bit-identical to the clean run.
 /// Anything else — success with different matches — is silent
-/// corruption and fails the test.
+/// corruption and fails the test. A ZBS engine's faults land in the CTA
+/// emulator; a DTM- engine's in the walk its scan runs (the streaming
+/// window's own faults).
 #[test]
 fn seeded_fault_sweep_has_no_silent_corruption() {
     quiet_injected_panics();
-    let engine = engine(RecoveryPolicy::Fail);
+    for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+        seeded_fault_sweep(&engine_on(scheme, RecoveryPolicy::Fail));
+    }
+}
+
+fn seeded_fault_sweep(engine: &BitGen) {
     let groups = engine.group_count();
+    let scheme = engine.config().scheme;
     let mut detected = 0usize;
     let mut masked = 0usize;
     for seed in 0..120u64 {
@@ -80,7 +93,7 @@ fn seeded_fault_sweep_has_no_silent_corruption() {
             Ok(report) => {
                 assert_eq!(
                     report.matches, clean,
-                    "seed {seed}: fault passed silently with corrupted matches"
+                    "{scheme} seed {seed}: fault passed silently with corrupted matches"
                 );
                 assert!(!report.degraded(), "Fail policy must not degrade");
                 masked += 1;
@@ -88,9 +101,13 @@ fn seeded_fault_sweep_has_no_silent_corruption() {
         }
     }
     assert_eq!(detected + masked, 120);
+    println!("{scheme}: {detected} of 120 faults detected, {masked} masked");
     // The sweep must genuinely exercise the checks: panics alone are a
     // fifth of the plans, so a healthy run detects well above that.
-    assert!(detected >= 24, "only {detected}/120 detections — injector is not firing");
+    assert!(detected >= 24, "{scheme}: only {detected}/120 detections — injector is not firing");
+    if scheme == Scheme::DtmStatic {
+        assert!((0..groups).all(|g| engine.batch_plan(g).is_none()), "a DTM- scan emulated");
+    }
 }
 
 /// Batch match ends as global offsets — the streaming ground truth.

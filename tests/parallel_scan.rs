@@ -2,9 +2,13 @@
 //! pattern sets and random stream batches, a session at any thread
 //! count must reproduce the 1-thread path bit for bit — matches,
 //! per-pattern streams, modelled seconds, and metric totals — and a
-//! reused session must not grow its buffers on same-sized rescans.
+//! reused session must not grow its buffers on same-sized rescans. A
+//! DTM- scan, which walks its CTAs, reports what the CTA emulator counts.
 
-use bitgen::{BitGen, EngineConfig, ScanReport};
+use bitgen::{BitGen, EngineConfig, ExecConfig, ScanReport, Scheme};
+use bitgen_bitstream::Basis;
+use bitgen_exec::{BatchPlan, ExecScratch};
+use bitgen_ir::RunControl;
 use bitgen_regex::{Ast, ByteSet};
 use proptest::prelude::*;
 
@@ -78,6 +82,31 @@ fn assert_reports_identical(a: &[ScanReport], b: &[ScanReport], what: &str) {
     }
 }
 
+/// Asserts every report's per-CTA metrics are what the CTA emulator counts
+/// running each group's stream twin under `BatchPlan::new(.., DtmStatic)`.
+fn assert_ctas_are_emulated(engine: &BitGen, inputs: &[&[u8]], reports: &[ScanReport]) {
+    let c = engine.config();
+    let config = ExecConfig {
+        scheme: Scheme::DtmStatic,
+        threads: c.threads,
+        merge_size: c.merge_size,
+        interval: c.interval,
+        max_regs: c.max_regs,
+        fallback: c.fallback,
+        ..ExecConfig::default()
+    };
+    let twins = engine.stream_programs().iter();
+    let plans: Vec<BatchPlan> = twins.map(|p| BatchPlan::new(p.program().clone(), &config)).collect();
+    let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
+    for (input, report) in inputs.iter().zip(reports) {
+        let basis = Basis::transpose(input);
+        for (group, (plan, cta)) in plans.iter().zip(&report.metrics.ctas).enumerate() {
+            let emulated = plan.execute(&basis, &config, &mut scratch, &ctl).unwrap();
+            assert_eq!(cta, &emulated.metrics, "group {group} over {} bytes", input.len());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -90,17 +119,25 @@ proptest! {
         let patterns: Vec<String> = asts.iter().map(Ast::to_string).collect();
         let pats: Vec<&str> = patterns.iter().map(String::as_str).collect();
         let slices: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        let base = EngineConfig::default().with_cta_count(3).with_combine_outputs(combine);
+        // Every case runs on both: ZBS emulates its CTAs, DTM- walks them.
+        for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+            let base = EngineConfig::default()
+                .with_cta_count(3)
+                .with_combine_outputs(combine)
+                .with_scheme(scheme);
 
-        let sequential = BitGen::compile_with(&pats, base.clone().with_threads(1))
-            .unwrap()
-            .find_many(&slices)
-            .unwrap();
-        for threads in [2, 5, 16] {
-            let engine =
-                BitGen::compile_with(&pats, base.clone().with_threads(threads)).unwrap();
-            let parallel = engine.find_many(&slices).unwrap();
-            assert_reports_identical(&sequential, &parallel, &format!("{threads} threads"));
+            let engine = BitGen::compile_with(&pats, base.clone().with_threads(1)).unwrap();
+            let sequential = engine.find_many(&slices).unwrap();
+            if scheme == Scheme::DtmStatic {
+                assert_ctas_are_emulated(&engine, &slices, &sequential);
+            }
+            for threads in [2, 5, 16] {
+                let engine =
+                    BitGen::compile_with(&pats, base.clone().with_threads(threads)).unwrap();
+                let parallel = engine.find_many(&slices).unwrap();
+                let what = format!("{scheme}, {threads} threads");
+                assert_reports_identical(&sequential, &parallel, &what);
+            }
         }
     }
 

@@ -11,9 +11,14 @@
 //! DTM- field by field everywhere, DTM field by field wherever the walk's
 //! global frontier is each window's local one, and within 10 % of the
 //! launch's seconds, never below, where it is not. Every push must bill
-//! exactly the smaller of the two launch estimates.
+//! exactly the smaller of the two launch estimates. A DTM- engine's scan,
+//! which walks as a one-push stream and bills the DTM- form, is held to
+//! the emulated launch itself.
 
-use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, RetryPolicy, Scheme};
+use bitgen::{
+    BitGen, EngineConfig, Error, ExecConfig, FallbackPolicy, FaultKind, FaultPlan, RetryPolicy,
+    ScanReport, Scheme,
+};
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{BatchPlan, ClassStreams, ExecMetrics, ExecScratch};
 use bitgen_gpu::CtaWork;
@@ -106,6 +111,65 @@ fn priced_and_emulated(
         .collect()
 }
 
+/// Asserts that `report` of a DTM- engine's scan of `chunk` is the launch
+/// the emulator runs of its twins: every per-CTA field and the seconds.
+fn assert_scan_is_emulated(what: &str, engine: &BitGen, report: &ScanReport, chunk: &[u8]) {
+    let (plans, config) = plans(engine, Scheme::DtmStatic);
+    let basis = Basis::transpose(chunk);
+    let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
+    let ctas: Vec<ExecMetrics> = (plans.iter())
+        .map(|plan| plan.execute(&basis, &config, &mut scratch, &ctl).expect("plan runs").metrics)
+        .collect();
+    let seconds = launch_seconds(engine, ctas.iter().cloned());
+    assert_eq!(report.metrics.ctas, ctas, "{what}: per-CTA metrics");
+    assert_eq!(report.metrics.cost.seconds.to_bits(), seconds.to_bits(), "{what}: seconds");
+}
+
+/// Asserts two launches report the same bits.
+fn assert_same_scans(what: &str, a: &[ScanReport], b: &[ScanReport]) {
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!((&x.matches, &x.per_pattern), (&y.matches, &y.per_pattern), "{what}");
+        assert_eq!(x.metrics.ctas, y.metrics.ctas, "{what}");
+        assert_eq!(x.metrics.cost.seconds.to_bits(), y.metrics.cost.seconds.to_bits(), "{what}");
+    }
+    assert_eq!(a.len(), b.len(), "{what}");
+}
+
+const SIZES: [usize; 6] = [1, 63, 2047, 2048, 4096, 65536];
+
+#[test]
+fn a_dtm_static_scan_walks_and_bills_exactly_the_emulated_launch() {
+    // Per-pattern streams under `match_star`, the union without it.
+    for match_star in [false, true] {
+        for (kind, rules) in AppKind::ALL.into_iter().flat_map(|kind| [(kind, 8), (kind, 32)]) {
+            let (patterns, input) = workload(kind, rules, 65536);
+            let asts: Vec<_> = patterns.iter().map(|p| bitgen::parse(p).unwrap()).collect();
+            let config = EngineConfig::default()
+                .with_scheme(Scheme::DtmStatic)
+                .with_match_star(match_star)
+                .with_combine_outputs(!match_star);
+            let engine = compile(&patterns, config.clone().with_threads(1));
+            let chunks: Vec<&[u8]> = SIZES.iter().map(|&len| &input[..len]).collect();
+            let what = format!("{} ×{rules} match_star={match_star}", kind.name());
+            for chunk in &chunks {
+                let report = engine.find(chunk).unwrap();
+                let what = format!("{what} at {}", chunk.len());
+                let ends = bitgen_regex::multi_match_ends(&asts, chunk);
+                assert_eq!(report.matches.positions(), ends, "{what}: matches");
+                assert_scan_is_emulated(&what, &engine, &report, chunk);
+            }
+            let one = engine.find_many(&chunks).unwrap();
+            for threads in [2, 8] {
+                let parallel = compile(&patterns, config.clone().with_threads(threads));
+                let what = format!("{what}, {threads} threads");
+                assert_same_scans(&what, &one, &parallel.find_many(&chunks).unwrap());
+            }
+            let idle = (0..engine.group_count()).all(|g| engine.batch_plan(g).is_none());
+            assert!(idle, "{what}: a DTM- scan built a batch plan");
+        }
+    }
+}
+
 /// Asserts `fused` is `emulated` in every field the launch reports.
 fn assert_exact(what: &str, fused: &ExecMetrics, emulated: &ExecMetrics) {
     assert_eq!(fused.counters, emulated.counters, "{what}: counters");
@@ -113,6 +177,7 @@ fn assert_exact(what: &str, fused: &ExecMetrics, emulated: &ExecMetrics) {
         (m.threads, m.regs_per_thread, m.smem_bytes, m.shift_groups, m.segments, m.intermediates)
     };
     assert_eq!(shape(fused), shape(emulated), "{what}: threads, regs, smem, groups, segs, inter");
+    assert_eq!(fused.peak_materialized_bytes, emulated.peak_materialized_bytes, "{what}: peak");
     let overlap = |m: &ExecMetrics| {
         let fractions = (m.recompute_frac.to_bits(), m.dynamic_overlap_avg.to_bits());
         let windows = (m.window_iterations, m.retries, m.fallbacks);
@@ -276,6 +341,36 @@ fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
                 assert_exact(&format!("{} {scheme} group {group}", kind.name()), fused, emulated);
             }
         }
+        if scheme != Scheme::DtmStatic {
+            continue;
+        }
+        // A DTM- scan walks and bills the launch that falls back, and under
+        // `FallbackPolicy::Error` fails as the emulated launch does.
+        let chunk = &input[..4096];
+        let what = format!("{} DTM- scan", kind.name());
+        assert_scan_is_emulated(&what, &engine, &engine.find(chunk).unwrap(), chunk);
+        let config = EngineConfig { fallback: FallbackPolicy::Error, ..engine.config().clone() };
+        let failing = compile(&patterns, config);
+        let (twins, config) = crate::plans(&failing, Scheme::DtmStatic);
+        let basis = Basis::transpose(chunk);
+        let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
+        let (group, emulated) = (twins.iter().enumerate())
+            .find_map(|(g, plan)| Some((g, plan.execute(&basis, &config, &mut scratch, &ctl).err()?)))
+            .expect("a segment outgrows the window");
+        assert!(matches!(emulated, bitgen::ExecError::OverlapOverflow { .. }), "{what}");
+        assert_eq!(failing.find(chunk).unwrap_err(), Error::Exec(emulated.clone()), "{what}");
+        // The overflow is known before any walk: with a fault armed on that
+        // slot and cross-checking on, the scan fails with it all the same,
+        // as the emulated launch does.
+        let drill = FaultPlan { kind: FaultKind::CorruptCounter, trigger: 1, seed: 0 };
+        let faulted = ExecConfig { fault: Some(drill), cross_check: true, ..config };
+        let drilled = twins[group].execute(&basis, &faulted, &mut scratch, &ctl).err();
+        assert_eq!(drilled.as_ref(), Some(&emulated), "{what}");
+        let checked = compile(&patterns, EngineConfig { cross_check: true, ..failing.config().clone() });
+        let mut session = checked.session();
+        session.inject_fault(0, group, drill);
+        assert_eq!(session.scan(chunk).unwrap_err(), Error::Exec(emulated), "{what}");
+        assert!((0..checked.group_count()).all(|g| checked.batch_plan(g).is_none()), "{what}");
     }
 }
 
