@@ -6,7 +6,8 @@ cd "$(dirname "$0")"
 cargo build --release
 # Tier-1: every unit, integration and doc test, none `#[ignore]`d — the
 # fault drills (fault_tolerance, pathological_patterns; the seeded sweep
-# on a ZBS engine's emulated CTAs and on a DTM- engine's walked ones), the transform
+# on every rung, walked slots and emulated ones, with exactly the groups
+# whose fused form is not exact building a plan), the transform
 # differentials (zbs_differential, pass_complexity), the streaming,
 # recovery, hot-swap and checkpoint suites (stream_carry,
 # stream_recovery, rule_swap, swap_recovery, checkpoint_fuzz), what a
@@ -25,14 +26,18 @@ cargo build --release
 # 64 KiB, and through a loop that overflows the window; a twin with an
 # `Add` keeping DTM-; every push billed the cheaper launch, 64 B ones
 # fused; a served stream's accumulators keeping the billed launch's
-# recompute and dynamic-overlap figures; a DTM- engine's scan, which walks
-# as a one-push stream, against the oracle and every per-CTA field and
-# the seconds of the emulated DTM- launch, at 1, 2 and 8 threads, with
+# recompute and dynamic-overlap figures; every push billed fused exactly
+# when that launch is cheaper, on every scheme; a Sequential, Base, DTM-
+# and DTM engine's scan, whose exact groups walk as a one-push stream,
+# against the oracle and every per-CTA field and the seconds of the
+# emulated launch on the engine's scheme, at 1, 2 and 8 threads, with
 # FallbackPolicy::Error's typed overflow, given before the walk even with
-# a fault armed and cross-check on; the same on random rule sets in
-# parallel_scan, whose thread-count proptest runs each case on ZBS and DTM-;
-# a DTM- slot's degrade replay and buffer reuse, and a DTM- engine never
-# building a batch plan, in bitgen's session tests), the one window loop both clocks
+# a fault armed and cross-check on, on DTM- and DTM; the same on random
+# rule sets in parallel_scan, whose thread-count proptest runs each case
+# on ZBS, DTM- and DTM; walked slots' degrade replay and buffer reuse on
+# every scheme, and a walking engine never building a batch plan, in
+# bitgen's session tests; one warm-up sizing every slot buffer in use,
+# whatever order windows ran in, in bitgen-exec's), the one window loop both clocks
 # step (bitgen-passes' windows tests: quiet windows taken at once equal to
 # single steps over random hulls, allowances, streams and trips; a retry
 # at the same store position; overflow past the capacity and not at it;
@@ -111,9 +116,10 @@ bash benchmark/run.sh batch-scan --smoke > /dev/null
 # Paper-table drift gate: every modelled experiment at its committed
 # size must reproduce results/*.csv byte for byte (~4 s in all; fig11,
 # table2 and the ablations hold host-measured columns and are not
-# gated). Table 4's `Base`/`DTM-` rows are exactly what batch
-# sequential segments count, so a walker change that moves a modelled
-# counter fails here; Figure 12 carries the modelled throughput ladder
+# gated). Table 4's `Base`/`DTM-` rows are the served price of the walk
+# (a Base or DTM- scan walks and bills its exact fused form), so a change
+# to the walker's counts or to that price fails here; Figure 12 carries
+# the modelled throughput ladder
 # Base → ZBS and Table 5 the overlap, retry and fallback counts, so
 # modelled-clock drift on the batch path fails here too; Figure 15
 # sweeps CTA thread counts, where a change to how the emulator runs a

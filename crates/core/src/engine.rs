@@ -211,16 +211,18 @@ pub struct BitGen {
     /// markers. See DESIGN.md §10.
     pub(crate) stream_programs: Vec<PreparedProgram>,
     /// What each group's window costs as the paper's fused launch on the
-    /// engine's rung (DTM, or DTM-) would run it: a few counts per fused
-    /// segment and loop, derived once ([`BitGen::fused_form`]). `None`
-    /// under `Sequential` and `Base`, whose pushes bill sequentially only.
+    /// engine's rung would run it, and whether that bill is exact (its
+    /// batch slots then walk): a few counts per fused segment and loop,
+    /// derived once ([`BitGen::fused_form`]). `None` only for a program
+    /// with an `if`, which no lowering has.
     pub(crate) stream_prices: Option<Box<[TwinPrice]>>,
     /// Each group's batch side — the transformed program, its transform
     /// record, segments, overlap analyses and compiled kernels — built by
     /// the first batch scan that reaches the group and then shared by
     /// every session, worker thread and `find_many` stream of this
-    /// engine. Lazily, so an engine that only streams, or walks (DTM-),
-    /// never pays for, or holds, a transformed program or a kernel.
+    /// engine. Lazily, so an engine that only streams, or walks every
+    /// group (Sequential, Base, DTM-), never pays for, or holds, a
+    /// transformed program or a kernel.
     ///
     /// A build runs inside the scan slot's `catch_unwind`. A std
     /// `OnceLock` does not poison: if the build unwinds, the cell stays

@@ -8,8 +8,9 @@
 //! stream per instruction. An engine bills its own rung of the paper's
 //! ladder, DTM at most. Under DTM the whole program is one kernel over
 //! overlapping windows, loops included; under DTM- (a `DtmStatic` engine,
-//! or a program with an `Add`) each run of straight-line statements is a
-//! kernel and each `while` runs sequentially as walked.
+//! or a later one's program with an `Add`) each run of straight-line
+//! statements is a kernel and each `while` runs sequentially as walked;
+//! under Base only runs of bitwise instructions fuse, under Sequential none.
 //!
 //! Neither is emulated. Outside its loops a kernel runs every instruction
 //! once per CTA window, and a loop body once per trip, so a window's
@@ -25,9 +26,10 @@
 //! `fused = window − walk(fused statements) + Σ windows`, resident what the
 //! kernels store and what walked segments write. That is every field
 //! `BatchPlan::new(program, rung).execute` counts on the CTA emulator for a
-//! one-push stream: under DTM- everywhere, so a DTM- batch scan bills it
-//! ([`crate::ScanSession`]), and under DTM wherever the walk's global
-//! frontier is each window's local one (`tests/served_pricing.rs`).
+//! one-push stream wherever no fused kernel loops, so an exact group's batch
+//! scan bills it ([`crate::ScanSession`]), and under DTM with loops wherever
+//! the walk's global frontier is each window's local one
+//! (`tests/served_pricing.rs`).
 
 use crate::engine::BitGen;
 use bitgen_exec::{
@@ -53,13 +55,16 @@ pub(crate) struct TwinPrice {
     /// window: segments, intermediates, segments that fall back before
     /// any window, and what the kernels ask of a CTA.
     shape: ExecMetrics,
-    /// Of what the walk writes, DTM-'s kernels do not store `unstored`
-    /// streams; DTM's one kernel stores `stored`.
+    /// Of what the walk writes, Base's and DTM-'s kernels do not store
+    /// `unstored` streams; DTM's one kernel stores `stored`.
     unstored: u32,
     stored: u32,
     /// [`bitgen_passes::Window::first`]'s error for the first segment that
     /// outgrows the window, which a batch slot may fail with.
     pub(crate) overflow: Option<Overflow>,
+    /// Whether the fused form is the emulator's count on the engine's own
+    /// scheme (priced on it, no fused kernel loops): the group's slots walk.
+    pub(crate) exact: bool,
 }
 
 /// A fused segment's kernel, reduced to what running its windows reads.
@@ -73,15 +78,11 @@ struct Fused {
 
 impl TwinPrice {
     /// Every group's price for an engine running under `config`, or `None`
-    /// when its pushes bill sequentially only: a `Sequential` or `Base`
-    /// engine, or a program with an `if` (a lowering has none).
+    /// for a program with an `if` (a lowering has none).
     pub(crate) fn of_all(
         programs: &[PreparedProgram],
         config: &ExecConfig,
     ) -> Option<Box<[TwinPrice]>> {
-        if config.scheme < Scheme::DtmStatic {
-            return None;
-        }
         // The groups share most of their classes: one circuit table.
         let mut compiler = Compiler::default();
         programs.iter().map(|prepared| TwinPrice::of(prepared, config, &mut compiler)).collect()
@@ -96,10 +97,10 @@ impl TwinPrice {
     ) -> Option<TwinPrice> {
         let program = prepared.program();
         // An `Add`'s carry run per window is not recorded: its program
-        // keeps DTM-, which runs additions sequentially.
+        // stays at DTM- or below, which run additions sequentially.
         let mut adds = false;
         program.for_each_op(&mut |op| adds |= matches!(op, Op::Add { .. }));
-        let rung = if adds { Scheme::DtmStatic } else { config.scheme.min(Scheme::Dtm) };
+        let rung = config.scheme.min(if adds { Scheme::DtmStatic } else { Scheme::Dtm });
         let (segments, intermediates) = plan_segments(program, (rung, 1), compiler, |plan| plan);
         let mut shape =
             ExecMetrics { segments: segments.len(), intermediates, ..Default::default() };
@@ -136,7 +137,9 @@ impl TwinPrice {
         }
         let whole = rung == Scheme::Dtm && !fused.is_empty();
         let (sequential, fused) = ((!whole).then_some(sequential), fused.into_boxed_slice());
-        Some(TwinPrice { sequential, fused, shape, unstored, stored, overflow })
+        let twin = TwinPrice { sequential, fused, shape, unstored, stored, overflow, exact: false };
+        let exact = rung == config.scheme && !twin.reads_frontiers();
+        Some(TwinPrice { exact, ..twin })
     }
 
     /// Whether a window's fused form reads its loop checks: some fused
@@ -261,12 +264,12 @@ impl BitGen {
     /// [`bitgen_exec::ExecScratch::frontiers`] — priced instead as the
     /// paper's fused launch on this engine's rung: DTM, the whole program
     /// one kernel over overlapping windows with the loops' trips read off
-    /// `frontiers`; or DTM- (under [`Scheme::DtmStatic`], or for a program
-    /// with an `Add`), straight-line segments fused and `while` loops
-    /// sequential as walked. A push bills whichever launch is cheaper
-    /// ([`crate::StreamScanner::metrics`]). `None` when this engine bills
-    /// its pushes sequentially only (under [`Scheme::Sequential`] or
-    /// [`Scheme::Base`]).
+    /// `frontiers`; DTM- (under [`Scheme::DtmStatic`], or for a later
+    /// scheme's program with an `Add`), straight-line segments fused and
+    /// `while` loops sequential as walked; Base, runs of bitwise
+    /// instructions fused; or Sequential, the walk itself. A push bills
+    /// whichever launch is cheaper ([`crate::StreamScanner::metrics`]), the
+    /// walk on a tie. `None` only for a program with an `if`.
     ///
     /// # Panics
     ///

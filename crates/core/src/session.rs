@@ -7,8 +7,9 @@
 //! worker owns a contiguous chunk of the flattened grid) and keeps
 //! per-worker [`ExecScratch`]es and per-stream [`Basis`] buffers alive
 //! across calls, so repeated scans of same-sized inputs reach a steady
-//! state with no per-call buffer growth. A DTM- CTA walks as a one-push
-//! stream does; other rungs emulate the group's [`bitgen_exec::BatchPlan`].
+//! state with no per-call buffer growth. A CTA whose group's fused form is
+//! exact walks as a one-push stream does; the others emulate the group's
+//! [`bitgen_exec::BatchPlan`].
 //!
 //! Determinism: CTA outcomes are merged in canonical (stream-major,
 //! group-minor) slot order no matter which worker produced them, and
@@ -21,7 +22,7 @@ use crate::error::Error;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{
     ClassStreams, ExecConfig, ExecError, ExecMetrics, ExecOutcome, ExecScratch, FallbackPolicy,
-    Metrics, PreparedProgram, Scheme,
+    Metrics, PreparedProgram,
 };
 use bitgen_gpu::FaultPlan;
 use bitgen_ir::{try_interpret_chunk, CancelToken, CarryState, Program, RunControl};
@@ -50,7 +51,8 @@ struct GridCtx<'a> {
 }
 
 /// A grid worker's buffers, kept across scans: its executor scratch and,
-/// on DTM-, the class streams of the input `on` in this scan, if any.
+/// for its walked slots, the class streams of the input `on` in this scan,
+/// if any.
 #[derive(Debug, Default)]
 struct Worker {
     scratch: ExecScratch,
@@ -78,10 +80,10 @@ pub(crate) fn guarded<T>(
     }
 }
 
-/// The window a push runs per group and a DTM- batch slot per slot: the
-/// group's stream twin walked from `carry` under the panic guard (`output`
-/// shown each output once it passed its checks), then priced as the fused
-/// launch on the engine's rung, `None` where it bills sequentially only.
+/// The window a push runs per group and an exact group's batch slot per
+/// slot: the group's stream twin walked from `carry` under the panic guard
+/// (`output` shown each output once it passed its checks), then priced as
+/// the fused launch on the engine's rung, `None` for an unpriced engine.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn priced_window(
     engine: &BitGen,
@@ -320,15 +322,14 @@ impl ScanSession<'_> {
         let (basis, prepared) = (&cx.bases[stream], &cx.engine.stream_programs[group]);
         let scratch = &mut worker.scratch;
         let fresh = || CarryState::for_layout(prepared.carry_layout());
-        let ran = if cx.engine.config().scheme == Scheme::DtmStatic {
+        let price = cx.engine.stream_prices.as_deref().map(|prices| &prices[group]);
+        let ran = if let Some(price) = price.filter(|price| price.exact) {
             // What a one-push stream of this input runs, from a zeroed carry,
             // unless a segment outgrows the window under the Error policy. A
             // worker evaluates the one class table once per input it reaches.
             if worker.on.replace(stream) != Some(stream) {
                 prepared.evaluate_classes(basis, &mut worker.classes);
             }
-            let priced = "a DTM- engine prices its twins";
-            let price = &cx.engine.stream_prices.as_deref().expect(priced)[group];
             let (mut outputs, len) = (Vec::new(), Program::stream_len(basis.len()));
             let zeros = || BitStream::zeros(len);
             let keep = &mut |v: Option<&BitStream>| outputs.push(v.cloned().unwrap_or_else(zeros));
@@ -338,7 +339,7 @@ impl ScanSession<'_> {
                 None => priced_window(cx.engine, slot, input, &config, scratch, cx.ctl, carry, keep),
             };
             let outcome = |metrics| ExecOutcome { outputs, metrics, fault_fired: false };
-            ran.map(|(_, fused)| outcome(fused.expect(priced)))
+            ran.map(|(_, fused)| outcome(fused.expect("an exact group is priced")))
         } else {
             // The engine's resident plan: only the first scan to reach a
             // group transforms, segments, analyses and compiles it.
@@ -463,6 +464,7 @@ impl ScanSession<'_> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use bitgen_exec::Scheme;
 
     fn streams() -> Vec<Vec<u8>> {
         (0..9)
@@ -568,8 +570,9 @@ mod tests {
 
     #[test]
     fn repeated_scans_stop_growing_buffers() {
-        // A DTM- session's class streams are among its buffers.
-        for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+        // A walking session's class streams are among its buffers; a DTM
+        // session's grid mixes walked and emulated slots.
+        for scheme in Scheme::ALL {
             let config = EngineConfig::default().with_threads(4).with_scheme(scheme);
             let engine = BitGen::compile_with(&["a(bc)*d", "cat"], config).unwrap();
             let inputs = streams();
@@ -581,7 +584,7 @@ mod tests {
             let warm = session.buffer_capacity_words();
             assert!(warm > 0, "{scheme}");
             let classes: usize = session.workers.iter().map(|w| w.classes.capacity_words()).sum();
-            assert_eq!(classes > 0, scheme == Scheme::DtmStatic, "{scheme}");
+            assert_eq!(classes > 0, scheme <= Scheme::Dtm, "{scheme}");
             for _ in 0..3 {
                 let again = session.scan_many(&slices).unwrap();
                 reports_agree(&first, &again);
@@ -663,15 +666,18 @@ mod tests {
         scanner.commit_swap(&staged).unwrap();
         scanner.push(b"dog ccd").unwrap();
         assert!(idle(&engine) && idle(staged.engine()) && idle(&replayed));
-        // Nor does any scan of a DTM- engine: it walks what a push walks.
-        let config = EngineConfig::default().with_cta_count(3).with_scheme(Scheme::DtmStatic);
-        let walking = BitGen::compile_with(generations[0], config).unwrap();
+        // Nor does any scan of a Sequential, Base or DTM- engine: it walks
+        // what a push walks.
         let inputs = streams();
         let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        walking.find(input).unwrap();
-        walking.find_many(&slices).unwrap();
-        walking.session().scan_many(&slices).unwrap();
-        assert!(idle(&walking));
+        for scheme in [Scheme::Sequential, Scheme::Base, Scheme::DtmStatic] {
+            let config = EngineConfig::default().with_cta_count(3).with_scheme(scheme);
+            let walking = BitGen::compile_with(generations[0], config).unwrap();
+            walking.find(input).unwrap();
+            walking.find_many(&slices).unwrap();
+            walking.session().scan_many(&slices).unwrap();
+            assert!(idle(&walking), "{scheme}");
+        }
     }
 
     #[test]
@@ -698,8 +704,11 @@ mod tests {
         let pats = ["a[bc]*d", "cat", "[0-9]*x"];
         let asts: Vec<_> = pats.iter().map(|p| bitgen_regex::parse(p).unwrap()).collect();
         let inputs: [&[u8]; 2] = [b"abcbcd cat 42x", b"ad cat x abbd 7x"];
-        // A DTM- slot panics in its walk, and replays the same lowering.
-        let arms = [Scheme::Zbs, Scheme::DtmStatic].map(|s| [(s, false), (s, true)]);
+        // A walked slot (Base, DTM-) panics in its walk, an emulated one
+        // (ZBS, DTM with a loop or an `Add` in group 0) in the emulator, and
+        // each replays the same lowering.
+        let schemes = [Scheme::Zbs, Scheme::Dtm, Scheme::DtmStatic, Scheme::Base];
+        let arms = schemes.map(|s| [(s, false), (s, true)]);
         for (scheme, match_star) in arms.into_iter().flatten() {
             let config = EngineConfig::default()
                 .with_scheme(scheme)
@@ -720,12 +729,15 @@ mod tests {
             // batch side is built from — not of the program the passes made.
             let lowering = engine.stream_programs[0].program();
             assert_eq!(lowering.while_count() == 0, match_star);
-            if scheme == Scheme::DtmStatic {
-                assert!(engine.batch_plan(0).is_none(), "a DTM- slot walks its lowering");
+            let walks = engine.stream_prices.as_deref().is_some_and(|prices| prices[0].exact);
+            assert_eq!(walks, scheme <= Scheme::DtmStatic, "{scheme}");
+            if walks {
+                assert!(engine.batch_plan(0).is_none(), "a walked slot runs its lowering");
             } else {
                 let rebuilt = bitgen_exec::BatchPlan::build(lowering, &engine.exec_config());
                 assert_eq!(engine.batch(0).program(), rebuilt.program());
-                assert_ne!(lowering, engine.batch(0).program());
+                let transforms = scheme.uses_rebalancing() || scheme.uses_zbs();
+                assert_eq!(lowering != engine.batch(0).program(), transforms, "{scheme}");
             }
             let replay =
                 try_interpret(lowering, &Basis::transpose(inputs[1]), &RunControl::unlimited())

@@ -485,9 +485,9 @@ impl StreamScanner<'_> {
     /// the [`RetryPolicy`]. Rotates nothing. A failure names the group it
     /// stopped at and leaves the clean-up to `push`. A window runs the
     /// group's *streaming* program (untransformed, fixpoint loops — see
-    /// DESIGN.md §10) as a DTM- batch slot does (`priced_window`): a panic
-    /// is a typed [`Error::WorkerPanicked`] on fresh scratch, and only a
-    /// window that passes its checks ORs its outputs into the push's union.
+    /// DESIGN.md §10) as an exact group's batch slot does (`priced_window`):
+    /// a panic is a typed [`Error::WorkerPanicked`] on fresh scratch, and only
+    /// a window that passes its checks ORs its outputs into the push's union.
     fn run_windows(&mut self, ctl: &RunControl) -> Result<PushWindows, (usize, Error)> {
         let (engine, config) = (self.engine, self.engine.exec_config());
         let groups = self.carries.len();
@@ -711,8 +711,9 @@ impl StreamScanner<'_> {
     ///   over exactly the bytes it consumed — carry slots, not a
     ///   re-scanned tail, bridge the chunk boundary — as the cheaper of
     ///   two launches of its windows: walked one instruction at a time,
-    ///   or fused as the paper's kernels on the engine's rung, DTM or DTM-
-    ///   ([`BitGen::fused_form`]);
+    ///   or fused as the paper's kernels on the engine's rung, DTM, DTM- or
+    ///   Base ([`BitGen::fused_form`]; on Sequential the two tie and the
+    ///   walk is billed);
     /// - `fused_pushes` counts the pushes billed fused;
     /// - `retries` counts window replays across committed pushes;
     /// - `degraded` counts pushes in which at least one group's window

@@ -171,9 +171,7 @@ impl fmt::Display for ExecError {
             ExecError::UnwrittenStream { id } => {
                 write!(f, "sequential read of unwritten stream {id}")
             }
-            ExecError::FixpointDiverged => {
-                write!(f, "while loop exceeded its fixpoint bound")
-            }
+            ExecError::FixpointDiverged => write!(f, "while loop exceeded its fixpoint bound"),
             ExecError::CrossCheckMismatch { output } => {
                 write!(f, "output {output} disagrees with the reference interpreter")
             }
@@ -299,9 +297,7 @@ impl ExecOutcome {
     pub fn union(&self) -> BitStream {
         let len = self.outputs.first().map_or(0, BitStream::len);
         let mut acc = BitStream::zeros(len);
-        for s in &self.outputs {
-            acc.or_assign(s);
-        }
+        self.outputs.iter().for_each(|s| acc.or_assign(s));
         acc
     }
 }
@@ -561,6 +557,7 @@ pub(crate) fn execute_streaming_window(
     if scratch.slots.len() < plan.slot_count() {
         scratch.slots.resize_with(plan.slot_count(), BitStream::default);
     }
+    fit_slots(scratch, stream_len.div_ceil(64));
     scratch.written.clear();
     scratch.written.resize(plan.stream_count().div_ceil(64), 0);
     scratch.private.clear();
@@ -598,8 +595,7 @@ pub(crate) fn execute_streaming_window(
     // The sequential model materialises every stream it writes, however
     // few of them the host stored.
     let streams_written: usize = env.written.iter().map(|w| w.count_ones() as usize).sum();
-    metrics.peak_materialized_bytes =
-        metrics.peak_materialized_bytes.max(streams_written * stream_len.div_ceil(8));
+    metrics.peak_materialized_bytes = streams_written * stream_len.div_ceil(8);
     if let Some(mut fork) = reference {
         let want = try_interpret_chunk(prog, basis, ctl, &mut fork)?;
         for (i, (&id, want)) in prog.outputs().iter().zip(&want.outputs).enumerate() {
@@ -614,8 +610,19 @@ pub(crate) fn execute_streaming_window(
     for &id in prog.outputs() {
         output(env.get(id));
     }
-    let fault_fired = fault_state.as_ref().is_some_and(|f| f.fired);
-    Ok((metrics, fault_fired))
+    fit_slots(scratch, 0);
+    Ok((metrics, fault_state.is_some_and(|f| f.fired)))
+}
+
+/// Sizes every slot buffer in use to the widest window so far, `words` at
+/// least: the buffers trade places as windows compute, and where one lands
+/// must never make it grow. Runs before a window and after it.
+fn fit_slots(scratch: &mut ExecScratch, words: usize) {
+    let held = scratch.slots.iter().chain([&scratch.spare]).map(BitStream::capacity_words);
+    let words = held.fold(words, usize::max);
+    (scratch.slots.iter_mut().chain([&mut scratch.spare]))
+        .filter(|buf| (1..words).contains(&buf.capacity_words()))
+        .for_each(|buf| *buf = BitStream::zeros(words * 64));
 }
 
 /// Mutable state threaded through one execution: the run's metrics, its
@@ -690,9 +697,7 @@ impl WindowRunner for Emulated<'_> {
     type Error = ExecError;
 
     fn run(&mut self, start: i64, _: u64, _: u64) -> Result<(u64, Hull), ExecError> {
-        if !self.ctl.is_unlimited() {
-            self.ctl.check()?;
-        }
+        self.ctl.check()?;
         self.cta.run_window(self.inputs, start, self.counters).map_err(ExecError::Race)?;
         Ok((1, self.info.required(self.cta.loop_trips())))
     }
@@ -1177,6 +1182,57 @@ mod tests {
             prepared.iter().all(|p| p.live_slots() < p.program().num_streams() as usize),
             "a plan needs fewer buffers than its program has streams"
         );
+    }
+
+    #[test]
+    fn every_slot_buffer_in_use_holds_the_widest_window_whatever_the_order() {
+        // Windows of programs with different slot counts over inputs of
+        // different lengths, in many orders through one scratch, as a scan
+        // session's worker runs them. Every buffer in use holds exactly the
+        // widest window, whichever slot it landed in, so the same pass
+        // again grows nothing. Left to grow where they land, buffers that
+        // trade places keep whatever their own history made them (here 132
+        // words for buffers of 15), and a worker's second scan could grow.
+        use crate::{ClassStreams, PreparedProgram};
+        let groups: Vec<Program> = [&["a(bc)*d", "cat"][..], &["[0-9]+x", "x[ab]{1,4}y"], &["ab"]]
+            .iter()
+            .map(|g| lower_group(&g.iter().map(|p| parse(p).unwrap()).collect::<Vec<_>>()))
+            .collect();
+        let prepared = PreparedProgram::new_all(groups);
+        let text = b"abcbcd cat 42x bbc xaby aaa cccd ".iter().cycle();
+        let sizes = [40, 300, 700, 500, 900];
+        let inputs: Vec<Vec<u8>> =
+            sizes.iter().map(|&n| text.clone().take(n).copied().collect()).collect();
+        let widest = Program::stream_len(sizes.into_iter().max().unwrap()).div_ceil(64);
+        let runs: Vec<(usize, usize)> =
+            (0..inputs.len()).flat_map(|i| (0..prepared.len()).map(move |p| (i, p))).collect();
+        let (config, ctl) = (ExecConfig::default(), RunControl::unlimited());
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..64 {
+            // A deterministic shuffle of the (input, program) windows.
+            let mut order = runs.clone();
+            for i in (1..order.len()).rev() {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                order.swap(i, (seed >> 33) as usize % (i + 1));
+            }
+            let (mut scratch, mut classes) = (ExecScratch::new(), ClassStreams::new());
+            let mut pass = |scratch: &mut ExecScratch| {
+                for &(input, program) in &order {
+                    let (basis, p) = (Basis::transpose(&inputs[input]), &prepared[program]);
+                    p.evaluate_classes(&basis, &mut classes);
+                    let mut carry = CarryState::for_layout(p.carry_layout());
+                    let mut union = BitStream::zeros(inputs[input].len());
+                    let (carry, union) = (&mut carry, &mut union);
+                    p.execute_window_into(&classes, &basis, &config, scratch, &ctl, carry, union)
+                        .unwrap();
+                }
+            };
+            pass(&mut scratch);
+            let warm = scratch.pooled_words();
+            assert_eq!(warm % widest, 0, "round {round}: {warm} words, not buffers of {widest}");
+            pass(&mut scratch);
+            assert_eq!(scratch.pooled_words(), warm, "round {round}: {order:?} grew the scratch");
+        }
     }
 
     /// `dst = match(class)` twice, then their AND and an output each.

@@ -81,11 +81,8 @@ impl ClassTable {
     pub(crate) fn evaluate(&self, basis: &Basis, out: &mut ClassStreams) {
         let stream_len = Program::stream_len(basis.len());
         out.streams.resize_with(self.classes.len(), BitStream::default);
-        for stream in &mut out.streams {
-            if stream.len() != stream_len {
-                stream.reset_zeros(stream_len);
-            }
-        }
+        (out.streams.iter_mut().filter(|stream| stream.len() != stream_len))
+            .for_each(|stream| stream.reset_zeros(stream_len));
         self.circuit.eval_into(basis, &mut out.streams);
     }
 }

@@ -261,10 +261,8 @@ pub fn sequential_charge(op: &Op, gates: usize) -> (u64, u64) {
 /// Flips one seed-selected bit of `value` (no-op on empty streams) —
 /// the bit-corruption primitive shared by the streaming fault kinds.
 fn flip_bit(value: &mut BitStream, seed: u64) {
-    if value.is_empty() {
-        return;
+    if !value.is_empty() {
+        let bit = seed as usize % value.len();
+        value.set(bit, !value.get(bit));
     }
-    let bit = seed as usize % value.len();
-    let cur = value.get(bit);
-    value.set(bit, !cur);
 }

@@ -16,6 +16,9 @@ use bitgen::{
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
+mod exact_groups;
+use exact_groups::walks;
+
 /// Injected panics are part of the drill; keep their default-hook
 /// stderr spew out of the test output. Real panics still print.
 fn quiet_injected_panics() {
@@ -67,13 +70,14 @@ fn engine_on(scheme: Scheme, recovery: RecoveryPolicy) -> BitGen {
 /// counts as *detected* when the scan returns a typed error, *masked*
 /// when it succeeds with matches bit-identical to the clean run.
 /// Anything else — success with different matches — is silent
-/// corruption and fails the test. A ZBS engine's faults land in the CTA
-/// emulator; a DTM- engine's in the walk its scan runs (the streaming
-/// window's own faults).
+/// corruption and fails the test. On every rung: a slot that emulates
+/// (ZBS and SR, a DTM group whose kernel loops) takes its fault in the CTA
+/// emulator; a slot that walks (Sequential, Base, DTM-, a loop-free DTM
+/// group) in the walk its scan runs — the streaming window's own faults.
 #[test]
 fn seeded_fault_sweep_has_no_silent_corruption() {
     quiet_injected_panics();
-    for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+    for scheme in Scheme::ALL {
         seeded_fault_sweep(&engine_on(scheme, RecoveryPolicy::Fail));
     }
 }
@@ -105,8 +109,10 @@ fn seeded_fault_sweep(engine: &BitGen) {
     // The sweep must genuinely exercise the checks: panics alone are a
     // fifth of the plans, so a healthy run detects well above that.
     assert!(detected >= 24, "{scheme}: only {detected}/120 detections — injector is not firing");
-    if scheme == Scheme::DtmStatic {
-        assert!((0..groups).all(|g| engine.batch_plan(g).is_none()), "a DTM- scan emulated");
+    // Exactly the groups whose fused form is not exact built a plan.
+    for group in 0..groups {
+        let planned = engine.batch_plan(group).is_some();
+        assert_eq!(planned, !walks(engine, group), "{scheme}: group {group}'s plan");
     }
 }
 

@@ -3,7 +3,9 @@
 //! count must reproduce the 1-thread path bit for bit — matches,
 //! per-pattern streams, modelled seconds, and metric totals — and a
 //! reused session must not grow its buffers on same-sized rescans. A
-//! DTM- scan, which walks its CTAs, reports what the CTA emulator counts.
+//! DTM- scan, which walks its CTAs, and a DTM scan, which walks the groups
+//! whose kernel has no loop and emulates the rest, report what the CTA
+//! emulator counts.
 
 use bitgen::{BitGen, EngineConfig, ExecConfig, ScanReport, Scheme};
 use bitgen_bitstream::Basis;
@@ -11,6 +13,9 @@ use bitgen_exec::{BatchPlan, ExecScratch};
 use bitgen_ir::RunControl;
 use bitgen_regex::{Ast, ByteSet};
 use proptest::prelude::*;
+
+mod exact_groups;
+use exact_groups::walks;
 
 /// Random AST over the alphabet {a, b, c}, with bounded depth and size.
 fn arb_ast() -> impl Strategy<Value = Ast> {
@@ -83,11 +88,13 @@ fn assert_reports_identical(a: &[ScanReport], b: &[ScanReport], what: &str) {
 }
 
 /// Asserts every report's per-CTA metrics are what the CTA emulator counts
-/// running each group's stream twin under `BatchPlan::new(.., DtmStatic)`.
+/// running each group's stream twin under `BatchPlan::new(.., scheme)` on
+/// the engine's scheme (untransformed below SR), and that exactly the
+/// groups the scan did not walk built a plan.
 fn assert_ctas_are_emulated(engine: &BitGen, inputs: &[&[u8]], reports: &[ScanReport]) {
     let c = engine.config();
     let config = ExecConfig {
-        scheme: Scheme::DtmStatic,
+        scheme: c.scheme,
         threads: c.threads,
         merge_size: c.merge_size,
         interval: c.interval,
@@ -105,6 +112,9 @@ fn assert_ctas_are_emulated(engine: &BitGen, inputs: &[&[u8]], reports: &[ScanRe
             assert_eq!(cta, &emulated.metrics, "group {group} over {} bytes", input.len());
         }
     }
+    for group in 0..engine.group_count() {
+        assert_eq!(engine.batch_plan(group).is_some(), !walks(engine, group), "group {group}");
+    }
 }
 
 proptest! {
@@ -119,8 +129,9 @@ proptest! {
         let patterns: Vec<String> = asts.iter().map(Ast::to_string).collect();
         let pats: Vec<&str> = patterns.iter().map(String::as_str).collect();
         let slices: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        // Every case runs on both: ZBS emulates its CTAs, DTM- walks them.
-        for scheme in [Scheme::Zbs, Scheme::DtmStatic] {
+        // Every case runs on each: ZBS emulates its CTAs, DTM- walks them,
+        // and DTM walks the groups whose kernel has no loop.
+        for scheme in [Scheme::Zbs, Scheme::DtmStatic, Scheme::Dtm] {
             let base = EngineConfig::default()
                 .with_cta_count(3)
                 .with_combine_outputs(combine)
@@ -128,7 +139,7 @@ proptest! {
 
             let engine = BitGen::compile_with(&pats, base.clone().with_threads(1)).unwrap();
             let sequential = engine.find_many(&slices).unwrap();
-            if scheme == Scheme::DtmStatic {
+            if scheme != Scheme::Zbs {
                 assert_ctas_are_emulated(&engine, &slices, &sequential);
             }
             for threads in [2, 5, 16] {

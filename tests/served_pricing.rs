@@ -11,9 +11,10 @@
 //! DTM- field by field everywhere, DTM field by field wherever the walk's
 //! global frontier is each window's local one, and within 10 % of the
 //! launch's seconds, never below, where it is not. Every push must bill
-//! exactly the smaller of the two launch estimates. A DTM- engine's scan,
-//! which walks as a one-push stream and bills the DTM- form, is held to
-//! the emulated launch itself.
+//! exactly the smaller of the two launch estimates. A scan walks every
+//! group whose fused form is exact — every group on Sequential, Base and
+//! DTM-, and a DTM group with no loop in its kernel — as a one-push stream
+//! and bills that form; it is held to the emulated launch itself.
 
 use bitgen::{
     BitGen, EngineConfig, Error, ExecConfig, FallbackPolicy, FaultKind, FaultPlan, RetryPolicy,
@@ -25,6 +26,9 @@ use bitgen_gpu::CtaWork;
 use bitgen_ir::{CarryState, RunControl};
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 use proptest::prelude::*;
+
+mod exact_groups;
+use exact_groups::walks;
 
 fn workload(kind: AppKind, rules: usize, input_len: usize) -> (Vec<String>, Vec<u8>) {
     let w = generate(
@@ -53,7 +57,7 @@ fn exec_config(config: &EngineConfig) -> ExecConfig {
 }
 
 /// One group's window over a chunk, as walked and as its fused form
-/// (`None` on an engine that bills sequentially only).
+/// (`None` only on an engine without prices, whose programs have an `if`).
 type Priced = (ExecMetrics, Option<ExecMetrics>);
 
 /// Every group's window over `chunk` from the given carries, through the
@@ -111,14 +115,28 @@ fn priced_and_emulated(
         .collect()
 }
 
-/// Asserts that `report` of a DTM- engine's scan of `chunk` is the launch
-/// the emulator runs of its twins: every per-CTA field and the seconds.
-fn assert_scan_is_emulated(what: &str, engine: &BitGen, report: &ScanReport, chunk: &[u8]) {
-    let (plans, config) = plans(engine, Scheme::DtmStatic);
+/// Asserts that exactly the groups `engine` does not walk built a batch
+/// plan.
+fn assert_only_emulated_groups_planned(what: &str, engine: &BitGen) {
+    for group in 0..engine.group_count() {
+        let planned = engine.batch_plan(group).is_some();
+        assert_eq!(planned, !walks(engine, group), "{what}: group {group}'s plan");
+    }
+}
+
+/// Asserts that `report` of an engine's scan of `chunk` is the launch the
+/// emulator runs of its twins, `plans` on the engine's scheme: every
+/// per-CTA field and the seconds.
+fn assert_scan_is_emulated(
+    what: &str,
+    (engine, (plans, config)): (&BitGen, &(Vec<BatchPlan>, ExecConfig)),
+    report: &ScanReport,
+    chunk: &[u8],
+) {
     let basis = Basis::transpose(chunk);
     let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
     let ctas: Vec<ExecMetrics> = (plans.iter())
-        .map(|plan| plan.execute(&basis, &config, &mut scratch, &ctl).expect("plan runs").metrics)
+        .map(|plan| plan.execute(&basis, config, &mut scratch, &ctl).expect("plan runs").metrics)
         .collect();
     let seconds = launch_seconds(engine, ctas.iter().cloned());
     assert_eq!(report.metrics.ctas, ctas, "{what}: per-CTA metrics");
@@ -138,25 +156,31 @@ fn assert_same_scans(what: &str, a: &[ScanReport], b: &[ScanReport]) {
 const SIZES: [usize; 6] = [1, 63, 2047, 2048, 4096, 65536];
 
 #[test]
-fn a_dtm_static_scan_walks_and_bills_exactly_the_emulated_launch() {
-    // Per-pattern streams under `match_star`, the union without it.
-    for match_star in [false, true] {
-        for (kind, rules) in AppKind::ALL.into_iter().flat_map(|kind| [(kind, 8), (kind, 32)]) {
-            let (patterns, input) = workload(kind, rules, 65536);
-            let asts: Vec<_> = patterns.iter().map(|p| bitgen::parse(p).unwrap()).collect();
+fn an_exact_scan_walks_and_bills_exactly_the_emulated_launch() {
+    // Every group walks on Sequential, Base and DTM-, a DTM group when no
+    // fused kernel loops; the rest emulate. Each launch is held to the
+    // emulated one on the engine's own scheme. Per-pattern streams under
+    // `match_star`, the union without it.
+    let schemes = [Scheme::Sequential, Scheme::Base, Scheme::DtmStatic, Scheme::Dtm];
+    for (kind, rules) in AppKind::ALL.into_iter().flat_map(|kind| [(kind, 8), (kind, 32)]) {
+        let (patterns, input) = workload(kind, rules, 65536);
+        let asts: Vec<_> = patterns.iter().map(|p| bitgen::parse(p).unwrap()).collect();
+        let chunks: Vec<&[u8]> = SIZES.iter().map(|&len| &input[..len]).collect();
+        let oracle = |chunk: &&[u8]| bitgen_regex::multi_match_ends(&asts, chunk);
+        let ends: Vec<_> = chunks.iter().map(oracle).collect();
+        for (scheme, match_star) in schemes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
             let config = EngineConfig::default()
-                .with_scheme(Scheme::DtmStatic)
+                .with_scheme(scheme)
                 .with_match_star(match_star)
                 .with_combine_outputs(!match_star);
             let engine = compile(&patterns, config.clone().with_threads(1));
-            let chunks: Vec<&[u8]> = SIZES.iter().map(|&len| &input[..len]).collect();
-            let what = format!("{} ×{rules} match_star={match_star}", kind.name());
-            for chunk in &chunks {
+            let plans = plans(&engine, scheme);
+            let what = format!("{} ×{rules} {scheme} match_star={match_star}", kind.name());
+            for (chunk, ends) in chunks.iter().zip(&ends) {
                 let report = engine.find(chunk).unwrap();
                 let what = format!("{what} at {}", chunk.len());
-                let ends = bitgen_regex::multi_match_ends(&asts, chunk);
-                assert_eq!(report.matches.positions(), ends, "{what}: matches");
-                assert_scan_is_emulated(&what, &engine, &report, chunk);
+                assert_eq!(&report.matches.positions(), ends, "{what}: matches");
+                assert_scan_is_emulated(&what, (&engine, &plans), &report, chunk);
             }
             let one = engine.find_many(&chunks).unwrap();
             for threads in [2, 8] {
@@ -164,8 +188,7 @@ fn a_dtm_static_scan_walks_and_bills_exactly_the_emulated_launch() {
                 let what = format!("{what}, {threads} threads");
                 assert_same_scans(&what, &one, &parallel.find_many(&chunks).unwrap());
             }
-            let idle = (0..engine.group_count()).all(|g| engine.batch_plan(g).is_none());
-            assert!(idle, "{what}: a DTM- scan built a batch plan");
+            assert_only_emulated_groups_planned(&what, &engine);
         }
     }
 }
@@ -341,17 +364,17 @@ fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
                 assert_exact(&format!("{} {scheme} group {group}", kind.name()), fused, emulated);
             }
         }
-        if scheme != Scheme::DtmStatic {
-            continue;
-        }
-        // A DTM- scan walks and bills the launch that falls back, and under
+        // A scan walks and bills the launch that falls back — on DTM too,
+        // where the whole program outgrows the window before its first
+        // window and no fused kernel is left to loop — and under
         // `FallbackPolicy::Error` fails as the emulated launch does.
         let chunk = &input[..4096];
-        let what = format!("{} DTM- scan", kind.name());
-        assert_scan_is_emulated(&what, &engine, &engine.find(chunk).unwrap(), chunk);
+        let what = format!("{} {scheme} scan", kind.name());
+        assert_scan_is_emulated(&what, (&engine, &plans), &engine.find(chunk).unwrap(), chunk);
+        assert_only_emulated_groups_planned(&what, &engine);
         let config = EngineConfig { fallback: FallbackPolicy::Error, ..engine.config().clone() };
         let failing = compile(&patterns, config);
-        let (twins, config) = crate::plans(&failing, Scheme::DtmStatic);
+        let (twins, config) = crate::plans(&failing, scheme);
         let basis = Basis::transpose(chunk);
         let (ctl, mut scratch) = (RunControl::unlimited(), ExecScratch::new());
         let (group, emulated) = (twins.iter().enumerate())
@@ -370,7 +393,8 @@ fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
         let mut session = checked.session();
         session.inject_fault(0, group, drill);
         assert_eq!(session.scan(chunk).unwrap_err(), Error::Exec(emulated), "{what}");
-        assert!((0..checked.group_count()).all(|g| checked.batch_plan(g).is_none()), "{what}");
+        assert!((0..checked.group_count()).all(|g| walks(&checked, g)), "{what}: all walk");
+        assert_only_emulated_groups_planned(&what, &checked);
     }
 }
 
@@ -485,18 +509,33 @@ fn a_degraded_push_bills_no_fused_launch() {
 }
 
 #[test]
-fn fused_billing_is_the_dtm_static_and_later_schemes_only_and_is_not_checkpointed() {
+fn every_scheme_prices_its_pushes_and_none_checkpoints_the_fused_tally() {
+    // Every rung prices its windows' fused launch, and a push bills it
+    // exactly when it is cheaper than the walk: on Base, whose fused runs
+    // are short, in some pushes and not others; on Sequential, where
+    // nothing fuses, never, because the two launches tie.
     let (patterns, input) = workload(AppKind::Snort, 8, 8192);
+    let sizes = [64, 1000, 4096, 8192];
     for scheme in Scheme::ALL {
         let engine = compile(&patterns, EngineConfig::default().with_scheme(scheme));
-        let (_, fused) = &windows(&engine, &mut fresh_carries(&engine), &input)[0];
-        let priced = fused.is_some();
-        assert_eq!(priced, scheme >= Scheme::DtmStatic, "{scheme}");
+        let (walked, fused): (Vec<_>, Vec<_>) =
+            windows(&engine, &mut fresh_carries(&engine), &input).into_iter().unzip();
+        assert!(fused.iter().all(Option::is_some), "{scheme}: every scheme prices its twins");
+        let seconds = |forms: Vec<ExecMetrics>| launch_seconds(&engine, forms.into_iter());
+        let (walked, fused) = (seconds(walked), seconds(fused.into_iter().flatten().collect()));
+        assert_eq!(walked == fused, scheme == Scheme::Sequential, "{scheme}: {walked:e} s walked");
         let records = (0..engine.group_count()).any(|group| engine.records_frontiers(group));
         assert_eq!(records, scheme >= Scheme::Dtm, "{scheme}: only DTM reads loop checks");
+        assert_each_push_bills_the_cheaper(&engine, &input, &sizes);
         let mut scanner = engine.streamer().unwrap();
-        scanner.push(&input).unwrap();
-        assert_eq!(scanner.metrics().fused_pushes > 0, priced, "{scheme}");
+        let pushes: Vec<_> = input.chunks(1000).map(|chunk| scanner.push(chunk).unwrap()).collect();
+        let fused = scanner.metrics().fused_pushes;
+        println!("{scheme}: {fused} of {} 1000-byte pushes billed fused", pushes.len());
+        match scheme {
+            Scheme::Sequential => assert_eq!(fused, 0, "{scheme}: a tie bills the walk"),
+            Scheme::Base => assert!(0 < fused && fused < pushes.len() as u64, "{scheme}"),
+            _ => assert_eq!(fused, pushes.len() as u64, "{scheme}"),
+        }
         // Like the per-group accumulators, the tally stays with the
         // scanner: a resumed stream restarts it, at the same seconds.
         let resumed = engine.resume(&scanner.checkpoint()).unwrap();
