@@ -213,9 +213,8 @@ pub struct BitGen {
     /// What each group's window costs as the paper's fused launch on the
     /// engine's rung would run it, and whether that bill is exact (its
     /// batch slots then walk): a few counts per fused segment and loop,
-    /// derived once ([`BitGen::fused_form`]). `None` only for a program
-    /// with an `if`, which no lowering has.
-    pub(crate) stream_prices: Option<Box<[TwinPrice]>>,
+    /// derived once ([`BitGen::fused_form`]).
+    pub(crate) stream_prices: Box<[TwinPrice]>,
     /// Each group's batch side — the transformed program, its transform
     /// record, segments, overlap analyses and compiled kernels — built by
     /// the first batch scan that reaches the group and then shared by
@@ -477,7 +476,7 @@ impl BitGen {
             groups,
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
-            stream_prices: None,
+            stream_prices: Box::default(),
             pattern_count: asts.len(),
             generation: 0,
             config,

@@ -77,12 +77,8 @@ struct Fused {
 }
 
 impl TwinPrice {
-    /// Every group's price for an engine running under `config`, or `None`
-    /// for a program with an `if` (a lowering has none).
-    pub(crate) fn of_all(
-        programs: &[PreparedProgram],
-        config: &ExecConfig,
-    ) -> Option<Box<[TwinPrice]>> {
+    /// Every group's price for an engine running under `config`.
+    pub(crate) fn of_all(programs: &[PreparedProgram], config: &ExecConfig) -> Box<[TwinPrice]> {
         // The groups share most of their classes: one circuit table.
         let mut compiler = Compiler::default();
         programs.iter().map(|prepared| TwinPrice::of(prepared, config, &mut compiler)).collect()
@@ -90,11 +86,14 @@ impl TwinPrice {
 
     /// Plans `prepared`'s program as `BatchPlan::new` does on the engine's
     /// rung, kernels at merge size one, keeping only their counts.
-    fn of(
-        prepared: &PreparedProgram,
-        config: &ExecConfig,
-        compiler: &mut Compiler,
-    ) -> Option<TwinPrice> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fused segment holds an `if`. A lowering's only `if`
+    /// guards a MatchStar `Add` (`bitgen_ir::lower`), which keeps its
+    /// program at DTM-, where a statement holding an `Add` runs
+    /// sequentially.
+    fn of(prepared: &PreparedProgram, config: &ExecConfig, compiler: &mut Compiler) -> TwinPrice {
         let program = prepared.program();
         // An `Add`'s carry run per window is not recorded: its program
         // stays at DTM- or below, which run additions sequentially.
@@ -115,19 +114,19 @@ impl TwinPrice {
                 overflow = overflow.or(Some(outgrown));
                 continue;
             }
-            fused.push(Fused {
-                counts: plan.compiled.kernel.site_counts(config.threads)?,
-                info: plan.info,
-            });
+            let counts = plan.compiled.kernel.site_counts(config.threads);
+            fused.push(Fused { counts: counts.expect("a fused kernel has no `if`"), info: plan.info });
             stored += seg.outputs.len() as u32;
             if rung == Scheme::Dtm {
                 continue;
             }
             for stmt in &program.stmts()[seg.stmts] {
-                let Stmt::Op(op) = stmt else { return None };
+                let Stmt::Op(op) = stmt else { unreachable!("a fused kernel has no `if`") };
                 unstored += u32::from(!seg.outputs.contains(&op.dst()));
                 let gates = match op {
-                    Op::MatchCc { class, .. } => prepared.class_gates_of(class)?,
+                    Op::MatchCc { class, .. } => {
+                        prepared.class_gates_of(class).expect("a class of the group's table")
+                    }
                     _ => 0,
                 };
                 let (alu, loads) = sequential_charge(op, gates);
@@ -139,7 +138,7 @@ impl TwinPrice {
         let (sequential, fused) = ((!whole).then_some(sequential), fused.into_boxed_slice());
         let twin = TwinPrice { sequential, fused, shape, unstored, stored, overflow, exact: false };
         let exact = rung == config.scheme && !twin.reads_frontiers();
-        Some(TwinPrice { exact, ..twin })
+        TwinPrice { exact, ..twin }
     }
 
     /// Whether a window's fused form reads its loop checks: some fused
@@ -269,7 +268,7 @@ impl BitGen {
     /// `while` loops sequential as walked; Base, runs of bitwise
     /// instructions fused; or Sequential, the walk itself. A push bills
     /// whichever launch is cheaper ([`crate::StreamScanner::metrics`]), the
-    /// walk on a tie. `None` only for a program with an `if`.
+    /// walk on a tie.
     ///
     /// # Panics
     ///
@@ -282,15 +281,14 @@ impl BitGen {
         window: &ExecMetrics,
         frontiers: &Frontiers,
         len: usize,
-    ) -> Option<ExecMetrics> {
-        let prices = self.stream_prices.as_deref()?;
-        Some(prices[group].fused_form(window, frontiers, len, &self.exec_config()))
+    ) -> ExecMetrics {
+        self.stream_prices[group].fused_form(window, frontiers, len, &self.exec_config())
     }
 
     /// Whether group `group`'s windows record their loop checks for
     /// [`BitGen::fused_form`]: its fused form is DTM's with a loop.
     pub fn records_frontiers(&self, group: usize) -> bool {
-        self.stream_prices.as_deref().is_some_and(|prices| prices[group].reads_frontiers())
+        self.stream_prices[group].reads_frontiers()
     }
 }
 
@@ -341,7 +339,7 @@ mod tests {
     /// whose counted trips are not their walk's.
     fn diverged(engine: &BitGen, chunk: &[u8]) -> Vec<Vec<Diverged>> {
         let (config, programs) = (engine.exec_config(), engine.stream_programs());
-        let prices = engine.stream_prices.as_deref().expect("DTM prices fused");
+        let prices = &engine.stream_prices;
         let basis = Basis::transpose(chunk);
         let mut classes = ClassStreams::new();
         programs[0].evaluate_classes(&basis, &mut classes);

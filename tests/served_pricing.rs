@@ -56,9 +56,8 @@ fn exec_config(config: &EngineConfig) -> ExecConfig {
     }
 }
 
-/// One group's window over a chunk, as walked and as its fused form
-/// (`None` only on an engine without prices, whose programs have an `if`).
-type Priced = (ExecMetrics, Option<ExecMetrics>);
+/// One group's window over a chunk, as walked and as its fused form.
+type Priced = (ExecMetrics, ExecMetrics);
 
 /// Every group's window over `chunk` from the given carries, through the
 /// scanner's door and priced off the loop checks it recorded: what a push
@@ -110,7 +109,7 @@ fn priced_and_emulated(
     (windows.into_iter().zip(plans))
         .map(|((_, fused), plan)| {
             let emulated = plan.execute(&basis, config, &mut scratch, &ctl).expect("plan runs");
-            (fused.expect("this engine prices its pushes fused"), emulated.metrics)
+            (fused, emulated.metrics)
         })
         .collect()
 }
@@ -354,7 +353,7 @@ fn segments_that_outgrow_a_narrow_window_run_sequentially_in_both() {
         let engine = compile(&patterns, config);
         let windows = windows(&engine, &mut fresh_carries(&engine), &input[..64]);
         let fallbacks: u64 =
-            windows.iter().map(|(_, fused)| fused.as_ref().unwrap().fallbacks).sum();
+            windows.iter().map(|(_, fused)| fused.fallbacks).sum();
         assert!(fallbacks > 0, "{} {scheme}: no segment outgrew a 32-bit window", kind.name());
         let plans = plans(&engine, scheme);
         for len in [1, 63, 4096] {
@@ -444,7 +443,7 @@ fn assert_each_push_bills_the_cheaper(engine: &BitGen, input: &[u8], sizes: &[us
         let priced = windows(engine, &mut carries, chunk);
         let (walked, fused): (Vec<_>, Vec<_>) = priced.into_iter().unzip();
         let sequential = launch_seconds(engine, walked.into_iter());
-        let fused = launch_seconds(engine, fused.into_iter().map(Option::unwrap));
+        let fused = launch_seconds(engine, fused.into_iter());
         kernel_seconds += sequential.min(fused);
         fused_pushes += u64::from(fused < sequential);
         scanner.push(chunk).unwrap();
@@ -520,9 +519,8 @@ fn every_scheme_prices_its_pushes_and_none_checkpoints_the_fused_tally() {
         let engine = compile(&patterns, EngineConfig::default().with_scheme(scheme));
         let (walked, fused): (Vec<_>, Vec<_>) =
             windows(&engine, &mut fresh_carries(&engine), &input).into_iter().unzip();
-        assert!(fused.iter().all(Option::is_some), "{scheme}: every scheme prices its twins");
         let seconds = |forms: Vec<ExecMetrics>| launch_seconds(&engine, forms.into_iter());
-        let (walked, fused) = (seconds(walked), seconds(fused.into_iter().flatten().collect()));
+        let (walked, fused) = (seconds(walked), seconds(fused));
         assert_eq!(walked == fused, scheme == Scheme::Sequential, "{scheme}: {walked:e} s walked");
         let records = (0..engine.group_count()).any(|group| engine.records_frontiers(group));
         assert_eq!(records, scheme >= Scheme::Dtm, "{scheme}: only DTM reads loop checks");
