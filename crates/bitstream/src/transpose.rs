@@ -37,8 +37,9 @@ pub struct Basis {
 impl Basis {
     /// Transposes `input` into eight basis bitstreams.
     ///
-    /// Runs 64 bytes at a time through the SWAR s2p kernel (one basis
-    /// word per block per stream), a word-group of blocks at a time.
+    /// Runs 64 bytes at a time through the shift-and-mask s2p kernel
+    /// (one basis word per block per stream), a word-group of blocks at a
+    /// time.
     pub fn transpose(input: &[u8]) -> Basis {
         let mut basis = Basis::empty();
         basis.transpose_into(input);
@@ -63,12 +64,12 @@ impl Basis {
         for s in self.streams.iter_mut() {
             s.reset_zeros(len);
         }
-        let streams = &mut self.streams;
+        // A final partial block is zero-padded, and padding transposes to
+        // zero bits: every word lands as it is, tail included.
+        let mut streams = self.streams.each_mut().map(BitStream::words_mut);
         wide::s2p_into(input, &mut |wi, words| {
-            // set_word re-masks the tail, which drops the zero-padding
-            // of a final partial block past `len`.
-            for (k, w) in words.into_iter().enumerate() {
-                streams[k].set_word(wi, w);
+            for (stream, w) in streams.iter_mut().zip(words) {
+                stream[wi] = w;
             }
         });
     }
