@@ -429,7 +429,18 @@ impl BitStream {
     ) {
         assert!(width < 64, "a fused advance carries at most 63 bits, not {width}");
         assert!(consumed <= len, "{consumed} consumed positions of {len}");
-        match len.div_ceil(64) {
+        let words = len.div_ceil(64);
+        // A window of two words or more whose tail lies in the two kept —
+        // every window a fused pass runs but a one-word one: one funnel
+        // shift of the two.
+        if let ([_], [acc], 2..) = (prev, &mut *acc, words) {
+            if let Some(from) = consumed.checked_sub(width + (words - 2) * 64) {
+                let kept = u128::from(last[1]) << 64 | u128::from(last[0]);
+                *acc |= (kept >> from) as u64 & ((1 << width) - 1);
+                return;
+            }
+        }
+        match words {
             0 => history_tail(&[], 0, prev, width, consumed, acc),
             1 => history_tail(&last[1..], 0, prev, width, consumed, acc),
             words => history_tail(&last, words - 2, prev, width, consumed, acc),

@@ -252,11 +252,14 @@ pub(crate) fn fused_into(
     // constant a group's shifts compile to immediate funnel shifts; a
     // run-time amount costs every word its count set-up (40 µs of a 64 KiB
     // push of 32 Snort rules).
+    // A stream shorter than a group (a small push's window) goes straight
+    // to the word-at-a-time pass.
+    let grouped = out.len() >= LANES;
     if stages.iter().all(|stage| stage.amount == 1) {
-        let done = fused_n::<LANES, true>(first, stages, tail, out, 0);
+        let done = if grouped { fused_n::<LANES, true>(first, stages, tail, out, 0) } else { 0 };
         fused_n::<1, true>(first, stages, tail, out, done);
     } else {
-        let done = fused_n::<LANES, false>(first, stages, tail, out, 0);
+        let done = if grouped { fused_n::<LANES, false>(first, stages, tail, out, 0) } else { 0 };
         fused_n::<1, false>(first, stages, tail, out, done);
     }
 }

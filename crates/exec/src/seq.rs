@@ -53,8 +53,8 @@ impl Slots<'_> {
 impl StreamEnv for Slots<'_> {
     fn get(&self, id: StreamId) -> Option<&BitStream> {
         match self.plan.place(id).filter(|_| is_written(self.written, id))? {
-            Place::Slot(_) if self.plan.is_link(id) && self.linked != Some(id) => None,
-            Place::Slot(slot) => Some(&self.bufs[slot]),
+            Place::Link(_) if self.linked != Some(id) => None,
+            Place::Slot(slot) | Place::Link(slot) => Some(&self.bufs[slot]),
             Place::Class(class) => Some(
                 (self.private.iter().find(|(changed, _)| *changed == id))
                     .map_or(&self.classes[class], |(_, copy)| copy),
@@ -79,11 +79,10 @@ impl StreamEnv for Slots<'_> {
     fn commit(&mut self, id: StreamId, value: BitStream) -> bool {
         match self.plan.place(id) {
             None => return false,
-            Some(Place::Slot(slot)) => {
+            Some(Place::Slot(slot)) => *self.spare = std::mem::replace(&mut self.bufs[slot], value),
+            Some(Place::Link(slot)) => {
                 *self.spare = std::mem::replace(&mut self.bufs[slot], value);
-                if self.plan.is_link(id) {
-                    self.linked = Some(id);
-                }
+                self.linked = Some(id);
             }
             // Only a machine that shows values to its observer computes a
             // class alias: what comes back is the shared stream, unless
@@ -111,8 +110,8 @@ impl StreamEnv for Slots<'_> {
         Some(self.table.gates(class))
     }
 
-    fn is_link(&self, id: StreamId) -> bool {
-        self.plan.is_link(id)
+    fn pass_len(&self, head: StreamId) -> usize {
+        self.plan.pass_len(head)
     }
 
     fn elide(&mut self, id: StreamId) {

@@ -30,9 +30,9 @@
 //! exactly when a marker of `M ∧ C` sits on the run of `C` reaching the
 //! boundary (see DESIGN.md §10).
 
-use crate::fnv::{fnv1a, ByteReader, FNV_OFFSET};
+use crate::fnv::{fnv1a_word, ByteReader, FNV_OFFSET};
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::BitStream;
+use bitgen_bitstream::{BitStream, FusedStage};
 use std::fmt;
 use std::ops::Range;
 
@@ -240,35 +240,39 @@ impl<'a> CarryWalk<'a> {
     }
 
     /// `Advance(_, k)` through the next slot from inside a fused pass
-    /// (`k < 64`): the slot, and its incoming history as the word a
-    /// [`bitgen_bitstream::FusedStage`] starts from.
-    pub fn fused_in(&mut self, k: usize) -> (usize, u64) {
+    /// (`k < 64`): the slot's incoming history, as the word a
+    /// [`FusedStage`] starts from.
+    pub fn fused_in(&mut self, k: u32) -> u64 {
         self.slot += 1;
-        let slot = self.slot - 1;
-        debug_assert_eq!(self.state.slots[slot].width as usize, k, "carry slot width mismatch");
-        (slot, self.state.incoming[self.state.word_at(slot)])
+        let shape = self.state.slots[self.slot - 1];
+        debug_assert_eq!(shape.width, k, "carry slot width mismatch");
+        self.state.incoming[shape.word as usize]
     }
 
-    /// After the pass: accumulates `slot`'s outgoing history from the
-    /// `last` two words of the advance's `len`-bit input, which the pass
-    /// never stored — what [`CarryState::advance_through_into`] does with
-    /// the whole input.
+    /// After the pass: accumulates the outgoing history of the slots its
+    /// `stages` took, the last `stages.len()` walked, each from the last
+    /// two words of its advance's `len`-bit input, which the pass never
+    /// stored — what [`CarryState::advance_through_into`] does with the
+    /// whole input.
     ///
     /// # Panics
     ///
     /// Panics if the window is empty.
-    pub fn fused_out(&mut self, slot: usize, last: [u64; 2], len: usize) {
+    pub fn fused_out(&mut self, stages: &[FusedStage<'_>], len: usize) {
         let s = &mut *self.state;
-        let words = s.words(slot..slot + 1);
         let consumed = len.checked_sub(1).expect("window must hold the peek position");
-        BitStream::or_history_tail_of(
-            last,
-            len,
-            &s.incoming[words.clone()],
-            s.slots[slot].width as usize,
-            consumed,
-            &mut s.outgoing[words],
-        );
+        for (stage, shape) in stages.iter().zip(&s.slots[self.slot - stages.len()..self.slot]) {
+            // A fused advance moves less than a word: its slot is one word.
+            let word = shape.word as usize..shape.word as usize + 1;
+            BitStream::or_history_tail_of(
+                stage.last(),
+                len,
+                &s.incoming[word.clone()],
+                shape.width as usize,
+                consumed,
+                &mut s.outgoing[word],
+            );
+        }
     }
 
     /// Arrives at the next `if`/`while` statement: its body's span, and
@@ -444,6 +448,23 @@ impl CarryState {
                 found: self.slots.len(),
             });
         }
+        // One pass over the widths and one over the outgoing words; only
+        // a state that fails either walks its slots to name the first bad
+        // one.
+        let widths_match = self.slots.iter().map(|s| s.width).eq(expected.iter().copied());
+        if !widths_match || self.outgoing.iter().any(|&w| w != 0) {
+            self.first_bad_slot(expected)?;
+        }
+        let found = self.seal_of();
+        if found != self.seal {
+            return Err(CarryError::ChecksumMismatch { expected: self.seal, found });
+        }
+        Ok(())
+    }
+
+    /// The first slot, in slot order, whose width is not `expected`'s or
+    /// whose outgoing words are not zero.
+    fn first_bad_slot(&self, expected: &[u32]) -> Result<(), CarryError> {
         for (slot, (s, &w)) in self.slots.iter().zip(expected).enumerate() {
             if s.width != w {
                 return Err(CarryError::SlotWidthMismatch {
@@ -455,10 +476,6 @@ impl CarryState {
             if self.outgoing[self.words(slot..slot + 1)].iter().any(|&w| w != 0) {
                 return Err(CarryError::DirtyOutgoing { slot });
             }
-        }
-        let found = self.seal_of();
-        if found != self.seal {
-            return Err(CarryError::ChecksumMismatch { expected: self.seal, found });
         }
         Ok(())
     }
@@ -622,16 +639,18 @@ impl CarryState {
     }
 
     /// FNV-1a over the incoming carries: slot count, then each slot's
-    /// width and words. Cheap (one multiply per byte over a few machine
-    /// words) and stable across processes, which checkpoint
-    /// serialization relies on.
+    /// width and words, each as eight little-endian bytes. Stable across
+    /// processes, which checkpoint serialization relies on. Hashed a word
+    /// at a time ([`fnv1a_word`]): a word's high zero bytes cost one
+    /// multiply together, so a one-bit slot costs a few multiplies, not
+    /// sixteen.
     fn seal_of(&self) -> u64 {
-        let fnv_word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
-        let mut h = fnv_word(FNV_OFFSET, self.slots.len() as u64);
-        for (slot, s) in self.slots.iter().enumerate() {
-            h = fnv_word(h, u64::from(s.width));
-            for &w in &self.incoming[self.words(slot..slot + 1)] {
-                h = fnv_word(h, w);
+        let mut h = fnv1a_word(FNV_OFFSET, self.slots.len() as u64);
+        let mut words = self.incoming.iter();
+        for s in &self.slots {
+            h = fnv1a_word(h, u64::from(s.width));
+            for &w in words.by_ref().take(s.width.div_ceil(64) as usize) {
+                h = fnv1a_word(h, w);
             }
         }
         h
@@ -641,6 +660,7 @@ impl CarryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::fnv1a;
     use crate::lower::{lower, lower_group_with, LowerOptions};
     use bitgen_regex::parse;
 
@@ -887,6 +907,42 @@ mod tests {
             let next = resumed.advance_through(slot, &BitStream::zeros(len), k as usize);
             let landed: Vec<usize> = history.positions().into_iter().filter(|&p| p < len).collect();
             assert_eq!(next.positions(), landed, "width {k}");
+        }
+    }
+
+    #[test]
+    fn the_word_step_seal_is_the_byte_wise_hash() {
+        use crate::program::{Op, Program, Stmt, StreamId};
+        let widths = [1u32, 63, 64, 65, 200];
+        let s = StreamId;
+        let mut stmts = vec![Stmt::Op(Op::Ones { dst: s(0) })];
+        for (i, &amount) in widths.iter().enumerate() {
+            stmts.push(Stmt::Op(Op::Advance { dst: s(i as u32 + 1), src: s(0), amount }));
+        }
+        let prog = Program::new(stmts, widths.len() as u32 + 1, vec![s(1)]);
+        let mut state = CarryState::for_program(&prog);
+        // Each word takes 0 to 8 significant bytes in turn, cut to its
+        // slot's width; every round starts the turn one byte further on.
+        for round in 0..9 {
+            let mut turn = round;
+            for (slot, &width) in widths.iter().enumerate() {
+                let words = state.words(slot..slot + 1);
+                for (i, at) in words.clone().enumerate() {
+                    let bytes = turn % 9;
+                    turn += 1;
+                    let word = if bytes == 0 { 0 } else { u64::MAX >> (64 - 8 * bytes) };
+                    let live = (width as usize - 64 * i).min(64);
+                    state.incoming[at] = word & (u64::MAX >> (64 - live));
+                }
+            }
+            let mut want = fnv1a(FNV_OFFSET, &(widths.len() as u64).to_le_bytes());
+            for (slot, &width) in widths.iter().enumerate() {
+                want = fnv1a(want, &u64::from(width).to_le_bytes());
+                for &w in &state.incoming[state.words(slot..slot + 1)] {
+                    want = fnv1a(want, &w.to_le_bytes());
+                }
+            }
+            assert_eq!(state.seal_of(), want, "round {round}");
         }
     }
 

@@ -12,11 +12,13 @@
 //! The small-step semantics is one statement, one stream. An environment
 //! may name streams it does not want stored — a class stream it already
 //! holds ([`StreamEnv::alias_cc`]), a value only the next statement reads
-//! ([`StreamEnv::is_link`]) — and the walk then refines those steps: the
-//! class is read in place, a chain of links and the statement ending it
-//! run as one pass over the words. The observer is told about the same
-//! ops in the same order either way, and one that wants to see values
-//! ([`Observer::inspects`]) gets every step taken singly.
+//! (a link, [`crate::SlotPlan::is_link`]) — and the walk then refines those
+//! steps: the class is read in place, a chain of links and the statement
+//! ending it run as one pass over the words. Where a pass begins and how
+//! far it reaches was resolved with the plan ([`StreamEnv::pass_len`]),
+//! so the walk reads it and does not search. The observer is told about
+//! the same ops in the same order either way, and one that wants to see
+//! values ([`Observer::inspects`]) gets every step taken singly.
 
 use crate::carry::{CarryState, CarryWalk};
 use crate::control::RunControl;
@@ -55,10 +57,12 @@ pub trait StreamEnv {
         None
     }
 
-    /// Whether `id` is a link ([`crate::SlotPlan::is_link`]): its value
-    /// may stay inside the pass that also runs its one reader.
-    fn is_link(&self, _id: StreamId) -> bool {
-        false
+    /// How many statements after the one writing `head` run in one pass
+    /// with it ([`crate::SlotPlan::pass_len`]): `0` unless `head` is a
+    /// link whose value may stay inside the pass that also runs its
+    /// reader, and the readers after it that are links in turn.
+    fn pass_len(&self, _head: StreamId) -> usize {
+        0
     }
 
     /// Link `id` was computed and consumed inside one pass: it counts as
@@ -273,7 +277,7 @@ struct Machine<'a, E, O> {
 
 /// Advances one fused pass carries at most; a longer chain of links is
 /// cut into several passes, the value between two of them stored.
-const MAX_STAGES: usize = 16;
+pub(crate) const MAX_STAGES: usize = 16;
 
 impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
     /// Runs `stmts`, whose first dynamic site is `site`; returns the site
@@ -348,21 +352,26 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
         Ok(site)
     }
 
-    /// How many of the statements `after` `head` run in one pass with
-    /// it: as long as the value at hand is a link, the next statement is
-    /// its reader and joins.
+    /// How many of the statements `after` `head` run in one pass with it:
+    /// the pass the environment resolved, provided each of its statements
+    /// fuses with the one before and it carries at most [`MAX_STAGES`]
+    /// advances — else none, and `head` runs singly.
     fn links(&self, head: &Op, after: &[Stmt]) -> usize {
-        let mut links = 0;
-        let mut stages = usize::from(matches!(head, Op::Advance { .. }));
-        let mut op = head;
-        while !self.single && self.env.is_link(op.dst()) {
-            let Some(Stmt::Op(reader)) = after.get(links) else { break };
-            stages += usize::from(matches!(reader, Op::Advance { .. }));
-            if stages > MAX_STAGES || !fuses(op, reader) {
-                break;
+        let links = if self.single { 0 } else { self.env.pass_len(head.dst()) };
+        let Some(readers) = after.get(..links) else { return 0 };
+        let advances = |op: &Op| usize::from(matches!(op, Op::Advance { .. }));
+        let (mut op, mut stages) = (head, advances(head));
+        for reader in readers {
+            match reader {
+                Stmt::Op(reader) if fuses(op, reader) => {
+                    stages += advances(reader);
+                    op = reader;
+                }
+                _ => return 0,
             }
-            links += 1;
-            op = reader;
+        }
+        if stages > MAX_STAGES {
+            return 0;
         }
         links
     }
@@ -404,7 +413,6 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
             _ => unreachable!("links are `&` and `>>`"),
         };
         let mut stages = [FusedStage::IDLE; MAX_STAGES];
-        let mut slots = [0usize; MAX_STAGES];
         let mut staged = 0;
         let mut link = head.dst();
         for (i, op) in ops().enumerate() {
@@ -412,11 +420,7 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
                 Op::And { a, b, .. } if i > 0 => and = Some(get(if a == link { b } else { a })?),
                 Op::And { .. } => {}
                 Op::Advance { amount, .. } => {
-                    let history = self.carry.as_mut().map_or(0, |walk| {
-                        let (slot, history) = walk.fused_in(amount as usize);
-                        slots[staged] = slot;
-                        history
-                    });
+                    let history = self.carry.as_mut().map_or(0, |walk| walk.fused_in(amount));
                     stages[staged] = FusedStage::new(and.take(), amount, history);
                     staged += 1;
                 }
@@ -426,9 +430,7 @@ impl<E: StreamEnv, O: Observer> Machine<'_, E, O> {
         }
         first.fused_into(&mut stages[..staged], and, &mut out);
         if let Some(walk) = &mut self.carry {
-            for (stage, &slot) in stages[..staged].iter().zip(&slots) {
-                walk.fused_out(slot, stage.last(), self.len);
-            }
+            walk.fused_out(&stages[..staged], self.len);
         }
         // The observer hears every op in order; a link was stored where
         // its one reader looked, inside the pass.

@@ -33,10 +33,15 @@
 //!   the statement that ends it as one pass over the words; the links all
 //!   name one extra slot that only a machine taking every step singly
 //!   ever fills.
+//!
+//! Where such a pass begins and how far it reaches is fixed by the
+//! program too, so the plan records it: the link that heads a pass keeps
+//! the count of statements after it in the pass ([`SlotPlan::pass_len`]),
+//! in the same four bytes as its place.
 
 use crate::analysis::DefUse;
 use crate::interp::InterpError;
-use crate::machine::fuses;
+use crate::machine::{fuses, MAX_STAGES};
 use crate::program::{Op, Program, Stmt, StreamId};
 use bitgen_regex::ByteSet;
 
@@ -86,6 +91,10 @@ pub fn pack_spans(spans: &[(u32, u32)]) -> (Box<[u32]>, u32) {
 const NO_SLOT: u32 = u32::MAX;
 /// Set in the slot value of a class alias; the rest is the class's index.
 const CLASS: u32 = 1 << 31;
+/// Set, without [`CLASS`], in the slot value of a link; the rest is the
+/// length of the pass it heads ([`SlotPlan::pass_len`]), 0 for a link
+/// inside a pass.
+const LINK: u32 = 1 << 30;
 
 /// Where a window finds a stream ([`SlotPlan::place`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,12 +103,16 @@ pub enum Place {
     Slot(usize),
     /// In the caller's stream of the class with this index.
     Class(usize),
+    /// A link: in this slot, the one every link of the program names,
+    /// when a machine takes its step singly; a fused pass stores nothing.
+    Link(usize),
 }
 
 /// The slot of every stream of one program.
 ///
 /// Four bytes per stream (a star over a long literal keeps more than
-/// `u16::MAX` streams live at once), resident for the life of an engine.
+/// `u16::MAX` streams live at once), resident for the life of an engine:
+/// a slot, a class, or a link and the length of the pass it heads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotPlan {
     slot_of: Box<[u32]>,
@@ -146,6 +159,7 @@ impl SlotPlan {
         }
         let mut kinds = vec![NO_SLOT; ranges.spans.len()];
         mark(program.stmts(), &DefUse::of(program), classes, &mut kinds);
+        mark_passes(program.stmts(), &mut kinds);
         Ok(ranges.assign(&kinds))
     }
 
@@ -154,7 +168,20 @@ impl SlotPlan {
         match self.slot_of.get(id.index()) {
             None | Some(&NO_SLOT) => None,
             Some(&class) if class & CLASS != 0 => Some(Place::Class((class & !CLASS) as usize)),
+            Some(&link) if link & LINK != 0 => Some(Place::Link(self.link_slot as usize)),
             Some(&slot) => Some(Place::Slot(slot as usize)),
+        }
+    }
+
+    /// How many statements after the one writing `id` run in one pass
+    /// with it: as long as the value at hand is a link its reader joins,
+    /// up to sixteen advances a pass. `0` unless `id` is a link
+    /// that heads a pass — the first of a block's run of links the walk
+    /// meets, or the first after a pass was cut.
+    pub fn pass_len(&self, id: StreamId) -> usize {
+        match self.slot_of.get(id.index()) {
+            Some(&link) if link & (CLASS | LINK) == LINK => (link & !LINK) as usize,
+            _ => 0,
         }
     }
 
@@ -162,7 +189,7 @@ impl SlotPlan {
     /// writes and for a class alias.
     pub fn slot(&self, id: StreamId) -> Option<usize> {
         match self.place(id) {
-            Some(Place::Slot(slot)) => Some(slot),
+            Some(Place::Slot(slot) | Place::Link(slot)) => Some(slot),
             Some(Place::Class(_)) | None => None,
         }
     }
@@ -170,7 +197,7 @@ impl SlotPlan {
     /// Whether `id` is a link: read by the next statement alone, which a
     /// machine may run in one pass with the statement defining it.
     pub fn is_link(&self, id: StreamId) -> bool {
-        self.link_slot != NO_SLOT && self.slot_of.get(id.index()) == Some(&self.link_slot)
+        matches!(self.place(id), Some(Place::Link(_)))
     }
 
     /// Slots the program needs: the most stored streams live at once, and
@@ -252,22 +279,20 @@ impl Ranges {
         let stored = (self.spans.iter().zip(kinds))
             .map(|(&span, &kind)| if kind == NO_SLOT { span } else { UNTOUCHED_SPAN });
         let (rows, slots) = pack_spans(&stored.collect::<Vec<_>>());
-        let link_slot = if kinds.contains(&LINK) { slots } else { NO_SLOT };
+        assert!(slots < LINK, "{slots} slots do not fit a slot value");
+        let is_link = |kind: u32| kind & (CLASS | LINK) == LINK;
+        let link_slot = if kinds.iter().any(|&kind| is_link(kind)) { slots } else { NO_SLOT };
         let slot_of = (self.spans.iter().zip(kinds).zip(rows.iter()))
             .map(|((&span, &kind), &row)| match kind {
                 _ if span == UNTOUCHED_SPAN => NO_SLOT,
                 NO_SLOT => row,
-                LINK => link_slot,
-                class => class,
+                link_or_class => link_or_class,
             })
             .collect();
         let slots = slots as usize + usize::from(link_slot != NO_SLOT);
         SlotPlan { slot_of, slots, link_slot }
     }
 }
-
-/// The kind [`mark`] gives a link.
-const LINK: u32 = CLASS - 1;
 
 /// Marks the streams a window does not store: per stream `NO_SLOT`
 /// (stored), `LINK`, or the slot value of a class alias. Being an output
@@ -289,6 +314,36 @@ fn mark(stmts: &[Stmt], du: &DefUse, classes: &[ByteSet], kinds: &mut [u32]) {
                 }
             }
             Stmt::If { body, .. } | Stmt::While { body, .. } => mark(body, du, classes, kinds),
+        }
+    }
+}
+
+/// Gives every link that heads a pass the pass's length, walking each
+/// block as the machine does: a statement whose value is a link starts a
+/// pass, its reader joins, and so on while the value at hand is a link,
+/// until a reader would take the pass past [`MAX_STAGES`] advances; the
+/// walk then goes on at the statement after the pass.
+fn mark_passes(stmts: &[Stmt], kinds: &mut [u32]) {
+    let advances = |op: &Op| usize::from(matches!(op, Op::Advance { .. }));
+    let mut at = 0;
+    while let Some(stmt) = stmts.get(at) {
+        at += 1;
+        match stmt {
+            Stmt::Op(head) if kinds[head.dst().index()] == LINK => {
+                let (mut op, mut stages, start) = (head, advances(head), at);
+                while kinds[op.dst().index()] & (CLASS | LINK) == LINK {
+                    let Some(Stmt::Op(reader)) = stmts.get(at) else { break };
+                    stages += advances(reader);
+                    if stages > MAX_STAGES || !fuses(op, reader) {
+                        break;
+                    }
+                    at += 1;
+                    op = reader;
+                }
+                kinds[head.dst().index()] = LINK | (at - start) as u32;
+            }
+            Stmt::Op(_) => {}
+            Stmt::If { body, .. } | Stmt::While { body, .. } => mark_passes(body, kinds),
         }
     }
 }
@@ -355,6 +410,23 @@ mod tests {
                 assert_eq!(holds[slot], Some(out), "output {out} was evicted");
             }
         }
+    }
+
+    #[test]
+    fn passes_are_resolved_where_the_walk_cuts_them() {
+        // Twenty advances in a row: every value but the last is a link.
+        // The first pass takes sixteen advances; the cut link is stored
+        // and the next pass starts at its reader.
+        let mut stmts = vec![op(Op::Ones { dst: s(0) })];
+        for i in 1..=20 {
+            stmts.push(op(Op::Advance { dst: s(i), src: s(i - 1), amount: 1 }));
+        }
+        let (_, plan) = plan(stmts, 21, vec![s(20)]);
+        let passes: Vec<(u32, usize)> =
+            (0..21).map(|i| (i, plan.pass_len(s(i)))).filter(|&(_, n)| n > 0).collect();
+        assert_eq!(passes, vec![(1, 15), (17, 3)]);
+        assert!((1..20).all(|i| plan.is_link(s(i))) && !plan.is_link(s(20)));
+        assert_eq!(plan.place(s(5)), Some(Place::Link(plan.slot(s(5)).unwrap())));
     }
 
     #[test]

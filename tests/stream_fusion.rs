@@ -13,10 +13,10 @@
 //! The coverage gate at the end keeps a lowering change from silently
 //! un-fusing the served rule set.
 
-use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan};
+use bitgen::{BitGen, EngineConfig, ExecConfig, FaultKind, FaultPlan, Scheme};
 use bitgen_bitstream::{Basis, BitStream, ClassCircuit};
 use bitgen_exec::{execute_prepared_with, ClassStreams, ExecScratch, PreparedProgram};
-use bitgen_ir::{try_interpret_chunk, CarryState, Op, RunControl};
+use bitgen_ir::{fnv1a, try_interpret_chunk, CarryState, Op, RunControl, FNV_OFFSET};
 use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 
 /// A fault that never fires: an armed window takes every statement
@@ -196,4 +196,70 @@ fn the_served_rule_set_stays_fused() {
         let buffers = scratch.pooled_streams();
         assert!(buffers <= prepared.live_slots(), "{buffers} buffers");
     }
+}
+
+/// What a served stream's metrics record reduces to: a digest of its
+/// summed counters (every field, loop trips included) and the bits of
+/// its modelled kernel seconds.
+fn served_record(engine: &BitGen, input: &[u8], chunk: usize, pushes: usize) -> (u64, u64) {
+    let mut stream = engine.streamer().unwrap();
+    for piece in input.chunks(chunk).take(pushes) {
+        stream.push(piece).unwrap();
+    }
+    let metrics = stream.metrics();
+    let c = metrics.counters_total();
+    let fields = [
+        c.alu_ops,
+        c.smem_stores,
+        c.smem_loads,
+        c.barriers,
+        c.global_load_words,
+        c.global_store_words,
+        c.reductions,
+        c.skipped_ops,
+        c.window_iterations,
+    ];
+    let words = fields.iter().chain(&c.loop_trips);
+    let digest = words.fold(FNV_OFFSET, |hash, word| fnv1a(hash, &word.to_le_bytes()));
+    (digest, metrics.kernel_seconds.to_bits())
+}
+
+#[test]
+fn served_metrics_are_pinned() {
+    // Snort and ClamAV ×32 streamed at 64 B, 4 KiB and 64 KiB, billed on
+    // the default DTM rung (the fused launch) and on Sequential (the walk's
+    // own charges): recorded before a window read its passes from the
+    // plan and summed each pass's charges at once, and held since.
+    const PINNED: [(u64, u64); 12] = [
+        // Snort: DTM at 64 B, 4 KiB, 64 KiB, then Sequential.
+        (0xe149_c3db_8361_f46a, 0x3f10_b535_5854_b265),
+        (0x7a30_de42_8d4e_040b, 0x3f09_4af6_a0bf_a00a),
+        (0x6380_45f2_079f_7b16, 0x3f11_f010_7c75_098f),
+        (0xa50b_6441_308e_b561, 0x3f18_91e2_3c3b_6033),
+        (0xa770_cab8_1684_883d, 0x3f32_4857_86c5_ab7d),
+        (0xd20b_0255_2e4c_c764, 0x3f41_ed1c_8f38_1c8f),
+        // ClamAV, likewise.
+        (0x2a2d_1dc0_f33e_f7c4, 0x3f33_3dfb_b1ca_a93a),
+        (0x427f_41f8_1397_fb1c, 0x3f2c_dcf9_8aaf_fdcf),
+        (0x4d01_02d2_4edb_8d21, 0x3f34_71db_6ce7_53c7),
+        (0x8691_82d6_dbbe_9ca1, 0x3f39_b175_dcf8_3253),
+        (0xc5df_0a76_fea7_a881, 0x3f52_1189_9bc5_730a),
+        (0x3ccc_f774_f04a_8703, 0x3f60_cd13_d6f6_90b7),
+    ];
+    let mut records = Vec::new();
+    for kind in [AppKind::Snort, AppKind::ClamAv] {
+        let workload = generate(
+            kind,
+            &WorkloadConfig { regexes: 32, input_len: 2 << 16, seed: 0xb17, witness_density: 0.05 },
+        );
+        let patterns: Vec<&str> = workload.patterns.iter().map(String::as_str).collect();
+        for scheme in [EngineConfig::default().scheme, Scheme::Sequential] {
+            let config = EngineConfig::default().with_scheme(scheme);
+            let engine = BitGen::compile_with(&patterns, config).unwrap();
+            for (chunk, pushes) in [(64, 64), (4096, 16), (1 << 16, 2)] {
+                records.push(served_record(&engine, &workload.input, chunk, pushes));
+            }
+        }
+    }
+    assert_eq!(records, PINNED);
 }
