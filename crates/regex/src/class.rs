@@ -467,6 +467,26 @@ mod tests {
         assert_eq!(format!("{:?}", s), "ByteSet[a-c]");
     }
 
+    /// `Display` is what a program listing prints for a `MatchCc`, so
+    /// its bytes are part of every stream fingerprint.
+    #[test]
+    fn display_renders_ranges_in_listing_notation() {
+        for (set, text) in [
+            (ByteSet::EMPTY, "ByteSet[]"),
+            (ByteSet::FULL, "ByteSet[\\x00-\\xff]"),
+            (ByteSet::singleton(b'q'), "ByteSet[q]"),
+            (ByteSet::singleton(0), "ByteSet[\\x00]"),
+            (ByteSet::singleton(0x7f), "ByteSet[\\x7f]"),
+            (ByteSet::singleton(0xff), "ByteSet[\\xff]"),
+            (ByteSet::range(b'x', 0x90), "ByteSet[x-\\x90]"),
+            (ByteSet::range(b' ', b'#'), "ByteSet[\\x20-#]"),
+            (ByteSet::dot(), "ByteSet[\\x00-\\x09,\\x0b-\\xff]"),
+            (ByteSet::from_bytes([b'a', b'c', b'd', b'~']), "ByteSet[a,c-d,~]"),
+        ] {
+            assert_eq!(set.to_string(), text);
+        }
+    }
+
     #[test]
     fn from_iterator_and_extend() {
         let mut s: ByteSet = [b'a', b'b'].into_iter().collect();

@@ -11,6 +11,7 @@
 
 use bitgen::{BitGen, EngineConfig, StreamCheckpoint};
 use bitgen_ir::pretty;
+use bitgen_workloads::{generate, AppKind, WorkloadConfig};
 use proptest::prelude::*;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -182,4 +183,63 @@ fn a_checkpoint_does_not_cross_the_match_star_seam_silently() {
         .collect();
     assert!(!batch.is_empty());
     assert_eq!(ends, batch);
+}
+
+/// The rules of `count` rules of `kind`, family member `member`: what the
+/// benchmark's deployments compile (rule set `n` is seeded `0xb17 + n`).
+fn rules_of(kind: AppKind, count: usize, member: u64) -> Vec<String> {
+    generate(
+        kind,
+        &WorkloadConfig { regexes: count, input_len: 64, seed: 0xb17 + member, witness_density: 0.05 },
+    )
+    .patterns
+}
+
+/// The stream fingerprint and an FNV-1a digest of every group's listing,
+/// in group order, of the default compile of `rules`.
+fn pins_of(rules: &[String]) -> (u64, u64) {
+    let patterns: Vec<&str> = rules.iter().map(String::as_str).collect();
+    let engine = BitGen::compile_with(&patterns, EngineConfig::default()).unwrap();
+    let listings = (engine.stream_programs().iter())
+        .fold(FNV_OFFSET, |hash, prepared| fnv(hash, pretty(prepared.program()).as_bytes()));
+    (engine.stream_fingerprint(), listings)
+}
+
+/// Every application at 32 rules, then the six Snort ×64 sets a churned
+/// pattern cache rotates through: `(fingerprint, listing digest)`, as the
+/// build before the one-writer listing rendered them. A faster renderer,
+/// optimiser or class table must change neither.
+const APP_PINS: [(u64, u64); 10] = [
+    (0xf483_8816_fe4a_9fe1, 0x21a6_3d03_4e95_5380),
+    (0x6e8a_e3f0_4bca_9d01, 0x1c2f_b1e1_47b8_18b6),
+    (0xe1e1_6652_e63f_c3b3, 0xfb4b_e532_18c1_921f),
+    (0x41ea_db0d_e88d_2bf0, 0x550e_9ef8_c896_c1c0),
+    (0x0c50_a5de_2426_2e1f, 0x141c_7896_e62c_6c60),
+    (0x6ff4_02c4_46ed_c50e, 0x231f_f3f7_61c6_1aad),
+    (0x63ba_4eb7_cc4f_329e, 0xe39d_3267_61b4_96e8),
+    (0x3aa4_3e4b_0093_ab92, 0x5bf8_29a0_e4a7_4592),
+    (0x8403_0584_f878_a554, 0x3767_d7c8_1103_1277),
+    (0x73e2_da37_90ae_3d60, 0xdb03_106e_bdab_4b07),
+];
+const SNORT_64_PINS: [(u64, u64); 6] = [
+    (0xdb34_3ee1_bcbb_71b4, 0x9640_91e7_1e79_18bc),
+    (0x38b0_b93b_34b0_c809, 0xb7a8_7eb2_ee20_d8fe),
+    (0x1823_1d1c_7d7a_8d55, 0x626c_fbef_1ab1_8ccd),
+    (0x66ff_84a6_0115_0b6b, 0x6734_81f7_5153_ca9b),
+    (0xa866_7ce7_f88b_17d9, 0x4849_10d5_4147_ea0a),
+    (0xb25e_2791_4e36_b939, 0xfcf2_fb4d_d29b_9e8a),
+];
+
+#[test]
+fn fingerprints_and_listings_of_every_application_are_golden() {
+    let got: Vec<(u64, u64)> =
+        AppKind::ALL.iter().map(|&kind| pins_of(&rules_of(kind, 32, 0))).collect();
+    assert_eq!(got, APP_PINS);
+}
+
+#[test]
+fn fingerprints_and_listings_of_the_churned_snort_sets_are_golden() {
+    let got: Vec<(u64, u64)> =
+        (1..=6).map(|member| pins_of(&rules_of(AppKind::Snort, 64, member))).collect();
+    assert_eq!(got, SNORT_64_PINS);
 }
