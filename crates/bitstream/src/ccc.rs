@@ -453,6 +453,15 @@ pub fn compile_class(set: &ByteSet) -> CcExpr {
     build_class(set, &mut Trees)
 }
 
+/// [`compile_class`]`(set).gate_count()`, counted as the circuit is built
+/// instead of from a built tree.
+pub fn class_gate_count(set: &ByteSet) -> usize {
+    match build_class(set, &mut Counts) {
+        Count::Const(_) => 0,
+        Count::Gates { gates, .. } => gates,
+    }
+}
+
 /// Where [`build_class`] puts a class's circuit: each call returns a node
 /// built from nodes returned before. A sink must fold as [`CcExpr::not`],
 /// [`CcExpr::and`] and [`CcExpr::or`] do — constants and double negation
@@ -509,6 +518,59 @@ impl GateSink for Trees {
 
     fn or(&mut self, a: CcExpr, b: CcExpr) -> CcExpr {
         CcExpr::or(a, b)
+    }
+}
+
+/// A [`CcExpr`] node as [`Counts`] keeps it.
+#[derive(Clone, Copy)]
+enum Count {
+    Const(bool),
+    /// A node of `gates` gates, `not` when it is a negation.
+    Gates { gates: usize, not: bool },
+}
+
+/// The [`GateSink`] counting the gates of the tree [`Trees`] would build,
+/// folding as the smart constructors do.
+struct Counts;
+
+impl GateSink for Counts {
+    type Node = Count;
+
+    fn constant(&mut self, value: bool) -> Count {
+        Count::Const(value)
+    }
+
+    fn basis(&mut self, _: u8) -> Count {
+        Count::Gates { gates: 0, not: false }
+    }
+
+    fn not(&mut self, a: Count) -> Count {
+        match a {
+            Count::Const(b) => Count::Const(!b),
+            // What a negation negates is never a negation itself.
+            Count::Gates { gates, not: true } => Count::Gates { gates: gates - 1, not: false },
+            Count::Gates { gates, not: false } => Count::Gates { gates: gates + 1, not: true },
+        }
+    }
+
+    fn and(&mut self, a: Count, b: Count) -> Count {
+        match (a, b) {
+            (Count::Const(false), _) | (_, Count::Const(false)) => Count::Const(false),
+            (Count::Const(true), x) | (x, Count::Const(true)) => x,
+            (Count::Gates { gates: x, .. }, Count::Gates { gates: y, .. }) => {
+                Count::Gates { gates: x + y + 1, not: false }
+            }
+        }
+    }
+
+    fn or(&mut self, a: Count, b: Count) -> Count {
+        match (a, b) {
+            (Count::Const(true), _) | (_, Count::Const(true)) => Count::Const(true),
+            (Count::Const(false), x) | (x, Count::Const(false)) => x,
+            (Count::Gates { gates: x, .. }, Count::Gates { gates: y, .. }) => {
+                Count::Gates { gates: x + y + 1, not: false }
+            }
+        }
     }
 }
 
@@ -629,6 +691,32 @@ mod tests {
                 set.contains(b),
                 "byte {b:#04x} vs set {set:?} circuit {e}"
             );
+        }
+    }
+
+    #[test]
+    fn counted_gates_are_the_built_trees() {
+        let mut sets = vec![ByteSet::EMPTY, ByteSet::FULL, ByteSet::dot(), ByteSet::word()];
+        for (lo, hi) in [(0, 0), (0, 9), (b'a', b'z'), (0x7f, 0xff), (1, 254), (200, 255)] {
+            sets.push(ByteSet::range(lo, hi));
+            sets.push(ByteSet::range(lo, hi).complement());
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // A handful of bytes and runs around them.
+            let bytes = (0..x % 9).map(|i| (x >> (i * 7)) as u8);
+            let mut set = ByteSet::from_bytes(bytes);
+            if x & 1 == 1 {
+                set = set.union(&ByteSet::range(x as u8 >> 1, (x >> 8) as u8));
+            }
+            sets.push(set);
+            sets.push(set.complement());
+        }
+        for set in &sets {
+            assert_eq!(class_gate_count(set), compile_class(set).gate_count(), "{set:?}");
         }
     }
 

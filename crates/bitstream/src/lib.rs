@@ -31,7 +31,7 @@ mod stream;
 mod transpose;
 mod wide;
 
-pub use ccc::{build_class, compile_class, CcExpr, ClassCircuit, GateSink};
+pub use ccc::{build_class, class_gate_count, compile_class, CcExpr, ClassCircuit, GateSink};
 pub use stream::BitStream;
 pub use wide::FusedStage;
 pub use transpose::{Basis, BASIS_COUNT};

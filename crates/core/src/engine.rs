@@ -431,7 +431,7 @@ impl BitGen {
         };
         if config.optimize_patterns {
             for a in &mut asts {
-                *a = bitgen_regex::optimize(a);
+                *a = bitgen_regex::optimize_owned(std::mem::take(a));
             }
         }
         let groups = if asts.is_empty() {
@@ -439,17 +439,20 @@ impl BitGen {
         } else {
             group_regexes(&asts, config.cta_count, config.grouping)
         };
-        let opts =
-            LowerOptions { match_star: config.match_star, log_repetition: config.log_repetition };
+        let (pattern_count, opts) = (
+            asts.len(),
+            LowerOptions { match_star: config.match_star, log_repetition: config.log_repetition },
+        );
         let lowered = groups
             .iter()
             .map(|g| {
-                let members: Vec<Ast> = g.iter().map(|&i| asts[i].clone()).collect();
+                // The groups partition the patterns: each tree moves once.
+                let members: Vec<Ast> = g.iter().map(|&i| std::mem::take(&mut asts[i])).collect();
                 if config.combine_outputs && config.optimize_patterns && members.len() > 1 {
                     // Only the union matters: lower the whole group as one
                     // alternation so the optimizer can factor prefixes
                     // *across* rules (Hyperscan-style set compilation).
-                    let combined = bitgen_regex::optimize(&Ast::Alt(members));
+                    let combined = bitgen_regex::optimize_owned(Ast::Alt(members));
                     return lower_group_checked(
                         std::slice::from_ref(&combined),
                         opts,
@@ -477,7 +480,7 @@ impl BitGen {
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
             stream_prices: Box::default(),
-            pattern_count: asts.len(),
+            pattern_count,
             generation: 0,
             config,
         };

@@ -54,15 +54,16 @@ pub fn group_regexes(asts: &[Ast], groups: usize, strategy: GroupingStrategy) ->
             out
         }
         GroupingStrategy::BalancedLength => {
+            let classes: Vec<usize> = asts.iter().map(Ast::class_count).collect();
             let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(asts[i].class_count()));
+            order.sort_by_key(|&i| std::cmp::Reverse(classes[i]));
             let mut buckets: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); g];
             for i in order {
                 let b = buckets
                     .iter_mut()
                     .min_by_key(|(load, _)| *load)
                     .expect("at least one bucket");
-                b.0 += asts[i].class_count().max(1);
+                b.0 += classes[i].max(1);
                 b.1.push(i);
             }
             buckets.retain(|(_, v)| !v.is_empty());

@@ -45,7 +45,7 @@ use crate::swap::StagedRules;
 use bitgen_bitstream::{Basis, BitStream};
 use bitgen_exec::{ClassStreams, ExecConfig, ExecMetrics, ExecScratch, Metrics, PreparedProgram};
 use bitgen_gpu::{CtaWork, FaultPlan};
-use bitgen_ir::{fnv1a, pretty, ByteReader, CancelToken, CarryState, RunControl, FNV_OFFSET};
+use bitgen_ir::{fnv1a, ByteReader, CancelToken, CarryState, Listing, RunControl, FNV_OFFSET};
 use std::time::Duration;
 
 /// How a [`StreamScanner`] responds to a detected fault inside a push.
@@ -319,9 +319,10 @@ impl BitGen {
 pub(crate) fn fingerprint_of(stream_programs: &[PreparedProgram]) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, &CHECKPOINT_VERSION.to_le_bytes());
     h = fnv1a(h, &(stream_programs.len() as u64).to_le_bytes());
+    let mut listing = Listing::default();
     for prepared in stream_programs {
         let prog = prepared.program();
-        h = fnv1a(h, pretty(prog).as_bytes());
+        h = fnv1a(h, listing.render(prog).as_bytes());
         h = fnv1a(h, &u64::from(prog.num_streams()).to_le_bytes());
     }
     h

@@ -8,7 +8,7 @@ use crate::engine::{apply_transforms, execute_streaming_window, ExecConfig, Exec
 use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_ranges, Segment, SegmentKind};
-use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit};
+use bitgen_bitstream::{class_gate_count, Basis, BitStream, ClassCircuit};
 use bitgen_gpu::KernelFacts;
 use bitgen_ir::{
     ByteSet, CarryLayout, CarryState, InterpError, Op, Place, Program, RunControl, SlotPlan,
@@ -43,7 +43,7 @@ impl ClassTable {
         }
         classes.sort_unstable();
         classes.dedup();
-        let gates = classes.iter().map(|class| compile_class(class).gate_count() as u32).collect();
+        let gates = classes.iter().map(|class| class_gate_count(class) as u32).collect();
         let circuit = ClassCircuit::for_classes(&classes);
         ClassTable { classes: classes.into_boxed_slice(), circuit, gates }
     }

@@ -5,7 +5,7 @@
 //! `while` bodies via closures.
 
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_regex::ByteSet;
+use bitgen_regex::{ByteSet, ClassHashing};
 use std::collections::HashMap;
 
 /// Builder for [`Program`]s.
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 pub struct ProgramBuilder {
     next: u32,
     frames: Vec<Vec<Stmt>>,
-    cc_cache: HashMap<ByteSet, StreamId>,
+    cc_cache: HashMap<ByteSet, StreamId, ClassHashing>,
     outputs: Vec<StreamId>,
     ops: usize,
 }
@@ -40,7 +40,7 @@ impl ProgramBuilder {
         ProgramBuilder {
             next: 0,
             frames: vec![Vec::new()],
-            cc_cache: HashMap::new(),
+            cc_cache: HashMap::default(),
             outputs: Vec::new(),
             ops: 0,
         }

@@ -66,7 +66,7 @@ pub use lower::{
     lower, lower_group, lower_group_checked, lower_group_with, strip_nullable, LowerOptions,
 };
 pub use machine::{walk, ById, Observer, StreamEnv, Walked};
-pub use pretty::pretty;
+pub use pretty::{pretty, Listing};
 pub use program::{Op, Program, Stmt, StreamId};
 pub use slots::{pack_spans, Place, SlotPlan, UNTOUCHED_SPAN};
 pub use stats::ProgramStats;

@@ -17,7 +17,7 @@
 use crate::builder::ProgramBuilder;
 use crate::limits::{CompileLimits, LimitError};
 use crate::program::{Program, StreamId};
-use bitgen_regex::Ast;
+use bitgen_regex::{Ast, ClassHashing};
 use std::collections::HashSet;
 
 /// Options controlling the lowering.
@@ -94,7 +94,7 @@ pub fn lower_group_checked(
         let mut budget = limits.max_ast_nodes;
         stripped.push(strip_nullable_within(ast, &mut budget, limits.max_ast_nodes)?);
     }
-    let mut distinct = HashSet::new();
+    let mut distinct = HashSet::with_hasher(ClassHashing::default());
     for ast in stripped.iter().flatten() {
         ast.for_each_class(&mut |cc| {
             distinct.insert(*cc);

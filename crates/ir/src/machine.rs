@@ -24,7 +24,7 @@ use crate::carry::{CarryState, CarryWalk};
 use crate::control::RunControl;
 use crate::interp::InterpError;
 use crate::program::{Op, Program, Stmt, StreamId};
-use bitgen_bitstream::{compile_class, Basis, BitStream, ClassCircuit, FusedStage};
+use bitgen_bitstream::{class_gate_count, Basis, BitStream, ClassCircuit, FusedStage};
 use bitgen_regex::ByteSet;
 
 /// Where a sequential machine keeps its streams.
@@ -124,7 +124,7 @@ pub trait Observer {
 pub struct ById {
     vars: Vec<Option<BitStream>>,
     /// Sorted by class; each with the gate count of its tree
-    /// ([`compile_class`]), what a `MatchCc` charges.
+    /// ([`bitgen_bitstream::compile_class`]), what a `MatchCc` charges.
     circuits: Vec<(ByteSet, ClassCircuit, usize)>,
 }
 
@@ -176,7 +176,7 @@ impl StreamEnv for ById {
             Ok(at) => at,
             Err(at) => {
                 let circuit = ClassCircuit::for_classes(std::slice::from_ref(class));
-                self.circuits.insert(at, (*class, circuit, compile_class(class).gate_count()));
+                self.circuits.insert(at, (*class, circuit, class_gate_count(class)));
                 at
             }
         };

@@ -14,7 +14,7 @@
 use crate::kir::{KOp, KStmt, Kernel, Reg, Slot};
 use bitgen_bitstream::{build_class, GateSink};
 use bitgen_ir::{DefUse, Op, Program, Stmt, StreamId};
-use bitgen_regex::ByteSet;
+use bitgen_regex::{ByteSet, ClassHashing};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -179,7 +179,7 @@ struct Circuits {
     ids: HashMap<Node, u32>,
     /// The root node of each class built: every class of a program the
     /// compiler compiles has one.
-    roots: HashMap<ByteSet, u32>,
+    roots: HashMap<ByteSet, u32, ClassHashing>,
 }
 
 impl Default for Circuits {
@@ -189,7 +189,7 @@ impl Default for Circuits {
             nodes: constants.into_iter().chain((0..8).map(Node::Basis)).collect(),
             gates: vec![0; 10],
             ids: HashMap::new(),
-            roots: HashMap::new(),
+            roots: HashMap::default(),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! bitstreams.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A set of byte values, represented as a 256-bit bitmap.
 ///
@@ -25,7 +26,7 @@ use std::fmt;
 ///
 /// The ordering is total but otherwise arbitrary (by membership words);
 /// it exists so sorted class tables can be searched.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ByteSet {
     words: [u64; 4],
 }
@@ -218,6 +219,38 @@ impl ByteSet {
     /// Builds a set from a raw 4-word bitmap.
     pub fn from_words(words: [u64; 4]) -> ByteSet {
         ByteSet { words }
+    }
+}
+
+impl Hash for ByteSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words.iter().for_each(|&word| state.write_u64(word));
+    }
+}
+
+/// The hasher of maps and sets keyed by [`ByteSet`]: compiling a rule set
+/// looks a class up once per occurrence in every rule, and this folds the
+/// four membership words with a multiply each where SipHash runs rounds
+/// over them. Keys are the rules' classes, at most
+/// `CompileLimits::max_classes` distinct ones, so collisions cost little.
+pub type ClassHashing = BuildHasherDefault<ClassHasher>;
+
+/// The [`Hasher`] of [`ClassHashing`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ClassHasher(u64);
+
+impl Hasher for ClassHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(u64::from(byte)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiplies mix upwards; the table indexes by the low bits.
+        (self.0 ^ self.0 >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9).rotate_left(32)
     }
 }
 

@@ -32,7 +32,7 @@ mod oracle;
 mod parser;
 
 pub use ast::Ast;
-pub use class::{ByteSet, Bytes};
-pub use optimize::optimize;
+pub use class::{ByteSet, Bytes, ClassHasher, ClassHashing};
+pub use optimize::{optimize, optimize_owned};
 pub use oracle::{match_ends, multi_match_ends};
 pub use parser::{parse, parse_bytes, ParseError, ParseErrorKind, MAX_REPEAT};

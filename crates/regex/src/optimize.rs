@@ -29,92 +29,156 @@ use crate::ast::Ast;
 /// assert_eq!(opt.to_string(), "ab(?:cd(?:e|f)|x)");
 /// ```
 pub fn optimize(ast: &Ast) -> Ast {
-    let mut current = ast.clone();
-    for _ in 0..16 {
-        let next = pass(&current);
-        if next == current {
-            break;
-        }
-        current = next;
-    }
-    current
+    optimize_owned(ast.clone())
 }
 
-fn pass(ast: &Ast) -> Ast {
+/// [`optimize`] of a tree the caller gives up: the passes rewrite it in
+/// place, and a pass that rewrites nothing allocates nothing.
+pub fn optimize_owned(mut ast: Ast) -> Ast {
+    for _ in 0..16 {
+        let mut rewrote = false;
+        ast = pass(ast, &mut rewrote);
+        if !rewrote {
+            break;
+        }
+    }
+    ast
+}
+
+/// One bottom-up pass of every rewrite, setting `rewrote` when one fired.
+/// Each rewrite changes the tree, so a pass that sets nothing returned
+/// its input.
+fn pass(ast: Ast, rewrote: &mut bool) -> Ast {
     match ast {
-        Ast::Empty | Ast::Class(_) => ast.clone(),
-        Ast::Concat(parts) => {
+        Ast::Empty | Ast::Class(_) => ast,
+        Ast::Concat(mut parts) => {
             // Flatten nested concats and drop epsilons.
-            let mut flat = Vec::with_capacity(parts.len());
-            for p in parts {
-                match pass(p) {
-                    Ast::Concat(inner) => flat.extend(inner),
-                    Ast::Empty => {}
-                    other => flat.push(other),
-                }
+            let mut flatten = false;
+            for part in &mut parts {
+                *part = pass(std::mem::take(part), rewrote);
+                flatten |= matches!(part, Ast::Concat(_) | Ast::Empty);
             }
-            match flat.len() {
-                0 => Ast::Empty,
-                1 => flat.pop().expect("one element"),
-                _ => Ast::Concat(flat),
-            }
-        }
-        Ast::Alt(parts) => {
-            // Flatten, dedupe, then factor common prefixes.
-            let mut flat = Vec::with_capacity(parts.len());
-            for p in parts {
-                match pass(p) {
-                    Ast::Alt(inner) => flat.extend(inner),
-                    other => flat.push(other),
-                }
-            }
-            let mut deduped: Vec<Ast> = Vec::with_capacity(flat.len());
-            for p in flat {
-                if !deduped.contains(&p) {
-                    deduped.push(p);
-                }
-            }
-            factor_prefixes(deduped)
-        }
-        Ast::Star(inner) => match pass(inner) {
-            // (R*)* = R*, (R+)* = R*, (R?)* = R*.
-            Ast::Star(i) | Ast::Plus(i) | Ast::Opt(i) => Ast::Star(i),
-            Ast::Empty => Ast::Empty,
-            other => Ast::Star(Box::new(other)),
-        },
-        Ast::Plus(inner) => match pass(inner) {
-            Ast::Star(i) => Ast::Star(i),
-            Ast::Plus(i) => Ast::Plus(i),
-            Ast::Opt(i) => Ast::Star(i),
-            Ast::Empty => Ast::Empty,
-            other => Ast::Plus(Box::new(other)),
-        },
-        Ast::Opt(inner) => match pass(inner) {
-            Ast::Star(i) => Ast::Star(i),
-            Ast::Opt(i) => Ast::Opt(i),
-            Ast::Plus(i) => Ast::Star(i),
-            Ast::Empty => Ast::Empty,
-            other => Ast::Opt(Box::new(other)),
-        },
-        Ast::Repeat { node, min, max } => {
-            let node = pass(node);
-            match (&node, min, max) {
-                (_, 0, Some(0)) => Ast::Empty,
-                (_, 1, Some(1)) => node,
-                (_, 0, Some(1)) => Ast::Opt(Box::new(node)),
-                // (R{a}){b} with fixed counts multiplies.
-                (Ast::Repeat { node: inner, min: im, max: Some(imax) }, m, Some(mx))
-                    if im == imax && m == mx =>
-                {
-                    Ast::Repeat {
-                        node: inner.clone(),
-                        min: im * m,
-                        max: Some(im * mx),
+            if flatten {
+                let mut flat = Vec::with_capacity(parts.len());
+                for part in parts {
+                    match part {
+                        Ast::Concat(inner) => flat.extend(inner),
+                        Ast::Empty => {}
+                        other => flat.push(other),
                     }
                 }
-                _ => Ast::Repeat { node: Box::new(node), min: *min, max: *max },
+                parts = flat;
+            }
+            *rewrote |= flatten || parts.len() < 2;
+            match parts.len() {
+                0 => Ast::Empty,
+                1 => parts.pop().expect("one element"),
+                _ => Ast::Concat(parts),
             }
         }
+        Ast::Alt(mut parts) => {
+            // Flatten, dedupe, then factor common prefixes.
+            let mut flatten = false;
+            for part in &mut parts {
+                *part = pass(std::mem::take(part), rewrote);
+                flatten |= matches!(part, Ast::Alt(_));
+            }
+            if flatten {
+                let mut flat = Vec::with_capacity(parts.len());
+                for part in parts {
+                    match part {
+                        Ast::Alt(inner) => flat.extend(inner),
+                        other => flat.push(other),
+                    }
+                }
+                parts = flat;
+            }
+            // Keep each branch's first occurrence, in order.
+            let mut kept = 0;
+            for i in 0..parts.len() {
+                if !parts[..kept].contains(&parts[i]) {
+                    parts.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            *rewrote |= flatten || kept < parts.len();
+            parts.truncate(kept);
+            factor_prefixes(parts, rewrote)
+        }
+        Ast::Star(mut inner) => match pass(std::mem::take(&mut *inner), rewrote) {
+            // (R*)* = R*, (R+)* = R*, (R?)* = R*.
+            Ast::Star(i) | Ast::Plus(i) | Ast::Opt(i) => rewritten(rewrote, Ast::Star(i)),
+            Ast::Empty => rewritten(rewrote, Ast::Empty),
+            other => {
+                *inner = other;
+                Ast::Star(inner)
+            }
+        },
+        Ast::Plus(mut inner) => match pass(std::mem::take(&mut *inner), rewrote) {
+            Ast::Star(i) | Ast::Opt(i) => rewritten(rewrote, Ast::Star(i)),
+            Ast::Plus(i) => rewritten(rewrote, Ast::Plus(i)),
+            Ast::Empty => rewritten(rewrote, Ast::Empty),
+            other => {
+                *inner = other;
+                Ast::Plus(inner)
+            }
+        },
+        Ast::Opt(mut inner) => match pass(std::mem::take(&mut *inner), rewrote) {
+            Ast::Star(i) | Ast::Plus(i) => rewritten(rewrote, Ast::Star(i)),
+            Ast::Opt(i) => rewritten(rewrote, Ast::Opt(i)),
+            Ast::Empty => rewritten(rewrote, Ast::Empty),
+            other => {
+                *inner = other;
+                Ast::Opt(inner)
+            }
+        },
+        Ast::Repeat { mut node, min, max } => {
+            *node = pass(std::mem::take(&mut *node), rewrote);
+            let fixed = |ast: &Ast| matches!(ast, Ast::Repeat { min, max: Some(max), .. } if min == max);
+            match (min, max) {
+                (0, Some(0)) => rewritten(rewrote, Ast::Empty),
+                (1, Some(1)) => rewritten(rewrote, *node),
+                (0, Some(1)) => rewritten(rewrote, Ast::Opt(node)),
+                // (R{a}){b} with fixed counts multiplies.
+                (m, Some(mx)) if m == mx && fixed(&node) => {
+                    let Ast::Repeat { node: inner, min: im, .. } = *node else { unreachable!() };
+                    rewritten(rewrote, Ast::Repeat { node: inner, min: im * m, max: Some(im * mx) })
+                }
+                _ => Ast::Repeat { node, min, max },
+            }
+        }
+    }
+}
+
+/// `ast`, noting that a rewrite produced it.
+fn rewritten(rewrote: &mut bool, ast: Ast) -> Ast {
+    *rewrote = true;
+    ast
+}
+
+/// A branch as the element sequence prefix factoring compares.
+fn elements(branch: &Ast) -> &[Ast] {
+    match branch {
+        Ast::Concat(parts) => parts,
+        other => std::slice::from_ref(other),
+    }
+}
+
+/// [`elements`], taken.
+fn into_elements(branch: Ast) -> Vec<Ast> {
+    match branch {
+        Ast::Concat(parts) => parts,
+        other => vec![other],
+    }
+}
+
+/// The branch whose elements are `parts`: epsilon, the one element, or
+/// their concatenation.
+fn sequence(mut parts: Vec<Ast>) -> Ast {
+    match parts.len() {
+        0 => Ast::Empty,
+        1 => parts.pop().expect("one element"),
+        _ => Ast::Concat(parts),
     }
 }
 
@@ -123,79 +187,53 @@ fn pass(ast: &Ast) -> Ast {
 /// Branches are grouped by their first element; groups of two or more
 /// share the longest prefix common to the whole group:
 /// `abc|abd|x → ab(?:c|d)|x`.
-fn factor_prefixes(branches: Vec<Ast>) -> Ast {
+fn factor_prefixes(mut branches: Vec<Ast>, rewrote: &mut bool) -> Ast {
     if branches.len() < 2 {
-        return match branches.len() {
-            0 => Ast::Empty,
-            _ => branches.into_iter().next().expect("one element"),
-        };
+        *rewrote = true;
+        return branches.pop().unwrap_or(Ast::Empty);
     }
-    // Represent each branch as its element sequence.
-    let seqs: Vec<Vec<Ast>> = branches
-        .iter()
-        .map(|b| match b {
-            Ast::Concat(parts) => parts.clone(),
-            other => vec![other.clone()],
+    // Each branch's group leader: the first branch with its first element.
+    let leaders: Vec<usize> = (0..branches.len())
+        .map(|j| {
+            let first = elements(&branches[j]).first();
+            (0..j)
+                .find(|&i| first.is_some() && elements(&branches[i]).first() == first)
+                .unwrap_or(j)
         })
         .collect();
+    if leaders.iter().enumerate().all(|(j, &leader)| leader == j) {
+        return Ast::Alt(branches);
+    }
+    *rewrote = true;
+    let mut branches: Vec<Option<Ast>> = branches.into_iter().map(Some).collect();
     let mut out: Vec<Ast> = Vec::new();
-    let mut used = vec![false; seqs.len()];
-    for i in 0..seqs.len() {
-        if used[i] {
+    for i in 0..branches.len() {
+        let Some(branch) = branches[i].take() else { continue };
+        let group: Vec<usize> = (i + 1..branches.len()).filter(|&j| leaders[j] == i).collect();
+        if group.is_empty() {
+            out.push(branch);
             continue;
-        }
-        // Group all later branches sharing the same first element.
-        let mut group = vec![i];
-        if let Some(first) = seqs[i].first() {
-            for (j, seq) in seqs.iter().enumerate().skip(i + 1) {
-                if !used[j] && seq.first() == Some(first) {
-                    group.push(j);
-                }
-            }
-        }
-        if group.len() < 2 {
-            used[i] = true;
-            out.push(branches[i].clone());
-            continue;
-        }
-        for &j in &group {
-            used[j] = true;
         }
         // Longest prefix common to every member of the group.
-        let mut plen = 1;
-        loop {
-            let candidate = seqs[group[0]].get(plen);
-            if candidate.is_none()
-                || !group.iter().all(|&j| seqs[j].get(plen) == candidate)
-            {
-                break;
-            }
-            plen += 1;
+        let first = elements(&branch);
+        let common = |j: &usize| {
+            let other = elements(branches[*j].as_ref().expect("a later branch"));
+            first.iter().zip(other).take_while(|(a, b)| a == b).count()
+        };
+        let plen = group.iter().map(common).min().expect("a group member");
+        let mut prefix = into_elements(branch);
+        let mut tails = vec![sequence(prefix.split_off(plen))];
+        for j in group {
+            let mut parts = into_elements(branches[j].take().expect("a later branch"));
+            parts.drain(..plen);
+            tails.push(sequence(parts));
         }
-        let prefix: Vec<Ast> = seqs[group[0]][..plen].to_vec();
-        let tails: Vec<Ast> = group
-            .iter()
-            .map(|&j| {
-                let tail = &seqs[j][plen..];
-                match tail.len() {
-                    0 => Ast::Empty,
-                    1 => tail[0].clone(),
-                    _ => Ast::Concat(tail.to_vec()),
-                }
-            })
-            .collect();
         // Recursively factor the tails.
-        let tail_alt = factor_prefixes(tails);
-        let mut seq = prefix;
-        match tail_alt {
+        match factor_prefixes(tails, rewrote) {
             Ast::Empty => {}
-            other => seq.push(other),
+            other => prefix.push(other),
         }
-        out.push(if seq.len() == 1 {
-            seq.pop().expect("one element")
-        } else {
-            Ast::Concat(seq)
-        });
+        out.push(sequence(prefix));
     }
     match out.len() {
         1 => out.pop().expect("one element"),
