@@ -18,6 +18,7 @@ use crate::builder::ProgramBuilder;
 use crate::limits::{CompileLimits, LimitError};
 use crate::program::{Program, StreamId};
 use bitgen_regex::{Ast, ClassHashing};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Options controlling the lowering.
@@ -91,8 +92,14 @@ pub fn lower_group_checked(
     // charged against the same node budget as the parse tree.
     let mut stripped = Vec::with_capacity(asts.len());
     for ast in asts {
-        let mut budget = limits.max_ast_nodes;
-        stripped.push(strip_nullable_within(ast, &mut budget, limits.max_ast_nodes)?);
+        // A regex that cannot match empty is its own rewrite: borrowed,
+        // where the rewrite would clone it (its nodes fit the budget).
+        stripped.push(if ast.is_nullable() {
+            let mut budget = limits.max_ast_nodes;
+            strip_nullable_within(ast, &mut budget, limits.max_ast_nodes)?.map(Cow::Owned)
+        } else {
+            Some(Cow::Borrowed(ast))
+        });
     }
     let mut distinct = HashSet::with_hasher(ClassHashing::default());
     for ast in stripped.iter().flatten() {

@@ -2,8 +2,8 @@
 //!
 //! An IDS/WAF-shaped deployment has thousands of clients but a handful
 //! of rule sets. Compiling a pattern set is the expensive step (parse,
-//! group, lower, prepare the streaming tables; the daemon only streams,
-//! so no transform pass or kernel is ever built), so the cache keeps one
+//! group, lower, prepare the streaming tables, price each group with a
+//! kernel per fused segment; no transform pass runs), so the cache keeps one
 //! [`RuleSet`] — a generation, its pattern list in order, and the engine
 //! compiled from them — per rule set a stream can run, and every stream
 //! on it holds the same record behind an [`Arc`]. The cache owns the one
