@@ -7,7 +7,8 @@
 //! bitstreams.
 
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A set of byte values, represented as a 256-bit bitmap.
 ///
@@ -231,13 +232,35 @@ impl Hash for ByteSet {
 /// The hasher of maps and sets keyed by [`ByteSet`]: compiling a rule set
 /// looks a class up once per occurrence in every rule, and this folds the
 /// four membership words with a multiply each where SipHash runs rounds
-/// over them. Keys are the rules' classes, at most
-/// `CompileLimits::max_classes` distinct ones, so collisions cost little.
-pub type ClassHashing = BuildHasherDefault<ClassHasher>;
+/// over them. Classes come from tenants' patterns, so like `RandomState`
+/// each map draws its own random keys: colliding classes cannot be
+/// written down in advance.
+#[derive(Debug, Clone)]
+pub struct ClassHashing {
+    keys: [u64; 2],
+}
+
+impl Default for ClassHashing {
+    fn default() -> ClassHashing {
+        let random = RandomState::new();
+        ClassHashing { keys: [random.hash_one(0u64), random.hash_one(1u64)] }
+    }
+}
+
+impl BuildHasher for ClassHashing {
+    type Hasher = ClassHasher;
+
+    fn build_hasher(&self) -> ClassHasher {
+        ClassHasher { state: self.keys[0], key: self.keys[1] }
+    }
+}
 
 /// The [`Hasher`] of [`ClassHashing`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClassHasher(u64);
+#[derive(Debug, Clone)]
+pub struct ClassHasher {
+    state: u64,
+    key: u64,
+}
 
 impl Hasher for ClassHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -245,13 +268,18 @@ impl Hasher for ClassHasher {
     }
 
     fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.state = folded_multiply(self.state ^ word, self.key);
     }
 
     fn finish(&self) -> u64 {
-        // The multiplies mix upwards; the table indexes by the low bits.
-        (self.0 ^ self.0 >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9).rotate_left(32)
+        folded_multiply(self.state, self.key.rotate_left(32))
     }
+}
+
+/// The high and low halves of `a × b`, XORed.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ (product >> 64) as u64
 }
 
 impl Default for ByteSet {
@@ -518,6 +546,18 @@ mod tests {
         ] {
             assert_eq!(set.to_string(), text);
         }
+    }
+
+    #[test]
+    fn class_hashing_keeps_distinct_classes_apart() {
+        use std::collections::HashSet;
+        let singletons = (0..=255u8).map(ByteSet::singleton);
+        let classes: Vec<ByteSet> = singletons.flat_map(|s| [s, s.complement()]).collect();
+        let mut set = HashSet::with_hasher(ClassHashing::default());
+        set.extend(classes.iter().copied());
+        assert_eq!(set.len(), 512);
+        assert!(classes.iter().all(|class| set.contains(class)));
+        assert!(!set.contains(&ByteSet::EMPTY));
     }
 
     #[test]
