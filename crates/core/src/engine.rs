@@ -439,10 +439,8 @@ impl BitGen {
         } else {
             group_regexes(&asts, config.cta_count, config.grouping)
         };
-        let (pattern_count, opts) = (
-            asts.len(),
-            LowerOptions { match_star: config.match_star, log_repetition: config.log_repetition },
-        );
+        let opts =
+            LowerOptions { match_star: config.match_star, log_repetition: config.log_repetition };
         let lowered = groups
             .iter()
             .map(|g| {
@@ -480,7 +478,7 @@ impl BitGen {
             stream_fingerprint: crate::stream_scan::fingerprint_of(&stream_programs),
             stream_programs,
             stream_prices: Box::default(),
-            pattern_count,
+            pattern_count: asts.len(),
             generation: 0,
             config,
         };

@@ -70,11 +70,7 @@ fn pass(ast: Ast, rewrote: &mut bool) -> Ast {
                 parts = flat;
             }
             *rewrote |= flatten || parts.len() < 2;
-            match parts.len() {
-                0 => Ast::Empty,
-                1 => parts.pop().expect("one element"),
-                _ => Ast::Concat(parts),
-            }
+            sequence(parts)
         }
         Ast::Alt(mut parts) => {
             // Flatten, dedupe, then factor common prefixes.
@@ -205,28 +201,30 @@ fn factor_prefixes(mut branches: Vec<Ast>, rewrote: &mut bool) -> Ast {
         return Ast::Alt(branches);
     }
     *rewrote = true;
-    let mut branches: Vec<Option<Ast>> = branches.into_iter().map(Some).collect();
+    // Each group in its leader's place, its members in order.
+    let mut groups: Vec<Vec<Ast>> = (0..branches.len()).map(|_| Vec::new()).collect();
+    for (branch, &leader) in branches.into_iter().zip(&leaders) {
+        groups[leader].push(branch);
+    }
     let mut out: Vec<Ast> = Vec::new();
-    for i in 0..branches.len() {
-        let Some(branch) = branches[i].take() else { continue };
-        let group: Vec<usize> = (i + 1..branches.len()).filter(|&j| leaders[j] == i).collect();
-        if group.is_empty() {
-            out.push(branch);
+    for mut group in groups.into_iter().filter(|group| !group.is_empty()) {
+        if group.len() == 1 {
+            out.append(&mut group);
             continue;
         }
         // Longest prefix common to every member of the group.
-        let first = elements(&branch);
-        let common = |j: &usize| {
-            let other = elements(branches[*j].as_ref().expect("a later branch"));
-            first.iter().zip(other).take_while(|(a, b)| a == b).count()
-        };
-        let plen = group.iter().map(common).min().expect("a group member");
-        let mut prefix = into_elements(branch);
-        let mut tails = vec![sequence(prefix.split_off(plen))];
-        for j in group {
-            let mut parts = into_elements(branches[j].take().expect("a later branch"));
-            parts.drain(..plen);
-            tails.push(sequence(parts));
+        let first = elements(&group[0]);
+        let plen = group[1..].iter().fold(first.len(), |plen, other| {
+            plen.min(first.iter().zip(elements(other)).take_while(|(a, b)| a == b).count())
+        });
+        let mut prefix = Vec::new();
+        let mut tails = Vec::with_capacity(group.len());
+        for member in group {
+            let mut parts = into_elements(member);
+            tails.push(sequence(parts.split_off(plen)));
+            if prefix.is_empty() {
+                prefix = parts;
+            }
         }
         // Recursively factor the tails.
         match factor_prefixes(tails, rewrote) {
